@@ -3,11 +3,17 @@
 
 GO ?= go
 
-.PHONY: all check vet build test race bench bench-avc bench-ablation bench-smoke bench-json chaos reload-stress fleet-stress fleet-persist-stress fleet-scale parallel-stress resilience-stress matcher-diff verify profile
+.PHONY: all check tracked-sources vet build test race bench bench-avc bench-ablation bench-smoke bench-json chaos reload-stress fleet-stress fleet-persist-stress fleet-scale parallel-stress resilience-stress matcher-diff verify profile
 
 all: check
 
-check: vet build race chaos reload-stress fleet-stress fleet-persist-stress parallel-stress resilience-stress matcher-diff verify bench-smoke
+check: tracked-sources vet build race chaos reload-stress fleet-stress fleet-persist-stress parallel-stress resilience-stress matcher-diff verify bench-smoke
+
+# Every Go source must be tracked by git: an over-broad .gitignore line
+# can hide a package from commits while local builds still pass.
+tracked-sources:
+	@ignored=$$(git ls-files --others --ignored --exclude-standard -- '*.go'); \
+	if [ -n "$$ignored" ]; then echo "Go sources ignored by .gitignore:"; echo "$$ignored"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -85,8 +91,7 @@ bench: fleet-scale
 bench-avc:
 	$(GO) test -run '^$$' -bench 'BenchmarkAVC' -benchmem .
 
-# Matcher ablation: glob walk vs trie-compiled matcher, AVC off and on
-# (also: sackbench -ablation for the table form).
+# Matcher ablation: glob walk vs trie-compiled matcher, AVC off and on.
 bench-ablation:
 	$(GO) test -run '^$$' -bench 'BenchmarkMatcherAblation' -benchmem .
 
@@ -111,9 +116,11 @@ matcher-diff:
 # nothing the explorer missed), the exact glob-intersection engine, the
 # pack-wide baseline gate (every shipped policy satisfies
 # policies/invariants/baseline.inv), the witness-replay differential
-# against a booted system, and the fleetd publish-time gate.
+# against a booted system, the fleetd publish-time gate, and the
+# validator's conflict pass against its plain quadratic reference.
 verify:
 	$(GO) test -count=1 ./internal/verify ./internal/glob
+	$(GO) test -count=1 -run 'TestValidateMatchesReference|TestConflict' ./internal/policy
 	$(GO) test -count=1 -run 'TestVerifyPackAgainstBaseline|TestVerifyWitnessReplaysAsLiveAllow' .
 	$(GO) test -count=1 -run 'TestPublishGate|TestPublishBundleEmbeddedInvariants' ./internal/fleet
 	$(GO) test -count=1 -run 'TestVerify|TestBundlePushWithInvariants' ./cmd/sackctl
@@ -122,13 +129,15 @@ verify:
 # path compiles and runs on every PR without benchmark-length runtimes,
 # plus the uncached-latency fence (trie must stay well ahead of the glob
 # walk and under its absolute budget) and the wire-codec fences
-# (bytes/record ≥5× under JSON, zero-alloc decode).
+# (bytes/record ≥5× under JSON, zero-alloc decode), plus the policy
+# validator's allocation fence on a benchmark-sized policy.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkParallelDecision/sack-covered/goroutines=(1|16)$$' -benchtime 1x .
 	$(GO) test -count=1 -run 'TestUncachedLatencyGuard|TestMatcherZeroAllocUncached' -v .
 	$(GO) test -run '^$$' -bench 'BenchmarkResilienceOverhead' -benchtime 1000x ./internal/resilience
 	$(GO) test -count=1 -run 'TestStackHappyPathZeroAllocs|TestResilienceOverheadGuard' -v ./internal/resilience
 	$(GO) test -count=1 -run 'TestBytesPerRecordGuard|TestDecodeAllocGuard' -v ./internal/fleet/wire
+	$(GO) test -count=1 -run 'TestValidateAllocGuard' -v ./internal/policy
 
 # Machine-readable fleet perf snapshot: runs the compact 1k-vehicle
 # harness plus the wire-codec micro-measurements and writes

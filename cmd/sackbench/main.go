@@ -8,11 +8,12 @@
 //	sackbench -fig 3a           Fig. 3(a) (overhead vs. #situation states)
 //	sackbench -fig 3b           Fig. 3(b) (overhead vs. transition period)
 //	sackbench -latency          §IV-B situation awareness latency
-//	sackbench -scale            decision throughput vs. goroutine count
-//	sackbench -ablation         uncached verdict: glob walk vs trie × AVC
-//	sackbench -matcher walk     force the glob-walk engine in -scale
 //	sackbench -all              everything
 //	sackbench -quick            reduce iteration counts (CI-sized run)
+//
+// Decision throughput against goroutine count and the glob-walk vs
+// trie-matcher ablation are Go benchmarks instead:
+// `go test -bench BenchmarkParallelDecision .` and `make bench-ablation`.
 package main
 
 import (
@@ -29,18 +30,10 @@ func main() {
 	fig := flag.String("fig", "", "regenerate a figure (3a or 3b)")
 	latency := flag.Bool("latency", false, "measure situation awareness latency")
 	riscv := flag.Bool("riscv", false, "no-LSM vs independent SACK file read/write comparison")
-	scale := flag.Bool("scale", false, "decision throughput vs. goroutine count (lock-free read side)")
-	ablation := flag.Bool("ablation", false, "uncached decision cost: glob walk vs trie matcher, AVC off/on")
-	matcher := flag.String("matcher", "trie", "decision engine for -scale: trie or walk")
 	all := flag.Bool("all", false, "run every experiment")
 	quick := flag.Bool("quick", false, "smaller iteration counts")
 	repeats := flag.Int("repeats", 1, "median-of-N repetitions for tables")
 	flag.Parse()
-
-	if *matcher != "trie" && *matcher != "walk" {
-		fmt.Fprintf(os.Stderr, "sackbench: -matcher must be trie or walk, got %q\n", *matcher)
-		os.Exit(2)
-	}
 
 	opts := bench.Options{Repeats: *repeats}
 	if *quick {
@@ -117,32 +110,6 @@ func main() {
 		fmt.Println("No-LSM baseline vs independent SACK (the paper's VisionFive2 experiment):")
 		fmt.Printf("  file read:  %.6f ms -> %.6f ms (%+.2f%%)\n", res.BaseReadMs, res.SACKReadMs, res.ReadOverheadPct)
 		fmt.Printf("  file write: %.6f ms -> %.6f ms (%+.2f%%)\n", res.BaseWriteMs, res.SACKWriteMs, res.WriteOverheadPct)
-	}
-	if *all || *scale {
-		ran = true
-		so := bench.ScaleOptions{DisableMatcher: *matcher == "walk"}
-		if *quick {
-			so.Goroutines = []int{1, 4, 16}
-			so.OpsPerG = 20000
-		}
-		res, err := bench.RunScale(so)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Printf("decision engine: %s\n", *matcher)
-		fmt.Println(res.Format())
-	}
-	if *all || *ablation {
-		ran = true
-		ao := bench.MatcherAblationOptions{}
-		if *quick {
-			ao.Iterations = 2000
-		}
-		res, err := bench.RunMatcherAblation(ao)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(res.Format())
 	}
 	if !ran {
 		flag.Usage()

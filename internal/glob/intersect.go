@@ -86,6 +86,13 @@ func IntersectK(a, b *Glob, k int) ([]string, IntersectResult) {
 				}
 			}
 		}
+		// Salts only steer free choices; whether a segmentable pair
+		// intersects does not depend on them. A first pass that found no
+		// witness and hit no Unknown has proved the patterns disjoint, so
+		// the remaining salts would only repeat the proof.
+		if salt == 0 && len(out) == 0 && !unknown {
+			return nil, IntersectNone
+		}
 	}
 	if len(out) > 0 {
 		return out, IntersectFound

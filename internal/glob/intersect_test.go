@@ -50,6 +50,8 @@ func TestIntersectTable(t *testing.T) {
 		// Unsegmentable shapes degrade gracefully.
 		{"dev/can/x", "dev/can/x", IntersectFound}, // unrooted literal probe
 		{"/srv/a**", "/srv/abc/d", IntersectFound}, // glued "**" exemplar hit
+		// No exemplar hit: inconclusive, which is not a disjointness proof.
+		{"/srv/f**.tmp", "/srv/*.log", IntersectUnknown},
 	}
 	for _, c := range cases {
 		t.Run(c.a+"|"+c.b, func(t *testing.T) {
@@ -129,6 +131,23 @@ func TestIntersectDifferential(t *testing.T) {
 				w, res := Intersect(ga, gb)
 				if res == IntersectFound && (!ga.Match(w) || !gb.Match(w)) {
 					t.Fatalf("witness %q fails %q or %q", w, ga, gb)
+				}
+				// IntersectK stops after salt 0 once it has proved a pair
+				// disjoint. Deeper enumeration must agree on disjointness, and
+				// no later salt may construct what salt 0 could not.
+				if _, resK := IntersectK(ga, gb, 16); (resK == IntersectNone) != (res == IntersectNone) {
+					t.Fatalf("IntersectK(%q, %q, 16) = %v but Intersect = %v", ga, gb, resK, res)
+				}
+				if res == IntersectNone {
+					for salt := 1; salt < 8*16; salt++ {
+						for _, pa := range ga.branches {
+							for _, pb := range gb.branches {
+								if sw, sr := branchIntersect(pa, pb, salt); sr != IntersectNone {
+									t.Fatalf("Intersect(%q, %q) = None but salt %d gives %v %q", ga, gb, salt, sr, sw)
+								}
+							}
+						}
+					}
 				}
 				for probe := 0; probe < 60; probe++ {
 					p := genIntersectPath(r)

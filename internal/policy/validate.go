@@ -92,6 +92,14 @@ func (r *ValidationResult) warnf(pos Pos, format string, args ...any) {
 // deterministic transitions, glob syntax, allow/deny conflicts, and
 // reachability.
 func Validate(f *File) *ValidationResult {
+	r, rules := validateDecls(f)
+	detectConflicts(r, f, rules)
+	return r
+}
+
+// validateDecls runs every check but the allow/deny conflict pass and
+// returns the per_rules section prepared for that pass.
+func validateDecls(f *File) (*ValidationResult, preparedRules) {
 	r := &ValidationResult{}
 
 	// --- states ---
@@ -181,6 +189,7 @@ func Validate(f *File) *ValidationResult {
 
 	// --- per_rules ---
 	perRulesSeen := make(map[string]bool)
+	rules := preparedRules{byPerm: make(map[string][]int, len(f.PerRules))}
 	for _, pr := range f.PerRules {
 		if _, ok := perms[pr.Perm]; !ok {
 			r.errorf(pr.Pos, "per_rules references undeclared permission %s", quoteIdent(pr.Perm))
@@ -193,15 +202,20 @@ func Validate(f *File) *ValidationResult {
 			r.warnf(pr.Pos, "permission %s has an empty per_rules block", quoteIdent(pr.Perm))
 		}
 		for _, rule := range pr.Rules {
-			validateRule(r, rule)
+			rules.byPerm[pr.Perm] = append(rules.byPerm[pr.Perm], len(rules.all))
+			rules.all = append(rules.all, validateRule(r, rule))
 		}
 	}
-	for name, p := range perms {
-		if !perRulesSeen[name] {
-			r.warnf(p.Pos, "permission %s has no per_rules block (grants nothing)", quoteIdent(name))
+	// Declaration order, not map order, so the findings are deterministic.
+	for _, p := range f.Permissions {
+		if perms[p.Name] != p {
+			continue // a duplicate, reported above
 		}
-		if !grantedPerms[name] {
-			r.warnf(p.Pos, "permission %s is never granted by any state", quoteIdent(name))
+		if !perRulesSeen[p.Name] {
+			r.warnf(p.Pos, "permission %s has no per_rules block (grants nothing)", quoteIdent(p.Name))
+		}
+		if !grantedPerms[p.Name] {
+			r.warnf(p.Pos, "permission %s is never granted by any state", quoteIdent(p.Name))
 		}
 	}
 
@@ -264,140 +278,176 @@ func Validate(f *File) *ValidationResult {
 		}
 	}
 
-	// --- allow/deny conflicts per state ---
-	detectConflicts(r, f)
+	return r, rules
+}
 
-	return r
+// conflictRule is one MAC rule prepared for the conflict pass: its
+// patterns compiled and its operations folded once per Validate, not
+// once per rule pair.
+type conflictRule struct {
+	RuleDecl
+	path    *glob.Glob // nil when the pattern does not compile
+	subject *glob.Glob // nil without a (compilable) subject
+	ops     sys.Access
+	prefix  string // path.LiteralPrefix(); "" when path is nil
+}
+
+// preparedRules is the per_rules section as the conflict pass reads it:
+// every rule in declaration order, and each permission's rules as
+// indices into all.
+type preparedRules struct {
+	all    []conflictRule
+	byPerm map[string][]int
 }
 
 // validateRule checks operation names, glob syntax, and intra-rule
-// consistency for one MAC rule.
-func validateRule(r *ValidationResult, rule RuleDecl) {
+// consistency for one MAC rule, and returns it prepared for the
+// conflict pass.
+func validateRule(r *ValidationResult, rule RuleDecl) conflictRule {
+	cr := conflictRule{RuleDecl: rule}
 	seen := make(map[string]bool)
 	for _, op := range rule.Ops {
-		if sys.ParseAccess(op) == 0 {
+		acc := sys.ParseAccess(op)
+		if acc == 0 {
 			r.errorf(rule.Pos, "unknown operation %s (valid: %s)", quoteIdent(op), strings.Join(sys.AccessNames(), ", "))
 		}
+		cr.ops |= acc
 		if seen[op] {
 			r.warnf(rule.Pos, "operation %s repeated in rule", quoteIdent(op))
 		}
 		seen[op] = true
 	}
-	if _, err := glob.Compile(rule.Path); err != nil {
+	if g, err := glob.Compile(rule.Path); err != nil {
 		r.errorf(rule.Pos, "bad path pattern: %v", err)
+	} else {
+		cr.path, cr.prefix = g, g.LiteralPrefix()
 	}
 	if rule.Subject != "" {
-		if _, err := glob.Compile(rule.Subject); err != nil {
+		if g, err := glob.Compile(rule.Subject); err != nil {
 			r.errorf(rule.Pos, "bad subject pattern: %v", err)
+		} else {
+			cr.subject = g
 		}
 	}
+	return cr
 }
 
 // detectConflicts finds allow/deny pairs that target overlapping paths
 // with overlapping operations within the rule set a single state
 // activates. Deny always wins at runtime; the check surfaces the
 // contradiction so administrators see it before deployment.
-func detectConflicts(r *ValidationResult, f *File) {
-	rulesByPerm := make(map[string][]RuleDecl)
-	for _, pr := range f.PerRules {
-		rulesByPerm[pr.Perm] = append(rulesByPerm[pr.Perm], pr.Rules...)
+//
+// Cost model: the pass is quadratic in each state's rule count only in
+// cheap integer and string tests. A pair reaches glob intersection only
+// when its sides differ in deny, share an operation, and have
+// prefix-related literal prefixes (LiteralPrefix is a required prefix
+// of every match, so unrelated prefixes prove the paths disjoint). Each
+// pair's verdict is memoised across states on the rule-index pair,
+// since one permission's rules recur in every state granting it.
+func detectConflicts(r *ValidationResult, f *File, rules preparedRules) {
+	type verdict struct {
+		overlap bool
+		witness string
 	}
+	memo := make(map[[2]int]verdict)
+	var all []int
 	for _, sp := range f.StatePer {
-		var all []RuleDecl
+		all = all[:0]
 		for _, pm := range sp.Perms {
-			all = append(all, rulesByPerm[pm]...)
+			all = append(all, rules.byPerm[pm]...)
 		}
-		for i := 0; i < len(all); i++ {
-			for j := i + 1; j < len(all); j++ {
-				a, b := all[i], all[j]
-				if a.Deny == b.Deny {
+		for i, ai := range all {
+			a := &rules.all[ai]
+			for _, bi := range all[i+1:] {
+				b := &rules.all[bi]
+				if a.Deny == b.Deny || a.ops&b.ops == 0 || !prefixRelated(a.prefix, b.prefix) {
 					continue
 				}
-				if !opsOverlap(a.Ops, b.Ops) {
+				v, ok := memo[[2]int{ai, bi}]
+				if !ok {
+					v.witness, v.overlap = conflictBetween(a, b)
+					memo[[2]int{ai, bi}] = v
+				}
+				if !v.overlap {
 					continue
 				}
-				deny, allow := a, b
-				if b.Deny {
-					deny, allow = b, a
+				msg := fmt.Sprintf("state %s both allows and denies overlapping paths %q and %q (deny wins at runtime)",
+					quoteIdent(sp.State), a.Path, b.Path)
+				if v.witness != "" {
+					msg += fmt.Sprintf(", e.g. %q", v.witness)
 				}
-				// A literal deny carved out of a broader allow glob is the
-				// standard exception idiom (allow /dev/firmware/*, deny
-				// /dev/firmware/bootloader) — intentional, not a conflict.
-				if isCarveOut(allow.Path, deny.Path) {
-					continue
-				}
-				if w, overlap := patternsOverlap(a.Path, b.Path); overlap {
-					msg := fmt.Sprintf("state %s both allows and denies overlapping paths %q and %q (deny wins at runtime)",
-						quoteIdent(sp.State), a.Path, b.Path)
-					if w != "" {
-						msg += fmt.Sprintf(", e.g. %q", w)
-					}
-					r.warnf(b.Pos, "%s", msg)
-				}
+				r.warnf(b.Pos, "%s", msg)
 			}
 		}
 	}
 }
 
-func opsOverlap(a, b []string) bool {
-	var ma, mb sys.Access
-	for _, op := range a {
-		ma |= sys.ParseAccess(op)
-	}
-	for _, op := range b {
-		mb |= sys.ParseAccess(op)
-	}
-	return ma&mb != 0
+func prefixRelated(a, b string) bool {
+	return strings.HasPrefix(a, b) || strings.HasPrefix(b, a)
 }
 
-// isCarveOut reports whether denyPath is a strictly narrower exception
-// inside allowPath: the deny is literal (or narrower) and falls within
-// the allow glob, while the allow covers more than just the deny.
-func isCarveOut(allowPath, denyPath string) bool {
-	if allowPath == denyPath {
+// conflictBetween decides one allow/deny pair with overlapping
+// operations and prefix-related paths: whether it is a conflict, and a
+// witness path when one is known.
+func conflictBetween(a, b *conflictRule) (witness string, overlap bool) {
+	if subjectsDisjoint(a.subject, b.subject) {
+		return "", false
+	}
+	deny, allow := a, b
+	if b.Deny {
+		deny, allow = b, a
+	}
+	// A literal deny carved out of a broader allow glob is the standard
+	// exception idiom (allow /dev/firmware/*, deny /dev/firmware/bootloader)
+	// — intentional, not a conflict.
+	if isCarveOut(allow, deny) {
+		return "", false
+	}
+	return patternsOverlap(a, b)
+}
+
+// subjectsDisjoint reports whether two rules provably govern different
+// subjects: both name one and the subject patterns cannot match the
+// same executable. A rule without a subject governs every subject.
+func subjectsDisjoint(a, b *glob.Glob) bool {
+	if a == nil || b == nil {
 		return false
 	}
-	ga, errA := glob.Compile(allowPath)
-	gd, errD := glob.Compile(denyPath)
-	if errA != nil || errD != nil {
+	_, res := glob.Intersect(a, b)
+	return res == glob.IntersectNone
+}
+
+// isCarveOut reports whether deny is a strictly narrower exception
+// inside allow: the deny is literal (or narrower) and falls within the
+// allow glob, while the allow covers more than just the deny.
+func isCarveOut(allow, deny *conflictRule) bool {
+	if allow.Path == deny.Path || allow.path == nil || deny.path == nil {
 		return false
 	}
-	if !gd.Literal() || ga.Literal() {
+	if !deny.path.Literal() || allow.path.Literal() {
 		return false
 	}
-	return ga.Match(denyPath)
+	return allow.path.Match(deny.Path)
 }
 
 // patternsOverlap decides glob intersection exactly via the segment-wise
 // construction in internal/glob, returning a concrete witness path when
 // one exists so the warning shows the administrator a real conflicting
-// object. The earlier release approximated this with a literal-prefix
-// comparison — complete (LiteralPrefix is a required prefix of every
-// match, so intersecting patterns always have prefix-related prefixes)
-// but imprecise: disjoint pairs sharing a prefix, like /dev/can/a*/x vs
-// /dev/can/*/y, were flagged as conflicts. The prefix test survives only
-// as the conservative fallback for the rare pattern shapes the exact
-// construction cannot segment-index.
-func patternsOverlap(a, b string) (witness string, overlap bool) {
-	if a == b {
-		return a, true
+// object. Callers pass only prefix-related pairs, so for the rare
+// pattern shapes the construction cannot segment-index, an inconclusive
+// intersection conservatively warns without a witness.
+func patternsOverlap(a, b *conflictRule) (witness string, overlap bool) {
+	if a.Path == b.Path {
+		return a.Path, true
 	}
-	ga, errA := glob.Compile(a)
-	gb, errB := glob.Compile(b)
-	if errA != nil || errB != nil {
+	if a.path == nil || b.path == nil {
 		return "", false
 	}
-	switch w, res := glob.Intersect(ga, gb); res {
+	switch w, res := glob.Intersect(a.path, b.path); res {
 	case glob.IntersectFound:
 		return w, true
 	case glob.IntersectNone:
 		return "", false
 	}
-	// Inconclusive (unsegmentable shapes): fall back to the complete
-	// prefix heuristic and warn without a witness.
-	pa, pb := ga.LiteralPrefix(), gb.LiteralPrefix()
-	if strings.HasPrefix(pa, pb) || strings.HasPrefix(pb, pa) {
-		return "", true
-	}
-	return "", false
+	return "", true
 }

@@ -76,6 +76,49 @@ per_rules {
 	}
 }
 
+// A conflict needs one subject both rules govern. Rules scoped to
+// provably different executables never meet at runtime; a rule with no
+// subject, or subject globs that overlap, still can.
+func TestConflictSubjects(t *testing.T) {
+	cases := []struct {
+		name, allowSubj, denySubj string
+		flagged                   bool
+	}{
+		{"disjoint subjects", " subject /usr/bin/app00", " subject /usr/bin/app05", false},
+		{"same subject", " subject /usr/bin/app00", " subject /usr/bin/app00", true},
+		{"overlapping subject globs", " subject /usr/bin/app*", " subject /usr/bin/app05", true},
+		{"subject-less allow", "", " subject /usr/bin/app05", true},
+		{"subject-less deny", " subject /usr/bin/app00", "", true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			src := `
+states { a }
+initial a
+permissions { P }
+state_per { a: P }
+per_rules {
+  P {
+    allow read /opt/app00/**` + c.allowSubj + `
+    deny read,write /opt/app00/secret/**` + c.denySubj + `
+  }
+}
+`
+			f, err := Parse(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			flagged := false
+			for _, w := range Validate(f).Warnings() {
+				flagged = flagged || strings.Contains(w.Message, "allows and denies")
+			}
+			if flagged != c.flagged {
+				t.Fatalf("conflict flagged = %v, want %v", flagged, c.flagged)
+			}
+		})
+	}
+}
+
 // Failsafe-only and break-glass-only states get distinct warning
 // classes, matching the verifier's reachability classification.
 func TestValidateReachabilityClasses(t *testing.T) {

@@ -10,7 +10,6 @@ package sack_test
 // Scaling is bounded by GOMAXPROCS: on a single-CPU host every
 // goroutine count time-slices one core, so the interesting number there
 // is that throughput stays flat instead of collapsing under contention.
-// The sackbench binary prints the same sweep as a table (-scale).
 
 import (
 	"fmt"
