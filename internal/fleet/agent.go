@@ -156,7 +156,7 @@ type Agent struct {
 		uploaded uint64
 		dropped  uint64
 	}
-	pending   []LogRecord // exported from the ring, not yet accepted upstream
+	pending    []LogRecord // exported from the ring, not yet accepted upstream
 	syncs      uint64
 	syncFails  uint64
 	fallbacks  uint64 // rounds degraded to the cached bundle

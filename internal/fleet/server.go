@@ -181,20 +181,20 @@ type serverShard struct {
 // VehicleState is the server's record of one vehicle: the last status
 // report, the ingestion ledger, and bookkeeping for deduplication.
 type VehicleState struct {
-	Vehicle           string    `json:"vehicle"`
-	Group             string    `json:"group"`
-	AppliedGeneration uint64    `json:"applied_generation"`
-	Checksum          string    `json:"checksum,omitempty"`
-	DiffSummary       string    `json:"diff_summary,omitempty"`
-	Degraded          bool      `json:"degraded,omitempty"`
-	Pinned            bool      `json:"pinned,omitempty"`
-	Emitted           uint64    `json:"emitted"`  // agent-reported
-	Uploaded          uint64    `json:"uploaded"` // agent-reported
-	Dropped           uint64    `json:"dropped"`  // agent-reported
-	Breaker           string    `json:"breaker,omitempty"`     // agent-reported
-	Shed              uint64    `json:"shed,omitempty"`        // agent-reported
-	Fallbacks         uint64    `json:"fallbacks,omitempty"`   // agent-reported
-	SigRejects        uint64    `json:"sig_rejects,omitempty"` // agent-reported
+	Vehicle           string `json:"vehicle"`
+	Group             string `json:"group"`
+	AppliedGeneration uint64 `json:"applied_generation"`
+	Checksum          string `json:"checksum,omitempty"`
+	DiffSummary       string `json:"diff_summary,omitempty"`
+	Degraded          bool   `json:"degraded,omitempty"`
+	Pinned            bool   `json:"pinned,omitempty"`
+	Emitted           uint64 `json:"emitted"`               // agent-reported
+	Uploaded          uint64 `json:"uploaded"`              // agent-reported
+	Dropped           uint64 `json:"dropped"`               // agent-reported
+	Breaker           string `json:"breaker,omitempty"`     // agent-reported
+	Shed              uint64 `json:"shed,omitempty"`        // agent-reported
+	Fallbacks         uint64 `json:"fallbacks,omitempty"`   // agent-reported
+	SigRejects        uint64 `json:"sig_rejects,omitempty"` // agent-reported
 	// Wire surface, agent-reported: upload encoding in use and the
 	// vehicle's own byte/pull accounting (see VehicleStatus).
 	WireEncoding    string    `json:"wire_encoding,omitempty"`
@@ -285,8 +285,8 @@ func NewServer(opts ...ServerOption) *Server {
 		groups:     make(map[string]*groupEntry),
 		invariants: make(map[string]*invariantEntry),
 		rollouts:   make(map[string]*rolloutState),
-		shards: make([]serverShard, DefaultShards),
-		logCap: DefaultLogCapacity,
+		shards:     make([]serverShard, DefaultShards),
+		logCap:     DefaultLogCapacity,
 		gates: resilience.NewKeyedBulkheads(resilience.BulkheadConfig{
 			Capacity: DefaultGroupAdmissions, Queue: DefaultGroupQueue,
 		}),

@@ -174,7 +174,7 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 		nil,
 		[]byte("{}"),
 		[]byte("[]"),
-		[]byte{magic0, magic1, 99, 0},                // bad version
+		[]byte{magic0, magic1, 99, 0}, // bad version
 		[]byte{magic0, magic1, frameVersion, 0, 255}, // truncated table
 		append(EncodeBatch(benchBatch(4), false), 0), // trailing bytes
 	}

@@ -231,4 +231,3 @@ func SplitSourceInvariants(body string) (src, invariants string) {
 	src, invariants, _ = strings.Cut(body, invariantsSeparator)
 	return src, invariants
 }
-

@@ -13,9 +13,9 @@ type BreakerState int32
 
 // Breaker states.
 const (
-	Closed BreakerState = iota // calls flow; consecutive failures are counted
-	Open                       // calls short-circuit with ErrCircuitOpen until the cooldown lapses
-	HalfOpen                   // one probe call at a time; successes close, a failure re-opens
+	Closed   BreakerState = iota // calls flow; consecutive failures are counted
+	Open                         // calls short-circuit with ErrCircuitOpen until the cooldown lapses
+	HalfOpen                     // one probe call at a time; successes close, a failure re-opens
 )
 
 // String names the state for renders.

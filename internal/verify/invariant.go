@@ -59,9 +59,9 @@ func (k Kind) String() string {
 
 // Invariant is one parsed safety property.
 type Invariant struct {
-	Kind    Kind
-	Source  string // the source line, verbatim (for reports)
-	Line    int
+	Kind   Kind
+	Source string // the source line, verbatim (for reports)
+	Line   int
 
 	States  []string // reachable/always/implies target states, never scope
 	Subject string   // "" = unconfined ("-" in the source)

@@ -15,7 +15,7 @@ import (
 // against the live system — deliver the events (or force the pseudo-
 // steps) and System.Check reproduces the verdict.
 type Violation struct {
-	Invariant string   // source line of the violated invariant
+	Invariant string // source line of the violated invariant
 	Kind      Kind
 	State     string   // offending situation state ("" when state-independent)
 	Trace     []string // how the SSM reaches State from the initial state

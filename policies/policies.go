@@ -92,4 +92,3 @@ func Baseline() string {
 	}
 	return src
 }
-

@@ -124,10 +124,10 @@ func TestVerifyWitnessReplaysAsLiveAllow(t *testing.T) {
 	// One invariant per entry class; each is violated, and each witness
 	// must replay.
 	invariants := []string{
-		"never /usr/bin/diagtool write /dev/can/actuator*",  // normal path (driving)
-		"never - read /data/keys/**",                        // break-glass only (vault)
+		"never /usr/bin/diagtool write /dev/can/actuator*",      // normal path (driving)
+		"never - read /data/keys/**",                            // break-glass only (vault)
 		"never /usr/bin/diagtool write /dev/can/** in workshop", // behind the failsafe
-		"never - read /etc/** in limp",                      // witness state is the failsafe itself
+		"never - read /etc/** in limp",                          // witness state is the failsafe itself
 	}
 	for _, inv := range invariants {
 		set, err := sack.ParseInvariants(inv)
