@@ -1,19 +1,24 @@
-# Developer entry points. `make check` is the PR gate: vet, build,
-# full test suite under the race detector.
+# Developer entry points. `make check` is the PR gate: gofmt, vet,
+# build, full test suite under the race detector.
 
 GO ?= go
 
-.PHONY: all check tracked-sources vet build test race bench bench-avc bench-ablation bench-smoke bench-json chaos reload-stress fleet-stress fleet-persist-stress fleet-scale parallel-stress resilience-stress matcher-diff verify profile
+.PHONY: all check tracked-sources fmt vet build test race bench bench-avc bench-ablation bench-smoke bench-json chaos reload-stress fleet-stress fleet-persist-stress fleet-scale parallel-stress resilience-stress matcher-diff verify profile
 
 all: check
 
-check: tracked-sources vet build race chaos reload-stress fleet-stress fleet-persist-stress parallel-stress resilience-stress matcher-diff verify bench-smoke
+check: tracked-sources fmt vet build race chaos reload-stress fleet-stress fleet-persist-stress parallel-stress resilience-stress matcher-diff verify bench-smoke
 
 # Every Go source must be tracked by git: an over-broad .gitignore line
 # can hide a package from commits while local builds still pass.
 tracked-sources:
 	@ignored=$$(git ls-files --others --ignored --exclude-standard -- '*.go'); \
 	if [ -n "$$ignored" ]; then echo "Go sources ignored by .gitignore:"; echo "$$ignored"; exit 1; fi
+
+# Every Go source must be gofmt-clean.
+fmt:
+	@unformatted=$$(gofmt -l .); \
+	if [ -n "$$unformatted" ]; then echo "Go sources not gofmt-clean:"; echo "$$unformatted"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -98,9 +103,12 @@ bench-ablation:
 # Parallel decision stress: checker goroutines hammering the lock-free
 # fast path while events, reloads, break-glass, and pipeline
 # degradation fire concurrently — the cached==uncached trace property
-# under parallelism, with the race detector watching the snapshots.
+# under parallelism, with the race detector watching the snapshots —
+# plus lock-free fd reads against in-place descriptor-slot updates,
+# table growth, forks and NumFDs on one task.
 parallel-stress:
 	$(GO) test -race -count=1 -run 'TestParallelDecisionStress' .
+	$(GO) test -race -count=1 -run 'TestFDTableConcurrentInPlace' ./internal/kernel
 
 # Differential fuzz: random policies and access keys must draw identical
 # verdicts (and identical deciding rules) from the trie-compiled matcher
@@ -130,10 +138,11 @@ verify:
 # plus the uncached-latency fence (trie must stay well ahead of the glob
 # walk and under its absolute budget) and the wire-codec fences
 # (bytes/record ≥5× under JSON, zero-alloc decode), plus the policy
-# validator's allocation fence on a benchmark-sized policy.
+# validator's allocation fence on a benchmark-sized policy and the
+# syscall path's allocation fence (an open allocates only its file).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkParallelDecision/sack-covered/goroutines=(1|16)$$' -benchtime 1x .
-	$(GO) test -count=1 -run 'TestUncachedLatencyGuard|TestMatcherZeroAllocUncached' -v .
+	$(GO) test -count=1 -run 'TestUncachedLatencyGuard|TestMatcherZeroAllocUncached|TestSyscallAllocGuard' -v .
 	$(GO) test -run '^$$' -bench 'BenchmarkResilienceOverhead' -benchtime 1000x ./internal/resilience
 	$(GO) test -count=1 -run 'TestStackHappyPathZeroAllocs|TestResilienceOverheadGuard' -v ./internal/resilience
 	$(GO) test -count=1 -run 'TestBytesPerRecordGuard|TestDecodeAllocGuard' -v ./internal/fleet/wire

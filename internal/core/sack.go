@@ -17,6 +17,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -479,14 +480,16 @@ func (s *SACK) check(cred *sys.Cred, op, path string, mask sys.Access) error {
 	}
 	s.denials.Add(1)
 	if s.audit != nil {
-		detail := "no allow rule in state " + rs.State
+		var detail string
 		if matched != nil {
-			detail = fmt.Sprintf("rule %q in state %s", matched.String(), rs.State)
+			detail = "mask=" + mask.String() + " rule " + strconv.Quote(matched.String()) + " in state " + rs.State
+		} else {
+			detail = "mask=" + mask.String() + " no allow rule in state " + rs.State
 		}
 		s.audit.Append(lsm.AuditRecord{
 			Module: ModuleName, Op: op,
 			Subject: subject, Object: path, Action: "DENIED",
-			Detail: fmt.Sprintf("mask=%s %s", mask, detail),
+			Detail: detail,
 		})
 	}
 	return sys.EACCES

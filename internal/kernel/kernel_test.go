@@ -851,3 +851,178 @@ func TestMetricsFileReadableInSimulation(t *testing.T) {
 		}
 	}
 }
+
+// Every path syscall rejects a path SplitPath rejects with SplitPath's
+// errno, before any LSM hook runs: an invalid path must never resolve
+// to the root directory.
+func TestInvalidPathRejected(t *testing.T) {
+	k := bootKernel(t)
+	task := k.Init()
+	if err := task.WriteFileAll("/tmp/src", []byte("v"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	paths := []struct {
+		path string
+		want sys.Errno
+	}{
+		{"", sys.EINVAL},
+		{"relative/x", sys.EINVAL},
+		{"/tmp/../etc", sys.EINVAL},
+		{"/..", sys.EINVAL},
+		{"/" + strings.Repeat("a", 300), sys.ENAMETOOLONG},
+		{"/tmp/" + strings.Repeat("a", vfs.MaxNameLen+1) + "/x", sys.ENAMETOOLONG},
+	}
+	syscalls := []struct {
+		name string
+		call func(path string) error
+	}{
+		{"open", func(p string) error { _, err := task.Open(p, vfs.ORdonly, 0); return err }},
+		{"open-creat", func(p string) error { _, err := task.Open(p, vfs.OCreat|vfs.OWronly, 0o644); return err }},
+		{"stat", func(p string) error { _, err := task.Stat(p); return err }},
+		{"exec", func(p string) error { return task.Exec(p) }},
+		{"unlink", func(p string) error { return task.Unlink(p) }},
+		{"mkdir", func(p string) error { return task.Mkdir(p, 0o755) }},
+		{"rmdir", func(p string) error { return task.Rmdir(p) }},
+		{"rename-from", func(p string) error { return task.Rename(p, "/tmp/dst") }},
+		{"rename-to", func(p string) error { return task.Rename("/tmp/src", p) }},
+	}
+	hookCalls := func() (n uint64) {
+		for _, st := range k.LSM.Metrics().Snapshot() {
+			n += st.Calls
+		}
+		return n
+	}
+	fds := task.NumFDs()
+	for _, sc := range syscalls {
+		for _, p := range paths {
+			before := hookCalls()
+			if err := sc.call(p.path); !sys.IsErrno(err, p.want) {
+				t.Errorf("%s(%.20q): %v, want %v", sc.name, p.path, err, p.want)
+			}
+			if n := hookCalls() - before; n != 0 {
+				t.Errorf("%s(%.20q) ran %d LSM hooks", sc.name, p.path, n)
+			}
+		}
+	}
+	if n := task.NumFDs(); n != fds {
+		t.Errorf("invalid paths left %d descriptors open", n-fds)
+	}
+}
+
+// Descriptor slots are updated in place while lock-free readers resolve
+// fds: readers on a long-lived fd, openers and closers that push the
+// table through several growths, and a forker copying the table must
+// never see a torn or foreign slot. Run under -race (make
+// parallel-stress).
+func TestFDTableConcurrentInPlace(t *testing.T) {
+	k := bootKernel(t)
+	task := k.Init()
+	const openers, perOpener, rounds = 4, 40, 20
+	if err := task.WriteFileAll("/tmp/long", []byte("long"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for g := 0; g < openers; g++ {
+		if err := task.WriteFileAll(fmt.Sprintf("/tmp/f%d", g), []byte{byte('0' + g)}, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	long, err := task.Open("/tmp/long", vfs.ORdonly, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := task.NumFDs()
+	stop := make(chan struct{})
+	var readers, writers sync.WaitGroup
+	errs := make(chan error, 16)
+	fail := func(err error) {
+		select {
+		case errs <- err:
+		default: // enough failures recorded already
+		}
+	}
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			buf := make([]byte, 8)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if n, err := task.Pread(long, buf, 0); err != nil || string(buf[:n]) != "long" {
+					fail(fmt.Errorf("pread long fd: %q, %v", buf[:n], err))
+					return
+				}
+			}
+		}()
+	}
+	readers.Add(1)
+	go func() {
+		defer readers.Done()
+		buf := make([]byte, 8)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			child, err := task.Fork()
+			if err != nil {
+				fail(err)
+				return
+			}
+			if n := child.NumFDs(); n < base || n > base+openers*perOpener {
+				fail(fmt.Errorf("child NumFDs = %d", n))
+			}
+			if n, err := child.Pread(long, buf, 0); err != nil || string(buf[:n]) != "long" {
+				fail(fmt.Errorf("child pread long fd: %q, %v", buf[:n], err))
+			}
+			child.Exit()
+			if n := task.NumFDs(); n < base || n > base+openers*perOpener {
+				fail(fmt.Errorf("NumFDs = %d", n))
+				return
+			}
+		}
+	}()
+	for g := 0; g < openers; g++ {
+		writers.Add(1)
+		go func(g int) {
+			defer writers.Done()
+			path := fmt.Sprintf("/tmp/f%d", g)
+			buf := make([]byte, 4)
+			for r := 0; r < rounds; r++ {
+				fds := make([]int, 0, perOpener)
+				for i := 0; i < perOpener; i++ {
+					fd, err := task.Open(path, vfs.ORdonly, 0)
+					if err != nil {
+						fail(err)
+						return
+					}
+					fds = append(fds, fd)
+				}
+				for _, fd := range fds {
+					if n, err := task.Pread(fd, buf, 0); err != nil || n != 1 || buf[0] != byte('0'+g) {
+						fail(fmt.Errorf("fd %d of %s reads %q, %v", fd, path, buf[:n], err))
+						return
+					}
+					if err := task.Close(fd); err != nil {
+						fail(err)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	writers.Wait()
+	close(stop)
+	readers.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if n := task.NumFDs(); n != base {
+		t.Errorf("NumFDs = %d after all closes, want %d", n, base)
+	}
+}

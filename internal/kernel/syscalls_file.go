@@ -19,7 +19,10 @@ type Stat struct {
 // checks matches fs/namei.c: creation hook for O_CREAT, DAC bits, the
 // InodePermission LSM hook, then FileOpen on the assembled description.
 func (t *Task) Open(path string, flags vfs.OpenFlags, perm vfs.Mode) (int, error) {
-	path = vfs.Clean(path)
+	path, err := vfs.CleanPath(path)
+	if err != nil {
+		return -1, err
+	}
 	node, err := t.k.FS.Lookup(path)
 	switch {
 	case err == nil:
@@ -149,7 +152,10 @@ func (t *Task) Ioctl(fd int, cmd, arg uint64) (uint64, error) {
 
 // Stat returns file metadata after the InodeGetattr hook.
 func (t *Task) Stat(path string) (Stat, error) {
-	path = vfs.Clean(path)
+	path, err := vfs.CleanPath(path)
+	if err != nil {
+		return Stat{}, err
+	}
 	node, err := t.k.FS.Lookup(path)
 	if err != nil {
 		return Stat{}, err
@@ -170,7 +176,10 @@ func (t *Task) Stat(path string) (Stat, error) {
 
 // Unlink removes the file at path.
 func (t *Task) Unlink(path string) error {
-	path = vfs.Clean(path)
+	path, err := vfs.CleanPath(path)
+	if err != nil {
+		return err
+	}
 	node, err := t.k.FS.Lookup(path)
 	if err != nil {
 		return err
@@ -190,13 +199,20 @@ func (t *Task) Unlink(path string) error {
 
 // Mkdir creates a directory.
 func (t *Task) Mkdir(path string, perm vfs.Mode) error {
-	_, err := t.create(vfs.Clean(path), vfs.ModeDir|perm.Perm())
+	path, err := vfs.CleanPath(path)
+	if err != nil {
+		return err
+	}
+	_, err = t.create(path, vfs.ModeDir|perm.Perm())
 	return err
 }
 
 // Rmdir removes an empty directory.
 func (t *Task) Rmdir(path string) error {
-	path = vfs.Clean(path)
+	path, err := vfs.CleanPath(path)
+	if err != nil {
+		return err
+	}
 	node, err := t.k.FS.Lookup(path)
 	if err != nil {
 		return err
@@ -279,8 +295,14 @@ func (t *Task) WriteFileAll(path string, data []byte, perm vfs.Mode) error {
 // unlink hook on the source and the create hook on the destination,
 // which gives MAC modules the same veto points.
 func (t *Task) Rename(oldPath, newPath string) error {
-	oldPath = vfs.Clean(oldPath)
-	newPath = vfs.Clean(newPath)
+	oldPath, err := vfs.CleanPath(oldPath)
+	if err != nil {
+		return err
+	}
+	newPath, err = vfs.CleanPath(newPath)
+	if err != nil {
+		return err
+	}
 	node, err := t.k.FS.Lookup(oldPath)
 	if err != nil {
 		return err

@@ -11,41 +11,36 @@ import (
 // MaxFDs bounds a task's descriptor table (RLIMIT_NOFILE analogue).
 const MaxFDs = 1024
 
-// fdTable is an immutable descriptor-table snapshot: index == fd, nil ==
-// closed. Writers (open, close, fork, exit) build a new table under the
-// task mutex; the read side — every Read/Write/Ioctl/Mmap syscall
-// resolving an fd before LSM dispatch — is one atomic load plus an
-// index, so fd resolution never holds a lock across permission checks.
+// fdTable is a descriptor table: index == fd, nil == closed. Writers
+// (open, close, fork, exit) hold the task mutex and update slots in
+// place; only growth publishes a new, larger copy. The read side — every
+// Read/Write/Ioctl/Mmap syscall resolving an fd before LSM dispatch — is
+// two atomic loads plus an index, so fd resolution never holds a lock
+// across permission checks.
 type fdTable struct {
-	files []*vfs.File
-	open  int // count of non-nil entries
+	files []atomic.Pointer[vfs.File]
 }
 
-// lookup resolves fd in this snapshot.
+// lookup resolves fd in this table.
 func (tab *fdTable) lookup(fd int) *vfs.File {
 	if fd < 0 || fd >= len(tab.files) {
 		return nil
 	}
-	return tab.files[fd]
+	return tab.files[fd].Load()
 }
 
-// withFD returns a copy with fd set to f (f == nil closes it).
-func (tab *fdTable) withFD(fd int, f *vfs.File) *fdTable {
-	n := &fdTable{open: tab.open}
-	size := len(tab.files)
-	if fd >= size {
-		size = fd + 1
+// grown returns a copy of tab with at least n slots, doubling its size
+// (minimum 8). Caller holds the task mutex.
+func (tab *fdTable) grown(n int) *fdTable {
+	size := max(8, 2*len(tab.files))
+	for size < n {
+		size *= 2
 	}
-	n.files = make([]*vfs.File, size)
-	copy(n.files, tab.files)
-	if n.files[fd] != nil {
-		n.open--
+	g := &fdTable{files: make([]atomic.Pointer[vfs.File], size)}
+	for i := range tab.files {
+		g.files[i].Store(tab.files[i].Load())
 	}
-	n.files[fd] = f
-	if f != nil {
-		n.open++
-	}
-	return n
+	return g
 }
 
 var emptyFDTable = &fdTable{}
@@ -63,6 +58,7 @@ type Task struct {
 
 	mu     sync.Mutex // serialises descriptor-table writers and exit
 	fdt    atomic.Pointer[fdTable]
+	open   int // non-nil slots in fdt; guarded by mu
 	nextFD int
 	exited bool
 }
@@ -80,21 +76,26 @@ func (t *Task) installFD(f *vfs.File) (int, error) {
 	if t.exited {
 		return -1, sys.ESRCH
 	}
-	tab := t.fdt.Load()
-	if tab.open >= MaxFDs {
+	if t.open >= MaxFDs {
 		return -1, sys.EMFILE
 	}
+	tab := t.fdt.Load()
 	fd := t.nextFD
 	for tab.lookup(fd) != nil {
 		fd++
 	}
-	t.fdt.Store(tab.withFD(fd, f))
+	if fd >= len(tab.files) {
+		tab = tab.grown(fd + 1)
+		t.fdt.Store(tab)
+	}
+	tab.files[fd].Store(f)
+	t.open++
 	t.nextFD = fd + 1
 	return fd, nil
 }
 
 // file resolves a descriptor to its open-file description. Lock-free:
-// reads the current table snapshot, so the hot I/O path never contends
+// reads the current table, so the hot I/O path never contends
 // with opens and closes on other goroutines.
 func (t *Task) file(fd int) (*vfs.File, error) {
 	if f := t.fdt.Load().lookup(fd); f != nil {
@@ -112,7 +113,8 @@ func (t *Task) Close(fd int) error {
 		t.mu.Unlock()
 		return sys.EBADF
 	}
-	t.fdt.Store(tab.withFD(fd, nil))
+	tab.files[fd].Store(nil)
+	t.open--
 	if fd < t.nextFD {
 		t.nextFD = fd
 	}
@@ -123,7 +125,9 @@ func (t *Task) Close(fd int) error {
 
 // NumFDs reports how many descriptors are open.
 func (t *Task) NumFDs() int {
-	return t.fdt.Load().open
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.open
 }
 
 // Fork creates a child task: cloned credentials, copied descriptor table
@@ -143,13 +147,15 @@ func (t *Task) Fork() (*Task, error) {
 	}
 	t.mu.Lock()
 	tab := t.fdt.Load()
-	childTab := &fdTable{files: append([]*vfs.File(nil), tab.files...), open: tab.open}
-	for _, f := range childTab.files {
-		if f != nil {
+	childTab := &fdTable{files: make([]atomic.Pointer[vfs.File], len(tab.files))}
+	for i := range tab.files {
+		if f := tab.files[i].Load(); f != nil {
 			retainEndpoint(f)
+			childTab.files[i].Store(f)
 		}
 	}
 	child.fdt.Store(childTab)
+	child.open = t.open
 	child.nextFD = t.nextFD
 	t.mu.Unlock()
 	t.k.addTask(child)
@@ -160,7 +166,10 @@ func (t *Task) Fork() (*Task, error) {
 // must exist and be executable; the BprmCheck hook lets MAC modules veto
 // or relabel (AppArmor attaches its profile here).
 func (t *Task) Exec(path string) error {
-	path = vfs.Clean(path)
+	path, err := vfs.CleanPath(path)
+	if err != nil {
+		return err
+	}
 	node, err := t.k.FS.Lookup(path)
 	if err != nil {
 		return err
@@ -191,9 +200,10 @@ func (t *Task) Exit() {
 	t.exited = true
 	tab := t.fdt.Load()
 	t.fdt.Store(emptyFDTable)
+	t.open = 0
 	t.mu.Unlock()
-	for _, f := range tab.files {
-		if f != nil {
+	for i := range tab.files {
+		if f := tab.files[i].Load(); f != nil {
 			releaseEndpoint(f)
 		}
 	}

@@ -259,7 +259,10 @@ func (s *Stack) Denials(module string) uint64 {
 }
 
 func (s *Stack) countDenial(module string) {
-	v, _ := s.denials.LoadOrStore(module, new(atomic.Uint64))
+	v, ok := s.denials.Load(module)
+	if !ok {
+		v, _ = s.denials.LoadOrStore(module, new(atomic.Uint64))
+	}
 	v.(*atomic.Uint64).Add(1)
 }
 

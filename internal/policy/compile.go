@@ -1,7 +1,6 @@
 package policy
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 
@@ -32,22 +31,11 @@ func (r *CompiledRule) String() string {
 	if r.Deny {
 		verb = "deny"
 	}
-	ops := accessToOps(r.Access)
-	s := fmt.Sprintf("%s %s %s", verb, strings.Join(ops, ","), r.Pattern)
+	s := verb + " " + r.Access.String() + " " + r.Pattern.String()
 	if r.Subject != nil {
 		s += " subject " + r.Subject.String()
 	}
 	return s
-}
-
-func accessToOps(mask sys.Access) []string {
-	var ops []string
-	for _, name := range sys.AccessNames() {
-		if mask&sys.ParseAccess(name) != 0 {
-			ops = append(ops, name)
-		}
-	}
-	return ops
 }
 
 // RuleSet is the immutable set of MAC rules active in one situation

@@ -41,6 +41,13 @@ func (a Access) String() string {
 	if a == 0 {
 		return "(none)"
 	}
+	if a&(a-1) == 0 {
+		for _, n := range accessNames {
+			if a == n.bit {
+				return n.name
+			}
+		}
+	}
 	var parts []string
 	for _, n := range accessNames {
 		if a&n.bit != 0 {

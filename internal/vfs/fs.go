@@ -1,6 +1,7 @@
 package vfs
 
 import (
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -28,47 +29,53 @@ func (fs *FS) allocIno() uint64 { return fs.nextIno.Add(1) }
 // Root returns the root directory inode.
 func (fs *FS) Root() *Inode { return fs.root }
 
-// Lookup resolves an absolute path to its inode.
+// Lookup resolves an absolute path to its inode. The whole path is
+// validated before the walk, so errors come in SplitPath-then-walk
+// order; the walk itself reads the canonical path in place.
 func (fs *FS) Lookup(path string) (*Inode, error) {
-	parts, err := SplitPath(path)
+	path, err := CleanPath(path)
 	if err != nil {
 		return nil, err
 	}
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
-	return fs.walk(parts)
+	return fs.walk(path)
 }
 
 // LookupDir resolves the parent directory of path and returns it along
 // with the final path component.
 func (fs *FS) LookupDir(path string) (*Inode, string, error) {
-	parts, err := SplitPath(path)
+	path, err := CleanPath(path)
 	if err != nil {
 		return nil, "", err
 	}
-	if len(parts) == 0 {
+	if path == "/" {
 		return nil, "", sys.EINVAL
 	}
+	dirPath, name := SplitDir(path)
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
-	dir, err := fs.walk(parts[:len(parts)-1])
+	dir, err := fs.walk(dirPath)
 	if err != nil {
 		return nil, "", err
 	}
 	if !dir.Mode().IsDir() {
 		return nil, "", sys.ENOTDIR
 	}
-	return dir, parts[len(parts)-1], nil
+	return dir, name, nil
 }
 
-// walk follows components from the root. Caller holds fs.mu.
-func (fs *FS) walk(parts []string) (*Inode, error) {
+// walk follows the components of a canonical path from the root, in
+// place. Caller holds fs.mu.
+func (fs *FS) walk(path string) (*Inode, error) {
 	cur := fs.root
-	for _, p := range parts {
+	for rest, more := path[1:], path != "/"; more; {
+		var name string
+		name, rest, more = strings.Cut(rest, "/")
 		if !cur.Mode().IsDir() {
 			return nil, sys.ENOTDIR
 		}
-		next, ok := cur.children[p]
+		next, ok := cur.children[name]
 		if !ok {
 			return nil, sys.ENOENT
 		}
@@ -86,23 +93,23 @@ func (fs *FS) Create(path string, mode Mode, uid, gid int) (*Inode, error) {
 // CreateHandler makes a new node backed by a custom handler (device or
 // pseudo-file). handler may be nil for plain nodes.
 func (fs *FS) CreateHandler(path string, mode Mode, uid, gid int, handler NodeHandler) (*Inode, error) {
-	parts, err := SplitPath(path)
+	path, err := CleanPath(path)
 	if err != nil {
 		return nil, err
 	}
-	if len(parts) == 0 {
+	if path == "/" {
 		return nil, sys.EEXIST // the root itself
 	}
+	dirPath, name := SplitDir(path)
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	dir, err := fs.walk(parts[:len(parts)-1])
+	dir, err := fs.walk(dirPath)
 	if err != nil {
 		return nil, err
 	}
 	if !dir.Mode().IsDir() {
 		return nil, sys.ENOTDIR
 	}
-	name := parts[len(parts)-1]
 	if _, ok := dir.children[name]; ok {
 		return nil, sys.EEXIST
 	}
@@ -149,20 +156,20 @@ func (fs *FS) MkdirAll(path string, perm Mode, uid, gid int) (*Inode, error) {
 
 // Unlink removes the node at path. Directories must be removed with Rmdir.
 func (fs *FS) Unlink(path string) error {
-	parts, err := SplitPath(path)
+	path, err := CleanPath(path)
 	if err != nil {
 		return err
 	}
-	if len(parts) == 0 {
+	if path == "/" {
 		return sys.EISDIR
 	}
+	dirPath, name := SplitDir(path)
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	dir, err := fs.walk(parts[:len(parts)-1])
+	dir, err := fs.walk(dirPath)
 	if err != nil {
 		return err
 	}
-	name := parts[len(parts)-1]
 	node, ok := dir.children[name]
 	if !ok {
 		return sys.ENOENT
@@ -179,20 +186,20 @@ func (fs *FS) Unlink(path string) error {
 
 // Rmdir removes an empty directory.
 func (fs *FS) Rmdir(path string) error {
-	parts, err := SplitPath(path)
+	path, err := CleanPath(path)
 	if err != nil {
 		return err
 	}
-	if len(parts) == 0 {
+	if path == "/" {
 		return sys.EBUSY // can't remove the root
 	}
+	dirPath, name := SplitDir(path)
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	dir, err := fs.walk(parts[:len(parts)-1])
+	dir, err := fs.walk(dirPath)
 	if err != nil {
 		return err
 	}
-	name := parts[len(parts)-1]
 	node, ok := dir.children[name]
 	if !ok {
 		return sys.ENOENT
@@ -214,45 +221,36 @@ func (fs *FS) Rmdir(path string) error {
 // must not exist, and a directory cannot be moved into its own subtree
 // (EINVAL, as rename(2) specifies).
 func (fs *FS) Rename(oldPath, newPath string) error {
-	oldParts, err := SplitPath(oldPath)
+	oldPath, err := CleanPath(oldPath)
 	if err != nil {
 		return err
 	}
-	newParts, err := SplitPath(newPath)
+	newPath, err = CleanPath(newPath)
 	if err != nil {
 		return err
 	}
-	if len(oldParts) == 0 || len(newParts) == 0 {
+	if oldPath == "/" || newPath == "/" {
 		return sys.EBUSY
 	}
 	// Ancestry check: the destination may not live under the source.
-	if len(newParts) > len(oldParts) {
-		isPrefix := true
-		for i := range oldParts {
-			if newParts[i] != oldParts[i] {
-				isPrefix = false
-				break
-			}
-		}
-		if isPrefix {
-			return sys.EINVAL
-		}
+	if strings.HasPrefix(newPath, oldPath+"/") {
+		return sys.EINVAL
 	}
+	oldDirPath, oldName := SplitDir(oldPath)
+	newDirPath, newName := SplitDir(newPath)
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	oldDir, err := fs.walk(oldParts[:len(oldParts)-1])
+	oldDir, err := fs.walk(oldDirPath)
 	if err != nil {
 		return err
 	}
-	newDir, err := fs.walk(newParts[:len(newParts)-1])
+	newDir, err := fs.walk(newDirPath)
 	if err != nil {
 		return err
 	}
 	if !oldDir.Mode().IsDir() || !newDir.Mode().IsDir() {
 		return sys.ENOTDIR
 	}
-	oldName := oldParts[len(oldParts)-1]
-	newName := newParts[len(newParts)-1]
 	node, ok := oldDir.children[oldName]
 	if !ok {
 		return sys.ENOENT

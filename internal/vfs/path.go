@@ -33,14 +33,49 @@ func SplitPath(path string) ([]string, error) {
 	return parts, nil
 }
 
-// Clean canonicalises an absolute path (collapses duplicate slashes,
-// strips trailing slash). Returns "/" for the root.
-func Clean(path string) string {
+// canonical reports whether path is already in the form CleanPath
+// returns: "/" or a leading slash followed by components that are not
+// empty, ".", "..", or longer than MaxNameLen, with no trailing slash.
+func canonical(path string) bool {
+	if path == "/" {
+		return true
+	}
+	if path == "" || path[0] != '/' {
+		return false
+	}
+	for rest, more := path[1:], true; more; {
+		var c string
+		c, rest, more = strings.Cut(rest, "/")
+		if c == "" || c == "." || c == ".." || len(c) > MaxNameLen {
+			return false
+		}
+	}
+	return true
+}
+
+// CleanPath canonicalises an absolute path (collapses duplicate slashes,
+// drops "." components, strips the trailing slash) or returns SplitPath's
+// error. A path that is already canonical is returned as is, without
+// allocating — the case of nearly every syscall.
+func CleanPath(path string) (string, error) {
+	if canonical(path) {
+		return path, nil
+	}
 	parts, err := SplitPath(path)
-	if err != nil || len(parts) == 0 {
+	if err != nil {
+		return "", err
+	}
+	return "/" + strings.Join(parts, "/"), nil
+}
+
+// Clean is CleanPath for callers that want a path back no matter what:
+// it returns "/" for a path SplitPath rejects.
+func Clean(path string) string {
+	c, err := CleanPath(path)
+	if err != nil {
 		return "/"
 	}
-	return "/" + strings.Join(parts, "/")
+	return c
 }
 
 // SplitDir separates a cleaned absolute path into parent directory and
