@@ -138,8 +138,10 @@ verify:
 # plus the uncached-latency fence (trie must stay well ahead of the glob
 # walk and under its absolute budget) and the wire-codec fences
 # (bytes/record ≥5× under JSON, zero-alloc decode), plus the policy
-# validator's allocation fence on a benchmark-sized policy and the
-# syscall path's allocation fence (an open allocates only its file).
+# validator's allocation fence on a benchmark-sized policy, the
+# syscall path's allocation fence (an open allocates only its file, a
+# repeated denial nothing), the audit drain's zero-alloc fence and the
+# sampled hook-metrics exactness test.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkParallelDecision/sack-covered/goroutines=(1|16)$$' -benchtime 1x .
 	$(GO) test -count=1 -run 'TestUncachedLatencyGuard|TestMatcherZeroAllocUncached|TestSyscallAllocGuard' -v .
@@ -147,6 +149,7 @@ bench-smoke:
 	$(GO) test -count=1 -run 'TestStackHappyPathZeroAllocs|TestResilienceOverheadGuard' -v ./internal/resilience
 	$(GO) test -count=1 -run 'TestBytesPerRecordGuard|TestDecodeAllocGuard' -v ./internal/fleet/wire
 	$(GO) test -count=1 -run 'TestValidateAllocGuard' -v ./internal/policy
+	$(GO) test -count=1 -run 'TestAuditFlushZeroAllocs|TestMetricsSampledCounts' -v ./internal/lsm
 
 # Machine-readable fleet perf snapshot: runs the compact 1k-vehicle
 # harness plus the wire-codec micro-measurements and writes

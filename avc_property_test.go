@@ -102,6 +102,7 @@ func TestAVCPropertyCachedEqualsUncached(t *testing.T) {
 				}
 			}
 
+			assertSameAuditLedger(t, cached, plain)
 			if st := cached.SACK.AVCStats(); st.Hits == 0 {
 				t.Errorf("cached system never hit its AVC: %+v", st)
 			}
@@ -109,5 +110,45 @@ func TestAVCPropertyCachedEqualsUncached(t *testing.T) {
 				t.Errorf("WithoutAVC system has a live cache: %+v", st)
 			}
 		})
+	}
+}
+
+// auditEntry is the part of an audit record the AVC must not change:
+// everything but the sequence number and the wall-clock stamp.
+type auditEntry struct{ Op, Subject, Object, Action, Detail string }
+
+// assertSameAuditLedger checks that serving decisions from the AVC left
+// the audit trail and the decision counters exactly as full evaluation
+// does: no cached denial may drop, duplicate or alter its record.
+func assertSameAuditLedger(t *testing.T, cached, plain *sack.System) {
+	t.Helper()
+	ledger := func(s *sack.System) []auditEntry {
+		var out []auditEntry
+		for _, r := range s.Audit.Records() {
+			out = append(out, auditEntry{r.Op, r.Subject, r.Object, r.Action, r.Detail})
+		}
+		return out
+	}
+	a, b := ledger(cached), ledger(plain)
+	if len(a) != len(b) {
+		t.Fatalf("audit ledger: cached has %d records, plain %d", len(a), len(b))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("audit record %d differs:\ncached %+v\nplain  %+v", i, a[i], b[i])
+		}
+	}
+	if ea, eb := cached.Audit.Emitted(), plain.Audit.Emitted(); ea != eb {
+		t.Fatalf("audit records emitted: cached %d, plain %d", ea, eb)
+	}
+	ca, da, _, _ := cached.SACK.Stats()
+	cb, db, _, _ := plain.SACK.Stats()
+	if ca != cb || da != db {
+		t.Fatalf("SACK.Stats checks/denials: cached %d/%d, plain %d/%d", ca, da, cb, db)
+	}
+	cova, unca := cached.SACK.CheckStats()
+	covb, uncb := plain.SACK.CheckStats()
+	if cova != covb || unca != uncb {
+		t.Fatalf("CheckStats covered/uncovered: cached %d/%d, plain %d/%d", cova, unca, covb, uncb)
 	}
 }

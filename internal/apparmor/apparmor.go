@@ -198,8 +198,8 @@ func (a *AppArmor) MmapFile(cred *sys.Cred, f *vfs.File, prot sys.Access) error 
 // consulted before the profile table; the token is obtained before the
 // table snapshot is loaded, so a cached decision can never outlive the
 // profile swap that revoked it. Only clean allows are cached — denials
-// (and complain-mode passes) always run the full path so audit records
-// and counters keep exact per-event semantics.
+// and complain-mode passes always run the full path, which formats and
+// appends their audit records.
 func (a *AppArmor) check(cred *sys.Cred, op, path string, mask sys.Access) error {
 	label, _ := cred.Blob(ModuleName).(string)
 	if label == "" || label == Unconfined {

@@ -39,8 +39,15 @@
 // pointers. Both Lookup and Insert are lock-free and allocation-free on
 // the probe; an insert that loses a race simply overwrites (the cache is
 // advisory — a lost entry costs one re-evaluation, never correctness).
-// Only allow decisions are cached: denials take the slow path so audit
-// records and denial counters keep their exact per-event semantics.
+//
+// Denials are cached as well as allows, as in SELinux's AVC. A deny
+// entry carries the denial's audit detail, so a repeated denial skips
+// both the policy evaluation and the formatting of its audit record.
+// Caching a deny changes no per-event semantics: the caller still counts
+// every denial and appends an audit record for each one, only with the
+// cached detail. A stale deny is as impossible to serve as a stale
+// allow, because the entry is stamped with the epoch of the policy state
+// that produced it.
 package avc
 
 import (
@@ -67,6 +74,7 @@ type entry struct {
 	path    string
 	mask    sys.Access
 	allowed bool
+	detail  string // a denial's audit detail; empty for allows
 }
 
 // Stats is a point-in-time snapshot of the cache counters.
@@ -149,52 +157,65 @@ func (c *Cache) index(subject, path string, mask sys.Access) uint64 {
 // the cached allowed verdict is returned with ok=true.
 func (c *Cache) Lookup(subject, path string, mask sys.Access) (allowed, ok bool, tok Token) {
 	tok = Token(c.epoch.Load())
-	allowed, ok = c.LookupAt(tok, subject, path, mask)
+	allowed, _, ok = c.LookupAt(tok, subject, path, mask)
 	return allowed, ok, tok
 }
 
 // LookupAt probes the cache under a caller-provided token — the fast
 // path passes the epoch embedded in the decision snapshot it loaded, so
 // the rule set and the cache generation it probes are guaranteed to
-// describe the same published policy state.
-func (c *Cache) LookupAt(tok Token, subject, path string, mask sys.Access) (allowed, ok bool) {
-	e := c.slots[c.index(subject, path, mask)].Load()
-	if e != nil && e.epoch == uint64(tok) && e.mask == mask &&
-		e.path == path && e.subject == subject {
+// describe the same published policy state. On a hit it returns the
+// cached verdict, the detail stored with it, and ok=true.
+func (c *Cache) LookupAt(tok Token, subject, path string, mask sys.Access) (allowed bool, detail string, ok bool) {
+	if e := c.probe(tok, subject, path, mask); e != nil {
 		c.hits.Add(1)
-		return e.allowed, true
+		return e.allowed, e.detail, true
 	}
 	c.misses.Add(1)
-	return false, false
+	return false, "", false
 }
 
 // PeekAt answers the same question as LookupAt without touching the
 // hit/miss counters. Introspection queries (sack's Decision API) use it
 // so asking "would this be served from the cache?" never skews the
 // hit-rate statistics the experiments report.
-func (c *Cache) PeekAt(tok Token, subject, path string, mask sys.Access) (allowed, ok bool) {
+func (c *Cache) PeekAt(tok Token, subject, path string, mask sys.Access) (allowed bool, detail string, ok bool) {
+	if e := c.probe(tok, subject, path, mask); e != nil {
+		return e.allowed, e.detail, true
+	}
+	return false, "", false
+}
+
+// probe returns the entry for the key if it was stamped with tok.
+func (c *Cache) probe(tok Token, subject, path string, mask sys.Access) *entry {
 	e := c.slots[c.index(subject, path, mask)].Load()
 	if e != nil && e.epoch == uint64(tok) && e.mask == mask &&
 		e.path == path && e.subject == subject {
-		return e.allowed, true
+		return e
 	}
-	return false, false
+	return nil
 }
 
 // Insert stores a decision computed under the given token. If the epoch
 // has already moved on the insert is dropped: the decision's inputs may
-// be stale, and a dead entry would only waste the slot.
-func (c *Cache) Insert(tok Token, subject, path string, mask sys.Access, allowed bool) {
+// be stale, and a dead entry would only waste the slot. A denial may
+// pass its audit detail, which LookupAt and PeekAt hand back on a hit;
+// allows pass none.
+func (c *Cache) Insert(tok Token, subject, path string, mask sys.Access, allowed bool, detail ...string) {
 	if uint64(tok) != c.epoch.Load() {
 		return
 	}
-	c.slots[c.index(subject, path, mask)].Store(&entry{
+	e := &entry{
 		epoch:   uint64(tok),
 		subject: subject,
 		path:    path,
 		mask:    mask,
 		allowed: allowed,
-	})
+	}
+	if len(detail) > 0 {
+		e.detail = detail[0]
+	}
+	c.slots[c.index(subject, path, mask)].Store(e)
 	c.inserts.Add(1)
 }
 

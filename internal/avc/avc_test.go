@@ -91,14 +91,26 @@ func TestCollisionEvicts(t *testing.T) {
 }
 
 func TestDeniedDecisionsRoundTrip(t *testing.T) {
-	// The cache itself is verdict-agnostic even though the LSM wiring
-	// only caches allows.
+	// A denial is cached with its audit detail; both come back on a hit
+	// until the epoch moves, and an allow carries no detail.
 	c := New(64)
 	_, _, tok := c.Lookup("s", "/p", sys.MayWrite)
-	c.Insert(tok, "s", "/p", sys.MayWrite, false)
-	allowed, ok, _ := c.Lookup("s", "/p", sys.MayWrite)
-	if !ok || allowed {
-		t.Fatalf("allowed=%v ok=%v, want cached deny", allowed, ok)
+	const detail = `mask=write rule "deny write /p" in state normal`
+	c.Insert(tok, "s", "/p", sys.MayWrite, false, detail)
+	c.Insert(tok, "s", "/p", sys.MayRead, true)
+	allowed, got, ok := c.LookupAt(tok, "s", "/p", sys.MayWrite)
+	if !ok || allowed || got != detail {
+		t.Fatalf("LookupAt = (%v,%q,%v), want cached deny with detail", allowed, got, ok)
+	}
+	if allowed, got, ok := c.PeekAt(tok, "s", "/p", sys.MayWrite); !ok || allowed || got != detail {
+		t.Fatalf("PeekAt = (%v,%q,%v), want cached deny with detail", allowed, got, ok)
+	}
+	if allowed, got, ok := c.LookupAt(tok, "s", "/p", sys.MayRead); !ok || !allowed || got != "" {
+		t.Fatalf("allow entry = (%v,%q,%v), want allow without detail", allowed, got, ok)
+	}
+	next := c.Advance()
+	if _, _, ok := c.LookupAt(next, "s", "/p", sys.MayWrite); ok {
+		t.Fatal("cached deny served across an epoch bump")
 	}
 }
 
@@ -191,16 +203,16 @@ func TestLookupAtSnapshotProtocol(t *testing.T) {
 	newTok := c.Advance()
 
 	c.Insert(newTok, "app", "/dev/vehicle/door0", sys.MayRead, true)
-	if allowed, ok := c.LookupAt(newTok, "app", "/dev/vehicle/door0", sys.MayRead); !ok || !allowed {
+	if allowed, _, ok := c.LookupAt(newTok, "app", "/dev/vehicle/door0", sys.MayRead); !ok || !allowed {
 		t.Fatalf("LookupAt(new) = (%v,%v), want hit allow", allowed, ok)
 	}
 	// A reader on the previous snapshot must not see the new entry.
-	if _, ok := c.LookupAt(oldTok, "app", "/dev/vehicle/door0", sys.MayRead); ok {
+	if _, _, ok := c.LookupAt(oldTok, "app", "/dev/vehicle/door0", sys.MayRead); ok {
 		t.Fatal("LookupAt(old) hit an entry from the new generation")
 	}
 	// Its late insert carries the old token and is dropped.
 	c.Insert(oldTok, "app", "/dev/vehicle/win0", sys.MayWrite, true)
-	if _, ok := c.LookupAt(newTok, "app", "/dev/vehicle/win0", sys.MayWrite); ok {
+	if _, _, ok := c.LookupAt(newTok, "app", "/dev/vehicle/win0", sys.MayWrite); ok {
 		t.Fatal("stale-token insert became visible in the new generation")
 	}
 }

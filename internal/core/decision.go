@@ -67,9 +67,7 @@ func (s *SACK) Check(subject, path string, mask sys.Access) (Decision, error) {
 	d.Covered = true
 
 	if s.cache != nil {
-		if allowed, ok := s.cache.PeekAt(snap.epoch, subject, path, mask); ok && allowed {
-			d.CacheHit = true
-		}
+		_, _, d.CacheHit = s.cache.PeekAt(snap.epoch, subject, path, mask)
 	}
 
 	allowed, matched := snap.decide(subject, path, mask)

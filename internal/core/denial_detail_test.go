@@ -60,3 +60,34 @@ func TestDenialDetailGolden(t *testing.T) {
 		})
 	}
 }
+
+// A repeated denial is served from the AVC: Check reports it as a cache
+// hit, and the cached denial still counts and audits as its own event,
+// with the same Detail as the evaluated one.
+func TestCachedDenialIsCacheHit(t *testing.T) {
+	k, s := bootIndependent(t, detailPolicy)
+	cred := sys.NewCred(1000, 1000)
+	cred.SetBlob("sack", "/usr/bin/app1")
+	for i := 0; i < 2; i++ {
+		if err := s.InodePermission(cred, "/srv/secret/key", nil, sys.MayRead); !sys.IsErrno(err, sys.EACCES) {
+			t.Fatalf("denial %d: %v, want EACCES", i, err)
+		}
+	}
+	d, err := s.Check("/usr/bin/app1", "/srv/secret/key", sys.MayRead)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !d.CacheHit || d.Allowed {
+		t.Fatalf("Check = %+v, want a cached denial", d)
+	}
+	if _, denials, _, _ := s.Stats(); denials != 2 {
+		t.Fatalf("denials = %d, want 2", denials)
+	}
+	if st := s.AVCStats(); st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("AVC stats = %+v, want 1 hit, 1 miss", st)
+	}
+	recs := k.Audit.Denials()
+	if len(recs) != 2 || recs[0].Detail != recs[1].Detail {
+		t.Fatalf("denial records = %+v, want two with equal Detail", recs)
+	}
+}

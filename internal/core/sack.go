@@ -453,7 +453,9 @@ func (s *SACK) BprmCheck(cred *sys.Cred, path string, _ *vfs.Inode) error {
 // same published policy state — no lock, and no window where a checker
 // could pair an old rule set with a new cache generation. Covered
 // decisions consult the AVC first; on a miss the full Decide result is
-// cached — allows only, so denials always reach the audit path.
+// cached, a denial together with its audit detail, so a repeated denial
+// in the same epoch skips both the evaluation and the formatting but
+// still counts and audits as its own event.
 func (s *SACK) check(cred *sys.Cred, op, path string, mask sys.Access) error {
 	if s.mode == EnhancedAppArmor {
 		return nil // enforcement happens in AppArmor
@@ -466,26 +468,40 @@ func (s *SACK) check(cred *sys.Cred, op, path string, mask sys.Access) error {
 	s.covered.Add(1)
 	subject := subjectOf(cred)
 	if s.cache != nil {
-		if allowed, ok := s.cache.LookupAt(snap.epoch, subject, path, mask); ok && allowed {
-			return nil
+		if allowed, detail, ok := s.cache.LookupAt(snap.epoch, subject, path, mask); ok {
+			if allowed {
+				return nil
+			}
+			return s.deny(op, subject, path, detail)
 		}
 	}
-	rs := snap.rules
 	allowed, matched := snap.decide(subject, path, mask)
+	var detail string
+	if !allowed && s.audit != nil {
+		detail = denialDetail(mask, matched, snap.rules.State)
+	}
+	if s.cache != nil {
+		s.cache.Insert(snap.epoch, subject, path, mask, allowed, detail)
+	}
 	if allowed {
-		if s.cache != nil {
-			s.cache.Insert(snap.epoch, subject, path, mask, true)
-		}
 		return nil
 	}
+	return s.deny(op, subject, path, detail)
+}
+
+// denialDetail formats the audit detail of a denial: the deciding deny
+// rule, or the absence of an allow rule, in the given state.
+func denialDetail(mask sys.Access, matched *policy.CompiledRule, state string) string {
+	if matched != nil {
+		return "mask=" + mask.String() + " rule " + strconv.Quote(matched.String()) + " in state " + state
+	}
+	return "mask=" + mask.String() + " no allow rule in state " + state
+}
+
+// deny counts one denial and appends its audit record.
+func (s *SACK) deny(op, subject, path, detail string) error {
 	s.denials.Add(1)
 	if s.audit != nil {
-		var detail string
-		if matched != nil {
-			detail = "mask=" + mask.String() + " rule " + strconv.Quote(matched.String()) + " in state " + rs.State
-		} else {
-			detail = "mask=" + mask.String() + " no allow rule in state " + rs.State
-		}
 		s.audit.Append(lsm.AuditRecord{
 			Module: ModuleName, Op: op,
 			Subject: subject, Object: path, Action: "DENIED",

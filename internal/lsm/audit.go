@@ -1,8 +1,9 @@
 package lsm
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -91,7 +92,8 @@ type AuditLog struct {
 	pendingCap atomic.Int64  // per-shard pending-buffer bound (inline-flush trigger)
 	shards     []auditShard
 
-	flushMu sync.Mutex // serialises drains; lock order: flushMu > shard.mu > mu
+	flushMu sync.Mutex   // serialises drains; lock order: flushMu > shard.mu > mu
+	batch   []pendingRec // Flush's scratch cut, reused under flushMu
 
 	mu      sync.Mutex
 	seq     uint64        // last assigned sequence == records ever inserted
@@ -157,13 +159,14 @@ func (l *AuditLog) Flush() {
 	defer l.flushMu.Unlock()
 
 	// Atomic cut: hold every shard lock while collecting.
-	var batch []pendingRec
+	batch := l.batch[:0]
 	for i := range l.shards {
 		l.shards[i].mu.Lock()
 	}
 	for i := range l.shards {
 		s := &l.shards[i]
 		batch = append(batch, s.pending...)
+		clear(s.pending)
 		s.pending = s.pending[:0]
 	}
 	for i := range l.shards {
@@ -172,13 +175,20 @@ func (l *AuditLog) Flush() {
 	if len(batch) == 0 {
 		return
 	}
-	sort.Slice(batch, func(i, j int) bool { return batch[i].order < batch[j].order })
+	// A single writer fills one shard in capture order; only a cut that
+	// spans shards needs sorting.
+	byOrder := func(a, b pendingRec) int { return cmp.Compare(a.order, b.order) }
+	if !slices.IsSortedFunc(batch, byOrder) {
+		slices.SortFunc(batch, byOrder)
+	}
 
 	l.mu.Lock()
-	defer l.mu.Unlock()
 	for i := range batch {
 		l.insertLocked(batch[i].rec)
 	}
+	l.mu.Unlock()
+	clear(batch) // the ring holds the records now; drop the batch's references
+	l.batch = batch[:0]
 }
 
 // insertLocked assigns the next sequence number and places the record in

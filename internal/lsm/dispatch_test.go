@@ -116,12 +116,17 @@ func TestMetricsObserveHookWalks(t *testing.T) {
 
 func TestMetricsQuantileBounds(t *testing.T) {
 	m := NewMetrics()
-	// 99 fast observations and one slow one: p50 stays in the fast
-	// bucket, p99 must not exceed the slow sample's bucket ceiling.
-	for i := 0; i < 99; i++ {
-		m.Observe(HookFileOpen, 100*time.Nanosecond, false)
+	// 99 fast samples and one slow one: p50 stays in the fast bucket,
+	// p99 must not exceed the slow sample's bucket ceiling.
+	hm := &m.shards[0].hooks[HookFileOpen]
+	for i := 0; i < 100; i++ {
+		hm.calls.Add(1)
+		d := 100 * time.Nanosecond
+		if i == 99 {
+			d = 2 * time.Millisecond
+		}
+		hm.observe(d)
 	}
-	m.Observe(HookFileOpen, 2*time.Millisecond, false)
 	st := m.Snapshot()[0]
 	if p50 := st.Quantile(0.50); p50 > 256 {
 		t.Errorf("p50 = %d ns, want <= 256", p50)

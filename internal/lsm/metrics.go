@@ -75,15 +75,17 @@ type hookMetrics struct {
 // metricsShard is one slot's private copy of every hook's counters.
 // Concurrent hooks on different slots update disjoint shards, so the
 // counter cache lines stop bouncing between CPUs; Snapshot folds the
-// shards, and because every Observe lands in exactly one shard the
-// folded totals are exact.
+// shards, and because every call lands in exactly one shard the
+// folded totals are exact. Sampling is per shard too: each shard's call
+// counter picks its own sampled calls.
 type metricsShard struct {
 	hooks [NumHooks]hookMetrics
 }
 
-// Metrics aggregates per-hook call counts, denial counts, and latency
-// histograms for one Stack — the observability layer behind
-// /sys/kernel/security/sack/metrics.
+// Metrics aggregates per-hook call counts, denial counts, and sampled
+// latency histograms for one Stack — the observability layer behind
+// /sys/kernel/security/sack/metrics. Counts are exact; latencies are
+// timed on one call in sampleEvery.
 type Metrics struct {
 	shards []metricsShard
 }
@@ -106,19 +108,43 @@ func bucketFor(ns int64) int {
 	return b
 }
 
-// Observe records one completed hook invocation.
-func (m *Metrics) Observe(h HookID, d time.Duration, denied bool) {
+// sampleEvery is the hook-timing sample period. Every call is counted,
+// but only one call in sampleEvery, per hook and per shard, reads the
+// clock. The first call of each stream is sampled, so a hook called once
+// still records a latency.
+const sampleEvery = 64
+
+// begin counts one call of hook h and returns the shard counters to hand
+// to end, with the start time on a sampled call and the zero Time
+// otherwise.
+func (m *Metrics) begin(h HookID) (*hookMetrics, time.Time) {
 	hm := &m.shards[shard.Slot()].hooks[h]
-	hm.calls.Add(1)
+	if (hm.calls.Add(1)-1)%sampleEvery != 0 {
+		return hm, time.Time{}
+	}
+	return hm, time.Now()
+}
+
+// end completes a call begun with begin: if the call was sampled it
+// records its latency, then it counts a denial, outside the timed span.
+func (hm *hookMetrics) end(start time.Time, denied bool) {
+	if !start.IsZero() {
+		hm.observe(time.Since(start))
+	}
 	if denied {
 		hm.denials.Add(1)
 	}
+}
+
+// observe adds one latency sample to the histogram.
+func (hm *hookMetrics) observe(d time.Duration) {
 	ns := d.Nanoseconds()
 	hm.totalNs.Add(uint64(ns))
 	hm.buckets[bucketFor(ns)].Add(1)
 }
 
-// HookStat is a point-in-time snapshot of one hook's metrics.
+// HookStat is a point-in-time snapshot of one hook's metrics. Calls and
+// Denials are exact; TotalNs and Buckets cover the sampled calls only.
 type HookStat struct {
 	Hook    HookID
 	Calls   uint64
@@ -127,27 +153,38 @@ type HookStat struct {
 	Buckets [latencyBuckets]uint64
 }
 
-// AvgNs is the mean hook latency in nanoseconds.
+// Samples is the number of timed calls: the histogram's population.
+func (s HookStat) Samples() uint64 {
+	var n uint64
+	for _, b := range s.Buckets {
+		n += b
+	}
+	return n
+}
+
+// AvgNs is the mean sampled hook latency in nanoseconds.
 func (s HookStat) AvgNs() uint64 {
-	if s.Calls == 0 {
+	n := s.Samples()
+	if n == 0 {
 		return 0
 	}
-	return s.TotalNs / s.Calls
+	return s.TotalNs / n
 }
 
 // Quantile returns an upper bound (the bucket ceiling) for the q-th
-// latency quantile, q in [0,1].
+// latency quantile of the sampled calls, q in [0,1].
 func (s HookStat) Quantile(q float64) uint64 {
-	if s.Calls == 0 {
+	n := s.Samples()
+	if n == 0 {
 		return 0
 	}
-	target := uint64(q * float64(s.Calls))
+	target := uint64(q * float64(n))
 	if target == 0 {
 		target = 1
 	}
 	var seen uint64
-	for i, n := range s.Buckets {
-		seen += n
+	for i, b := range s.Buckets {
+		seen += b
 		if seen >= target {
 			return uint64(1) << uint(i) // bucket i holds samples < 2^i ns
 		}

@@ -1,0 +1,134 @@
+package lsm
+
+import (
+	"sync"
+	"testing"
+
+	"repro/internal/sys"
+	"repro/internal/vfs"
+)
+
+// writeDenier denies every write and allows everything else.
+type writeDenier struct{ Base }
+
+func (writeDenier) Name() string { return "write-denier" }
+
+func (writeDenier) InodePermission(_ *sys.Cred, _ string, _ *vfs.Inode, mask sys.Access) error {
+	if mask&sys.MayWrite != 0 {
+		return sys.EACCES
+	}
+	return nil
+}
+
+// TestMetricsSampledCounts: every hook call and every denial is counted
+// exactly, but only ceil(n/sampleEvery) of a shard's n calls are timed,
+// and the latency statistics are taken over those samples.
+func TestMetricsSampledCounts(t *testing.T) {
+	s := NewStack()
+	if err := s.Register(writeDenier{}); err != nil {
+		t.Fatal(err)
+	}
+	cred := sys.NewCred(0, 0)
+	const workers, perWorker = 4, 250 // 1,000 calls, 300 of them denied
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				mask := sys.MayRead
+				if i%10 < 3 {
+					mask = sys.MayWrite
+				}
+				s.InodePermission(cred, "/x", nil, mask)
+			}
+		}()
+	}
+	wg.Wait()
+
+	snap := s.Metrics().Snapshot()
+	if len(snap) != 1 || snap[0].Hook != HookInodePermission {
+		t.Fatalf("snapshot = %+v, want inode_permission only", snap)
+	}
+	st := snap[0]
+	if st.Calls != workers*perWorker || st.Denials != 300 {
+		t.Fatalf("calls=%d denials=%d, want 1000 and 300", st.Calls, st.Denials)
+	}
+	var wantSamples uint64
+	for i := range s.metrics.shards {
+		hm := &s.metrics.shards[i].hooks[HookInodePermission]
+		calls := hm.calls.Load()
+		var samples uint64
+		for b := range hm.buckets {
+			samples += hm.buckets[b].Load()
+		}
+		if want := (calls + sampleEvery - 1) / sampleEvery; samples != want {
+			t.Errorf("shard %d: %d samples over %d calls, want %d", i, samples, calls, want)
+		}
+		wantSamples += samples
+	}
+	if got := st.Samples(); got != wantSamples || got >= st.Calls {
+		t.Errorf("Samples() = %d, want %d (fewer than %d calls)", got, wantSamples, st.Calls)
+	}
+
+	// The first call of a stream is always timed.
+	one := NewStack()
+	one.InodePermission(cred, "/x", nil, sys.MayRead)
+	if st := one.Metrics().Snapshot()[0]; st.Samples() != 1 || st.Quantile(0.5) == 0 {
+		t.Errorf("single call: samples=%d p50=%d, want a timed call", st.Samples(), st.Quantile(0.5))
+	}
+
+	// Averages and quantiles divide by the samples, not the calls.
+	var hs HookStat
+	hs.Calls = 1000
+	hs.Buckets[7] = 16 // 16 samples in [64, 128) ns
+	hs.TotalNs = 16 * 100
+	if got := hs.AvgNs(); got != 100 {
+		t.Errorf("AvgNs = %d, want 100", got)
+	}
+	if got := hs.Quantile(0.99); got != 128 {
+		t.Errorf("p99 = %d, want 128", got)
+	}
+}
+
+// TestAuditFlushZeroAllocs: once the ring is full and the pending
+// buffers and the flush batch have grown, a pending buffer's worth of
+// Appends plus a Flush allocates nothing, and the drained buffers keep
+// no references to the records they handed over.
+func TestAuditFlushZeroAllocs(t *testing.T) {
+	const max = 128
+	l := NewAuditLog(max)
+	rec := AuditRecord{
+		Module: "sack", Op: "inode_permission", Subject: "/usr/bin/app",
+		Object: "/srv/app/secret", Action: "DENIED",
+		Detail: "mask=read no allow rule in state normal",
+	}
+	for i := 0; i < max; i++ {
+		l.Append(rec)
+	}
+	cycle := func() {
+		for i := 0; i < l.PendingCap(); i++ {
+			l.Append(rec)
+		}
+		l.Flush()
+	}
+	cycle()
+	if got := testing.AllocsPerRun(100, cycle); got != 0 {
+		t.Errorf("%d Appends + Flush allocate %.2f objects, want 0", l.PendingCap(), got)
+	}
+	if l.Len() != max || l.Dropped() == 0 {
+		t.Fatalf("ring len=%d dropped=%d, want a full ring", l.Len(), l.Dropped())
+	}
+	for _, p := range l.batch[:cap(l.batch)] {
+		if p != (pendingRec{}) {
+			t.Fatal("flush batch still references a drained record")
+		}
+	}
+	for i := range l.shards {
+		for _, p := range l.shards[i].pending[:cap(l.shards[i].pending)] {
+			if p != (pendingRec{}) {
+				t.Fatal("pending buffer still references a drained record")
+			}
+		}
+	}
+}

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/sys"
 	"repro/internal/vfs"
@@ -269,11 +268,12 @@ func (s *Stack) countDenial(module string) {
 // Each hook method below walks its dispatch slice in order and returns
 // the first error. The loops are written out per hook (rather than
 // through a generic closure) to keep the fast path free of allocations;
-// each wraps its walk in a latency observation for the metrics layer.
+// each brackets its walk with begin/end so the metrics layer counts the
+// call and times a sample of them.
 
 // TaskAlloc invokes the fork hook chain.
 func (s *Stack) TaskAlloc(parent, child *sys.Cred) error {
-	start := time.Now()
+	hm, start := s.metrics.begin(HookTaskAlloc)
 	var err error
 	for _, e := range s.table.Load().taskAlloc {
 		if err = e.h.TaskAlloc(parent, child); err != nil {
@@ -281,13 +281,13 @@ func (s *Stack) TaskAlloc(parent, child *sys.Cred) error {
 			break
 		}
 	}
-	s.metrics.Observe(HookTaskAlloc, time.Since(start), err != nil)
+	hm.end(start, err != nil)
 	return err
 }
 
 // BprmCheck invokes the exec hook chain.
 func (s *Stack) BprmCheck(cred *sys.Cred, path string, node *vfs.Inode) error {
-	start := time.Now()
+	hm, start := s.metrics.begin(HookBprmCheck)
 	var err error
 	for _, e := range s.table.Load().bprmCheck {
 		if err = e.h.BprmCheck(cred, path, node); err != nil {
@@ -295,13 +295,13 @@ func (s *Stack) BprmCheck(cred *sys.Cred, path string, node *vfs.Inode) error {
 			break
 		}
 	}
-	s.metrics.Observe(HookBprmCheck, time.Since(start), err != nil)
+	hm.end(start, err != nil)
 	return err
 }
 
 // Capable invokes the capability hook chain.
 func (s *Stack) Capable(cred *sys.Cred, c sys.Cap) error {
-	start := time.Now()
+	hm, start := s.metrics.begin(HookCapable)
 	var err error
 	for _, e := range s.table.Load().capable {
 		if err = e.h.Capable(cred, c); err != nil {
@@ -309,13 +309,13 @@ func (s *Stack) Capable(cred *sys.Cred, c sys.Cap) error {
 			break
 		}
 	}
-	s.metrics.Observe(HookCapable, time.Since(start), err != nil)
+	hm.end(start, err != nil)
 	return err
 }
 
 // InodePermission invokes the path-access hook chain.
 func (s *Stack) InodePermission(cred *sys.Cred, path string, node *vfs.Inode, mask sys.Access) error {
-	start := time.Now()
+	hm, start := s.metrics.begin(HookInodePermission)
 	var err error
 	for _, e := range s.table.Load().inodePerm {
 		if err = e.h.InodePermission(cred, path, node, mask); err != nil {
@@ -323,13 +323,13 @@ func (s *Stack) InodePermission(cred *sys.Cred, path string, node *vfs.Inode, ma
 			break
 		}
 	}
-	s.metrics.Observe(HookInodePermission, time.Since(start), err != nil)
+	hm.end(start, err != nil)
 	return err
 }
 
 // InodeCreate invokes the create hook chain.
 func (s *Stack) InodeCreate(cred *sys.Cred, dir *vfs.Inode, path string, mode vfs.Mode) error {
-	start := time.Now()
+	hm, start := s.metrics.begin(HookInodeCreate)
 	var err error
 	for _, e := range s.table.Load().inodeCreate {
 		if err = e.h.InodeCreate(cred, dir, path, mode); err != nil {
@@ -337,13 +337,13 @@ func (s *Stack) InodeCreate(cred *sys.Cred, dir *vfs.Inode, path string, mode vf
 			break
 		}
 	}
-	s.metrics.Observe(HookInodeCreate, time.Since(start), err != nil)
+	hm.end(start, err != nil)
 	return err
 }
 
 // InodeUnlink invokes the unlink hook chain.
 func (s *Stack) InodeUnlink(cred *sys.Cred, dir *vfs.Inode, path string, node *vfs.Inode) error {
-	start := time.Now()
+	hm, start := s.metrics.begin(HookInodeUnlink)
 	var err error
 	for _, e := range s.table.Load().inodeUnlink {
 		if err = e.h.InodeUnlink(cred, dir, path, node); err != nil {
@@ -351,13 +351,13 @@ func (s *Stack) InodeUnlink(cred *sys.Cred, dir *vfs.Inode, path string, node *v
 			break
 		}
 	}
-	s.metrics.Observe(HookInodeUnlink, time.Since(start), err != nil)
+	hm.end(start, err != nil)
 	return err
 }
 
 // InodeGetattr invokes the stat hook chain.
 func (s *Stack) InodeGetattr(cred *sys.Cred, path string, node *vfs.Inode) error {
-	start := time.Now()
+	hm, start := s.metrics.begin(HookInodeGetattr)
 	var err error
 	for _, e := range s.table.Load().inodeGetattr {
 		if err = e.h.InodeGetattr(cred, path, node); err != nil {
@@ -365,13 +365,13 @@ func (s *Stack) InodeGetattr(cred *sys.Cred, path string, node *vfs.Inode) error
 			break
 		}
 	}
-	s.metrics.Observe(HookInodeGetattr, time.Since(start), err != nil)
+	hm.end(start, err != nil)
 	return err
 }
 
 // FileOpen invokes the open hook chain.
 func (s *Stack) FileOpen(cred *sys.Cred, f *vfs.File) error {
-	start := time.Now()
+	hm, start := s.metrics.begin(HookFileOpen)
 	var err error
 	for _, e := range s.table.Load().fileOpen {
 		if err = e.h.FileOpen(cred, f); err != nil {
@@ -379,13 +379,13 @@ func (s *Stack) FileOpen(cred *sys.Cred, f *vfs.File) error {
 			break
 		}
 	}
-	s.metrics.Observe(HookFileOpen, time.Since(start), err != nil)
+	hm.end(start, err != nil)
 	return err
 }
 
 // FilePermission invokes the per-I/O hook chain.
 func (s *Stack) FilePermission(cred *sys.Cred, f *vfs.File, mask sys.Access) error {
-	start := time.Now()
+	hm, start := s.metrics.begin(HookFilePermission)
 	var err error
 	for _, e := range s.table.Load().filePerm {
 		if err = e.h.FilePermission(cred, f, mask); err != nil {
@@ -393,13 +393,13 @@ func (s *Stack) FilePermission(cred *sys.Cred, f *vfs.File, mask sys.Access) err
 			break
 		}
 	}
-	s.metrics.Observe(HookFilePermission, time.Since(start), err != nil)
+	hm.end(start, err != nil)
 	return err
 }
 
 // FileIoctl invokes the ioctl hook chain.
 func (s *Stack) FileIoctl(cred *sys.Cred, f *vfs.File, cmd uint64) error {
-	start := time.Now()
+	hm, start := s.metrics.begin(HookFileIoctl)
 	var err error
 	for _, e := range s.table.Load().fileIoctl {
 		if err = e.h.FileIoctl(cred, f, cmd); err != nil {
@@ -407,13 +407,13 @@ func (s *Stack) FileIoctl(cred *sys.Cred, f *vfs.File, cmd uint64) error {
 			break
 		}
 	}
-	s.metrics.Observe(HookFileIoctl, time.Since(start), err != nil)
+	hm.end(start, err != nil)
 	return err
 }
 
 // MmapFile invokes the mmap hook chain.
 func (s *Stack) MmapFile(cred *sys.Cred, f *vfs.File, prot sys.Access) error {
-	start := time.Now()
+	hm, start := s.metrics.begin(HookMmapFile)
 	var err error
 	for _, e := range s.table.Load().mmapFile {
 		if err = e.h.MmapFile(cred, f, prot); err != nil {
@@ -421,13 +421,13 @@ func (s *Stack) MmapFile(cred *sys.Cred, f *vfs.File, prot sys.Access) error {
 			break
 		}
 	}
-	s.metrics.Observe(HookMmapFile, time.Since(start), err != nil)
+	hm.end(start, err != nil)
 	return err
 }
 
 // SocketCreate invokes the socket-creation hook chain.
 func (s *Stack) SocketCreate(cred *sys.Cred, family, typ int) error {
-	start := time.Now()
+	hm, start := s.metrics.begin(HookSocketCreate)
 	var err error
 	for _, e := range s.table.Load().socket {
 		if err = e.h.SocketCreate(cred, family, typ); err != nil {
@@ -435,13 +435,13 @@ func (s *Stack) SocketCreate(cred *sys.Cred, family, typ int) error {
 			break
 		}
 	}
-	s.metrics.Observe(HookSocketCreate, time.Since(start), err != nil)
+	hm.end(start, err != nil)
 	return err
 }
 
 // SocketConnect invokes the connect hook chain.
 func (s *Stack) SocketConnect(cred *sys.Cred, addr string) error {
-	start := time.Now()
+	hm, start := s.metrics.begin(HookSocketConnect)
 	var err error
 	for _, e := range s.table.Load().socket {
 		if err = e.h.SocketConnect(cred, addr); err != nil {
@@ -449,13 +449,13 @@ func (s *Stack) SocketConnect(cred *sys.Cred, addr string) error {
 			break
 		}
 	}
-	s.metrics.Observe(HookSocketConnect, time.Since(start), err != nil)
+	hm.end(start, err != nil)
 	return err
 }
 
 // SocketSendmsg invokes the sendmsg hook chain.
 func (s *Stack) SocketSendmsg(cred *sys.Cred, addr string, n int) error {
-	start := time.Now()
+	hm, start := s.metrics.begin(HookSocketSendmsg)
 	var err error
 	for _, e := range s.table.Load().socket {
 		if err = e.h.SocketSendmsg(cred, addr, n); err != nil {
@@ -463,6 +463,6 @@ func (s *Stack) SocketSendmsg(cred *sys.Cred, addr string, n int) error {
 			break
 		}
 	}
-	s.metrics.Observe(HookSocketSendmsg, time.Since(start), err != nil)
+	hm.end(start, err != nil)
 	return err
 }
