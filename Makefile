@@ -3,11 +3,11 @@
 
 GO ?= go
 
-.PHONY: all check tracked-sources fmt vet build test race bench bench-avc bench-ablation bench-smoke bench-json chaos reload-stress fleet-stress fleet-persist-stress fleet-scale parallel-stress resilience-stress matcher-diff verify profile
+.PHONY: all check tracked-sources fmt vet build test race examples bench bench-avc bench-ablation bench-smoke bench-json chaos reload-stress fleet-stress fleet-persist-stress fleet-scale parallel-stress resilience-stress matcher-diff verify profile
 
 all: check
 
-check: tracked-sources fmt vet build race chaos reload-stress fleet-stress fleet-persist-stress parallel-stress resilience-stress matcher-diff verify bench-smoke
+check: tracked-sources fmt vet build race examples chaos reload-stress fleet-stress fleet-persist-stress parallel-stress resilience-stress matcher-diff verify bench-smoke
 
 # Every Go source must be tracked by git: an over-broad .gitignore line
 # can hide a package from commits while local builds still pass.
@@ -31,6 +31,15 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Every example program runs to completion and exits 0. They are the
+# scenarios README points readers at, and no test executes them; a
+# failing one prints its output.
+examples:
+	@for d in examples/*/; do \
+		echo "go run ./$$d"; \
+		out=$$($(GO) run ./$$d 2>&1) || { echo "$$out"; exit 1; }; \
+	done
 
 # Chaos suite: random fault plans (fixed seeds, deterministic replay)
 # through sensors, SDS queue, transmitter, and CAN bus under the race

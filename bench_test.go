@@ -295,7 +295,7 @@ func BenchmarkFig3b(b *testing.B) {
 						case <-stop:
 							return
 						case <-ticker.C:
-							tb.SACK.DeliverEvent(evs[i%2])
+							tb.SACK.Deliver(evs[i%2])
 						}
 					}
 				}()
@@ -355,7 +355,7 @@ func BenchmarkSSMTransitionDirect(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cur := tb.SACK.CurrentState().Encoding
-		tb.SACK.DeliverEvent(ssm.Event(fmt.Sprintf("advance%d", cur)))
+		tb.SACK.Deliver(ssm.Event(fmt.Sprintf("advance%d", cur)))
 	}
 }
 
@@ -589,6 +589,6 @@ func BenchmarkEnhancedProfileRewrite(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tb.SACK.DeliverEvent(evs[i%2])
+		tb.SACK.Deliver(evs[i%2])
 	}
 }

@@ -83,7 +83,7 @@ func TestBundlePushAndFleetStatus(t *testing.T) {
 		t.Fatalf("fleet status: code=%d stderr=%s", code, errOut)
 	}
 	for _, want := range []string{"vehicles: 1", "group default:", "generation=2", "converged=1",
-		"wire_ingest: json_batches=", "wire_fanout: full_pulls="} {
+		"wire_ingest: binary_batches=", "wire_fanout: full_pulls="} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("fleet status missing %q:\n%s", want, out)
 		}

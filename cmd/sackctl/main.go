@@ -382,12 +382,7 @@ func decide(src, subject, object, ops string, events []string, stdout, stderr io
 		return 1
 	}
 	for _, ev := range events {
-		transitioned, from, to := system.DeliverEvent(sack.Event(ev))
-		if transitioned {
-			fmt.Fprintf(stdout, "event %q: %s -> %s\n", ev, from.Name, to.Name)
-		} else {
-			fmt.Fprintf(stdout, "event %q: ignored in state %s\n", ev, from.Name)
-		}
+		deliverAndReport(system, ev, stdout)
 	}
 	d, err := system.Check(subject, object, mask)
 	if err != nil {
@@ -407,6 +402,21 @@ func decide(src, subject, object, ops string, events []string, stdout, stderr io
 		return 3
 	}
 	return 0
+}
+
+// deliverAndReport delivers one event and prints "from -> to" when a
+// transition rule fired (a declared self-transition included) or
+// "ignored in state" otherwise — unknown events and events refused
+// while the pipeline is degraded alike.
+func deliverAndReport(system *sack.System, ev string, stdout io.Writer) {
+	from := system.CurrentState()
+	_, _, _, hitBefore := system.SACK.Stats()
+	_ = system.Events().DeliverEvent(sack.Event(ev))
+	if _, _, _, hit := system.SACK.Stats(); hit > hitBefore {
+		fmt.Fprintf(stdout, "event %q: %s -> %s\n", ev, from.Name, system.CurrentState().Name)
+	} else {
+		fmt.Fprintf(stdout, "event %q: ignored in state %s\n", ev, from.Name)
+	}
 }
 
 // verifyPolicy runs the symbolic verifier: every invariant in the set
@@ -653,12 +663,7 @@ func metrics(src string, events []string, stdout, stderr io.Writer) int {
 	}
 	probe()
 	for _, ev := range events {
-		transitioned, from, to := system.DeliverEvent(sack.Event(ev))
-		if transitioned {
-			fmt.Fprintf(stdout, "event %q: %s -> %s\n", ev, from.Name, to.Name)
-		} else {
-			fmt.Fprintf(stdout, "event %q: ignored in state %s\n", ev, from.Name)
-		}
+		deliverAndReport(system, ev, stdout)
 		probe()
 	}
 	out, err := task.ReadFileAll(sack.MetricsFile)

@@ -39,7 +39,7 @@ func TestRunFleetView(t *testing.T) {
 		"-- fleet " + hs.URL + " --",
 		"group city: generation=1",
 		"converged=1",
-		"wire_ingest: json_batches=",
+		"wire_ingest: binary_batches=",
 		"wire_fanout: full_pulls=",
 	} {
 		if !strings.Contains(text, frag) {
@@ -57,9 +57,8 @@ func TestRunFleetView(t *testing.T) {
 	if v.Uploaded+v.Dropped != v.Emitted {
 		t.Fatalf("ledger not exact: %+v", v)
 	}
-	// The monitor speaks the binary log encoding by default and says so
-	// in its status report.
-	if v.WireEncoding != "binary" || (v.Uploaded > 0 && v.WireBytesOut == 0) {
+	// The monitor reports its wire accounting in its status report.
+	if v.FullPulls == 0 || (v.Uploaded > 0 && v.WireBytesOut == 0) {
 		t.Fatalf("wire accounting not reported: %+v", v)
 	}
 }

@@ -22,7 +22,9 @@ func ExampleNew() {
 	_, err = task.Ioctl(fd, vehicle.IoctlDoorUnlock, 0)
 	fmt.Println("normal state:", sack.IsErrno(err, sack.EACCES))
 
-	sys.DeliverEvent("crash_detected")
+	if err := sys.Events().DeliverEvent("crash_detected"); err != nil {
+		log.Fatal(err)
+	}
 	_, err = task.Ioctl(fd, vehicle.IoctlDoorUnlock, 0)
 	fmt.Println("emergency state:", err)
 
@@ -59,9 +61,10 @@ per_rules {
 	// warning: state 's' both allows and denies overlapping paths "/data/**" and "/data/*.txt" (deny wins at runtime), e.g. "/data/.txt"
 }
 
-// ExampleSystem_DeliverEvent demonstrates the SACKfs pseudo-file route a
-// real situation detection service uses.
-func ExampleSystem_DeliverEvent() {
+// ExampleSystem_Events delivers situation events both ways in: the
+// SACKfs pseudo-file a real situation detection service writes, and the
+// typed Events sink for in-process producers.
+func ExampleSystem_Events() {
 	sys, err := sack.New(policies.MustLoad("speed-gate"), sack.WithoutVehicle())
 	if err != nil {
 		log.Fatal(err)
@@ -73,8 +76,14 @@ func ExampleSystem_DeliverEvent() {
 	state, _ := task.ReadFileAll("/sys/kernel/security/SACK/state")
 	fmt.Print(string(state))
 
+	if err := sys.Events().DeliverEvent("speed_low"); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println(sys.CurrentState().Name)
+
 	// Output:
 	// high_speed (1)
+	// low_speed
 }
 
 // ExampleSystem_Check interrogates a live system through the decision
@@ -92,7 +101,9 @@ func ExampleSystem_Check() {
 	}
 	fmt.Printf("normal: allowed=%v covered=%v state=%s\n", d.Allowed, d.Covered, d.State)
 
-	sys.DeliverEvent("crash_detected")
+	if err := sys.Events().DeliverEvent("crash_detected"); err != nil {
+		log.Fatal(err)
+	}
 	d, _ = sys.Check("/usr/bin/ivi", "/dev/vehicle/door0", sack.MayIoctl)
 	fmt.Printf("emergency: allowed=%v rule=%q\n", d.Allowed, d.Rule.String())
 

@@ -122,7 +122,9 @@ func main() {
 	fmt.Printf("state=%s: %s (volume=%d)\n", sysB.CurrentState().Name,
 		attackB.MaxVolumeAttack(), sysB.Vehicle.Audio.Volume())
 
-	sysB.DeliverEvent("driving_started")
+	if err := sysB.Events().DeliverEvent("driving_started"); err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("state=%s: %s (volume=%d)\n", sysB.CurrentState().Name,
 		attackB.MaxVolumeAttack(), sysB.Vehicle.Audio.Volume())
 

@@ -101,7 +101,9 @@ func main() {
 	tryDoorIoctl(doord, "doord [AA allows]")
 	tryDoorIoctl(radio, "radio [AA denies]")
 
-	sys.DeliverEvent("crash_detected")
+	if err := sys.Events().DeliverEvent("crash_detected"); err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("\nstate=emergency (SACK allows; AppArmor still decides per profile):")
 	tryDoorIoctl(doord, "doord [AA allows]")
 	tryDoorIoctl(radio, "radio [AA denies]")

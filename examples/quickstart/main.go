@@ -82,7 +82,9 @@ func main() {
 	fmt.Printf("door0 is now: %s\n", sys.Vehicle.Doors[0].State())
 
 	// 4. Recovery locks things back down.
-	sys.DeliverEvent("all_clear")
+	if err := sys.Events().DeliverEvent("all_clear"); err != nil {
+		log.Fatalf("deliver all_clear: %v", err)
+	}
 	if _, err := task.Ioctl(fd, 0x1002, 0); sack.IsErrno(err, sack.EACCES) {
 		fmt.Println("after all_clear: ioctl(DOOR_UNLOCK) -> EACCES again")
 	}

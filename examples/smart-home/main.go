@@ -124,10 +124,15 @@ func main() {
 	fmt.Println("== SACK beyond vehicles: occupancy-aware smart home ==")
 	show() // occupied: cameras and remote lock dead, privacy preserved
 
-	sys.DeliverEvent("everyone_left")
+	deliver := func(ev sack.Event) {
+		if err := sys.Events().DeliverEvent(ev); err != nil {
+			log.Fatal(err)
+		}
+	}
+	deliver("everyone_left")
 	show() // away: securityd streams and controls the lock; mediad never
 
-	sys.DeliverEvent("someone_home")
-	sys.DeliverEvent("goodnight")
+	deliver("someone_home")
+	deliver("goodnight")
 	show() // night: only the siren is armed
 }

@@ -26,6 +26,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/fleet"
 	"repro/internal/lsm"
+	"repro/internal/resilience"
 )
 
 const fleetPolicyBody = `
@@ -361,17 +362,19 @@ func TestFleetRunLoopConverges(t *testing.T) {
 	for i := range systems {
 		transport := fleet.NewFaultyTransport(server, randomFleetPlan(rng))
 		transport.DelayUnit = time.Microsecond
+		vehicle := fmt.Sprintf("run-%02d", i)
 		sys, err := sack.New(fleetPolicyV1,
 			sack.WithoutVehicle(),
 			sack.WithFleet(sack.FleetAgentConfig{
-				Vehicle:     fmt.Sprintf("run-%02d", i),
-				Group:       "prod",
-				Transport:   transport,
-				PollWait:    time.Millisecond,
-				Interval:    500 * time.Microsecond,
-				BackoffBase: 200 * time.Microsecond,
-				BackoffMax:  2 * time.Millisecond,
-			}),
+				Vehicle:   vehicle,
+				Group:     "prod",
+				Transport: transport,
+				PollWait:  time.Millisecond,
+				Interval:  500 * time.Microsecond,
+			}, fleet.WithPolicy(resilience.NewRetry(resilience.RetryConfig{
+				Base: 200 * time.Microsecond, Max: 2 * time.Millisecond,
+				Seed: fleet.DeriveJitterSeed(vehicle),
+			}))),
 		)
 		if err != nil {
 			t.Fatal(err)

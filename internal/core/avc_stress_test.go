@@ -46,8 +46,8 @@ func TestAVCConcurrentRevocation(t *testing.T) {
 	cred := sys.NewCred(0, 0)
 	for i := 0; i < 200; i++ {
 		if i%2 == 0 {
-			if transitioned, _, _ := s.DeliverEvent("crash_detected"); !transitioned {
-				t.Fatalf("iteration %d: crash_detected ignored", i)
+			if err := s.Deliver("crash_detected"); err != nil || s.CurrentState().Name != "emergency" {
+				t.Fatalf("iteration %d: crash_detected ignored: %v", i, err)
 			}
 			if err := s.InodePermission(cred, path, nil, sys.MayWrite); err != nil {
 				t.Fatalf("iteration %d: write denied in emergency: %v", i, err)
@@ -58,8 +58,8 @@ func TestAVCConcurrentRevocation(t *testing.T) {
 				t.Fatalf("iteration %d: repeat write denied in emergency: %v", i, err)
 			}
 		} else {
-			if transitioned, _, _ := s.DeliverEvent("all_clear"); !transitioned {
-				t.Fatalf("iteration %d: all_clear ignored", i)
+			if err := s.Deliver("all_clear"); err != nil || s.CurrentState().Name != "normal" {
+				t.Fatalf("iteration %d: all_clear ignored: %v", i, err)
 			}
 			if err := s.InodePermission(cred, path, nil, sys.MayWrite); err == nil {
 				t.Fatalf("iteration %d: stale cached allow served after revocation", i)
@@ -85,11 +85,11 @@ func TestAVCDisabledStillEnforces(t *testing.T) {
 	const path = "/dev/vehicle/door0"
 	cred := sys.NewCred(0, 0)
 	for i := 0; i < 10; i++ {
-		s.DeliverEvent("crash_detected")
+		s.Deliver("crash_detected")
 		if err := s.InodePermission(cred, path, nil, sys.MayWrite); err != nil {
 			t.Fatalf("write denied in emergency: %v", err)
 		}
-		s.DeliverEvent("all_clear")
+		s.Deliver("all_clear")
 		if err := s.InodePermission(cred, path, nil, sys.MayWrite); err == nil {
 			t.Fatal("write allowed in normal state")
 		}

@@ -114,7 +114,7 @@ profile svc /usr/bin/svc {
 	if err := ioctl(); !sys.IsErrno(err, sys.EACCES) {
 		t.Fatalf("normal state: %v", err)
 	}
-	s.DeliverEvent("crash_detected")
+	s.Deliver("crash_detected")
 	if err := ioctl(); err != nil {
 		t.Fatalf("emergency: %v", err)
 	}
@@ -190,7 +190,7 @@ transitions {
 	rescued := spawn("/usr/bin/rescued")
 	radio := spawn("/usr/bin/radio")
 
-	s.DeliverEvent("crash_detected")
+	s.Deliver("crash_detected")
 	ioctl := func(task *kernel.Task) error {
 		fd, err := task.Open("/dev/vehicle/door0", vfs.ORdonly, 0)
 		if err != nil {
@@ -219,7 +219,7 @@ func TestEnhancedPolicyReloadRegeneratesProfiles(t *testing.T) {
 	if err := s.ManageProfile(base); err != nil {
 		t.Fatal(err)
 	}
-	s.DeliverEvent("crash_detected") // emergency grants door rules
+	s.Deliver("crash_detected") // emergency grants door rules
 
 	// Reload with a policy whose emergency state grants nothing.
 	const strippedPolicy = `
@@ -289,8 +289,8 @@ func TestConcurrentChecksDuringTransitionStorm(t *testing.T) {
 		}()
 	}
 	for i := 0; i < 500; i++ {
-		s.DeliverEvent("crash_detected")
-		s.DeliverEvent("all_clear")
+		s.Deliver("crash_detected")
+		s.Deliver("all_clear")
 	}
 	close(stop)
 	wg.Wait()

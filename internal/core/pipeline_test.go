@@ -125,18 +125,15 @@ func TestHeartbeatLapseDegradesToFailsafe(t *testing.T) {
 		t.Fatalf("reason = %q", p.Reason())
 	}
 
-	// Pinned: both delivery paths reject, and accounting is untouched.
+	// Pinned: delivery is rejected, and accounting is untouched.
 	_, _, inBefore, _ := s.Stats()
 	if err := s.Deliver("all_clear"); !errors.Is(err, core.ErrDegraded) {
 		t.Fatalf("Deliver while pinned: %v", err)
 	}
-	if tr, from, to := s.DeliverEvent("all_clear"); tr || from != to {
-		t.Fatal("legacy path transitioned while pinned")
-	}
 	if _, _, inAfter, _ := s.Stats(); inAfter != inBefore {
 		t.Fatal("pinned rejections leaked into events_received")
 	}
-	if st := p.Stats(); st.RejectedDegraded != 2 || st.Degradations != 1 {
+	if st := p.Stats(); st.RejectedDegraded != 1 || st.Degradations != 1 {
 		t.Fatalf("stats: %+v", st)
 	}
 

@@ -357,26 +357,6 @@ func (s *SACK) Deliver(ev ssm.Event) error {
 	return nil
 }
 
-// DeliverEvent feeds a situation event to the SSM. It is the programmatic
-// equivalent of writing to /sys/kernel/security/SACK/events.
-//
-// Deprecated: use Deliver, which reports typed errors and respects
-// pipeline degradation. DeliverEvent is kept as a thin wrapper for the
-// pre-resilience call sites; while degraded it reports no transition.
-func (s *SACK) DeliverEvent(ev ssm.Event) (transitioned bool, from, to ssm.State) {
-	if s.pipe.Pinned() {
-		s.pipe.rejectedDegraded.Add(1)
-		cur := s.machine.Load().Current()
-		return false, cur, cur
-	}
-	s.eventsIn.Add(1)
-	transitioned, from, to = s.machine.Load().Deliver(ev)
-	if transitioned {
-		s.eventsHit.Add(1)
-	}
-	return transitioned, from, to
-}
-
 // onTransition is the APE entry point: re-derive P = f(SS) and
 // MR = g(P) for the new state (Algorithm 1) and install it.
 func (s *SACK) onTransition(from, to ssm.State, ev ssm.Event) {

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -122,8 +123,8 @@ func TestIndependentSACKDeniesDoorInNormalState(t *testing.T) {
 	}
 
 	// Crash: transition to emergency via the SSM.
-	if trans, _, to := s.DeliverEvent("crash_detected"); !trans || to.Name != "emergency" {
-		t.Fatalf("crash_detected should transition to emergency, got trans=%v to=%v", trans, to)
+	if err := s.Deliver("crash_detected"); err != nil || s.CurrentState().Name != "emergency" {
+		t.Fatalf("crash_detected should transition to emergency, got err=%v state=%s", err, s.CurrentState().Name)
 	}
 	if _, err := task.Ioctl(roFD, 1, 0); err != nil {
 		t.Fatalf("ioctl in emergency state: %v", err)
@@ -138,8 +139,8 @@ func TestIndependentSACKDeniesDoorInNormalState(t *testing.T) {
 
 	// Recovery: back to normal; even already-open descriptors lose the
 	// permissions (FilePermission re-checks every I/O).
-	if trans, _, to := s.DeliverEvent("all_clear"); !trans || to.Name != "normal" {
-		t.Fatalf("all_clear should transition to normal, got trans=%v to=%v", trans, to)
+	if err := s.Deliver("all_clear"); err != nil || s.CurrentState().Name != "normal" {
+		t.Fatalf("all_clear should transition to normal, got err=%v state=%s", err, s.CurrentState().Name)
 	}
 	if _, err := task.Ioctl(roFD, 1, 0); !sys.IsErrno(err, sys.EACCES) {
 		t.Fatalf("ioctl after all_clear: want EACCES, got %v", err)
@@ -279,7 +280,7 @@ profile rescued /usr/bin/rescued {
 	}
 
 	// Crash: SACK rewrites the AppArmor profile; the daemon can now act.
-	s.DeliverEvent("crash_detected")
+	s.Deliver("crash_detected")
 	fd, err = daemon.Open("/dev/vehicle/door0", vfs.ORdwr, 0)
 	if err != nil {
 		t.Fatalf("open door in emergency: %v", err)
@@ -289,7 +290,7 @@ profile rescued /usr/bin/rescued {
 	}
 
 	// And back.
-	s.DeliverEvent("all_clear")
+	s.Deliver("all_clear")
 	if _, err := daemon.Ioctl(fd, 2, 0); !sys.IsErrno(err, sys.EACCES) {
 		t.Fatalf("ioctl door after all_clear: want EACCES, got %v", err)
 	}
@@ -297,7 +298,7 @@ profile rescued /usr/bin/rescued {
 
 func TestPolicyReloadKeepsCurrentState(t *testing.T) {
 	_, s := bootIndependent(t, casePolicy)
-	s.DeliverEvent("crash_detected")
+	s.Deliver("crash_detected")
 	if s.CurrentState().Name != "emergency" {
 		t.Fatal("setup: expected emergency")
 	}
@@ -319,11 +320,14 @@ func TestPolicyReloadKeepsCurrentState(t *testing.T) {
 
 func TestSSMIgnoresUnmatchedEvents(t *testing.T) {
 	_, s := bootIndependent(t, casePolicy)
-	if trans, _, _ := s.DeliverEvent("all_clear"); trans {
-		t.Fatal("all_clear in normal state should not transition")
+	if err := s.Deliver("all_clear"); err != nil {
+		t.Fatalf("all_clear in normal state: %v", err)
 	}
-	if trans, _, _ := s.DeliverEvent("no_such_event"); trans {
-		t.Fatal("unknown event should not transition")
+	if err := s.Deliver("no_such_event"); !errors.Is(err, core.ErrUnknownEvent) {
+		t.Fatalf("unknown event: %v, want ErrUnknownEvent", err)
+	}
+	if _, _, _, hit := s.Stats(); hit != 0 {
+		t.Fatalf("events_transitioned = %d, want 0", hit)
 	}
 	if got := s.CurrentState().Name; got != "normal" {
 		t.Fatalf("state = %q, want normal", got)
@@ -389,7 +393,7 @@ func TestStatsCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	task.Ioctl(fd, 1, 0) // denied
-	s.DeliverEvent("crash_detected")
+	s.Deliver("crash_detected")
 	task.Ioctl(fd, 1, 0) // allowed
 
 	checks, denials, eventsIn, eventsHit := s.Stats()
@@ -442,7 +446,7 @@ transitions {
 	if err := task.Exec("/opt/flashtool"); !sys.IsErrno(err, sys.EACCES) {
 		t.Fatalf("exec on the road: %v", err)
 	}
-	s.DeliverEvent("workshop_auth")
+	s.Deliver("workshop_auth")
 	if err := task.Exec("/opt/flashtool"); err != nil {
 		t.Fatalf("exec in workshop: %v", err)
 	}
@@ -450,7 +454,7 @@ transitions {
 	if got := task.Cred.Blob("sack"); got != "/opt/flashtool" {
 		t.Fatalf("subject label = %v", got)
 	}
-	s.DeliverEvent("workshop_done")
+	s.Deliver("workshop_done")
 	if err := task.Exec("/opt/flashtool"); !sys.IsErrno(err, sys.EACCES) {
 		t.Fatalf("exec after workshop: %v", err)
 	}
@@ -479,15 +483,15 @@ transitions {
 	if err := task.WriteFileAll("/var/staging/pkg", []byte("x"), 0o644); !sys.IsErrno(err, sys.EACCES) {
 		t.Fatalf("create while locked: %v", err)
 	}
-	s.DeliverEvent("update_approved")
+	s.Deliver("update_approved")
 	if err := task.WriteFileAll("/var/staging/pkg", []byte("x"), 0o644); err != nil {
 		t.Fatalf("create while open: %v", err)
 	}
-	s.DeliverEvent("update_finished")
+	s.Deliver("update_finished")
 	if err := task.Unlink("/var/staging/pkg"); !sys.IsErrno(err, sys.EACCES) {
 		t.Fatalf("unlink while locked: %v", err)
 	}
-	s.DeliverEvent("update_approved")
+	s.Deliver("update_approved")
 	if err := task.Unlink("/var/staging/pkg"); err != nil {
 		t.Fatalf("unlink while open: %v", err)
 	}

@@ -72,7 +72,9 @@ func (s *SACK) RegisterSecurityFS(secfs *securityfs.FS) error {
 						}
 						continue
 					}
-					s.DeliverEvent(ssm.Event(ev))
+					// A degraded or unknown event is already counted in
+					// the pipeline file; the write itself succeeds.
+					_ = s.Deliver(ssm.Event(ev))
 				}
 				return nil
 			},

@@ -205,7 +205,7 @@ func TestReloadFileReportsTransaction(t *testing.T) {
 func TestStatsFileMentionsEverything(t *testing.T) {
 	k, s := bootIndependent(t, casePolicy)
 	root := k.Init()
-	s.DeliverEvent("crash_detected")
+	s.Deliver("crash_detected")
 	data, err := root.ReadFileAll(core.StatsFile)
 	if err != nil {
 		t.Fatal(err)

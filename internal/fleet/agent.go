@@ -69,16 +69,6 @@ type AgentConfig struct {
 	PollWait  time.Duration // long-poll hold time for FetchBundle
 	Interval  time.Duration // pause between successful sync rounds
 	BatchSize int           // max records per UploadLogs call
-
-	// Deprecated: retry pacing now lives in a resilience.Policy passed
-	// via WithPolicy. When no policy option is given these three fields
-	// construct the equivalent stack — a resilience.Retry with the same
-	// full-jitter exponential backoff and the same seed derivation the
-	// agent's historical hand-rolled loop used — so existing configs
-	// behave identically (see TestAgentBackoffShimEquivalence).
-	BackoffBase time.Duration // Deprecated: first retry delay after a failed round
-	BackoffMax  time.Duration // Deprecated: retry delay ceiling
-	JitterSeed  int64         // Deprecated: seeds backoff jitter (0 = derive from vehicle ID)
 }
 
 // AgentOption customises an Agent beyond AgentConfig — the resilience
@@ -96,9 +86,8 @@ type agentOptions struct {
 // WithPolicy installs the resilience policy that guards every sync
 // round: Run executes one round as policy.Do(ctx, round), so the
 // policy's retries, breaker, timeout, and sheds govern how the agent
-// rides out a flaky control plane. It replaces the deprecated
-// BackoffBase/BackoffMax/JitterSeed fields; when both are present the
-// policy wins.
+// rides out a flaky control plane. Without it the agent retries on
+// the default schedule (see NewAgent).
 func WithPolicy(p resilience.Policy) AgentOption {
 	return func(o *agentOptions) { o.policy = p }
 }
@@ -129,7 +118,7 @@ const DefaultResilienceAttempts = 4
 
 // WithDefaultResilience installs the recommended control-plane stack:
 // cached-bundle fallback wrapping a bounded retry (full jitter, the
-// config's backoff envelope) wrapping a circuit breaker wrapping a
+// default backoff envelope) wrapping a circuit breaker wrapping a
 // per-attempt timeout. A flapping or stalled fleetd trips the breaker,
 // attempts short-circuit fast, backoff paces the probes, and the
 // vehicle keeps running its cached bundle the whole time.
@@ -140,8 +129,8 @@ func WithDefaultResilience() AgentOption {
 // Agent is the vehicle-side fleet client: it polls the control plane
 // for policy bundles, applies them through the kernel's transactional
 // reload, reports status, and ships the audit ring upstream in batches.
-// Sync rounds run under a resilience.Policy (WithPolicy, or a stack
-// equivalent to the deprecated backoff fields).
+// Sync rounds run under a resilience.Policy (WithPolicy,
+// WithDefaultResilience, or the default retry).
 type Agent struct {
 	cfg    AgentConfig
 	policy resilience.Policy
@@ -165,7 +154,7 @@ type Agent struct {
 	lastErr    string
 }
 
-// DeriveJitterSeed is the agent's historical seed derivation: a small
+// DeriveJitterSeed seeds the default retry's jitter: a small
 // polynomial hash of the vehicle ID, so every vehicle gets a distinct,
 // reproducible jitter stream without configuration.
 func DeriveJitterSeed(vehicle string) int64 {
@@ -178,9 +167,9 @@ func DeriveJitterSeed(vehicle string) int64 {
 
 // NewAgent validates the config and builds an agent. Options customise
 // the resilience policy and clock; with no WithPolicy /
-// WithDefaultResilience option the deprecated backoff fields build the
-// equivalent retry stack, preserving the historical Run behaviour
-// exactly.
+// WithDefaultResilience option sync rounds retry with full-jitter
+// exponential backoff between DefaultBackoffBase and DefaultBackoffMax,
+// seeded by DeriveJitterSeed(cfg.Vehicle).
 func NewAgent(cfg AgentConfig, opts ...AgentOption) (*Agent, error) {
 	if cfg.Vehicle == "" || cfg.Group == "" {
 		return nil, fmt.Errorf("fleet: agent needs a vehicle id and group")
@@ -194,12 +183,6 @@ func NewAgent(cfg AgentConfig, opts ...AgentOption) (*Agent, error) {
 	if cfg.Interval <= 0 {
 		cfg.Interval = DefaultInterval
 	}
-	if cfg.BackoffBase <= 0 {
-		cfg.BackoffBase = DefaultBackoffBase
-	}
-	if cfg.BackoffMax <= 0 {
-		cfg.BackoffMax = DefaultBackoffMax
-	}
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = DefaultBatchSize
 	}
@@ -212,10 +195,7 @@ func NewAgent(cfg AgentConfig, opts ...AgentOption) (*Agent, error) {
 	}
 	a := &Agent{cfg: cfg, clock: o.clock}
 
-	seed := cfg.JitterSeed
-	if seed == 0 {
-		seed = DeriveJitterSeed(cfg.Vehicle)
-	}
+	seed := DeriveJitterSeed(cfg.Vehicle)
 	switch {
 	case o.policy != nil:
 		a.policy = o.policy
@@ -223,7 +203,7 @@ func NewAgent(cfg AgentConfig, opts ...AgentOption) (*Agent, error) {
 		a.policy = resilience.Stack(
 			resilience.NewRetry(resilience.RetryConfig{
 				Attempts: DefaultResilienceAttempts,
-				Base:     cfg.BackoffBase, Max: cfg.BackoffMax, Seed: seed, Clock: o.clock,
+				Base:     DefaultBackoffBase, Max: DefaultBackoffMax, Seed: seed, Clock: o.clock,
 			}),
 			resilience.NewBreaker(resilience.BreakerConfig{Clock: o.clock}),
 			resilience.NewTimeout(resilience.TimeoutConfig{
@@ -231,11 +211,8 @@ func NewAgent(cfg AgentConfig, opts ...AgentOption) (*Agent, error) {
 			}),
 		)
 	default:
-		// Deprecated-field shim: the historical hand-rolled backoff loop
-		// as a single retry policy — same formula, same seed, same
-		// schedule.
 		a.policy = resilience.NewRetry(resilience.RetryConfig{
-			Base: cfg.BackoffBase, Max: cfg.BackoffMax, Seed: seed, Clock: o.clock,
+			Base: DefaultBackoffBase, Max: DefaultBackoffMax, Seed: seed, Clock: o.clock,
 		})
 	}
 	if o.fallback {
@@ -448,7 +425,6 @@ func (a *Agent) Status() VehicleStatus {
 	}
 	if ws, ok := a.cfg.Transport.(WireStatser); ok {
 		w := ws.WireStats()
-		st.WireEncoding = w.Encoding
 		st.WireBytesOut = w.BytesOut
 		st.WireRawBytesOut = w.RawBytesOut
 		st.WireBytesIn = w.BytesIn
@@ -490,8 +466,8 @@ func (a *Agent) LastError() string {
 
 // Run loops policied sync rounds until the context ends, pausing
 // Interval between them on the agent's clock. Failure pacing lives in
-// the policy: the deprecated-field shim reproduces the historical
-// exponential full-jitter backoff exactly; WithDefaultResilience adds
+// the policy: the default retry backs off exponentially with full
+// jitter; WithDefaultResilience adds
 // breaker, timeout, and cached-bundle fallback so a fleet knocked
 // loose by a server restart neither stampedes back in lockstep nor
 // blocks its decision loop.

@@ -107,10 +107,9 @@ type VehicleStatus struct {
 	SigRejects uint64 `json:"sig_rejects,omitempty"`
 	// Wire surface, filled when the transport does client-side wire
 	// accounting (WireStatser — the HTTP client does, the in-process
-	// transport has no wire): which log-upload encoding the vehicle
-	// speaks, the bytes it put on / took off the wire, and how many
-	// bundle pulls were served as deltas vs full bodies.
-	WireEncoding    string `json:"wire_encoding,omitempty"` // "binary" | "json"
+	// transport has no wire): the bytes the vehicle put on / took off
+	// the wire, and how many bundle pulls were served as deltas vs full
+	// bodies.
 	WireBytesOut    uint64 `json:"wire_bytes_out,omitempty"`
 	WireRawBytesOut uint64 `json:"wire_raw_bytes_out,omitempty"` // pre-compression
 	WireBytesIn     uint64 `json:"wire_bytes_in,omitempty"`
@@ -121,7 +120,6 @@ type VehicleStatus struct {
 // AgentWireStats is a transport's client-side wire accounting, exposed
 // through WireStatser so agents can fold it into their status reports.
 type AgentWireStats struct {
-	Encoding    string // current log-upload encoding: "binary" or "json"
 	BytesOut    uint64 // log-upload bytes put on the wire
 	RawBytesOut uint64 // the same uploads before compression
 	BytesIn     uint64 // bundle/delta bytes taken off the wire

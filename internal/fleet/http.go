@@ -44,8 +44,10 @@ var logScratchPool = sync.Pool{New: func() any { return new(logScratch) }}
 //	DELETE /v1/rollout/{group}      abort the rollout
 //	GET  /v1/rollout/{group}  rollout status (JSON)
 //	POST /v1/status           report one VehicleStatus (JSON)
-//	POST /v1/logs/{vehicle}   upload a decision-log batch (JSON array);
-//	                          429 = backpressure, nothing taken
+//	POST /v1/logs/{vehicle}   upload a decision-log batch (binary
+//	                          wire frame, wire.ContentTypeLogs); 415 for
+//	                          any other content type, 429 =
+//	                          backpressure, nothing taken
 //	GET  /v1/fleet            aggregate FleetStats (JSON)
 //	GET  /v1/fleet/render     aggregate FleetStats (text, Render format)
 func Handler(s *Server) http.Handler {
@@ -77,9 +79,8 @@ func Handler(s *Server) http.Handler {
 		// revision the vehicle holds; when the Accept header also opts
 		// into deltas and the server's cached edit script applies to
 		// exactly that base, the response is the O(edit) script instead
-		// of the full body, discriminated by Content-Type. Legacy
-		// clients never send the Accept value and always get the full
-		// bundle, bit-for-bit as before.
+		// of the full body, discriminated by Content-Type. Clients that
+		// do not send the Accept value always get the full bundle.
 		if delta != nil && strings.Contains(r.Header.Get("Accept"), wire.ContentTypeDelta) {
 			body := delta.Encode()
 			s.wireOut.deltaPulls.Add(1)
@@ -210,43 +211,35 @@ func Handler(s *Server) http.Handler {
 	})
 
 	mux.HandleFunc("POST /v1/logs/{vehicle}", func(w http.ResponseWriter, r *http.Request) {
-		var recs []LogRecord
-		if strings.HasPrefix(r.Header.Get("Content-Type"), wire.ContentTypeLogs) {
-			// Binary batch frame: pooled zero-alloc decode, then hand the
-			// records (copied into a pooled scratch — ingest does not
-			// retain them) to the same admission path JSON takes.
-			body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 8<<20))
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-			d := wire.GetDecoder()
-			wrecs, err := d.Decode(body)
-			if err != nil {
-				wire.PutDecoder(d)
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-			sc := logScratchPool.Get().(*logScratch)
-			recs = sc.recs[:0]
-			for _, wr := range wrecs {
-				recs = append(recs, LogRecord(wr))
-			}
-			sc.recs = recs
-			wire.PutDecoder(d)
-			defer logScratchPool.Put(sc)
-			s.wireIn.binBatches.Add(1)
-			s.wireIn.binBytes.Add(uint64(len(body)))
-		} else {
-			if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20)).Decode(&recs); err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-			s.wireIn.jsonBatches.Add(1)
-			if r.ContentLength > 0 {
-				s.wireIn.jsonBytes.Add(uint64(r.ContentLength))
-			}
+		if !strings.HasPrefix(r.Header.Get("Content-Type"), wire.ContentTypeLogs) {
+			http.Error(w, "decision logs must be "+wire.ContentTypeLogs, http.StatusUnsupportedMediaType)
+			return
 		}
+		// Pooled zero-alloc frame decode, then hand the records (copied
+		// into a pooled scratch — ingest does not retain them) to the
+		// admission path.
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 8<<20))
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		d := wire.GetDecoder()
+		wrecs, err := d.Decode(body)
+		if err != nil {
+			wire.PutDecoder(d)
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		sc := logScratchPool.Get().(*logScratch)
+		recs := sc.recs[:0]
+		for _, wr := range wrecs {
+			recs = append(recs, LogRecord(wr))
+		}
+		sc.recs = recs
+		wire.PutDecoder(d)
+		defer logScratchPool.Put(sc)
+		s.wireIn.binBatches.Add(1)
+		s.wireIn.binBytes.Add(uint64(len(body)))
 		accepted, err := s.UploadLogsContext(r.Context(), r.PathValue("vehicle"), recs)
 		if err != nil {
 			// The typed resilience taxonomy maps to distinct statuses;
@@ -291,14 +284,10 @@ func writeJSON(w http.ResponseWriter, v any) {
 // Client speaks the Handler protocol; it implements Transport, so an
 // Agent works identically over loopback HTTP and in-process.
 //
-// Log uploads default to the binary batch frame (wire.ContentTypeLogs)
-// and bundle fetches opt into delta responses whenever the client holds
-// the base revision the server's edit script applies to. Both degrade
-// automatically: a server that answers a binary upload with 415 or 400
-// latches the client into JSON for its lifetime (the batch is re-sent
-// as JSON inside the same call, so the agent's breaker never sees the
-// negotiation), and any delta that fails to decode or apply is retried
-// as a full-bundle fetch.
+// Log uploads use the binary batch frame (wire.ContentTypeLogs), and
+// bundle fetches opt into delta responses whenever the client holds the
+// base revision the server's edit script applies to; any delta that
+// fails to decode or apply is retried as a full-bundle fetch.
 type Client struct {
 	Base string // e.g. "http://127.0.0.1:7443"
 	HTTP *http.Client
@@ -307,15 +296,6 @@ type Client struct {
 	// agent-side keyring): a bundle failing verification surfaces the
 	// typed sign error and never reaches the caller.
 	Keyring *sign.Keyring
-	// LegacyJSON forces JSON log uploads and full-bundle fetches — the
-	// exact PR 9 wire behavior — for fleets that must stay on the old
-	// format.
-	LegacyJSON bool
-
-	// jsonOnly latches when the server rejects the binary content type;
-	// sticky for the client's lifetime so every later batch goes
-	// straight to JSON without re-probing.
-	jsonOnly atomic.Bool
 
 	// Wire accounting (WireStatser).
 	bytesOut    atomic.Uint64 // upload bytes on the wire
@@ -350,9 +330,8 @@ func (c *Client) httpClient() *http.Client {
 // back to one full-bundle fetch.
 func (c *Client) FetchBundle(vehicle, group, etag string, wait time.Duration) (policy.Bundle, bool, error) {
 	base, haveBase := c.baseFor(group, etag)
-	tryDelta := haveBase && !c.LegacyJSON
-	b, modified, err := c.fetchBundle(vehicle, group, etag, wait, tryDelta, base)
-	if err != nil && tryDelta && errors.Is(err, errDeltaApply) {
+	b, modified, err := c.fetchBundle(vehicle, group, etag, wait, haveBase, base)
+	if err != nil && haveBase && errors.Is(err, errDeltaApply) {
 		// The server's edit script didn't fit what we hold (stale base,
 		// corrupt transfer): drop the cache entry and refetch in full.
 		c.dropBase(group)
@@ -455,9 +434,7 @@ func (c *Client) fetchBundle(vehicle, group, etag string, wait time.Duration, tr
 				return policy.Bundle{}, false, fmt.Errorf("fleet: bundle %s refused: %w", b.ETag(), err)
 			}
 		}
-		if !c.LegacyJSON {
-			c.storeBase(group, b)
-		}
+		c.storeBase(group, b)
 		return b, true, nil
 	default:
 		return policy.Bundle{}, false, httpError(resp)
@@ -481,98 +458,56 @@ func (c *Client) ReportStatus(st VehicleStatus) error {
 	return nil
 }
 
-// UploadLogs implements Transport over HTTP. Batches go out as binary
-// wire frames unless LegacyJSON is set or the server has refused the
-// content type before; a 415/400 answer to a binary frame latches the
-// client to JSON and re-sends the same batch as JSON within this call,
-// so format negotiation never surfaces as an upload failure (and never
-// trips the agent's circuit breaker). Status codes map back onto the
-// typed error taxonomy so agent retry logic is transport-agnostic:
-// 429 is ErrBackpressure (full log buffer) or resilience.ErrBulkheadFull
-// (group compartment shed), told apart by the X-Fleet-Shed header; 503
-// is resilience.ErrCircuitOpen; 504 is resilience.ErrTimeout.
+// UploadLogs implements Transport over HTTP: one binary wire frame per
+// call. Status codes map back onto the typed error taxonomy so agent
+// retry logic is transport-agnostic: 429 is ErrBackpressure (full log
+// buffer) or resilience.ErrBulkheadFull (group compartment shed), told
+// apart by the X-Fleet-Shed header; 503 is resilience.ErrCircuitOpen;
+// 504 is resilience.ErrTimeout; anything else non-200 comes back as
+// the server's error text.
 func (c *Client) UploadLogs(vehicle string, recs []LogRecord) (int, error) {
-	if !c.LegacyJSON && !c.jsonOnly.Load() {
-		e := wire.GetEncoder()
-		wrecs := make([]wire.Record, len(recs))
-		for i, r := range recs {
-			wrecs[i] = wire.Record(r)
-		}
-		body := e.Encode(nil, wrecs, true)
-		raw := e.RawSize()
-		wire.PutEncoder(e)
-		accepted, retryJSON, err := c.postLogs(vehicle, wire.ContentTypeLogs, body)
-		if !retryJSON {
-			if err == nil {
-				c.bytesOut.Add(uint64(len(body)))
-				c.rawBytesOut.Add(uint64(raw))
-			}
-			return accepted, err
-		}
-		// The server doesn't speak the binary frame (JSON-only fleetd):
-		// latch and fall through to JSON for this and every later batch.
-		c.jsonOnly.Store(true)
+	e := wire.GetEncoder()
+	wrecs := make([]wire.Record, len(recs))
+	for i, r := range recs {
+		wrecs[i] = wire.Record(r)
 	}
-	body, err := json.Marshal(recs)
+	body := e.Encode(nil, wrecs, true)
+	raw := e.RawSize()
+	wire.PutEncoder(e)
+	resp, err := c.httpClient().Post(c.Base+"/v1/logs/"+vehicle, wire.ContentTypeLogs, bytes.NewReader(body))
 	if err != nil {
 		return 0, err
 	}
-	accepted, _, err := c.postLogs(vehicle, "application/json", body)
-	if err == nil {
-		c.bytesOut.Add(uint64(len(body)))
-		c.rawBytesOut.Add(uint64(len(body)))
-	}
-	return accepted, err
-}
-
-// postLogs posts one encoded batch and inverts the response status into
-// the typed error taxonomy. retryJSON reports a rejection of the binary
-// content type itself (415, or a legacy 400 from a decoder that never
-// heard of the frame) — the caller re-sends as JSON.
-func (c *Client) postLogs(vehicle, contentType string, body []byte) (accepted int, retryJSON bool, err error) {
-	resp, err := c.httpClient().Post(c.Base+"/v1/logs/"+vehicle, contentType, bytes.NewReader(body))
-	if err != nil {
-		return 0, false, err
-	}
 	defer resp.Body.Close()
 	switch resp.StatusCode {
+	case http.StatusOK:
 	case http.StatusTooManyRequests:
 		if resp.Header.Get("X-Fleet-Shed") == "group-bulkhead" {
-			return 0, false, fmt.Errorf("%w (http 429)", resilience.ErrBulkheadFull)
+			return 0, fmt.Errorf("%w (http 429)", resilience.ErrBulkheadFull)
 		}
-		return 0, false, fmt.Errorf("%w (http 429)", ErrBackpressure)
+		return 0, fmt.Errorf("%w (http 429)", ErrBackpressure)
 	case http.StatusServiceUnavailable:
-		return 0, false, fmt.Errorf("%w (http 503)", resilience.ErrCircuitOpen)
+		return 0, fmt.Errorf("%w (http 503)", resilience.ErrCircuitOpen)
 	case http.StatusGatewayTimeout:
-		return 0, false, fmt.Errorf("%w (http 504)", resilience.ErrTimeout)
-	case http.StatusUnsupportedMediaType, http.StatusBadRequest:
-		if contentType == wire.ContentTypeLogs {
-			io.Copy(io.Discard, io.LimitReader(resp.Body, 512))
-			return 0, true, nil
-		}
-		return 0, false, httpError(resp)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return 0, false, httpError(resp)
+		return 0, fmt.Errorf("%w (http 504)", resilience.ErrTimeout)
+	default:
+		return 0, httpError(resp)
 	}
 	var out struct {
 		Accepted int `json:"accepted"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return 0, false, err
+		return 0, err
 	}
-	return out.Accepted, false, nil
+	c.bytesOut.Add(uint64(len(body)))
+	c.rawBytesOut.Add(uint64(raw))
+	return out.Accepted, nil
 }
 
 // WireStats implements WireStatser: the client's cumulative wire
 // accounting, folded into VehicleStatus by the agent.
 func (c *Client) WireStats() AgentWireStats {
-	enc := "binary"
-	if c.LegacyJSON || c.jsonOnly.Load() {
-		enc = "json"
-	}
 	return AgentWireStats{
-		Encoding:    enc,
 		BytesOut:    c.bytesOut.Load(),
 		RawBytesOut: c.rawBytesOut.Load(),
 		BytesIn:     c.bytesIn.Load(),

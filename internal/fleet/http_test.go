@@ -63,8 +63,11 @@ func TestHTTPTransportRoundTrip(t *testing.T) {
 		t.Fatalf("fleet stats over http: %+v", st)
 	}
 	v, ok := s.Vehicle("veh-http")
-	if !ok || v.Uploaded != 1 || v.Emitted != 1 || v.Accepted != 1 {
+	if !ok || v.Uploaded != 1 || v.Emitted != 1 || v.Accepted != 1 || v.Dropped != 0 {
 		t.Fatalf("vehicle ledger over http: %+v (ok=%v)", v, ok)
+	}
+	if v.WireBytesOut == 0 || v.FullPulls != 1 {
+		t.Fatalf("agent wire stats not reported: %+v", v)
 	}
 
 	// Duplicate upload over HTTP is deduplicated server-side.

@@ -530,7 +530,6 @@ func (s *Server) applyStatus(st VehicleStatus, when time.Time) {
 	v.Shed = st.Shed
 	v.Fallbacks = st.Fallbacks
 	v.SigRejects = st.SigRejects
-	v.WireEncoding = st.WireEncoding
 	v.WireBytesOut = st.WireBytesOut
 	v.WireRawBytesOut = st.WireRawBytesOut
 	v.WireBytesIn = st.WireBytesIn

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -48,33 +47,25 @@ func (f *failNTransport) UploadLogs(vehicle string, recs []LogRecord) (int, erro
 	return f.inner.UploadLogs(vehicle, recs)
 }
 
-// TestAgentBackoffShimEquivalence: an agent configured only through the
-// deprecated BackoffBase/BackoffMax/JitterSeed fields must produce
-// exactly the backoff schedule the historical hand-rolled Run loop
-// computed — same full-jitter formula, same seed derivation, same
-// doubling and cap — now via the retry-policy shim.
-func TestAgentBackoffShimEquivalence(t *testing.T) {
+// TestAgentDefaultRetrySchedule: an agent built without a policy
+// option retries a failing round on exactly the schedule of a
+// resilience.Retry built from DefaultBackoffBase, DefaultBackoffMax and
+// the vehicle-derived jitter seed; custom pacing passed through
+// WithPolicy is followed just as exactly.
+func TestAgentDefaultRetrySchedule(t *testing.T) {
 	const failures = 6
-	legacySchedule := func(seed int64, base, max time.Duration) []time.Duration {
-		rng := rand.New(rand.NewSource(seed))
-		var out []time.Duration
-		backoff := base
-		for i := 0; i < failures; i++ {
-			out = append(out, time.Duration(rng.Int63n(int64(backoff)+1)))
-			backoff *= 2
-			if backoff > max {
-				backoff = max
-			}
-		}
-		return out
-	}
-
+	const vehicle = "veh-retry"
 	cases := []struct {
-		name string
-		seed int64 // JitterSeed config value; 0 = derive from vehicle ID
+		name   string
+		custom bool // pace through WithPolicy instead of the default
+		cfg    resilience.RetryConfig
 	}{
-		{"explicit-seed", 12345},
-		{"derived-seed", 0},
+		{"derived-seed", false, resilience.RetryConfig{
+			Base: DefaultBackoffBase, Max: DefaultBackoffMax, Seed: DeriveJitterSeed(vehicle),
+		}},
+		{"explicit-seed", true, resilience.RetryConfig{
+			Base: 100 * time.Millisecond, Max: 400 * time.Millisecond, Seed: 12345,
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -85,13 +76,17 @@ func TestAgentBackoffShimEquivalence(t *testing.T) {
 			ft := &failNTransport{inner: s}
 			ft.fails.Store(failures)
 			clock := resilience.NewAutoClock(time.Unix(0, 0))
-			const base, max = 100 * time.Millisecond, 400 * time.Millisecond
+			opts := []AgentOption{WithAgentClock(clock)}
+			if tc.custom {
+				cfg := tc.cfg
+				cfg.Clock = clock
+				opts = append(opts, WithPolicy(resilience.NewRetry(cfg)))
+			}
 			a, err := NewAgent(AgentConfig{
-				Vehicle: "veh-shim", Group: "default",
+				Vehicle: vehicle, Group: "default",
 				Transport: ft, Applier: &fakeApplier{},
 				PollWait: time.Millisecond, Interval: time.Second,
-				BackoffBase: base, BackoffMax: max, JitterSeed: tc.seed,
-			}, WithAgentClock(clock))
+			}, opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -101,21 +96,28 @@ func TestAgentBackoffShimEquivalence(t *testing.T) {
 			if a.AppliedGeneration() != 1 {
 				t.Fatalf("generation = %d", a.AppliedGeneration())
 			}
-			seed := tc.seed
-			if seed == 0 {
-				seed = DeriveJitterSeed("veh-shim")
-			}
-			want := legacySchedule(seed, base, max)
-			got := clock.Slept()
-			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("shim backoff schedule diverged from the legacy loop:\n got %v\nwant %v", got, want)
+
+			refClock := resilience.NewAutoClock(time.Unix(0, 0))
+			refCfg := tc.cfg
+			refCfg.Clock = refClock
+			left := failures
+			resilience.NewRetry(refCfg).Do(context.Background(), func(context.Context) error {
+				if left > 0 {
+					left--
+					return ErrDropped
+				}
+				return nil
+			})
+			got, want := clock.Slept(), refClock.Slept()
+			if len(want) != failures || fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("backoff schedule diverged from the reference retry:\n got %v\nwant %v", got, want)
 			}
 		})
 	}
 }
 
 // TestAgentRunIntervalPacing: after a clean round Run sleeps Interval
-// on the agent clock, exactly like the legacy loop.
+// on the agent clock.
 func TestAgentRunIntervalPacing(t *testing.T) {
 	s := NewServer()
 	if _, err := s.Publish("default", testPolicy); err != nil {
@@ -126,8 +128,10 @@ func TestAgentRunIntervalPacing(t *testing.T) {
 	a, err := NewAgent(AgentConfig{
 		Vehicle: "veh-run", Group: "default",
 		Transport: s, Applier: &fakeApplier{},
-		PollWait: 0, Interval: interval, JitterSeed: 1,
-	}, WithAgentClock(clock))
+		PollWait: 0, Interval: interval,
+	}, WithAgentClock(clock), WithPolicy(resilience.NewRetry(resilience.RetryConfig{
+		Base: DefaultBackoffBase, Max: DefaultBackoffMax, Seed: 1, Clock: clock,
+	})))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +167,7 @@ func TestAgentCachedBundleFallback(t *testing.T) {
 	a, err := NewAgent(AgentConfig{
 		Vehicle: "veh-fb", Group: "default",
 		Transport: ft, Applier: &fakeApplier{},
-		PollWait: time.Millisecond, JitterSeed: 7,
+		PollWait: time.Millisecond,
 	}, WithAgentClock(clock), WithDefaultResilience())
 	if err != nil {
 		t.Fatal(err)
@@ -214,7 +218,7 @@ func TestAgentCachedBundleFallback(t *testing.T) {
 	fresh, err := NewAgent(AgentConfig{
 		Vehicle: "veh-fresh", Group: "default",
 		Transport: ft, Applier: &fakeApplier{},
-		PollWait: time.Millisecond, JitterSeed: 8,
+		PollWait: time.Millisecond,
 	}, WithAgentClock(clock), WithDefaultResilience())
 	if err != nil {
 		t.Fatal(err)
@@ -235,8 +239,10 @@ func TestAgentCountsServerSheds(t *testing.T) {
 	a, err := NewAgent(AgentConfig{
 		Vehicle: "veh-shed", Group: "default",
 		Transport: s, Applier: &fakeApplier{}, Audit: ring,
-		PollWait: time.Millisecond, JitterSeed: 9,
-	})
+		PollWait: time.Millisecond,
+	}, WithPolicy(resilience.NewRetry(resilience.RetryConfig{
+		Base: DefaultBackoffBase, Max: DefaultBackoffMax, Seed: 9,
+	})))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -127,8 +127,7 @@ type Server struct {
 }
 
 type wireIngestCounters struct {
-	jsonBatches, jsonBytes atomic.Uint64
-	binBatches, binBytes   atomic.Uint64
+	binBatches, binBytes atomic.Uint64
 }
 
 type wireFanoutCounters struct {
@@ -195,9 +194,8 @@ type VehicleState struct {
 	Shed              uint64 `json:"shed,omitempty"`        // agent-reported
 	Fallbacks         uint64 `json:"fallbacks,omitempty"`   // agent-reported
 	SigRejects        uint64 `json:"sig_rejects,omitempty"` // agent-reported
-	// Wire surface, agent-reported: upload encoding in use and the
-	// vehicle's own byte/pull accounting (see VehicleStatus).
-	WireEncoding    string    `json:"wire_encoding,omitempty"`
+	// Wire surface, agent-reported: the vehicle's own byte/pull
+	// accounting (see VehicleStatus).
 	WireBytesOut    uint64    `json:"wire_bytes_out,omitempty"`
 	WireRawBytesOut uint64    `json:"wire_raw_bytes_out,omitempty"`
 	WireBytesIn     uint64    `json:"wire_bytes_in,omitempty"`
@@ -831,12 +829,10 @@ type LogStats struct {
 }
 
 // WireStats summarises the binary data plane at the server's HTTP
-// boundary: how ingest batches arrive (legacy JSON vs binary frames)
-// and how bundles fan out (full bodies vs publish-time deltas). All
+// boundary: how many binary ingest batches arrive and how large they
+// are, and how bundles fan out (full bodies vs publish-time deltas). All
 // zero on an in-process transport, which has no wire.
 type WireStats struct {
-	JSONBatches   uint64 `json:"json_batches"`
-	JSONBytes     uint64 `json:"json_bytes"`
 	BinaryBatches uint64 `json:"binary_batches"`
 	BinaryBytes   uint64 `json:"binary_bytes"`
 	FullPulls     uint64 `json:"full_pulls"`
@@ -930,7 +926,6 @@ func (s *Server) Stats() FleetStats {
 	s.logMu.Unlock()
 
 	st.Wire = WireStats{
-		JSONBatches: s.wireIn.jsonBatches.Load(), JSONBytes: s.wireIn.jsonBytes.Load(),
 		BinaryBatches: s.wireIn.binBatches.Load(), BinaryBytes: s.wireIn.binBytes.Load(),
 		FullPulls: s.wireOut.fullPulls.Load(), FullBytes: s.wireOut.fullBytes.Load(),
 		DeltaPulls: s.wireOut.deltaPulls.Load(), DeltaBytes: s.wireOut.deltaBytes.Load(),
@@ -962,8 +957,8 @@ func (st FleetStats) Render() string {
 		fmt.Fprintf(&b, "ingest %s: active=%d queued=%d admitted=%d shed=%d\n",
 			key, in.Active, in.Queued, in.Admitted, in.Shed)
 	}
-	fmt.Fprintf(&b, "wire_ingest: json_batches=%d json_bytes=%d binary_batches=%d binary_bytes=%d\n",
-		st.Wire.JSONBatches, st.Wire.JSONBytes, st.Wire.BinaryBatches, st.Wire.BinaryBytes)
+	fmt.Fprintf(&b, "wire_ingest: binary_batches=%d binary_bytes=%d\n",
+		st.Wire.BinaryBatches, st.Wire.BinaryBytes)
 	fmt.Fprintf(&b, "wire_fanout: full_pulls=%d full_bytes=%d delta_pulls=%d delta_bytes=%d\n",
 		st.Wire.FullPulls, st.Wire.FullBytes, st.Wire.DeltaPulls, st.Wire.DeltaBytes)
 	fmt.Fprintf(&b, "published: %d\n", st.Published)

@@ -4,9 +4,9 @@
 // control plane — the agent → fleetd log upload and the server's WAL
 // ingest frames.
 //
-// A LogRecord crosses the legacy wire as reflective JSON over seven
-// string fields, ~120 bytes and several allocations per record on both
-// sides. The binary frame instead carries one per-batch string table
+// As reflective JSON a LogRecord costs seven string fields, ~120 bytes
+// and several allocations per record on both sides. The binary frame
+// instead carries one per-batch string table
 // (every distinct Module/Op/Subject/Object/Action/Detail value appears
 // once) and per-record varint references into it, with Seq and the
 // timestamp delta-encoded against the previous record — a typical
@@ -19,8 +19,8 @@
 // vocabulary has been seen the steady-state decode path performs no
 // per-record allocations (GetDecoder/PutDecoder; the alloc guard in
 // the test suite holds it to that). Frames are self-describing
-// (magic + version + flags) so the WAL replay path and the HTTP
-// handler can tell them from legacy JSON payloads by the first byte.
+// (magic + version + flags), so a reader can tell them from JSON
+// payloads by the first byte.
 package wire
 
 import (
@@ -33,8 +33,8 @@ import (
 	"time"
 )
 
-// Content types negotiated on the fleetd HTTP surface. Legacy clients
-// keep POSTing application/json and are served bit-for-bit as before.
+// Content types on the fleetd HTTP surface. The log upload accepts only
+// ContentTypeLogs and answers any other content type with 415.
 const (
 	// ContentTypeLogs marks a binary decision-log batch frame.
 	ContentTypeLogs = "application/x-sack-logs"
@@ -99,8 +99,8 @@ type Encoder struct {
 }
 
 // IsFrame reports whether data begins with a batch frame header — the
-// discriminator the WAL replay and HTTP paths use against legacy JSON
-// payloads (which start with '{' or '[').
+// check that tells a frame from a JSON payload (which starts with '{'
+// or '[').
 func IsFrame(data []byte) bool {
 	return len(data) >= 4 && data[0] == magic0 && data[1] == magic1
 }

@@ -8,23 +8,19 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/lsm"
+	"repro/internal/fleet/wire"
+	"repro/internal/store"
 )
 
-// TestMixedEncodingLedgerExact drives a binary client and a
-// legacy-JSON client against the same fleetd handler, with deliberate
-// duplicate deliveries on both, and checks the server ledger is exact
-// and encoding-independent: every unique record accepted once, dupes
-// dropped by Seq regardless of wire format, and the drained values
-// bit-identical to what each vehicle emitted.
-func TestMixedEncodingLedgerExact(t *testing.T) {
+// TestLogUploadLedgerExact drives two binary clients against the same
+// fleetd handler, with deliberate duplicate deliveries on both, and
+// checks the server ledger is exact: every unique record accepted once,
+// dupes dropped by Seq, and the drained values bit-identical to what
+// each vehicle emitted.
+func TestLogUploadLedgerExact(t *testing.T) {
 	s := NewServer(WithLogCapacity(1 << 12))
 	srv := httptest.NewServer(Handler(s))
 	defer srv.Close()
-
-	bin := NewClient(srv.URL)
-	legacy := NewClient(srv.URL)
-	legacy.LegacyJSON = true
 
 	mkBatch := func(base uint64) []LogRecord {
 		recs := make([]LogRecord, 8)
@@ -43,27 +39,29 @@ func TestMixedEncodingLedgerExact(t *testing.T) {
 		return recs
 	}
 
+	vehicles := []string{"veh-a", "veh-b"}
 	want := map[string][]LogRecord{}
-	for _, c := range []struct {
-		name string
-		cl   *Client
-	}{{"veh-bin", bin}, {"veh-json", legacy}} {
+	for _, name := range vehicles {
+		c := NewClient(srv.URL)
 		for batch := 0; batch < 4; batch++ {
 			recs := mkBatch(uint64(batch*8 + 1))
-			n, err := c.cl.UploadLogs(c.name, recs)
+			n, err := c.UploadLogs(name, recs)
 			if err != nil || n != len(recs) {
-				t.Fatalf("%s batch %d: n=%d err=%v", c.name, batch, n, err)
+				t.Fatalf("%s batch %d: n=%d err=%v", name, batch, n, err)
 			}
 			// At-least-once redelivery: the exact same batch again must
-			// accept zero new records on either encoding.
-			if n, err := c.cl.UploadLogs(c.name, recs); err != nil || n != 0 {
-				t.Fatalf("%s dup batch %d: n=%d err=%v, want 0 accepted", c.name, batch, n, err)
+			// accept zero new records.
+			if n, err := c.UploadLogs(name, recs); err != nil || n != 0 {
+				t.Fatalf("%s dup batch %d: n=%d err=%v, want 0 accepted", name, batch, n, err)
 			}
-			want[c.name] = append(want[c.name], recs...)
+			want[name] = append(want[name], recs...)
+		}
+		if ws := c.WireStats(); ws.BytesOut == 0 || ws.RawBytesOut == 0 {
+			t.Fatalf("%s client wire stats: %+v", name, ws)
 		}
 	}
 
-	for _, name := range []string{"veh-bin", "veh-json"} {
+	for _, name := range vehicles {
 		v, ok := s.Vehicle(name)
 		if !ok || v.Accepted != 32 || v.LastLogSeq != 32 {
 			t.Fatalf("%s ledger: accepted=%d lastSeq=%d (ok=%v), want 32/32", name, v.Accepted, v.LastLogSeq, ok)
@@ -71,7 +69,7 @@ func TestMixedEncodingLedgerExact(t *testing.T) {
 	}
 
 	// Value fidelity: what the server drained is exactly what was sent,
-	// field for field, on both paths.
+	// field for field.
 	got := map[string][]LogRecord{}
 	for {
 		recs := s.Drain(64)
@@ -97,117 +95,73 @@ func TestMixedEncodingLedgerExact(t *testing.T) {
 		}
 	}
 
-	// Both encodings crossed the wire, and binary was materially smaller
-	// for the same record stream.
-	w := s.Stats().Wire
-	if w.BinaryBatches == 0 || w.JSONBatches == 0 {
-		t.Fatalf("server wire counters missed an encoding: %+v", w)
-	}
-	perBin := float64(w.BinaryBytes) / float64(w.BinaryBatches)
-	perJSON := float64(w.JSONBytes) / float64(w.JSONBatches)
-	if perBin*2 > perJSON {
-		t.Fatalf("binary batches not materially smaller: %.1f vs %.1f bytes/batch", perBin, perJSON)
-	}
-	if ws := bin.WireStats(); ws.Encoding != "binary" || ws.BytesOut == 0 {
-		t.Fatalf("binary client wire stats: %+v", ws)
-	}
-	if ws := legacy.WireStats(); ws.Encoding != "json" {
-		t.Fatalf("legacy client wire stats: %+v", ws)
+	// Every batch, duplicates included, crossed the wire as a frame.
+	if w := s.Stats().Wire; w.BinaryBatches != 16 || w.BinaryBytes == 0 {
+		t.Fatalf("server wire counters: %+v, want 16 binary batches", w)
 	}
 }
 
-// TestMixedAgentsConverge runs a full binary-transport agent and a full
-// legacy-JSON-transport agent against one fleetd: both must converge on
-// the same generation, keep exact ledgers, and report their wire
-// encoding through the status path so the server can tell them apart.
-func TestMixedAgentsConverge(t *testing.T) {
+// TestUploadLogsErrorDoesNotLatch: a 400 from the server (here a
+// closed WAL failing the ingest append) comes back from UploadLogs as
+// an error after exactly one POST, and the next call posts a binary
+// frame again — no resend in another encoding, no sticky mode.
+func TestUploadLogsErrorDoesNotLatch(t *testing.T) {
+	st, err := store.Open(t.TempDir(), store.WithNoFsync())
+	if err != nil {
+		t.Fatalf("store.Open: %v", err)
+	}
+	s, err := OpenServer(st)
+	if err != nil {
+		t.Fatalf("OpenServer: %v", err)
+	}
+	st.Close()
+
+	inner := Handler(s)
+	var posts []string
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost {
+			posts = append(posts, r.Header.Get("Content-Type"))
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+
+	c := NewClient(srv.URL)
+	for call := 1; call <= 2; call++ {
+		n, err := c.UploadLogs("veh-closed", []LogRecord{{Seq: uint64(call), Op: "open", Action: "DENIED"}})
+		if err == nil || !strings.Contains(err.Error(), "store: closed") || n != 0 {
+			t.Fatalf("call %d: n=%d err=%v, want the 400 from the closed store", call, n, err)
+		}
+		if len(posts) != call || posts[call-1] != wire.ContentTypeLogs {
+			t.Fatalf("call %d: POSTs so far %q, want one %s per call", call, posts, wire.ContentTypeLogs)
+		}
+	}
+	if ws := c.WireStats(); ws.BytesOut != 0 {
+		t.Fatalf("failed uploads counted as sent: %+v", ws)
+	}
+}
+
+// TestJSONLogUploadRejected: ingest speaks only the binary frame; a
+// JSON batch gets 415 and nothing is ingested.
+func TestJSONLogUploadRejected(t *testing.T) {
 	s := NewServer()
 	srv := httptest.NewServer(Handler(s))
 	defer srv.Close()
 
-	if _, err := NewClient(srv.URL).Push("default", testPolicy); err != nil {
-		t.Fatalf("push: %v", err)
+	body := `[{"seq":1,"op":"open","action":"DENIED"}]`
+	resp, err := http.Post(srv.URL+"/v1/logs/veh-json", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("post: %v", err)
 	}
-
-	run := func(vehicle string, legacy bool) {
-		c := NewClient(srv.URL)
-		c.LegacyJSON = legacy
-		audit := lsm.NewAuditLog(16)
-		for i := 0; i < 3; i++ {
-			audit.Append(lsm.AuditRecord{Op: "open", Action: "DENIED", Object: "/etc/shadow"})
-		}
-		a, err := NewAgent(AgentConfig{
-			Vehicle: vehicle, Group: "default",
-			Transport: c, Applier: &fakeApplier{}, Audit: audit,
-			PollWait: time.Millisecond,
-		})
-		if err != nil {
-			t.Fatalf("NewAgent %s: %v", vehicle, err)
-		}
-		if err := a.SyncOnce(); err != nil {
-			t.Fatalf("SyncOnce %s: %v", vehicle, err)
-		}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusUnsupportedMediaType {
+		t.Fatalf("JSON upload: status %d, want 415", resp.StatusCode)
 	}
-	run("veh-bin", false)
-	run("veh-json", true)
-
-	st := s.Stats()
-	if st.Vehicles != 2 || len(st.Groups) != 1 || st.Groups[0].Converged != 2 {
-		t.Fatalf("mixed agents did not converge: %+v", st)
+	if v, ok := s.Vehicle("veh-json"); ok && v.Accepted != 0 {
+		t.Fatalf("JSON upload ingested: %+v", v)
 	}
-	for name, wantEnc := range map[string]string{"veh-bin": "binary", "veh-json": "json"} {
-		v, ok := s.Vehicle(name)
-		if !ok || v.Accepted != 3 || v.Uploaded != 3 || v.Emitted != 3 || v.Dropped != 0 {
-			t.Fatalf("%s ledger: %+v (ok=%v)", name, v, ok)
-		}
-		if v.WireEncoding != wantEnc {
-			t.Fatalf("%s reported encoding %q, want %q", name, v.WireEncoding, wantEnc)
-		}
-	}
-}
-
-// TestBinaryClientAgainstJSONOnlyServer points a binary client at a
-// server that refuses the binary content type (an un-upgraded fleetd
-// behind a strict proxy): the client must degrade to JSON within the
-// same call — no error surfaces, no 415 retry loop — and stay on JSON
-// for subsequent uploads.
-func TestBinaryClientAgainstJSONOnlyServer(t *testing.T) {
-	s := NewServer()
-	inner := Handler(s)
-	var rejected, binaryPosts int
-	mw := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodPost && strings.HasPrefix(r.Header.Get("Content-Type"), "application/x-sack-logs") {
-			binaryPosts++
-			rejected++
-			http.Error(w, "unsupported media type", http.StatusUnsupportedMediaType)
-			return
-		}
-		inner.ServeHTTP(w, r)
-	})
-	srv := httptest.NewServer(mw)
-	defer srv.Close()
-
-	c := NewClient(srv.URL)
-	recs := []LogRecord{{Seq: 1, Op: "open", Action: "DENIED"}, {Seq: 2, Op: "exec", Action: "GRANTED"}}
-	if n, err := c.UploadLogs("veh-compat", recs); err != nil || n != 2 {
-		t.Fatalf("upload against JSON-only server: n=%d err=%v, want transparent JSON fallback", n, err)
-	}
-	if rejected != 1 {
-		t.Fatalf("server rejected %d binary posts, want exactly 1 probe", rejected)
-	}
-	if ws := c.WireStats(); ws.Encoding != "json" {
-		t.Fatalf("client did not latch JSON after 415: %+v", ws)
-	}
-	// The latch is sticky: the next upload must not probe binary again.
-	if n, err := c.UploadLogs("veh-compat", []LogRecord{{Seq: 3, Op: "open", Action: "DENIED"}}); err != nil || n != 1 {
-		t.Fatalf("post-latch upload: n=%d err=%v", n, err)
-	}
-	if binaryPosts != 1 {
-		t.Fatalf("client probed binary %d times, want 1 (sticky latch)", binaryPosts)
-	}
-	v, ok := s.Vehicle("veh-compat")
-	if !ok || v.Accepted != 3 {
-		t.Fatalf("ledger after fallback: %+v (ok=%v)", v, ok)
+	if st := s.Stats(); st.Logs.Accepted != 0 || st.Logs.BatchesAccepted != 0 || st.Wire.BinaryBatches != 0 {
+		t.Fatalf("JSON upload reached ingest: logs=%+v wire=%+v", st.Logs, st.Wire)
 	}
 }
 

@@ -199,7 +199,7 @@ func TestKoffeeBlockedBySACK(t *testing.T) {
 	}
 
 	// In the emergency state the same ioctl passes (break-glass policy).
-	s.DeliverEvent("crash_detected")
+	s.Deliver("crash_detected")
 	res = attack.Inject("/dev/vehicle/door0", vehicle.IoctlDoorUnlock, 0)
 	if res.Err != nil {
 		t.Fatalf("emergency injection: %+v", res)

@@ -204,7 +204,7 @@ transitions {
 	// Emergency: SACK passes; SELinux still confines by domain —
 	// doord_t has the vector, the unconfined rogue passes TE too, but a
 	// confined domain without vectors is vetoed by layer two.
-	sackMod.DeliverEvent("crash_detected")
+	sackMod.Deliver("crash_detected")
 	if err := ioctlDoor(doord); err != nil {
 		t.Fatalf("emergency doord: %v", err)
 	}

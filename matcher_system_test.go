@@ -183,8 +183,8 @@ func TestCachedEqualsUncachedTrace(t *testing.T) {
 		// the property holds across epochs, not just within one.
 		if trial%500 == 499 {
 			ev := []string{"crash_detected", "all_clear"}[(trial/500)%2]
-			cached.SACK.DeliverEvent(sack.Event(ev))
-			uncached.SACK.DeliverEvent(sack.Event(ev))
+			cached.SACK.Deliver(sack.Event(ev))
+			uncached.SACK.Deliver(sack.Event(ev))
 		}
 	}
 	if st := cached.SACK.AVCStats(); st.Hits == 0 {

@@ -154,22 +154,22 @@ func TestParallelDecisionStress(t *testing.T) {
 		case 0:
 			desc = "event driving_started"
 			for _, s := range systems {
-				s.DeliverEvent("driving_started")
+				s.Events().DeliverEvent("driving_started")
 			}
 		case 1:
 			desc = "event crash_detected"
 			for _, s := range systems {
-				s.DeliverEvent("crash_detected")
+				s.Events().DeliverEvent("crash_detected")
 			}
 		case 2:
 			desc = "event all_clear"
 			for _, s := range systems {
-				s.DeliverEvent("all_clear")
+				s.Events().DeliverEvent("all_clear")
 			}
 		case 3:
 			desc = "event driving_stopped"
 			for _, s := range systems {
-				s.DeliverEvent("driving_stopped")
+				s.Events().DeliverEvent("driving_stopped")
 			}
 		case 4:
 			desc = "policy reload"

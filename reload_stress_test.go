@@ -127,7 +127,7 @@ type reloadVariant struct {
 
 func loadVariant(t *testing.T, src string) reloadVariant {
 	t.Helper()
-	c, _, err := sack.ParsePolicy(src)
+	c, _, err := sack.Compile(src)
 	if err != nil {
 		t.Fatalf("variant: %v", err)
 	}

@@ -20,7 +20,7 @@
 //
 //	sys, err := sack.New(myPolicy)
 //	task := sys.Kernel.Init()
-//	sys.DeliverEvent("crash_detected")     // situation transition
+//	err = sys.Events().DeliverEvent("crash_detected") // situation transition
 //	fd, err := task.Open("/dev/vehicle/door0", sack.ORdwr, 0)
 //
 // Deployments that need more than the defaults compose options:
@@ -276,14 +276,6 @@ func Compile(text string) (*CompiledPolicy, *ValidationResult, error) {
 	return policy.Load(text)
 }
 
-// ParsePolicy parses, validates, and compiles SACK policy text.
-//
-// Deprecated: use Compile; ParsePolicy is the same call under the
-// pre-compile-API name.
-func ParsePolicy(text string) (*CompiledPolicy, *ValidationResult, error) {
-	return Compile(text)
-}
-
 // CheckPolicy runs the policy checker, returning all findings. It is a
 // thin wrapper over Compile that discards the artifact; the returned
 // error reports only parse failures — validation errors are delivered as
@@ -336,108 +328,73 @@ func ParseProfiles(text string) ([]*Profile, error) {
 	return apparmor.ParseProfiles(text)
 }
 
-// Options configures NewSystem.
-//
-// Deprecated: prefer New with functional options; this struct remains so
-// existing callers keep compiling.
-type Options struct {
-	// Mode selects the deployment prototype (default Independent).
-	Mode core.Mode
-	// PolicyText is the SACK policy source (required).
-	PolicyText string
-	// AppArmorProfiles optionally loads baseline AppArmor profiles. When
-	// Mode is EnhancedAppArmor an AppArmor module is created regardless.
-	AppArmorProfiles string
-	// Doors and Windows size the simulated vehicle (defaults 4 and 4).
-	Doors, Windows int
-	// DisableVehicle skips creating the vehicle and its device nodes.
-	DisableVehicle bool
-	// DisableAudit turns off audit recording (benchmark configurations).
-	DisableAudit bool
-	// DisableAVC turns off SACK's access vector cache (ablation runs).
-	DisableAVC bool
-	// AVCSize overrides the AVC slot count; 0 selects the default.
-	AVCSize int
-	// DisableMatcher selects the legacy glob-walk decision engine instead
-	// of the trie-compiled matcher (ablation runs; verdicts identical).
-	DisableMatcher bool
-	// AuditFlushInterval, when positive, starts a background audit
-	// flusher draining captured records into the ring at this period.
-	// Stop it with System.Close.
-	AuditFlushInterval time.Duration
-	// Failsafe overrides the policy's declared fail-safe state. The
-	// state must exist in the policy.
-	Failsafe string
-	// HeartbeatWindow overrides how stale the SDS heartbeat may grow
-	// before the kernel degrades; 0 selects the default.
-	HeartbeatWindow time.Duration
-	// HeartbeatSecret, when non-empty, makes the kernel demand an HMAC
-	// over every heartbeat control line with this shared secret
-	// (forged and replayed heartbeats are rejected and audited), and
-	// makes NewSDS sign its heartbeats with the same secret.
-	HeartbeatSecret []byte
-	// FaultPlan, when non-nil, arms deterministic fault injection on
-	// the CAN bus and (via NewSDS) the sensors and transmitter.
-	FaultPlan *faults.Plan
-	// Fleet, when non-nil, attaches a fleet agent to the system: the
-	// vehicle polls the configured transport for policy bundles, applies
-	// them through the reload transaction, and ships the audit ring
-	// upstream. Applier, Audit, and Pipeline default to this system's.
-	Fleet *fleet.AgentConfig
-	// FleetOpts customise the fleet agent (resilience policy, clock,
-	// cached-bundle fallback); see WithFleet.
-	FleetOpts []fleet.AgentOption
-	// AuditPendingCap, when positive, bounds each per-slot pending audit
-	// buffer (the inline-flush trigger); 0 keeps the default (64).
-	AuditPendingCap int
+// options is the boot configuration New assembles from its Option
+// arguments; each field is documented on the option that sets it.
+type options struct {
+	mode               core.Mode
+	appArmorProfiles   string
+	doors, windows     int
+	disableVehicle     bool
+	disableAudit       bool
+	disableAVC         bool
+	avcSize            int
+	disableMatcher     bool
+	auditFlushInterval time.Duration
+	failsafe           string
+	heartbeatWindow    time.Duration
+	heartbeatSecret    []byte
+	faultPlan          *faults.Plan
+	fleetCfg           *fleet.AgentConfig
+	fleetOpts          []fleet.AgentOption
+	auditPendingCap    int
 }
 
 // Option configures New. Options apply in order over the defaults
 // (Independent mode, a 4-door 4-window vehicle, audit and AVC enabled).
-type Option func(*Options)
+type Option func(*options)
 
 // WithMode selects the deployment prototype (Independent or
 // EnhancedAppArmor).
 func WithMode(m core.Mode) Option {
-	return func(o *Options) { o.Mode = m }
+	return func(o *options) { o.mode = m }
 }
 
 // WithAppArmorProfiles loads baseline AppArmor profiles from source text.
 // An AppArmor module is registered whenever profiles are given or the
 // mode is EnhancedAppArmor.
 func WithAppArmorProfiles(text string) Option {
-	return func(o *Options) { o.AppArmorProfiles = text }
+	return func(o *options) { o.appArmorProfiles = text }
 }
 
 // WithVehicle sizes the simulated vehicle. Non-positive counts keep the
 // defaults (4 doors, 4 windows).
 func WithVehicle(doors, windows int) Option {
-	return func(o *Options) {
-		o.DisableVehicle = false
-		o.Doors, o.Windows = doors, windows
+	return func(o *options) {
+		o.disableVehicle = false
+		o.doors, o.windows = doors, windows
 	}
 }
 
 // WithoutVehicle skips creating the vehicle and its device nodes.
 func WithoutVehicle() Option {
-	return func(o *Options) { o.DisableVehicle = true }
+	return func(o *options) { o.disableVehicle = true }
 }
 
 // WithoutAudit turns off audit recording (benchmark configurations).
 func WithoutAudit() Option {
-	return func(o *Options) { o.DisableAudit = true }
+	return func(o *options) { o.disableAudit = true }
 }
 
 // WithoutAVC disables SACK's access vector cache, forcing every covered
 // check through full rule evaluation (cache ablation runs).
 func WithoutAVC() Option {
-	return func(o *Options) { o.DisableAVC = true }
+	return func(o *options) { o.disableAVC = true }
 }
 
 // WithAVCSize overrides the access vector cache slot count (rounded up
 // to a power of two; n <= 0 selects the default).
 func WithAVCSize(n int) Option {
-	return func(o *Options) { o.AVCSize = n }
+	return func(o *options) { o.avcSize = n }
 }
 
 // WithoutMatcher pins enforcement to the legacy glob-walk decision
@@ -445,7 +402,7 @@ func WithAVCSize(n int) Option {
 // either way — the option exists for the matcher ablation benchmarks and
 // the differential suite that proves the equivalence.
 func WithoutMatcher() Option {
-	return func(o *Options) { o.DisableMatcher = true }
+	return func(o *options) { o.disableMatcher = true }
 }
 
 // WithAuditFlusher starts a background goroutine draining captured audit
@@ -455,11 +412,11 @@ func WithoutMatcher() Option {
 // inline. Stop the goroutine with System.Close. A non-positive interval
 // selects the flusher's default period (5ms).
 func WithAuditFlusher(interval time.Duration) Option {
-	return func(o *Options) {
+	return func(o *options) {
 		if interval <= 0 {
 			interval = 5 * time.Millisecond
 		}
-		o.AuditFlushInterval = interval
+		o.auditFlushInterval = interval
 	}
 }
 
@@ -467,18 +424,18 @@ func WithAuditFlusher(interval time.Duration) Option {
 // degrades (heartbeat lapse, dark sensors), overriding any `failsafe`
 // declaration in the policy. The state must be declared by the policy.
 func WithFailsafe(state string) Option {
-	return func(o *Options) { o.Failsafe = state }
+	return func(o *options) { o.failsafe = state }
 }
 
 // WithHeartbeatWindow sets how stale the SDS heartbeat may grow before
 // the kernel-side watchdog degrades the pipeline (d <= 0 selects the
 // default).
 func WithHeartbeatWindow(d time.Duration) Option {
-	return func(o *Options) {
+	return func(o *options) {
 		if d < 0 {
 			d = 0
 		}
-		o.HeartbeatWindow = d
+		o.heartbeatWindow = d
 	}
 }
 
@@ -489,14 +446,14 @@ func WithHeartbeatWindow(d time.Duration) Option {
 // A compromised events-file writer without the secret can no longer
 // keep a dead pipeline looking alive.
 func WithHeartbeatSecret(secret []byte) Option {
-	return func(o *Options) { o.HeartbeatSecret = append([]byte(nil), secret...) }
+	return func(o *options) { o.heartbeatSecret = append([]byte(nil), secret...) }
 }
 
 // WithFaultPlan arms deterministic fault injection: the plan's rules
 // fire on the CAN bus tap immediately, and NewSDS wraps its sensors and
 // transmitter with the same injector. A nil plan disables injection.
 func WithFaultPlan(p *faults.Plan) Option {
-	return func(o *Options) { o.FaultPlan = p }
+	return func(o *options) { o.faultPlan = p }
 }
 
 // NewFleetClient builds a FleetTransport speaking the fleetd HTTP
@@ -515,7 +472,7 @@ func NewFleetClient(base string) *FleetClient { return fleet.NewClient(base) }
 // fleet.WithAgentClock for virtual-time tests. The agent is not
 // started — drive it with System.Fleet.SyncOnce or System.Fleet.Run.
 func WithFleet(cfg FleetAgentConfig, agentOpts ...FleetAgentOption) Option {
-	return func(o *Options) { o.Fleet = &cfg; o.FleetOpts = agentOpts }
+	return func(o *options) { o.fleetCfg = &cfg; o.fleetOpts = agentOpts }
 }
 
 // WithAuditPendingCap bounds each per-slot pending audit buffer at n
@@ -524,7 +481,7 @@ func WithFleet(cfg FleetAgentConfig, agentOpts ...FleetAgentOption) Option {
 // bursty hook activity. n outside [lsm.MinPendingCap,
 // lsm.MaxPendingCap] fails the boot.
 func WithAuditPendingCap(n int) Option {
-	return func(o *Options) { o.AuditPendingCap = n }
+	return func(o *options) { o.auditPendingCap = n }
 }
 
 // ParseFaultSpec parses a compact fault-plan spec (comma-separated
@@ -544,7 +501,7 @@ type System struct {
 	Kernel   *Kernel
 	SACK     *Module
 	AppArmor *AppArmor // nil unless enhanced mode or profiles given
-	Vehicle  *Vehicle  // nil when DisableVehicle
+	Vehicle  *Vehicle  // nil under WithoutVehicle
 	Audit    *AuditLog
 	// Faults executes the configured FaultPlan; nil when no plan was
 	// given. Shared by the CAN-bus tap and any SDS built via NewSDS.
@@ -583,24 +540,14 @@ func (k kernelSink) DeliverEvent(ev Event) error { return k.s.Deliver(ev) }
 // capability), SACKfs, and the vehicle devices. The policy text is
 // required; everything else defaults sensibly and is tuned with options.
 func New(policyText string, opts ...Option) (*System, error) {
-	o := Options{PolicyText: policyText}
+	if policyText == "" {
+		return nil, fmt.Errorf("sack: policy text is required")
+	}
+	var o options
 	for _, opt := range opts {
 		opt(&o)
 	}
-	return boot(o)
-}
-
-// NewSystem boots the complete stack from an Options struct.
-//
-// Deprecated: use New with functional options. This wrapper remains so
-// existing callers keep compiling and behaves identically.
-func NewSystem(opts Options) (*System, error) { return boot(opts) }
-
-func boot(opts Options) (*System, error) {
-	if opts.PolicyText == "" {
-		return nil, fmt.Errorf("sack: Options.PolicyText is required")
-	}
-	compiled, vr, err := Compile(opts.PolicyText)
+	compiled, vr, err := Compile(policyText)
 	if err != nil {
 		return nil, err
 	}
@@ -609,21 +556,21 @@ func boot(opts Options) (*System, error) {
 	}
 
 	k := kernel.New()
-	if opts.AuditPendingCap > 0 {
-		if err := k.Audit.SetPendingCap(opts.AuditPendingCap); err != nil {
+	if o.auditPendingCap > 0 {
+		if err := k.Audit.SetPendingCap(o.auditPendingCap); err != nil {
 			return nil, err
 		}
 	}
 	var audit *lsm.AuditLog
-	if !opts.DisableAudit {
+	if !o.disableAudit {
 		audit = k.Audit
 	}
 
 	var aa *apparmor.AppArmor
-	if opts.Mode == core.EnhancedAppArmor || opts.AppArmorProfiles != "" {
+	if o.mode == core.EnhancedAppArmor || o.appArmorProfiles != "" {
 		aa = apparmor.New(audit)
-		if opts.AppArmorProfiles != "" {
-			profiles, err := apparmor.ParseProfiles(opts.AppArmorProfiles)
+		if o.appArmorProfiles != "" {
+			profiles, err := apparmor.ParseProfiles(o.appArmorProfiles)
 			if err != nil {
 				return nil, err
 			}
@@ -634,17 +581,17 @@ func boot(opts Options) (*System, error) {
 	}
 
 	s, err := core.New(core.Config{
-		Mode:            opts.Mode,
+		Mode:            o.mode,
 		Policy:          compiled,
-		Source:          opts.PolicyText,
+		Source:          policyText,
 		Audit:           audit,
 		AppArmor:        aa,
-		DisableAVC:      opts.DisableAVC,
-		AVCSize:         opts.AVCSize,
-		DisableMatcher:  opts.DisableMatcher,
-		Failsafe:        opts.Failsafe,
-		HeartbeatWindow: opts.HeartbeatWindow,
-		HeartbeatSecret: opts.HeartbeatSecret,
+		DisableAVC:      o.disableAVC,
+		AVCSize:         o.avcSize,
+		DisableMatcher:  o.disableMatcher,
+		Failsafe:        o.failsafe,
+		HeartbeatWindow: o.heartbeatWindow,
+		HeartbeatSecret: o.heartbeatSecret,
 	})
 	if err != nil {
 		return nil, err
@@ -676,15 +623,15 @@ func boot(opts Options) (*System, error) {
 
 	out := &System{Kernel: k, SACK: s, AppArmor: aa, Audit: k.Audit}
 	out.sink = kernelSink{s: s}
-	out.hbSecret = opts.HeartbeatSecret
-	if opts.AuditFlushInterval > 0 {
-		out.stopFlush = k.Audit.StartFlusher(opts.AuditFlushInterval)
+	out.hbSecret = o.heartbeatSecret
+	if o.auditFlushInterval > 0 {
+		out.stopFlush = k.Audit.StartFlusher(o.auditFlushInterval)
 	}
-	if opts.FaultPlan != nil {
-		out.Faults = faults.New(opts.FaultPlan)
+	if o.faultPlan != nil {
+		out.Faults = faults.New(o.faultPlan)
 	}
-	if !opts.DisableVehicle {
-		doors, windows := opts.Doors, opts.Windows
+	if !o.disableVehicle {
+		doors, windows := o.doors, o.windows
 		if doors <= 0 {
 			doors = 4
 		}
@@ -700,8 +647,8 @@ func boot(opts Options) (*System, error) {
 		}
 		out.Vehicle = v
 	}
-	if opts.Fleet != nil {
-		cfg := *opts.Fleet
+	if o.fleetCfg != nil {
+		cfg := *o.fleetCfg
 		if cfg.Applier == nil {
 			cfg.Applier = out
 		}
@@ -711,7 +658,7 @@ func boot(opts Options) (*System, error) {
 		if cfg.Pipeline == nil {
 			cfg.Pipeline = s.Pipeline()
 		}
-		agent, err := fleet.NewAgent(cfg, opts.FleetOpts...)
+		agent, err := fleet.NewAgent(cfg, o.fleetOpts...)
 		if err != nil {
 			return nil, err
 		}
@@ -730,16 +677,6 @@ func (s *System) Events() EventSink { return s.sink }
 // Pipeline exposes the event-pipeline health monitor (degradation
 // state, heartbeat watchdog, counters behind PipelineFile).
 func (s *System) Pipeline() *core.Pipeline { return s.SACK.Pipeline() }
-
-// DeliverEvent injects a situation event directly into the SSM (the
-// programmatic path; production events arrive via the SACKfs file).
-//
-// Deprecated: use Events().DeliverEvent, which reports queue-full,
-// degraded, and unknown-event conditions as typed errors instead of
-// silently folding them into transitioned == false.
-func (s *System) DeliverEvent(ev Event) (transitioned bool, from, to State) {
-	return s.SACK.DeliverEvent(ev)
-}
 
 // CurrentState returns the current situation state.
 func (s *System) CurrentState() State { return s.SACK.CurrentState() }

@@ -54,25 +54,10 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-// TestNewSystemShim keeps the deprecated struct-options constructor
-// working: it must behave exactly like New.
-func TestNewSystemShim(t *testing.T) {
-	if _, err := sack.NewSystem(sack.Options{}); err == nil {
-		t.Fatal("empty options accepted")
-	}
-	sys, err := sack.NewSystem(sack.Options{Mode: sack.Independent, PolicyText: basicPolicy})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sys.CurrentState().Name != "normal" {
-		t.Fatalf("state = %q", sys.CurrentState().Name)
-	}
-}
-
 func TestPublicAPIPolicyHelpers(t *testing.T) {
-	compiled, vr, err := sack.ParsePolicy(basicPolicy)
+	compiled, vr, err := sack.Compile(basicPolicy)
 	if err != nil || !vr.OK() {
-		t.Fatalf("ParsePolicy: %v %v", err, vr)
+		t.Fatalf("Compile: %v %v", err, vr)
 	}
 	if compiled.Initial != "normal" {
 		t.Errorf("initial = %q", compiled.Initial)
@@ -223,7 +208,7 @@ transitions {
 						t.Fatalf("idle-state read of covered path: %v", err)
 					}
 				}
-				sys.DeliverEvent(sack.Event(fmt.Sprintf("go%d", i)))
+				sys.Events().DeliverEvent(sack.Event(fmt.Sprintf("go%d", i)))
 				if sys.CurrentState().Name != "active" {
 					t.Fatal("transition failed")
 				}
@@ -323,11 +308,11 @@ profile rescued /usr/bin/rescued {
 	if err := probe(); !sack.IsErrno(err, sack.EACCES) {
 		t.Fatalf("normal-state ioctl: %v", err)
 	}
-	sys.DeliverEvent("crash_detected")
+	sys.Events().DeliverEvent("crash_detected")
 	if err := probe(); err != nil {
 		t.Fatalf("emergency ioctl: %v", err)
 	}
-	sys.DeliverEvent("all_clear")
+	sys.Events().DeliverEvent("all_clear")
 	if err := probe(); !sack.IsErrno(err, sack.EACCES) {
 		t.Fatalf("post-recovery ioctl: %v", err)
 	}
@@ -384,6 +369,27 @@ func TestStateIntrospectionFiles(t *testing.T) {
 	}
 }
 
+// TestUnknownEventThroughSACKfsCounted: an event written to the SACKfs
+// events file takes the same delivery path as Events().DeliverEvent, so
+// a name no transition knows is counted in the pipeline's
+// unknown_events while the write itself succeeds.
+func TestUnknownEventThroughSACKfsCounted(t *testing.T) {
+	sys, err := sack.New(basicPolicy, sack.WithoutVehicle())
+	if err != nil {
+		t.Fatal(err)
+	}
+	task := sys.Kernel.Init()
+	if err := task.WriteFileAll(sack.EventsFile, []byte("warp_drive_engaged\n"), 0); err != nil {
+		t.Fatalf("events write: %v", err)
+	}
+	if got := sys.Pipeline().Stats().UnknownEvents; got != 1 {
+		t.Fatalf("unknown_events = %d, want 1", got)
+	}
+	if sys.CurrentState().Name != "normal" {
+		t.Fatalf("state = %q, want normal", sys.CurrentState().Name)
+	}
+}
+
 func TestPolicyReloadThroughSACKfs(t *testing.T) {
 	sys, err := sack.New(basicPolicy, sack.WithoutVehicle())
 	if err != nil {
@@ -395,7 +401,7 @@ func TestPolicyReloadThroughSACKfs(t *testing.T) {
 	if err := task.WriteFileAll("/sys/kernel/security/SACK/policy", []byte(newPolicy), 0); err != nil {
 		t.Fatalf("policy reload: %v", err)
 	}
-	sys.DeliverEvent("threat")
+	sys.Events().DeliverEvent("threat")
 	if sys.CurrentState().Name != "lockdown" {
 		t.Fatalf("state = %q after reload+threat", sys.CurrentState().Name)
 	}
@@ -455,14 +461,13 @@ profile guarded /usr/bin/guarded {
 				// The SSM reacts to the policy's own transition events:
 				// walk every event the machine handles at least once.
 				machine := sys.SACK.Machine()
-				fired := false
+				_, _, _, hitBefore := sys.SACK.Stats()
 				for _, ev := range machine.Events() {
 					if machine.CanHandle(ev) {
-						trans, _, _ := sys.DeliverEvent(ev)
-						fired = fired || trans
+						_ = sys.Events().DeliverEvent(ev)
 					}
 				}
-				if !fired {
+				if _, _, _, hit := sys.SACK.Stats(); hit == hitBefore {
 					t.Fatal("no transition fired for any declared event")
 				}
 
