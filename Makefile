@@ -3,11 +3,11 @@
 
 GO ?= go
 
-.PHONY: all check tracked-sources fmt vet build test race examples bench bench-avc bench-ablation bench-smoke bench-json chaos reload-stress fleet-stress fleet-persist-stress fleet-scale parallel-stress resilience-stress matcher-diff verify profile
+.PHONY: all check tracked-sources fmt vet build test race examples bench bench-avc bench-ablation bench-smoke bench-json chaos reload-stress fleet-stress fleet-persist-stress fleet-scale parallel-stress resilience-stress matcher-diff verify perfbench-build profile
 
 all: check
 
-check: tracked-sources fmt vet build race examples chaos reload-stress fleet-stress fleet-persist-stress parallel-stress resilience-stress matcher-diff verify bench-smoke
+check: tracked-sources fmt vet build race examples chaos reload-stress fleet-stress fleet-persist-stress parallel-stress resilience-stress matcher-diff verify perfbench-build bench-smoke
 
 # Every Go source must be tracked by git: an over-broad .gitignore line
 # can hide a package from commits while local builds still pass.
@@ -105,7 +105,8 @@ bench: fleet-scale
 bench-avc:
 	$(GO) test -run '^$$' -bench 'BenchmarkAVC' -benchmem .
 
-# Matcher ablation: glob walk vs trie-compiled matcher, AVC off and on.
+# Matcher ablation: glob-walk oracle vs trie-compiled matcher, AVC off
+# and on.
 bench-ablation:
 	$(GO) test -run '^$$' -bench 'BenchmarkMatcherAblation' -benchmem .
 
@@ -121,10 +122,10 @@ parallel-stress:
 
 # Differential fuzz: random policies and access keys must draw identical
 # verdicts (and identical deciding rules) from the trie-compiled matcher
-# and the legacy glob walk, at the rule-set level and through the public
-# System API.
+# and the glob-walk reference oracle, at the rule-set level (including
+# the >1024-rule spill block) and through the public System API.
 matcher-diff:
-	$(GO) test -race -count=1 -run 'TestMatcherDifferential|TestMatcherOversizedFallback' ./internal/policy
+	$(GO) test -race -count=1 -run 'TestMatcher.*Differential' ./internal/policy
 	$(GO) test -race -count=1 -run 'TestMatcherSystemDifferential|TestCachedEqualsUncachedTrace' .
 
 # Policy verification suite: the symbolic explorer's unit tests and
@@ -142,10 +143,16 @@ verify:
 	$(GO) test -count=1 -run 'TestPublishGate|TestPublishBundleEmbeddedInvariants' ./internal/fleet
 	$(GO) test -count=1 -run 'TestVerify|TestBundlePushWithInvariants' ./cmd/sackctl
 
+# The benchmark harness is its own module (perfbench/go.mod) and builds
+# against this module's internals; vet it so an API change here cannot
+# break it unnoticed.
+perfbench-build:
+	cd perfbench && $(GO) vet ./...
+
 # Benchmark smoke: one iteration of the scalability sweep so the scale
 # path compiles and runs on every PR without benchmark-length runtimes,
-# plus the uncached-latency fence (trie must stay well ahead of the glob
-# walk and under its absolute budget) and the wire-codec fences
+# plus the uncached-latency fence (trie must stay well ahead of the glob-
+# walk oracle and under its absolute budget) and the wire-codec fences
 # (bytes/record ≥5× under JSON, zero-alloc decode), plus the policy
 # validator's allocation fence on a benchmark-sized policy, the
 # syscall path's allocation fence (an open allocates only its file, a

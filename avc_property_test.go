@@ -12,6 +12,7 @@ import (
 	"time"
 
 	sack "repro"
+	"repro/internal/resilience"
 	"repro/internal/sds"
 	"repro/internal/sys"
 	"repro/internal/trace"
@@ -38,13 +39,13 @@ func TestAVCPropertyCachedEqualsUncached(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
-			boot := func(opts ...sack.Option) (*sack.System, *sds.Service, *sds.VirtualClock) {
+			boot := func(opts ...sack.Option) (*sack.System, *sds.Service, *resilience.VirtualClock) {
 				t.Helper()
 				s, err := sack.New(fuzzPolicy, opts...)
 				if err != nil {
 					t.Fatal(err)
 				}
-				clock := sds.NewVirtualClock(time.Unix(1_700_000_000, 0))
+				clock := resilience.NewVirtualClock(time.Unix(1_700_000_000, 0))
 				svc, err := s.NewSDS(s.Kernel.Init(), clock,
 					sds.DrivingDetector(),
 					sds.CrashDetector(8.0),

@@ -479,60 +479,68 @@ func BenchmarkAVC(b *testing.B) {
 	})
 }
 
-// BenchmarkMatcherAblation spans the PR 6 grid: the glob-walk engine vs
+// BenchmarkMatcherAblation times the glob-walk reference engine against
 // the trie-compiled matcher, with the AVC off (the uncached verdict the
-// compile stage targets) and on (steady state, where the engines should
-// be indistinguishable). 500 rules sharing a first segment — the
-// worst case for the walk, the design case for the trie.
+// compile stage targets) and on (steady state). 500 rules
+// sharing a first segment — the worst case for the walk, the design
+// case for the trie. The walk cell runs the oracle directly
+// (Coverage.CoversWalk + RuleSet.Decide) since enforcement has one
+// engine; decide-trie-raw is its like-for-like trie counterpart.
 func BenchmarkMatcherAblation(b *testing.B) {
 	polText := bench.GenRulesPolicy(500)
 	const path = "/srv/sack/area0/file0.dat"
 
-	checkLoop := func(b *testing.B, tb *bench.Testbed) {
-		cred := sys.NewCred(1000, 1000)
-		if err := tb.SACK.InodePermission(cred, path, nil, sys.MayRead); err != nil {
-			b.Fatal(err)
-		}
+	compiled, _, err := policy.Load(polText)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rs := compiled.StateSets["normal"]
+	b.Run("walk-uncached", func(b *testing.B) {
 		b.ReportAllocs()
-		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := tb.SACK.InodePermission(cred, path, nil, sys.MayRead); err != nil {
-				b.Fatal(err)
+			if !compiled.Coverage.CoversWalk(path) {
+				b.Fatal("path not covered")
+			}
+			if allowed, _ := rs.Decide("", path, sys.MayRead); !allowed {
+				b.Fatal("unexpected denial")
 			}
 		}
-	}
+	})
 
 	for _, cell := range []struct {
 		name string
-		opts bench.IndependentOptions
+		boot func(string) (*bench.Testbed, error)
 	}{
-		{"walk-uncached", bench.IndependentOptions{DisableAVC: true, DisableMatcher: true}},
-		{"trie-uncached", bench.IndependentOptions{DisableAVC: true}},
-		{"walk-cached", bench.IndependentOptions{DisableMatcher: true}},
-		{"trie-cached", bench.IndependentOptions{}},
+		{"trie-uncached", bench.BootIndependentSACKNoAVC},
+		{"trie-cached", bench.BootIndependentSACK},
 	} {
 		cell := cell
 		b.Run(cell.name, func(b *testing.B) {
-			tb, err := bench.BootIndependentSACKWith(polText, cell.opts)
+			tb, err := cell.boot(polText)
 			if err != nil {
 				b.Fatal(err)
 			}
-			checkLoop(b, tb)
+			cred := sys.NewCred(1000, 1000)
+			if err := tb.SACK.InodePermission(cred, path, nil, sys.MayRead); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := tb.SACK.InodePermission(cred, path, nil, sys.MayRead); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
 	}
 
 	b.Run("decide-trie-raw", func(b *testing.B) {
-		compiled, _, err := policy.Load(polText)
-		if err != nil {
-			b.Fatal(err)
-		}
-		m := compiled.StateSets["normal"].Matcher()
-		if m == nil {
-			b.Fatal("rule set exceeds the matcher bound")
-		}
+		m := rs.Matcher()
 		b.ReportAllocs()
-		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
+			if !compiled.Coverage.Covers(path) {
+				b.Fatal("path not covered")
+			}
 			if allowed, _ := m.Decide("", path, sys.MayRead); !allowed {
 				b.Fatal("unexpected denial")
 			}

@@ -16,6 +16,7 @@ import (
 
 	sack "repro"
 	"repro/internal/faults"
+	"repro/internal/resilience"
 	"repro/internal/sds"
 	"repro/internal/trace"
 	"repro/internal/vehicle"
@@ -107,7 +108,7 @@ func TestChaosRandomFaultPlans(t *testing.T) {
 				t.Fatal(err)
 			}
 			root := sys.Kernel.Init()
-			clock := sds.NewVirtualClock(time.Unix(1_700_000_000, 0))
+			clock := resilience.NewVirtualClock(time.Unix(1_700_000_000, 0))
 
 			// Assemble the SDS by hand so the test can reach the
 			// concrete FaultyTransmitter for its committed ledger.
@@ -261,7 +262,7 @@ func TestChaosCachedVsUncachedDecisions(t *testing.T) {
 			type half struct {
 				sys     *sack.System
 				root    *sack.Task
-				clock   *sds.VirtualClock
+				clock   *resilience.VirtualClock
 				service *sack.SDS
 			}
 			mk := func(opts ...sack.Option) *half {
@@ -271,7 +272,7 @@ func TestChaosCachedVsUncachedDecisions(t *testing.T) {
 					t.Fatal(err)
 				}
 				root := sys.Kernel.Init()
-				clock := sds.NewVirtualClock(time.Unix(1_700_000_000, 0))
+				clock := resilience.NewVirtualClock(time.Unix(1_700_000_000, 0))
 				service, err := sys.NewSDSWith(root, clock,
 					[]sds.Detector{
 						sds.DrivingDetector(),

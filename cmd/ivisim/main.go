@@ -27,6 +27,7 @@ import (
 	"repro/internal/ivi"
 	"repro/internal/kernel"
 	"repro/internal/lsm"
+	"repro/internal/resilience"
 	"repro/internal/sds"
 	"repro/internal/trace"
 	"repro/internal/vehicle"
@@ -139,7 +140,7 @@ func run(nosack bool, faultSpec string, faultSeed int64, stdout io.Writer) error
 	attack := ivi.KoffeeAttack{App: radio}
 
 	// SDS wiring (only meaningful with SACK; harmless without).
-	clock := sds.NewVirtualClock(time.Unix(1_700_000_000, 0))
+	clock := resilience.NewVirtualClock(time.Unix(1_700_000_000, 0))
 	var service *sds.Service
 	if sys != nil {
 		service, err = sys.NewSDS(k.Init(), clock,

@@ -50,6 +50,7 @@ import (
 	sack "repro"
 	"repro/internal/fleet"
 	"repro/internal/policy"
+	"repro/internal/resilience"
 	"repro/internal/sds"
 	"repro/internal/ssm"
 	"repro/policies"
@@ -332,7 +333,7 @@ func chaos(src, spec string, events []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	task := system.Kernel.Init()
-	clock := sds.NewVirtualClock(time.Unix(1_700_000_000, 0))
+	clock := resilience.NewVirtualClock(time.Unix(1_700_000_000, 0))
 	service, err := system.NewSDSWith(task, clock, nil, sds.WithHeartbeat(500*time.Millisecond))
 	if err != nil {
 		fmt.Fprintf(stderr, "sackctl: %v\n", err)

@@ -217,7 +217,7 @@ func run(cfg runConfig) int {
 			cfg.fleetVehicle, cfg.fleetGroup, sys.Fleet.AppliedGeneration())
 	}
 
-	clock := sds.NewVirtualClock(time.Unix(1_700_000_000, 0))
+	clock := resilience.NewVirtualClock(time.Unix(1_700_000_000, 0))
 	detectors := []sds.Detector{
 		sds.DrivingDetector(),
 		sds.CrashDetector(8.0),

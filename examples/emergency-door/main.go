@@ -14,6 +14,7 @@ import (
 	"time"
 
 	sack "repro"
+	"repro/internal/resilience"
 	"repro/internal/sds"
 	"repro/internal/trace"
 	"repro/internal/vehicle"
@@ -79,7 +80,7 @@ func main() {
 
 	// The SDS runs as a root daemon with the crash detector (8 g
 	// threshold, matching commercial crash-detection systems).
-	clock := sds.NewVirtualClock(time.Unix(1_700_000_000, 0))
+	clock := resilience.NewVirtualClock(time.Unix(1_700_000_000, 0))
 	service, err := sys.NewSDS(root, clock,
 		sds.CrashDetector(8.0),
 		sds.AllClearDetector(8.0),

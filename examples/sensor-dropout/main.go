@@ -12,6 +12,7 @@ import (
 
 	sack "repro"
 	"repro/internal/faults"
+	"repro/internal/resilience"
 	"repro/internal/sds"
 	"repro/policies"
 )
@@ -35,7 +36,7 @@ func main() {
 		log.Fatal(err)
 	}
 	root := sys.Kernel.Init()
-	clock := sds.NewVirtualClock(time.Unix(1_700_000_000, 0))
+	clock := resilience.NewVirtualClock(time.Unix(1_700_000_000, 0))
 
 	// Heartbeat every poll; a sensor is declared dark after 3 stale
 	// reads in a row.

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	sack "repro"
+	"repro/internal/resilience"
 	"repro/internal/sds"
 	"repro/internal/trace"
 )
@@ -58,7 +59,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	clock := sds.NewVirtualClock(time.Unix(1_700_000_000, 0))
+	clock := resilience.NewVirtualClock(time.Unix(1_700_000_000, 0))
 	service, err := sys.NewSDS(root, clock, sds.SpeedBandDetector(80))
 	if err != nil {
 		log.Fatal(err)

@@ -170,31 +170,16 @@ func BootSACKEnhanced(policyText string) (*Testbed, error) {
 // BootIndependentSACK boots CONFIG_LSM="SACK,capability" with SACK
 // enforcing its own policies.
 func BootIndependentSACK(policyText string) (*Testbed, error) {
-	return bootIndependent(policyText, IndependentOptions{})
+	return bootIndependent(policyText, false)
 }
 
 // BootIndependentSACKNoAVC boots the same configuration with the access
 // vector cache disabled — the ablation point for the AVC benchmarks.
 func BootIndependentSACKNoAVC(policyText string) (*Testbed, error) {
-	return bootIndependent(policyText, IndependentOptions{DisableAVC: true})
+	return bootIndependent(policyText, true)
 }
 
-// IndependentOptions selects the ablation axes of the independent-SACK
-// configuration: the AVC and the trie-compiled matcher can each be
-// switched off independently, spanning the four cells of the matcher
-// ablation (EXPERIMENTS.md).
-type IndependentOptions struct {
-	DisableAVC     bool
-	DisableMatcher bool // glob-walk decision engine instead of the trie
-}
-
-// BootIndependentSACKWith boots independent SACK with explicit ablation
-// axes.
-func BootIndependentSACKWith(policyText string, opts IndependentOptions) (*Testbed, error) {
-	return bootIndependent(policyText, opts)
-}
-
-func bootIndependent(policyText string, opts IndependentOptions) (*Testbed, error) {
+func bootIndependent(policyText string, disableAVC bool) (*Testbed, error) {
 	k := kernel.New()
 	compiled, vr, err := policy.Load(policyText)
 	if err != nil {
@@ -205,8 +190,7 @@ func bootIndependent(policyText string, opts IndependentOptions) (*Testbed, erro
 	}
 	s, err := core.New(core.Config{
 		Mode: core.Independent, Policy: compiled, Source: policyText,
-		DisableAVC:     opts.DisableAVC,
-		DisableMatcher: opts.DisableMatcher,
+		DisableAVC: disableAVC,
 	})
 	if err != nil {
 		return nil, err
@@ -221,13 +205,8 @@ func bootIndependent(policyText string, opts IndependentOptions) (*Testbed, erro
 		return nil, err
 	}
 	name := "Independent SACK"
-	switch {
-	case opts.DisableAVC && opts.DisableMatcher:
-		name = "Independent SACK (no AVC, walk)"
-	case opts.DisableAVC:
+	if disableAVC {
 		name = "Independent SACK (no AVC)"
-	case opts.DisableMatcher:
-		name = "Independent SACK (walk)"
 	}
 	return &Testbed{Name: name, Kernel: k, SACK: s}, nil
 }

@@ -59,7 +59,7 @@ func (s *SACK) Check(subject, path string, mask sys.Access) (Decision, error) {
 	snap := s.snap.Load()
 	d := Decision{State: snap.state.Name, Pinned: s.pipe.Pinned()}
 
-	if !snap.covers(path) {
+	if !snap.compiled.Coverage.Covers(path) {
 		d.Allowed = true
 		d.Reason = "uncovered object: passed through to the next LSM"
 		return d, nil
@@ -70,7 +70,7 @@ func (s *SACK) Check(subject, path string, mask sys.Access) (Decision, error) {
 		_, _, d.CacheHit = s.cache.PeekAt(snap.epoch, subject, path, mask)
 	}
 
-	allowed, matched := snap.decide(subject, path, mask)
+	allowed, matched := snap.matcher.Decide(subject, path, mask)
 	d.Allowed = allowed
 	d.Rule = matched
 	switch {

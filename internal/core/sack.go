@@ -73,11 +73,6 @@ type Config struct {
 	// AVCSize overrides the cache slot count (0 = avc.DefaultSize).
 	AVCSize int
 
-	// DisableMatcher selects the legacy glob-walk decision engine instead
-	// of the trie-compiled matcher (ablation benchmarks and the
-	// differential suite); verdicts are identical either way.
-	DisableMatcher bool
-
 	// Failsafe overrides the policy's declared failsafe state for the
 	// event-pipeline watchdog ("" = use the policy's declaration).
 	Failsafe string
@@ -107,10 +102,6 @@ type SACK struct {
 	// swapping in a new snapshot, so a stale decision can never be
 	// served across a state change.
 	cache *avc.Cache
-
-	// noMatcher pins every published snapshot to the glob-walk engine
-	// (Config.DisableMatcher). Fixed at construction.
-	noMatcher bool
 
 	// mu serialises policy replacement and managed-profile changes.
 	mu      sync.Mutex
@@ -169,32 +160,8 @@ type snapshot struct {
 
 	// matcher is MR_current's trie-compiled decision engine, captured here
 	// so the fast path selects it with the same single atomic load that
-	// supplies the rules — nil when the engine is disabled or the rule set
-	// exceeds the matcher bound, in which case decide falls back to the
-	// glob walk.
+	// supplies the rules.
 	matcher *policy.Matcher
-
-	// walk pins this snapshot to the legacy walk engine for coverage too
-	// (Config.DisableMatcher): the ablation then measures the whole
-	// pre-trie decision path, not just the rule-evaluation half.
-	walk bool
-}
-
-// covers is the coverage probe for this snapshot's engine selection.
-func (sn *snapshot) covers(path string) bool {
-	if sn.walk {
-		return sn.compiled.Coverage.CoversWalk(path)
-	}
-	return sn.compiled.Coverage.Covers(path)
-}
-
-// decide evaluates MR_current with this snapshot's engine. Both engines
-// are exact: same verdict, same deciding rule pointer.
-func (sn *snapshot) decide(subject, path string, mask sys.Access) (bool, *policy.CompiledRule) {
-	if sn.matcher != nil {
-		return sn.matcher.Decide(subject, path, mask)
-	}
-	return sn.rules.Decide(subject, path, mask)
 }
 
 // New builds the module, constructs the SSM from the policy's states and
@@ -210,7 +177,6 @@ func New(cfg Config) (*SACK, error) {
 		mode:      cfg.Mode,
 		audit:     cfg.Audit,
 		aa:        cfg.AppArmor,
-		noMatcher: cfg.DisableMatcher,
 		managed:   make(map[string]*apparmor.Profile),
 		covered:   shard.NewCounter(),
 		uncovered: shard.NewCounter(),
@@ -394,16 +360,12 @@ func (s *SACK) publish(c *policy.Compiled, source string, st ssm.State) {
 	if s.mode == EnhancedAppArmor {
 		s.regenerateProfiles(c, st)
 	}
-	var m *policy.Matcher
-	if !s.noMatcher {
-		m = rs.Matcher()
-	}
 	var epoch avc.Token
 	if s.cache != nil {
 		epoch = s.cache.Advance()
 	}
 	s.snap.Store(&snapshot{compiled: c, source: source, rules: rs, state: st,
-		epoch: epoch, matcher: m, walk: s.noMatcher})
+		epoch: epoch, matcher: rs.Matcher()})
 }
 
 // --- independent-mode enforcement hooks ---
@@ -441,7 +403,7 @@ func (s *SACK) check(cred *sys.Cred, op, path string, mask sys.Access) error {
 		return nil // enforcement happens in AppArmor
 	}
 	snap := s.snap.Load()
-	if !snap.covers(path) {
+	if !snap.compiled.Coverage.Covers(path) {
 		s.uncovered.Add(1)
 		return nil
 	}
@@ -455,7 +417,7 @@ func (s *SACK) check(cred *sys.Cred, op, path string, mask sys.Access) error {
 			return s.deny(op, subject, path, detail)
 		}
 	}
-	allowed, matched := snap.decide(subject, path, mask)
+	allowed, matched := snap.matcher.Decide(subject, path, mask)
 	var detail string
 	if !allowed && s.audit != nil {
 		detail = denialDetail(mask, matched, snap.rules.State)

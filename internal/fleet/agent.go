@@ -37,11 +37,9 @@ type CompiledApplier interface {
 
 // Agent defaults.
 const (
-	DefaultPollWait    = 5 * time.Second
-	DefaultInterval    = time.Second
-	DefaultBackoffBase = 100 * time.Millisecond
-	DefaultBackoffMax  = 5 * time.Second
-	DefaultBatchSize   = 256
+	DefaultPollWait  = 5 * time.Second
+	DefaultInterval  = time.Second
+	DefaultBatchSize = 256
 )
 
 // AgentConfig wires one vehicle's agent.
@@ -168,8 +166,8 @@ func DeriveJitterSeed(vehicle string) int64 {
 // NewAgent validates the config and builds an agent. Options customise
 // the resilience policy and clock; with no WithPolicy /
 // WithDefaultResilience option sync rounds retry with full-jitter
-// exponential backoff between DefaultBackoffBase and DefaultBackoffMax,
-// seeded by DeriveJitterSeed(cfg.Vehicle).
+// exponential backoff between resilience.DefaultRetryBase and
+// resilience.DefaultRetryMax, seeded by DeriveJitterSeed(cfg.Vehicle).
 func NewAgent(cfg AgentConfig, opts ...AgentOption) (*Agent, error) {
 	if cfg.Vehicle == "" || cfg.Group == "" {
 		return nil, fmt.Errorf("fleet: agent needs a vehicle id and group")
@@ -202,8 +200,7 @@ func NewAgent(cfg AgentConfig, opts ...AgentOption) (*Agent, error) {
 	case o.defaults:
 		a.policy = resilience.Stack(
 			resilience.NewRetry(resilience.RetryConfig{
-				Attempts: DefaultResilienceAttempts,
-				Base:     DefaultBackoffBase, Max: DefaultBackoffMax, Seed: seed, Clock: o.clock,
+				Attempts: DefaultResilienceAttempts, Seed: seed, Clock: o.clock,
 			}),
 			resilience.NewBreaker(resilience.BreakerConfig{Clock: o.clock}),
 			resilience.NewTimeout(resilience.TimeoutConfig{
@@ -211,9 +208,7 @@ func NewAgent(cfg AgentConfig, opts ...AgentOption) (*Agent, error) {
 			}),
 		)
 	default:
-		a.policy = resilience.NewRetry(resilience.RetryConfig{
-			Base: DefaultBackoffBase, Max: DefaultBackoffMax, Seed: seed, Clock: o.clock,
-		})
+		a.policy = resilience.NewRetry(resilience.RetryConfig{Seed: seed, Clock: o.clock})
 	}
 	if o.fallback {
 		a.policy = resilience.Stack(a.cachedBundleFallback(), a.policy)

@@ -254,8 +254,7 @@ func Handler(s *Server) http.Handler {
 				status = resilience.HTTPStatus(err) // 429
 				w.Header().Set("X-Fleet-Shed", "group-bulkhead")
 			case errors.Is(err, resilience.ErrCircuitOpen),
-				errors.Is(err, resilience.ErrTimeout),
-				errors.Is(err, resilience.ErrHedgeLost):
+				errors.Is(err, resilience.ErrTimeout):
 				status = resilience.HTTPStatus(err)
 			}
 			http.Error(w, err.Error(), status)

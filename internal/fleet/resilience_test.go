@@ -49,7 +49,7 @@ func (f *failNTransport) UploadLogs(vehicle string, recs []LogRecord) (int, erro
 
 // TestAgentDefaultRetrySchedule: an agent built without a policy
 // option retries a failing round on exactly the schedule of a
-// resilience.Retry built from DefaultBackoffBase, DefaultBackoffMax and
+// resilience.Retry built from DefaultRetryBase, DefaultRetryMax and
 // the vehicle-derived jitter seed; custom pacing passed through
 // WithPolicy is followed just as exactly.
 func TestAgentDefaultRetrySchedule(t *testing.T) {
@@ -61,7 +61,7 @@ func TestAgentDefaultRetrySchedule(t *testing.T) {
 		cfg    resilience.RetryConfig
 	}{
 		{"derived-seed", false, resilience.RetryConfig{
-			Base: DefaultBackoffBase, Max: DefaultBackoffMax, Seed: DeriveJitterSeed(vehicle),
+			Base: resilience.DefaultRetryBase, Max: resilience.DefaultRetryMax, Seed: DeriveJitterSeed(vehicle),
 		}},
 		{"explicit-seed", true, resilience.RetryConfig{
 			Base: 100 * time.Millisecond, Max: 400 * time.Millisecond, Seed: 12345,
@@ -130,7 +130,7 @@ func TestAgentRunIntervalPacing(t *testing.T) {
 		Transport: s, Applier: &fakeApplier{},
 		PollWait: 0, Interval: interval,
 	}, WithAgentClock(clock), WithPolicy(resilience.NewRetry(resilience.RetryConfig{
-		Base: DefaultBackoffBase, Max: DefaultBackoffMax, Seed: 1, Clock: clock,
+		Base: resilience.DefaultRetryBase, Max: resilience.DefaultRetryMax, Seed: 1, Clock: clock,
 	})))
 	if err != nil {
 		t.Fatal(err)
@@ -241,7 +241,7 @@ func TestAgentCountsServerSheds(t *testing.T) {
 		Transport: s, Applier: &fakeApplier{}, Audit: ring,
 		PollWait: time.Millisecond,
 	}, WithPolicy(resilience.NewRetry(resilience.RetryConfig{
-		Base: DefaultBackoffBase, Max: DefaultBackoffMax, Seed: 9,
+		Base: resilience.DefaultRetryBase, Max: resilience.DefaultRetryMax, Seed: 9,
 	})))
 	if err != nil {
 		t.Fatal(err)

@@ -51,7 +51,7 @@ type RuleSet struct {
 
 	// matcher is the trie-compiled decision engine over the same rules,
 	// built once here (compile/publish time) and exact with respect to
-	// Decide; nil when the set exceeds the matcher's rule bound.
+	// Decide.
 	matcher *Matcher
 }
 
@@ -71,8 +71,8 @@ func NewRuleSet(state string, rules []CompiledRule) *RuleSet {
 	return rs
 }
 
-// Matcher returns the trie-compiled decision engine for this rule set,
-// or nil when the set is too large to index (callers then use Decide).
+// Matcher returns the trie-compiled decision engine for this rule set.
+// It is never nil.
 func (rs *RuleSet) Matcher() *Matcher { return rs.matcher }
 
 // firstSegment extracts the first path component of a pattern and
@@ -99,7 +99,9 @@ func (rs *RuleSet) Rules() []CompiledRule {
 
 // Decide evaluates an access request. Deny rules veto; otherwise every
 // requested bit must be granted. matched reports the deciding rule for
-// audit (nil when nothing matched).
+// audit (nil when nothing matched). It is the glob-walk reference
+// oracle; enforcement runs the rule set's Matcher, which is exact with
+// respect to it.
 func (rs *RuleSet) Decide(subject, path string, mask sys.Access) (allowed bool, matched *CompiledRule) {
 	var granted sys.Access
 	var lastAllow *CompiledRule
@@ -142,8 +144,7 @@ func (rs *RuleSet) Decide(subject, path string, mask sys.Access) (allowed bool, 
 
 // DecideLinear evaluates the same decision as Decide with a full linear
 // scan over every rule, ignoring the first-segment index. It exists for
-// the ablation benchmarks that quantify what the index buys; enforcement
-// always uses Decide.
+// the ablation benchmarks that quantify what the index buys.
 func (rs *RuleSet) DecideLinear(subject, path string, mask sys.Access) (allowed bool, matched *CompiledRule) {
 	var granted sys.Access
 	var lastAllow *CompiledRule
@@ -202,9 +203,9 @@ func (c *Coverage) Covers(path string) bool {
 }
 
 // CoversWalk answers the same question with the pre-trie bucket scan.
-// It exists for the matcher ablation benchmarks and the differential
-// suite that proves the two engines agree; enforcement uses Covers
-// unless the walk engine was selected for the whole decision path.
+// It is the reference oracle for the matcher ablation benchmarks and
+// the differential suite that proves the two engines agree; enforcement
+// always uses Covers.
 func (c *Coverage) CoversWalk(path string) bool {
 	seg, _ := firstSegment(path)
 	for _, g := range c.buckets[seg] {
@@ -320,22 +321,12 @@ func Compile(f *File) (*Compiled, *ValidationResult, error) {
 
 	// Pre-compose g(f(SS)) for every state: the rule set the APE installs
 	// on transition, so enforcement is one pointer swap (Algorithm 1).
-	statePos := make(map[string]Pos, len(f.States))
-	for _, s := range f.States {
-		statePos[s.Name] = s.Pos
-	}
 	for _, s := range c.States {
 		var rules []CompiledRule
 		for _, perm := range c.StatePerms[s.Name] {
 			rules = append(rules, c.PermRules[perm]...)
 		}
-		rs := NewRuleSet(s.Name, rules)
-		if rs.Matcher() == nil {
-			vr.warnf(statePos[s.Name],
-				"state %s composes %d rules, beyond the %d-rule matcher bound; decisions in this state use the slower walk engine",
-				quoteIdent(s.Name), rs.Len(), maxMatcherRules)
-		}
-		c.StateSets[s.Name] = rs
+		c.StateSets[s.Name] = NewRuleSet(s.Name, rules)
 	}
 
 	for _, t := range f.Transitions {

@@ -34,14 +34,6 @@ import (
 // the glob walk the old hard 1024-rule cutoff forced.
 const inlineMatcherWords = 16
 
-// maxMatcherRules is the residual safety bound on indexable rules per
-// state — a memory guard far past any plausible fleet policy, not a
-// performance cliff. A state exceeding it keeps the walk engine and
-// Compile emits a warning naming the cap (never a silent downgrade).
-// Variable, not constant, so tests can exercise the cap without
-// building a million rules.
-var maxMatcherRules = 1 << 20
-
 // matchBits is the per-decision scratch state: one bit per rule rank,
 // segmented into the inline stack-resident words plus an optional
 // spill block for states beyond the inline capacity. The walk never
@@ -144,14 +136,8 @@ type Matcher struct {
 	words        int // bitset words in use: ceil(len(byRank)/64)
 }
 
-// newMatcher compiles a rule set into a Matcher. It returns nil only
-// when the set exceeds the maxMatcherRules memory guard; callers fall
-// back to the walk engine, and Compile turns that fallback into a
-// visible validation warning.
+// newMatcher compiles a rule set into a Matcher.
 func newMatcher(rs *RuleSet) *Matcher {
-	if len(rs.rules) > maxMatcherRules {
-		return nil
-	}
 	m := &Matcher{root: &mnode{}}
 
 	// Rank assignment replicates NewRuleSet's split: literal-first-

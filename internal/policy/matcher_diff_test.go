@@ -175,28 +175,6 @@ func TestMatcherDifferentialLinear(t *testing.T) {
 	}
 }
 
-// TestMatcherOversizedFallback: a rule set beyond the residual memory
-// guard builds no trie, signalling callers to stay on the walk engine.
-// The guard is a variable so the test can lower it instead of building
-// a million rules.
-func TestMatcherOversizedFallback(t *testing.T) {
-	old := maxMatcherRules
-	maxMatcherRules = 8
-	defer func() { maxMatcherRules = old }()
-
-	pat := glob.MustCompile("/srv/**")
-	rules := make([]CompiledRule, maxMatcherRules+1)
-	for i := range rules {
-		rules[i] = CompiledRule{Pattern: pat, Access: sys.MayRead}
-	}
-	if rs := NewRuleSet("big", rules); rs.Matcher() != nil {
-		t.Fatal("oversized rule set should not build a matcher")
-	}
-	if rs := NewRuleSet("fits", rules[:maxMatcherRules]); rs.Matcher() == nil {
-		t.Fatal("rule set at the bound should build a matcher")
-	}
-}
-
 // TestMatcherSpillDifferential exercises the segmented bitset's spill
 // block: >1024 rules used to silently skip trie compilation; now they
 // compile and must stay exact against the walk engine, including rules

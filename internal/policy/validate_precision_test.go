@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/glob"
-	"repro/internal/sys"
 )
 
 // The issue's motivating shadowing pair: a deny glob covering an allow
@@ -179,47 +178,5 @@ transitions {
 		if got[s] != k {
 			t.Errorf("Reachability[%s] = %v, want %v", s, got[s], k)
 		}
-	}
-}
-
-// A state composing more rules than the matcher bound compiles with a
-// visible warning instead of a silent downgrade to the walk engine.
-func TestCompileOversizedStateWarns(t *testing.T) {
-	old := maxMatcherRules
-	maxMatcherRules = 2
-	defer func() { maxMatcherRules = old }()
-
-	src := `
-states { a }
-initial a
-permissions { P }
-state_per { a: P }
-per_rules {
-  P {
-    allow read /a
-    allow read /b
-    allow read /c
-  }
-}
-`
-	c, vr, err := Load(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.StateSets["a"].Matcher() != nil {
-		t.Fatal("matcher built beyond the bound")
-	}
-	found := false
-	for _, w := range vr.Warnings() {
-		if strings.Contains(w.Message, "matcher bound") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("no matcher-bound warning in %v", vr.Warnings())
-	}
-	// The walk engine still decides correctly.
-	if ok, _ := c.StateSets["a"].Decide("", "/b", sys.MayRead); !ok {
-		t.Fatal("walk fallback broken")
 	}
 }

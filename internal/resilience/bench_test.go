@@ -7,7 +7,7 @@ import (
 )
 
 // happyStack is the agent-shaped stack minus the policies that
-// inherently spawn goroutines (timeout, hedge): those buy isolation at
+// inherently spawn goroutines (timeout): those buy isolation at
 // the cost of a goroutine + channel per call and are excluded from the
 // zero-alloc guarantee.
 func happyStack() Policy {

@@ -6,10 +6,11 @@ import (
 	"time"
 )
 
-// Clock abstracts time for every policy in the kit, so breaker
-// cooldowns, retry backoffs, hedge thresholds, and timeouts are all
-// testable in virtual time with no real sleeps. The production
-// implementation is RealClock; tests use VirtualClock.
+// Clock abstracts time for every policy in the kit and for the SDS
+// service, so breaker cooldowns, retry backoffs, timeouts, and drive
+// traces are all testable in virtual time with no real sleeps. The
+// production implementation is RealClock; tests and simulations use
+// VirtualClock.
 type Clock interface {
 	Now() time.Time
 	// After returns a channel that receives once d has elapsed.

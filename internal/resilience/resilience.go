@@ -1,5 +1,5 @@
 // Package resilience is a small composable policy kit for the fleet
-// control plane: circuit breaker, bulkhead, hedge, retry with jittered
+// control plane: circuit breaker, bulkhead, retry with jittered
 // backoff, timeout, and fallback, each implementing one Policy
 // interface and stackable with Stack. The vehicle-side fleet agent
 // wraps its poll/upload RPCs in a stack (breaker + retry + timeout +
@@ -14,7 +14,7 @@
 // renders (`sackctl fleet status`, `sackmon -fleet`).
 //
 // Errors are typed, not stringly: ErrCircuitOpen, ErrBulkheadFull,
-// ErrTimeout, ErrHedgeLost are errors.Is-matchable through any stack
+// ErrTimeout are errors.Is-matchable through any stack
 // and map onto distinct HTTP statuses at the fleetd boundary (see
 // HTTPStatus).
 package resilience
@@ -39,9 +39,6 @@ var (
 	// ErrTimeout: the operation exceeded the timeout policy's limit. The
 	// operation's context is cancelled with this cause.
 	ErrTimeout = errors.New("resilience: operation timed out")
-	// ErrHedgeLost: the other attempt of a hedged pair won; this
-	// attempt's context is cancelled with this cause.
-	ErrHedgeLost = errors.New("resilience: hedged attempt lost")
 )
 
 // HTTPStatus maps the typed error taxonomy onto distinct HTTP status
@@ -58,16 +55,14 @@ func HTTPStatus(err error) int {
 		return http.StatusServiceUnavailable // 503: short-circuited
 	case errors.Is(err, ErrTimeout):
 		return http.StatusGatewayTimeout // 504: gave up waiting
-	case errors.Is(err, ErrHedgeLost):
-		return http.StatusBadGateway // 502: superseded by the winner
 	default:
 		return http.StatusInternalServerError
 	}
 }
 
 // Op is one guarded operation. Implementations must honour ctx: the
-// timeout and hedge policies cancel it (with ErrTimeout / ErrHedgeLost
-// causes) to abandon an attempt.
+// timeout policy cancels it (with an ErrTimeout cause) to abandon an
+// attempt.
 type Op func(ctx context.Context) error
 
 // Policy guards the execution of an operation. Implementations are
@@ -103,7 +98,7 @@ func abortive(err error) bool {
 
 // Detaching marks policies that can return from Do while the guarded
 // operation is still running in a goroutine they abandoned (Timeout
-// after the limit, Hedge's losing attempt). A stack containing one —
+// after the limit). A stack containing one —
 // at any nesting depth — never reuses call frames, because the zombie
 // attempt keeps referencing its frame after Do returns.
 type Detaching interface {
@@ -181,7 +176,7 @@ func (f *stackFrame) call(ctx context.Context, level int) error {
 // Do implements Policy.
 func (s *stack) Do(ctx context.Context, op Op) error {
 	if !s.pooled {
-		// A detaching member (timeout, hedge) may keep running op in an
+		// A detaching member (timeout) may keep running op in an
 		// abandoned goroutine after we return, so this frame can never
 		// be recycled — let the abandoned attempt keep it alive and the
 		// GC reclaim it afterwards.

@@ -443,92 +443,17 @@ func TestTimeoutCancelsSlowOperation(t *testing.T) {
 	}
 }
 
-// --- Hedge ---------------------------------------------------------------
+// --- Clock ---------------------------------------------------------------
 
-func TestHedgeWinsOverSlowPrimary(t *testing.T) {
-	clock := NewVirtualClock(t0())
-	h := NewHedge(HedgeConfig{Threshold: 100 * time.Millisecond, Clock: clock})
-
-	primCause := make(chan error, 1)
-	attempts := make(chan int, 2)
-	var n int32
-	var mu sync.Mutex
-	done := make(chan error, 1)
-	go func() {
-		done <- h.Do(context.Background(), func(ctx context.Context) error {
-			mu.Lock()
-			n++
-			me := n
-			mu.Unlock()
-			attempts <- int(me)
-			if me == 1 { // primary: hang until hedged out
-				<-ctx.Done()
-				primCause <- context.Cause(ctx)
-				return context.Cause(ctx)
-			}
-			return nil // hedge: instant success
-		})
-	}()
-	<-attempts // primary launched and registered
-	clock.BlockUntil(1)
-	clock.Advance(100 * time.Millisecond)
-	if err := <-done; err != nil {
-		t.Fatalf("hedged call error = %v", err)
+func TestVirtualClock(t *testing.T) {
+	start := time.Unix(1000, 0)
+	c := NewVirtualClock(start)
+	if !c.Now().Equal(start) {
+		t.Fatal("start time wrong")
 	}
-	if cause := <-primCause; !errors.Is(cause, ErrHedgeLost) {
-		t.Fatalf("losing primary cause = %v", cause)
-	}
-	if st := h.Stats(); st.Counters["launches"] != 1 || st.Counters["wins"] != 1 {
-		t.Fatalf("stats = %v", st.Counters)
-	}
-}
-
-func TestHedgeFastPrimarySkipsHedge(t *testing.T) {
-	clock := NewVirtualClock(t0())
-	h := NewHedge(HedgeConfig{Threshold: time.Second, Clock: clock})
-	calls := 0
-	if err := h.Do(context.Background(), func(context.Context) error { calls++; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if calls != 1 {
-		t.Fatalf("calls = %d", calls)
-	}
-	if st := h.Stats(); st.Counters["launches"] != 0 {
-		t.Fatalf("stats = %v", st.Counters)
-	}
-}
-
-func TestHedgeBothFailReturnsPrimaryError(t *testing.T) {
-	clock := NewVirtualClock(t0())
-	h := NewHedge(HedgeConfig{Threshold: 50 * time.Millisecond, Clock: clock})
-	primErr := errors.New("primary failed")
-	hedgeErr := errors.New("hedge failed")
-
-	var mu sync.Mutex
-	n := 0
-	hold := make(chan struct{})
-	started := make(chan struct{})
-	done := make(chan error, 1)
-	go func() {
-		done <- h.Do(context.Background(), func(ctx context.Context) error {
-			mu.Lock()
-			n++
-			me := n
-			mu.Unlock()
-			if me == 1 {
-				started <- struct{}{}
-				<-hold // fail only after the hedge launched
-				return primErr
-			}
-			close(hold)
-			return hedgeErr
-		})
-	}()
-	<-started // primary registered before the hedge can launch
-	clock.BlockUntil(1)
-	clock.Advance(50 * time.Millisecond)
-	if err := <-done; !errors.Is(err, primErr) {
-		t.Fatalf("error = %v, want primary's", err)
+	c.Advance(3 * time.Second)
+	if got := c.Now().Sub(start); got != 3*time.Second {
+		t.Fatalf("advance = %v", got)
 	}
 }
 
@@ -580,7 +505,7 @@ func TestStatsOfAndBreakerOf(t *testing.T) {
 
 func TestHTTPStatusDistinct(t *testing.T) {
 	seen := map[int]error{}
-	for _, err := range []error{ErrCircuitOpen, ErrBulkheadFull, ErrTimeout, ErrHedgeLost} {
+	for _, err := range []error{ErrCircuitOpen, ErrBulkheadFull, ErrTimeout} {
 		code := HTTPStatus(err)
 		if prev, dup := seen[code]; dup {
 			t.Fatalf("status %d shared by %v and %v", code, prev, err)

@@ -9,7 +9,7 @@ import (
 	"repro/internal/shard"
 )
 
-// Retry defaults (mirroring the fleet agent's historical backoff).
+// Retry defaults; the fleet agent's sync rounds back off on these.
 const (
 	DefaultRetryBase = 100 * time.Millisecond
 	DefaultRetryMax  = 5 * time.Second

@@ -4,45 +4,22 @@
 // to the kernel SSM through the SACKfs events file. Detection is
 // edge-triggered — the SDS "only transmits situation events when
 // detected" (§III-C) rather than streaming raw sensor data.
+//
+// The service reads time through resilience.Clock, the repository's one
+// injectable clock; drive traces and tests pass resilience.NewVirtualClock.
 package sds
 
 import (
-	"sync"
 	"time"
+
+	"repro/internal/resilience"
 )
 
-// Clock abstracts time so drive traces and tests run deterministically.
-type Clock interface {
-	Now() time.Time
-}
+// VirtualClock is resilience.VirtualClock under its former name, kept
+// only so the separately built perfbench module compiles unedited. New
+// code uses resilience.VirtualClock directly.
+type VirtualClock = resilience.VirtualClock
 
-// RealClock reads the wall clock.
-type RealClock struct{}
-
-// Now implements Clock.
-func (RealClock) Now() time.Time { return time.Now() }
-
-// VirtualClock is a manually advanced clock for deterministic simulation.
-type VirtualClock struct {
-	mu  sync.Mutex
-	now time.Time
-}
-
-// NewVirtualClock starts a virtual clock at the given instant.
-func NewVirtualClock(start time.Time) *VirtualClock {
-	return &VirtualClock{now: start}
-}
-
-// Now implements Clock.
-func (c *VirtualClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-// Advance moves the clock forward by d.
-func (c *VirtualClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.now = c.now.Add(d)
-}
+// NewVirtualClock is resilience.NewVirtualClock, kept with the alias
+// above for the same reason.
+func NewVirtualClock(start time.Time) *VirtualClock { return resilience.NewVirtualClock(start) }

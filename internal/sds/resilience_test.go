@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/resilience"
 	"repro/internal/vehicle"
 )
 
@@ -35,13 +36,13 @@ func (r *recorder) lines() []string {
 	return out
 }
 
-func crashService(clock Clock, tx Transmitter, opts ...ServiceOption) (*vehicle.Dynamics, *Service) {
+func crashService(clock resilience.Clock, tx Transmitter, opts ...ServiceOption) (*vehicle.Dynamics, *Service) {
 	dyn := &vehicle.Dynamics{}
 	return dyn, NewService(clock, VehicleSensors(dyn), []Detector{CrashDetector(8.0)}, tx, opts...)
 }
 
 func TestQueueBackpressure(t *testing.T) {
-	clock := NewVirtualClock(time.Unix(0, 0))
+	clock := resilience.NewVirtualClock(time.Unix(0, 0))
 	rec := &recorder{failNext: 1 << 30} // channel permanently down
 	_, svc := crashService(clock, rec, WithQueueCapacity(2))
 
@@ -62,7 +63,7 @@ func TestQueueBackpressure(t *testing.T) {
 }
 
 func TestRetryWithBackoffRetainsEvents(t *testing.T) {
-	clock := NewVirtualClock(time.Unix(0, 0))
+	clock := resilience.NewVirtualClock(time.Unix(0, 0))
 	rec := &recorder{failNext: 1}
 	dyn, svc := crashService(clock, rec, WithBackoff(100*time.Millisecond, time.Second))
 
@@ -105,7 +106,7 @@ func TestRetryWithBackoffRetainsEvents(t *testing.T) {
 }
 
 func TestBackoffGrowsAndResets(t *testing.T) {
-	clock := NewVirtualClock(time.Unix(0, 0))
+	clock := resilience.NewVirtualClock(time.Unix(0, 0))
 	rec := &recorder{failNext: 1 << 30}
 	_, svc := crashService(clock, rec, WithBackoff(100*time.Millisecond, 10*time.Second))
 	if err := svc.DeliverEvent("e"); err != nil {
@@ -136,7 +137,7 @@ func TestBackoffGrowsAndResets(t *testing.T) {
 }
 
 func TestHeartbeatEmittedOnQuietPolls(t *testing.T) {
-	clock := NewVirtualClock(time.Unix(100, 0))
+	clock := resilience.NewVirtualClock(time.Unix(100, 0))
 	rec := &recorder{}
 	_, svc := crashService(clock, rec, WithHeartbeat(time.Second))
 
@@ -167,7 +168,7 @@ func TestHeartbeatEmittedOnQuietPolls(t *testing.T) {
 }
 
 func TestHeartbeatDisabledByDefault(t *testing.T) {
-	clock := NewVirtualClock(time.Unix(0, 0))
+	clock := resilience.NewVirtualClock(time.Unix(0, 0))
 	rec := &recorder{}
 	_, svc := crashService(clock, rec)
 	for i := 0; i < 5; i++ {
@@ -182,7 +183,7 @@ func TestHeartbeatDisabledByDefault(t *testing.T) {
 }
 
 func TestSensorDropoutTracking(t *testing.T) {
-	clock := NewVirtualClock(time.Unix(0, 0))
+	clock := resilience.NewVirtualClock(time.Unix(0, 0))
 	rec := &recorder{}
 	dyn := &vehicle.Dynamics{}
 	dyn.SetSpeed(50)

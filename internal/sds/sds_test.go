@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/resilience"
 	"repro/internal/vehicle"
 )
 
@@ -20,18 +21,6 @@ func snap(speed, accel float64, driver, ignition bool) Snapshot {
 		SensorAccel:    {Sensor: SensorAccel, Value: accel},
 		SensorDriver:   {Sensor: SensorDriver, Value: b(driver)},
 		SensorIgnition: {Sensor: SensorIgnition, Value: b(ignition)},
-	}
-}
-
-func TestVirtualClock(t *testing.T) {
-	start := time.Unix(1000, 0)
-	c := NewVirtualClock(start)
-	if !c.Now().Equal(start) {
-		t.Fatal("start time wrong")
-	}
-	c.Advance(3 * time.Second)
-	if got := c.Now().Sub(start); got != 3*time.Second {
-		t.Fatalf("advance = %v", got)
 	}
 }
 
@@ -190,7 +179,7 @@ func TestVehicleSensors(t *testing.T) {
 
 func TestServicePollAndHistory(t *testing.T) {
 	dyn := &vehicle.Dynamics{}
-	clock := NewVirtualClock(time.Unix(100, 0))
+	clock := resilience.NewVirtualClock(time.Unix(100, 0))
 	var sent [][]string
 	svc := NewService(clock, VehicleSensors(dyn),
 		[]Detector{CrashDetector(8.0)},
@@ -226,7 +215,7 @@ func TestServicePollAndHistory(t *testing.T) {
 func TestServiceTransmitErrorPropagates(t *testing.T) {
 	dyn := &vehicle.Dynamics{}
 	dyn.SetAccelG(9)
-	svc := NewService(NewVirtualClock(time.Unix(0, 0)), VehicleSensors(dyn),
+	svc := NewService(resilience.NewVirtualClock(time.Unix(0, 0)), VehicleSensors(dyn),
 		[]Detector{CrashDetector(8.0)},
 		TransmitterFunc(func([]string) error { return errors.New("channel down") }))
 	if _, err := svc.Poll(); err == nil {

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/kernel"
+	"repro/internal/resilience"
 	"repro/internal/ssm"
 )
 
@@ -83,7 +84,7 @@ type SensorHealth struct {
 // dropout tracking and an optional heartbeat report the service's own
 // health to the kernel-side pipeline watchdog.
 type Service struct {
-	clock     Clock
+	clock     resilience.Clock
 	sensors   []Sensor
 	detectors []Detector
 	tx        Transmitter
@@ -169,7 +170,7 @@ func WithJitterSeed(seed int64) ServiceOption {
 }
 
 // NewService assembles an SDS instance.
-func NewService(clock Clock, sensors []Sensor, detectors []Detector, tx Transmitter, opts ...ServiceOption) *Service {
+func NewService(clock resilience.Clock, sensors []Sensor, detectors []Detector, tx Transmitter, opts ...ServiceOption) *Service {
 	s := &Service{
 		clock: clock, sensors: sensors, detectors: detectors, tx: tx,
 		queueCap:    DefaultQueueCapacity,

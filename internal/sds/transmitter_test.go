@@ -8,6 +8,7 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/lsm"
 	"repro/internal/policy"
+	"repro/internal/resilience"
 	"repro/internal/sds"
 	"repro/internal/vehicle"
 )
@@ -83,7 +84,7 @@ func TestKernelTransmitterRequiresPrivilege(t *testing.T) {
 func TestEndToEndSDSOverKernelTransmitter(t *testing.T) {
 	k, s := bootWithSACK(t)
 	dyn := &vehicle.Dynamics{}
-	clock := sds.NewVirtualClock(time.Unix(0, 0))
+	clock := resilience.NewVirtualClock(time.Unix(0, 0))
 	tx, err := sds.NewKernelTransmitter(k.Init())
 	if err != nil {
 		t.Fatal(err)

@@ -6,6 +6,7 @@ package trace
 import (
 	"time"
 
+	"repro/internal/resilience"
 	"repro/internal/sds"
 	"repro/internal/vehicle"
 )
@@ -38,7 +39,7 @@ func Apply(p Point, dyn *vehicle.Dynamics) {
 // Replay steps through the trace: for each point it applies the state,
 // advances the virtual clock to the point's time, and polls the SDS.
 // It returns every event the SDS transmitted, in order.
-func Replay(tr Trace, clock *sds.VirtualClock, dyn *vehicle.Dynamics, svc *sds.Service) ([]string, error) {
+func Replay(tr Trace, clock *resilience.VirtualClock, dyn *vehicle.Dynamics, svc *sds.Service) ([]string, error) {
 	var events []string
 	prev := time.Duration(0)
 	for _, p := range tr.Points {

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/resilience"
 	"repro/internal/sds"
 	"repro/internal/vehicle"
 )
@@ -11,7 +12,7 @@ import (
 func replayWith(t *testing.T, tr Trace, detectors ...sds.Detector) []string {
 	t.Helper()
 	dyn := &vehicle.Dynamics{}
-	clock := sds.NewVirtualClock(time.Unix(1_700_000_000, 0))
+	clock := resilience.NewVirtualClock(time.Unix(1_700_000_000, 0))
 	svc := sds.NewService(clock, sds.VehicleSensors(dyn), detectors,
 		sds.TransmitterFunc(func([]string) error { return nil }))
 	events, err := Replay(tr, clock, dyn, svc)
@@ -68,7 +69,7 @@ func TestParkAndLeave(t *testing.T) {
 func TestReplayAdvancesClock(t *testing.T) {
 	dyn := &vehicle.Dynamics{}
 	start := time.Unix(0, 0)
-	clock := sds.NewVirtualClock(start)
+	clock := resilience.NewVirtualClock(start)
 	svc := sds.NewService(clock, sds.VehicleSensors(dyn), nil,
 		sds.TransmitterFunc(func([]string) error { return nil }))
 	tr := CityDriveWithCrash()

@@ -3,13 +3,13 @@ package sack_test
 // matcher_system_test proves the PR 6 engine-equivalence and performance
 // contracts at the system level, through the public API only:
 //
-//   - a system on the trie-compiled matcher and a system on the legacy
-//     glob walk produce identical decisions for every query, across
-//     situation transitions and policy reloads;
+//   - a booted system's decisions (trie-compiled matcher) equal the
+//     glob-walk reference oracle (Coverage.CoversWalk + RuleSet.Decide)
+//     for every query, across situation transitions and policy reloads;
 //   - the AVC changes latency, never verdicts: a cached system and an
 //     uncached system emit byte-identical allow/deny traces;
 //   - an uncached covered check on the trie engine allocates nothing;
-//   - the trie engine beats the walk engine by a wide margin on the
+//   - the trie engine beats the glob-walk oracle by a wide margin on the
 //     deep-bucket workload the matcher was built for (the `make
 //     bench-smoke` regression guard).
 
@@ -45,6 +45,7 @@ per_rules {
     deny write /etc/vehicle/immutable.conf
     allow read,write /srv/{cfg,log}/**
     allow read /usr/lib/sack/*.so subject /usr/bin/*
+    allow read /srv/cache**
   }
   EMERGENCY {
     allow read,write,ioctl /dev/vehicle/door*
@@ -64,6 +65,7 @@ var matcherDiffPaths = []string{
 	"/srv/cfg/a/b", "/srv/log/x", "/srv/tmp/x", "/usr/lib/sack/ivi.so",
 	"/usr/lib/sack/nested/x.so", "/dev/vehicle/door0", "/dev/vehicle/door13",
 	"/dev/vehicle/window2", "/tmp/unrelated", "pipe:[42]", "/",
+	"/srv/cache", "/srv/cachex/y", "/srv/cache/x",
 }
 
 var matcherDiffSubjects = []string{"", "/usr/bin/ivi", "/usr/bin/rescued", "/sbin/sds"}
@@ -73,76 +75,59 @@ var matcherDiffMasks = []sack.Access{
 	sack.MayRead | sack.MayWrite, sack.MayCreate,
 }
 
-// TestMatcherSystemDifferential holds a trie-engine system and a
-// walk-engine system to identical decisions over every (subject, path,
-// mask) combination, in every situation state, before and after a
-// policy reload.
+// TestMatcherSystemDifferential holds a booted system to the glob-walk
+// reference oracle — coverage by Coverage.CoversWalk, verdict and
+// deciding rule by RuleSet.Decide on the live rule set — over every
+// (subject, path, mask) combination, in every situation state, before
+// and after a policy reload. The policy's glued-"**" rule puts the
+// matcher's complex list on the path too.
 func TestMatcherSystemDifferential(t *testing.T) {
-	trie, err := sack.New(matcherDiffPolicy, sack.WithoutVehicle())
-	if err != nil {
-		t.Fatal(err)
-	}
-	walk, err := sack.New(matcherDiffPolicy, sack.WithoutVehicle(), sack.WithoutMatcher())
+	s, err := sack.New(matcherDiffPolicy, sack.WithoutVehicle())
 	if err != nil {
 		t.Fatal(err)
 	}
 
+	check := func(phase, subject, path string, mask sack.Access) {
+		t.Helper()
+		got, err := s.Check(subject, path, mask)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := sack.Decision{Allowed: true}
+		if want.Covered = s.SACK.Policy().Coverage.CoversWalk(path); want.Covered {
+			want.Allowed, want.Rule = s.SACK.ActiveRules().Decide(subject, path, mask)
+		}
+		if got.Allowed != want.Allowed || got.Covered != want.Covered || got.Rule != want.Rule {
+			t.Fatalf("%s: divergence on subject=%q path=%q mask=%s:\n  trie: %+v\n  walk: allowed=%v covered=%v rule=%q",
+				phase, subject, path, mask, got, want.Allowed, want.Covered, ruleText(want))
+		}
+	}
 	compare := func(phase string) {
 		t.Helper()
 		for _, subject := range matcherDiffSubjects {
 			for _, path := range matcherDiffPaths {
 				for _, mask := range matcherDiffMasks {
-					dt, err := trie.Check(subject, path, mask)
-					if err != nil {
-						t.Fatal(err)
-					}
-					dw, err := walk.Check(subject, path, mask)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if dt.Allowed != dw.Allowed || dt.Covered != dw.Covered ||
-						ruleText(dt) != ruleText(dw) {
-						t.Fatalf("%s: divergence on subject=%q path=%q mask=%s:\n  trie: %+v\n  walk: %+v",
-							phase, subject, path, mask, dt, dw)
-					}
+					check(phase, subject, path, mask)
 				}
 			}
 		}
 	}
 
 	compare("normal")
-	for _, s := range []*sack.System{trie, walk} {
-		if err := s.Events().DeliverEvent("crash_detected"); err != nil {
-			t.Fatal(err)
-		}
+	if err := s.Events().DeliverEvent("crash_detected"); err != nil {
+		t.Fatal(err)
 	}
 	compare("emergency")
 
-	// Reload both sides with a generated 300-rule policy: the published
-	// snapshots swap engines' inputs and the equivalence must survive.
-	gen := bench.GenRulesPolicy(300)
-	if _, err := trie.Reload(gen); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := walk.Reload(gen); err != nil {
+	// Reload with a generated 300-rule policy: the published snapshot
+	// swaps the matcher's input and the equivalence must survive.
+	if _, err := s.Reload(bench.GenRulesPolicy(300)); err != nil {
 		t.Fatal(err)
 	}
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 500; trial++ {
 		path := fmt.Sprintf("/srv/sack/area%d/file%d.dat", r.Intn(20), r.Intn(400))
-		mask := matcherDiffMasks[r.Intn(len(matcherDiffMasks))]
-		dt, err := trie.Check("", path, mask)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dw, err := walk.Check("", path, mask)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if dt.Allowed != dw.Allowed || dt.Covered != dw.Covered || ruleText(dt) != ruleText(dw) {
-			t.Fatalf("post-reload divergence on path=%q mask=%s:\n  trie: %+v\n  walk: %+v",
-				path, mask, dt, dw)
-		}
+		check("post-reload", "", path, matcherDiffMasks[r.Intn(len(matcherDiffMasks))])
 	}
 }
 
@@ -223,31 +208,32 @@ func TestMatcherZeroAllocUncached(t *testing.T) {
 }
 
 // TestUncachedLatencyGuard is the bench-smoke regression fence: on the
-// 500-rule deep-bucket workload, an uncached trie verdict must be at
-// least 4x faster than the glob walk and stay under a generous absolute
-// ceiling. (The measured gap is far larger — see EXPERIMENTS.md — the
-// slack only absorbs CI noise.)
+// 500-rule deep-bucket workload, an uncached trie verdict through the
+// hook path must be at least 4x faster than the glob-walk oracle
+// (CoversWalk + RuleSet.Decide on the same compiled policy) and stay
+// under a generous absolute ceiling. (The measured gap is far larger —
+// see EXPERIMENTS.md — the slack only absorbs CI noise.)
 func TestUncachedLatencyGuard(t *testing.T) {
-	polText := bench.GenRulesPolicy(500)
 	const path = "/srv/sack/area0/file0.dat"
+	tb, err := bench.BootIndependentSACKNoAVC(bench.GenRulesPolicy(500))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cred := sys.NewCred(1000, 1000)
+	cred.SetBlob("sack", "/usr/bin/bench-task")
+	coverage, rules := tb.SACK.Policy().Coverage, tb.SACK.ActiveRules()
 
-	measure := func(opts bench.IndependentOptions) time.Duration {
-		tb, err := bench.BootIndependentSACKWith(polText, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cred := sys.NewCred(1000, 1000)
-		cred.SetBlob("sack", "/usr/bin/bench-task")
-		if err := tb.SACK.InodePermission(cred, path, nil, sys.MayRead); err != nil {
-			t.Fatal(err)
+	measure := func(verdict func() bool) time.Duration {
+		if !verdict() {
+			t.Fatal("covered path denied")
 		}
 		best := time.Duration(1 << 62)
 		const rounds, iters = 5, 2000
 		for r := 0; r < rounds; r++ {
 			start := time.Now()
 			for i := 0; i < iters; i++ {
-				if err := tb.SACK.InodePermission(cred, path, nil, sys.MayRead); err != nil {
-					t.Fatal(err)
+				if !verdict() {
+					t.Fatal("covered path denied")
 				}
 			}
 			if d := time.Since(start) / iters; d < best {
@@ -257,8 +243,14 @@ func TestUncachedLatencyGuard(t *testing.T) {
 		return best
 	}
 
-	trie := measure(bench.IndependentOptions{DisableAVC: true})
-	walk := measure(bench.IndependentOptions{DisableAVC: true, DisableMatcher: true})
+	trie := measure(func() bool { return tb.SACK.InodePermission(cred, path, nil, sys.MayRead) == nil })
+	walk := measure(func() bool {
+		if !coverage.CoversWalk(path) {
+			return false
+		}
+		allowed, _ := rules.Decide("/usr/bin/bench-task", path, sys.MayRead)
+		return allowed
+	})
 	t.Logf("uncached verdict: trie=%v walk=%v (%.1fx)", trie, walk, float64(walk)/float64(trie))
 
 	if trie > 10*time.Microsecond {

@@ -13,6 +13,7 @@ import (
 
 	sack "repro"
 	"repro/internal/ivi"
+	"repro/internal/resilience"
 	"repro/internal/sds"
 	"repro/internal/trace"
 	"repro/internal/vehicle"
@@ -64,7 +65,7 @@ func TestPipelineFuzzRandomTraces(t *testing.T) {
 				t.Fatal(err)
 			}
 			root := sys.Kernel.Init()
-			clock := sds.NewVirtualClock(time.Unix(1_700_000_000, 0))
+			clock := resilience.NewVirtualClock(time.Unix(1_700_000_000, 0))
 			service, err := sys.NewSDS(root, clock,
 				sds.DrivingDetector(),
 				sds.CrashDetector(8.0),

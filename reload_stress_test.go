@@ -19,6 +19,7 @@ import (
 	"time"
 
 	sack "repro"
+	"repro/internal/resilience"
 	"repro/internal/sds"
 	"repro/internal/trace"
 )
@@ -423,7 +424,7 @@ func TestReloadChaosWithFaultPlans(t *testing.T) {
 				t.Fatal(err)
 			}
 			root := sys.Kernel.Init()
-			clock := sds.NewVirtualClock(time.Unix(1_700_000_000, 0))
+			clock := resilience.NewVirtualClock(time.Unix(1_700_000_000, 0))
 			service, err := sys.NewSDSWith(root, clock,
 				[]sds.Detector{
 					sds.DrivingDetector(),

@@ -8,7 +8,7 @@ import (
 
 	sack "repro"
 	"repro/internal/faults"
-	"repro/internal/sds"
+	"repro/internal/resilience"
 )
 
 const failsafeAPIPolicy = `
@@ -49,7 +49,7 @@ func TestEventSinkInterfaceUnifiesEntryPaths(t *testing.T) {
 		t.Fatal(err)
 	}
 	root := sys.Kernel.Init()
-	clock := sds.NewVirtualClock(time.Unix(1_700_000_000, 0))
+	clock := resilience.NewVirtualClock(time.Unix(1_700_000_000, 0))
 	service, err := sys.NewSDS(root, clock)
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +129,7 @@ func TestWithFaultPlanWiresBusAndSDS(t *testing.T) {
 	}
 
 	root := sys.Kernel.Init()
-	clock := sds.NewVirtualClock(time.Unix(1_700_000_000, 0))
+	clock := resilience.NewVirtualClock(time.Unix(1_700_000_000, 0))
 	service, err := sys.NewSDSWith(root, clock, nil)
 	if err != nil {
 		t.Fatal(err)

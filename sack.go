@@ -144,7 +144,7 @@ type (
 	// fallback.
 	FleetAgentOption = fleet.AgentOption
 	// ResiliencePolicy is one composable control-plane resilience policy
-	// (circuit breaker, bulkhead, hedge, retry, timeout, fallback); build
+	// (circuit breaker, bulkhead, retry, timeout, fallback); build
 	// and stack them with the internal/resilience constructors.
 	ResiliencePolicy = resilience.Policy
 	// InvariantSet is a parsed set of policy invariants (see
@@ -338,7 +338,6 @@ type options struct {
 	disableAudit       bool
 	disableAVC         bool
 	avcSize            int
-	disableMatcher     bool
 	auditFlushInterval time.Duration
 	failsafe           string
 	heartbeatWindow    time.Duration
@@ -395,14 +394,6 @@ func WithoutAVC() Option {
 // to a power of two; n <= 0 selects the default).
 func WithAVCSize(n int) Option {
 	return func(o *options) { o.avcSize = n }
-}
-
-// WithoutMatcher pins enforcement to the legacy glob-walk decision
-// engine instead of the trie-compiled matcher. Verdicts are identical
-// either way — the option exists for the matcher ablation benchmarks and
-// the differential suite that proves the equivalence.
-func WithoutMatcher() Option {
-	return func(o *options) { o.disableMatcher = true }
 }
 
 // WithAuditFlusher starts a background goroutine draining captured audit
@@ -588,7 +579,6 @@ func New(policyText string, opts ...Option) (*System, error) {
 		AppArmor:        aa,
 		DisableAVC:      o.disableAVC,
 		AVCSize:         o.avcSize,
-		DisableMatcher:  o.disableMatcher,
 		Failsafe:        o.failsafe,
 		HeartbeatWindow: o.heartbeatWindow,
 		HeartbeatSecret: o.heartbeatSecret,
@@ -735,13 +725,13 @@ func (s *System) CheckTask(task *Task, object string, mask Access) (Decision, er
 // writes the SACKfs events file as the (privileged) task. When the
 // system was booted with a fault plan, the sensors and the transmitter
 // are wrapped with the system's injector.
-func (s *System) NewSDS(task *Task, clock sds.Clock, detectors ...sds.Detector) (*SDS, error) {
+func (s *System) NewSDS(task *Task, clock resilience.Clock, detectors ...sds.Detector) (*SDS, error) {
 	return s.NewSDSWith(task, clock, detectors)
 }
 
 // NewSDSWith is NewSDS plus resilience options (queue capacity, retry
 // backoff, heartbeat emission, dark-sensor threshold).
-func (s *System) NewSDSWith(task *Task, clock sds.Clock, detectors []sds.Detector, opts ...sds.ServiceOption) (*SDS, error) {
+func (s *System) NewSDSWith(task *Task, clock resilience.Clock, detectors []sds.Detector, opts ...sds.ServiceOption) (*SDS, error) {
 	if s.Vehicle == nil {
 		return nil, fmt.Errorf("sack: system has no vehicle")
 	}

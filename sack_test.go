@@ -7,6 +7,7 @@ import (
 	"time"
 
 	sack "repro"
+	"repro/internal/resilience"
 	"repro/internal/sds"
 	"repro/internal/trace"
 	"repro/internal/vehicle"
@@ -78,7 +79,7 @@ func TestFullPipelineSDSToEnforcement(t *testing.T) {
 		t.Fatal(err)
 	}
 	root := sys.Kernel.Init()
-	clock := sds.NewVirtualClock(time.Unix(1_700_000_000, 0))
+	clock := resilience.NewVirtualClock(time.Unix(1_700_000_000, 0))
 	service, err := sys.NewSDS(root, clock, sds.CrashDetector(8.0))
 	if err != nil {
 		t.Fatal(err)

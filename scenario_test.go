@@ -11,6 +11,7 @@ import (
 
 	sack "repro"
 	"repro/internal/ivi"
+	"repro/internal/resilience"
 	"repro/internal/sds"
 	"repro/internal/trace"
 	"repro/internal/vehicle"
@@ -21,7 +22,7 @@ import (
 type scenarioRig struct {
 	t       *testing.T
 	sys     *sack.System
-	clock   *sds.VirtualClock
+	clock   *resilience.VirtualClock
 	service *sack.SDS
 	now     time.Duration
 }
@@ -31,7 +32,7 @@ func newScenarioRig(t *testing.T) *scenarioRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clock := sds.NewVirtualClock(time.Unix(1_700_000_000, 0))
+	clock := resilience.NewVirtualClock(time.Unix(1_700_000_000, 0))
 	service, err := sys.NewSDS(sys.Kernel.Init(), clock,
 		sds.DrivingDetector(),
 		sds.ParkingDetector(),
