@@ -115,10 +115,14 @@ bench-ablation:
 # degradation fire concurrently — the cached==uncached trace property
 # under parallelism, with the race detector watching the snapshots —
 # plus lock-free fd reads against in-place descriptor-slot updates,
-# table growth, forks and NumFDs on one task.
+# table growth, forks and NumFDs on one task, plus the dentry cache:
+# random mutation sequences must resolve exactly as an uncached walk,
+# and lookups racing renames and unlinks must never see a mapping a
+# finished mutation removed.
 parallel-stress:
 	$(GO) test -race -count=1 -run 'TestParallelDecisionStress' .
 	$(GO) test -race -count=1 -run 'TestFDTableConcurrentInPlace' ./internal/kernel
+	$(GO) test -race -count=1 -run 'TestDcache' ./internal/vfs
 
 # Differential fuzz: random policies and access keys must draw identical
 # verdicts (and identical deciding rules) from the trie-compiled matcher
@@ -156,7 +160,8 @@ perfbench-build:
 # (bytes/record ≥5× under JSON, zero-alloc decode), plus the policy
 # validator's allocation fence on a benchmark-sized policy, the
 # syscall path's allocation fence (an open allocates only its file, a
-# repeated denial nothing), the audit drain's zero-alloc fence and the
+# repeated stat or denial nothing), the audit drain's zero-alloc fence
+# (Appends from two call depths, so every cut needs sorting) and the
 # sampled hook-metrics exactness test.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkParallelDecision/sack-covered/goroutines=(1|16)$$' -benchtime 1x .

@@ -19,11 +19,7 @@ type Stat struct {
 // checks matches fs/namei.c: creation hook for O_CREAT, DAC bits, the
 // InodePermission LSM hook, then FileOpen on the assembled description.
 func (t *Task) Open(path string, flags vfs.OpenFlags, perm vfs.Mode) (int, error) {
-	path, err := vfs.CleanPath(path)
-	if err != nil {
-		return -1, err
-	}
-	node, err := t.k.FS.Lookup(path)
+	path, node, err := t.k.FS.Resolve(path)
 	switch {
 	case err == nil:
 		if flags&(vfs.OCreat|vfs.OExcl) == vfs.OCreat|vfs.OExcl {
@@ -61,7 +57,7 @@ func (t *Task) Open(path string, flags vfs.OpenFlags, perm vfs.Mode) (int, error
 // create allocates a new filesystem object after passing the directory
 // DAC check and the InodeCreate LSM hook.
 func (t *Task) create(path string, mode vfs.Mode) (*vfs.Inode, error) {
-	dir, _, err := t.k.FS.LookupDir(path)
+	dir, path, _, err := t.k.FS.LookupDir(path)
 	if err != nil {
 		return nil, err
 	}
@@ -152,11 +148,7 @@ func (t *Task) Ioctl(fd int, cmd, arg uint64) (uint64, error) {
 
 // Stat returns file metadata after the InodeGetattr hook.
 func (t *Task) Stat(path string) (Stat, error) {
-	path, err := vfs.CleanPath(path)
-	if err != nil {
-		return Stat{}, err
-	}
-	node, err := t.k.FS.Lookup(path)
+	path, node, err := t.k.FS.Resolve(path)
 	if err != nil {
 		return Stat{}, err
 	}
@@ -176,17 +168,12 @@ func (t *Task) Stat(path string) (Stat, error) {
 
 // Unlink removes the file at path.
 func (t *Task) Unlink(path string) error {
-	path, err := vfs.CleanPath(path)
+	dir, path, node, err := t.k.FS.LookupDir(path)
 	if err != nil {
 		return err
 	}
-	node, err := t.k.FS.Lookup(path)
-	if err != nil {
-		return err
-	}
-	dir, _, err := t.k.FS.LookupDir(path)
-	if err != nil {
-		return err
+	if node == nil {
+		return sys.ENOENT
 	}
 	if err := t.dacCheck(dir, sys.MayWrite); err != nil {
 		return err
@@ -199,27 +186,18 @@ func (t *Task) Unlink(path string) error {
 
 // Mkdir creates a directory.
 func (t *Task) Mkdir(path string, perm vfs.Mode) error {
-	path, err := vfs.CleanPath(path)
-	if err != nil {
-		return err
-	}
-	_, err = t.create(path, vfs.ModeDir|perm.Perm())
+	_, err := t.create(path, vfs.ModeDir|perm.Perm())
 	return err
 }
 
 // Rmdir removes an empty directory.
 func (t *Task) Rmdir(path string) error {
-	path, err := vfs.CleanPath(path)
+	dir, path, node, err := t.k.FS.LookupDir(path)
 	if err != nil {
 		return err
 	}
-	node, err := t.k.FS.Lookup(path)
-	if err != nil {
-		return err
-	}
-	dir, _, err := t.k.FS.LookupDir(path)
-	if err != nil {
-		return err
+	if node == nil {
+		return sys.ENOENT
 	}
 	if err := t.dacCheck(dir, sys.MayWrite); err != nil {
 		return err
@@ -295,23 +273,14 @@ func (t *Task) WriteFileAll(path string, data []byte, perm vfs.Mode) error {
 // unlink hook on the source and the create hook on the destination,
 // which gives MAC modules the same veto points.
 func (t *Task) Rename(oldPath, newPath string) error {
-	oldPath, err := vfs.CleanPath(oldPath)
+	oldDir, oldPath, node, err := t.k.FS.LookupDir(oldPath)
 	if err != nil {
 		return err
 	}
-	newPath, err = vfs.CleanPath(newPath)
-	if err != nil {
-		return err
+	if node == nil {
+		return sys.ENOENT
 	}
-	node, err := t.k.FS.Lookup(oldPath)
-	if err != nil {
-		return err
-	}
-	oldDir, _, err := t.k.FS.LookupDir(oldPath)
-	if err != nil {
-		return err
-	}
-	newDir, _, err := t.k.FS.LookupDir(newPath)
+	newDir, newPath, _, err := t.k.FS.LookupDir(newPath)
 	if err != nil {
 		return err
 	}

@@ -166,11 +166,7 @@ func (t *Task) Fork() (*Task, error) {
 // must exist and be executable; the BprmCheck hook lets MAC modules veto
 // or relabel (AppArmor attaches its profile here).
 func (t *Task) Exec(path string) error {
-	path, err := vfs.CleanPath(path)
-	if err != nil {
-		return err
-	}
-	node, err := t.k.FS.Lookup(path)
+	path, node, err := t.k.FS.Resolve(path)
 	if err != nil {
 		return err
 	}

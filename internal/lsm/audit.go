@@ -54,6 +54,13 @@ type pendingRec struct {
 	rec   AuditRecord
 }
 
+// flushKey is a pendingRec's place in a cut: its capture order and its
+// index in the batch. Flush sorts these 16-byte keys, not the records.
+type flushKey struct {
+	order uint64
+	idx   int
+}
+
 // auditShard is one slot's pending buffer. Hooks on different slots
 // append under different mutexes, so audit emission no longer serialises
 // every concurrent hook on one ring lock.
@@ -83,7 +90,10 @@ type auditShard struct {
 // If record B (appended after A by the same goroutine) is in the cut,
 // A's Append had already completed — and since landing in a shard needs
 // that shard's lock, A is in the cut too. Sorting the cut by capture
-// order then yields per-goroutine causal order in the ring.
+// order then yields per-goroutine causal order in the ring. A and B may
+// sit in different shards: shard.Slot hashes a stack address, so one
+// goroutine's Appends from different call depths land in different
+// shards, and a cut is rarely in capture order shard by shard.
 //
 // Appends to the ring are O(1): once full, the oldest record is
 // overwritten in place and counted dropped, never shifted.
@@ -94,6 +104,7 @@ type AuditLog struct {
 
 	flushMu sync.Mutex   // serialises drains; lock order: flushMu > shard.mu > mu
 	batch   []pendingRec // Flush's scratch cut, reused under flushMu
+	keys    []flushKey   // Flush's scratch sort keys, reused under flushMu
 
 	mu      sync.Mutex
 	seq     uint64        // last assigned sequence == records ever inserted
@@ -175,20 +186,22 @@ func (l *AuditLog) Flush() {
 	if len(batch) == 0 {
 		return
 	}
-	// A single writer fills one shard in capture order; only a cut that
-	// spans shards needs sorting.
-	byOrder := func(a, b pendingRec) int { return cmp.Compare(a.order, b.order) }
-	if !slices.IsSortedFunc(batch, byOrder) {
-		slices.SortFunc(batch, byOrder)
+	// Sort compact (order, index) keys rather than the records: a
+	// pendingRec is ~170 bytes, a key 16.
+	keys := l.keys[:0]
+	for i := range batch {
+		keys = append(keys, flushKey{batch[i].order, i})
 	}
+	slices.SortFunc(keys, func(a, b flushKey) int { return cmp.Compare(a.order, b.order) })
 
 	l.mu.Lock()
-	for i := range batch {
-		l.insertLocked(batch[i].rec)
+	for _, k := range keys {
+		l.insertLocked(batch[k.idx].rec)
 	}
 	l.mu.Unlock()
 	clear(batch) // the ring holds the records now; drop the batch's references
 	l.batch = batch[:0]
+	l.keys = keys[:0]
 }
 
 // insertLocked assigns the next sequence number and places the record in
@@ -268,7 +281,8 @@ func (l *AuditLog) copyLocked() []AuditRecord {
 // could be read. It is the incremental export surface the fleet
 // agent's decision-log shipper drains: repeatedly calling Since with
 // the returned cursor observes every record exactly once, with losses
-// accounted instead of silent.
+// accounted instead of silent. It copies only the records it returns,
+// so a caller that keeps up pays for the new records, not the ring.
 func (l *AuditLog) Since(cursor uint64) (recs []AuditRecord, next uint64, missed uint64) {
 	l.Flush()
 	l.mu.Lock()
@@ -277,17 +291,19 @@ func (l *AuditLog) Since(cursor uint64) (recs []AuditRecord, next uint64, missed
 	if cursor >= l.seq {
 		return nil, next, 0
 	}
-	oldest := l.seq - uint64(l.n) + 1 // seq of the oldest retained record
-	if l.n == 0 {
-		oldest = l.seq + 1
+	oldest := l.seq - uint64(l.n) + 1 // seq of the oldest retained record (seq+1 when empty)
+	first := cursor + 1               // seq of the first record to return
+	if first < oldest {
+		missed = oldest - first
+		first = oldest
 	}
-	if cursor+1 < oldest {
-		missed = oldest - cursor - 1
-	}
-	for i := 0; i < l.n; i++ {
-		r := l.buf[(l.start+i)%len(l.buf)]
-		if r.Seq > cursor {
-			recs = append(recs, r)
+	// Retained sequence numbers are contiguous, so the records after
+	// cursor are the ring's last seq-first+1: copy exactly those.
+	if n := int(l.seq - first + 1); n > 0 {
+		recs = make([]AuditRecord, n)
+		skip := l.n - n
+		for i := range recs {
+			recs[i] = l.buf[(l.start+skip+i)%len(l.buf)]
 		}
 	}
 	return recs, next, missed

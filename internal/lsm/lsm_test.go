@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -294,5 +295,72 @@ func TestAuditLogClearCountsDropped(t *testing.T) {
 	recs, _, missed := l.Since(0)
 	if len(recs) != 1 || recs[0].Seq != 6 || missed != 5 {
 		t.Fatalf("post-clear Since(0) = %v missed=%d", recs, missed)
+	}
+}
+
+// sinceScan is the reference Since: scan every retained record and keep
+// those past cursor. Since must agree with it while copying only what
+// it returns.
+func sinceScan(l *AuditLog, cursor uint64) (recs []AuditRecord, next uint64, missed uint64) {
+	l.Flush()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	next = l.seq
+	if cursor >= l.seq {
+		return nil, next, 0
+	}
+	oldest := l.seq - uint64(l.n) + 1
+	if l.n == 0 {
+		oldest = l.seq + 1
+	}
+	if cursor+1 < oldest {
+		missed = oldest - cursor - 1
+	}
+	for i := 0; i < l.n; i++ {
+		r := l.buf[(l.start+i)%len(l.buf)]
+		if r.Seq > cursor {
+			recs = append(recs, r)
+		}
+	}
+	return recs, next, missed
+}
+
+// TestAuditLogSinceMatchesScan: for every cursor from 0 past the newest
+// sequence number, Since returns what the full-ring scan returns, in a
+// slice sized to exactly the records it holds.
+func TestAuditLogSinceMatchesScan(t *testing.T) {
+	const max = 4
+	fill := func(l *AuditLog, n int) {
+		for i := 0; i < n; i++ {
+			l.Append(AuditRecord{Module: "m", Op: fmt.Sprintf("op%d", i)})
+		}
+	}
+	cases := []struct {
+		name  string
+		setup func(l *AuditLog)
+	}{
+		{"empty ring", func(*AuditLog) {}},
+		{"partial", func(l *AuditLog) { fill(l, max-1) }},
+		{"full", func(l *AuditLog) { fill(l, max) }},
+		{"wrapped", func(l *AuditLog) { fill(l, 3*max+1) }},
+		{"cleared", func(l *AuditLog) { fill(l, max+2); l.Clear() }},
+		{"appended after clear", func(l *AuditLog) { fill(l, max+2); l.Clear(); fill(l, 2) }},
+	}
+	for _, c := range cases {
+		l := NewAuditLog(max)
+		c.setup(l)
+		// Cursors cover: before the oldest retained record, inside the
+		// window, == the newest seq, and past it.
+		for cursor := uint64(0); cursor <= l.Cursor()+1; cursor++ {
+			recs, next, missed := l.Since(cursor)
+			wantRecs, wantNext, wantMissed := sinceScan(l, cursor)
+			if !reflect.DeepEqual(recs, wantRecs) || next != wantNext || missed != wantMissed {
+				t.Fatalf("%s: Since(%d) = %v, %d, %d; want %v, %d, %d",
+					c.name, cursor, recs, next, missed, wantRecs, wantNext, wantMissed)
+			}
+			if cap(recs) != len(recs) {
+				t.Fatalf("%s: Since(%d) returned cap %d for %d records", c.name, cursor, cap(recs), len(recs))
+			}
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package lsm
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -91,33 +92,78 @@ func TestMetricsSampledCounts(t *testing.T) {
 	}
 }
 
+// appendAt calls l.Append from depth frames below its caller. Append
+// picks its shard from a stack address, so the depth moves one
+// goroutine's records between shards.
+//
+//go:noinline
+func appendAt(l *AuditLog, r AuditRecord, depth int) {
+	if depth > 0 {
+		appendAt(l, r, depth-1)
+		return
+	}
+	l.Append(r)
+}
+
 // TestAuditFlushZeroAllocs: once the ring is full and the pending
-// buffers and the flush batch have grown, a pending buffer's worth of
+// buffers and the flush scratch have grown, a pending buffer's worth of
 // Appends plus a Flush allocates nothing, and the drained buffers keep
-// no references to the records they handed over.
+// no references to the records they handed over. The Appends alternate
+// between two call depths whose records land in different shards, so
+// every cut interleaves two shards out of capture order and Flush must
+// sort it; the ring still holds the records in capture order.
 func TestAuditFlushZeroAllocs(t *testing.T) {
 	const max = 128
 	l := NewAuditLog(max)
-	rec := AuditRecord{
-		Module: "sack", Op: "inode_permission", Subject: "/usr/bin/app",
-		Object: "/srv/app/secret", Action: "DENIED",
-		Detail: "mask=read no allow rule in state normal",
+	recs := make([]AuditRecord, l.PendingCap())
+	for i := range recs {
+		recs[i] = AuditRecord{
+			Module: "sack", Op: "inode_permission", Subject: "/usr/bin/app",
+			Object: fmt.Sprintf("/srv/app/secret%d", i), Action: "DENIED",
+			Detail: "mask=read no allow rule in state normal",
+		}
 	}
 	for i := 0; i < max; i++ {
-		l.Append(rec)
+		l.Append(recs[0])
 	}
+	depth, spread := 0, 0 // spread: shards holding records at the last cut
 	cycle := func() {
-		for i := 0; i < l.PendingCap(); i++ {
-			l.Append(rec)
+		for i := range recs {
+			appendAt(l, recs[i], i%2*depth)
+		}
+		spread = 0
+		for i := range l.shards {
+			if len(l.shards[i].pending) > 0 {
+				spread++
+			}
 		}
 		l.Flush()
 	}
-	cycle()
+	// Find a second depth whose Appends land in another shard. Each probe
+	// runs the cycle from the call site the measurement uses, so the
+	// stack addresses are the measured ones.
+	for depth = 1; depth < 64; depth++ {
+		testing.AllocsPerRun(1, cycle)
+		if spread == 2 {
+			break
+		}
+	}
+	if spread != 2 {
+		t.Fatalf("no call depth below 64 moves Appends to a second shard")
+	}
 	if got := testing.AllocsPerRun(100, cycle); got != 0 {
 		t.Errorf("%d Appends + Flush allocate %.2f objects, want 0", l.PendingCap(), got)
 	}
+	if spread != 2 {
+		t.Fatalf("measured cuts drained %d shards, want 2", spread)
+	}
 	if l.Len() != max || l.Dropped() == 0 {
 		t.Fatalf("ring len=%d dropped=%d, want a full ring", l.Len(), l.Dropped())
+	}
+	for i, r := range l.Records() {
+		if want := recs[i%len(recs)].Object; r.Object != want {
+			t.Fatalf("ring[%d] = %s, want %s: records left capture order", i, r.Object, want)
+		}
 	}
 	for _, p := range l.batch[:cap(l.batch)] {
 		if p != (pendingRec{}) {

@@ -38,8 +38,11 @@ func Slots() int { return nSlots }
 // no CPU or goroutine id, so the hash key is the address of a stack
 // variable: distinct goroutines run on distinct stacks, which spreads
 // concurrent writers across cells the way a per-CPU pointer would. The
-// mapping may change when a stack grows or the goroutine migrates —
-// that only re-distributes future increments, never loses one.
+// address is that of the caller's frame, so one goroutine calling from
+// different call depths lands in different cells, and the mapping also
+// changes when its stack grows or moves. That only re-distributes
+// future increments, never loses one; but a caller must not assume one
+// goroutine's successive calls share a cell.
 func Slot() int {
 	var marker byte
 	h := uint64(uintptr(unsafe.Pointer(&marker)))

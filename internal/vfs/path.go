@@ -46,11 +46,17 @@ func canonical(path string) bool {
 	for rest, more := path[1:], true; more; {
 		var c string
 		c, rest, more = strings.Cut(rest, "/")
-		if c == "" || c == "." || c == ".." || len(c) > MaxNameLen {
+		if !canonicalName(c) {
 			return false
 		}
 	}
 	return true
+}
+
+// canonicalName reports whether c may be a component of a canonical
+// path: not empty, ".", "..", or longer than MaxNameLen.
+func canonicalName(c string) bool {
+	return c != "" && c != "." && c != ".." && len(c) <= MaxNameLen
 }
 
 // CleanPath canonicalises an absolute path (collapses duplicate slashes,

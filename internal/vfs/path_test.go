@@ -27,23 +27,25 @@ func refLookup(fs *FS, path string) (*Inode, error) {
 	return refWalk(fs, parts)
 }
 
-// refLookupDir resolves the parent of path the same way.
-func refLookupDir(fs *FS, path string) (*Inode, string, error) {
+// refLookupDir resolves the parent of path the same way and returns it
+// with the clean path and the inode the final component names, if any.
+func refLookupDir(fs *FS, path string) (*Inode, string, *Inode, error) {
 	parts, err := SplitPath(path)
 	if err != nil {
-		return nil, "", err
+		return nil, "", nil, err
 	}
 	if len(parts) == 0 {
-		return nil, "", sys.EINVAL
+		return nil, "", nil, sys.EINVAL
 	}
 	dir, err := refWalk(fs, parts[:len(parts)-1])
 	if err != nil {
-		return nil, "", err
+		return nil, "", nil, err
 	}
 	if !dir.Mode().IsDir() {
-		return nil, "", sys.ENOTDIR
+		return nil, "", nil, sys.ENOTDIR
 	}
-	return dir, parts[len(parts)-1], nil
+	node, _ := refWalk(fs, parts)
+	return dir, "/" + strings.Join(parts, "/"), node, nil
 }
 
 func refWalk(fs *FS, parts []string) (*Inode, error) {
@@ -67,7 +69,7 @@ func refWalk(fs *FS, parts []string) (*Inode, error) {
 // trailing slashes, over-long and empty components and relative
 // prefixes, Clean equals the split/join reference and is idempotent,
 // CleanPath fails exactly when SplitPath does, and Lookup and LookupDir
-// return the same inode, name and errno as SplitPath+walk.
+// return the same inodes, clean path and errno as SplitPath+walk.
 func TestPathResolutionMatchesReference(t *testing.T) {
 	long := strings.Repeat("l", MaxNameLen)
 	fs := New()
@@ -115,10 +117,10 @@ func TestPathResolutionMatchesReference(t *testing.T) {
 		if node != wantNode || err != wantErr {
 			t.Fatalf("Lookup(%q) = %v, %v; want %v, %v", p, node, err, wantNode, wantErr)
 		}
-		dir, name, err := fs.LookupDir(p)
-		wantDir, wantName, wantErr := refLookupDir(fs, p)
-		if dir != wantDir || name != wantName || err != wantErr {
-			t.Fatalf("LookupDir(%q) = %v, %q, %v; want %v, %q, %v", p, dir, name, err, wantDir, wantName, wantErr)
+		dir, clean, node, err := fs.LookupDir(p)
+		wantDir, wantClean, wantNode, wantErr := refLookupDir(fs, p)
+		if dir != wantDir || clean != wantClean || node != wantNode || err != wantErr {
+			t.Fatalf("LookupDir(%q) = %v, %q, %v, %v; want %v, %q, %v, %v", p, dir, clean, node, err, wantDir, wantClean, wantNode, wantErr)
 		}
 	}
 }

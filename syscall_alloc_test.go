@@ -2,7 +2,8 @@ package sack_test
 
 // TestSyscallAllocGuard fences the allocation count of the simulated
 // syscall path around the SACK hook (the `make bench-smoke` fence): path
-// resolution, descriptor-table updates and fd lookups allocate nothing,
+// resolution (a dentry-cache hit, or a walk for a path that does not
+// exist), descriptor-table updates and fd lookups allocate nothing,
 // so an open costs only the vfs.File it returns, and a repeated denial
 // is served from the AVC with its cached audit detail. Allocations per
 // operation are host-independent, unlike times.
@@ -123,7 +124,13 @@ func TestSyscallAllocGuard(t *testing.T) {
 		{"covered allowed open+pread+close", 1, openIOClose("/srv/app/data/file.dat", vfs.ORdonly, pread), nil},
 		{"covered allowed open+pwrite+close", 1, openIOClose("/srv/app/data/file.dat", vfs.OWronly, pwrite), nil},
 		{"uncovered open+close", 1, openIOClose("/tmp/plain.dat", vfs.ORdonly, none), nil},
-		{"stat", 0, func() { _, err := task.Stat("/srv/app/data/file.dat"); must(err) }, nil},
+		{"repeated stat, covered path", 0, func() { _, err := task.Stat("/srv/app/data/file.dat"); must(err) }, nil},
+		{"repeated stat, uncovered path", 0, func() { _, err := task.Stat("/tmp/plain.dat"); must(err) }, nil},
+		{"repeated stat, missing path", 0, func() {
+			if _, err := task.Stat("/srv/app/data/missing"); !sys.IsErrno(err, sys.ENOENT) {
+				t.Fatalf("stat of a missing path: %v, want ENOENT", err)
+			}
+		}, nil},
 		{"pread", 0, func() { must(pread(long)) }, nil},
 		{"ioctl allow", 0, func() { _, err := task.Ioctl(door, 1, 0); must(err) }, nil},
 		{"covered denied open, deny rule", 0, deniedOpen("/srv/app/data/secret.key", vfs.ORdonly), nil},
