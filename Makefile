@@ -127,9 +127,11 @@ parallel-stress:
 # Differential fuzz: random policies and access keys must draw identical
 # verdicts (and identical deciding rules) from the trie-compiled matcher
 # and the glob-walk reference oracle, at the rule-set level (including
-# the >1024-rule spill block) and through the public System API.
+# the >1024-rule spill block), through AppArmor's decision path against
+# a linear scan of its profile rules, and through the public System API.
 matcher-diff:
 	$(GO) test -race -count=1 -run 'TestMatcher.*Differential' ./internal/policy
+	$(GO) test -race -count=1 -run 'TestAppArmorMatcherDifferential' ./internal/apparmor
 	$(GO) test -race -count=1 -run 'TestMatcherSystemDifferential|TestCachedEqualsUncachedTrace' .
 
 # Policy verification suite: the symbolic explorer's unit tests and

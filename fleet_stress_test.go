@@ -358,8 +358,7 @@ func TestFleetRunLoopConverges(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	var wg sync.WaitGroup
-	systems := make([]*sack.System, n)
-	for i := range systems {
+	for i := 0; i < n; i++ {
 		transport := fleet.NewFaultyTransport(server, randomFleetPlan(rng))
 		transport.DelayUnit = time.Microsecond
 		vehicle := fmt.Sprintf("run-%02d", i)
@@ -379,7 +378,6 @@ func TestFleetRunLoopConverges(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		systems[i] = sys
 		wg.Add(1)
 		go func(a *sack.FleetAgent) {
 			defer wg.Done()
@@ -387,21 +385,20 @@ func TestFleetRunLoopConverges(t *testing.T) {
 		}(sys.Fleet)
 	}
 
+	// Wait on the server's view, not the agents': a log upload that
+	// reaches the server before a vehicle's first status report files
+	// the vehicle under group "" until that report lands.
 	waitFor := func(gen uint64) {
 		t.Helper()
 		deadline := time.Now().Add(25 * time.Second)
 		for {
-			done := 0
-			for _, sys := range systems {
-				if sys.Fleet.AppliedGeneration() == gen {
-					done++
-				}
-			}
-			if done == n {
+			st := server.Stats()
+			if len(st.Groups) == 1 && st.Groups[0].Group == "prod" &&
+				st.Groups[0].Generation == gen && st.Groups[0].Converged == n {
 				return
 			}
 			if time.Now().After(deadline) {
-				t.Fatalf("only %d/%d agents reached generation %d", done, n, gen)
+				t.Fatalf("server view never converged on generation %d: %+v", gen, st.Groups)
 			}
 			time.Sleep(time.Millisecond)
 		}

@@ -1,13 +1,13 @@
 package apparmor
 
 import (
-	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/avc"
 	"repro/internal/lsm"
+	"repro/internal/policy"
 	"repro/internal/sys"
 	"repro/internal/vfs"
 )
@@ -21,19 +21,22 @@ const Unconfined = "unconfined"
 // AppArmor is the security module. The profile table is an immutable
 // snapshot swapped atomically on load/replace, so permission checks are
 // lock-free — the property that keeps Table III flat and lets the SACK
-// enhanced mode rewrite profiles without stalling the fast path. An
-// access vector cache fronts profile evaluation: every profile-table
-// swap bumps the cache epoch (after the swap), so SACK-enhanced
-// transitions revoke cached decisions exactly like native SACK ones.
-// It implements the lsm capability interfaces for exec labelling and
-// inode/file mediation only.
+// enhanced mode rewrite profiles without stalling the fast path. Each
+// profile is compiled into the policy engine's matcher when it is
+// loaded. An access vector cache fronts the matcher under the same
+// protocol core uses: every table swap takes a fresh AVC generation
+// and publishes it inside the table, so SACK-enhanced transitions
+// revoke cached decisions exactly like native SACK ones. It implements
+// the lsm capability interfaces for exec labelling and inode/file
+// mediation only.
 type AppArmor struct {
 	audit *lsm.AuditLog
 
 	mu       sync.Mutex // serialises writers (load/replace/remove)
 	profiles atomic.Pointer[profileSet]
 
-	// cache memoises clean allow decisions per (label, path, mask).
+	// cache memoises decisions per (label, path, mask), a denial with
+	// its audit detail.
 	cache *avc.Cache
 
 	allowed atomic.Uint64
@@ -44,37 +47,33 @@ type AppArmor struct {
 // be nil to disable audit records.
 func New(audit *lsm.AuditLog) *AppArmor {
 	a := &AppArmor{audit: audit, cache: avc.New(0)}
-	a.profiles.Store(newProfileSet(map[string]*Profile{}))
+	a.profiles.Store(newProfileSet(map[string]loaded{}, a.cache.Advance()))
 	return a
 }
 
 // Name implements lsm.Module.
 func (a *AppArmor) Name() string { return ModuleName }
 
+// publish swaps in a new profile table under a fresh AVC generation:
+// a reader that loads the table probes the cache under that table's
+// token, and a reader still on the old table cannot pollute the new
+// generation. Caller holds a.mu.
+func (a *AppArmor) publish(next map[string]loaded) {
+	a.profiles.Store(newProfileSet(next, a.cache.Advance()))
+}
+
 // LoadProfile adds or replaces a single profile (apparmor_parser -r).
 func (a *AppArmor) LoadProfile(p *Profile) error {
-	if p == nil || p.Name == "" {
-		return sys.EINVAL
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	cur := a.profiles.Load()
-	next := make(map[string]*Profile, len(cur.byName)+1)
-	for k, v := range cur.byName {
-		next[k] = v
-	}
-	next[p.Name] = p
-	a.profiles.Store(newProfileSet(next))
-	a.cache.Invalidate()
-	return nil
+	return a.LoadProfiles([]*Profile{p})
 }
 
 // LoadProfiles adds or replaces several profiles in one snapshot swap.
+// Only the given profiles are compiled; the others keep their entries.
 func (a *AppArmor) LoadProfiles(ps []*Profile) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	cur := a.profiles.Load()
-	next := make(map[string]*Profile, len(cur.byName)+len(ps))
+	next := make(map[string]loaded, len(cur.byName)+len(ps))
 	for k, v := range cur.byName {
 		next[k] = v
 	}
@@ -82,10 +81,9 @@ func (a *AppArmor) LoadProfiles(ps []*Profile) error {
 		if p == nil || p.Name == "" {
 			return sys.EINVAL
 		}
-		next[p.Name] = p
+		next[p.Name] = compile(p)
 	}
-	a.profiles.Store(newProfileSet(next))
-	a.cache.Invalidate()
+	a.publish(next)
 	return nil
 }
 
@@ -97,20 +95,19 @@ func (a *AppArmor) RemoveProfile(name string) error {
 	if _, ok := cur.byName[name]; !ok {
 		return sys.ENOENT
 	}
-	next := make(map[string]*Profile, len(cur.byName))
+	next := make(map[string]loaded, len(cur.byName))
 	for k, v := range cur.byName {
 		if k != name {
 			next[k] = v
 		}
 	}
-	a.profiles.Store(newProfileSet(next))
-	a.cache.Invalidate()
+	a.publish(next)
 	return nil
 }
 
 // Profile returns the named profile, or nil.
 func (a *AppArmor) Profile(name string) *Profile {
-	return a.profiles.Load().byName[name]
+	return a.profiles.Load().byName[name].profile
 }
 
 // ProfileNames lists loaded profiles in sorted order.
@@ -194,51 +191,66 @@ func (a *AppArmor) MmapFile(cred *sys.Cred, f *vfs.File, prot sys.Access) error 
 	return a.check(cred, "mmap_file", f.Path, sys.MayMmap)
 }
 
-// check is the decision fast path shared by all hooks. The AVC is
-// consulted before the profile table; the token is obtained before the
-// table snapshot is loaded, so a cached decision can never outlive the
-// profile swap that revoked it. Only clean allows are cached — denials
-// and complain-mode passes always run the full path, which formats and
-// appends their audit records.
+// check is the decision fast path shared by all hooks. One table load
+// supplies the profiles and the AVC token together, so a cached
+// decision can never outlive the swap that revoked it. On a miss the
+// profile's matcher decides and the result is cached, a denial with its
+// audit detail, so a repeated denial skips the matcher and the
+// formatting but still counts and audits as its own event.
 func (a *AppArmor) check(cred *sys.Cred, op, path string, mask sys.Access) error {
 	label, _ := cred.Blob(ModuleName).(string)
 	if label == "" || label == Unconfined {
 		return nil
 	}
-	cachedAllow, ok, tok := a.cache.Lookup(label, path, mask)
-	if ok && cachedAllow {
+	ps := a.profiles.Load()
+	allowed, detail, hit := a.cache.LookupAt(ps.token, label, path, mask)
+	if hit && allowed {
 		a.allowed.Add(1)
 		return nil
 	}
-	ps := a.profiles.Load()
-	p, ok := ps.byName[label]
+	e, ok := ps.byName[label]
 	if !ok {
 		return nil // stale label after profile removal: treat as unconfined
 	}
-	allowed, matched := p.Evaluate(path, mask)
-	if allowed {
-		a.cache.Insert(tok, label, path, mask, true)
-		a.allowed.Add(1)
-		return nil
+	if !hit {
+		var matched *policy.CompiledRule
+		allowed, matched = e.rules.Matcher().Decide(label, path, mask)
+		if !allowed && a.audit != nil {
+			detail = denialDetail(mask, matched, e.profile.Mode)
+		}
+		a.cache.Insert(ps.token, label, path, mask, allowed, detail)
+		if allowed {
+			a.allowed.Add(1)
+			return nil
+		}
 	}
 	a.denied.Add(1)
+	complain := e.profile.Mode == Complain
 	if a.audit != nil {
-		detail := "no matching allow rule"
-		if matched != nil {
-			detail = "deny rule " + matched.String()
-		}
 		action := "DENIED"
-		if p.Mode == Complain {
+		if complain {
 			action = "ALLOWED"
-			detail += " (complain mode)"
 		}
 		a.audit.Append(lsm.AuditRecord{
 			Module: ModuleName, Op: op, Subject: label, Object: path,
-			Action: action, Detail: fmt.Sprintf("mask=%s %s", mask, detail),
+			Action: action, Detail: detail,
 		})
 	}
-	if p.Mode == Complain {
+	if complain {
 		return nil
 	}
 	return sys.EACCES
+}
+
+// denialDetail builds a denial's audit detail: the deciding deny rule,
+// or the absence of an allow rule, noting complain mode.
+func denialDetail(mask sys.Access, matched *policy.CompiledRule, mode ProfileMode) string {
+	detail := "mask=" + mask.String() + " no matching allow rule"
+	if matched != nil {
+		detail = "mask=" + mask.String() + " deny rule " + ruleString(matched)
+	}
+	if mode == Complain {
+		detail += " (complain mode)"
+	}
+	return detail
 }

@@ -107,9 +107,15 @@ profile t /bin/t {
 		{"/dev/window0", sys.MayIoctl, false},          // unmatched
 		{"/data/a", sys.MayRead | sys.MayIoctl, false}, // partial grant insufficient
 	}
+	a := New(nil)
+	if err := a.LoadProfile(p); err != nil {
+		t.Fatal(err)
+	}
+	cred := sys.NewCred(1000, 1000)
+	SetLabel(cred, "t")
 	for _, c := range cases {
-		if got, _ := p.Evaluate(c.path, c.mask); got != c.want {
-			t.Errorf("Evaluate(%q, %s) = %v, want %v", c.path, c.mask, got, c.want)
+		if got := a.InodePermission(cred, c.path, nil, c.mask) == nil; got != c.want {
+			t.Errorf("check(%q, %s) allowed = %v, want %v", c.path, c.mask, got, c.want)
 		}
 	}
 }

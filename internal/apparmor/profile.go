@@ -5,7 +5,9 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/avc"
 	"repro/internal/glob"
+	"repro/internal/policy"
 	"repro/internal/sys"
 )
 
@@ -26,39 +28,24 @@ func (m ProfileMode) String() string {
 	return "enforce"
 }
 
-// Rule is one file rule in a profile: a path pattern, the access bits it
-// grants (or forbids when Deny is set), and the raw permission string for
-// round-tripping.
-type Rule struct {
-	Pattern *glob.Glob
-	Access  sys.Access
-	Deny    bool
-	Perms   string // original permission letters ("rwi")
-}
-
-// String renders the rule in profile syntax.
-func (r Rule) String() string {
-	prefix := ""
-	if r.Deny {
-		prefix = "deny "
-	}
-	return fmt.Sprintf("%s%s %s,", prefix, r.Pattern, r.Perms)
-}
-
 // Profile is a confinement domain: a name, an attachment pattern matched
-// against exec paths, and the rule list.
+// against exec paths, and the rule list. Rules are the policy engine's
+// CompiledRule with no Subject (the profile is the subject) and the
+// permission letters as written in Perm ("rwi"), so the profile
+// round-trips and audit text names rules as the source did. Loading a
+// profile compiles its rules; a loaded profile must not be mutated.
 type Profile struct {
 	Name       string
 	Attachment *glob.Glob // matches executable paths; nil means attach by Name
 	Mode       ProfileMode
-	Rules      []Rule
+	Rules      []policy.CompiledRule
 }
 
 // Clone deep-copies the profile so callers can mutate rule sets safely.
 // Compiled globs are immutable and shared.
 func (p *Profile) Clone() *Profile {
 	c := &Profile{Name: p.Name, Attachment: p.Attachment, Mode: p.Mode}
-	c.Rules = make([]Rule, len(p.Rules))
+	c.Rules = make([]policy.CompiledRule, len(p.Rules))
 	copy(c.Rules, p.Rules)
 	return c
 }
@@ -69,35 +56,6 @@ func (p *Profile) AttachesTo(execPath string) bool {
 		return p.Attachment.Match(execPath)
 	}
 	return p.Name == execPath
-}
-
-// Evaluate computes the decision for a path access. Matching follows
-// AppArmor semantics: deny rules always win; otherwise every requested
-// bit must be granted by some allow rule. ok reports the decision and
-// matched is the rule that decided it (nil when no rule matched).
-func (p *Profile) Evaluate(path string, mask sys.Access) (ok bool, matched *Rule) {
-	var granted sys.Access
-	var lastAllow *Rule
-	for i := range p.Rules {
-		r := &p.Rules[i]
-		if !r.Pattern.Match(path) {
-			continue
-		}
-		if r.Deny {
-			if mask&r.Access != 0 {
-				return false, r
-			}
-			continue
-		}
-		if r.Access&mask != 0 {
-			granted |= r.Access
-			lastAllow = r
-		}
-	}
-	if granted.Has(mask) {
-		return true, lastAllow
-	}
-	return false, nil
 }
 
 // AddRule appends a rule built from a pattern string and permission
@@ -111,8 +69,17 @@ func (p *Profile) AddRule(pattern, perms string, deny bool) error {
 	if err != nil {
 		return err
 	}
-	p.Rules = append(p.Rules, Rule{Pattern: g, Access: access, Deny: deny, Perms: perms})
+	p.Rules = append(p.Rules, policy.CompiledRule{Pattern: g, Access: access, Deny: deny, Perm: perms})
 	return nil
+}
+
+// ruleString renders a profile rule in profile syntax.
+func ruleString(r *policy.CompiledRule) string {
+	s := r.Pattern.String() + " " + r.Perm + ","
+	if r.Deny {
+		return "deny " + s
+	}
+	return s
 }
 
 // String renders the whole profile in loadable syntax.
@@ -127,8 +94,8 @@ func (p *Profile) String() string {
 		flags = " flags=(complain)"
 	}
 	fmt.Fprintf(&b, "profile %s%s%s {\n", p.Name, attach, flags)
-	for _, r := range p.Rules {
-		fmt.Fprintf(&b, "  %s\n", r.String())
+	for i := range p.Rules {
+		fmt.Fprintf(&b, "  %s\n", ruleString(&p.Rules[i]))
 	}
 	b.WriteString("}\n")
 	return b.String()
@@ -179,23 +146,38 @@ func FormatPerms(mask sys.Access) string {
 	return b.String()
 }
 
+// loaded is one entry of the profile table: the profile as loaded and
+// its rules compiled into the policy engine, whose Matcher decides.
+type loaded struct {
+	profile *Profile
+	rules   *policy.RuleSet
+}
+
+// compile builds a profile's table entry; it runs once per load.
+func compile(p *Profile) loaded {
+	return loaded{profile: p, rules: policy.NewRuleSet(p.Name, p.Rules)}
+}
+
 // profileSet is the immutable snapshot the hook fast path reads.
 type profileSet struct {
-	byName map[string]*Profile
+	byName map[string]loaded
 	// ordered holds profiles in deterministic order for attachment
 	// scanning and introspection output.
 	ordered []*Profile
+	// token is the AVC generation this table was published under,
+	// taken by the writer that swapped it in.
+	token avc.Token
 }
 
-func newProfileSet(profiles map[string]*Profile) *profileSet {
-	ps := &profileSet{byName: profiles}
+func newProfileSet(profiles map[string]loaded, token avc.Token) *profileSet {
+	ps := &profileSet{byName: profiles, token: token}
 	names := make([]string, 0, len(profiles))
 	for n := range profiles {
 		names = append(names, n)
 	}
 	sort.Strings(names)
 	for _, n := range names {
-		ps.ordered = append(ps.ordered, profiles[n])
+		ps.ordered = append(ps.ordered, profiles[n].profile)
 	}
 	return ps
 }

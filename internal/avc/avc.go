@@ -16,21 +16,17 @@
 //   - every state transition and policy reload advances the epoch as
 //     part of publishing the new policy state.
 //
-// Two probe protocols are supported:
-//
-//   - Lookup loads the current epoch itself and returns it as the token
-//     for a later Insert; callers must read the policy state they
-//     evaluate against only *after* calling Lookup (the PR 1 protocol).
-//   - LookupAt takes the token from the caller. The enforcement fast
-//     path uses this with the epoch carried *inside* the immutable
-//     decision snapshot (see core's snapshot type): the writer obtains
-//     a fresh epoch with Advance and stores it in the snapshot it
-//     publishes, so a reader's rule set and epoch always come from one
-//     atomic load and can never be mismatched. A reader still holding
-//     the previous snapshot keeps hitting entries stamped with that
-//     snapshot's epoch — decisions consistent with the rule set it is
-//     actually using — and its late Inserts are dropped because the
-//     global epoch has moved on. See DESIGN.md §9.
+// The enforcement protocol is Advance plus LookupAt: the writer obtains
+// a fresh epoch with Advance and stores it in the immutable decision
+// snapshot it publishes (core's snapshot, AppArmor's profile table), so
+// a reader's policy state and epoch always come from one atomic load
+// and can never be mismatched. A reader still holding the previous
+// snapshot keeps hitting entries stamped with that snapshot's epoch —
+// decisions consistent with the policy state it is actually using — and
+// its late Inserts are dropped because the global epoch has moved on.
+// See DESIGN.md §9. Lookup, which loads the current epoch itself and
+// returns it as the token for a later Insert, serves callers that hold
+// no snapshot, such as the benchmark harness's layer probes.
 //
 // Entries stamped with a stale token are dead weight until overwritten;
 // they are never served.
@@ -60,10 +56,11 @@ import (
 // DefaultSize is the slot count used when New is given n <= 0.
 const DefaultSize = 4096
 
-// Token is the epoch observed at Lookup time. It must be obtained
-// *before* reading the policy state a decision derives from, and handed
-// back to Insert, so an entry can never be stamped with an epoch newer
-// than its inputs.
+// Token is a cache generation: the epoch Advance returned to the writer
+// that published a policy state, or the one Lookup observed. It must be
+// obtained no later than the policy state a decision derives from, and
+// handed back to Insert, so an entry can never be stamped with an epoch
+// newer than its inputs.
 type Token uint64
 
 // entry is one immutable cached decision. Entries are only ever swapped
@@ -218,12 +215,6 @@ func (c *Cache) Insert(tok Token, subject, path string, mask sys.Access, allowed
 	c.slots[c.index(subject, path, mask)].Store(e)
 	c.inserts.Add(1)
 }
-
-// Invalidate bumps the epoch, atomically orphaning every cached entry.
-// Callers must install the new policy state (rule-set pointer, profile
-// table, ...) *before* calling Invalidate — that ordering is what makes
-// a stale hit impossible.
-func (c *Cache) Invalidate() { c.Advance() }
 
 // Advance bumps the epoch and returns the new value. Writers publishing
 // a decision snapshot call Advance first and embed the returned token in

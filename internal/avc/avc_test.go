@@ -50,9 +50,9 @@ func TestInvalidateOrphansEntries(t *testing.T) {
 	if c.Live() != 1 {
 		t.Fatalf("live = %d, want 1", c.Live())
 	}
-	c.Invalidate()
+	c.Advance()
 	if _, ok, _ := c.Lookup("s", "/p", sys.MayRead); ok {
-		t.Fatal("stale entry served after Invalidate")
+		t.Fatal("stale entry served after Advance")
 	}
 	if c.Live() != 0 {
 		t.Fatalf("live after invalidate = %d, want 0", c.Live())
@@ -66,7 +66,7 @@ func TestInvalidateOrphansEntries(t *testing.T) {
 func TestStaleTokenInsertDropped(t *testing.T) {
 	c := New(64)
 	_, _, tok := c.Lookup("s", "/p", sys.MayRead)
-	c.Invalidate() // epoch moves between lookup and insert
+	c.Advance() // epoch moves between lookup and insert
 	c.Insert(tok, "s", "/p", sys.MayRead, true)
 	if c.Stats().Inserts != 0 {
 		t.Fatal("insert with stale token was not dropped")
@@ -171,7 +171,7 @@ func TestConcurrentLookupInsertInvalidate(t *testing.T) {
 		}(g)
 	}
 	for i := 0; i < 200; i++ {
-		c.Invalidate()
+		c.Advance()
 	}
 	close(stop)
 	wg.Wait()

@@ -61,9 +61,10 @@ func (s *SACK) ManagedProfiles() []string {
 // policy and state and swaps them into AppArmor in a single snapshot.
 // The compiled policy is a parameter (not read from s.snap) because
 // publish regenerates profiles *before* storing the snapshot that
-// carries the new policy. Deny rules from the policy are appended after
-// the granted rules; AppArmor's deny-wins evaluation preserves their
-// meaning.
+// carries the new policy. The state's rules are appended as they are,
+// with the subject cleared (the profile is the subject) and canonical
+// permission letters for audit text; AppArmor's deny-wins evaluation
+// preserves the meaning of deny rules.
 func (s *SACK) regenerateProfiles(c *policy.Compiled, st ssm.State) {
 	if s.aa == nil {
 		return
@@ -89,12 +90,9 @@ func (s *SACK) regenerateProfiles(c *policy.Compiled, st ssm.State) {
 				if !ruleAppliesToProfile(&r, base) {
 					continue
 				}
-				p.Rules = append(p.Rules, apparmor.Rule{
-					Pattern: r.Pattern,
-					Access:  r.Access,
-					Deny:    r.Deny,
-					Perms:   apparmor.FormatPerms(r.Access),
-				})
+				r.Subject = nil
+				r.Perm = apparmor.FormatPerms(r.Access)
+				p.Rules = append(p.Rules, r)
 			}
 		}
 		generated = append(generated, p)

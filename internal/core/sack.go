@@ -70,9 +70,6 @@ type Config struct {
 	// benchmarks); every check then runs the full Decide path.
 	DisableAVC bool
 
-	// AVCSize overrides the cache slot count (0 = avc.DefaultSize).
-	AVCSize int
-
 	// Failsafe overrides the policy's declared failsafe state for the
 	// event-pipeline watchdog ("" = use the policy's declaration).
 	Failsafe string
@@ -183,7 +180,7 @@ func New(cfg Config) (*SACK, error) {
 		denials:   shard.NewCounter(),
 	}
 	if !cfg.DisableAVC {
-		s.cache = avc.New(cfg.AVCSize)
+		s.cache = avc.New(0)
 	}
 	window := cfg.HeartbeatWindow
 	if window == 0 {

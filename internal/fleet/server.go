@@ -92,14 +92,14 @@ type Server struct {
 	batchesAccepted uint64
 	batchesRejected uint64
 	// logFree is closed and replaced each time a drain frees buffer
-	// space; full-buffer uploads park on it (up to logGrace) instead of
-	// failing instantly. With admission this cheap, an instant reject
+	// space; full-buffer uploads park on it (up to
+	// DefaultAdmissionGrace) instead of failing instantly. With
+	// admission this cheap, an instant reject
 	// turns every agent's retry loop into a timer storm the moment the
 	// buffer fills — parking on the drain edge admits in drain order at
 	// drain speed, and ErrBackpressure is reserved for a consumer that
 	// is genuinely not keeping up.
-	logFree  chan struct{}
-	logGrace time.Duration
+	logFree chan struct{}
 
 	// bundle signer (nil = unsigned bundles, the legacy wire format):
 	// every published or rolled-out bundle carries a detached signature
@@ -228,17 +228,6 @@ func WithLogCapacity(n int) ServerOption {
 	}
 }
 
-// WithAdmissionGrace bounds how long a full-buffer upload parks
-// waiting for a drain to free space before it fails with
-// ErrBackpressure. 0 restores instant rejection.
-func WithAdmissionGrace(d time.Duration) ServerOption {
-	return func(s *Server) {
-		if d >= 0 {
-			s.logGrace = d
-		}
-	}
-}
-
 // WithGroupBulkhead sizes the per-vehicle-group ingestion bulkheads:
 // admissions concurrent uploads and queue waiting callers per group.
 // Non-positive admissions keeps the default; a negative queue disables
@@ -288,8 +277,7 @@ func NewServer(opts ...ServerOption) *Server {
 		gates: resilience.NewKeyedBulkheads(resilience.BulkheadConfig{
 			Capacity: DefaultGroupAdmissions, Queue: DefaultGroupQueue,
 		}),
-		logFree:  make(chan struct{}),
-		logGrace: DefaultAdmissionGrace,
+		logFree: make(chan struct{}),
 	}
 	for _, o := range opts {
 		o(s)
@@ -691,11 +679,7 @@ func (s *Server) ingest(vehicle string, recs []LogRecord) (int, error) {
 		// Full: park on the next drain edge, up to the admission grace,
 		// instead of bouncing the agent into a retry loop.
 		if deadline.IsZero() {
-			if s.logGrace <= 0 {
-				deadline = time.Now()
-			} else {
-				deadline = time.Now().Add(s.logGrace)
-			}
+			deadline = time.Now().Add(DefaultAdmissionGrace)
 		}
 		free := s.logFree
 		s.logMu.Unlock()

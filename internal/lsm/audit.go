@@ -32,18 +32,11 @@ func (r AuditRecord) String() string {
 		r.When.Format(time.RFC3339Nano))
 }
 
-// Pending-buffer capacity bounds. DefaultPendingCap bounds one per-slot
-// pending buffer: a hook that fills its shard triggers an inline flush —
-// emission is asynchronous on the happy path but can never lose a
-// record, so `uploaded + dropped == emitted` stays exact for the fleet
-// agent and chaos suites. SetPendingCap tunes it within
-// [MinPendingCap, MaxPendingCap]: smaller caps bound staleness and
-// per-shard memory, larger caps amortise flushes for bursty hooks.
-const (
-	DefaultPendingCap = 64
-	MinPendingCap     = 1
-	MaxPendingCap     = 1 << 16
-)
+// DefaultPendingCap bounds one per-slot pending buffer: a hook that
+// fills its shard triggers an inline flush — emission is asynchronous
+// on the happy path but can never lose a record, so `uploaded + dropped
+// == emitted` stays exact for the fleet agent and chaos suites.
+const DefaultPendingCap = 64
 
 // pendingRec is a captured-but-not-yet-inserted record. The order token
 // is a global atomic counter stamped at capture time; the flusher sorts
@@ -83,8 +76,8 @@ type auditShard struct {
 //
 // Every read API flushes first, so single-threaded callers observe the
 // synchronous semantics the rest of the test suite was written against.
-// A background drain is available via StartFlusher; a shard that fills
-// up flushes inline, so records are delayed but never lost.
+// A shard that fills up flushes inline, so records are delayed but
+// never lost.
 //
 // Flush takes an atomic cut: it locks all shards before reading any.
 // If record B (appended after A by the same goroutine) is in the cut,
@@ -98,9 +91,8 @@ type auditShard struct {
 // Appends to the ring are O(1): once full, the oldest record is
 // overwritten in place and counted dropped, never shifted.
 type AuditLog struct {
-	capture    atomic.Uint64 // capture-order tokens, stamped at Append
-	pendingCap atomic.Int64  // per-shard pending-buffer bound (inline-flush trigger)
-	shards     []auditShard
+	capture atomic.Uint64 // capture-order tokens, stamped at Append
+	shards  []auditShard
 
 	flushMu sync.Mutex   // serialises drains; lock order: flushMu > shard.mu > mu
 	batch   []pendingRec // Flush's scratch cut, reused under flushMu
@@ -121,26 +113,8 @@ func NewAuditLog(max int) *AuditLog {
 	if max <= 0 {
 		max = 4096
 	}
-	l := &AuditLog{max: max, shards: make([]auditShard, shard.Slots())}
-	l.pendingCap.Store(DefaultPendingCap)
-	return l
+	return &AuditLog{max: max, shards: make([]auditShard, shard.Slots())}
 }
-
-// SetPendingCap bounds each per-slot pending buffer at n records: an
-// Append that reaches the bound flushes inline. n outside
-// [MinPendingCap, MaxPendingCap] is rejected, leaving the current cap
-// in place. Safe to call concurrently with Appends; the new bound
-// applies from the next Append.
-func (l *AuditLog) SetPendingCap(n int) error {
-	if n < MinPendingCap || n > MaxPendingCap {
-		return fmt.Errorf("lsm: pending cap %d out of range [%d, %d]", n, MinPendingCap, MaxPendingCap)
-	}
-	l.pendingCap.Store(int64(n))
-	return nil
-}
-
-// PendingCap reports the per-slot pending-buffer bound.
-func (l *AuditLog) PendingCap() int { return int(l.pendingCap.Load()) }
 
 // Append captures an event into the calling slot's pending buffer. The
 // record's Seq is NOT assigned here — sequence numbers are minted at
@@ -155,7 +129,7 @@ func (l *AuditLog) Append(r AuditRecord) {
 	s := &l.shards[shard.Slot()]
 	s.mu.Lock()
 	s.pending = append(s.pending, p)
-	full := len(s.pending) >= int(l.pendingCap.Load())
+	full := len(s.pending) >= DefaultPendingCap
 	s.mu.Unlock()
 	if full {
 		l.Flush()
@@ -222,41 +196,6 @@ func (l *AuditLog) insertLocked(r AuditRecord) {
 	l.buf[l.start] = r
 	l.start = (l.start + 1) % l.max
 	l.dropped++
-}
-
-// StartFlusher launches a background goroutine draining the pending
-// buffers every interval (0 means 5ms). The returned stop function
-// halts the goroutine and performs a final drain. Optional: reads flush
-// on demand and full shards flush inline, so the flusher only bounds
-// staleness, never correctness.
-func (l *AuditLog) StartFlusher(interval time.Duration) (stop func()) {
-	if interval <= 0 {
-		interval = 5 * time.Millisecond
-	}
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-t.C:
-				l.Flush()
-			}
-		}
-	}()
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			close(done)
-			wg.Wait()
-			l.Flush()
-		})
-	}
 }
 
 // Records returns a copy of the retained records, oldest first.

@@ -159,26 +159,36 @@ func TestShardOverflowFlushesInline(t *testing.T) {
 	}
 }
 
-// TestStartFlusherDrains: a background flusher must move captured
-// records into the ring without any read API being called.
-func TestStartFlusherDrains(t *testing.T) {
-	l := NewAuditLog(1000)
-	stop := l.StartFlusher(time.Millisecond)
-	defer stop()
-	for i := 0; i < 10; i++ {
-		l.Append(AuditRecord{Detail: "y"})
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		l.mu.Lock()
-		n := l.n
-		l.mu.Unlock()
-		if n == 10 {
-			return
+// TestPendingCapTriggersInlineFlush: the Append that fills a shard to
+// DefaultPendingCap flushes it at once, so no shard ever holds a full
+// buffer and records reach the ring without any read: after more
+// Appends than every shard can hold one short of the cap, some record
+// must be in the ring.
+func TestPendingCapTriggersInlineFlush(t *testing.T) {
+	l := NewAuditLog(100000)
+	n := len(l.shards)*(DefaultPendingCap-1) + 1
+	for i := 1; i <= n; i++ {
+		l.Append(AuditRecord{Detail: "z"})
+		pending := 0
+		for j := range l.shards {
+			s := &l.shards[j]
+			s.mu.Lock()
+			if len(s.pending) >= DefaultPendingCap {
+				t.Fatalf("append %d: shard %d holds %d records, cap %d", i, j, len(s.pending), DefaultPendingCap)
+			}
+			pending += len(s.pending)
+			s.mu.Unlock()
 		}
-		time.Sleep(time.Millisecond)
+		l.mu.Lock() // bypass flush-on-read: count what reached the ring unprompted
+		inRing := l.n
+		l.mu.Unlock()
+		if inRing+pending != i {
+			t.Fatalf("append %d: %d in ring + %d pending", i, inRing, pending)
+		}
+		if i == n && inRing == 0 {
+			t.Fatalf("no record reached the ring after %d appends", n)
+		}
 	}
-	t.Fatal("flusher never drained the pending buffers")
 }
 
 // TestClearDropsPending: Clear must account pending records in the

@@ -115,7 +115,7 @@ func appendAt(l *AuditLog, r AuditRecord, depth int) {
 func TestAuditFlushZeroAllocs(t *testing.T) {
 	const max = 128
 	l := NewAuditLog(max)
-	recs := make([]AuditRecord, l.PendingCap())
+	recs := make([]AuditRecord, DefaultPendingCap)
 	for i := range recs {
 		recs[i] = AuditRecord{
 			Module: "sack", Op: "inode_permission", Subject: "/usr/bin/app",
@@ -152,7 +152,7 @@ func TestAuditFlushZeroAllocs(t *testing.T) {
 		t.Fatalf("no call depth below 64 moves Appends to a second shard")
 	}
 	if got := testing.AllocsPerRun(100, cycle); got != 0 {
-		t.Errorf("%d Appends + Flush allocate %.2f objects, want 0", l.PendingCap(), got)
+		t.Errorf("%d Appends + Flush allocate %.2f objects, want 0", DefaultPendingCap, got)
 	}
 	if spread != 2 {
 		t.Fatalf("measured cuts drained %d shards, want 2", spread)

@@ -28,14 +28,12 @@
 //	sys, err := sack.New(myPolicy,
 //	    sack.WithMode(sack.EnhancedAppArmor),
 //	    sack.WithAppArmorProfiles(myProfiles),
-//	    sack.WithVehicle(2, 2),
 //	)
 package sack
 
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/apparmor"
@@ -331,25 +329,20 @@ func ParseProfiles(text string) ([]*Profile, error) {
 // options is the boot configuration New assembles from its Option
 // arguments; each field is documented on the option that sets it.
 type options struct {
-	mode               core.Mode
-	appArmorProfiles   string
-	doors, windows     int
-	disableVehicle     bool
-	disableAudit       bool
-	disableAVC         bool
-	avcSize            int
-	auditFlushInterval time.Duration
-	failsafe           string
-	heartbeatWindow    time.Duration
-	heartbeatSecret    []byte
-	faultPlan          *faults.Plan
-	fleetCfg           *fleet.AgentConfig
-	fleetOpts          []fleet.AgentOption
-	auditPendingCap    int
+	mode             core.Mode
+	appArmorProfiles string
+	disableVehicle   bool
+	disableAVC       bool
+	failsafe         string
+	heartbeatWindow  time.Duration
+	heartbeatSecret  []byte
+	faultPlan        *faults.Plan
+	fleetCfg         *fleet.AgentConfig
+	fleetOpts        []fleet.AgentOption
 }
 
 // Option configures New. Options apply in order over the defaults
-// (Independent mode, a 4-door 4-window vehicle, audit and AVC enabled).
+// (Independent mode, a 4-door 4-window vehicle, the AVC enabled).
 type Option func(*options)
 
 // WithMode selects the deployment prototype (Independent or
@@ -365,50 +358,15 @@ func WithAppArmorProfiles(text string) Option {
 	return func(o *options) { o.appArmorProfiles = text }
 }
 
-// WithVehicle sizes the simulated vehicle. Non-positive counts keep the
-// defaults (4 doors, 4 windows).
-func WithVehicle(doors, windows int) Option {
-	return func(o *options) {
-		o.disableVehicle = false
-		o.doors, o.windows = doors, windows
-	}
-}
-
 // WithoutVehicle skips creating the vehicle and its device nodes.
 func WithoutVehicle() Option {
 	return func(o *options) { o.disableVehicle = true }
-}
-
-// WithoutAudit turns off audit recording (benchmark configurations).
-func WithoutAudit() Option {
-	return func(o *options) { o.disableAudit = true }
 }
 
 // WithoutAVC disables SACK's access vector cache, forcing every covered
 // check through full rule evaluation (cache ablation runs).
 func WithoutAVC() Option {
 	return func(o *options) { o.disableAVC = true }
-}
-
-// WithAVCSize overrides the access vector cache slot count (rounded up
-// to a power of two; n <= 0 selects the default).
-func WithAVCSize(n int) Option {
-	return func(o *options) { o.avcSize = n }
-}
-
-// WithAuditFlusher starts a background goroutine draining captured audit
-// records into the ring every interval, bounding how stale reads of the
-// ring can be without putting a flush on any hook path. Captures remain
-// lossless regardless — reads flush on demand and full shards flush
-// inline. Stop the goroutine with System.Close. A non-positive interval
-// selects the flusher's default period (5ms).
-func WithAuditFlusher(interval time.Duration) Option {
-	return func(o *options) {
-		if interval <= 0 {
-			interval = 5 * time.Millisecond
-		}
-		o.auditFlushInterval = interval
-	}
 }
 
 // WithFailsafe names the state the SSM pins to when the pipeline
@@ -466,15 +424,6 @@ func WithFleet(cfg FleetAgentConfig, agentOpts ...FleetAgentOption) Option {
 	return func(o *options) { o.fleetCfg = &cfg; o.fleetOpts = agentOpts }
 }
 
-// WithAuditPendingCap bounds each per-slot pending audit buffer at n
-// records (the inline-flush trigger, default 64): smaller caps bound
-// staleness and per-shard memory, larger caps amortise flushes for
-// bursty hook activity. n outside [lsm.MinPendingCap,
-// lsm.MaxPendingCap] fails the boot.
-func WithAuditPendingCap(n int) Option {
-	return func(o *options) { o.auditPendingCap = n }
-}
-
 // ParseFaultSpec parses a compact fault-plan spec (comma-separated
 // `kind:target[:key=val...]` rules, e.g. "stall:transmitter:after=10")
 // with the given deterministic seed.
@@ -503,22 +452,6 @@ type System struct {
 
 	sink     kernelSink // pre-built Events() adapter (no per-call alloc)
 	hbSecret []byte     // shared heartbeat secret, forwarded to NewSDS
-
-	closeOnce sync.Once
-	stopFlush func() // halts the audit flusher; nil when not started
-}
-
-// Close releases background resources the system owns — today the audit
-// flusher started by WithAuditFlusher (stopping it performs a final
-// drain). Systems booted without such options need no Close; calling it
-// is always safe and idempotent.
-func (s *System) Close() error {
-	s.closeOnce.Do(func() {
-		if s.stopFlush != nil {
-			s.stopFlush()
-		}
-	})
-	return nil
 }
 
 // kernelSink adapts the SACK module's direct delivery path to EventSink.
@@ -547,19 +480,9 @@ func New(policyText string, opts ...Option) (*System, error) {
 	}
 
 	k := kernel.New()
-	if o.auditPendingCap > 0 {
-		if err := k.Audit.SetPendingCap(o.auditPendingCap); err != nil {
-			return nil, err
-		}
-	}
-	var audit *lsm.AuditLog
-	if !o.disableAudit {
-		audit = k.Audit
-	}
-
 	var aa *apparmor.AppArmor
 	if o.mode == core.EnhancedAppArmor || o.appArmorProfiles != "" {
-		aa = apparmor.New(audit)
+		aa = apparmor.New(k.Audit)
 		if o.appArmorProfiles != "" {
 			profiles, err := apparmor.ParseProfiles(o.appArmorProfiles)
 			if err != nil {
@@ -575,10 +498,9 @@ func New(policyText string, opts ...Option) (*System, error) {
 		Mode:            o.mode,
 		Policy:          compiled,
 		Source:          policyText,
-		Audit:           audit,
+		Audit:           k.Audit,
 		AppArmor:        aa,
 		DisableAVC:      o.disableAVC,
-		AVCSize:         o.avcSize,
 		Failsafe:        o.failsafe,
 		HeartbeatWindow: o.heartbeatWindow,
 		HeartbeatSecret: o.heartbeatSecret,
@@ -614,21 +536,11 @@ func New(policyText string, opts ...Option) (*System, error) {
 	out := &System{Kernel: k, SACK: s, AppArmor: aa, Audit: k.Audit}
 	out.sink = kernelSink{s: s}
 	out.hbSecret = o.heartbeatSecret
-	if o.auditFlushInterval > 0 {
-		out.stopFlush = k.Audit.StartFlusher(o.auditFlushInterval)
-	}
 	if o.faultPlan != nil {
 		out.Faults = faults.New(o.faultPlan)
 	}
 	if !o.disableVehicle {
-		doors, windows := o.doors, o.windows
-		if doors <= 0 {
-			doors = 4
-		}
-		if windows <= 0 {
-			windows = 4
-		}
-		v := vehicle.New(doors, windows)
+		v := vehicle.New(4, 4)
 		if err := v.RegisterDevices(k); err != nil {
 			return nil, err
 		}

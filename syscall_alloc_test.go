@@ -5,7 +5,8 @@ package sack_test
 // resolution (a dentry-cache hit, or a walk for a path that does not
 // exist), descriptor-table updates and fd lookups allocate nothing,
 // so an open costs only the vfs.File it returns, and a repeated denial
-// is served from the AVC with its cached audit detail. Allocations per
+// is served from the AVC with its cached audit detail, by SACK or by
+// AppArmor. Allocations per
 // operation are host-independent, unlike times.
 
 import (
@@ -43,6 +44,15 @@ per_rules {
 }
 `
 
+// syscallAllocProfile confines a second task through AppArmor; the
+// first task runs unconfined by it.
+const syscallAllocProfile = `
+profile app /usr/bin/app {
+  /srv/app/data/** rw,
+  deny /tmp/plain.dat w,
+}
+`
+
 type nopDevice struct{}
 
 func (nopDevice) ReadAt(*sys.Cred, []byte, int64) (int, error)        { return 0, nil }
@@ -50,7 +60,8 @@ func (nopDevice) WriteAt(_ *sys.Cred, d []byte, _ int64) (int, error) { return l
 func (nopDevice) Ioctl(*sys.Cred, uint64, uint64) (uint64, error)     { return 0, nil }
 
 func TestSyscallAllocGuard(t *testing.T) {
-	system, err := sack.New(syscallAllocPolicy, sack.WithMode(sack.Independent), sack.WithoutVehicle())
+	system, err := sack.New(syscallAllocPolicy, sack.WithMode(sack.Independent), sack.WithoutVehicle(),
+		sack.WithAppArmorProfiles(syscallAllocProfile))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,6 +82,14 @@ func TestSyscallAllocGuard(t *testing.T) {
 		t.Fatal(err)
 	}
 	task.Cred.SetBlob("sack", "/usr/bin/app")
+	confined, err := k.Init().Fork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := confined.SetUID(1000, 1000); err != nil {
+		t.Fatal(err)
+	}
+	confined.Cred.SetBlob("apparmor", "app")
 
 	buf := make([]byte, 512)
 	must := func(err error) {
@@ -136,6 +155,11 @@ func TestSyscallAllocGuard(t *testing.T) {
 		{"covered denied open, deny rule", 0, deniedOpen("/srv/app/data/secret.key", vfs.ORdonly), nil},
 		{"covered denied open, no allow rule", 0, deniedOpen("/dev/vehicle/door0", vfs.OWronly), nil},
 		{"first denial after a state transition", 5, deniedOpen("/srv/app/data/secret.key", vfs.ORdonly), transition},
+		{"repeated denial, AppArmor-confined task", 0, func() {
+			if _, err := confined.Open("/tmp/plain.dat", vfs.OWronly, 0); !sys.IsErrno(err, sys.EACCES) {
+				t.Fatalf("AppArmor-denied open: %v, want EACCES", err)
+			}
+		}, nil},
 	}
 	for _, c := range cases {
 		c.op() // warm the AVC, the descriptor table and the denial counter
