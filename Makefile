@@ -155,8 +155,10 @@ verify:
 perfbench-build:
 	cd perfbench && $(GO) vet ./...
 
-# Benchmark smoke: one iteration of the scalability sweep so the scale
-# path compiles and runs on every PR without benchmark-length runtimes,
+# Benchmark smoke: one iteration of the scalability sweep and of every
+# BenchmarkAVC cell (cached, uncached, both pass-through shapes, raw
+# Decide) so those paths compile and run on every PR without
+# benchmark-length runtimes,
 # plus the uncached-latency fence (trie must stay well ahead of the glob-
 # walk oracle and under its absolute budget) and the wire-codec fences
 # (bytes/record ≥5× under JSON, zero-alloc decode), plus the policy
@@ -167,6 +169,7 @@ perfbench-build:
 # sampled hook-metrics exactness test.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkParallelDecision/sack-covered/goroutines=(1|16)$$' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkAVC' -benchtime 1x .
 	$(GO) test -count=1 -run 'TestUncachedLatencyGuard|TestMatcherZeroAllocUncached|TestSyscallAllocGuard' -v .
 	$(GO) test -run '^$$' -bench 'BenchmarkResilienceOverhead' -benchtime 1000x ./internal/resilience
 	$(GO) test -count=1 -run 'TestStackHappyPathZeroAllocs|TestResilienceOverheadGuard' -v ./internal/resilience

@@ -419,18 +419,23 @@ func BenchmarkAblationIndexVsLinear(b *testing.B) {
 	}
 }
 
-// BenchmarkAVC measures the covered-path decision fast path with the
+// BenchmarkAVC measures the independent-mode hook decision with the
 // access vector cache warm, with the cache disabled, and against the raw
-// rule-set evaluation the cache memoises. The policy carries 500 rules
-// sharing a first path segment, so an uncached decision scans a deep
-// index bucket — the workload the AVC exists for. The cached check must
-// beat the raw Decide for the cache to pay its way.
+// rule-set evaluation the cache memoises, plus the two pass-through
+// shapes. The policy carries 500 rules under /srv/sack, so a covered
+// uncached decision collects the matching rules out of a trie shared by
+// all 500 — the workload the AVC exists for. check-cached is one
+// snapshot load, one label load, one hash and one probe; uncovered-root
+// (/tmp, a first segment no rule names) is rejected by the coverage
+// trie's root step before the AVC; uncovered-under-root (/srv/other)
+// probes the AVC, misses, and is passed through by the full coverage
+// walk without being cached.
 func BenchmarkAVC(b *testing.B) {
 	const nRules = 500
 	polText := bench.GenRulesPolicy(nRules)
 	const path = "/srv/sack/area0/file0.dat"
 
-	checkLoop := func(b *testing.B, tb *bench.Testbed) {
+	checkLoop := func(b *testing.B, tb *bench.Testbed, path string) {
 		cred := sys.NewCred(1000, 1000)
 		// Warm: first call populates the cache (when present).
 		if err := tb.SACK.InodePermission(cred, path, nil, sys.MayRead); err != nil {
@@ -444,13 +449,17 @@ func BenchmarkAVC(b *testing.B) {
 			}
 		}
 	}
-
-	b.Run("check-cached", func(b *testing.B) {
+	boot := func(b *testing.B) *bench.Testbed {
 		tb, err := bench.BootIndependentSACK(polText)
 		if err != nil {
 			b.Fatal(err)
 		}
-		checkLoop(b, tb)
+		return tb
+	}
+
+	b.Run("check-cached", func(b *testing.B) {
+		tb := boot(b)
+		checkLoop(b, tb, path)
 		if st := tb.SACK.AVCStats(); st.Hits == 0 {
 			b.Fatalf("cache never hit: %+v", st)
 		}
@@ -460,8 +469,23 @@ func BenchmarkAVC(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		checkLoop(b, tb)
+		checkLoop(b, tb, path)
 	})
+	for _, c := range []struct{ name, path string }{
+		{"uncovered-root", "/tmp/lmbench.dat"},
+		{"uncovered-under-root", "/srv/other/file0.dat"},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			tb := boot(b)
+			checkLoop(b, tb, c.path)
+			if covered, _ := tb.SACK.CheckStats(); covered != 0 {
+				b.Fatalf("%s counted %d covered checks", c.path, covered)
+			}
+			if st := tb.SACK.AVCStats(); st.Inserts != 0 {
+				b.Fatalf("%s was cached: %+v", c.path, st)
+			}
+		})
+	}
 	b.Run("decide-raw", func(b *testing.B) {
 		compiled, _, err := policy.Load(polText)
 		if err != nil {

@@ -128,9 +128,13 @@ func (a *AppArmor) Stats() (allowed, denied uint64) {
 // AVCStats snapshots the access vector cache counters.
 func (a *AppArmor) AVCStats() avc.Stats { return a.cache.Stats() }
 
+// blobSlot is AppArmor's security blob on every credential: the
+// confinement label.
+var blobSlot = sys.NewBlobSlot()
+
 // LabelFor returns the confinement label on a credential.
 func LabelFor(cred *sys.Cred) string {
-	if l, ok := cred.Blob(ModuleName).(string); ok && l != "" {
+	if l := cred.Blob(blobSlot); l != "" {
 		return l
 	}
 	return Unconfined
@@ -140,7 +144,7 @@ func LabelFor(cred *sys.Cred) string {
 // labels attach via exec (BprmCheck); tests and the IVI emulator use this
 // to model long-running services that were execed before boot completed.
 func SetLabel(cred *sys.Cred, label string) {
-	cred.SetBlob(ModuleName, label)
+	cred.SetBlob(blobSlot, label)
 }
 
 // --- LSM hooks ---
@@ -149,9 +153,9 @@ func SetLabel(cred *sys.Cred, label string) {
 func (a *AppArmor) BprmCheck(cred *sys.Cred, path string, _ *vfs.Inode) error {
 	ps := a.profiles.Load()
 	if p := ps.attachFor(path); p != nil {
-		cred.SetBlob(ModuleName, p.Name)
+		cred.SetBlob(blobSlot, p.Name)
 	} else {
-		cred.SetBlob(ModuleName, Unconfined)
+		cred.SetBlob(blobSlot, Unconfined)
 	}
 	return nil
 }
@@ -198,7 +202,7 @@ func (a *AppArmor) MmapFile(cred *sys.Cred, f *vfs.File, prot sys.Access) error 
 // audit detail, so a repeated denial skips the matcher and the
 // formatting but still counts and audits as its own event.
 func (a *AppArmor) check(cred *sys.Cred, op, path string, mask sys.Access) error {
-	label, _ := cred.Blob(ModuleName).(string)
+	label := cred.Blob(blobSlot)
 	if label == "" || label == Unconfined {
 		return nil
 	}
@@ -213,6 +217,7 @@ func (a *AppArmor) check(cred *sys.Cred, op, path string, mask sys.Access) error
 		return nil // stale label after profile removal: treat as unconfined
 	}
 	if !hit {
+		a.cache.Miss()
 		var matched *policy.CompiledRule
 		allowed, matched = e.rules.Matcher().Decide(label, path, mask)
 		if !allowed && a.audit != nil {

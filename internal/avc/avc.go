@@ -3,6 +3,18 @@
 // for a (subject, path, access-mask) triple is memoised so the hook fast
 // path degenerates to one hash probe.
 //
+// The probe comes first. SACK's check loads its decision snapshot,
+// rejects a path whose first segment no policy pattern can match
+// (Coverage.MayCover, the coverage trie's root step), reads the subject
+// label from its credential blob slot, and probes under the snapshot's
+// token. Only a miss walks the coverage trie and runs the matcher. A hit
+// needs no coverage walk because only covered decisions are ever
+// inserted, and coverage changes only with a new snapshot, which brings
+// a new token. AppArmor probes first the same way. A probe that misses
+// is not counted by LookupAt: the caller records it with Miss once the
+// key proves to be one it would cache, so a pass-through probe under a
+// covered first segment never dilutes the hit ratio.
+//
 // SACK decisions additionally depend on the *situation state*, which
 // changes at runtime, so cache coherence is the hard part: a cached
 // decision must never be served across a situation transition or policy
@@ -35,6 +47,9 @@
 // pointers. Both Lookup and Insert are lock-free and allocation-free on
 // the probe; an insert that loses a race simply overwrites (the cache is
 // advisory — a lost entry costs one re-evaluation, never correctness).
+// A key's slot comes from hash/maphash — the runtime's AES-accelerated
+// string hash — under a seed drawn per cache, so an unprivileged task
+// cannot choose paths that land on a victim's slots.
 //
 // Denials are cached as well as allows, as in SELinux's AVC. A deny
 // entry carries the denial's audit detail, so a repeated denial skips
@@ -47,6 +62,7 @@
 package avc
 
 import (
+	"hash/maphash"
 	"sync/atomic"
 
 	"repro/internal/shard"
@@ -77,7 +93,7 @@ type entry struct {
 // Stats is a point-in-time snapshot of the cache counters.
 type Stats struct {
 	Hits          uint64 // lookups served from the cache
-	Misses        uint64 // lookups that fell through to full evaluation
+	Misses        uint64 // covered lookups that fell through to full evaluation
 	Inserts       uint64 // decisions written into the table
 	Invalidations uint64 // epoch bumps (transitions + policy reloads)
 	Epoch         uint64 // current epoch value
@@ -99,6 +115,7 @@ type Cache struct {
 	epoch atomic.Uint64
 	slots []atomic.Pointer[entry]
 	mask  uint64 // len(slots)-1, slots is a power of two
+	seed  maphash.Seed
 
 	hits          shard.Counter
 	misses        shard.Counter
@@ -119,42 +136,33 @@ func New(n int) *Cache {
 	return &Cache{
 		slots:   make([]atomic.Pointer[entry], size),
 		mask:    uint64(size - 1),
+		seed:    maphash.MakeSeed(),
 		hits:    shard.NewCounter(),
 		misses:  shard.NewCounter(),
 		inserts: shard.NewCounter(),
 	}
 }
 
-// index hashes the key with FNV-1a into a slot. Direct-mapped: colliding
-// keys evict each other, which bounds memory and keeps probes O(1).
+// index hashes the key into a slot: one seeded maphash per string,
+// mixed with the mask. Direct-mapped: colliding keys evict each other,
+// which bounds memory and keeps probes O(1).
 func (c *Cache) index(subject, path string, mask sys.Access) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(subject); i++ {
-		h ^= uint64(subject[i])
-		h *= prime64
-	}
-	h ^= 0xff // separator so ("ab","c") and ("a","bc") differ
-	h *= prime64
-	for i := 0; i < len(path); i++ {
-		h ^= uint64(path[i])
-		h *= prime64
-	}
-	h ^= uint64(mask)
-	h *= prime64
+	h := maphash.String(c.seed, path)
+	h ^= maphash.String(c.seed, subject) * 0x9E3779B97F4A7C15
+	h ^= uint64(mask) * 0xC2B2AE3D27D4EB4F
 	return h & c.mask
 }
 
 // Lookup probes the cache. It loads the current epoch *first* and
 // returns it as the token for a subsequent Insert; callers must read the
 // policy state they evaluate against only after calling Lookup. On a hit
-// the cached allowed verdict is returned with ok=true.
+// the cached allowed verdict is returned with ok=true; a miss is
+// counted here.
 func (c *Cache) Lookup(subject, path string, mask sys.Access) (allowed, ok bool, tok Token) {
 	tok = Token(c.epoch.Load())
-	allowed, _, ok = c.LookupAt(tok, subject, path, mask)
+	if allowed, _, ok = c.LookupAt(tok, subject, path, mask); !ok {
+		c.Miss()
+	}
 	return allowed, ok, tok
 }
 
@@ -162,15 +170,20 @@ func (c *Cache) Lookup(subject, path string, mask sys.Access) (allowed, ok bool,
 // path passes the epoch embedded in the decision snapshot it loaded, so
 // the rule set and the cache generation it probes are guaranteed to
 // describe the same published policy state. On a hit it returns the
-// cached verdict, the detail stored with it, and ok=true.
+// cached verdict, the detail stored with it, and ok=true, and counts the
+// hit. A miss is not counted: the caller calls Miss once the key proves
+// to be one it caches, so probing ahead of its coverage check costs the
+// hit ratio nothing.
 func (c *Cache) LookupAt(tok Token, subject, path string, mask sys.Access) (allowed bool, detail string, ok bool) {
 	if e := c.probe(tok, subject, path, mask); e != nil {
 		c.hits.Add(1)
 		return e.allowed, e.detail, true
 	}
-	c.misses.Add(1)
 	return false, "", false
 }
+
+// Miss counts one lookup that fell through to full evaluation.
+func (c *Cache) Miss() { c.misses.Add(1) }
 
 // PeekAt answers the same question as LookupAt without touching the
 // hit/miss counters. Introspection queries (sack's Decision API) use it

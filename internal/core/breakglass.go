@@ -32,7 +32,7 @@ func (s *SACK) BreakGlass(cred *sys.Cred, state, reason string) error {
 		if s.audit != nil {
 			s.audit.Append(lsm.AuditRecord{
 				Module: ModuleName, Op: "break_glass",
-				Subject: subjectOf(cred), Object: state, Action: "DENIED",
+				Subject: Subject(cred), Object: state, Action: "DENIED",
 				Detail: "caller lacks CAP_MAC_ADMIN",
 			})
 		}
@@ -44,7 +44,7 @@ func (s *SACK) BreakGlass(cred *sys.Cred, state, reason string) error {
 	}
 	seq := s.breakGlassSeq.Add(1)
 	rec := BreakGlassRecord{
-		Seq: seq, Invoker: subjectOf(cred), UID: cred.UID,
+		Seq: seq, Invoker: Subject(cred), UID: cred.UID,
 		ToState: state, Reason: reason,
 	}
 	s.breakGlassMu.Lock()
@@ -81,7 +81,7 @@ func (s *SACK) RevertBreakGlass(cred *sys.Cred, state string) error {
 	if s.audit != nil {
 		s.audit.Append(lsm.AuditRecord{
 			Module: ModuleName, Op: "break_glass_revert",
-			Subject: subjectOf(cred), Object: state, Action: "ALLOWED",
+			Subject: Subject(cred), Object: state, Action: "ALLOWED",
 		})
 	}
 	return nil

@@ -90,5 +90,5 @@ func (s *SACK) Check(subject, path string, mask sys.Access) (Decision, error) {
 // CheckCred is Check with the subject resolved from a kernel credential,
 // the way the LSM hooks see it (the executable path recorded at exec).
 func (s *SACK) CheckCred(cred *sys.Cred, path string, mask sys.Access) (Decision, error) {
-	return s.Check(subjectOf(cred), path, mask)
+	return s.Check(Subject(cred), path, mask)
 }

@@ -3,6 +3,7 @@ package core_test
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/sys"
 )
 
@@ -45,7 +46,7 @@ func TestDenialDetailGolden(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			k, s := bootIndependent(t, detailPolicy)
 			cred := sys.NewCred(1000, 1000)
-			cred.SetBlob("sack", c.subject)
+			core.SetSubject(cred, c.subject)
 			if err := s.InodePermission(cred, c.path, nil, c.mask); !sys.IsErrno(err, sys.EACCES) {
 				t.Fatalf("InodePermission: %v, want EACCES", err)
 			}
@@ -67,7 +68,7 @@ func TestDenialDetailGolden(t *testing.T) {
 func TestCachedDenialIsCacheHit(t *testing.T) {
 	k, s := bootIndependent(t, detailPolicy)
 	cred := sys.NewCred(1000, 1000)
-	cred.SetBlob("sack", "/usr/bin/app1")
+	core.SetSubject(cred, "/usr/bin/app1")
 	for i := 0; i < 2; i++ {
 		if err := s.InodePermission(cred, "/srv/secret/key", nil, sys.MayRead); !sys.IsErrno(err, sys.EACCES) {
 			t.Fatalf("denial %d: %v, want EACCES", i, err)

@@ -367,59 +367,78 @@ func (s *SACK) publish(c *policy.Compiled, source string, st ssm.State) {
 
 // --- independent-mode enforcement hooks ---
 
-// subjectOf resolves the subject identity SACK rules match against: the
-// executable path recorded at exec time.
-func subjectOf(cred *sys.Cred) string {
+// blobSlot is SACK's security blob on every credential: the subject
+// label, the executable path recorded at exec time.
+var blobSlot = sys.NewBlobSlot()
+
+// Subject returns the subject identity SACK rules match against: the
+// label BprmCheck (or SetSubject) recorded on the credential.
+func Subject(cred *sys.Cred) string {
 	if cred == nil {
 		return ""
 	}
-	if s, ok := cred.Blob(ModuleName).(string); ok {
-		return s
-	}
-	return ""
+	return cred.Blob(blobSlot)
 }
+
+// SetSubject pins a SACK subject label on a credential directly, for
+// tasks that were execed before the module booted (tests, emulators).
+func SetSubject(cred *sys.Cred, exe string) { cred.SetBlob(blobSlot, exe) }
 
 // BprmCheck records the task's executable path as its SACK subject label.
 func (s *SACK) BprmCheck(cred *sys.Cred, path string, _ *vfs.Inode) error {
-	cred.SetBlob(ModuleName, path)
+	SetSubject(cred, path)
 	return nil
 }
 
 // check is the decision fast path: objects not covered by the policy pass
 // through to the next LSM; covered objects must be allowed by MR_current.
-// One atomic snapshot load supplies the coverage map, the rule set, and
-// the AVC epoch together, so everything the decision reads describes the
+// One atomic snapshot load supplies the coverage, the rule set, and the
+// AVC epoch together, so everything the decision reads describes the
 // same published policy state — no lock, and no window where a checker
-// could pair an old rule set with a new cache generation. Covered
-// decisions consult the AVC first; on a miss the full Decide result is
-// cached, a denial together with its audit detail, so a repeated denial
-// in the same epoch skips both the evaluation and the formatting but
-// still counts and audits as its own event.
+// could pair an old rule set with a new cache generation.
+//
+// The order keeps a cached decision to one probe. A path whose first
+// segment no pattern can match passes through at once. Any other path
+// probes the AVC before the coverage walk: only covered decisions are
+// ever inserted, and coverage changes only with a new snapshot and so a
+// new epoch, so a hit is a covered decision of this very snapshot. On a
+// miss the full coverage walk decides whether SACK mediates the path at
+// all; a covered one counts its AVC miss, is decided, and is cached, a
+// denial together with its audit detail, so a repeated denial in the
+// same epoch skips both the evaluation and the formatting but still
+// counts and audits as its own event.
 func (s *SACK) check(cred *sys.Cred, op, path string, mask sys.Access) error {
 	if s.mode == EnhancedAppArmor {
 		return nil // enforcement happens in AppArmor
 	}
 	snap := s.snap.Load()
-	if !snap.compiled.Coverage.Covers(path) {
+	coverage := snap.compiled.Coverage
+	if !coverage.MayCover(path) {
 		s.uncovered.Add(1)
 		return nil
 	}
-	s.covered.Add(1)
-	subject := subjectOf(cred)
+	subject := Subject(cred)
 	if s.cache != nil {
 		if allowed, detail, ok := s.cache.LookupAt(snap.epoch, subject, path, mask); ok {
+			s.covered.Add(1)
 			if allowed {
 				return nil
 			}
 			return s.deny(op, subject, path, detail)
 		}
 	}
+	if !coverage.Covers(path) {
+		s.uncovered.Add(1)
+		return nil
+	}
+	s.covered.Add(1)
 	allowed, matched := snap.matcher.Decide(subject, path, mask)
 	var detail string
 	if !allowed && s.audit != nil {
 		detail = denialDetail(mask, matched, snap.rules.State)
 	}
 	if s.cache != nil {
+		s.cache.Miss()
 		s.cache.Insert(snap.epoch, subject, path, mask, allowed, detail)
 	}
 	if allowed {

@@ -451,7 +451,7 @@ transitions {
 		t.Fatalf("exec in workshop: %v", err)
 	}
 	// The SACK subject label follows the exec.
-	if got := task.Cred.Blob("sack"); got != "/opt/flashtool" {
+	if got := core.Subject(task.Cred); got != "/opt/flashtool" {
 		t.Fatalf("subject label = %v", got)
 	}
 	s.Deliver("workshop_done")

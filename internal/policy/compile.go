@@ -176,7 +176,7 @@ func (rs *RuleSet) DecideLinear(subject, path string, mask sys.Access) (allowed 
 type Coverage struct {
 	buckets  map[string][]*glob.Glob
 	wildcard []*glob.Glob
-	trie     *coverTrie
+	trie     coverTrie // by value: the fast path reaches the root step in one hop
 }
 
 // NewCoverage indexes the patterns, both in the first-segment buckets
@@ -200,6 +200,14 @@ func NewCoverage(patterns []*glob.Glob) *Coverage {
 // pattern list.
 func (c *Coverage) Covers(path string) bool {
 	return c.trie.covers(path)
+}
+
+// MayCover is the trie's root step alone: false means no pattern can
+// match the path's first segment, so Covers is false too; true means
+// only that Covers might be. It lets the enforcement fast path pass
+// most uncovered objects through without touching the AVC.
+func (c *Coverage) MayCover(path string) bool {
+	return c.trie.mayCover(path)
 }
 
 // CoversWalk answers the same question with the pre-trie bucket scan.

@@ -345,10 +345,14 @@ func (n *coverNode) child(seg glob.Seg) *coverNode {
 type coverTrie struct {
 	root    *coverNode
 	complex []*glob.Glob // patterns the trie cannot index
+
+	// anyRoot is set when a "**" root edge or an unindexable pattern
+	// may match any first segment: mayCover's root step is then moot.
+	anyRoot bool
 }
 
-func newCoverTrie(patterns []*glob.Glob) *coverTrie {
-	t := &coverTrie{root: &coverNode{}}
+func newCoverTrie(patterns []*glob.Glob) coverTrie {
+	t := coverTrie{root: &coverNode{}}
 	for _, g := range patterns {
 		branches := g.Branches()
 		indexable := make([][]glob.Seg, 0, len(branches))
@@ -373,6 +377,7 @@ func newCoverTrie(patterns []*glob.Glob) *coverTrie {
 			n.terminal = true
 		}
 	}
+	t.anyRoot = t.root.dstar != nil || len(t.complex) > 0
 	return t
 }
 
@@ -382,6 +387,30 @@ func (t *coverTrie) covers(path string) bool {
 	}
 	for _, g := range t.complex {
 		if g.Match(path) {
+			return true
+		}
+	}
+	return false
+}
+
+// mayCover is covers' root step alone: it is false only when no pattern
+// can match the path's first segment, so covers is false too.
+func (t *coverTrie) mayCover(path string) bool {
+	if t.anyRoot {
+		return true
+	}
+	if len(path) == 0 || path[0] != '/' {
+		return false
+	}
+	seg := path[1:]
+	if e := strings.IndexByte(seg, '/'); e >= 0 {
+		seg = seg[:e]
+	}
+	if t.root.literals[seg] != nil {
+		return true
+	}
+	for k := range t.root.patterns {
+		if glob.MatchSegment(t.root.patterns[k].pattern, seg) {
 			return true
 		}
 	}

@@ -138,6 +138,9 @@ func TestMatcherDifferentialFuzz(t *testing.T) {
 					t.Fatalf("seed %d trial %d: coverage divergence on path=%q: walk=%v trie=%v",
 						seed, trial, path, walk, trie)
 				}
+				if cov.Covers(path) && !cov.MayCover(path) {
+					t.Fatalf("seed %d trial %d: MayCover rejects covered path %q", seed, trial, path)
+				}
 			}
 		})
 	}
@@ -202,5 +205,59 @@ func TestMatcherSpillDifferential(t *testing.T) {
 				trial, subject, path, mask,
 				wantAllowed, ruleStr(wantRule), gotAllowed, ruleStr(gotRule))
 		}
+	}
+}
+
+// TestCoverageMayCoverRootStep pins the root step: a path is rejected
+// exactly when no pattern can match its first segment, and never when a
+// root "**" or an unindexable pattern may match anything.
+func TestCoverageMayCoverRootStep(t *testing.T) {
+	compile := func(pats ...string) *Coverage {
+		t.Helper()
+		gs := make([]*glob.Glob, len(pats))
+		for i, p := range pats {
+			g, err := glob.Compile(p)
+			if err != nil {
+				t.Fatalf("%s: %v", p, err)
+			}
+			gs[i] = g
+		}
+		return NewCoverage(gs)
+	}
+
+	cov := compile("/srv/sack/**", "/dev/vehicle/door*", "/d?ta/x", "/etc")
+	for path, want := range map[string]bool{
+		"/srv/sack/a":  true,
+		"/srv/other/x": true, // first segment covered, path not: the walk decides
+		"/srv":         true,
+		"/dev/null":    true,
+		"/data/y":      true, // root pattern edge
+		"/etc":         true,
+		"/etc/passwd":  true,
+		"/tmp/x":       false,
+		"/":            false,
+		"/sr":          false,
+		"srv/sack/a":   false,
+		"":             false,
+		"pipe:[1]":     false,
+	} {
+		if got := cov.MayCover(path); got != want {
+			t.Errorf("MayCover(%q) = %v, want %v", path, got, want)
+		}
+		if cov.Covers(path) && !cov.MayCover(path) {
+			t.Errorf("MayCover rejects covered %q", path)
+		}
+	}
+
+	// A root "**" or an unindexable pattern ("**" glued inside a
+	// segment) may match any first segment.
+	for _, pats := range [][]string{{"/srv/a", "/**"}, {"/srv/a", "/x**"}} {
+		if c := compile(pats...); !c.MayCover("/anything/else") {
+			t.Errorf("%v: MayCover rejected a path the catch-all may match", pats)
+		}
+	}
+	// "/" has an empty first segment, which the root literals hold too.
+	if c := compile("/srv/a", "/"); !c.MayCover("/") || !c.Covers("/") {
+		t.Error(`pattern "/" does not cover "/"`)
 	}
 }

@@ -152,9 +152,12 @@ func (s *SELinux) LoadPolicy(src string) error {
 	return nil
 }
 
+// blobSlot is SELinux's security blob on every credential: the domain.
+var blobSlot = sys.NewBlobSlot()
+
 // DomainFor returns the task's current domain label.
 func DomainFor(cred *sys.Cred) string {
-	if d, ok := cred.Blob(ModuleName).(string); ok && d != "" {
+	if d := cred.Blob(blobSlot); d != "" {
 		return d
 	}
 	return UnconfinedDomain
@@ -204,7 +207,7 @@ func (s *SELinux) Domains() []string {
 
 // BprmCheck enters the matching domain at exec time.
 func (s *SELinux) BprmCheck(cred *sys.Cred, path string, _ *vfs.Inode) error {
-	cred.SetBlob(ModuleName, s.db.Load().domainFor(path))
+	cred.SetBlob(blobSlot, s.db.Load().domainFor(path))
 	return nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -176,15 +177,19 @@ func TestCredDefaults(t *testing.T) {
 	}
 }
 
+// testSlot and otherSlot are this test binary's security blob slots,
+// taken once: slots are never released.
+var testSlot, otherSlot = NewBlobSlot(), NewBlobSlot()
+
 func TestCredCloneIsolation(t *testing.T) {
 	orig := NewCred(0, 0)
-	orig.SetBlob("apparmor", "profileA")
+	orig.SetBlob(testSlot, "profileA")
 	clone := orig.Clone()
-	if clone.Blob("apparmor") != "profileA" {
+	if clone.Blob(testSlot) != "profileA" {
 		t.Error("clone lost blob")
 	}
-	clone.SetBlob("apparmor", "profileB")
-	if orig.Blob("apparmor") != "profileA" {
+	clone.SetBlob(testSlot, "profileB")
+	if orig.Blob(testSlot) != "profileA" {
 		t.Error("clone mutation leaked into original")
 	}
 	clone.Caps = clone.Caps.Drop(CapMacAdmin)
@@ -195,7 +200,34 @@ func TestCredCloneIsolation(t *testing.T) {
 
 func TestCredBlobMissing(t *testing.T) {
 	c := NewCred(1, 1)
-	if c.Blob("nope") != nil {
-		t.Error("missing blob should be nil")
+	if c.Blob(testSlot) != "" {
+		t.Error("missing blob should be empty")
+	}
+	c.SetBlob(otherSlot, "x")
+	if c.Blob(testSlot) != "" || c.Blob(otherSlot) != "x" {
+		t.Errorf("slots leaked into each other: %q %q", c.Blob(testSlot), c.Blob(otherSlot))
+	}
+}
+
+// TestCredSetBlobConcurrent races writers on distinct slots of one
+// credential: the compare-and-swap publication must keep every write.
+func TestCredSetBlobConcurrent(t *testing.T) {
+	c := NewCred(1, 1)
+	slots := []BlobSlot{testSlot, otherSlot}
+	var wg sync.WaitGroup
+	for _, slot := range slots {
+		wg.Add(1)
+		go func(slot BlobSlot) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				c.SetBlob(slot, fmt.Sprint(i))
+			}
+		}(slot)
+	}
+	wg.Wait()
+	for _, slot := range slots {
+		if got := c.Blob(slot); got != "199" {
+			t.Errorf("slot %d = %q, want 199", slot, got)
+		}
 	}
 }

@@ -21,6 +21,7 @@ import (
 
 	sack "repro"
 	"repro/internal/bench"
+	"repro/internal/core"
 	"repro/internal/sys"
 )
 
@@ -154,7 +155,7 @@ func TestCachedEqualsUncachedTrace(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	masks := []sys.Access{sys.MayRead, sys.MayWrite, sys.MayIoctl}
 	cred := sys.NewCred(1000, 1000)
-	cred.SetBlob("sack", "/usr/bin/ivi")
+	core.SetSubject(cred, "/usr/bin/ivi")
 	for trial := 0; trial < 4000; trial++ {
 		path := matcherDiffPaths[r.Intn(len(matcherDiffPaths))]
 		mask := masks[r.Intn(len(masks))]
@@ -186,7 +187,7 @@ func TestMatcherZeroAllocUncached(t *testing.T) {
 		t.Fatal(err)
 	}
 	cred := sys.NewCred(1000, 1000)
-	cred.SetBlob("sack", "/usr/bin/bench-task")
+	core.SetSubject(cred, "/usr/bin/bench-task")
 	const covered = "/srv/sack/area0/file0.dat"
 	if err := tb.SACK.InodePermission(cred, covered, nil, sys.MayRead); err != nil {
 		t.Fatal(err)
@@ -220,7 +221,7 @@ func TestUncachedLatencyGuard(t *testing.T) {
 		t.Fatal(err)
 	}
 	cred := sys.NewCred(1000, 1000)
-	cred.SetBlob("sack", "/usr/bin/bench-task")
+	core.SetSubject(cred, "/usr/bin/bench-task")
 	coverage, rules := tb.SACK.Policy().Coverage, tb.SACK.ActiveRules()
 
 	measure := func(verdict func() bool) time.Duration {

@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/core"
 	"repro/internal/sys"
 )
 
@@ -44,7 +45,7 @@ func BenchmarkParallelDecision(b *testing.B) {
 				creds := make([]*sys.Cred, g)
 				for i := range creds {
 					creds[i] = sys.NewCred(1000, 1000)
-					creds[i].SetBlob("sack", "/usr/bin/bench-task")
+					core.SetSubject(creds[i], "/usr/bin/bench-task")
 					// Warm the AVC: the sweep measures the steady-state hit path.
 					if err := tb.Kernel.LSM.InodePermission(creds[i], cfg.path, nil, sys.MayRead); err != nil {
 						b.Fatalf("warmup check: %v", err)

@@ -4,16 +4,19 @@ package sack_test
 // syscall path around the SACK hook (the `make bench-smoke` fence): path
 // resolution (a dentry-cache hit, or a walk for a path that does not
 // exist), descriptor-table updates and fd lookups allocate nothing,
-// so an open costs only the vfs.File it returns, and a repeated denial
-// is served from the AVC with its cached audit detail, by SACK or by
-// AppArmor. Allocations per
-// operation are host-independent, unlike times.
+// so an open costs only the vfs.File it returns — also for an uncovered
+// file under a covered directory, which probes the AVC and is never
+// cached — and a repeated denial is served from the AVC with its cached
+// audit detail, by SACK or by AppArmor. Allocations per operation are
+// host-independent, unlike times.
 
 import (
 	"runtime"
 	"testing"
 
 	sack "repro"
+	"repro/internal/apparmor"
+	"repro/internal/core"
 	"repro/internal/sys"
 	"repro/internal/vfs"
 )
@@ -66,7 +69,7 @@ func TestSyscallAllocGuard(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := system.Kernel
-	for _, p := range []string{"/srv/app/data/file.dat", "/srv/app/data/secret.key", "/tmp/plain.dat"} {
+	for _, p := range []string{"/srv/app/data/file.dat", "/srv/app/data/secret.key", "/srv/app/plain.dat", "/tmp/plain.dat"} {
 		if err := k.WriteFile(p, 0o666, make([]byte, 4096)); err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +84,7 @@ func TestSyscallAllocGuard(t *testing.T) {
 	if err := task.SetUID(1000, 1000); err != nil {
 		t.Fatal(err)
 	}
-	task.Cred.SetBlob("sack", "/usr/bin/app")
+	core.SetSubject(task.Cred, "/usr/bin/app")
 	confined, err := k.Init().Fork()
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +92,7 @@ func TestSyscallAllocGuard(t *testing.T) {
 	if err := confined.SetUID(1000, 1000); err != nil {
 		t.Fatal(err)
 	}
-	confined.Cred.SetBlob("apparmor", "app")
+	apparmor.SetLabel(confined.Cred, "app")
 
 	buf := make([]byte, 512)
 	must := func(err error) {
@@ -143,6 +146,7 @@ func TestSyscallAllocGuard(t *testing.T) {
 		{"covered allowed open+pread+close", 1, openIOClose("/srv/app/data/file.dat", vfs.ORdonly, pread), nil},
 		{"covered allowed open+pwrite+close", 1, openIOClose("/srv/app/data/file.dat", vfs.OWronly, pwrite), nil},
 		{"uncovered open+close", 1, openIOClose("/tmp/plain.dat", vfs.ORdonly, none), nil},
+		{"uncovered open+close under a covered directory", 1, openIOClose("/srv/app/plain.dat", vfs.ORdonly, none), nil},
 		{"repeated stat, covered path", 0, func() { _, err := task.Stat("/srv/app/data/file.dat"); must(err) }, nil},
 		{"repeated stat, uncovered path", 0, func() { _, err := task.Stat("/tmp/plain.dat"); must(err) }, nil},
 		{"repeated stat, missing path", 0, func() {
