@@ -106,7 +106,7 @@ bench-avc:
 	$(GO) test -run '^$$' -bench 'BenchmarkAVC' -benchmem .
 
 # Matcher ablation: glob-walk oracle vs trie-compiled matcher, AVC off
-# and on.
+# and on, plus the raw one-walk Evaluate (coverage and verdict together).
 bench-ablation:
 	$(GO) test -run '^$$' -bench 'BenchmarkMatcherAblation' -benchmem .
 
@@ -127,8 +127,10 @@ parallel-stress:
 # Differential fuzz: random policies and access keys must draw identical
 # verdicts (and identical deciding rules) from the trie-compiled matcher
 # and the glob-walk reference oracle, at the rule-set level (including
-# the >1024-rule spill block), through AppArmor's decision path against
-# a linear scan of its profile rules, and through the public System API.
+# the >1024-rule spill block), for every state of a compiled policy
+# (views over its one shared trie, whose covered answer must equal the
+# coverage walk), through AppArmor's decision path against a linear
+# scan of its profile rules, and through the public System API.
 matcher-diff:
 	$(GO) test -race -count=1 -run 'TestMatcher.*Differential' ./internal/policy
 	$(GO) test -race -count=1 -run 'TestAppArmorMatcherDifferential' ./internal/apparmor
@@ -160,8 +162,11 @@ perfbench-build:
 # Decide) so those paths compile and run on every PR without
 # benchmark-length runtimes,
 # plus the uncached-latency fence (trie must stay well ahead of the glob-
-# walk oracle and under its absolute budget) and the wire-codec fences
-# (bytes/record ≥5× under JSON, zero-alloc decode), plus the policy
+# walk oracle and under its absolute budget), the compile-footprint
+# fence (allocations per policy.Load of the 64-state and 500-rule
+# generated policies: one trie per policy, not per state) and the
+# wire-codec fences (bytes/record ≥5× under JSON, zero-alloc decode),
+# plus the policy
 # validator's allocation fence on a benchmark-sized policy, the
 # syscall path's allocation fence (an open allocates only its file, a
 # repeated stat or denial nothing), the audit drain's zero-alloc fence
@@ -170,7 +175,7 @@ perfbench-build:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkParallelDecision/sack-covered/goroutines=(1|16)$$' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkAVC' -benchtime 1x .
-	$(GO) test -count=1 -run 'TestUncachedLatencyGuard|TestMatcherZeroAllocUncached|TestSyscallAllocGuard' -v .
+	$(GO) test -count=1 -run 'TestUncachedLatencyGuard|TestMatcherZeroAllocUncached|TestSyscallAllocGuard|TestPolicyLoadAllocGuard' -v .
 	$(GO) test -run '^$$' -bench 'BenchmarkResilienceOverhead' -benchtime 1000x ./internal/resilience
 	$(GO) test -count=1 -run 'TestStackHappyPathZeroAllocs|TestResilienceOverheadGuard' -v ./internal/resilience
 	$(GO) test -count=1 -run 'TestBytesPerRecordGuard|TestDecodeAllocGuard' -v ./internal/fleet/wire

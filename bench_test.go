@@ -508,7 +508,8 @@ func BenchmarkAVC(b *testing.B) {
 // sharing a first segment — the worst case for the walk, the design
 // case for the trie. The walk cell runs the oracle directly
 // (Coverage.CoversWalk + RuleSet.Decide) since enforcement has one
-// engine; decide-trie-raw is its like-for-like trie counterpart.
+// engine; decide-trie-raw is its like-for-like trie counterpart, the one
+// walk (Matcher.Evaluate) that answers coverage and verdict together.
 func BenchmarkMatcherAblation(b *testing.B) {
 	polText := bench.GenRulesPolicy(500)
 	const path = "/srv/sack/area0/file0.dat"
@@ -561,10 +562,11 @@ func BenchmarkMatcherAblation(b *testing.B) {
 		m := rs.Matcher()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if !compiled.Coverage.Covers(path) {
+			covered, allowed, _ := m.Evaluate("", path, sys.MayRead)
+			if !covered {
 				b.Fatal("path not covered")
 			}
-			if allowed, _ := m.Decide("", path, sys.MayRead); !allowed {
+			if !allowed {
 				b.Fatal("unexpected denial")
 			}
 		}

@@ -5,12 +5,13 @@
 //
 // The probe comes first. SACK's check loads its decision snapshot,
 // rejects a path whose first segment no policy pattern can match
-// (Coverage.MayCover, the coverage trie's root step), reads the subject
+// (Coverage.MayCover, the policy trie's root step), reads the subject
 // label from its credential blob slot, and probes under the snapshot's
-// token. Only a miss walks the coverage trie and runs the matcher. A hit
-// needs no coverage walk because only covered decisions are ever
-// inserted, and coverage changes only with a new snapshot, which brings
-// a new token. AppArmor probes first the same way. A probe that misses
+// token. Only a miss walks the policy's trie, once, for both coverage
+// and the verdict (Matcher.Evaluate). A hit needs no walk because only
+// covered decisions are ever inserted, and coverage changes only with a
+// new snapshot, which brings a new token. AppArmor probes first the
+// same way. A probe that misses
 // is not counted by LookupAt: the caller records it with Miss once the
 // key proves to be one it would cache, so a pass-through probe under a
 // covered first segment never dilutes the hit ratio.

@@ -59,20 +59,20 @@ func (s *SACK) Check(subject, path string, mask sys.Access) (Decision, error) {
 	snap := s.snap.Load()
 	d := Decision{State: snap.state.Name, Pinned: s.pipe.Pinned()}
 
-	if !snap.compiled.Coverage.Covers(path) {
+	covered, allowed, matched := snap.matcher.Evaluate(subject, path, mask)
+	if !covered {
 		d.Allowed = true
 		d.Reason = "uncovered object: passed through to the next LSM"
 		return d, nil
 	}
 	d.Covered = true
+	d.Allowed = allowed
+	d.Rule = matched
 
 	if s.cache != nil {
 		_, _, d.CacheHit = s.cache.PeekAt(snap.epoch, subject, path, mask)
 	}
 
-	allowed, matched := snap.matcher.Decide(subject, path, mask)
-	d.Allowed = allowed
-	d.Rule = matched
 	switch {
 	case allowed:
 		d.Reason = fmt.Sprintf("allowed by %q in state %s", matched.String(), snap.state.Name)

@@ -69,7 +69,7 @@ func (s *SACK) regenerateProfiles(c *policy.Compiled, st ssm.State) {
 	if s.aa == nil {
 		return
 	}
-	rs := c.StateSets[st.Name]
+	rs := c.Rules(st.Name)
 
 	s.managedMu.Lock()
 	bases := make([]*apparmor.Profile, 0, len(s.managed))
@@ -85,15 +85,13 @@ func (s *SACK) regenerateProfiles(c *policy.Compiled, st ssm.State) {
 	generated := make([]*apparmor.Profile, 0, len(bases))
 	for _, base := range bases {
 		p := base.Clone()
-		if rs != nil {
-			for _, r := range rs.Rules() {
-				if !ruleAppliesToProfile(&r, base) {
-					continue
-				}
-				r.Subject = nil
-				r.Perm = apparmor.FormatPerms(r.Access)
-				p.Rules = append(p.Rules, r)
+		for _, r := range rs.Rules() {
+			if !ruleAppliesToProfile(&r, base) {
+				continue
 			}
+			r.Subject = nil
+			r.Perm = apparmor.FormatPerms(r.Access)
+			p.Rules = append(p.Rules, r)
 		}
 		generated = append(generated, p)
 	}

@@ -1,8 +1,8 @@
 package core_test
 
 // probe_order_test pins the order of the independent-mode check: the
-// coverage trie's root step, then the AVC probe under the snapshot's
-// token, and the full coverage walk only on a miss. Serving a hit
+// policy trie's root step, then the AVC probe under the snapshot's
+// token, and the full trie walk only on a miss. Serving a hit
 // without the walk is sound only because a reload that changes coverage
 // publishes a new token; these tests change coverage under cached
 // entries and check that no verdict outlives it and that nothing

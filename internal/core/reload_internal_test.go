@@ -1,11 +1,14 @@
 package core
 
 import (
+	"errors"
 	"testing"
 	"time"
 
 	"repro/internal/lsm"
 	"repro/internal/policy"
+	"repro/internal/ssm"
+	"repro/internal/sys"
 )
 
 const internalFailsafePolicy = `
@@ -116,5 +119,53 @@ func TestDegradeUnforceableFailsafeDoesNotPin(t *testing.T) {
 	}
 	if st := s.CurrentState().Name; st != "normal" {
 		t.Fatalf("state = %s", st)
+	}
+}
+
+// TestReloadUnknownStateFailsClosed replays the window between the APE
+// subscriber's machine check and its publish: a transition committed on
+// the outgoing machine publishes its state name after ReplacePolicy has
+// installed a policy that lacks that state. The rule set published for
+// it must deny every path the new policy covers with EACCES, cached or
+// not, and still pass uncovered paths through.
+func TestReloadUnknownStateFailsClosed(t *testing.T) {
+	const narrow = `
+states { normal = 0 }
+initial normal
+permissions { NORMAL }
+state_per { normal: NORMAL }
+per_rules { NORMAL { allow read /etc/** } }
+`
+	compiled, _, err := policy.Load(internalFailsafePolicy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Policy: compiled, Source: internalFailsafePolicy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	next, _, err := policy.Load(narrow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.ReplacePolicy(next, narrow); err != nil {
+		t.Fatal(err)
+	}
+	s.applyState(ssm.State{Name: "emergency", Encoding: 1})
+	if rs := s.ActiveRules(); rs.State != "emergency" || rs.Len() != 0 {
+		t.Fatalf("published rule set = %q with %d rules", rs.State, rs.Len())
+	}
+
+	cred := sys.NewCred(1000, 1000)
+	for round := 0; round < 2; round++ { // the second round is served by the AVC
+		if err := s.InodePermission(cred, "/etc/fstab", nil, sys.MayRead); !errors.Is(err, sys.EACCES) {
+			t.Fatalf("round %d: covered path under an unknown state: err=%v, want EACCES", round, err)
+		}
+		if err := s.InodePermission(cred, "/tmp/x", nil, sys.MayRead); err != nil {
+			t.Fatalf("round %d: uncovered path under an unknown state: %v", round, err)
+		}
+	}
+	if d, err := s.Check("", "/etc/fstab", sys.MayRead); err != nil || !d.Covered || d.Allowed {
+		t.Fatalf("decision query: %+v, %v", d, err)
 	}
 }

@@ -350,10 +350,7 @@ func (s *SACK) applyState(st ssm.State) {
 // ReplacePolicy, failsafe forcing) serialise via s.mu or the SSM's own
 // transition lock before reaching here.
 func (s *SACK) publish(c *policy.Compiled, source string, st ssm.State) {
-	rs := c.StateSets[st.Name]
-	if rs == nil {
-		rs = policy.NewRuleSet(st.Name, nil)
-	}
+	rs := c.Rules(st.Name)
 	if s.mode == EnhancedAppArmor {
 		s.regenerateProfiles(c, st)
 	}
@@ -399,21 +396,21 @@ func (s *SACK) BprmCheck(cred *sys.Cred, path string, _ *vfs.Inode) error {
 //
 // The order keeps a cached decision to one probe. A path whose first
 // segment no pattern can match passes through at once. Any other path
-// probes the AVC before the coverage walk: only covered decisions are
-// ever inserted, and coverage changes only with a new snapshot and so a
-// new epoch, so a hit is a covered decision of this very snapshot. On a
-// miss the full coverage walk decides whether SACK mediates the path at
-// all; a covered one counts its AVC miss, is decided, and is cached, a
-// denial together with its audit detail, so a repeated denial in the
-// same epoch skips both the evaluation and the formatting but still
-// counts and audits as its own event.
+// probes the AVC before the trie walk: only covered decisions are ever
+// inserted, and coverage changes only with a new snapshot and so a new
+// epoch, so a hit is a covered decision of this very snapshot. On a
+// miss one walk of the policy's trie answers both whether SACK mediates
+// the path at all and, if it does, MR_current's verdict; a covered one
+// counts its AVC miss and is cached, a denial together with its audit
+// detail, so a repeated denial in the same epoch skips both the
+// evaluation and the formatting but still counts and audits as its own
+// event.
 func (s *SACK) check(cred *sys.Cred, op, path string, mask sys.Access) error {
 	if s.mode == EnhancedAppArmor {
 		return nil // enforcement happens in AppArmor
 	}
 	snap := s.snap.Load()
-	coverage := snap.compiled.Coverage
-	if !coverage.MayCover(path) {
+	if !snap.compiled.Coverage.MayCover(path) {
 		s.uncovered.Add(1)
 		return nil
 	}
@@ -427,12 +424,12 @@ func (s *SACK) check(cred *sys.Cred, op, path string, mask sys.Access) error {
 			return s.deny(op, subject, path, detail)
 		}
 	}
-	if !coverage.Covers(path) {
+	covered, allowed, matched := snap.matcher.Evaluate(subject, path, mask)
+	if !covered {
 		s.uncovered.Add(1)
 		return nil
 	}
 	s.covered.Add(1)
-	allowed, matched := snap.matcher.Decide(subject, path, mask)
 	var detail string
 	if !allowed && s.audit != nil {
 		detail = denialDetail(mask, matched, snap.rules.State)

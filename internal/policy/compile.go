@@ -56,8 +56,22 @@ type RuleSet struct {
 }
 
 // NewRuleSet builds a rule set for a state, including its trie-compiled
-// matcher (the publish-time compilation step of DESIGN.md §10).
+// matcher over a trie of its own rules (the publish-time compilation
+// step of DESIGN.md §10).
 func NewRuleSet(state string, rules []CompiledRule) *RuleSet {
+	patterns := make([]*glob.Glob, len(rules))
+	ids := make([]int32, len(rules))
+	for i := range rules {
+		patterns[i] = rules[i].Pattern
+		ids[i] = int32(i)
+	}
+	t := newTrie(patterns)
+	return newRuleSet(state, rules, &t, ids)
+}
+
+// newRuleSet builds a rule set whose matcher is a view over t, where
+// ids[i] is the trie pattern id of rules[i].Pattern.
+func newRuleSet(state string, rules []CompiledRule, t *trie, ids []int32) *RuleSet {
 	rs := &RuleSet{State: state, rules: rules, buckets: make(map[string][]int)}
 	for i := range rules {
 		seg, literal := firstSegment(rules[i].Pattern.String())
@@ -67,7 +81,7 @@ func NewRuleSet(state string, rules []CompiledRule) *RuleSet {
 			rs.wildcard = append(rs.wildcard, i)
 		}
 	}
-	rs.matcher = newMatcher(rs)
+	rs.matcher = newMatcher(t, rs.rules, ids)
 	return rs
 }
 
@@ -172,15 +186,16 @@ func (rs *RuleSet) DecideLinear(subject, path string, mask sys.Access) (allowed 
 
 // Coverage is the union of every rule pattern across all states; SACK
 // only mediates objects the policy covers, passing everything else to
-// the next LSM.
+// the next LSM. Its trie is the one every state's Matcher walks.
 type Coverage struct {
 	buckets  map[string][]*glob.Glob
 	wildcard []*glob.Glob
-	trie     coverTrie // by value: the fast path reaches the root step in one hop
+	trie     trie // by value: the fast path reaches the root step in one hop
 }
 
 // NewCoverage indexes the patterns, both in the first-segment buckets
-// the walk engine scans and in the segment trie the fast path probes.
+// the walk engine scans and in the segment trie the fast path walks; a
+// pattern's trie id is its index in patterns.
 func NewCoverage(patterns []*glob.Glob) *Coverage {
 	c := &Coverage{buckets: make(map[string][]*glob.Glob)}
 	for _, g := range patterns {
@@ -191,15 +206,17 @@ func NewCoverage(patterns []*glob.Glob) *Coverage {
 			c.wildcard = append(c.wildcard, g)
 		}
 	}
-	c.trie = newCoverTrie(patterns)
+	c.trie = newTrie(patterns)
 	return c
 }
 
 // Covers reports whether any policy pattern matches path — the trie
-// walk: O(path segments) with early exit, no glob-engine pass over the
-// pattern list.
+// walk: O(path segments), no glob-engine pass over the pattern list.
+// Enforcement gets the same answer from Matcher.Evaluate's walk.
 func (c *Coverage) Covers(path string) bool {
-	return c.trie.covers(path)
+	var st matchState
+	c.trie.match(path, &st)
+	return st.covered
 }
 
 // MayCover is the trie's root step alone: false means no pattern can
@@ -230,13 +247,7 @@ func (c *Coverage) CoversWalk(path string) bool {
 }
 
 // NumPatterns reports the indexed pattern count.
-func (c *Coverage) NumPatterns() int {
-	n := len(c.wildcard)
-	for _, b := range c.buckets {
-		n += len(b)
-	}
-	return n
-}
+func (c *Coverage) NumPatterns() int { return c.trie.size }
 
 // StateInfo pairs a state name with its encoding.
 type StateInfo struct {
@@ -314,7 +325,10 @@ func Compile(f *File) (*Compiled, *ValidationResult, error) {
 		c.StatePerms[sp.State] = append([]string(nil), sp.Perms...)
 	}
 
+	// Every rule's pattern joins the coverage trie under its index in
+	// the union list; the state rule sets below are views over it.
 	var coverage []*glob.Glob
+	permIDs := make(map[string][]int32)
 	for _, pr := range f.PerRules {
 		for _, rd := range pr.Rules {
 			cr, err := compileRule(pr.Perm, rd)
@@ -322,6 +336,7 @@ func Compile(f *File) (*Compiled, *ValidationResult, error) {
 				return nil, vr, err // unreachable post-validation; defensive
 			}
 			c.PermRules[pr.Perm] = append(c.PermRules[pr.Perm], cr)
+			permIDs[pr.Perm] = append(permIDs[pr.Perm], int32(len(coverage)))
 			coverage = append(coverage, cr.Pattern)
 		}
 	}
@@ -331,10 +346,12 @@ func Compile(f *File) (*Compiled, *ValidationResult, error) {
 	// on transition, so enforcement is one pointer swap (Algorithm 1).
 	for _, s := range c.States {
 		var rules []CompiledRule
+		var ids []int32
 		for _, perm := range c.StatePerms[s.Name] {
 			rules = append(rules, c.PermRules[perm]...)
+			ids = append(ids, permIDs[perm]...)
 		}
-		c.StateSets[s.Name] = NewRuleSet(s.Name, rules)
+		c.StateSets[s.Name] = newRuleSet(s.Name, rules, &c.Coverage.trie, ids)
 	}
 
 	for _, t := range f.Transitions {
@@ -359,6 +376,18 @@ func compileRule(perm string, rd RuleDecl) (CompiledRule, error) {
 		mask |= sys.ParseAccess(op)
 	}
 	return CompiledRule{Pattern: pattern, Access: mask, Deny: rd.Deny, Subject: subject, Perm: perm}, nil
+}
+
+// Rules returns the rule set the APE installs in the named state. A
+// state the policy lacks — an outgoing policy's state name published
+// over this one by a reload race — gets an empty rule set over the
+// shared coverage trie, which denies every covered path (fail closed)
+// and passes every uncovered one through.
+func (c *Compiled) Rules(state string) *RuleSet {
+	if rs := c.StateSets[state]; rs != nil {
+		return rs
+	}
+	return newRuleSet(state, nil, &c.Coverage.trie, nil)
 }
 
 // StateNames returns the compiled state names in declaration order.

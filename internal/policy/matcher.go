@@ -8,22 +8,25 @@ import (
 	"repro/internal/sys"
 )
 
-// This file is the compiled-policy fast path: at Compile time every
-// state's rule set is lowered into a path-segment trie so an *uncached*
-// covered/uncovered verdict is a handful of map probes and array walks
-// instead of a glob-engine pass over every rule. The trie is built once,
-// is immutable afterwards, and travels inside the decision snapshot the
-// enforcement core publishes — see DESIGN.md §10.
+// This file is the compiled-policy fast path: at Compile time the union
+// of every rule pattern is lowered into one path-segment trie, so an
+// *uncached* covered/uncovered verdict and the current state's decision
+// come from one walk — a handful of map probes and array walks instead
+// of a glob-engine pass over every rule. Each state's Matcher is a view
+// over that shared trie. The trie is built once, is immutable afterwards,
+// and travels inside the decision snapshot the enforcement core
+// publishes — see DESIGN.md §10.
 //
 // Exactness contract: Matcher.Decide returns bit-identical results to
 // RuleSet.Decide — the same allowed verdict and the same deciding-rule
 // pointer — for every (subject, path, mask) triple. The trie walk only
-// collects *which* rules match the path; the verdict is then replayed
-// over the matched rules in the precise order the walk engine evaluates
-// them (first-segment bucket rules by declaration order, then wildcard
-// rules), so deny-veto short-circuits and last-allow attribution cannot
-// diverge. The differential fuzz suite (matcher_diff_test.go) holds the
-// two engines against each other over random policies and access keys.
+// collects *which* patterns match the path; the verdict is then replayed
+// over the state's rules carrying them in the precise order the walk
+// engine evaluates them (first-segment bucket rules by declaration order,
+// then wildcard rules), so deny-veto short-circuits and last-allow
+// attribution cannot diverge. The differential fuzz suite
+// (matcher_diff_test.go) holds the two engines against each other over
+// random policies and access keys.
 
 // inlineMatcherWords sizes the match bitset's inline segment: rule sets
 // up to inlineMatcherWords*64 rules (the overwhelming case — every
@@ -34,34 +37,43 @@ import (
 // the glob walk the old hard 1024-rule cutoff forced.
 const inlineMatcherWords = 16
 
-// matchBits is the per-decision scratch state: one bit per rule rank,
-// segmented into the inline stack-resident words plus an optional
-// spill block for states beyond the inline capacity. The walk never
-// retains a pointer to it.
-type matchBits struct {
-	inline [inlineMatcherWords]uint64
-	spill  []uint64 // words inlineMatcherWords.. for >1024-rule states
+// matchState is one walk's scratch state: whether any pattern matched,
+// plus one bit per rule rank of the view being decided, segmented into
+// the inline stack-resident words and an optional spill block for
+// states beyond the inline capacity. The walk never retains a pointer
+// to it.
+type matchState struct {
+	m       *Matcher // view whose ranks the walk sets; nil: coverage only
+	covered bool
+	inline  [inlineMatcherWords]uint64
+	spill   []uint64 // words inlineMatcherWords.. for >1024-rule states
 }
 
-func (b *matchBits) set(rank int32) {
-	if w := int(rank >> 6); w < inlineMatcherWords {
-		b.inline[w] |= 1 << uint(rank&63)
-	} else {
-		b.spill[w-inlineMatcherWords] |= 1 << uint(rank&63)
+// accept records the patterns ending at a node the walk reached.
+func (st *matchState) accept(ids []int32) {
+	if len(ids) == 0 {
+		return
+	}
+	st.covered = true
+	if st.m == nil {
+		return
+	}
+	for _, id := range ids {
+		for _, r := range st.m.ranks[st.m.off[id]:st.m.off[id+1]] {
+			if w := int(r >> 6); w < inlineMatcherWords {
+				st.inline[w] |= 1 << uint(r&63)
+			} else {
+				st.spill[w-inlineMatcherWords] |= 1 << uint(r&63)
+			}
+		}
 	}
 }
 
-func (b *matchBits) setAll(ranks []int32) {
-	for _, r := range ranks {
-		b.set(r)
-	}
-}
-
-func (b *matchBits) word(w int) uint64 {
+func (st *matchState) word(w int) uint64 {
 	if w < inlineMatcherWords {
-		return b.inline[w]
+		return st.inline[w]
 	}
-	return b.spill[w-inlineMatcherWords]
+	return st.spill[w-inlineMatcherWords]
 }
 
 // mnode is one trie node; edges consume exactly one path segment.
@@ -69,7 +81,7 @@ type mnode struct {
 	literals map[string]*mnode // literal segment -> child
 	patterns []patternEdge     // in-segment glob edges (*, ?, [...])
 	dstar    *mnode            // "**" edge: consumes >= 1 whole segments
-	ranks    []int32           // rules whose pattern ends at this node
+	ids      []int32           // patterns ending at this node
 }
 
 type patternEdge struct {
@@ -106,254 +118,29 @@ func (n *mnode) child(seg glob.Seg) *mnode {
 	}
 }
 
-func (n *mnode) addRank(r int32) {
-	// Multiple branches of one rule may terminate at the same node;
-	// ranks are appended per rule in ascending order, so a duplicate is
-	// always the last element.
-	if k := len(n.ranks); k > 0 && n.ranks[k-1] == r {
-		return
-	}
-	n.ranks = append(n.ranks, r)
-}
-
-// Matcher is the compiled decision engine for one state's rule set.
-// It is immutable after construction and safe for concurrent use.
-type Matcher struct {
-	root *mnode
-	// byRank holds the rules in evaluation-replay order: every rule
-	// whose pattern has a literal first segment (the walk engine's
-	// bucket population) in declaration order, then the wildcard-bucket
-	// rules in declaration order. Rules from different literal buckets
-	// can never match the same path, so this single total order
-	// reproduces the walk engine's bucket-then-wildcard visit order for
-	// any path.
-	byRank []*CompiledRule
-	// complex rules carry a pattern branch the trie cannot index (not
-	// rooted at '/', or "**" glued mid-segment); they are matched with
-	// the full glob engine on every decision. Rare by construction.
-	complex      []*CompiledRule
-	complexRanks []int32
-	words        int // bitset words in use: ceil(len(byRank)/64)
-}
-
-// newMatcher compiles a rule set into a Matcher.
-func newMatcher(rs *RuleSet) *Matcher {
-	m := &Matcher{root: &mnode{}}
-
-	// Rank assignment replicates NewRuleSet's split: literal-first-
-	// segment rules (in declaration order) rank before wildcard rules.
-	var order []int
-	for i := range rs.rules {
-		if _, literal := firstSegment(rs.rules[i].Pattern.String()); literal {
-			order = append(order, i)
-		}
-	}
-	for i := range rs.rules {
-		if _, literal := firstSegment(rs.rules[i].Pattern.String()); !literal {
-			order = append(order, i)
-		}
-	}
-
-	for rank, idx := range order {
-		r := &rs.rules[idx]
-		m.byRank = append(m.byRank, r)
-		branches := r.Pattern.Branches()
-		indexable := make([][]glob.Seg, 0, len(branches))
-		allOK := true
-		for _, br := range branches {
-			segs, ok := glob.SplitSegments(br)
-			if !ok {
-				allOK = false
-				break
-			}
-			indexable = append(indexable, segs)
-		}
-		if !allOK {
-			// Any unindexable branch demotes the whole rule to the
-			// complex list: the full glob already evaluates every branch,
-			// so splitting the rule across both engines would only run
-			// the backtracking matcher twice.
-			m.complex = append(m.complex, r)
-			m.complexRanks = append(m.complexRanks, int32(rank))
-			continue
-		}
-		for _, segs := range indexable {
-			n := m.root
-			for _, seg := range segs {
-				n = n.child(seg)
-			}
-			n.addRank(int32(rank))
-		}
-	}
-	m.words = (len(m.byRank) + 63) / 64
-	return m
-}
-
-// Len reports the number of rules the matcher indexes.
-func (m *Matcher) Len() int { return len(m.byRank) }
-
-// ComplexRules reports how many rules fell back to full glob matching
-// (introspection for tests and the compile report).
-func (m *Matcher) ComplexRules() int { return len(m.complex) }
-
-// Decide evaluates an access request against the compiled trie. It is
-// exact: the verdict and the deciding rule are identical to the walk
-// engine's RuleSet.Decide (same *CompiledRule pointer). The hot path
-// performs no allocation and never invokes the multi-branch glob engine
-// for trie-indexed rules; only segment-confined matchers and — for the
-// rare complex rules — the original backtracking matcher run.
-func (m *Matcher) Decide(subject, path string, mask sys.Access) (allowed bool, matched *CompiledRule) {
-	var st matchBits
-	if m.words > inlineMatcherWords {
-		st.spill = make([]uint64, m.words-inlineMatcherWords)
-	}
-	if len(path) > 0 && path[0] == '/' {
-		m.walk(m.root, path, 1, &st)
-	}
-	// Non-rooted paths skip the trie entirely: every indexed branch
-	// starts with a literal '/', so only complex rules can match them.
-	for i, r := range m.complex {
-		if r.Pattern.Match(path) {
-			st.set(m.complexRanks[i])
-		}
-	}
-
-	// Replay the verdict over the matched rules in rank order — the walk
-	// engine's exact evaluation order.
-	var granted sys.Access
-	var lastAllow *CompiledRule
-	for w := 0; w < m.words; w++ {
-		word := st.word(w)
-		for word != 0 {
-			rank := w<<6 + bits.TrailingZeros64(word)
-			word &= word - 1
-			r := m.byRank[rank]
-			if r.Subject != nil && !r.Subject.Match(subject) {
-				continue
-			}
-			if r.Deny {
-				if mask&r.Access != 0 {
-					return false, r
-				}
-				continue
-			}
-			if r.Access&mask != 0 {
-				granted |= r.Access
-				lastAllow = r
-			}
-		}
-	}
-	if granted.Has(mask) {
-		return true, lastAllow
-	}
-	return false, nil
-}
-
-// walk collects the ranks of every trie-indexed rule whose pattern
-// matches path[i:] starting from node n, where i sits at the beginning
-// of a path segment (just past a '/').
-func (m *Matcher) walk(n *mnode, path string, i int, st *matchBits) {
-	if d := n.dstar; d != nil {
-		// "**" consumes one or more whole segments. Option one: it eats
-		// everything left (>= 1 segment always remains here), ending the
-		// pattern at d. Option two..n: it eats through each interior
-		// boundary and the rest of the pattern resumes at d.
-		st.setAll(d.ranks)
-		j := i
-		for {
-			e := strings.IndexByte(path[j:], '/')
-			if e < 0 {
-				break
-			}
-			j += e + 1
-			m.walk(d, path, j, st)
-		}
-	}
-	e := strings.IndexByte(path[i:], '/')
-	if e < 0 {
-		seg := path[i:]
-		if c := n.literals[seg]; c != nil {
-			st.setAll(c.ranks)
-		}
-		for k := range n.patterns {
-			if glob.MatchSegment(n.patterns[k].pattern, seg) {
-				st.setAll(n.patterns[k].node.ranks)
-			}
-		}
-		return
-	}
-	seg := path[i : i+e]
-	next := i + e + 1
-	if c := n.literals[seg]; c != nil {
-		m.walk(c, path, next, st)
-	}
-	for k := range n.patterns {
-		if glob.MatchSegment(n.patterns[k].pattern, seg) {
-			m.walk(n.patterns[k].node, path, next, st)
-		}
-	}
-}
-
-// --- coverage trie ---
-
-// coverNode is the coverage trie's node: the same segment-edge shape as
-// mnode but with a boolean terminal and early-exit matching, since the
-// only question is "does any pattern cover this path".
-type coverNode struct {
-	literals map[string]*coverNode
-	patterns []coverEdge
-	dstar    *coverNode
-	terminal bool
-}
-
-type coverEdge struct {
-	pattern string
-	node    *coverNode
-}
-
-func (n *coverNode) child(seg glob.Seg) *coverNode {
-	switch seg.Kind {
-	case glob.SegDoubleStar:
-		if n.dstar == nil {
-			n.dstar = &coverNode{}
-		}
-		return n.dstar
-	case glob.SegPattern:
-		for i := range n.patterns {
-			if n.patterns[i].pattern == seg.Text {
-				return n.patterns[i].node
-			}
-		}
-		c := &coverNode{}
-		n.patterns = append(n.patterns, coverEdge{pattern: seg.Text, node: c})
-		return c
-	default:
-		if n.literals == nil {
-			n.literals = make(map[string]*coverNode)
-		}
-		c := n.literals[seg.Text]
-		if c == nil {
-			c = &coverNode{}
-			n.literals[seg.Text] = c
-		}
-		return c
-	}
-}
-
-// coverTrie indexes the union of every rule pattern for the O(segments)
-// covered/uncovered verdict — the first gate of every hook decision.
-type coverTrie struct {
-	root    *coverNode
-	complex []*glob.Glob // patterns the trie cannot index
+// trie indexes a pattern list by path segment; a pattern's id is its
+// index in the list.
+type trie struct {
+	root    *mnode
+	size    int          // pattern ids: 0..size-1
+	complex []complexPat // patterns the trie cannot index
 
 	// anyRoot is set when a "**" root edge or an unindexable pattern
 	// may match any first segment: mayCover's root step is then moot.
 	anyRoot bool
 }
 
-func newCoverTrie(patterns []*glob.Glob) coverTrie {
-	t := coverTrie{root: &coverNode{}}
-	for _, g := range patterns {
+// complexPat is a pattern with a branch the trie cannot index (not
+// rooted at '/', or "**" glued mid-segment); it is matched with the full
+// glob engine on every walk. Rare by construction.
+type complexPat struct {
+	g  *glob.Glob
+	id int32
+}
+
+func newTrie(patterns []*glob.Glob) trie {
+	t := trie{root: &mnode{}, size: len(patterns)}
+	for id, g := range patterns {
 		branches := g.Branches()
 		indexable := make([][]glob.Seg, 0, len(branches))
 		allOK := true
@@ -366,7 +153,10 @@ func newCoverTrie(patterns []*glob.Glob) coverTrie {
 			indexable = append(indexable, segs)
 		}
 		if !allOK {
-			t.complex = append(t.complex, g)
+			// Any unindexable branch demotes the whole pattern: the full
+			// glob already evaluates every branch, so splitting it across
+			// both engines would only run the backtracking matcher twice.
+			t.complex = append(t.complex, complexPat{g: g, id: int32(id)})
 			continue
 		}
 		for _, segs := range indexable {
@@ -374,28 +164,36 @@ func newCoverTrie(patterns []*glob.Glob) coverTrie {
 			for _, seg := range segs {
 				n = n.child(seg)
 			}
-			n.terminal = true
+			// Several branches of one pattern may end at the same node;
+			// ids are appended in ascending order, so a duplicate is
+			// always the last element.
+			if k := len(n.ids); k == 0 || n.ids[k-1] != int32(id) {
+				n.ids = append(n.ids, int32(id))
+			}
 		}
 	}
 	t.anyRoot = t.root.dstar != nil || len(t.complex) > 0
 	return t
 }
 
-func (t *coverTrie) covers(path string) bool {
-	if len(path) > 0 && path[0] == '/' && coverWalk(t.root, path, 1) {
-		return true
+// match walks path through the trie and hands every matching pattern to
+// st.
+func (t *trie) match(path string, st *matchState) {
+	// Non-rooted paths skip the trie entirely: every indexed branch
+	// starts with a literal '/', so only complex patterns can match them.
+	if len(path) > 0 && path[0] == '/' {
+		st.walk(t.root, path, 1)
 	}
-	for _, g := range t.complex {
-		if g.Match(path) {
-			return true
+	for i := range t.complex {
+		if t.complex[i].g.Match(path) {
+			st.accept([]int32{t.complex[i].id})
 		}
 	}
-	return false
 }
 
-// mayCover is covers' root step alone: it is false only when no pattern
-// can match the path's first segment, so covers is false too.
-func (t *coverTrie) mayCover(path string) bool {
+// mayCover is the walk's root step alone: it is false only when no
+// pattern can match the path's first segment, so nothing matches.
+func (t *trie) mayCover(path string) bool {
 	if t.anyRoot {
 		return true
 	}
@@ -417,11 +215,15 @@ func (t *coverTrie) mayCover(path string) bool {
 	return false
 }
 
-func coverWalk(n *coverNode, path string, i int) bool {
+// walk accepts every pattern that matches path[i:] starting from node
+// n, where i sits at the beginning of a path segment (just past a '/').
+func (st *matchState) walk(n *mnode, path string, i int) {
 	if d := n.dstar; d != nil {
-		if d.terminal {
-			return true // "**" eats the >= 1 remaining segments
-		}
+		// "**" consumes one or more whole segments. Option one: it eats
+		// everything left (>= 1 segment always remains here), ending the
+		// pattern at d. Option two..n: it eats through each interior
+		// boundary and the rest of the pattern resumes at d.
+		st.accept(d.ids)
 		j := i
 		for {
 			e := strings.IndexByte(path[j:], '/')
@@ -429,33 +231,149 @@ func coverWalk(n *coverNode, path string, i int) bool {
 				break
 			}
 			j += e + 1
-			if coverWalk(d, path, j) {
-				return true
-			}
+			st.walk(d, path, j)
 		}
 	}
 	e := strings.IndexByte(path[i:], '/')
 	if e < 0 {
 		seg := path[i:]
-		if c := n.literals[seg]; c != nil && c.terminal {
-			return true
+		if c := n.literals[seg]; c != nil {
+			st.accept(c.ids)
 		}
 		for k := range n.patterns {
-			if n.patterns[k].node.terminal && glob.MatchSegment(n.patterns[k].pattern, seg) {
-				return true
+			if glob.MatchSegment(n.patterns[k].pattern, seg) {
+				st.accept(n.patterns[k].node.ids)
 			}
 		}
-		return false
+		return
 	}
 	seg := path[i : i+e]
 	next := i + e + 1
-	if c := n.literals[seg]; c != nil && coverWalk(c, path, next) {
-		return true
+	if c := n.literals[seg]; c != nil {
+		st.walk(c, path, next)
 	}
 	for k := range n.patterns {
-		if glob.MatchSegment(n.patterns[k].pattern, seg) && coverWalk(n.patterns[k].node, path, next) {
-			return true
+		if glob.MatchSegment(n.patterns[k].pattern, seg) {
+			st.walk(n.patterns[k].node, path, next)
 		}
 	}
-	return false
+}
+
+// Matcher is the compiled decision engine for one state's rule set: a
+// view over a trie it may share with every other state of the policy.
+// It is immutable after construction and safe for concurrent use.
+type Matcher struct {
+	trie *trie
+	// byRank holds the rules in evaluation-replay order: every rule
+	// whose pattern has a literal first segment (the walk engine's
+	// bucket population) in declaration order, then the wildcard-bucket
+	// rules in declaration order. Rules from different literal buckets
+	// can never match the same path, so this single total order
+	// reproduces the walk engine's bucket-then-wildcard visit order for
+	// any path.
+	byRank []*CompiledRule
+	// ranks[off[id]:off[id+1]] are the ranks of the rules carrying
+	// pattern id: none for a pattern of another state, two for a rule
+	// the state lists twice (a permission granted twice).
+	off   []int32
+	ranks []int32
+	words int // bitset words in use: ceil(len(byRank)/64)
+}
+
+// newMatcher builds a view over t for rules, where ids[i] is the trie
+// pattern id of rules[i].Pattern.
+func newMatcher(t *trie, rules []CompiledRule, ids []int32) *Matcher {
+	m := &Matcher{trie: t, off: make([]int32, t.size+1), ranks: make([]int32, len(rules)),
+		byRank: make([]*CompiledRule, 0, len(rules))}
+
+	// Rank assignment replicates NewRuleSet's split: literal-first-
+	// segment rules (in declaration order) rank before wildcard rules.
+	var order []int
+	for i := range rules {
+		if _, literal := firstSegment(rules[i].Pattern.String()); literal {
+			order = append(order, i)
+		}
+	}
+	for i := range rules {
+		if _, literal := firstSegment(rules[i].Pattern.String()); !literal {
+			order = append(order, i)
+		}
+	}
+
+	// Bucket the ranks by pattern id: count, prefix-sum into start
+	// offsets, fill (each start advances to its end), shift back.
+	for _, idx := range order {
+		m.off[ids[idx]+1]++
+	}
+	for id := 1; id <= t.size; id++ {
+		m.off[id] += m.off[id-1]
+	}
+	for rank, idx := range order {
+		m.byRank = append(m.byRank, &rules[idx])
+		id := ids[idx]
+		m.ranks[m.off[id]] = int32(rank)
+		m.off[id]++
+	}
+	copy(m.off[1:], m.off[:t.size])
+	m.off[0] = 0
+	m.words = (len(m.byRank) + 63) / 64
+	return m
+}
+
+// Decide evaluates an access request against the compiled trie. It is
+// exact: the verdict and the deciding rule are identical to the walk
+// engine's RuleSet.Decide (same *CompiledRule pointer).
+func (m *Matcher) Decide(subject, path string, mask sys.Access) (allowed bool, matched *CompiledRule) {
+	_, allowed, matched = m.Evaluate(subject, path, mask)
+	return allowed, matched
+}
+
+// Evaluate is one walk over the trie answering both of the enforcement
+// path's questions: covered reports whether any pattern of the trie —
+// for a policy's state, any pattern of any state — matches path, and
+// (allowed, matched) is Decide's result. The hot path performs no
+// allocation and never invokes the multi-branch glob engine for
+// trie-indexed patterns; only segment-confined matchers and — for the
+// rare complex patterns — the original backtracking matcher run.
+func (m *Matcher) Evaluate(subject, path string, mask sys.Access) (covered, allowed bool, matched *CompiledRule) {
+	st := matchState{m: m}
+	if m.words > inlineMatcherWords {
+		st.spill = make([]uint64, m.words-inlineMatcherWords)
+	}
+	m.trie.match(path, &st)
+	if !st.covered {
+		// Nothing matched, so nothing is granted: only an empty request
+		// is allowed, as the replay below would find.
+		return false, mask == 0, nil
+	}
+
+	// Replay the verdict over the matched rules in rank order — the walk
+	// engine's exact evaluation order.
+	var granted sys.Access
+	var lastAllow *CompiledRule
+	for w := 0; w < m.words; w++ {
+		word := st.word(w)
+		for word != 0 {
+			rank := w<<6 + bits.TrailingZeros64(word)
+			word &= word - 1
+			r := m.byRank[rank]
+			if r.Subject != nil && !r.Subject.Match(subject) {
+				continue
+			}
+			if r.Deny {
+				if mask&r.Access != 0 {
+					return true, false, r
+				}
+				continue
+			}
+			if r.Access&mask != 0 {
+				granted |= r.Access
+				lastAllow = r
+			}
+		}
+	}
+	if granted.Has(mask) {
+		return true, true, lastAllow
+	}
+	return true, false, nil
 }

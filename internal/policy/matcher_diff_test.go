@@ -1,12 +1,12 @@
 package policy
 
 // matcher_diff_test holds the trie-compiled decision engine against the
-// legacy glob-walk engine over randomly generated rule sets and access
-// keys. The contract is exactness: same allowed verdict AND the same
-// deciding-rule pointer for every (subject, path, mask) triple, plus
-// coverage-trie == coverage-walk for every path. Failures replay
-// deterministically from the seed. `make matcher-diff` runs this under
-// the race detector as part of `make check`.
+// legacy glob-walk engine over randomly generated rule sets, compiled
+// policies, and access keys. The contract is exactness: same allowed
+// verdict AND the same deciding-rule pointer for every (subject, path,
+// mask) triple, plus coverage-trie == coverage-walk for every path.
+// Failures replay deterministically from the seed. `make matcher-diff`
+// runs this under the race detector as part of `make check`.
 
 import (
 	"fmt"
@@ -102,6 +102,54 @@ func genRules(t *testing.T, r *rand.Rand, n int) []CompiledRule {
 	return rules
 }
 
+// genCompiled compiles a random policy whose permissions carry genRules'
+// rules. States grant random subsets of the permissions in random
+// orders, now and then one permission twice (a warning; both copies of
+// its rules stay), so every state's matcher is a view over the shared
+// coverage trie with its own pattern-to-rank map.
+func genCompiled(t *testing.T, r *rand.Rand) *Compiled {
+	t.Helper()
+	f := &File{}
+	nPerms := 2 + r.Intn(4)
+	for p := 0; p < nPerms; p++ {
+		name := fmt.Sprintf("P%d", p)
+		f.Permissions = append(f.Permissions, PermDecl{Name: name})
+		decl := PerRulesDecl{Perm: name}
+		for _, cr := range genRules(t, r, 1+r.Intn(12)) {
+			rd := RuleDecl{Deny: cr.Deny, Path: cr.Pattern.String()}
+			for _, op := range sys.AccessNames() {
+				if cr.Access&sys.ParseAccess(op) != 0 {
+					rd.Ops = append(rd.Ops, op)
+				}
+			}
+			if cr.Subject != nil {
+				rd.Subject = cr.Subject.String()
+			}
+			decl.Rules = append(decl.Rules, rd)
+		}
+		f.PerRules = append(f.PerRules, decl)
+	}
+	for s := 0; s < 1+r.Intn(4); s++ {
+		name := fmt.Sprintf("s%d", s)
+		f.States = append(f.States, StateDecl{Name: name})
+		var perms []string
+		for _, p := range r.Perm(nPerms) {
+			if r.Intn(3) > 0 {
+				perms = append(perms, fmt.Sprintf("P%d", p))
+			}
+		}
+		if len(perms) > 0 && r.Intn(4) == 0 {
+			perms = append(perms, perms[r.Intn(len(perms))])
+		}
+		f.StatePer = append(f.StatePer, StatePerDecl{State: name, Perms: perms})
+	}
+	c, _, err := Compile(f)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	return c
+}
+
 func TestMatcherDifferentialFuzz(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
 		seed := seed
@@ -134,12 +182,46 @@ func TestMatcherDifferentialFuzz(t *testing.T) {
 						wantAllowed, ruleStr(wantRule), gotAllowed, ruleStr(gotRule))
 				}
 
-				if walk, trie := cov.CoversWalk(path), cov.Covers(path); walk != trie {
+				walk := cov.CoversWalk(path)
+				if trie := cov.Covers(path); walk != trie {
 					t.Fatalf("seed %d trial %d: coverage divergence on path=%q: walk=%v trie=%v",
 						seed, trial, path, walk, trie)
 				}
+				if covered, _, _ := m.Evaluate(subject, path, mask); covered != walk {
+					t.Fatalf("seed %d trial %d: Evaluate covered=%v on path=%q, walk=%v",
+						seed, trial, covered, path, walk)
+				}
 				if cov.Covers(path) && !cov.MayCover(path) {
 					t.Fatalf("seed %d trial %d: MayCover rejects covered path %q", seed, trial, path)
+				}
+			}
+
+			// The same contract for every state of a compiled policy,
+			// whose matchers share one trie.
+			c := genCompiled(t, r)
+			for _, st := range c.StateNames() {
+				rs := c.StateSets[st]
+				m := rs.Matcher()
+				for trial := 0; trial < 200; trial++ {
+					path := genPath(r)
+					subject := diffSubjects[r.Intn(len(diffSubjects))]
+					mask := sys.Access(r.Intn(8))
+
+					wantAllowed, wantRule := rs.Decide(subject, path, mask)
+					covered, gotAllowed, gotRule := m.Evaluate(subject, path, mask)
+					if gotAllowed != wantAllowed || gotRule != wantRule {
+						t.Fatalf("seed %d state %s trial %d: divergence on subject=%q path=%q mask=%s:\n"+
+							"  walk: allowed=%v rule=%v\n  trie: allowed=%v rule=%v",
+							seed, st, trial, subject, path, mask,
+							wantAllowed, ruleStr(wantRule), gotAllowed, ruleStr(gotRule))
+					}
+					if walk := c.Coverage.CoversWalk(path); covered != walk {
+						t.Fatalf("seed %d state %s trial %d: Evaluate covered=%v on path=%q, walk=%v",
+							seed, st, trial, covered, path, walk)
+					}
+					if covered && !c.Coverage.MayCover(path) {
+						t.Fatalf("seed %d state %s trial %d: MayCover rejects covered path %q", seed, st, trial, path)
+					}
 				}
 			}
 		})

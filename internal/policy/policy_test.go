@@ -261,6 +261,36 @@ func TestCompileExample(t *testing.T) {
 	}
 }
 
+// TestStateMatchersShareCoverageTrie pins the one-trie layout: every
+// state's matcher, and the fallback rule set for a state the policy
+// lacks, walks the coverage trie itself. The fallback grants nothing,
+// so it denies covered paths and reports uncovered ones as such.
+func TestStateMatchersShareCoverageTrie(t *testing.T) {
+	c, _, err := Load(examplePolicy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range c.StateNames() {
+		if c.Rules(st) != c.StateSets[st] {
+			t.Errorf("Rules(%q) is not the compiled state set", st)
+		}
+		if c.StateSets[st].Matcher().trie != &c.Coverage.trie {
+			t.Errorf("state %s has a trie of its own", st)
+		}
+	}
+	ghost := c.Rules("ghost")
+	if ghost.State != "ghost" || ghost.Len() != 0 || ghost.Matcher().trie != &c.Coverage.trie {
+		t.Fatalf("fallback rule set = %q with %d rules, shared trie %v",
+			ghost.State, ghost.Len(), ghost.Matcher().trie == &c.Coverage.trie)
+	}
+	if covered, allowed, rule := ghost.Matcher().Evaluate("", "/etc/fstab", sys.MayRead); !covered || allowed || rule != nil {
+		t.Errorf("fallback on a covered path: covered=%v allowed=%v rule=%v", covered, allowed, rule)
+	}
+	if covered, _, _ := ghost.Matcher().Evaluate("", "/tmp/scratch", sys.MayRead); covered {
+		t.Error("fallback covers an uncovered path")
+	}
+}
+
 func TestCompileAutoEncodings(t *testing.T) {
 	src := "states { a b = 0 c }\ninitial a"
 	c, _, err := Load(src)

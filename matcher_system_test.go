@@ -22,6 +22,7 @@ import (
 	sack "repro"
 	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/policy"
 	"repro/internal/sys"
 )
 
@@ -205,6 +206,33 @@ func TestMatcherZeroAllocUncached(t *testing.T) {
 		}
 	}); avg != 0 {
 		t.Fatalf("uncovered passthrough allocates %.1f objects/op, want 0", avg)
+	}
+}
+
+// TestPolicyLoadAllocGuard is the bench-smoke fence on the compiled
+// footprint: a policy compiles into one coverage trie that every
+// state's matcher shares, so allocations per Load grow with the pattern
+// count, not with states × patterns. A layout that copies the union
+// into every state, or builds a trie per state again, breaks these
+// budgets (4,963 and 12,054 allocations with a trie per state).
+func TestPolicyLoadAllocGuard(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		src    string
+		budget float64
+	}{
+		{"GenStatesPolicy(64)", bench.GenStatesPolicy(64), 4200},
+		{"GenRulesPolicy(500)", bench.GenRulesPolicy(500), 7500},
+	} {
+		n := testing.AllocsPerRun(5, func() {
+			if _, _, err := policy.Load(c.src); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %.0f allocations per Load", c.name, n)
+		if n > c.budget {
+			t.Errorf("policy.Load(%s) makes %.0f allocations, budget %.0f", c.name, n, c.budget)
+		}
 	}
 }
 
