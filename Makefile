@@ -118,11 +118,15 @@ bench-ablation:
 # table growth, forks and NumFDs on one task, plus the dentry cache:
 # random mutation sequences must resolve exactly as an uncached walk,
 # and lookups racing renames and unlinks must never see a mapping a
-# finished mutation removed.
+# finished mutation removed, plus the audit log: writers appending from
+# several call depths (so several shards) against an exporter draining
+# through Since must leave every shard's run sorted, each writer's
+# records in append order and the ledgers exact.
 parallel-stress:
 	$(GO) test -race -count=1 -run 'TestParallelDecisionStress' .
 	$(GO) test -race -count=1 -run 'TestFDTableConcurrentInPlace' ./internal/kernel
 	$(GO) test -race -count=1 -run 'TestDcache' ./internal/vfs
+	$(GO) test -race -count=1 -run 'TestAuditMerge' ./internal/lsm
 
 # Differential fuzz: random policies and access keys must draw identical
 # verdicts (and identical deciding rules) from the trie-compiled matcher
@@ -130,10 +134,15 @@ parallel-stress:
 # the >1024-rule spill block), for every state of a compiled policy
 # (views over its one shared trie, whose covered answer must equal the
 # coverage walk), through AppArmor's decision path against a linear
-# scan of its profile rules, and through the public System API.
+# scan of its profile rules, and through the public System API; and
+# every denial's audit detail, served from its rule set's memo, must
+# equal a fresh format of the oracle's deciding rule, in SACK (every
+# state, reloads) and AppArmor (both modes, profile rewrites), with
+# concurrent fillers.
 matcher-diff:
 	$(GO) test -race -count=1 -run 'TestMatcher.*Differential' ./internal/policy
-	$(GO) test -race -count=1 -run 'TestAppArmorMatcherDifferential' ./internal/apparmor
+	$(GO) test -race -count=1 -run 'TestDenialDetailMemo' ./internal/core
+	$(GO) test -race -count=1 -run 'TestAppArmorMatcherDifferential|TestAppArmorDenialDetailMemo' ./internal/apparmor
 	$(GO) test -race -count=1 -run 'TestMatcherSystemDifferential|TestCachedEqualsUncachedTrace' .
 
 # Policy verification suite: the symbolic explorer's unit tests and
@@ -169,8 +178,9 @@ perfbench-build:
 # plus the policy
 # validator's allocation fence on a benchmark-sized policy, the
 # syscall path's allocation fence (an open allocates only its file, a
-# repeated stat or denial nothing), the audit drain's zero-alloc fence
-# (Appends from two call depths, so every cut needs sorting) and the
+# repeated stat or denial nothing, a first denial after a transition
+# only its AVC entry), the audit drain's zero-alloc fence (Appends from
+# two call depths, so every cut merges two runs) and the
 # sampled hook-metrics exactness test.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkParallelDecision/sack-covered/goroutines=(1|16)$$' -benchtime 1x .

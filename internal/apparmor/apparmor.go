@@ -199,8 +199,9 @@ func (a *AppArmor) MmapFile(cred *sys.Cred, f *vfs.File, prot sys.Access) error 
 // supplies the profiles and the AVC token together, so a cached
 // decision can never outlive the swap that revoked it. On a miss the
 // profile's matcher decides and the result is cached, a denial with its
-// audit detail, so a repeated denial skips the matcher and the
-// formatting but still counts and audits as its own event.
+// audit detail, so a repeated denial skips the matcher but still counts
+// and audits as its own event. The detail comes from the profile rule
+// set's memo, rendered once per (deciding rule, mask) per load.
 func (a *AppArmor) check(cred *sys.Cred, op, path string, mask sys.Access) error {
 	label := cred.Blob(blobSlot)
 	if label == "" || label == Unconfined {
@@ -218,10 +219,10 @@ func (a *AppArmor) check(cred *sys.Cred, op, path string, mask sys.Access) error
 	}
 	if !hit {
 		a.cache.Miss()
-		var matched *policy.CompiledRule
-		allowed, matched = e.rules.Matcher().Decide(label, path, mask)
+		var rank int
+		_, allowed, rank = e.rules.Matcher().EvaluateAt(policy.RootStep{}, label, path, mask)
 		if !allowed && a.audit != nil {
-			detail = denialDetail(mask, matched, e.profile.Mode)
+			detail = e.rules.Detail(rank, mask, e.detail)
 		}
 		a.cache.Insert(ps.token, label, path, mask, allowed, detail)
 		if allowed {
@@ -247,15 +248,16 @@ func (a *AppArmor) check(cred *sys.Cred, op, path string, mask sys.Access) error
 	return sys.EACCES
 }
 
-// denialDetail builds a denial's audit detail: the deciding deny rule,
-// or the absence of an allow rule, noting complain mode.
-func denialDetail(mask sys.Access, matched *policy.CompiledRule, mode ProfileMode) string {
-	detail := "mask=" + mask.String() + " no matching allow rule"
+// denialDetail builds an enforce-mode denial's audit detail: the
+// deciding deny rule, or the absence of an allow rule.
+func denialDetail(mask sys.Access, matched *policy.CompiledRule, _ string) string {
 	if matched != nil {
-		detail = "mask=" + mask.String() + " deny rule " + ruleString(matched)
+		return "mask=" + mask.String() + " deny rule " + ruleString(matched)
 	}
-	if mode == Complain {
-		detail += " (complain mode)"
-	}
-	return detail
+	return "mask=" + mask.String() + " no matching allow rule"
+}
+
+// complainDetail is denialDetail for a complain-mode profile.
+func complainDetail(mask sys.Access, matched *policy.CompiledRule, profile string) string {
+	return denialDetail(mask, matched, profile) + " (complain mode)"
 }

@@ -146,16 +146,22 @@ func FormatPerms(mask sys.Access) string {
 	return b.String()
 }
 
-// loaded is one entry of the profile table: the profile as loaded and
-// its rules compiled into the policy engine, whose Matcher decides.
+// loaded is one entry of the profile table: the profile as loaded, its
+// rules compiled into the policy engine, whose Matcher decides, and the
+// renderer of its denial details, which follows the profile's mode.
 type loaded struct {
 	profile *Profile
 	rules   *policy.RuleSet
+	detail  policy.DetailFunc
 }
 
 // compile builds a profile's table entry; it runs once per load.
 func compile(p *Profile) loaded {
-	return loaded{profile: p, rules: policy.NewRuleSet(p.Name, p.Rules)}
+	e := loaded{profile: p, rules: policy.NewRuleSet(p.Name, p.Rules), detail: denialDetail}
+	if p.Mode == Complain {
+		e.detail = complainDetail
+	}
+	return e
 }
 
 // profileSet is the immutable snapshot the hook fast path reads.

@@ -5,15 +5,15 @@
 //
 // The probe comes first. SACK's check loads its decision snapshot,
 // rejects a path whose first segment no policy pattern can match
-// (Coverage.MayCover, the policy trie's root step), reads the subject
+// (Coverage.Root, the policy trie's root step), reads the subject
 // label from its credential blob slot, and probes under the snapshot's
-// token. Only a miss walks the policy's trie, once, for both coverage
-// and the verdict (Matcher.Evaluate). A hit needs no walk because only
-// covered decisions are ever inserted, and coverage changes only with a
-// new snapshot, which brings a new token. AppArmor probes first the
-// same way. A probe that misses
-// is not counted by LookupAt: the caller records it with Miss once the
-// key proves to be one it would cache, so a pass-through probe under a
+// token. Only a miss walks the rest of the policy's trie, once, for
+// both coverage and the verdict (Matcher.EvaluateAt). A hit needs no
+// walk because only covered decisions are ever inserted, and coverage
+// changes only with a new snapshot, which brings a new token. AppArmor
+// probes first the same way. A probe that misses is not counted by
+// LookupAt: the caller records it with Miss once the key proves to be
+// one it would cache, so a pass-through probe under a
 // covered first segment never dilutes the hit ratio.
 //
 // SACK decisions additionally depend on the *situation state*, which
@@ -53,8 +53,9 @@
 // cannot choose paths that land on a victim's slots.
 //
 // Denials are cached as well as allows, as in SELinux's AVC. A deny
-// entry carries the denial's audit detail, so a repeated denial skips
-// both the policy evaluation and the formatting of its audit record.
+// entry carries the denial's audit detail, the one string the deciding
+// rule set's memo rendered for that rule and mask (RuleSet.Detail), so
+// a repeated denial skips the policy evaluation too.
 // Caching a deny changes no per-event semantics: the caller still counts
 // every denial and appends an audit record for each one, only with the
 // cached detail. A stale deny is as impossible to serve as a stale

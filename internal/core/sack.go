@@ -399,18 +399,21 @@ func (s *SACK) BprmCheck(cred *sys.Cred, path string, _ *vfs.Inode) error {
 // probes the AVC before the trie walk: only covered decisions are ever
 // inserted, and coverage changes only with a new snapshot and so a new
 // epoch, so a hit is a covered decision of this very snapshot. On a
-// miss one walk of the policy's trie answers both whether SACK mediates
-// the path at all and, if it does, MR_current's verdict; a covered one
-// counts its AVC miss and is cached, a denial together with its audit
-// detail, so a repeated denial in the same epoch skips both the
-// evaluation and the formatting but still counts and audits as its own
-// event.
+// miss one walk of the policy's trie, resuming past the root step
+// already taken, answers both whether SACK mediates the path at all
+// and, if it does, MR_current's verdict; a covered one counts its AVC
+// miss and is cached, a denial together with its audit detail, so a
+// repeated denial in the same epoch skips both the evaluation and the
+// formatting but still counts and audits as its own event. The detail
+// itself comes from the rule set's memo, so even the first denial of
+// an epoch formats nothing its state's rule set has rendered before.
 func (s *SACK) check(cred *sys.Cred, op, path string, mask sys.Access) error {
 	if s.mode == EnhancedAppArmor {
 		return nil // enforcement happens in AppArmor
 	}
 	snap := s.snap.Load()
-	if !snap.compiled.Coverage.MayCover(path) {
+	root, may := snap.compiled.Coverage.Root(path)
+	if !may {
 		s.uncovered.Add(1)
 		return nil
 	}
@@ -424,7 +427,7 @@ func (s *SACK) check(cred *sys.Cred, op, path string, mask sys.Access) error {
 			return s.deny(op, subject, path, detail)
 		}
 	}
-	covered, allowed, matched := snap.matcher.Evaluate(subject, path, mask)
+	covered, allowed, rank := snap.matcher.EvaluateAt(root, subject, path, mask)
 	if !covered {
 		s.uncovered.Add(1)
 		return nil
@@ -432,7 +435,7 @@ func (s *SACK) check(cred *sys.Cred, op, path string, mask sys.Access) error {
 	s.covered.Add(1)
 	var detail string
 	if !allowed && s.audit != nil {
-		detail = denialDetail(mask, matched, snap.rules.State)
+		detail = snap.rules.Detail(rank, mask, denialDetail)
 	}
 	if s.cache != nil {
 		s.cache.Miss()
@@ -445,7 +448,9 @@ func (s *SACK) check(cred *sys.Cred, op, path string, mask sys.Access) error {
 }
 
 // denialDetail formats the audit detail of a denial: the deciding deny
-// rule, or the absence of an allow rule, in the given state.
+// rule, or the absence of an allow rule, in the given state. It is the
+// policy.DetailFunc of every state's rule set, which renders it once
+// per (deciding rule, mask).
 func denialDetail(mask sys.Access, matched *policy.CompiledRule, state string) string {
 	if matched != nil {
 		return "mask=" + mask.String() + " rule " + strconv.Quote(matched.String()) + " in state " + state

@@ -1,9 +1,7 @@
 package lsm
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,28 +37,28 @@ func (r AuditRecord) String() string {
 const DefaultPendingCap = 64
 
 // pendingRec is a captured-but-not-yet-inserted record. The order token
-// is a global atomic counter stamped at capture time; the flusher sorts
-// by it so per-goroutine causal order survives into the ring even when
-// consecutive records from one goroutine land in different shards.
+// is a global atomic counter stamped at capture time, under the shard
+// lock, so each shard's pending buffer is sorted by it; the flusher
+// merges those runs, so per-goroutine causal order survives into the
+// ring even when consecutive records from one goroutine land in
+// different shards.
 type pendingRec struct {
 	order uint64
 	rec   AuditRecord
 }
 
-// flushKey is a pendingRec's place in a cut: its capture order and its
-// index in the batch. Flush sorts these 16-byte keys, not the records.
-type flushKey struct {
-	order uint64
-	idx   int
-}
-
 // auditShard is one slot's pending buffer. Hooks on different slots
 // append under different mutexes, so audit emission no longer serialises
-// every concurrent hook on one ring lock.
+// every concurrent hook on one ring lock. spare is the buffer the last
+// cut drained, swapped back in at the next, and head Flush's merge
+// cursor into it; only Flush touches either, under flushMu. The fields
+// fill 64 bytes, so neighbouring shard mutexes never share a cache
+// line.
 type auditShard struct {
 	mu      sync.Mutex
 	pending []pendingRec
-	_       [32]byte // keep neighbouring shard mutexes off one cache line
+	spare   []pendingRec
+	head    int
 }
 
 // AuditLog is a bounded in-memory ring of audit records with a
@@ -79,24 +77,24 @@ type auditShard struct {
 // A shard that fills up flushes inline, so records are delayed but
 // never lost.
 //
-// Flush takes an atomic cut: it locks all shards before reading any.
-// If record B (appended after A by the same goroutine) is in the cut,
-// A's Append had already completed — and since landing in a shard needs
-// that shard's lock, A is in the cut too. Sorting the cut by capture
-// order then yields per-goroutine causal order in the ring. A and B may
-// sit in different shards: shard.Slot hashes a stack address, so one
-// goroutine's Appends from different call depths land in different
-// shards, and a cut is rarely in capture order shard by shard.
+// Flush takes an atomic cut: it locks all shards, swaps each pending
+// buffer with its spare, and unlocks. Append draws its capture token
+// while holding its shard's lock, so every buffer is a run sorted by
+// token, and Flush merges the runs straight into the ring. The ring is
+// therefore in capture order, across cuts too: a record left out of a
+// cut drew its token after the cut held its shard's lock, so after
+// every token in the cut. In particular each goroutine's records stay
+// in the order it appended them, although shard.Slot hashes a stack
+// address and one goroutine's Appends from different call depths land
+// in different shards.
 //
 // Appends to the ring are O(1): once full, the oldest record is
 // overwritten in place and counted dropped, never shifted.
 type AuditLog struct {
-	capture atomic.Uint64 // capture-order tokens, stamped at Append
+	capture atomic.Uint64 // capture-order tokens, drawn under a shard lock
 	shards  []auditShard
 
-	flushMu sync.Mutex   // serialises drains; lock order: flushMu > shard.mu > mu
-	batch   []pendingRec // Flush's scratch cut, reused under flushMu
-	keys    []flushKey   // Flush's scratch sort keys, reused under flushMu
+	flushMu sync.Mutex // serialises drains; lock order: flushMu > shard.mu > mu
 
 	mu      sync.Mutex
 	seq     uint64        // last assigned sequence == records ever inserted
@@ -125,10 +123,9 @@ func (l *AuditLog) Append(r AuditRecord) {
 	if r.When.IsZero() {
 		r.When = time.Now()
 	}
-	p := pendingRec{order: l.capture.Add(1), rec: r}
 	s := &l.shards[shard.Slot()]
 	s.mu.Lock()
-	s.pending = append(s.pending, p)
+	s.pending = append(s.pending, pendingRec{order: l.capture.Add(1), rec: r})
 	full := len(s.pending) >= DefaultPendingCap
 	s.mu.Unlock()
 	if full {
@@ -143,59 +140,84 @@ func (l *AuditLog) Flush() {
 	l.flushMu.Lock()
 	defer l.flushMu.Unlock()
 
-	// Atomic cut: hold every shard lock while collecting.
-	batch := l.batch[:0]
+	// Atomic cut: hold every shard lock while swapping the buffers.
 	for i := range l.shards {
 		l.shards[i].mu.Lock()
 	}
+	cut := 0
 	for i := range l.shards {
 		s := &l.shards[i]
-		batch = append(batch, s.pending...)
-		clear(s.pending)
-		s.pending = s.pending[:0]
+		s.pending, s.spare = s.spare, s.pending
+		cut += len(s.spare)
 	}
 	for i := range l.shards {
 		l.shards[i].mu.Unlock()
 	}
-	if len(batch) == 0 {
+	if cut == 0 {
 		return
 	}
-	// Sort compact (order, index) keys rather than the records: a
-	// pendingRec is ~170 bytes, a key 16.
-	keys := l.keys[:0]
-	for i := range batch {
-		keys = append(keys, flushKey{batch[i].order, i})
-	}
-	slices.SortFunc(keys, func(a, b flushKey) int { return cmp.Compare(a.order, b.order) })
 
+	// Merge the sorted runs: take from the run with the lowest head
+	// token for as long as it stays below every other run's head.
 	l.mu.Lock()
-	for _, k := range keys {
-		l.insertLocked(batch[k.idx].rec)
+	for {
+		// first is the run with the lowest head token, low that token and
+		// next the second lowest (0: first is the only run left).
+		var first *auditShard
+		var low, next uint64
+		for i := range l.shards {
+			s := &l.shards[i]
+			if s.head == len(s.spare) {
+				continue
+			}
+			o := s.spare[s.head].order
+			switch {
+			case first == nil:
+				first, low = s, o
+			case o < low:
+				first, low, next = s, o, low
+			case next == 0 || o < next:
+				next = o
+			}
+		}
+		if first == nil {
+			break
+		}
+		for ; first.head < len(first.spare) && (next == 0 || first.spare[first.head].order < next); first.head++ {
+			l.insertLocked(&first.spare[first.head].rec)
+		}
 	}
 	l.mu.Unlock()
-	clear(batch) // the ring holds the records now; drop the batch's references
-	l.batch = batch[:0]
-	l.keys = keys[:0]
+	for i := range l.shards {
+		s := &l.shards[i]
+		clear(s.spare) // the ring holds the records now; drop the references
+		s.spare, s.head = s.spare[:0], 0
+	}
 }
 
-// insertLocked assigns the next sequence number and places the record in
-// the ring. Caller holds l.mu.
-func (l *AuditLog) insertLocked(r AuditRecord) {
+// insertLocked assigns the next sequence number and copies the record
+// into the ring. Caller holds l.mu.
+func (l *AuditLog) insertLocked(r *AuditRecord) {
 	l.seq++
-	r.Seq = l.seq
-	if len(l.buf) < l.max {
-		l.buf = append(l.buf, r)
+	var slot *AuditRecord
+	switch {
+	case len(l.buf) < l.max:
+		l.buf = append(l.buf, *r)
+		slot = &l.buf[len(l.buf)-1]
 		l.n++
-		return
-	}
-	if l.n < l.max {
-		l.buf[(l.start+l.n)%l.max] = r
+	case l.n < l.max:
+		slot = &l.buf[(l.start+l.n)%l.max]
+		*slot = *r
 		l.n++
-		return
+	default:
+		slot = &l.buf[l.start]
+		*slot = *r
+		if l.start++; l.start == l.max {
+			l.start = 0
+		}
+		l.dropped++
 	}
-	l.buf[l.start] = r
-	l.start = (l.start + 1) % l.max
-	l.dropped++
+	slot.Seq = l.seq
 }
 
 // Records returns a copy of the retained records, oldest first.

@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -229,3 +230,101 @@ func TestRegisterAfterFreeze(t *testing.T) {
 type nullModule struct{ name string }
 
 func (m nullModule) Name() string { return m.name }
+
+// TestAuditMergeOrderUnderConcurrentSince: writers append from several
+// call depths, so each one's records spread over several shards, while
+// an exporter drains through Since and the small ring overwrites. Every
+// Flush merges the shards' runs, so what the exporter reads must be in
+// each writer's append order, each sequence exactly once, and the
+// ledgers exact: read + missed == emitted == retained + dropped.
+func TestAuditMergeOrderUnderConcurrentSince(t *testing.T) {
+	l := NewAuditLog(512)
+	const writers, perW = 4, 3000
+	depths := []int{0, 3, 7, 12}
+	spread := make([]int, writers)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			// Count the shards this writer's depths reach, through a
+			// private log nobody flushes.
+			probe := NewAuditLog(0)
+			for _, d := range depths {
+				appendAt(probe, AuditRecord{}, d)
+			}
+			for i := range probe.shards {
+				if len(probe.shards[i].pending) > 0 {
+					spread[w]++
+				}
+			}
+			for i := 0; i < perW; i++ {
+				appendAt(l, AuditRecord{Subject: fmt.Sprintf("w%d", w), Detail: fmt.Sprintf("%06d", i)},
+					depths[i%len(depths)])
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	var read []AuditRecord
+	var missed, cursor uint64
+	exported := make(chan struct{})
+	unsorted := 0 // pending runs seen out of capture order
+	go func() {
+		defer close(exported)
+		drain := func() {
+			for i := range l.shards {
+				s := &l.shards[i]
+				s.mu.Lock()
+				for j := 1; j < len(s.pending); j++ {
+					if s.pending[j].order < s.pending[j-1].order {
+						unsorted++
+					}
+				}
+				s.mu.Unlock()
+			}
+			recs, next, m := l.Since(cursor)
+			read = append(read, recs...)
+			missed += m
+			cursor = next
+		}
+		for {
+			select {
+			case <-done:
+				drain()
+				return
+			default:
+				drain()
+			}
+		}
+	}()
+	wg.Wait()
+	close(done)
+	<-exported
+
+	if unsorted > 0 {
+		t.Fatalf("%d pending records sat behind a later capture token: a shard's run is not sorted", unsorted)
+	}
+	if slices.Max(spread) < 2 {
+		t.Fatalf("writers' depths reached %v shards; want records spread over several", spread)
+	}
+	last := make(map[string]string)
+	for i, r := range read {
+		if i > 0 && r.Seq <= read[i-1].Seq {
+			t.Fatalf("sequence %d read after %d", r.Seq, read[i-1].Seq)
+		}
+		if prev, ok := last[r.Subject]; ok && r.Detail <= prev {
+			t.Fatalf("writer %s order inverted: %s after %s", r.Subject, r.Detail, prev)
+		}
+		last[r.Subject] = r.Detail
+	}
+	emitted := l.Emitted()
+	if emitted != writers*perW {
+		t.Fatalf("emitted %d, want %d", emitted, writers*perW)
+	}
+	if got := uint64(len(read)) + missed; got != emitted {
+		t.Fatalf("read %d + missed %d = %d, want emitted %d", len(read), missed, got, emitted)
+	}
+	if got := uint64(l.Len()) + l.Dropped(); got != emitted {
+		t.Fatalf("retained %d + dropped %d = %d, want emitted %d", l.Len(), l.Dropped(), got, emitted)
+	}
+}

@@ -105,13 +105,13 @@ func appendAt(l *AuditLog, r AuditRecord, depth int) {
 	l.Append(r)
 }
 
-// TestAuditFlushZeroAllocs: once the ring is full and the pending
-// buffers and the flush scratch have grown, a pending buffer's worth of
-// Appends plus a Flush allocates nothing, and the drained buffers keep
-// no references to the records they handed over. The Appends alternate
-// between two call depths whose records land in different shards, so
-// every cut interleaves two shards out of capture order and Flush must
-// sort it; the ring still holds the records in capture order.
+// TestAuditFlushZeroAllocs: once the ring is full and the pending and
+// spare buffers have grown, a pending buffer's worth of Appends plus a
+// Flush allocates nothing, and neither buffer keeps a reference to the
+// records it handed over. The Appends alternate between two call depths
+// whose records land in different shards, so every cut interleaves two
+// runs and Flush must merge them; the ring still holds the records in
+// capture order.
 func TestAuditFlushZeroAllocs(t *testing.T) {
 	const max = 128
 	l := NewAuditLog(max)
@@ -165,15 +165,13 @@ func TestAuditFlushZeroAllocs(t *testing.T) {
 			t.Fatalf("ring[%d] = %s, want %s: records left capture order", i, r.Object, want)
 		}
 	}
-	for _, p := range l.batch[:cap(l.batch)] {
-		if p != (pendingRec{}) {
-			t.Fatal("flush batch still references a drained record")
-		}
-	}
 	for i := range l.shards {
-		for _, p := range l.shards[i].pending[:cap(l.shards[i].pending)] {
-			if p != (pendingRec{}) {
-				t.Fatal("pending buffer still references a drained record")
+		s := &l.shards[i]
+		for _, buf := range [][]pendingRec{s.pending, s.spare} {
+			for _, p := range buf[:cap(buf)] {
+				if p != (pendingRec{}) {
+					t.Fatalf("shard %d buffer still references a drained record", i)
+				}
 			}
 		}
 	}

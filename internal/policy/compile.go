@@ -3,6 +3,7 @@ package policy
 import (
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/glob"
 	"repro/internal/sys"
@@ -53,6 +54,10 @@ type RuleSet struct {
 	// built once here (compile/publish time) and exact with respect to
 	// Decide.
 	matcher *Matcher
+
+	// details memoises denial audit details (see Detail): one list per
+	// matcher rank, then one for NoRule.
+	details []atomic.Pointer[detailNode]
 }
 
 // NewRuleSet builds a rule set for a state, including its trie-compiled
@@ -82,7 +87,59 @@ func newRuleSet(state string, rules []CompiledRule, t *trie, ids []int32) *RuleS
 		}
 	}
 	rs.matcher = newMatcher(t, rs.rules, ids)
+	rs.details = make([]atomic.Pointer[detailNode], len(rules)+1)
 	return rs
+}
+
+// DetailFunc renders the audit detail of a denial: the requested mask,
+// the deciding rule (nil when no allow rule granted the mask) and the
+// rule set's state.
+type DetailFunc func(mask sys.Access, rule *CompiledRule, state string) string
+
+// detailNode is one memoised detail, prepended to its rank's list.
+type detailNode struct {
+	mask sys.Access
+	text string
+	next *detailNode
+}
+
+func (n *detailNode) find(mask sys.Access) (string, bool) {
+	for ; n != nil; n = n.next {
+		if n.mask == mask {
+			return n.text, true
+		}
+	}
+	return "", false
+}
+
+// Detail returns the audit detail of a denial the rule set's matcher
+// decided with rank (NoRule: no allow rule granted mask), rendering it
+// at most once per (rank, mask) and sharing that one string with every
+// later denial. A detail depends only on the rule set, the deciding
+// rule and the mask, and a rule set is immutable, so the memo needs no
+// invalidation: a reload or a rewritten profile brings a new rule set.
+// It is lock-free: a filler prepends with a CAS, and one that loses the
+// race to the same mask returns the winner's string. Its size is
+// bounded by rules × distinct masks. A rule set serves one renderer;
+// every caller must pass the same.
+func (rs *RuleSet) Detail(rank int, mask sys.Access, render DetailFunc) string {
+	slot := &rs.details[len(rs.details)-1]
+	if rank != NoRule {
+		slot = &rs.details[rank]
+	}
+	head := slot.Load()
+	if text, ok := head.find(mask); ok {
+		return text
+	}
+	n := &detailNode{mask: mask, text: render(mask, rs.matcher.Rule(rank), rs.State), next: head}
+	for !slot.CompareAndSwap(head, n) {
+		head = slot.Load()
+		if text, ok := head.find(mask); ok {
+			return text
+		}
+		n.next = head
+	}
+	return n.text
 }
 
 // Matcher returns the trie-compiled decision engine for this rule set.
@@ -215,16 +272,25 @@ func NewCoverage(patterns []*glob.Glob) *Coverage {
 // Enforcement gets the same answer from Matcher.Evaluate's walk.
 func (c *Coverage) Covers(path string) bool {
 	var st matchState
-	c.trie.match(path, &st)
+	c.trie.match(RootStep{}, path, &st)
 	return st.covered
 }
 
 // MayCover is the trie's root step alone: false means no pattern can
 // match the path's first segment, so Covers is false too; true means
-// only that Covers might be. It lets the enforcement fast path pass
-// most uncovered objects through without touching the AVC.
+// only that Covers might be.
 func (c *Coverage) MayCover(path string) bool {
-	return c.trie.mayCover(path)
+	_, may := c.trie.rootStep(path)
+	return may
+}
+
+// Root is MayCover that also returns the step it took, for the walk of
+// any of the policy's state matchers (Matcher.EvaluateAt) to resume
+// past. It lets the enforcement fast path pass most uncovered objects
+// through without touching the AVC, and take the root step once on a
+// miss.
+func (c *Coverage) Root(path string) (step RootStep, may bool) {
+	return c.trie.rootStep(path)
 }
 
 // CoversWalk answers the same question with the pre-trie bucket scan.

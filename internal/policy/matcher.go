@@ -126,7 +126,7 @@ type trie struct {
 	complex []complexPat // patterns the trie cannot index
 
 	// anyRoot is set when a "**" root edge or an unindexable pattern
-	// may match any first segment: mayCover's root step is then moot.
+	// may match any first segment: the root step is then moot.
 	anyRoot bool
 }
 
@@ -176,9 +176,27 @@ func newTrie(patterns []*glob.Glob) trie {
 	return t
 }
 
+// RootStep is the trie's root step over one path, taken once: where the
+// path's first segment ends and the root's literal child for it. The
+// enforcement fast path takes it before its AVC probe (Coverage.Root)
+// and hands it to Matcher.EvaluateAt, whose walk resumes past it. The
+// zero RootStep, or one taken over another trie, makes the walk take
+// the step itself.
+type RootStep struct {
+	t   *trie  // trie the step was taken over; nil: not taken
+	lit *mnode // root literal child for the first segment; nil: none
+	end int    // index where the first segment ends
+}
+
 // match walks path through the trie and hands every matching pattern to
-// st.
-func (t *trie) match(path string, st *matchState) {
+// st, resuming past r when r was taken over t.
+func (t *trie) match(r RootStep, path string, st *matchState) {
+	if r.t == t {
+		// A taken step means a rooted path, no "**" root edge and no
+		// complex pattern (anyRoot is false): the root's edges are all.
+		st.edges(t.root, path, 1, r.end, r.lit)
+		return
+	}
 	// Non-rooted paths skip the trie entirely: every indexed branch
 	// starts with a literal '/', so only complex patterns can match them.
 	if len(path) > 0 && path[0] == '/' {
@@ -191,28 +209,32 @@ func (t *trie) match(path string, st *matchState) {
 	}
 }
 
-// mayCover is the walk's root step alone: it is false only when no
-// pattern can match the path's first segment, so nothing matches.
-func (t *trie) mayCover(path string) bool {
+// rootStep takes the walk's root step alone. may is false only when no
+// pattern can match the path's first segment, so nothing matches. The
+// step is left untaken when a "**" root edge or a complex pattern may
+// match any path.
+func (t *trie) rootStep(path string) (step RootStep, may bool) {
 	if t.anyRoot {
-		return true
+		return RootStep{}, true
 	}
 	if len(path) == 0 || path[0] != '/' {
-		return false
+		return RootStep{}, false
 	}
-	seg := path[1:]
-	if e := strings.IndexByte(seg, '/'); e >= 0 {
-		seg = seg[:e]
+	end := len(path)
+	if e := strings.IndexByte(path[1:], '/'); e >= 0 {
+		end = 1 + e
 	}
-	if t.root.literals[seg] != nil {
-		return true
+	seg := path[1:end]
+	step = RootStep{t: t, lit: t.root.literals[seg], end: end}
+	if step.lit != nil {
+		return step, true
 	}
 	for k := range t.root.patterns {
 		if glob.MatchSegment(t.root.patterns[k].pattern, seg) {
-			return true
+			return step, true
 		}
 	}
-	return false
+	return step, false
 }
 
 // walk accepts every pattern that matches path[i:] starting from node
@@ -234,11 +256,21 @@ func (st *matchState) walk(n *mnode, path string, i int) {
 			st.walk(d, path, j)
 		}
 	}
-	e := strings.IndexByte(path[i:], '/')
-	if e < 0 {
-		seg := path[i:]
-		if c := n.literals[seg]; c != nil {
-			st.accept(c.ids)
+	end := len(path)
+	if e := strings.IndexByte(path[i:], '/'); e >= 0 {
+		end = i + e
+	}
+	st.edges(n, path, i, end, n.literals[path[i:end]])
+}
+
+// edges follows n's segment edges over path[i:end], where lit is n's
+// literal child for that segment: the last segment ends patterns, any
+// other continues the walk past its '/'.
+func (st *matchState) edges(n *mnode, path string, i, end int, lit *mnode) {
+	seg := path[i:end]
+	if end == len(path) {
+		if lit != nil {
+			st.accept(lit.ids)
 		}
 		for k := range n.patterns {
 			if glob.MatchSegment(n.patterns[k].pattern, seg) {
@@ -247,14 +279,12 @@ func (st *matchState) walk(n *mnode, path string, i int) {
 		}
 		return
 	}
-	seg := path[i : i+e]
-	next := i + e + 1
-	if c := n.literals[seg]; c != nil {
-		st.walk(c, path, next)
+	if lit != nil {
+		st.walk(lit, path, end+1)
 	}
 	for k := range n.patterns {
 		if glob.MatchSegment(n.patterns[k].pattern, seg) {
-			st.walk(n.patterns[k].node, path, next)
+			st.walk(n.patterns[k].node, path, end+1)
 		}
 	}
 }
@@ -320,6 +350,18 @@ func newMatcher(t *trie, rules []CompiledRule, ids []int32) *Matcher {
 	return m
 }
 
+// NoRule is the rank EvaluateAt reports when no rule decided: an
+// uncovered path, or a covered one no allow rule grants the mask to.
+const NoRule = -1
+
+// Rule returns the rule of a rank EvaluateAt reported; nil for NoRule.
+func (m *Matcher) Rule(rank int) *CompiledRule {
+	if rank == NoRule {
+		return nil
+	}
+	return m.byRank[rank]
+}
+
 // Decide evaluates an access request against the compiled trie. It is
 // exact: the verdict and the deciding rule are identical to the walk
 // engine's RuleSet.Decide (same *CompiledRule pointer).
@@ -331,49 +373,57 @@ func (m *Matcher) Decide(subject, path string, mask sys.Access) (allowed bool, m
 // Evaluate is one walk over the trie answering both of the enforcement
 // path's questions: covered reports whether any pattern of the trie —
 // for a policy's state, any pattern of any state — matches path, and
-// (allowed, matched) is Decide's result. The hot path performs no
-// allocation and never invokes the multi-branch glob engine for
+// (allowed, matched) is Decide's result.
+func (m *Matcher) Evaluate(subject, path string, mask sys.Access) (covered, allowed bool, matched *CompiledRule) {
+	covered, allowed, rank := m.EvaluateAt(RootStep{}, subject, path, mask)
+	return covered, allowed, m.Rule(rank)
+}
+
+// EvaluateAt is Evaluate resuming past a root step taken over this
+// matcher's trie, and reporting the deciding rule by its rank (Rule
+// maps it back; RuleSet.Detail memoises by it). The hot path performs
+// no allocation and never invokes the multi-branch glob engine for
 // trie-indexed patterns; only segment-confined matchers and — for the
 // rare complex patterns — the original backtracking matcher run.
-func (m *Matcher) Evaluate(subject, path string, mask sys.Access) (covered, allowed bool, matched *CompiledRule) {
+func (m *Matcher) EvaluateAt(root RootStep, subject, path string, mask sys.Access) (covered, allowed bool, rank int) {
 	st := matchState{m: m}
 	if m.words > inlineMatcherWords {
 		st.spill = make([]uint64, m.words-inlineMatcherWords)
 	}
-	m.trie.match(path, &st)
+	m.trie.match(root, path, &st)
 	if !st.covered {
 		// Nothing matched, so nothing is granted: only an empty request
 		// is allowed, as the replay below would find.
-		return false, mask == 0, nil
+		return false, mask == 0, NoRule
 	}
 
 	// Replay the verdict over the matched rules in rank order — the walk
 	// engine's exact evaluation order.
 	var granted sys.Access
-	var lastAllow *CompiledRule
+	lastAllow := NoRule
 	for w := 0; w < m.words; w++ {
 		word := st.word(w)
 		for word != 0 {
-			rank := w<<6 + bits.TrailingZeros64(word)
+			k := w<<6 + bits.TrailingZeros64(word)
 			word &= word - 1
-			r := m.byRank[rank]
+			r := m.byRank[k]
 			if r.Subject != nil && !r.Subject.Match(subject) {
 				continue
 			}
 			if r.Deny {
 				if mask&r.Access != 0 {
-					return true, false, r
+					return true, false, k
 				}
 				continue
 			}
 			if r.Access&mask != 0 {
 				granted |= r.Access
-				lastAllow = r
+				lastAllow = k
 			}
 		}
 	}
 	if granted.Has(mask) {
 		return true, true, lastAllow
 	}
-	return true, false, nil
+	return true, false, NoRule
 }

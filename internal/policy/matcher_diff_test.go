@@ -235,6 +235,51 @@ func ruleStr(r *CompiledRule) string {
 	return r.String()
 }
 
+// TestMatcherRootStepDifferential holds the enforcement path's split
+// walk — Coverage.Root before the AVC probe, Matcher.EvaluateAt resuming
+// past it — against the oracle for every state of random compiled
+// policies, and checks the step is really taken (not silently retaken
+// by the walk) whenever no root "**" or complex pattern moots it.
+func TestMatcherRootStepDifferential(t *testing.T) {
+	taken := 0
+	for seed := int64(0); seed < 60; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		c := genCompiled(t, r)
+		for trial := 0; trial < 200; trial++ {
+			path := genPath(r)
+			subject := diffSubjects[r.Intn(len(diffSubjects))]
+			mask := sys.Access(r.Intn(8))
+			step, may := c.Coverage.Root(path)
+			if may != c.Coverage.MayCover(path) {
+				t.Fatalf("seed %d: Root and MayCover disagree on %q", seed, path)
+			}
+			if wantTaken := !c.Coverage.trie.anyRoot && len(path) > 0 && path[0] == '/'; (step.t != nil) != wantTaken {
+				t.Fatalf("seed %d: step over %q taken=%v, want %v", seed, path, step.t != nil, wantTaken)
+			}
+			if step.t != nil {
+				taken++
+			}
+			if !may {
+				continue
+			}
+			for _, st := range c.StateNames() {
+				rs := c.Rules(st)
+				wantCovered := c.Coverage.CoversWalk(path)
+				wantAllowed, wantRule := rs.Decide(subject, path, mask)
+				covered, allowed, rank := rs.Matcher().EvaluateAt(step, subject, path, mask)
+				if covered != wantCovered || covered && (allowed != wantAllowed || rs.Matcher().Rule(rank) != wantRule) {
+					t.Fatalf("seed %d state %s: %q %q %s: EvaluateAt = %v %v %v, want %v %v %v",
+						seed, st, subject, path, mask, covered, allowed, ruleStr(rs.Matcher().Rule(rank)),
+						wantCovered, wantAllowed, ruleStr(wantRule))
+				}
+			}
+		}
+	}
+	if taken == 0 {
+		t.Fatal("no root step was taken")
+	}
+}
+
 // TestMatcherDifferentialLinear cross-checks a third way: on rule sets
 // with no deny rules and no subjects, trie and linear-scan engines must
 // also agree (the deny short-circuit is the only order-sensitive part).

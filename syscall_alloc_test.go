@@ -7,8 +7,10 @@ package sack_test
 // so an open costs only the vfs.File it returns — also for an uncovered
 // file under a covered directory, which probes the AVC and is never
 // cached — and a repeated denial is served from the AVC with its cached
-// audit detail, by SACK or by AppArmor. Allocations per operation are
-// host-independent, unlike times.
+// audit detail, by SACK or by AppArmor. The first denial after a state
+// transition misses the AVC but takes its detail from the state rule
+// set's memo, so it allocates only its new AVC entry. Allocations per
+// operation are host-independent, unlike times.
 
 import (
 	"runtime"
@@ -158,7 +160,7 @@ func TestSyscallAllocGuard(t *testing.T) {
 		{"ioctl allow", 0, func() { _, err := task.Ioctl(door, 1, 0); must(err) }, nil},
 		{"covered denied open, deny rule", 0, deniedOpen("/srv/app/data/secret.key", vfs.ORdonly), nil},
 		{"covered denied open, no allow rule", 0, deniedOpen("/dev/vehicle/door0", vfs.OWronly), nil},
-		{"first denial after a state transition", 5, deniedOpen("/srv/app/data/secret.key", vfs.ORdonly), transition},
+		{"first denial after a state transition", 1, deniedOpen("/srv/app/data/secret.key", vfs.ORdonly), transition},
 		{"repeated denial, AppArmor-confined task", 0, func() {
 			if _, err := confined.Open("/tmp/plain.dat", vfs.OWronly, 0); !sys.IsErrno(err, sys.EACCES) {
 				t.Fatalf("AppArmor-denied open: %v, want EACCES", err)
