@@ -95,8 +95,10 @@ resilience-stress:
 	$(GO) test -race -count=1 ./internal/resilience
 	$(GO) test -race -count=1 -run 'TestChaosFlappingControlPlaneNeverBlocksDecisions|TestChaosFloodedGroupDoesNotStarveQuietGroup|TestResilience' .
 
-# Full benchmark sweep (paper tables/figures + ablations), plus the
-# 100k-vehicle control-plane scale curves.
+# Full benchmark sweep: every paper row (Tables II/III, Fig. 3(a)/(b),
+# the §IV-B event latency and no-LSM rows, from bench_test.go over
+# internal/lmbench's op lists) and the ablations, plus the 100k-vehicle
+# control-plane scale curves.
 bench: fleet-scale
 	$(GO) test -run '^$$' -bench . -benchmem .
 
@@ -166,10 +168,12 @@ verify:
 perfbench-build:
 	cd perfbench && $(GO) vet ./...
 
-# Benchmark smoke: one iteration of the scalability sweep and of every
-# BenchmarkAVC cell (cached, uncached, both pass-through shapes, raw
-# Decide) so those paths compile and run on every PR without
-# benchmark-length runtimes,
+# Benchmark smoke: one iteration of every paper-row benchmark (each
+# Table II/III, Fig. 3(a)/(b), event-latency and no-LSM cell; the
+# event-latency cell fails if a write misses its transition), of the
+# scalability sweep and of every BenchmarkAVC cell (cached, uncached,
+# both pass-through shapes, raw Decide) so those paths compile and run
+# on every PR without benchmark-length runtimes,
 # plus the uncached-latency fence (trie must stay well ahead of the glob-
 # walk oracle and under its absolute budget), the compile-footprint
 # fence (allocations per policy.Load of the 64-state and 500-rule
@@ -183,6 +187,7 @@ perfbench-build:
 # two call depths, so every cut merges two runs) and the
 # sampled hook-metrics exactness test.
 bench-smoke:
+	$(GO) test -run '^$$' -bench 'BenchmarkTable2|BenchmarkTable3|BenchmarkFig3|BenchmarkEventLatency|BenchmarkNoLSM' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkParallelDecision/sack-covered/goroutines=(1|16)$$' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkAVC' -benchtime 1x .
 	$(GO) test -count=1 -run 'TestUncachedLatencyGuard|TestMatcherZeroAllocUncached|TestSyscallAllocGuard|TestPolicyLoadAllocGuard' -v .

@@ -1,20 +1,26 @@
 package sack_test
 
 // bench_test.go regenerates the paper's evaluation (§IV) as Go
-// benchmarks, one family per table/figure:
+// benchmarks, one family per table/figure. The LMBench rows are
+// internal/lmbench's operation lists; each family runs them op-major,
+// so the configurations compared on one row run next to each other:
 //
-//	BenchmarkTable2/...        Table II  — op × {AppArmor, SACK-enhanced,
-//	                                       independent SACK}
-//	BenchmarkTable3/...        Table III — open/close with N SACK rules
-//	BenchmarkFig3a/...         Fig. 3(a) — file op with N situation states
-//	BenchmarkFig3b/...         Fig. 3(b) — workload under transition storms
-//	BenchmarkEventLatency      §IV-B     — SACKfs event delivery latency
+//	BenchmarkTable2/<op>/<config>    Table II  — 17 ops × {AppArmor,
+//	                                             SACK-enhanced, independent SACK}
+//	BenchmarkTable3/<op>/rules-N     Table III — 14 ops × N SACK rules on AppArmor
+//	BenchmarkFig3a/<op>/<config>     Fig. 3(a) — 5 file ops × {capability-only,
+//	                                             N situation states}
+//	BenchmarkFig3b/<period>          Fig. 3(b) — file workload under transition storms
+//	BenchmarkEventLatency            §IV-B     — SACKfs event delivery latency, p99
+//	BenchmarkNoLSM/<op>/<config>     §IV-B     — 4 KiB read/write, no LSM framework
+//	                                             vs independent SACK (the board row)
 //
-// Run: go test -bench=. -benchmem .
-// The sackbench binary prints the same data formatted like the paper.
+// Run: go test -run '^$' -bench 'BenchmarkTable2' -benchmem .
+// `make bench-smoke` runs every paper row once.
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -26,248 +32,119 @@ import (
 	"repro/internal/vfs"
 )
 
-// table2Configs boots the three Table II configurations.
-func table2Configs(b *testing.B) map[string]*bench.Testbed {
+// column is one configuration a paper table compares.
+type column struct {
+	name string
+	boot func() (*bench.Testbed, error)
+}
+
+// bootSuites boots every column once and prepares its lmbench fixtures.
+func bootSuites(b *testing.B, cols []column) []*lmbench.Suite {
 	b.Helper()
-	out := make(map[string]*bench.Testbed)
-	for name, boot := range map[string]func() (*bench.Testbed, error){
-		"AppArmor-baseline": bench.BootBaselineAppArmor,
-		"SACK-enhanced":     func() (*bench.Testbed, error) { return bench.BootSACKEnhanced(bench.DefaultSACKPolicy) },
-		"independent-SACK":  func() (*bench.Testbed, error) { return bench.BootIndependentSACK(bench.DefaultSACKPolicy) },
-	} {
-		tb, err := boot()
+	suites := make([]*lmbench.Suite, len(cols))
+	for i, c := range cols {
+		tb, err := c.boot()
 		if err != nil {
-			b.Fatalf("boot %s: %v", name, err)
+			b.Fatalf("boot %s: %v", c.name, err)
 		}
-		out[name] = tb
+		if suites[i], err = lmbench.NewSuite(tb.Kernel); err != nil {
+			b.Fatalf("suite %s: %v", c.name, err)
+		}
 	}
-	return out
+	return suites
 }
 
-func newSuite(b *testing.B, tb *bench.Testbed) *lmbench.Suite {
-	b.Helper()
-	suite, err := lmbench.NewSuite(tb.Kernel)
-	if err != nil {
-		b.Fatalf("suite: %v", err)
-	}
-	return suite
-}
-
-// BenchmarkTable2 measures the latency-class Table II operations per
-// configuration. Bandwidth rows are exercised via -bench on the
-// dedicated benchmarks below and by cmd/sackbench.
-func BenchmarkTable2(b *testing.B) {
-	for _, cfg := range []string{"AppArmor-baseline", "SACK-enhanced", "independent-SACK"} {
-		cfg := cfg
-		b.Run(cfg, func(b *testing.B) {
-			tb := table2Configs(b)[cfg]
-			suite := newSuite(b, tb)
-			task := suite.Task
-
-			b.Run("syscall", func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					task.Getpid()
-				}
-			})
-			b.Run("stat", func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := task.Stat("/tmp/lmbench.dat"); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			b.Run("open-close", func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					fd, err := task.Open("/tmp/lmbench.dat", vfs.ORdonly, 0)
-					if err != nil {
-						b.Fatal(err)
-					}
-					task.Close(fd)
-				}
-			})
-			b.Run("fork", func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					child, err := task.Fork()
-					if err != nil {
-						b.Fatal(err)
-					}
-					child.Exit()
-				}
-			})
-			b.Run("exec", func(b *testing.B) {
-				child, err := task.Fork()
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer child.Exit()
-				for i := 0; i < b.N; i++ {
-					if err := child.Exec("/usr/bin/lmbench-exec"); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			b.Run("file-create-delete-0K", func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if err := task.WriteFileAll("/tmp/lmbench/bn", nil, 0o644); err != nil {
-						b.Fatal(err)
-					}
-					if err := task.Unlink("/tmp/lmbench/bn"); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			b.Run("file-create-delete-10K", func(b *testing.B) {
-				payload := make([]byte, 10<<10)
-				for i := 0; i < b.N; i++ {
-					if err := task.WriteFileAll("/tmp/lmbench/bn", payload, 0o644); err != nil {
-						b.Fatal(err)
-					}
-					if err := task.Unlink("/tmp/lmbench/bn"); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			b.Run("mmap", func(b *testing.B) {
-				fd, err := task.Open("/tmp/lmbench.dat", vfs.ORdonly, 0)
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer task.Close(fd)
-				for i := 0; i < b.N; i++ {
-					if _, err := task.Mmap(fd, 64<<10, sys.MayRead); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			b.Run("pipe-64K", func(b *testing.B) {
-				rfd, wfd, err := task.Pipe()
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer task.Close(rfd)
-				defer task.Close(wfd)
-				block := make([]byte, 32<<10) // fits the pipe: no blocking
-				rbuf := make([]byte, 32<<10)
-				b.SetBytes(32 << 10)
-				for i := 0; i < b.N; i++ {
-					if _, err := task.Write(wfd, block); err != nil {
-						b.Fatal(err)
-					}
-					for got := 0; got < len(block); {
-						n, err := task.Read(rfd, rbuf[got:])
-						if err != nil {
-							b.Fatal(err)
-						}
-						got += n
-					}
-				}
-			})
-			b.Run("file-reread", func(b *testing.B) {
-				fd, err := task.Open("/tmp/lmbench.dat", vfs.ORdonly, 0)
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer task.Close(fd)
-				buf := make([]byte, 64<<10)
-				b.SetBytes(64 << 10)
-				for i := 0; i < b.N; i++ {
-					if _, err := task.Pread(fd, buf, 0); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		})
-	}
-}
-
-// BenchmarkTable3 measures open/close and create/delete with growing
-// numbers of loaded SACK rules — the Table III sweep. Flat results
-// reproduce the paper's finding.
-func BenchmarkTable3(b *testing.B) {
-	for _, n := range []int{0, 10, 100, 500, 1000} {
-		n := n
-		b.Run(fmt.Sprintf("rules-%d", n), func(b *testing.B) {
-			tb, err := bench.BootAppArmorWithSACKRules(n)
-			if err != nil {
+// runCells runs op on every column as sibling sub-benchmarks.
+func runCells(b *testing.B, op lmbench.Op, cols []column, suites []*lmbench.Suite) {
+	for i, c := range cols {
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(op.Bytes)
+			if err := op.Run(suites[i], b.N, b); err != nil {
 				b.Fatal(err)
 			}
-			suite := newSuite(b, tb)
-			task := suite.Task
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				fd, err := task.Open("/tmp/lmbench.dat", vfs.ORdonly, 0)
-				if err != nil {
-					b.Fatal(err)
-				}
-				task.Close(fd)
-			}
 		})
 	}
+}
+
+// runOps boots every column once and runs ops op-major: <op>/<column>.
+func runOps(b *testing.B, ops []lmbench.Op, cols []column) {
+	suites := bootSuites(b, cols)
+	for _, op := range ops {
+		b.Run(op.Name, func(b *testing.B) { runCells(b, op, cols, suites) })
+	}
+}
+
+// rulesColumns sweeps the rule counts of Table III.
+func rulesColumns(boot func(n int) (*bench.Testbed, error)) []column {
+	var cols []column
+	for _, n := range []int{0, 10, 100, 500, 1000} {
+		cols = append(cols, column{fmt.Sprintf("rules-%d", n), func() (*bench.Testbed, error) { return boot(n) }})
+	}
+	return cols
+}
+
+// BenchmarkTable2 runs Table II: every LMBench row on the AppArmor
+// baseline, SACK-enhanced AppArmor and independent SACK.
+func BenchmarkTable2(b *testing.B) {
+	runOps(b, lmbench.Table2, []column{
+		{"AppArmor-baseline", bench.BootBaselineAppArmor},
+		{"SACK-enhanced", func() (*bench.Testbed, error) { return bench.BootSACKEnhanced(bench.DefaultSACKPolicy) }},
+		{"independent-SACK", func() (*bench.Testbed, error) { return bench.BootIndependentSACK(bench.DefaultSACKPolicy) }},
+	})
+}
+
+// BenchmarkTable3 runs Table III: every row with growing numbers of
+// SACK rules stacked on AppArmor. Flat results reproduce the paper's
+// finding.
+func BenchmarkTable3(b *testing.B) {
+	runOps(b, lmbench.Table3, rulesColumns(bench.BootAppArmorWithSACKRules))
 }
 
 // BenchmarkTable3Independent is the harder variant: the rules live in
 // independent SACK, so every open consults the coverage index.
 func BenchmarkTable3Independent(b *testing.B) {
-	for _, n := range []int{0, 10, 100, 500, 1000} {
-		n := n
-		b.Run(fmt.Sprintf("rules-%d", n), func(b *testing.B) {
-			var tb *bench.Testbed
-			var err error
-			if n == 0 {
-				tb, err = bench.BootCapabilityOnly()
-			} else {
-				tb, err = bench.BootIndependentSACK(bench.GenRulesPolicy(n))
-			}
-			if err != nil {
-				b.Fatal(err)
-			}
-			suite := newSuite(b, tb)
-			task := suite.Task
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				fd, err := task.Open("/tmp/lmbench.dat", vfs.ORdonly, 0)
-				if err != nil {
-					b.Fatal(err)
-				}
-				task.Close(fd)
-			}
-		})
-	}
+	cols := rulesColumns(func(n int) (*bench.Testbed, error) {
+		if n == 0 {
+			return bench.BootCapabilityOnly()
+		}
+		return bench.BootIndependentSACK(bench.GenRulesPolicy(n))
+	})
+	runCells(b, lmbench.Op{Run: (*lmbench.Suite).OpenClose}, cols, bootSuites(b, cols))
 }
 
-// BenchmarkFig3a measures an open/read/close cycle under independent
-// SACK with growing numbers of situation states.
+// BenchmarkFig3a runs Fig. 3(a)'s file ops under independent SACK with
+// growing numbers of situation states, against the capability-only
+// kernel as baseline.
 func BenchmarkFig3a(b *testing.B) {
+	cols := []column{{"baseline", bench.BootCapabilityOnly}}
 	for _, n := range []int{1, 10, 25, 50, 100} {
-		n := n
-		b.Run(fmt.Sprintf("states-%d", n), func(b *testing.B) {
-			tb, err := bench.BootIndependentSACK(bench.GenStatesPolicy(n))
-			if err != nil {
-				b.Fatal(err)
-			}
-			suite := newSuite(b, tb)
-			task := suite.Task
-			buf := make([]byte, 4096)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				fd, err := task.Open("/tmp/lmbench.dat", vfs.ORdonly, 0)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := task.Pread(fd, buf, 0); err != nil {
-					b.Fatal(err)
-				}
-				task.Close(fd)
-			}
-		})
+		cols = append(cols, column{fmt.Sprintf("states-%d", n), func() (*bench.Testbed, error) {
+			return bench.BootIndependentSACK(bench.GenStatesPolicy(n))
+		}})
 	}
+	runOps(b, lmbench.Fig3a, cols)
 }
 
-// BenchmarkFig3b measures the same cycle while a background driver
-// transitions the situation state at the given period.
+// BenchmarkNoLSM is §IV-B's board comparison: 4 KiB read/write on a
+// kernel with no LSM framework at all against independent SACK.
+func BenchmarkNoLSM(b *testing.B) {
+	runOps(b, lmbench.NoLSM, []column{
+		{"no-LSM", bench.BootBare},
+		{"independent-SACK", func() (*bench.Testbed, error) { return bench.BootIndependentSACK(bench.DefaultSACKPolicy) }},
+	})
+}
+
+// BenchmarkFig3b runs Fig. 3(b)'s workload while a background driver
+// alternates speed_high/speed_low every period. The policy gates a
+// critical file on the low-speed state; an iteration is three
+// open/pread/close cycles of an ordinary work file, so the delta
+// against no-transitions is transition interference, plus a probe of
+// the gated file every 64th iteration, where EACCES (high speed) is the
+// expected outcome. Each cell reports the transitions delivered inside
+// its timed loop: a long period under a short -benchtime sees none.
 func BenchmarkFig3b(b *testing.B) {
+	const critical = "/etc/vehicle/critical.conf"
 	for _, period := range []time.Duration{0, time.Millisecond, 10 * time.Millisecond, 100 * time.Millisecond, time.Second} {
-		period := period
 		name := "no-transitions"
 		if period > 0 {
 			name = fmt.Sprintf("period-%s", period)
@@ -277,15 +154,29 @@ func BenchmarkFig3b(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if err := tb.Kernel.WriteFile("/etc/vehicle/critical.conf", 0o644, []byte("x")); err != nil {
+			k := tb.Kernel
+			if err := k.WriteFile(critical, 0o644, []byte("params")); err != nil {
 				b.Fatal(err)
 			}
-			suite := newSuite(b, tb)
-			task := suite.Task
+			if err := k.WriteFile("/tmp/work.dat", 0o644, make([]byte, 4096)); err != nil {
+				b.Fatal(err)
+			}
+			task := k.Init()
+			buf := make([]byte, 4096)
+			readFile := func(path string) error {
+				fd, err := task.Open(path, vfs.ORdonly, 0)
+				if err != nil {
+					return err
+				}
+				_, err = task.Pread(fd, buf, 0)
+				task.Close(fd)
+				return err
+			}
 
-			stop := make(chan struct{})
 			if period > 0 {
+				stop, done := make(chan struct{}), make(chan struct{})
 				go func() {
+					defer close(done)
 					evs := []ssm.Event{"speed_high", "speed_low"}
 					ticker := time.NewTicker(period)
 					defer ticker.Stop()
@@ -294,32 +185,40 @@ func BenchmarkFig3b(b *testing.B) {
 						case <-stop:
 							return
 						case <-ticker.C:
-							tb.SACK.Deliver(evs[i%2])
+							// Both events are declared and nothing pins the
+							// pipeline here, so Deliver cannot fail.
+							_ = tb.SACK.Deliver(evs[i%2])
 						}
 					}
 				}()
+				b.Cleanup(func() { close(stop); <-done })
 			}
-			buf := make([]byte, 64)
+
+			_, _, _, before := tb.SACK.Stats()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				fd, err := task.Open("/tmp/lmbench.dat", vfs.ORdonly, 0)
-				if err != nil {
-					b.Fatal(err)
+				for j := 0; j < 3; j++ {
+					if err := readFile("/tmp/work.dat"); err != nil {
+						b.Fatal(err)
+					}
 				}
-				task.Pread(fd, buf, 0)
-				task.Close(fd)
-				if cfd, err := task.Open("/etc/vehicle/critical.conf", vfs.ORdonly, 0); err == nil {
-					task.Close(cfd)
+				if i%64 == 0 {
+					if err := readFile(critical); err != nil && !sys.IsErrno(err, sys.EACCES) {
+						b.Fatal(err)
+					}
 				}
 			}
 			b.StopTimer()
-			close(stop)
+			_, _, _, after := tb.SACK.Stats()
+			b.ReportMetric(float64(after-before), "transitions")
 		})
 	}
 }
 
 // BenchmarkEventLatency measures one SACKfs event write causing an SSM
-// transition — the paper's ~5.4 µs securityfs path.
+// transition over a 4-state ring — the paper's ~5.4 µs securityfs path
+// — and fails unless every write moves the SSM to the next state. It
+// reports the p99 write latency beside the mean ns/op.
 func BenchmarkEventLatency(b *testing.B) {
 	tb, err := bench.BootIndependentSACK(bench.GenStatesPolicy(4))
 	if err != nil {
@@ -335,12 +234,22 @@ func BenchmarkEventLatency(b *testing.B) {
 		[]byte("advance0\n"), []byte("advance1\n"),
 		[]byte("advance2\n"), []byte("advance3\n"),
 	}
+	lat := make([]time.Duration, b.N)
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := task.Write(fd, events[int(tb.SACK.CurrentState().Encoding)]); err != nil {
+	for i := range lat {
+		cur := tb.SACK.CurrentState().Encoding
+		start := time.Now()
+		if _, err := task.Write(fd, events[cur]); err != nil {
 			b.Fatal(err)
 		}
+		lat[i] = time.Since(start)
+		if got, want := tb.SACK.CurrentState().Encoding, (cur+1)%4; got != want {
+			b.Fatalf("event %d: state %d -> %d, want %d", i, cur, got, want)
+		}
 	}
+	b.StopTimer()
+	slices.Sort(lat)
+	b.ReportMetric(float64(lat[(len(lat)*99+99)/100-1].Nanoseconds()), "p99-ns")
 }
 
 // BenchmarkSSMTransitionDirect isolates the in-kernel SSM + APE cost
@@ -576,27 +485,11 @@ func BenchmarkMatcherAblation(b *testing.B) {
 // BenchmarkStackingDepth sweeps LSM stack depth 0..4 on the open/close
 // hot path: the marginal cost of one more module in the chain.
 func BenchmarkStackingDepth(b *testing.B) {
+	var cols []column
 	for depth := 0; depth <= 4; depth++ {
-		depth := depth
-		b.Run(fmt.Sprintf("depth-%d", depth), func(b *testing.B) {
-			tb, err := bench.BootStackDepth(depth)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := tb.Kernel.WriteFile("/tmp/lmbench.dat", 0o644, []byte("x")); err != nil {
-				b.Fatal(err)
-			}
-			task := tb.Kernel.Init()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				fd, err := task.Open("/tmp/lmbench.dat", vfs.ORdonly, 0)
-				if err != nil {
-					b.Fatal(err)
-				}
-				task.Close(fd)
-			}
-		})
+		cols = append(cols, column{fmt.Sprintf("depth-%d", depth), func() (*bench.Testbed, error) { return bench.BootStackDepth(depth) }})
 	}
+	runCells(b, lmbench.Op{Run: (*lmbench.Suite).OpenClose}, cols, bootSuites(b, cols))
 }
 
 // benchNullDevice is a no-op device for hook-path benchmarks.

@@ -1,89 +1,85 @@
 package bench
 
 import (
+	"fmt"
 	"testing"
-	"time"
+
+	"repro/internal/lmbench"
 )
 
-// smallOpts keeps experiment smoke tests fast.
-var smallOpts = Options{Iterations: 40, MoveBytes: 1 << 20}
+// noTimer stands in for *testing.B when an operation runs untimed.
+type noTimer struct{}
 
-func TestRunTable2Smoke(t *testing.T) {
-	tbl, err := RunTable2(smallOpts)
-	if err != nil {
-		t.Fatalf("RunTable2: %v", err)
+func (noTimer) ResetTimer() {}
+func (noTimer) StartTimer() {}
+func (noTimer) StopTimer()  {}
+
+// smokeConfig is one configuration a paper benchmark compares.
+type smokeConfig struct {
+	name string
+	boot func() (*Testbed, error)
+}
+
+// runSmoke checks that ops has want rows and runs each op for one
+// iteration on every configuration, as `-benchtime 1x` does.
+func runSmoke(t *testing.T, ops []lmbench.Op, want int, configs []smokeConfig) {
+	t.Helper()
+	if len(ops) != want {
+		t.Fatalf("%d rows, want %d", len(ops), want)
 	}
-	if len(tbl.ConfigNames) != 3 {
-		t.Fatalf("configs = %v, want 3", tbl.ConfigNames)
-	}
-	var rows int
-	for _, sec := range tbl.Sections {
-		rows += len(sec.Rows)
-	}
-	if rows != 17 {
-		t.Fatalf("rows = %d, want 17 (Table II operation count)", rows)
-	}
-	for _, sec := range tbl.Sections {
-		for _, row := range sec.Rows {
-			if len(row.Values) != 3 {
-				t.Fatalf("row %q has %d values", row.Op, len(row.Values))
-			}
-			for i, v := range row.Values {
-				if v <= 0 {
-					t.Fatalf("row %q value[%d] = %v, want > 0", row.Op, i, v)
-				}
+	for _, c := range configs {
+		tb, err := c.boot()
+		if err != nil {
+			t.Fatalf("boot %s: %v", c.name, err)
+		}
+		s, err := lmbench.NewSuite(tb.Kernel)
+		if err != nil {
+			t.Fatalf("suite %s: %v", c.name, err)
+		}
+		for _, op := range ops {
+			if err := op.Run(s, 1, noTimer{}); err != nil {
+				t.Fatalf("%s/%s: %v", op.Name, c.name, err)
 			}
 		}
 	}
-	if out := tbl.Format(); len(out) == 0 {
-		t.Fatal("empty table format")
-	}
 }
 
+// TestRunTable2Smoke runs every Table II row on its three configurations.
+func TestRunTable2Smoke(t *testing.T) {
+	runSmoke(t, lmbench.Table2, 17, []smokeConfig{
+		{"AppArmor-baseline", BootBaselineAppArmor},
+		{"SACK-enhanced", func() (*Testbed, error) { return BootSACKEnhanced(DefaultSACKPolicy) }},
+		{"independent-SACK", func() (*Testbed, error) { return BootIndependentSACK(DefaultSACKPolicy) }},
+	})
+}
+
+// TestRunTable3Smoke runs every Table III row on AppArmor holding 0, 10
+// and 100 SACK-generated rules.
 func TestRunTable3Smoke(t *testing.T) {
-	tbl, err := RunTable3([]int{0, 10, 100}, smallOpts)
-	if err != nil {
-		t.Fatalf("RunTable3: %v", err)
+	var configs []smokeConfig
+	for _, n := range []int{0, 10, 100} {
+		configs = append(configs, smokeConfig{fmt.Sprintf("rules-%d", n), func() (*Testbed, error) { return BootAppArmorWithSACKRules(n) }})
 	}
-	if len(tbl.ConfigNames) != 3 {
-		t.Fatalf("configs = %v", tbl.ConfigNames)
-	}
-	if tbl.ConfigNames[0] != "0 (baseline)" {
-		t.Fatalf("baseline name = %q", tbl.ConfigNames[0])
-	}
+	runSmoke(t, lmbench.Table3, 14, configs)
 }
 
+// TestRunFig3aSmoke runs the Fig. 3(a) file ops on the capability-only
+// baseline and on independent SACK with 1 and 10 states.
 func TestRunFig3aSmoke(t *testing.T) {
-	fig, err := RunFig3a([]int{1, 10}, smallOpts)
-	if err != nil {
-		t.Fatalf("RunFig3a: %v", err)
+	configs := []smokeConfig{{"baseline", BootCapabilityOnly}}
+	for _, n := range []int{1, 10} {
+		configs = append(configs, smokeConfig{fmt.Sprintf("states-%d", n), func() (*Testbed, error) { return BootIndependentSACK(GenStatesPolicy(n)) }})
 	}
-	if len(fig.Series) != 1 || len(fig.Series[0].Points) != 2 {
-		t.Fatalf("unexpected figure shape: %+v", fig)
-	}
+	runSmoke(t, lmbench.Fig3a, 5, configs)
 }
 
-func TestRunFig3bSmoke(t *testing.T) {
-	fig, err := RunFig3b([]time.Duration{10 * time.Millisecond}, Options{Iterations: 10, MoveBytes: 1 << 20})
-	if err != nil {
-		t.Fatalf("RunFig3b: %v", err)
-	}
-	if len(fig.Series[0].Points) != 1 {
-		t.Fatalf("points = %d", len(fig.Series[0].Points))
-	}
-}
-
-func TestRunLatencySmoke(t *testing.T) {
-	res, err := RunLatency(500)
-	if err != nil {
-		t.Fatalf("RunLatency: %v", err)
-	}
-	if res.AccuracyPct != 100 {
-		t.Fatalf("accuracy = %.1f%%, want 100%%", res.AccuracyPct)
-	}
-	if res.MeanMicros <= 0 || res.MeanMicros > 1000 {
-		t.Fatalf("mean latency = %.2fµs, want microsecond scale", res.MeanMicros)
-	}
+// TestRunRISCVComparisonSmoke runs the §IV-B board rows on a kernel
+// with no LSM and on independent SACK.
+func TestRunRISCVComparisonSmoke(t *testing.T) {
+	runSmoke(t, lmbench.NoLSM, 2, []smokeConfig{
+		{"no-LSM", BootBare},
+		{"independent-SACK", func() (*Testbed, error) { return BootIndependentSACK(DefaultSACKPolicy) }},
+	})
 }
 
 func TestGenPoliciesCompile(t *testing.T) {
@@ -96,5 +92,31 @@ func TestGenPoliciesCompile(t *testing.T) {
 		if _, err := BootIndependentSACK(GenStatesPolicy(n)); err != nil {
 			t.Fatalf("states policy n=%d: %v", n, err)
 		}
+	}
+}
+
+func TestBootStackDepths(t *testing.T) {
+	for depth := 0; depth <= 4; depth++ {
+		tb, err := BootStackDepth(depth)
+		if err != nil {
+			t.Fatalf("depth %d: %v", depth, err)
+		}
+		got := len(tb.Kernel.LSM.Modules())
+		want := depth
+		if depth > 4 {
+			want = 4
+		}
+		if got != want {
+			t.Errorf("depth %d: %d modules registered", depth, got)
+		}
+	}
+	// Depth 3 is the paper's configuration.
+	tb, _ := BootStackDepth(3)
+	if got := tb.Kernel.LSM.String(); got != "sack,apparmor,capability" {
+		t.Errorf("depth-3 stack = %q", got)
+	}
+	tb4, _ := BootStackDepth(4)
+	if got := tb4.Kernel.LSM.String(); got != "sack,selinux,apparmor,capability" {
+		t.Errorf("depth-4 stack = %q", got)
 	}
 }

@@ -1,8 +1,8 @@
-// Package bench builds the evaluation harness of the paper: bootable
-// kernel configurations (AppArmor baseline, SACK-enhanced AppArmor,
-// independent SACK), synthetic policy generators, and runners that
-// regenerate every table and figure of §IV. Both bench_test.go and
-// cmd/sackbench drive it.
+// Package bench holds the evaluation testbeds of the paper: bootable
+// kernel configurations (no LSM, capability-only, AppArmor baseline,
+// SACK-enhanced AppArmor, independent SACK, stack depths) and the
+// synthetic policy generators of §IV. bench_test.go runs the paper's
+// rows on them; perfbench and the tests boot them too.
 package bench
 
 import (

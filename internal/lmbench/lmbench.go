@@ -1,459 +1,488 @@
 // Package lmbench reimplements the LMBench micro-operations the paper's
-// Tables II and III report, measured against the simulated kernel. Each
-// operation exercises the same syscall path — and therefore the same LSM
-// hook chain — as its real counterpart, so the relative overhead between
-// security-module configurations is meaningful even though absolute
-// numbers reflect the simulator rather than silicon.
+// Tables II and III, Fig. 3(a) and §IV-B report, against the simulated
+// kernel. Each operation exercises the same syscall path — and
+// therefore the same LSM hook chain — as its real counterpart, so the
+// relative overhead between security-module configurations is
+// meaningful even though absolute numbers reflect the simulator rather
+// than silicon.
+//
+// The package is an operation list, not a timer: each Op runs n
+// iterations of its loop and tells a Timer (a *testing.B in
+// bench_test.go, a no-op in unit tests) where its set-up ends, so the
+// Go benchmark harness does the timing, the repetition and the MB/s.
 package lmbench
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/kernel"
 	"repro/internal/sys"
 	"repro/internal/vfs"
 )
 
-// Result is one measured operation.
-type Result struct {
-	Op    string
-	Unit  string  // "ms" or "MB/s"
-	Value float64 // per-operation latency or throughput
-	// SmallerIsBetter is true for latencies, false for bandwidths.
-	SmallerIsBetter bool
+// Timer is the part of *testing.B an operation drives: ResetTimer once
+// set-up is done, StopTimer/StartTimer around work inside the loop that
+// is not the operation itself.
+type Timer interface {
+	ResetTimer()
+	StartTimer()
+	StopTimer()
 }
 
-// String renders "fork: 0.0123 ms".
-func (r Result) String() string {
-	return fmt.Sprintf("%s: %.4f %s", r.Op, r.Value, r.Unit)
+// Op is one paper row.
+type Op struct {
+	Name string
+	// Bytes is the volume one iteration moves, for b.SetBytes; zero for
+	// latency rows.
+	Bytes int64
+	// Run performs n iterations of the operation on s.
+	Run func(s *Suite, n int, t Timer) error
 }
 
-// Suite runs micro-benchmarks against one booted kernel configuration.
+// Suite holds one booted kernel configuration and the task the
+// operations run as.
 type Suite struct {
 	K    *kernel.Kernel
 	Task *kernel.Task
-
-	// Iterations scales the inner loops; the defaults are tuned so the
-	// full Table II run completes in seconds. Zero means default.
-	Iterations int
-	// MoveBytes is the volume moved per bandwidth measurement.
-	MoveBytes int
 }
 
 // NewSuite prepares a suite on the kernel's init task and creates the
-// scratch fixtures the file benchmarks need.
+// scratch fixtures the file operations need.
 func NewSuite(k *kernel.Kernel) (*Suite, error) {
-	s := &Suite{K: k, Task: k.Init(), Iterations: 2000, MoveBytes: 8 << 20}
-	if err := k.WriteFile("/tmp/lmbench.dat", 0o644, make([]byte, 1<<20)); err != nil {
+	s := &Suite{K: k, Task: k.Init()}
+	if err := k.WriteFile(dataFile, 0o644, make([]byte, 1<<20)); err != nil {
 		return nil, err
 	}
 	if err := k.WriteFile("/usr/bin/lmbench-exec", 0o755, []byte("#!bench")); err != nil {
 		return nil, err
 	}
-	if _, err := k.FS.MkdirAll("/tmp/lmbench", 0o1777, 0, 0); err != nil {
+	if _, err := k.FS.MkdirAll(fileDir, 0o1777, 0, 0); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-func (s *Suite) iters() int {
-	if s.Iterations > 0 {
-		return s.Iterations
-	}
-	return 2000
+const (
+	dataFile = "/tmp/lmbench.dat" // 1 MiB, read by most rows
+	fileDir  = "/tmp/lmbench"     // where the create/delete rows work
+	block    = 64 << 10           // bandwidth and mmap-latency block size
+	// fileBatch bounds how many files a create or delete row holds at
+	// once: a long run cycles through one batch of names instead of
+	// keeping b.N files (b.N × 10 KiB for the 10K rows) alive.
+	fileBatch = 1024
+)
+
+// Table2 is Table II's 17 rows, in the paper's order.
+var Table2 = []Op{
+	opSyscall, opFork, opStat, opOpenClose, opExec,
+	opCreate0K, opDelete0K, opCreate10K, opDelete10K, opMmap,
+	opPipe, opUnix, opTCP, opFileReread, opMmapReread,
+	opCtxSwitch0K, opCtxSwitch16K,
 }
 
-// msPerOp converts a total duration over n operations to milliseconds.
-func msPerOp(total time.Duration, n int) float64 {
-	return total.Seconds() * 1e3 / float64(n)
+// Table3 is Table III's 14 rows: Table II without fork, stat,
+// open/close and exec, with the I/O row.
+var Table3 = []Op{
+	opSyscall, opIO,
+	opCreate0K, opDelete0K, opCreate10K, opDelete10K, opMmap,
+	opPipe, opUnix, opTCP, opFileReread, opMmapReread,
+	opCtxSwitch0K, opCtxSwitch16K,
 }
 
-// mbPerSec converts bytes moved over a duration to MB/s.
-func mbPerSec(bytes int, total time.Duration) float64 {
-	if total <= 0 {
-		return 0
-	}
-	return float64(bytes) / (1 << 20) / total.Seconds()
+// Fig3a is Fig. 3(a)'s file-operation workload, the one most sensitive
+// to SACK's path-mediation hooks.
+var Fig3a = []Op{opOpenClose, opStat, opCreate0K, opDelete0K, opFileReread}
+
+// NoLSM is the §IV-B board comparison (R1): 4 KiB file read and write
+// on an open descriptor.
+var NoLSM = []Op{
+	{Name: "read-4K", Run: func(s *Suite, n int, t Timer) error { return s.ReadWrite4K(n, t, false) }},
+	{Name: "write-4K", Run: func(s *Suite, n int, t Timer) error { return s.ReadWrite4K(n, t, true) }},
 }
 
-// Syscall measures a null system call (getpid through the task layer,
-// plus one InodeGetattr-free fast path: we use Stat of a cached path to
-// keep an LSM hook in the loop, matching how "simple syscall" behaves
-// once an LSM is active).
-func (s *Suite) Syscall() (Result, error) {
-	n := s.iters() * 10
-	start := time.Now()
+var (
+	opSyscall      = Op{Name: "syscall", Run: (*Suite).Syscall}
+	opIO           = Op{Name: "io", Run: (*Suite).IO}
+	opFork         = Op{Name: "fork", Run: (*Suite).Fork}
+	opStat         = Op{Name: "stat", Run: (*Suite).Stat}
+	opOpenClose    = Op{Name: "open-close", Run: (*Suite).OpenClose}
+	opExec         = Op{Name: "exec", Run: (*Suite).Exec}
+	opCreate0K     = sized("create-0K", 0, (*Suite).FileCreate)
+	opDelete0K     = sized("delete-0K", 0, (*Suite).FileDelete)
+	opCreate10K    = sized("create-10K", 10<<10, (*Suite).FileCreate)
+	opDelete10K    = sized("delete-10K", 10<<10, (*Suite).FileDelete)
+	opMmap         = Op{Name: "mmap", Run: (*Suite).MmapLatency}
+	opPipe         = Op{Name: "pipe", Bytes: block, Run: (*Suite).PipeBandwidth}
+	opUnix         = Op{Name: "AF_UNIX", Bytes: block, Run: (*Suite).UnixBandwidth}
+	opTCP          = Op{Name: "TCP", Bytes: block, Run: (*Suite).TCPBandwidth}
+	opFileReread   = Op{Name: "file-reread", Bytes: 1 << 20, Run: (*Suite).FileReread}
+	opMmapReread   = Op{Name: "mmap-reread", Bytes: 1 << 20, Run: (*Suite).MmapReread}
+	opCtxSwitch0K  = sized("ctxsw-2p-0K", 0, (*Suite).CtxSwitch)
+	opCtxSwitch16K = sized("ctxsw-2p-16K", 16<<10, (*Suite).CtxSwitch)
+)
+
+// sized binds the size (file size or ctxsw payload) of an operation.
+func sized(name string, size int, run func(s *Suite, size, n int, t Timer) error) Op {
+	return Op{Name: name, Run: func(s *Suite, n int, t Timer) error { return run(s, size, n, t) }}
+}
+
+// Syscall runs n null system calls: getpid through the task layer. No
+// LSM hook runs on getpid, and in the simulator it is a field read, so
+// this row measures the harness floor rather than any module.
+func (s *Suite) Syscall(n int, t Timer) error {
 	for i := 0; i < n; i++ {
 		s.Task.Getpid()
 	}
-	elapsed := time.Since(start)
-	return Result{Op: "syscall", Unit: "ms", Value: msPerOp(elapsed, n), SmallerIsBetter: true}, nil
+	return nil
 }
 
-// IO measures a 1-byte read+write round trip on an open file (Table III's
+// IO runs n 1-byte read+write round trips on an open file (Table III's
 // "I/O" row): two FilePermission hook traversals per iteration.
-func (s *Suite) IO() (Result, error) {
-	fd, err := s.Task.Open("/tmp/lmbench.dat", vfs.ORdwr, 0)
+func (s *Suite) IO(n int, t Timer) error {
+	fd, err := s.Task.Open(dataFile, vfs.ORdwr, 0)
 	if err != nil {
-		return Result{}, err
+		return err
 	}
 	defer s.Task.Close(fd)
 	buf := make([]byte, 1)
-	n := s.iters() * 5
-	start := time.Now()
+	t.ResetTimer()
 	for i := 0; i < n; i++ {
 		if _, err := s.Task.Pread(fd, buf, 0); err != nil {
-			return Result{}, err
+			return err
 		}
 		if _, err := s.Task.Pwrite(fd, buf, 0); err != nil {
-			return Result{}, err
+			return err
 		}
 	}
-	elapsed := time.Since(start)
-	return Result{Op: "I/O", Unit: "ms", Value: msPerOp(elapsed, n), SmallerIsBetter: true}, nil
+	return nil
 }
 
-// Fork measures process creation (fork + exit).
-func (s *Suite) Fork() (Result, error) {
-	n := s.iters() / 2
-	if n == 0 {
-		n = 1
-	}
-	start := time.Now()
-	for i := 0; i < n; i++ {
-		child, err := s.Task.Fork()
-		if err != nil {
-			return Result{}, err
-		}
-		child.Exit()
-	}
-	elapsed := time.Since(start)
-	return Result{Op: "fork", Unit: "ms", Value: msPerOp(elapsed, n), SmallerIsBetter: true}, nil
-}
-
-// Stat measures path resolution plus the InodeGetattr hook.
-func (s *Suite) Stat() (Result, error) {
-	n := s.iters() * 5
-	start := time.Now()
-	for i := 0; i < n; i++ {
-		if _, err := s.Task.Stat("/tmp/lmbench.dat"); err != nil {
-			return Result{}, err
-		}
-	}
-	elapsed := time.Since(start)
-	return Result{Op: "stat", Unit: "ms", Value: msPerOp(elapsed, n), SmallerIsBetter: true}, nil
-}
-
-// OpenClose measures open(2)+close(2): InodePermission + FileOpen hooks.
-func (s *Suite) OpenClose() (Result, error) {
-	n := s.iters() * 5
-	start := time.Now()
-	for i := 0; i < n; i++ {
-		fd, err := s.Task.Open("/tmp/lmbench.dat", vfs.ORdonly, 0)
-		if err != nil {
-			return Result{}, err
-		}
-		if err := s.Task.Close(fd); err != nil {
-			return Result{}, err
-		}
-	}
-	elapsed := time.Since(start)
-	return Result{Op: "open/close file", Unit: "ms", Value: msPerOp(elapsed, n), SmallerIsBetter: true}, nil
-}
-
-// Exec measures program execution: fork + exec + exit (BprmCheck hook).
-func (s *Suite) Exec() (Result, error) {
-	n := s.iters() / 4
-	if n == 0 {
-		n = 1
-	}
-	start := time.Now()
-	for i := 0; i < n; i++ {
-		child, err := s.Task.Fork()
-		if err != nil {
-			return Result{}, err
-		}
-		if err := child.Exec("/usr/bin/lmbench-exec"); err != nil {
-			child.Exit()
-			return Result{}, err
-		}
-		child.Exit()
-	}
-	elapsed := time.Since(start)
-	return Result{Op: "exec", Unit: "ms", Value: msPerOp(elapsed, n), SmallerIsBetter: true}, nil
-}
-
-// FileCreate measures creating size-byte files (InodeCreate + write
-// path), like lmbench's lat_fs create phase.
-func (s *Suite) FileCreate(size int) (Result, error) {
-	n := s.iters()
-	payload := make([]byte, size)
-	start := time.Now()
-	for i := 0; i < n; i++ {
-		path := fmt.Sprintf("/tmp/lmbench/c%d", i)
-		if err := s.Task.WriteFileAll(path, payload, 0o644); err != nil {
-			return Result{}, err
-		}
-	}
-	elapsed := time.Since(start)
-	// Leave the files for a paired FileDelete call.
-	return Result{
-		Op: fmt.Sprintf("file create (%dK)", size/1024), Unit: "ms",
-		Value: msPerOp(elapsed, n), SmallerIsBetter: true,
-	}, nil
-}
-
-// FileDelete measures unlinking the files FileCreate left behind.
-func (s *Suite) FileDelete(size int) (Result, error) {
-	n := s.iters()
-	start := time.Now()
-	for i := 0; i < n; i++ {
-		if err := s.Task.Unlink(fmt.Sprintf("/tmp/lmbench/c%d", i)); err != nil {
-			return Result{}, err
-		}
-	}
-	elapsed := time.Since(start)
-	return Result{
-		Op: fmt.Sprintf("file delete (%dK)", size/1024), Unit: "ms",
-		Value: msPerOp(elapsed, n), SmallerIsBetter: true,
-	}, nil
-}
-
-// MmapLatency measures mapping and touching a 64 KiB window (MmapFile
-// hook + copy), reported as total latency per map like lat_mmap.
-func (s *Suite) MmapLatency() (Result, error) {
-	fd, err := s.Task.Open("/tmp/lmbench.dat", vfs.ORdonly, 0)
+// ReadWrite4K runs n 4 KiB preads (or pwrites, if write) at offset 0 of
+// an open file.
+func (s *Suite) ReadWrite4K(n int, t Timer, write bool) error {
+	fd, err := s.Task.Open(dataFile, vfs.ORdwr, 0)
 	if err != nil {
-		return Result{}, err
+		return err
 	}
 	defer s.Task.Close(fd)
-	const window = 64 << 10
-	n := s.iters()
-	var sink byte
-	start := time.Now()
+	buf := make([]byte, 4096)
+	op := s.Task.Pread
+	if write {
+		op = s.Task.Pwrite
+	}
+	t.ResetTimer()
 	for i := 0; i < n; i++ {
-		m, err := s.Task.Mmap(fd, window, sys.MayRead)
+		if _, err := op(fd, buf, 0); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Fork runs n process creations (fork + exit).
+func (s *Suite) Fork(n int, t Timer) error {
+	for i := 0; i < n; i++ {
+		child, err := s.Task.Fork()
 		if err != nil {
-			return Result{}, err
+			return err
+		}
+		child.Exit()
+	}
+	return nil
+}
+
+// Stat runs n path resolutions plus the InodeGetattr hook.
+func (s *Suite) Stat(n int, t Timer) error {
+	for i := 0; i < n; i++ {
+		if _, err := s.Task.Stat(dataFile); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// OpenClose runs n open(2)+close(2) pairs: InodePermission + FileOpen
+// hooks.
+func (s *Suite) OpenClose(n int, t Timer) error {
+	for i := 0; i < n; i++ {
+		fd, err := s.Task.Open(dataFile, vfs.ORdonly, 0)
+		if err != nil {
+			return err
+		}
+		if err := s.Task.Close(fd); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Exec runs n program executions: fork + exec + exit (BprmCheck hook).
+func (s *Suite) Exec(n int, t Timer) error {
+	for i := 0; i < n; i++ {
+		child, err := s.Task.Fork()
+		if err != nil {
+			return err
+		}
+		err = child.Exec("/usr/bin/lmbench-exec")
+		child.Exit()
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// FileCreate times creating n size-byte files (InodeCreate + write
+// path), like lmbench's lat_fs create phase. Each batch is unlinked
+// with the timer stopped.
+func (s *Suite) FileCreate(size, n int, t Timer) error {
+	return s.files(size, n, t, true)
+}
+
+// FileDelete times unlinking n size-byte files, each batch created with
+// the timer stopped, like lat_fs's delete phase.
+func (s *Suite) FileDelete(size, n int, t Timer) error {
+	return s.files(size, n, t, false)
+}
+
+// files creates and unlinks n files in batches of at most fileBatch,
+// timing only the creates (timeCreate) or only the unlinks. The names
+// are built before any timing starts.
+func (s *Suite) files(size, n int, t Timer, timeCreate bool) error {
+	t.StopTimer()
+	names := make([]string, min(n, fileBatch))
+	for i := range names {
+		names[i] = fmt.Sprintf("%s/f%d", fileDir, i)
+	}
+	payload := make([]byte, size)
+	for left := n; left > 0; left -= len(names) {
+		batch := names[:min(left, len(names))]
+		if timeCreate {
+			t.StartTimer()
+		}
+		for _, name := range batch {
+			if err := s.Task.WriteFileAll(name, payload, 0o644); err != nil {
+				return err
+			}
+		}
+		if timeCreate {
+			t.StopTimer()
+		} else {
+			t.StartTimer()
+		}
+		for _, name := range batch {
+			if err := s.Task.Unlink(name); err != nil {
+				return err
+			}
+		}
+		t.StopTimer()
+	}
+	return nil
+}
+
+// MmapLatency runs n maps of a 64 KiB window with every page touched
+// (MmapFile hook + copy), like lat_mmap.
+func (s *Suite) MmapLatency(n int, t Timer) error {
+	fd, err := s.Task.Open(dataFile, vfs.ORdonly, 0)
+	if err != nil {
+		return err
+	}
+	defer s.Task.Close(fd)
+	var sink byte
+	t.ResetTimer()
+	for i := 0; i < n; i++ {
+		m, err := s.Task.Mmap(fd, block, sys.MayRead)
+		if err != nil {
+			return err
 		}
 		for off := 0; off < len(m); off += 4096 {
 			sink ^= m[off]
 		}
 	}
-	elapsed := time.Since(start)
 	_ = sink
-	return Result{Op: "mmap latency", Unit: "ms", Value: msPerOp(elapsed, n), SmallerIsBetter: true}, nil
+	return nil
 }
 
-// PipeBandwidth measures pipe throughput with a 64 KiB block size.
-func (s *Suite) PipeBandwidth() (Result, error) {
+// PipeBandwidth moves n 64 KiB blocks through a pipe.
+func (s *Suite) PipeBandwidth(n int, t Timer) error {
 	rfd, wfd, err := s.Task.Pipe()
 	if err != nil {
-		return Result{}, err
+		return err
 	}
 	defer s.Task.Close(rfd)
 	defer s.Task.Close(wfd)
-	return s.streamBandwidth("pipe",
+	return stream(n, t,
 		func(p []byte) (int, error) { return s.Task.Write(wfd, p) },
 		func(p []byte) (int, error) { return s.Task.Read(rfd, p) },
 	)
 }
 
-// UnixBandwidth measures AF_UNIX stream throughput via socketpair.
-func (s *Suite) UnixBandwidth() (Result, error) {
+// UnixBandwidth moves n 64 KiB blocks through an AF_UNIX socketpair.
+func (s *Suite) UnixBandwidth(n int, t Timer) error {
 	afd, bfd, err := s.Task.SocketPair()
 	if err != nil {
-		return Result{}, err
+		return err
 	}
 	defer s.Task.Close(afd)
 	defer s.Task.Close(bfd)
-	return s.streamBandwidth("AF_UNIX",
+	return stream(n, t,
 		func(p []byte) (int, error) { return s.Task.Send(afd, p) },
 		func(p []byte) (int, error) { return s.Task.Recv(bfd, p) },
 	)
 }
 
-// TCPBandwidth measures loopback TCP throughput through the full
-// listen/accept/connect path.
-func (s *Suite) TCPBandwidth() (Result, error) {
+// TCPBandwidth moves n 64 KiB blocks over a loopback TCP connection set
+// up through the full listen/accept/connect path before timing starts.
+func (s *Suite) TCPBandwidth(n int, t Timer) error {
 	lfd, err := s.Task.Socket(kernel.AFInet, kernel.SockStream)
 	if err != nil {
-		return Result{}, err
+		return err
 	}
 	defer s.Task.Close(lfd)
 	addr := fmt.Sprintf("tcp:127.0.0.1:%d", 40000+s.Task.Getpid())
 	if err := s.Task.Bind(lfd, addr); err != nil {
-		return Result{}, err
+		return err
 	}
 	if err := s.Task.Listen(lfd, 1); err != nil {
-		return Result{}, err
+		return err
 	}
 	cfd, err := s.Task.Socket(kernel.AFInet, kernel.SockStream)
 	if err != nil {
-		return Result{}, err
+		return err
 	}
 	defer s.Task.Close(cfd)
-	acceptCh := make(chan int, 1)
-	errCh := make(chan error, 1)
+	type accepted struct {
+		fd  int
+		err error
+	}
+	acceptCh := make(chan accepted, 1)
 	go func() {
 		fd, err := s.Task.Accept(lfd)
-		if err != nil {
-			errCh <- err
-			return
-		}
-		acceptCh <- fd
+		acceptCh <- accepted{fd, err}
 	}()
 	if err := s.Task.Connect(cfd, addr); err != nil {
-		return Result{}, err
+		return err
 	}
-	var sfd int
-	select {
-	case sfd = <-acceptCh:
-	case err := <-errCh:
-		return Result{}, err
+	a := <-acceptCh
+	if a.err != nil {
+		return a.err
 	}
-	defer s.Task.Close(sfd)
-	return s.streamBandwidth("TCP",
+	defer s.Task.Close(a.fd)
+	return stream(n, t,
 		func(p []byte) (int, error) { return s.Task.Send(cfd, p) },
-		func(p []byte) (int, error) { return s.Task.Recv(sfd, p) },
+		func(p []byte) (int, error) { return s.Task.Recv(a.fd, p) },
 	)
 }
 
-// streamBandwidth pumps MoveBytes through writer/reader goroutines in
-// 64 KiB blocks and reports MB/s.
-func (s *Suite) streamBandwidth(op string, write, read func([]byte) (int, error)) (Result, error) {
-	total := s.MoveBytes
-	if total <= 0 {
-		total = 8 << 20
-	}
-	const block = 64 << 10
+// stream pumps n 64 KiB blocks from a writer goroutine to the caller's
+// reader. The caller's deferred closes end the writer if the reader
+// fails first.
+func stream(n int, t Timer, write, read func([]byte) (int, error)) error {
+	total := n * block
 	errCh := make(chan error, 1)
-	start := time.Now()
+	t.ResetTimer()
 	go func() {
 		buf := make([]byte, block)
-		sent := 0
-		for sent < total {
-			n, err := write(buf)
+		for sent := 0; sent < total; {
+			m, err := write(buf)
 			if err != nil {
 				errCh <- err
 				return
 			}
-			sent += n
+			sent += m
 		}
 		errCh <- nil
 	}()
 	buf := make([]byte, block)
-	received := 0
-	for received < total {
-		n, err := read(buf)
+	for received := 0; received < total; {
+		m, err := read(buf)
 		if err != nil {
-			return Result{}, err
+			return err
 		}
-		if n == 0 {
-			break
+		if m == 0 {
+			return fmt.Errorf("lmbench: stream ended after %d of %d bytes", received, total)
 		}
-		received += n
+		received += m
 	}
-	if err := <-errCh; err != nil {
-		return Result{}, err
-	}
-	elapsed := time.Since(start)
-	return Result{Op: op, Unit: "MB/s", Value: mbPerSec(received, elapsed)}, nil
+	t.StopTimer()
+	return <-errCh
 }
 
-// FileReread measures re-reading a cached 1 MiB file through read(2).
-func (s *Suite) FileReread() (Result, error) {
-	fd, err := s.Task.Open("/tmp/lmbench.dat", vfs.ORdonly, 0)
+// FileReread runs n passes over the cached 1 MiB file through 64 KiB
+// preads.
+func (s *Suite) FileReread(n int, t Timer) error {
+	fd, err := s.Task.Open(dataFile, vfs.ORdonly, 0)
 	if err != nil {
-		return Result{}, err
+		return err
 	}
 	defer s.Task.Close(fd)
-	buf := make([]byte, 64<<10)
-	passes := s.MoveBytes / (1 << 20)
-	if passes <= 0 {
-		passes = 8
-	}
-	moved := 0
-	start := time.Now()
-	for p := 0; p < passes; p++ {
-		off := int64(0)
-		for {
-			n, err := s.Task.Pread(fd, buf, off)
+	buf := make([]byte, block)
+	t.ResetTimer()
+	for i := 0; i < n; i++ {
+		for off := int64(0); ; {
+			m, err := s.Task.Pread(fd, buf, off)
 			if err != nil {
-				return Result{}, err
+				return err
 			}
-			if n == 0 {
+			if m == 0 {
 				break
 			}
-			off += int64(n)
-			moved += n
+			off += int64(m)
 		}
 	}
-	elapsed := time.Since(start)
-	return Result{Op: "File reread", Unit: "MB/s", Value: mbPerSec(moved, elapsed)}, nil
+	return nil
 }
 
-// MmapReread measures scanning a mapped 1 MiB file.
-func (s *Suite) MmapReread() (Result, error) {
-	fd, err := s.Task.Open("/tmp/lmbench.dat", vfs.ORdonly, 0)
+// MmapReread runs n scans over the mapped 1 MiB file.
+func (s *Suite) MmapReread(n int, t Timer) error {
+	fd, err := s.Task.Open(dataFile, vfs.ORdonly, 0)
 	if err != nil {
-		return Result{}, err
+		return err
 	}
 	defer s.Task.Close(fd)
 	m, err := s.Task.Mmap(fd, 1<<20, sys.MayRead)
 	if err != nil {
-		return Result{}, err
-	}
-	passes := s.MoveBytes / (1 << 20) * 4
-	if passes <= 0 {
-		passes = 32
+		return err
 	}
 	var sink byte
-	start := time.Now()
-	for p := 0; p < passes; p++ {
-		for i := 0; i < len(m); i += 64 {
-			sink ^= m[i]
+	t.ResetTimer()
+	for i := 0; i < n; i++ {
+		for off := 0; off < len(m); off += 64 {
+			sink ^= m[off]
 		}
 	}
-	elapsed := time.Since(start)
 	_ = sink
-	return Result{Op: "Mmap reread", Unit: "MB/s", Value: mbPerSec(passes*len(m), elapsed)}, nil
+	return nil
 }
 
-// CtxSwitch measures 2-process context switching: two tasks pass a token
-// through a pair of pipes (lat_ctx's topology), optionally copying
-// payload bytes per switch (the 2p/16K variant).
-func (s *Suite) CtxSwitch(payload int) (Result, error) {
+// CtxSwitch runs n 2-process round trips: the task and a forked peer
+// pass a token of payload bytes (at least one) through a pair of pipes,
+// lat_ctx's topology. One iteration is two switches, there and back.
+func (s *Suite) CtxSwitch(payload, n int, t Timer) error {
 	// Pipe A: task -> peer. Pipe B: peer -> task. The pipes must exist
 	// before the fork so the peer inherits the descriptors, as lat_ctx's
 	// processes do.
 	arfd, awfd, err := s.Task.Pipe()
 	if err != nil {
-		return Result{}, err
+		return err
 	}
+	defer s.Task.Close(arfd)
+	defer s.Task.Close(awfd)
 	brfd, bwfd, err := s.Task.Pipe()
 	if err != nil {
-		return Result{}, err
+		return err
 	}
+	defer s.Task.Close(brfd)
+	defer s.Task.Close(bwfd)
 	peer, err := s.Task.Fork()
 	if err != nil {
-		return Result{}, err
+		return err
 	}
 	defer peer.Exit()
-	defer func() {
-		s.Task.Close(arfd)
-		s.Task.Close(awfd)
-		s.Task.Close(brfd)
-		s.Task.Close(bwfd)
-	}()
 
-	size := payload
-	if size <= 0 {
-		size = 1
-	}
-	n := s.iters()
+	size := max(payload, 1)
 	done := make(chan error, 1)
+	t.ResetTimer()
 	go func() {
 		buf := make([]byte, size)
 		for i := 0; i < n; i++ {
@@ -469,23 +498,14 @@ func (s *Suite) CtxSwitch(payload int) (Result, error) {
 		done <- nil
 	}()
 	buf := make([]byte, size)
-	start := time.Now()
 	for i := 0; i < n; i++ {
 		if _, err := s.Task.Write(awfd, buf); err != nil {
-			return Result{}, err
+			return err
 		}
 		if _, err := s.Task.Read(brfd, buf); err != nil {
-			return Result{}, err
+			return err
 		}
 	}
-	elapsed := time.Since(start)
-	if err := <-done; err != nil {
-		return Result{}, err
-	}
-	label := "2p/0K ctxsw"
-	if payload >= 1024 {
-		label = fmt.Sprintf("2p/%dK ctxsw", payload/1024)
-	}
-	// Each iteration is two switches (there and back).
-	return Result{Op: label, Unit: "ms", Value: msPerOp(elapsed, n*2), SmallerIsBetter: true}, nil
+	t.StopTimer()
+	return <-done
 }
