@@ -104,6 +104,8 @@ bench: fleet-scale
 
 # AVC comparison: cached covered-path check vs cache-ablated check vs raw
 # rule-set Decide. The cached line should be orders of magnitude faster.
+# one-off-denials (a distinct denied key per op) must allocate nothing:
+# the AVC admits a denial only on its second miss in an epoch.
 bench-avc:
 	$(GO) test -run '^$$' -bench 'BenchmarkAVC' -benchmem .
 
@@ -172,8 +174,8 @@ perfbench-build:
 # Table II/III, Fig. 3(a)/(b), event-latency and no-LSM cell; the
 # event-latency cell fails if a write misses its transition), of the
 # scalability sweep and of every BenchmarkAVC cell (cached, uncached,
-# both pass-through shapes, raw Decide) so those paths compile and run
-# on every PR without benchmark-length runtimes,
+# both pass-through shapes, one-off denials, raw Decide) so those paths
+# compile and run on every PR without benchmark-length runtimes,
 # plus the uncached-latency fence (trie must stay well ahead of the glob-
 # walk oracle and under its absolute budget), the compile-footprint
 # fence (allocations per policy.Load of the 64-state and 500-rule
@@ -183,9 +185,9 @@ perfbench-build:
 # validator's allocation fence on a benchmark-sized policy, the
 # syscall path's allocation fence (an open allocates only its file, a
 # repeated stat or denial nothing, a first denial after a transition
-# only its AVC entry), the audit drain's zero-alloc fence (Appends from
-# two call depths, so every cut merges two runs) and the
-# sampled hook-metrics exactness test.
+# nothing either, as it is not yet admitted into the AVC), the audit
+# drain's zero-alloc fence (Appends from two call depths, so every cut
+# merges two runs) and the sampled hook-metrics exactness test.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkTable2|BenchmarkTable3|BenchmarkFig3|BenchmarkEventLatency|BenchmarkNoLSM' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkParallelDecision/sack-covered/goroutines=(1|16)$$' -benchtime 1x .

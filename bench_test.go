@@ -21,6 +21,7 @@ package sack_test
 import (
 	"fmt"
 	"slices"
+	"strconv"
 	"testing"
 	"time"
 
@@ -338,7 +339,10 @@ func BenchmarkAblationIndexVsLinear(b *testing.B) {
 // (/tmp, a first segment no rule names) is rejected by the coverage
 // trie's root step before the AVC; uncovered-under-root (/srv/other)
 // probes the AVC, misses, and is passed through by the full coverage
-// walk without being cached.
+// walk without being cached. one-off-denials checks a distinct denied
+// key per op, the shape of a denial storm or of situation churn: each
+// misses, and the AVC admits a denial only on its second miss in an
+// epoch, so none is stored and the cell allocates nothing.
 func BenchmarkAVC(b *testing.B) {
 	const nRules = 500
 	polText := bench.GenRulesPolicy(nRules)
@@ -395,6 +399,29 @@ func BenchmarkAVC(b *testing.B) {
 			}
 		})
 	}
+	b.Run("one-off-denials", func(b *testing.B) {
+		tb := boot(b)
+		// 64Ki keys covered by the file0* rule, which grants no ioctl. A
+		// key recurs only after 65,535 others have missed, long after
+		// both its AVC slot and its doorkeeper word were overwritten, so
+		// every check is a first miss.
+		paths := make([]string, 1<<16)
+		for i := range paths {
+			paths[i] = "/srv/sack/area0/file0." + strconv.Itoa(i)
+		}
+		cred := sys.NewCred(1000, 1000)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := tb.SACK.InodePermission(cred, paths[i&(len(paths)-1)], nil, sys.MayIoctl); !sys.IsErrno(err, sys.EACCES) {
+				b.Fatalf("one-off ioctl check: %v, want EACCES", err)
+			}
+		}
+		b.StopTimer()
+		if st := tb.SACK.AVCStats(); st.Hits != 0 {
+			b.Fatalf("a one-off denial was served from the cache: %+v", st)
+		}
+	})
 	b.Run("decide-raw", func(b *testing.B) {
 		compiled, _, err := policy.Load(polText)
 		if err != nil {

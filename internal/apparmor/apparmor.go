@@ -198,9 +198,10 @@ func (a *AppArmor) MmapFile(cred *sys.Cred, f *vfs.File, prot sys.Access) error 
 // check is the decision fast path shared by all hooks. One table load
 // supplies the profiles and the AVC token together, so a cached
 // decision can never outlive the swap that revoked it. On a miss the
-// profile's matcher decides and the result is cached, a denial with its
-// audit detail, so a repeated denial skips the matcher but still counts
-// and audits as its own event. The detail comes from the profile rule
+// profile's matcher decides and the AVC admits the result, an allow at
+// once and a denial with its audit detail on its second miss in the
+// epoch, so a repeated denial skips the matcher but still counts and
+// audits as its own event. The detail comes from the profile rule
 // set's memo, rendered once per (deciding rule, mask) per load.
 func (a *AppArmor) check(cred *sys.Cred, op, path string, mask sys.Access) error {
 	label := cred.Blob(blobSlot)
@@ -208,7 +209,7 @@ func (a *AppArmor) check(cred *sys.Cred, op, path string, mask sys.Access) error
 		return nil
 	}
 	ps := a.profiles.Load()
-	allowed, detail, hit := a.cache.LookupAt(ps.token, label, path, mask)
+	allowed, detail, hit, h := a.cache.LookupAt(ps.token, label, path, mask)
 	if hit && allowed {
 		a.allowed.Add(1)
 		return nil
@@ -218,13 +219,12 @@ func (a *AppArmor) check(cred *sys.Cred, op, path string, mask sys.Access) error
 		return nil // stale label after profile removal: treat as unconfined
 	}
 	if !hit {
-		a.cache.Miss()
 		var rank int
 		_, allowed, rank = e.rules.Matcher().EvaluateAt(policy.RootStep{}, label, path, mask)
 		if !allowed && a.audit != nil {
 			detail = e.rules.Detail(rank, mask, e.detail)
 		}
-		a.cache.Insert(ps.token, label, path, mask, allowed, detail)
+		a.cache.Admit(ps.token, h, label, path, mask, allowed, detail)
 		if allowed {
 			a.allowed.Add(1)
 			return nil

@@ -84,8 +84,9 @@ func TestAppArmorMatcherDifferential(t *testing.T) {
 			path, mask := genKey(r)
 			ks[i] = key{names[r.Intn(len(names))], path, mask}
 		}
-		// Each pass checks every key cold then warm; between passes one
-		// profile is replaced, so the cache must not serve a verdict the
+		// Each pass checks every key cold, again (the miss that admits a
+		// denial into the AVC) and warm; between passes one profile is
+		// replaced, so the cache must not serve a verdict the
 		// replacement revoked.
 		for pass := 0; pass < 3; pass++ {
 			if pass > 0 {
@@ -96,7 +97,7 @@ func TestAppArmorMatcherDifferential(t *testing.T) {
 			for _, k := range ks {
 				p := a.Profile(k.label)
 				want, _ := policy.NewRuleSet(p.Name, p.Rules).DecideLinear("", k.path, k.mask)
-				for _, temp := range []string{"cold", "warm"} {
+				for _, temp := range []string{"cold", "again", "warm"} {
 					allowed0, denied0 := a.Stats()
 					cred := sys.NewCred(1000, 1000)
 					SetLabel(cred, k.label)

@@ -12,9 +12,10 @@
 // walk because only covered decisions are ever inserted, and coverage
 // changes only with a new snapshot, which brings a new token. AppArmor
 // probes first the same way. A probe that misses is not counted by
-// LookupAt: the caller records it with Miss once the key proves to be
-// one it would cache, so a pass-through probe under a
-// covered first segment never dilutes the hit ratio.
+// LookupAt: it returns the key's hash, and the caller hands that hash
+// to Admit once the key proves to be one it would cache, so a
+// pass-through probe under a covered first segment never dilutes the
+// hit ratio and a check hashes its key once.
 //
 // SACK decisions additionally depend on the *situation state*, which
 // changes at runtime, so cache coherence is the hard part: a cached
@@ -61,10 +62,28 @@
 // cached detail. A stale deny is as impossible to serve as a stale
 // allow, because the entry is stamped with the epoch of the policy state
 // that produced it.
+//
+// Admit stores an allow at once but a denial only on its second miss
+// in one epoch. The hook protocol guarantees an allow's reuse: every
+// allowed open is followed by FilePermission on the same key for each
+// read and write. A denial ends its syscall, and under situation churn
+// most denied keys are never checked again before the next transition,
+// so storing each one would allocate an entry nothing reads and evict
+// a live one. A doorkeeper in the style of TinyLFU's (Einziger et al.,
+// ACM TOS 2017) holds the evidence of reuse: one atomic word per 64
+// slots, indexed by the hash bits above the slot bits, holding the
+// fingerprint of the last denied key that missed there. The fingerprint
+// mixes in the token, so every Advance forgets every key without
+// clearing a word. Admission only decides whether an exact,
+// token-stamped entry is stored: a fingerprint collision admits a
+// denial one miss early, and can never serve a verdict for another
+// key. A denial storm of one-off paths therefore neither allocates nor
+// evicts other tasks' cached allows.
 package avc
 
 import (
 	"hash/maphash"
+	"math/bits"
 	"sync/atomic"
 
 	"repro/internal/shard"
@@ -73,6 +92,14 @@ import (
 
 // DefaultSize is the slot count used when New is given n <= 0.
 const DefaultSize = 4096
+
+// slotsPerDoorWord is how many slots share one doorkeeper word: 512 B
+// of doorkeeper at DefaultSize.
+const slotsPerDoorWord = 64
+
+// phi is 2^64 divided by the golden ratio, an odd multiplier that
+// spreads a small integer over all 64 bits.
+const phi = 0x9E3779B97F4A7C15
 
 // Token is a cache generation: the epoch Advance returned to the writer
 // that published a policy state, or the one Lookup observed. It must be
@@ -96,7 +123,7 @@ type entry struct {
 type Stats struct {
 	Hits          uint64 // lookups served from the cache
 	Misses        uint64 // covered lookups that fell through to full evaluation
-	Inserts       uint64 // decisions written into the table
+	Inserts       uint64 // decisions written into the table (admitted or inserted)
 	Invalidations uint64 // epoch bumps (transitions + policy reloads)
 	Epoch         uint64 // current epoch value
 	Size          int    // slot count
@@ -119,6 +146,13 @@ type Cache struct {
 	mask  uint64 // len(slots)-1, slots is a power of two
 	seed  maphash.Seed
 
+	// door is the denial doorkeeper: word (h>>doorShift)&doorMask holds
+	// the fingerprint h^token·phi of the last denied key that missed
+	// under it.
+	door      []atomic.Uint64
+	doorShift uint
+	doorMask  uint64
+
 	hits          shard.Counter
 	misses        shard.Counter
 	inserts       shard.Counter
@@ -135,24 +169,29 @@ func New(n int) *Cache {
 	for size < n {
 		size <<= 1
 	}
+	words := max(size/slotsPerDoorWord, 1)
 	return &Cache{
-		slots:   make([]atomic.Pointer[entry], size),
-		mask:    uint64(size - 1),
-		seed:    maphash.MakeSeed(),
-		hits:    shard.NewCounter(),
-		misses:  shard.NewCounter(),
-		inserts: shard.NewCounter(),
+		slots:     make([]atomic.Pointer[entry], size),
+		mask:      uint64(size - 1),
+		seed:      maphash.MakeSeed(),
+		door:      make([]atomic.Uint64, words),
+		doorShift: uint(bits.TrailingZeros(uint(size))),
+		doorMask:  uint64(words - 1),
+		hits:      shard.NewCounter(),
+		misses:    shard.NewCounter(),
+		inserts:   shard.NewCounter(),
 	}
 }
 
-// index hashes the key into a slot: one seeded maphash per string,
-// mixed with the mask. Direct-mapped: colliding keys evict each other,
-// which bounds memory and keeps probes O(1).
-func (c *Cache) index(subject, path string, mask sys.Access) uint64 {
+// hash hashes the key: one seeded maphash per string, mixed with the
+// mask. Its low bits pick the slot; direct-mapped, so colliding keys
+// evict each other, which bounds memory and keeps probes O(1). The bits
+// above them pick the doorkeeper word.
+func (c *Cache) hash(subject, path string, mask sys.Access) uint64 {
 	h := maphash.String(c.seed, path)
-	h ^= maphash.String(c.seed, subject) * 0x9E3779B97F4A7C15
+	h ^= maphash.String(c.seed, subject) * phi
 	h ^= uint64(mask) * 0xC2B2AE3D27D4EB4F
-	return h & c.mask
+	return h
 }
 
 // Lookup probes the cache. It loads the current epoch *first* and
@@ -162,8 +201,9 @@ func (c *Cache) index(subject, path string, mask sys.Access) uint64 {
 // counted here.
 func (c *Cache) Lookup(subject, path string, mask sys.Access) (allowed, ok bool, tok Token) {
 	tok = Token(c.epoch.Load())
-	if allowed, _, ok = c.LookupAt(tok, subject, path, mask); !ok {
-		c.Miss()
+	allowed, _, ok, _ = c.LookupAt(tok, subject, path, mask)
+	if !ok {
+		c.misses.Add(1)
 	}
 	return allowed, ok, tok
 }
@@ -173,34 +213,33 @@ func (c *Cache) Lookup(subject, path string, mask sys.Access) (allowed, ok bool,
 // the rule set and the cache generation it probes are guaranteed to
 // describe the same published policy state. On a hit it returns the
 // cached verdict, the detail stored with it, and ok=true, and counts the
-// hit. A miss is not counted: the caller calls Miss once the key proves
-// to be one it caches, so probing ahead of its coverage check costs the
-// hit ratio nothing.
-func (c *Cache) LookupAt(tok Token, subject, path string, mask sys.Access) (allowed bool, detail string, ok bool) {
-	if e := c.probe(tok, subject, path, mask); e != nil {
+// hit. It always returns the key's hash h. A miss is not counted: the
+// caller passes h to Admit once the key proves to be one it caches, so
+// probing ahead of its coverage check costs the hit ratio nothing.
+func (c *Cache) LookupAt(tok Token, subject, path string, mask sys.Access) (allowed bool, detail string, ok bool, h uint64) {
+	h = c.hash(subject, path, mask)
+	if e := c.probe(tok, h, subject, path, mask); e != nil {
 		c.hits.Add(1)
-		return e.allowed, e.detail, true
+		return e.allowed, e.detail, true, h
 	}
-	return false, "", false
+	return false, "", false, h
 }
-
-// Miss counts one lookup that fell through to full evaluation.
-func (c *Cache) Miss() { c.misses.Add(1) }
 
 // PeekAt answers the same question as LookupAt without touching the
 // hit/miss counters. Introspection queries (sack's Decision API) use it
 // so asking "would this be served from the cache?" never skews the
 // hit-rate statistics the experiments report.
 func (c *Cache) PeekAt(tok Token, subject, path string, mask sys.Access) (allowed bool, detail string, ok bool) {
-	if e := c.probe(tok, subject, path, mask); e != nil {
+	if e := c.probe(tok, c.hash(subject, path, mask), subject, path, mask); e != nil {
 		return e.allowed, e.detail, true
 	}
 	return false, "", false
 }
 
-// probe returns the entry for the key if it was stamped with tok.
-func (c *Cache) probe(tok Token, subject, path string, mask sys.Access) *entry {
-	e := c.slots[c.index(subject, path, mask)].Load()
+// probe returns the entry for the key with hash h if it was stamped
+// with tok.
+func (c *Cache) probe(tok Token, h uint64, subject, path string, mask sys.Access) *entry {
+	e := c.slots[h&c.mask].Load()
 	if e != nil && e.epoch == uint64(tok) && e.mask == mask &&
 		e.path == path && e.subject == subject {
 		return e
@@ -208,26 +247,54 @@ func (c *Cache) probe(tok Token, subject, path string, mask sys.Access) *entry {
 	return nil
 }
 
-// Insert stores a decision computed under the given token. If the epoch
-// has already moved on the insert is dropped: the decision's inputs may
-// be stale, and a dead entry would only waste the slot. A denial may
-// pass its audit detail, which LookupAt and PeekAt hand back on a hit;
-// allows pass none.
+// Admit counts one covered lookup that missed and decides whether to
+// cache the decision computed for it under tok; h is the hash LookupAt
+// returned for the key. An allow is stored at once. A denial is stored
+// only if the doorkeeper already holds the key's fingerprint from an
+// earlier miss in the same epoch; otherwise Admit records the
+// fingerprint and stores nothing. As with Insert, a stale token stores
+// nothing.
+func (c *Cache) Admit(tok Token, h uint64, subject, path string, mask sys.Access, allowed bool, detail string) {
+	c.misses.Add(1)
+	if uint64(tok) != c.epoch.Load() {
+		return
+	}
+	if !allowed {
+		fp := h ^ uint64(tok)*phi
+		if w := &c.door[(h>>c.doorShift)&c.doorMask]; w.Load() != fp {
+			w.Store(fp)
+			return
+		}
+	}
+	c.store(tok, h, subject, path, mask, allowed, detail)
+}
+
+// Insert stores a decision computed under the given token, bypassing
+// admission. If the epoch has already moved on the insert is dropped:
+// the decision's inputs may be stale, and a dead entry would only waste
+// the slot. A denial may pass its audit detail, which LookupAt and
+// PeekAt hand back on a hit; allows pass none.
 func (c *Cache) Insert(tok Token, subject, path string, mask sys.Access, allowed bool, detail ...string) {
 	if uint64(tok) != c.epoch.Load() {
 		return
 	}
-	e := &entry{
+	var d string
+	if len(detail) > 0 {
+		d = detail[0]
+	}
+	c.store(tok, c.hash(subject, path, mask), subject, path, mask, allowed, d)
+}
+
+// store writes the entry into the key's slot.
+func (c *Cache) store(tok Token, h uint64, subject, path string, mask sys.Access, allowed bool, detail string) {
+	c.slots[h&c.mask].Store(&entry{
 		epoch:   uint64(tok),
 		subject: subject,
 		path:    path,
 		mask:    mask,
 		allowed: allowed,
-	}
-	if len(detail) > 0 {
-		e.detail = detail[0]
-	}
-	c.slots[c.index(subject, path, mask)].Store(e)
+		detail:  detail,
+	})
 	c.inserts.Add(1)
 }
 

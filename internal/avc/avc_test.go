@@ -2,6 +2,7 @@ package avc
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -98,18 +99,18 @@ func TestDeniedDecisionsRoundTrip(t *testing.T) {
 	const detail = `mask=write rule "deny write /p" in state normal`
 	c.Insert(tok, "s", "/p", sys.MayWrite, false, detail)
 	c.Insert(tok, "s", "/p", sys.MayRead, true)
-	allowed, got, ok := c.LookupAt(tok, "s", "/p", sys.MayWrite)
+	allowed, got, ok, _ := c.LookupAt(tok, "s", "/p", sys.MayWrite)
 	if !ok || allowed || got != detail {
 		t.Fatalf("LookupAt = (%v,%q,%v), want cached deny with detail", allowed, got, ok)
 	}
 	if allowed, got, ok := c.PeekAt(tok, "s", "/p", sys.MayWrite); !ok || allowed || got != detail {
 		t.Fatalf("PeekAt = (%v,%q,%v), want cached deny with detail", allowed, got, ok)
 	}
-	if allowed, got, ok := c.LookupAt(tok, "s", "/p", sys.MayRead); !ok || !allowed || got != "" {
+	if allowed, got, ok, _ := c.LookupAt(tok, "s", "/p", sys.MayRead); !ok || !allowed || got != "" {
 		t.Fatalf("allow entry = (%v,%q,%v), want allow without detail", allowed, got, ok)
 	}
 	next := c.Advance()
-	if _, _, ok := c.LookupAt(next, "s", "/p", sys.MayWrite); ok {
+	if _, _, ok, _ := c.LookupAt(next, "s", "/p", sys.MayWrite); ok {
 		t.Fatal("cached deny served across an epoch bump")
 	}
 }
@@ -203,16 +204,159 @@ func TestLookupAtSnapshotProtocol(t *testing.T) {
 	newTok := c.Advance()
 
 	c.Insert(newTok, "app", "/dev/vehicle/door0", sys.MayRead, true)
-	if allowed, _, ok := c.LookupAt(newTok, "app", "/dev/vehicle/door0", sys.MayRead); !ok || !allowed {
+	if allowed, _, ok, _ := c.LookupAt(newTok, "app", "/dev/vehicle/door0", sys.MayRead); !ok || !allowed {
 		t.Fatalf("LookupAt(new) = (%v,%v), want hit allow", allowed, ok)
 	}
 	// A reader on the previous snapshot must not see the new entry.
-	if _, _, ok := c.LookupAt(oldTok, "app", "/dev/vehicle/door0", sys.MayRead); ok {
+	if _, _, ok, _ := c.LookupAt(oldTok, "app", "/dev/vehicle/door0", sys.MayRead); ok {
 		t.Fatal("LookupAt(old) hit an entry from the new generation")
 	}
 	// Its late insert carries the old token and is dropped.
 	c.Insert(oldTok, "app", "/dev/vehicle/win0", sys.MayWrite, true)
-	if _, _, ok := c.LookupAt(newTok, "app", "/dev/vehicle/win0", sys.MayWrite); ok {
+	if _, _, ok, _ := c.LookupAt(newTok, "app", "/dev/vehicle/win0", sys.MayWrite); ok {
 		t.Fatal("stale-token insert became visible in the new generation")
+	}
+}
+
+// miss runs the enforcement protocol for one check that misses: probe
+// under tok, then admit the decision with the probe's hash. It returns
+// whether the probe hit.
+func miss(c *Cache, tok Token, subject, path string, mask sys.Access, allowed bool, detail string) bool {
+	_, _, ok, h := c.LookupAt(tok, subject, path, mask)
+	if !ok {
+		c.Admit(tok, h, subject, path, mask, allowed, detail)
+	}
+	return ok
+}
+
+func TestAdmitDenialOnSecondMiss(t *testing.T) {
+	c := New(64)
+	tok := Token(c.Epoch())
+	const detail = `mask=write no allow rule in state normal`
+	if miss(c, tok, "s", "/p", sys.MayWrite, false, detail) {
+		t.Fatal("hit on empty cache")
+	}
+	if st := c.Stats(); st.Misses != 1 || st.Inserts != 0 {
+		t.Fatalf("after the first miss: %+v, want 1 miss and nothing stored", st)
+	}
+	if miss(c, tok, "s", "/p", sys.MayWrite, false, detail) {
+		t.Fatal("a denial seen once was served from the cache")
+	}
+	if st := c.Stats(); st.Misses != 2 || st.Inserts != 1 {
+		t.Fatalf("after the second miss: %+v, want 2 misses and 1 insert", st)
+	}
+	allowed, got, ok, _ := c.LookupAt(tok, "s", "/p", sys.MayWrite)
+	if !ok || allowed || got != detail {
+		t.Fatalf("third touch = (%v,%q,%v), want cached deny with detail", allowed, got, ok)
+	}
+}
+
+func TestAdmitAllowOnFirstMiss(t *testing.T) {
+	c := New(64)
+	tok := Token(c.Epoch())
+	miss(c, tok, "s", "/p", sys.MayRead, true, "")
+	if st := c.Stats(); st.Misses != 1 || st.Inserts != 1 {
+		t.Fatalf("stats = %+v, want 1 miss and 1 insert", st)
+	}
+	if allowed, _, ok, _ := c.LookupAt(tok, "s", "/p", sys.MayRead); !ok || !allowed {
+		t.Fatalf("second touch = (%v,%v), want cached allow", allowed, ok)
+	}
+}
+
+// TestAdmitForgetsAcrossAdvance: the doorkeeper's fingerprints mix in
+// the token, so a miss before Advance is no evidence for a miss after.
+func TestAdmitForgetsAcrossAdvance(t *testing.T) {
+	c := New(64)
+	miss(c, Token(c.Epoch()), "s", "/p", sys.MayWrite, false, "")
+	tok := c.Advance()
+	miss(c, tok, "s", "/p", sys.MayWrite, false, "")
+	if st := c.Stats(); st.Inserts != 0 {
+		t.Fatalf("a miss in the previous epoch admitted the denial: %+v", st)
+	}
+	miss(c, tok, "s", "/p", sys.MayWrite, false, "")
+	if st := c.Stats(); st.Inserts != 1 {
+		t.Fatalf("second miss in the new epoch not admitted: %+v", st)
+	}
+}
+
+func TestAdmitStaleTokenDropped(t *testing.T) {
+	c := New(64)
+	old := Token(c.Epoch())
+	_, _, _, hAllow := c.LookupAt(old, "s", "/a", sys.MayRead)
+	_, _, _, hDeny := c.LookupAt(old, "s", "/d", sys.MayWrite)
+	c.Admit(old, hDeny, "s", "/d", sys.MayWrite, false, "")
+	c.Advance() // epoch moves between the probes and the admits
+	c.Admit(old, hAllow, "s", "/a", sys.MayRead, true, "")
+	c.Admit(old, hDeny, "s", "/d", sys.MayWrite, false, "")
+	if st := c.Stats(); st.Inserts != 0 || st.Misses != 3 {
+		t.Fatalf("stats = %+v, want 3 misses and nothing stored", st)
+	}
+	if c.Live() != 0 {
+		t.Fatalf("live = %d, want 0", c.Live())
+	}
+}
+
+// TestAdmitFingerprintCollision forces a doorkeeper collision: key b is
+// admitted with key a's hash, so a's fingerprint admits b on b's first
+// miss. The entry stored is b's exact key, so a never sees b's verdict.
+func TestAdmitFingerprintCollision(t *testing.T) {
+	c := New(64)
+	tok := Token(c.Epoch())
+	_, _, _, ha := c.LookupAt(tok, "a", "/a", sys.MayWrite)
+	c.Admit(tok, ha, "a", "/a", sys.MayWrite, false, "a's detail")
+	c.Admit(tok, ha, "b", "/b", sys.MayRead, false, "b's detail")
+	if st := c.Stats(); st.Inserts != 1 {
+		t.Fatalf("stats = %+v, want the colliding denial admitted", st)
+	}
+	e := c.slots[ha&c.mask].Load()
+	if e == nil || e.subject != "b" || e.path != "/b" || e.mask != sys.MayRead || e.detail != "b's detail" {
+		t.Fatalf("stored entry = %+v, want exactly b's key and detail", e)
+	}
+	if _, _, ok, _ := c.LookupAt(tok, "a", "/a", sys.MayWrite); ok {
+		t.Fatal("a was served b's verdict")
+	}
+}
+
+// TestConcurrentAdmit races the probe/admit protocol on shared
+// doorkeeper words against epoch bumps; run under -race it proves the
+// doorkeeper is data-race free, and every hit must carry its own key's
+// verdict and detail, so no admission race serves another key's entry.
+func TestConcurrentAdmit(t *testing.T) {
+	c := New(64) // one doorkeeper word: every denial shares it
+	paths := make([]string, 16)
+	for i := range paths {
+		paths[i] = fmt.Sprintf("/srv/p%d", i)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 20000; i++ {
+				k := (i + g) % len(paths)
+				p, allowed := paths[k], k%2 == 0
+				tok := Token(c.Epoch())
+				got, detail, ok, h := c.LookupAt(tok, "s", p, sys.MayWrite)
+				if ok && (got != allowed || (!allowed && detail != p)) {
+					t.Errorf("%s served (%v,%q), want (%v,%q)", p, got, detail, allowed, p)
+					return
+				}
+				if !ok {
+					d := ""
+					if !allowed {
+						d = p
+					}
+					c.Admit(tok, h, "s", p, sys.MayWrite, allowed, d)
+				}
+			}
+		}(g)
+	}
+	for i := 0; i < 200; i++ {
+		c.Advance()
+		runtime.Gosched()
+	}
+	wg.Wait()
+	if st := c.Stats(); st.Inserts == 0 || st.Hits == 0 {
+		t.Fatalf("the race never stored or served an entry: %+v", st)
 	}
 }

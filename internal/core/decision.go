@@ -24,6 +24,8 @@ type Decision struct {
 
 	// CacheHit reports whether the AVC currently holds this verdict under
 	// the live epoch (the enforcement path would skip rule evaluation).
+	// A denial is stored only on its second miss in an epoch, so it
+	// reads false for a denial enforced once.
 	CacheHit bool
 
 	// Pinned reports whether the event pipeline is degraded and the SSM

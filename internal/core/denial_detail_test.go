@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"strconv"
 	"testing"
 
 	"repro/internal/core"
@@ -62,14 +63,15 @@ func TestDenialDetailGolden(t *testing.T) {
 	}
 }
 
-// A repeated denial is served from the AVC: Check reports it as a cache
-// hit, and the cached denial still counts and audits as its own event,
-// with the same Detail as the evaluated one.
+// A repeated denial is served from the AVC: the first touch misses, the
+// second misses and admits it, and the third is a hit. Check reports it
+// as a cache hit, and the cached denial still counts and audits as its
+// own event, with the same Detail as the evaluated ones.
 func TestCachedDenialIsCacheHit(t *testing.T) {
 	k, s := bootIndependent(t, detailPolicy)
 	cred := sys.NewCred(1000, 1000)
 	core.SetSubject(cred, "/usr/bin/app1")
-	for i := 0; i < 2; i++ {
+	for i := 0; i < 3; i++ {
 		if err := s.InodePermission(cred, "/srv/secret/key", nil, sys.MayRead); !sys.IsErrno(err, sys.EACCES) {
 			t.Fatalf("denial %d: %v, want EACCES", i, err)
 		}
@@ -81,14 +83,51 @@ func TestCachedDenialIsCacheHit(t *testing.T) {
 	if !d.CacheHit || d.Allowed {
 		t.Fatalf("Check = %+v, want a cached denial", d)
 	}
-	if _, denials, _, _ := s.Stats(); denials != 2 {
-		t.Fatalf("denials = %d, want 2", denials)
+	if _, denials, _, _ := s.Stats(); denials != 3 {
+		t.Fatalf("denials = %d, want 3", denials)
 	}
-	if st := s.AVCStats(); st.Hits != 1 || st.Misses != 1 {
-		t.Fatalf("AVC stats = %+v, want 1 hit, 1 miss", st)
+	if st := s.AVCStats(); st.Hits != 1 || st.Misses != 2 || st.Inserts != 1 {
+		t.Fatalf("AVC stats = %+v, want 1 hit, 2 misses, 1 insert", st)
 	}
 	recs := k.Audit.Denials()
-	if len(recs) != 2 || recs[0].Detail != recs[1].Detail {
-		t.Fatalf("denial records = %+v, want two with equal Detail", recs)
+	if len(recs) != 3 || recs[0].Detail != recs[1].Detail || recs[0].Detail != recs[2].Detail {
+		t.Fatalf("denial records = %+v, want three with equal Detail", recs)
+	}
+}
+
+// A storm of one-off denials from one task stores nothing in the AVC,
+// so it neither allocates entries nor evicts another key's cached allow:
+// the AVC admits a denial only on its second miss in an epoch.
+func TestOneOffDenialsKeepCachedAllow(t *testing.T) {
+	_, s := bootIndependent(t, detailPolicy)
+	reader := sys.NewCred(1000, 1000)
+	core.SetSubject(reader, "/usr/bin/reader")
+	read := func() {
+		t.Helper()
+		if err := s.InodePermission(reader, "/srv/data", nil, sys.MayRead); err != nil {
+			t.Fatalf("allowed read: %v", err)
+		}
+	}
+	read() // miss: the allow is stored at once
+	before := s.AVCStats()
+	if before.Inserts != 1 {
+		t.Fatalf("allow not cached on its first miss: %+v", before)
+	}
+
+	storm := sys.NewCred(1000, 1000)
+	core.SetSubject(storm, "/usr/bin/app1")
+	for i := 0; i < 10000; i++ {
+		path := "/srv/secret/f" + strconv.Itoa(i)
+		if err := s.InodePermission(storm, path, nil, sys.MayRead); !sys.IsErrno(err, sys.EACCES) {
+			t.Fatalf("denial %d: %v, want EACCES", i, err)
+		}
+	}
+	mid := s.AVCStats()
+	if mid.Inserts != before.Inserts || mid.Misses != before.Misses+10000 {
+		t.Fatalf("one-off denials moved the AVC: %+v -> %+v, want 10000 misses and no insert", before, mid)
+	}
+	read()
+	if after := s.AVCStats(); after.Hits != mid.Hits+1 || after.Inserts != mid.Inserts {
+		t.Fatalf("cached allow did not survive the storm: %+v -> %+v", mid, after)
 	}
 }

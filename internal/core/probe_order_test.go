@@ -57,7 +57,7 @@ func TestReloadProbeFirstCoverageChanges(t *testing.T) {
 		_, s := bootIndependent(t, probePolicy(
 			"allow read /srv/sack/**",
 			"allow read /srv/keep/**"))
-		for i := 0; i < 2; i++ { // miss, then a cached denial
+		for i := 0; i < 3; i++ { // miss, admitting miss, then a cached denial
 			if err := write(s, "/srv/sack/x"); !sys.IsErrno(err, sys.EACCES) {
 				t.Fatalf("write %d before reload: %v, want EACCES", i, err)
 			}

@@ -401,12 +401,14 @@ func (s *SACK) BprmCheck(cred *sys.Cred, path string, _ *vfs.Inode) error {
 // epoch, so a hit is a covered decision of this very snapshot. On a
 // miss one walk of the policy's trie, resuming past the root step
 // already taken, answers both whether SACK mediates the path at all
-// and, if it does, MR_current's verdict; a covered one counts its AVC
-// miss and is cached, a denial together with its audit detail, so a
-// repeated denial in the same epoch skips both the evaluation and the
-// formatting but still counts and audits as its own event. The detail
-// itself comes from the rule set's memo, so even the first denial of
-// an epoch formats nothing its state's rule set has rendered before.
+// and, if it does, MR_current's verdict; a covered one is handed to the
+// AVC's Admit with the hash the probe computed, which counts the miss
+// and caches an allow at once and a denial, with its audit detail, on
+// its second miss in the epoch. A repeated denial then skips both the
+// evaluation and the formatting but still counts and audits as its own
+// event. The detail itself comes from the rule set's memo, so even an
+// uncached denial formats nothing its state's rule set has rendered
+// before.
 func (s *SACK) check(cred *sys.Cred, op, path string, mask sys.Access) error {
 	if s.mode == EnhancedAppArmor {
 		return nil // enforcement happens in AppArmor
@@ -418,14 +420,17 @@ func (s *SACK) check(cred *sys.Cred, op, path string, mask sys.Access) error {
 		return nil
 	}
 	subject := Subject(cred)
+	var h uint64
 	if s.cache != nil {
-		if allowed, detail, ok := s.cache.LookupAt(snap.epoch, subject, path, mask); ok {
+		allowed, detail, ok, hash := s.cache.LookupAt(snap.epoch, subject, path, mask)
+		if ok {
 			s.covered.Add(1)
 			if allowed {
 				return nil
 			}
 			return s.deny(op, subject, path, detail)
 		}
+		h = hash
 	}
 	covered, allowed, rank := snap.matcher.EvaluateAt(root, subject, path, mask)
 	if !covered {
@@ -438,8 +443,7 @@ func (s *SACK) check(cred *sys.Cred, op, path string, mask sys.Access) error {
 		detail = snap.rules.Detail(rank, mask, denialDetail)
 	}
 	if s.cache != nil {
-		s.cache.Miss()
-		s.cache.Insert(snap.epoch, subject, path, mask, allowed, detail)
+		s.cache.Admit(snap.epoch, h, subject, path, mask, allowed, detail)
 	}
 	if allowed {
 		return nil

@@ -230,7 +230,8 @@ func TestStat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Size != 8 || !st.Mode.IsRegular() || st.Mode.Perm() != 0o640 {
+	if st.Size != 8 || !st.Mode.IsRegular() || st.Mode.Perm() != 0o640 ||
+		st.UID != 0 || st.GID != 0 || st.Nlink != 1 {
 		t.Errorf("stat = %+v", st)
 	}
 	if _, err := task.Stat("/absent"); !sys.IsErrno(err, sys.ENOENT) {

@@ -155,14 +155,14 @@ func (t *Task) Stat(path string) (Stat, error) {
 	if err := t.k.LSM.InodeGetattr(t.Cred, path, node); err != nil {
 		return Stat{}, err
 	}
-	uid, gid := node.Owner()
+	a := node.Attr()
 	return Stat{
 		Ino:   node.Ino,
 		Mode:  node.Mode(),
-		UID:   uid,
-		GID:   gid,
-		Size:  node.Size(),
-		Nlink: node.Nlink(),
+		UID:   a.UID,
+		GID:   a.GID,
+		Size:  a.Size,
+		Nlink: a.Nlink,
 	}, nil
 }
 

@@ -128,11 +128,19 @@ func (n *Inode) Size() int64 {
 	return int64(len(n.data))
 }
 
-// Nlink returns the link count.
-func (n *Inode) Nlink() int {
+// Attr is an inode's owner, data length and link count.
+type Attr struct {
+	UID, GID int
+	Size     int64
+	Nlink    int
+}
+
+// Attr reads the owner, data length and link count under one lock, so
+// a stat sees them as one consistent snapshot.
+func (n *Inode) Attr() Attr {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	return n.nlink
+	return Attr{UID: n.uid, GID: n.gid, Size: int64(len(n.data)), Nlink: n.nlink}
 }
 
 // SecurityBlob returns the blob stored by the named LSM, or nil.

@@ -136,8 +136,8 @@ func TestNlinkTracking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Nlink() != 2 {
-		t.Errorf("fresh dir nlink = %d, want 2", d.Nlink())
+	if d.Attr().Nlink != 2 {
+		t.Errorf("fresh dir nlink = %d, want 2", d.Attr().Nlink)
 	}
 	if _, err := fs.MkdirAll("/d/s1", 0o755, 0, 0); err != nil {
 		t.Fatal(err)
@@ -145,12 +145,12 @@ func TestNlinkTracking(t *testing.T) {
 	if _, err := fs.MkdirAll("/d/s2", 0o755, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if d.Nlink() != 4 {
-		t.Errorf("dir with 2 subdirs nlink = %d, want 4", d.Nlink())
+	if d.Attr().Nlink != 4 {
+		t.Errorf("dir with 2 subdirs nlink = %d, want 4", d.Attr().Nlink)
 	}
 	fs.Rmdir("/d/s1")
-	if d.Nlink() != 3 {
-		t.Errorf("after rmdir nlink = %d, want 3", d.Nlink())
+	if d.Attr().Nlink != 3 {
+		t.Errorf("after rmdir nlink = %d, want 3", d.Attr().Nlink)
 	}
 }
 
