@@ -174,7 +174,9 @@ perfbench-build:
 # Table II/III, Fig. 3(a)/(b), event-latency and no-LSM cell; the
 # event-latency cell fails if a write misses its transition), of the
 # scalability sweep and of every BenchmarkAVC cell (cached, uncached,
-# both pass-through shapes, one-off denials, raw Decide) so those paths
+# both pass-through shapes, one-off denials, raw Decide) and of every
+# BenchmarkPolicyLoad cell (the Fig. 2 pack policy, 500 rules, 64
+# states, a 16-application subject-scoped policy) so those paths
 # compile and run on every PR without benchmark-length runtimes,
 # plus the uncached-latency fence (trie must stay well ahead of the glob-
 # walk oracle and under its absolute budget), the compile-footprint
@@ -192,6 +194,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkTable2|BenchmarkTable3|BenchmarkFig3|BenchmarkEventLatency|BenchmarkNoLSM' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkParallelDecision/sack-covered/goroutines=(1|16)$$' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkAVC' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkPolicyLoad' -benchtime 1x . ./internal/policy
 	$(GO) test -count=1 -run 'TestUncachedLatencyGuard|TestMatcherZeroAllocUncached|TestSyscallAllocGuard|TestPolicyLoadAllocGuard' -v .
 	$(GO) test -run '^$$' -bench 'BenchmarkResilienceOverhead' -benchtime 1000x ./internal/resilience
 	$(GO) test -count=1 -run 'TestStackHappyPathZeroAllocs|TestResilienceOverheadGuard' -v ./internal/resilience

@@ -31,6 +31,7 @@ import (
 	"repro/internal/ssm"
 	"repro/internal/sys"
 	"repro/internal/vfs"
+	"repro/policies"
 )
 
 // column is one configuration a paper table compares.
@@ -324,6 +325,28 @@ func BenchmarkAblationIndexVsLinear(b *testing.B) {
 		b.Run(fmt.Sprintf("linear-%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				rs.DecideLinear("", "/tmp/lmbench.dat", sys.MayRead)
+			}
+		})
+	}
+}
+
+// BenchmarkPolicyLoad times policy.Load — parse, validate with its
+// allow/deny conflict pass, compile the shared trie and every state's
+// rule-set view — on the pack's Fig. 2 policy, 500 rules over two
+// states and 64 states over a few rules each. The conflict pass and the
+// state views grow with the rule count, not with rule pairs × states.
+func BenchmarkPolicyLoad(b *testing.B) {
+	for _, c := range []struct{ name, src string }{
+		{"fig2-four-states", policies.MustLoad("fig2-four-states")},
+		{"rules-500", bench.GenRulesPolicy(500)},
+		{"states-64", bench.GenStatesPolicy(64)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := policy.Load(c.src); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

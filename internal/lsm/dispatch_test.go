@@ -125,7 +125,7 @@ func TestMetricsQuantileBounds(t *testing.T) {
 		if i == 99 {
 			d = 2 * time.Millisecond
 		}
-		hm.observe(d)
+		hm.hist.observe(d)
 	}
 	st := m.Snapshot()[0]
 	if p50 := st.Quantile(0.50); p50 > 256 {

@@ -63,21 +63,27 @@ func (h HookID) String() string {
 // (2^27 ns ≈ 134 ms, far beyond any simulated hook).
 const latencyBuckets = 28
 
-// hookMetrics holds one hook's counters. All fields are atomics so the
-// hot path never takes a lock.
+// hookMetrics is one slot's count of one hook's calls and denials. All
+// fields are atomics so the hot path never takes a lock.
 type hookMetrics struct {
 	calls   atomic.Uint64
 	denials atomic.Uint64
+	hist    *histogram // the hook's one histogram, shared by every slot
+}
+
+// histogram holds one hook's sampled latencies. Only one call in
+// sampleEvery reaches it, so a single copy per hook serves every slot.
+type histogram struct {
 	totalNs atomic.Uint64
 	buckets [latencyBuckets]atomic.Uint64
 }
 
-// metricsShard is one slot's private copy of every hook's counters.
-// Concurrent hooks on different slots update disjoint shards, so the
-// counter cache lines stop bouncing between CPUs; Snapshot folds the
-// shards, and because every call lands in exactly one shard the
-// folded totals are exact. Sampling is per shard too: each shard's call
-// counter picks its own sampled calls.
+// metricsShard is one slot's private copy of every hook's call and
+// denial counters. Concurrent hooks on different slots update disjoint
+// shards, so the counter cache lines stop bouncing between CPUs;
+// Snapshot folds the shards, and because every call lands in exactly
+// one shard the folded totals are exact. Sampling is per shard too:
+// each shard's call counter picks its own sampled calls.
 type metricsShard struct {
 	hooks [NumHooks]hookMetrics
 }
@@ -88,11 +94,18 @@ type metricsShard struct {
 // timed on one call in sampleEvery.
 type Metrics struct {
 	shards []metricsShard
+	hists  [NumHooks]histogram
 }
 
 // NewMetrics returns an empty metrics sink.
 func NewMetrics() *Metrics {
-	return &Metrics{shards: make([]metricsShard, shard.Slots())}
+	m := &Metrics{shards: make([]metricsShard, shard.Slots())}
+	for i := range m.shards {
+		for h := range m.shards[i].hooks {
+			m.shards[i].hooks[h].hist = &m.hists[h]
+		}
+	}
+	return m
 }
 
 // bucketFor maps a latency to its histogram bucket: index of the highest
@@ -129,7 +142,7 @@ func (m *Metrics) begin(h HookID) (*hookMetrics, time.Time) {
 // records its latency, then it counts a denial, outside the timed span.
 func (hm *hookMetrics) end(start time.Time, denied bool) {
 	if !start.IsZero() {
-		hm.observe(time.Since(start))
+		hm.hist.observe(time.Since(start))
 	}
 	if denied {
 		hm.denials.Add(1)
@@ -137,10 +150,10 @@ func (hm *hookMetrics) end(start time.Time, denied bool) {
 }
 
 // observe adds one latency sample to the histogram.
-func (hm *hookMetrics) observe(d time.Duration) {
+func (h *histogram) observe(d time.Duration) {
 	ns := d.Nanoseconds()
-	hm.totalNs.Add(uint64(ns))
-	hm.buckets[bucketFor(ns)].Add(1)
+	h.totalNs.Add(uint64(ns))
+	h.buckets[bucketFor(ns)].Add(1)
 }
 
 // HookStat is a point-in-time snapshot of one hook's metrics. Calls and
@@ -197,15 +210,14 @@ func (s HookStat) Quantile(q float64) uint64 {
 func (m *Metrics) Snapshot() []HookStat {
 	var out []HookStat
 	for h := HookID(0); h < NumHooks; h++ {
-		st := HookStat{Hook: h}
+		st := HookStat{Hook: h, TotalNs: m.hists[h].totalNs.Load()}
 		for s := range m.shards {
 			hm := &m.shards[s].hooks[h]
 			st.Calls += hm.calls.Load()
 			st.Denials += hm.denials.Load()
-			st.TotalNs += hm.totalNs.Load()
-			for i := range st.Buckets {
-				st.Buckets[i] += hm.buckets[i].Load()
-			}
+		}
+		for i := range st.Buckets {
+			st.Buckets[i] = m.hists[h].buckets[i].Load()
 		}
 		if st.Calls == 0 {
 			continue

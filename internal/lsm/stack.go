@@ -16,11 +16,13 @@ import (
 // is what lets the hook fast path skip locking entirely.
 var ErrStackFrozen = errors.New("lsm: stack frozen, registration is boot-time only")
 
-// hookEntry pairs a module's hook implementation with its name, so a
-// denial can be attributed without calling back into the module.
+// hookEntry pairs a module's hook implementation with its name and its
+// denial counter, so a denial is counted without calling back into the
+// module or looking the module up.
 type hookEntry[T any] struct {
-	name string
-	h    T
+	name    string
+	h       T
+	denials *atomic.Uint64
 }
 
 // hookTable is an immutable snapshot of the per-hook dispatch slices —
@@ -29,6 +31,7 @@ type hookEntry[T any] struct {
 // load and then only touches modules that actually implement the hook.
 type hookTable struct {
 	modules []Module
+	denials []*atomic.Uint64 // denials[i]: modules[i]'s denial count
 
 	taskAlloc    []hookEntry[TaskAllocator]
 	bprmCheck    []hookEntry[BprmChecker]
@@ -49,6 +52,7 @@ type hookTable struct {
 func (t *hookTable) clone() *hookTable {
 	n := &hookTable{}
 	n.modules = append([]Module(nil), t.modules...)
+	n.denials = append([]*atomic.Uint64(nil), t.denials...)
 	n.taskAlloc = append([]hookEntry[TaskAllocator](nil), t.taskAlloc...)
 	n.bprmCheck = append([]hookEntry[BprmChecker](nil), t.bprmCheck...)
 	n.capable = append([]hookEntry[CapableChecker](nil), t.capable...)
@@ -70,41 +74,43 @@ func (t *hookTable) clone() *hookTable {
 func (t *hookTable) add(m Module) {
 	t.modules = append(t.modules, m)
 	name := m.Name()
+	denials := new(atomic.Uint64)
+	t.denials = append(t.denials, denials)
 	if h, ok := m.(TaskAllocator); ok {
-		t.taskAlloc = append(t.taskAlloc, hookEntry[TaskAllocator]{name, h})
+		t.taskAlloc = append(t.taskAlloc, hookEntry[TaskAllocator]{name, h, denials})
 	}
 	if h, ok := m.(BprmChecker); ok {
-		t.bprmCheck = append(t.bprmCheck, hookEntry[BprmChecker]{name, h})
+		t.bprmCheck = append(t.bprmCheck, hookEntry[BprmChecker]{name, h, denials})
 	}
 	if h, ok := m.(CapableChecker); ok {
-		t.capable = append(t.capable, hookEntry[CapableChecker]{name, h})
+		t.capable = append(t.capable, hookEntry[CapableChecker]{name, h, denials})
 	}
 	if h, ok := m.(InodeChecker); ok {
-		t.inodePerm = append(t.inodePerm, hookEntry[InodeChecker]{name, h})
+		t.inodePerm = append(t.inodePerm, hookEntry[InodeChecker]{name, h, denials})
 	}
 	if h, ok := m.(InodeCreateChecker); ok {
-		t.inodeCreate = append(t.inodeCreate, hookEntry[InodeCreateChecker]{name, h})
+		t.inodeCreate = append(t.inodeCreate, hookEntry[InodeCreateChecker]{name, h, denials})
 	}
 	if h, ok := m.(InodeUnlinkChecker); ok {
-		t.inodeUnlink = append(t.inodeUnlink, hookEntry[InodeUnlinkChecker]{name, h})
+		t.inodeUnlink = append(t.inodeUnlink, hookEntry[InodeUnlinkChecker]{name, h, denials})
 	}
 	if h, ok := m.(InodeGetattrChecker); ok {
-		t.inodeGetattr = append(t.inodeGetattr, hookEntry[InodeGetattrChecker]{name, h})
+		t.inodeGetattr = append(t.inodeGetattr, hookEntry[InodeGetattrChecker]{name, h, denials})
 	}
 	if h, ok := m.(FileOpenChecker); ok {
-		t.fileOpen = append(t.fileOpen, hookEntry[FileOpenChecker]{name, h})
+		t.fileOpen = append(t.fileOpen, hookEntry[FileOpenChecker]{name, h, denials})
 	}
 	if h, ok := m.(FileChecker); ok {
-		t.filePerm = append(t.filePerm, hookEntry[FileChecker]{name, h})
+		t.filePerm = append(t.filePerm, hookEntry[FileChecker]{name, h, denials})
 	}
 	if h, ok := m.(FileIoctlChecker); ok {
-		t.fileIoctl = append(t.fileIoctl, hookEntry[FileIoctlChecker]{name, h})
+		t.fileIoctl = append(t.fileIoctl, hookEntry[FileIoctlChecker]{name, h, denials})
 	}
 	if h, ok := m.(MmapChecker); ok {
-		t.mmapFile = append(t.mmapFile, hookEntry[MmapChecker]{name, h})
+		t.mmapFile = append(t.mmapFile, hookEntry[MmapChecker]{name, h, denials})
 	}
 	if h, ok := m.(SocketChecker); ok {
-		t.socket = append(t.socket, hookEntry[SocketChecker]{name, h})
+		t.socket = append(t.socket, hookEntry[SocketChecker]{name, h, denials})
 	}
 }
 
@@ -120,9 +126,6 @@ type Stack struct {
 
 	// metrics collects per-hook call counts and latency histograms.
 	metrics *Metrics
-
-	// Denials counts hook rejections per module, for audit and tests.
-	denials sync.Map // string -> *atomic.Uint64
 }
 
 // NewStack returns an empty module stack.
@@ -251,18 +254,13 @@ func (s *Stack) Metrics() *Metrics { return s.metrics }
 
 // Denials reports how many hook calls the named module has denied.
 func (s *Stack) Denials(module string) uint64 {
-	if v, ok := s.denials.Load(module); ok {
-		return v.(*atomic.Uint64).Load()
+	t := s.table.Load()
+	for i, m := range t.modules {
+		if m.Name() == module {
+			return t.denials[i].Load()
+		}
 	}
 	return 0
-}
-
-func (s *Stack) countDenial(module string) {
-	v, ok := s.denials.Load(module)
-	if !ok {
-		v, _ = s.denials.LoadOrStore(module, new(atomic.Uint64))
-	}
-	v.(*atomic.Uint64).Add(1)
 }
 
 // Each hook method below walks its dispatch slice in order and returns
@@ -277,7 +275,7 @@ func (s *Stack) TaskAlloc(parent, child *sys.Cred) error {
 	var err error
 	for _, e := range s.table.Load().taskAlloc {
 		if err = e.h.TaskAlloc(parent, child); err != nil {
-			s.countDenial(e.name)
+			e.denials.Add(1)
 			break
 		}
 	}
@@ -291,7 +289,7 @@ func (s *Stack) BprmCheck(cred *sys.Cred, path string, node *vfs.Inode) error {
 	var err error
 	for _, e := range s.table.Load().bprmCheck {
 		if err = e.h.BprmCheck(cred, path, node); err != nil {
-			s.countDenial(e.name)
+			e.denials.Add(1)
 			break
 		}
 	}
@@ -305,7 +303,7 @@ func (s *Stack) Capable(cred *sys.Cred, c sys.Cap) error {
 	var err error
 	for _, e := range s.table.Load().capable {
 		if err = e.h.Capable(cred, c); err != nil {
-			s.countDenial(e.name)
+			e.denials.Add(1)
 			break
 		}
 	}
@@ -319,7 +317,7 @@ func (s *Stack) InodePermission(cred *sys.Cred, path string, node *vfs.Inode, ma
 	var err error
 	for _, e := range s.table.Load().inodePerm {
 		if err = e.h.InodePermission(cred, path, node, mask); err != nil {
-			s.countDenial(e.name)
+			e.denials.Add(1)
 			break
 		}
 	}
@@ -333,7 +331,7 @@ func (s *Stack) InodeCreate(cred *sys.Cred, dir *vfs.Inode, path string, mode vf
 	var err error
 	for _, e := range s.table.Load().inodeCreate {
 		if err = e.h.InodeCreate(cred, dir, path, mode); err != nil {
-			s.countDenial(e.name)
+			e.denials.Add(1)
 			break
 		}
 	}
@@ -347,7 +345,7 @@ func (s *Stack) InodeUnlink(cred *sys.Cred, dir *vfs.Inode, path string, node *v
 	var err error
 	for _, e := range s.table.Load().inodeUnlink {
 		if err = e.h.InodeUnlink(cred, dir, path, node); err != nil {
-			s.countDenial(e.name)
+			e.denials.Add(1)
 			break
 		}
 	}
@@ -361,7 +359,7 @@ func (s *Stack) InodeGetattr(cred *sys.Cred, path string, node *vfs.Inode) error
 	var err error
 	for _, e := range s.table.Load().inodeGetattr {
 		if err = e.h.InodeGetattr(cred, path, node); err != nil {
-			s.countDenial(e.name)
+			e.denials.Add(1)
 			break
 		}
 	}
@@ -375,7 +373,7 @@ func (s *Stack) FileOpen(cred *sys.Cred, f *vfs.File) error {
 	var err error
 	for _, e := range s.table.Load().fileOpen {
 		if err = e.h.FileOpen(cred, f); err != nil {
-			s.countDenial(e.name)
+			e.denials.Add(1)
 			break
 		}
 	}
@@ -389,7 +387,7 @@ func (s *Stack) FilePermission(cred *sys.Cred, f *vfs.File, mask sys.Access) err
 	var err error
 	for _, e := range s.table.Load().filePerm {
 		if err = e.h.FilePermission(cred, f, mask); err != nil {
-			s.countDenial(e.name)
+			e.denials.Add(1)
 			break
 		}
 	}
@@ -403,7 +401,7 @@ func (s *Stack) FileIoctl(cred *sys.Cred, f *vfs.File, cmd uint64) error {
 	var err error
 	for _, e := range s.table.Load().fileIoctl {
 		if err = e.h.FileIoctl(cred, f, cmd); err != nil {
-			s.countDenial(e.name)
+			e.denials.Add(1)
 			break
 		}
 	}
@@ -417,7 +415,7 @@ func (s *Stack) MmapFile(cred *sys.Cred, f *vfs.File, prot sys.Access) error {
 	var err error
 	for _, e := range s.table.Load().mmapFile {
 		if err = e.h.MmapFile(cred, f, prot); err != nil {
-			s.countDenial(e.name)
+			e.denials.Add(1)
 			break
 		}
 	}
@@ -431,7 +429,7 @@ func (s *Stack) SocketCreate(cred *sys.Cred, family, typ int) error {
 	var err error
 	for _, e := range s.table.Load().socket {
 		if err = e.h.SocketCreate(cred, family, typ); err != nil {
-			s.countDenial(e.name)
+			e.denials.Add(1)
 			break
 		}
 	}
@@ -445,7 +443,7 @@ func (s *Stack) SocketConnect(cred *sys.Cred, addr string) error {
 	var err error
 	for _, e := range s.table.Load().socket {
 		if err = e.h.SocketConnect(cred, addr); err != nil {
-			s.countDenial(e.name)
+			e.denials.Add(1)
 			break
 		}
 	}
@@ -459,7 +457,7 @@ func (s *Stack) SocketSendmsg(cred *sys.Cred, addr string, n int) error {
 	var err error
 	for _, e := range s.table.Load().socket {
 		if err = e.h.SocketSendmsg(cred, addr, n); err != nil {
-			s.countDenial(e.name)
+			e.denials.Add(1)
 			break
 		}
 	}

@@ -45,8 +45,11 @@ func (r *CompiledRule) String() string {
 // paper's Table III). Patterns whose first segment contains a
 // metacharacter land in the wildcard bucket checked on every lookup.
 type RuleSet struct {
-	State    string
-	rules    []CompiledRule
+	State string
+	// rules is a view: pointers into the rule table the set was built
+	// over (a compiled policy's shares it among every state), in state
+	// order; a rule the state lists twice appears twice.
+	rules    []*CompiledRule
 	buckets  map[string][]int // first path segment -> rule indices
 	wildcard []int            // rules with non-literal first segment
 
@@ -62,31 +65,36 @@ type RuleSet struct {
 
 // NewRuleSet builds a rule set for a state, including its trie-compiled
 // matcher over a trie of its own rules (the publish-time compilation
-// step of DESIGN.md §10).
+// step of DESIGN.md §10). The set is a view over rules, which the
+// caller must not modify afterwards.
 func NewRuleSet(state string, rules []CompiledRule) *RuleSet {
+	view := make([]*CompiledRule, len(rules))
 	patterns := make([]*glob.Glob, len(rules))
 	ids := make([]int32, len(rules))
 	for i := range rules {
+		view[i] = &rules[i]
 		patterns[i] = rules[i].Pattern
 		ids[i] = int32(i)
 	}
 	t := newTrie(patterns)
-	return newRuleSet(state, rules, &t, ids)
+	return newRuleSet(state, view, &t, ids)
 }
 
 // newRuleSet builds a rule set whose matcher is a view over t, where
 // ids[i] is the trie pattern id of rules[i].Pattern.
-func newRuleSet(state string, rules []CompiledRule, t *trie, ids []int32) *RuleSet {
+func newRuleSet(state string, rules []*CompiledRule, t *trie, ids []int32) *RuleSet {
 	rs := &RuleSet{State: state, rules: rules, buckets: make(map[string][]int)}
-	for i := range rules {
-		seg, literal := firstSegment(rules[i].Pattern.String())
+	order := make([]int, 0, len(rules))
+	for i, r := range rules {
+		seg, literal := firstSegment(r.Pattern.String())
 		if literal {
 			rs.buckets[seg] = append(rs.buckets[seg], i)
+			order = append(order, i)
 		} else {
 			rs.wildcard = append(rs.wildcard, i)
 		}
 	}
-	rs.matcher = newMatcher(t, rs.rules, ids)
+	rs.matcher = newMatcher(t, rules, ids, append(order, rs.wildcard...))
 	rs.details = make([]atomic.Pointer[detailNode], len(rules)+1)
 	return rs
 }
@@ -164,7 +172,9 @@ func (rs *RuleSet) Len() int { return len(rs.rules) }
 // Rules returns a copy of the rule list.
 func (rs *RuleSet) Rules() []CompiledRule {
 	out := make([]CompiledRule, len(rs.rules))
-	copy(out, rs.rules)
+	for i, r := range rs.rules {
+		out[i] = *r
+	}
 	return out
 }
 
@@ -178,7 +188,7 @@ func (rs *RuleSet) Decide(subject, path string, mask sys.Access) (allowed bool, 
 	var lastAllow *CompiledRule
 
 	check := func(idx int) (deny bool) {
-		r := &rs.rules[idx]
+		r := rs.rules[idx]
 		if !r.Matches(subject, path) {
 			return false
 		}
@@ -219,8 +229,7 @@ func (rs *RuleSet) Decide(subject, path string, mask sys.Access) (allowed bool, 
 func (rs *RuleSet) DecideLinear(subject, path string, mask sys.Access) (allowed bool, matched *CompiledRule) {
 	var granted sys.Access
 	var lastAllow *CompiledRule
-	for i := range rs.rules {
-		r := &rs.rules[i]
+	for _, r := range rs.rules {
 		if !r.Matches(subject, path) {
 			continue
 		}
@@ -337,8 +346,8 @@ type Compiled struct {
 	Failsafe    string // "" when the policy declares no failsafe state
 	Permissions []string
 	StatePerms  map[string][]string       // f: SS_i -> P_i
-	PermRules   map[string][]CompiledRule // g: P_i -> MR_i
-	StateSets   map[string]*RuleSet       // g(f(SS_i)) pre-composed
+	PermRules   map[string][]CompiledRule // g: P_i -> MR_i, slices of one rule table
+	StateSets   map[string]*RuleSet       // g(f(SS_i)) pre-composed, views over that table
 	Transitions []CompiledTransition
 	Coverage    *Coverage
 }
@@ -346,7 +355,8 @@ type Compiled struct {
 // Compile validates and lowers a parsed policy. Validation errors abort;
 // warnings are returned alongside the result.
 func Compile(f *File) (*Compiled, *ValidationResult, error) {
-	vr := Validate(f)
+	vr, prepared := validateDecls(f)
+	detectConflicts(vr, f, prepared)
 	if err := vr.Err(); err != nil {
 		return nil, vr, err
 	}
@@ -391,31 +401,36 @@ func Compile(f *File) (*Compiled, *ValidationResult, error) {
 		c.StatePerms[sp.State] = append([]string(nil), sp.Perms...)
 	}
 
-	// Every rule's pattern joins the coverage trie under its index in
-	// the union list; the state rule sets below are views over it.
-	var coverage []*glob.Glob
-	permIDs := make(map[string][]int32)
+	// The rule table: every rule once, in declaration order, lowered
+	// from the globs and masks validation prepared. A permission's rules
+	// are one run of it (validation rejects a second per_rules block),
+	// a rule's index in it is its pattern's id in the coverage trie, and
+	// every state's rule set below is a view over it, so a rule granted
+	// in several states is stored once.
+	table := make([]CompiledRule, len(prepared.all))
+	patterns := make([]*glob.Glob, len(prepared.all))
+	i := 0
 	for _, pr := range f.PerRules {
-		for _, rd := range pr.Rules {
-			cr, err := compileRule(pr.Perm, rd)
-			if err != nil {
-				return nil, vr, err // unreachable post-validation; defensive
-			}
-			c.PermRules[pr.Perm] = append(c.PermRules[pr.Perm], cr)
-			permIDs[pr.Perm] = append(permIDs[pr.Perm], int32(len(coverage)))
-			coverage = append(coverage, cr.Pattern)
+		start := i
+		for ; i < start+len(pr.Rules); i++ {
+			p := &prepared.all[i]
+			table[i] = CompiledRule{Pattern: p.path, Access: p.ops, Deny: p.Deny, Subject: p.subject, Perm: pr.Perm}
+			patterns[i] = p.path
 		}
+		c.PermRules[pr.Perm] = table[start:i:i]
 	}
-	c.Coverage = NewCoverage(coverage)
+	c.Coverage = NewCoverage(patterns)
 
 	// Pre-compose g(f(SS)) for every state: the rule set the APE installs
 	// on transition, so enforcement is one pointer swap (Algorithm 1).
 	for _, s := range c.States {
-		var rules []CompiledRule
+		var rules []*CompiledRule
 		var ids []int32
 		for _, perm := range c.StatePerms[s.Name] {
-			rules = append(rules, c.PermRules[perm]...)
-			ids = append(ids, permIDs[perm]...)
+			for _, id := range prepared.byPerm[perm] {
+				rules = append(rules, &table[id])
+				ids = append(ids, int32(id))
+			}
 		}
 		c.StateSets[s.Name] = newRuleSet(s.Name, rules, &c.Coverage.trie, ids)
 	}
@@ -424,24 +439,6 @@ func Compile(f *File) (*Compiled, *ValidationResult, error) {
 		c.Transitions = append(c.Transitions, CompiledTransition{From: t.From, To: t.To, Event: t.Event})
 	}
 	return c, vr, nil
-}
-
-func compileRule(perm string, rd RuleDecl) (CompiledRule, error) {
-	pattern, err := glob.Compile(rd.Path)
-	if err != nil {
-		return CompiledRule{}, err
-	}
-	var subject *glob.Glob
-	if rd.Subject != "" {
-		if subject, err = glob.Compile(rd.Subject); err != nil {
-			return CompiledRule{}, err
-		}
-	}
-	var mask sys.Access
-	for _, op := range rd.Ops {
-		mask |= sys.ParseAccess(op)
-	}
-	return CompiledRule{Pattern: pattern, Access: mask, Deny: rd.Deny, Subject: subject, Perm: perm}, nil
 }
 
 // Rules returns the rule set the APE installs in the named state. A

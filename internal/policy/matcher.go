@@ -311,24 +311,12 @@ type Matcher struct {
 }
 
 // newMatcher builds a view over t for rules, where ids[i] is the trie
-// pattern id of rules[i].Pattern.
-func newMatcher(t *trie, rules []CompiledRule, ids []int32) *Matcher {
+// pattern id of rules[i].Pattern and order lists the rule indices in
+// rank order: NewRuleSet's split, literal-first-segment rules (in
+// declaration order) before wildcard rules.
+func newMatcher(t *trie, rules []*CompiledRule, ids []int32, order []int) *Matcher {
 	m := &Matcher{trie: t, off: make([]int32, t.size+1), ranks: make([]int32, len(rules)),
 		byRank: make([]*CompiledRule, 0, len(rules))}
-
-	// Rank assignment replicates NewRuleSet's split: literal-first-
-	// segment rules (in declaration order) rank before wildcard rules.
-	var order []int
-	for i := range rules {
-		if _, literal := firstSegment(rules[i].Pattern.String()); literal {
-			order = append(order, i)
-		}
-	}
-	for i := range rules {
-		if _, literal := firstSegment(rules[i].Pattern.String()); !literal {
-			order = append(order, i)
-		}
-	}
 
 	// Bucket the ranks by pattern id: count, prefix-sum into start
 	// offsets, fill (each start advances to its end), shift back.
@@ -339,7 +327,7 @@ func newMatcher(t *trie, rules []CompiledRule, ids []int32) *Matcher {
 		m.off[id] += m.off[id-1]
 	}
 	for rank, idx := range order {
-		m.byRank = append(m.byRank, &rules[idx])
+		m.byRank = append(m.byRank, rules[idx])
 		id := ids[idx]
 		m.ranks[m.off[id]] = int32(rank)
 		m.off[id]++

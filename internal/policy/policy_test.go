@@ -1,6 +1,8 @@
 package policy
 
 import (
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -288,6 +290,37 @@ func TestStateMatchersShareCoverageTrie(t *testing.T) {
 	}
 	if covered, _, _ := ghost.Matcher().Evaluate("", "/tmp/scratch", sys.MayRead); covered {
 		t.Error("fallback covers an uncovered path")
+	}
+}
+
+// TestStateRuleSetsViewOneRuleTable pins the one-rule-table layout:
+// every rank of every state's matcher is a pointer into the policy's
+// PermRules storage, not a copy, reached once per time the state lists
+// the rule's permission (twice for a permission listed twice). A rule
+// granted in several states is the same object in each.
+func TestStateRuleSetsViewOneRuleTable(t *testing.T) {
+	for _, src := range []string{examplePolicy, genSubjectPolicy(rand.New(rand.NewSource(3)), 4)} {
+		c, _, err := Load(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, st := range c.StateNames() {
+			rs := c.StateSets[st]
+			seen := make(map[*CompiledRule]int)
+			for rank := 0; rank < rs.Len(); rank++ {
+				seen[rs.Matcher().Rule(rank)]++
+			}
+			want := make(map[*CompiledRule]int)
+			for _, perm := range c.StatePerms[st] {
+				for i := range c.PermRules[perm] {
+					want[&c.PermRules[perm][i]]++
+				}
+			}
+			if !reflect.DeepEqual(seen, want) {
+				t.Fatalf("state %s: matcher ranks reach %d rules, want the %d PermRules entries its permissions grant, each once per grant",
+					st, len(seen), len(want))
+			}
+		}
 	}
 }
 

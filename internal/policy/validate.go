@@ -2,6 +2,9 @@ package policy
 
 import (
 	"fmt"
+	"slices"
+	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/glob"
@@ -189,7 +192,7 @@ func validateDecls(f *File) (*ValidationResult, preparedRules) {
 
 	// --- per_rules ---
 	perRulesSeen := make(map[string]bool)
-	rules := preparedRules{byPerm: make(map[string][]int, len(f.PerRules))}
+	rules := preparedRules{byPerm: make(map[string][]int, len(f.PerRules)), globs: make(map[string]compiledGlob)}
 	for _, pr := range f.PerRules {
 		if _, ok := perms[pr.Perm]; !ok {
 			r.errorf(pr.Pos, "per_rules references undeclared permission %s", quoteIdent(pr.Perm))
@@ -203,7 +206,7 @@ func validateDecls(f *File) (*ValidationResult, preparedRules) {
 		}
 		for _, rule := range pr.Rules {
 			rules.byPerm[pr.Perm] = append(rules.byPerm[pr.Perm], len(rules.all))
-			rules.all = append(rules.all, validateRule(r, rule))
+			rules.all = append(rules.all, rules.validateRule(r, rule))
 		}
 	}
 	// Declaration order, not map order, so the findings are deterministic.
@@ -283,7 +286,8 @@ func validateDecls(f *File) (*ValidationResult, preparedRules) {
 
 // conflictRule is one MAC rule prepared for the conflict pass: its
 // patterns compiled and its operations folded once per Validate, not
-// once per rule pair.
+// once per rule pair. Compile lowers the same preparation into the
+// policy's rule table, so no rule is compiled twice.
 type conflictRule struct {
 	RuleDecl
 	path    *glob.Glob // nil when the pattern does not compile
@@ -298,12 +302,30 @@ type conflictRule struct {
 type preparedRules struct {
 	all    []conflictRule
 	byPerm map[string][]int
+
+	// globs compiles each distinct pattern text once: rules that repeat
+	// a path or a subject share one *glob.Glob.
+	globs map[string]compiledGlob
+}
+
+type compiledGlob struct {
+	g   *glob.Glob
+	err error
+}
+
+func (p *preparedRules) compile(pattern string) (*glob.Glob, error) {
+	c, ok := p.globs[pattern]
+	if !ok {
+		c.g, c.err = glob.Compile(pattern)
+		p.globs[pattern] = c
+	}
+	return c.g, c.err
 }
 
 // validateRule checks operation names, glob syntax, and intra-rule
 // consistency for one MAC rule, and returns it prepared for the
 // conflict pass.
-func validateRule(r *ValidationResult, rule RuleDecl) conflictRule {
+func (p *preparedRules) validateRule(r *ValidationResult, rule RuleDecl) conflictRule {
 	cr := conflictRule{RuleDecl: rule}
 	seen := make(map[string]bool)
 	for _, op := range rule.Ops {
@@ -317,13 +339,13 @@ func validateRule(r *ValidationResult, rule RuleDecl) conflictRule {
 		}
 		seen[op] = true
 	}
-	if g, err := glob.Compile(rule.Path); err != nil {
+	if g, err := p.compile(rule.Path); err != nil {
 		r.errorf(rule.Pos, "bad path pattern: %v", err)
 	} else {
 		cr.path, cr.prefix = g, g.LiteralPrefix()
 	}
 	if rule.Subject != "" {
-		if g, err := glob.Compile(rule.Subject); err != nil {
+		if g, err := p.compile(rule.Subject); err != nil {
 			r.errorf(rule.Pos, "bad subject pattern: %v", err)
 		} else {
 			cr.subject = g
@@ -332,58 +354,158 @@ func validateRule(r *ValidationResult, rule RuleDecl) conflictRule {
 	return cr
 }
 
+// candidate is an allow/deny pair of the policy's rules that may
+// conflict in a state granting both: indices into preparedRules.all.
+type candidate struct {
+	deny, allow int32
+}
+
+// conflictCandidates lists, once per policy, every allow/deny pair that
+// passes the cheap tests: the masks share a bit, one literal prefix
+// extends the other (a literal prefix is a required prefix of every
+// match, so any other pair is disjoint), and the subjects are not two
+// different literals (two processes). The deny rules and the allow
+// rules are each sorted by prefix, so the rules whose prefix extends p
+// form one run starting at p's sort position: each deny pairs with the
+// allows whose prefix extends its own, and each allow with the denies
+// whose prefix strictly extends its own, so every related pair is
+// visited once and unrelated pairs are never visited.
+func conflictCandidates(rules []conflictRule) []candidate {
+	var denies, allows []int32
+	for i := range rules {
+		if rules[i].Deny {
+			denies = append(denies, int32(i))
+		} else {
+			allows = append(allows, int32(i))
+		}
+	}
+	byPrefix := func(a, b int32) int { return strings.Compare(rules[a].prefix, rules[b].prefix) }
+	slices.SortFunc(denies, byPrefix)
+	slices.SortFunc(allows, byPrefix)
+
+	var out []candidate
+	keep := func(d, a int32) {
+		if rules[d].ops&rules[a].ops != 0 && !distinctLiterals(rules[d].subject, rules[a].subject) {
+			out = append(out, candidate{deny: d, allow: a})
+		}
+	}
+	for _, d := range denies {
+		p := rules[d].prefix
+		k := sort.Search(len(allows), func(k int) bool { return rules[allows[k]].prefix >= p })
+		for ; k < len(allows) && strings.HasPrefix(rules[allows[k]].prefix, p); k++ {
+			keep(d, allows[k])
+		}
+	}
+	for _, a := range allows {
+		p := rules[a].prefix
+		// Strictly greater: equal prefixes were paired from the deny side.
+		k := sort.Search(len(denies), func(k int) bool { return rules[denies[k]].prefix > p })
+		for ; k < len(denies) && strings.HasPrefix(rules[denies[k]].prefix, p); k++ {
+			keep(denies[k], a)
+		}
+	}
+	return out
+}
+
+// distinctLiterals reports whether two subjects are two different
+// literal executables, which no process can be at once.
+func distinctLiterals(a, b *glob.Glob) bool {
+	return a != nil && b != nil && a.Literal() && b.Literal() && a.String() != b.String()
+}
+
 // detectConflicts finds allow/deny pairs that target overlapping paths
 // with overlapping operations within the rule set a single state
 // activates. Deny always wins at runtime; the check surfaces the
 // contradiction so administrators see it before deployment.
 //
-// Cost model: the pass is quadratic in each state's rule count only in
-// cheap integer and string tests. A pair reaches glob intersection only
-// when its sides differ in deny, share an operation, and have
-// prefix-related literal prefixes (LiteralPrefix is a required prefix
-// of every match, so unrelated prefixes prove the paths disjoint). Each
-// pair's verdict is memoised across states on the rule-index pair,
-// since one permission's rules recur in every state granting it.
+// Cost model: the pass follows the rule count, not rule pairs × states.
+// conflictCandidates finds the pairs that may conflict once per policy
+// with two sorts and one run per rule over the related prefixes. Each
+// state then visits only the candidates whose two rules it grants, at
+// every pair of positions the two take in its rule list (a permission
+// listed twice puts its rules at two positions), decides each ordered
+// pair once per Validate with glob intersection (a verdict and its
+// witness depend on the argument order, not on the state), and reports
+// the conflicts in position order (i < j), the order the plain
+// all-pairs pass reports them in.
 func detectConflicts(r *ValidationResult, f *File, rules preparedRules) {
+	cands := conflictCandidates(rules.all)
 	type verdict struct {
-		overlap bool
+		known, overlap bool
+		witness        string
+	}
+	// verdicts[c][0]: the deny precedes the allow in the state's list.
+	verdicts := make([][2]verdict, len(cands))
+	type hit struct {
+		i, j    int32         // positions of the pair's rules in the state's list
+		a, b    *conflictRule // the rules at i and j
 		witness string
 	}
-	memo := make(map[[2]int]verdict)
+	var hits []hit
+	// first[rule] is the rule's first position in the current state's
+	// list (-1: not granted), next[pos] its next position.
+	first := make([]int32, len(rules.all))
+	for k := range first {
+		first[k] = -1
+	}
 	var all []int
+	var next []int32
+	var msg []byte
 	for _, sp := range f.StatePer {
 		all = all[:0]
 		for _, pm := range sp.Perms {
 			all = append(all, rules.byPerm[pm]...)
 		}
-		for i, ai := range all {
-			a := &rules.all[ai]
-			for _, bi := range all[i+1:] {
-				b := &rules.all[bi]
-				if a.Deny == b.Deny || a.ops&b.ops == 0 || !prefixRelated(a.prefix, b.prefix) {
-					continue
+		next = slices.Grow(next[:0], len(all))[:len(all)]
+		for p := len(all) - 1; p >= 0; p-- {
+			next[p], first[all[p]] = first[all[p]], int32(p)
+		}
+		hits = hits[:0]
+		for ci, c := range cands {
+			for pd := first[c.deny]; pd >= 0; pd = next[pd] {
+				for pa := first[c.allow]; pa >= 0; pa = next[pa] {
+					h := hit{i: pd, j: pa, a: &rules.all[c.deny], b: &rules.all[c.allow]}
+					v := &verdicts[ci][0]
+					if pa < pd {
+						h = hit{i: pa, j: pd, a: h.b, b: h.a}
+						v = &verdicts[ci][1]
+					}
+					if !v.known {
+						v.known = true
+						v.witness, v.overlap = conflictBetween(h.a, h.b)
+					}
+					if v.overlap {
+						h.witness = v.witness
+						hits = append(hits, h)
+					}
 				}
-				v, ok := memo[[2]int{ai, bi}]
-				if !ok {
-					v.witness, v.overlap = conflictBetween(a, b)
-					memo[[2]int{ai, bi}] = v
-				}
-				if !v.overlap {
-					continue
-				}
-				msg := fmt.Sprintf("state %s both allows and denies overlapping paths %q and %q (deny wins at runtime)",
-					quoteIdent(sp.State), a.Path, b.Path)
-				if v.witness != "" {
-					msg += fmt.Sprintf(", e.g. %q", v.witness)
-				}
-				r.warnf(b.Pos, "%s", msg)
 			}
 		}
+		for _, ri := range all {
+			first[ri] = -1
+		}
+		slices.SortFunc(hits, func(x, y hit) int {
+			if x.i != y.i {
+				return int(x.i - y.i)
+			}
+			return int(x.j - y.j)
+		})
+		for _, h := range hits {
+			// One allocation per finding: fmt's %q is strconv.Quote.
+			msg = append(msg[:0], "state "...)
+			msg = append(msg, quoteIdent(sp.State)...)
+			msg = append(msg, " both allows and denies overlapping paths "...)
+			msg = strconv.AppendQuote(msg, h.a.Path)
+			msg = append(msg, " and "...)
+			msg = strconv.AppendQuote(msg, h.b.Path)
+			msg = append(msg, " (deny wins at runtime)"...)
+			if h.witness != "" {
+				msg = append(msg, ", e.g. "...)
+				msg = strconv.AppendQuote(msg, h.witness)
+			}
+			r.Issues = append(r.Issues, Issue{Severity: Warning, Pos: h.b.Pos, Message: string(msg)})
+		}
 	}
-}
-
-func prefixRelated(a, b string) bool {
-	return strings.HasPrefix(a, b) || strings.HasPrefix(b, a)
 }
 
 // conflictBetween decides one allow/deny pair with overlapping

@@ -131,9 +131,13 @@ func referenceValidate(f *File) []Issue {
 // and cross-subject read grants. It mixes in what the benchmark never
 // writes but the conflict pass must still get right: subject-less
 // rules, subject globs that overlap, literal carve-outs, brace
-// alternations, unsegmentable "**"-glued patterns, identical paths, and
-// permissions granted to states in different orders, so a memoised
-// verdict is reused with both argument orders.
+// alternations, unsegmentable "**"-glued patterns, identical paths, a
+// deny and an allow with one literal prefix, literal subjects beside
+// globs disjoint from them, a few rules whose literal prefix is "/"
+// (a glob first segment), and permissions granted to states in
+// different orders, one of them twice in one state (its rules at two
+// positions), so a memoised verdict is reused with both argument
+// orders.
 func genSubjectPolicy(rng *rand.Rand, apps int) string {
 	tops := []string{"opt", "srv", "data", "home", "mnt", "var/lib"}
 	root := func(j int) string { return fmt.Sprintf("/%s/app%02d", tops[j%len(tops)], j) }
@@ -145,6 +149,8 @@ func genSubjectPolicy(rng *rand.Rand, apps int) string {
 			return " subject /usr/bin/app*"
 		case 2:
 			return fmt.Sprintf(" subject /usr/bin/app%d?", j/10)
+		case 3:
+			return " subject /usr/sbin/app*" // disjoint from every literal
 		}
 		return fmt.Sprintf(" subject /usr/bin/app%02d", j)
 	}
@@ -159,10 +165,13 @@ func genSubjectPolicy(rng *rand.Rand, apps int) string {
 	var base, gatedA, gatedB []string
 	for j := 0; j < apps; j++ {
 		r := root(j)
+		carved := rng.Intn(files)
 		base = append(base,
 			fmt.Sprintf("allow read %s/**%s", r, subj(j)),
 			fmt.Sprintf("allow write %s/rw/**%s", r, subj(j)),
-			fmt.Sprintf("deny write %s/rw/f%d*%s", r, rng.Intn(files), subj(j)),
+			fmt.Sprintf("deny write %s/rw/f%d*%s", r, carved, subj(j)),
+			// The deny's literal prefix exactly.
+			fmt.Sprintf("allow write %s/rw/f%d?%s", r, carved, subj(other(j))),
 		)
 		for k := 0; k < 3; k++ {
 			base = append(base, fmt.Sprintf("deny read,write %s/secret/**%s", r, subj(other(j))))
@@ -209,16 +218,23 @@ func genSubjectPolicy(rng *rand.Rand, apps int) string {
 		)
 	}
 	rng.Shuffle(len(base), func(i, k int) { base[i], base[k] = base[k], base[i] })
+	// A fixed number of rules, whatever the application count, so the
+	// candidate pairs stay linear in it.
+	wild := []string{
+		fmt.Sprintf("deny write /*/app%02d/rw/f%d%s", rng.Intn(apps), rng.Intn(files), subj(0)),
+		fmt.Sprintf("allow read /{opt,srv}/app%02d/secret/**%s", rng.Intn(apps), subj(0)),
+		fmt.Sprintf("deny read /*/*/conf/f%d", rng.Intn(files)),
+	}
 
 	var b strings.Builder
 	b.WriteString("states { parked driving workshop emergency }\ninitial parked\n")
-	b.WriteString("permissions { BASE PARKED DRIVING }\n")
-	b.WriteString("state_per {\n  parked: BASE, PARKED\n  driving: DRIVING, BASE\n  workshop: PARKED, DRIVING, BASE\n  emergency: BASE\n}\n")
+	b.WriteString("permissions { BASE PARKED DRIVING WILD }\n")
+	b.WriteString("state_per {\n  parked: BASE, PARKED\n  driving: DRIVING, BASE\n  workshop: PARKED, DRIVING, BASE, PARKED, WILD\n  emergency: WILD, BASE\n}\n")
 	b.WriteString("per_rules {\n")
 	for _, blk := range []struct {
 		name  string
 		rules []string
-	}{{"BASE", base}, {"PARKED", gatedA}, {"DRIVING", gatedB}} {
+	}{{"BASE", base}, {"PARKED", gatedA}, {"DRIVING", gatedB}, {"WILD", wild}} {
 		fmt.Fprintf(&b, "  %s {\n", blk.name)
 		for _, r := range blk.rules {
 			fmt.Fprintf(&b, "    %s\n", r)
@@ -230,26 +246,54 @@ func genSubjectPolicy(rng *rand.Rand, apps int) string {
 	return b.String()
 }
 
+// unrootSome rewrites a few of f's rule paths into shapes the parser
+// never yields, whose literal prefix is empty or unrooted: "**"
+// prepended, the leading '/' dropped, a bare "**", and a pattern that
+// does not compile.
+func unrootSome(rng *rand.Rand, f *File) {
+	for i := range f.PerRules {
+		for k := range f.PerRules[i].Rules {
+			rd := &f.PerRules[i].Rules[k]
+			switch rng.Intn(40) {
+			case 0:
+				rd.Path = "**" + rd.Path
+			case 1:
+				rd.Path = rd.Path[1:]
+			case 2:
+				rd.Path = "**"
+			case 3:
+				rd.Path += "/[x"
+			}
+		}
+	}
+}
+
 // TestValidateMatchesReference: the prepared, prefix-filtered, memoised
 // conflict pass reports exactly the reference pass's findings — same
-// order, same text, same witnesses — on random policies and on
-// benchmark-shaped subject-scoped ones.
+// order, same text, same witnesses — on random policies, on
+// benchmark-shaped subject-scoped ones, and on those with empty and
+// unrooted literal prefixes.
 func TestValidateMatchesReference(t *testing.T) {
-	check := func(t *testing.T, src string) {
+	check := func(t *testing.T, f *File, src string) {
 		t.Helper()
-		f, err := Parse(src)
-		if err != nil {
-			t.Fatalf("%v\n%s", err, src)
-		}
 		got, want := Validate(f).Issues, referenceValidate(f)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("Validate differs from the reference:\ngot  %d: %v\nwant %d: %v\n%s", len(got), got, len(want), want, src)
 		}
 	}
-	for seed := int64(0); seed < 200; seed++ {
-		check(t, genPolicy(rand.New(rand.NewSource(seed))))
+	parse := func(t *testing.T, src string) *File {
+		t.Helper()
+		f, err := Parse(src)
+		if err != nil {
+			t.Fatalf("%v\n%s", err, src)
+		}
+		return f
 	}
-	conflicts := 0
+	for seed := int64(0); seed < 200; seed++ {
+		src := genPolicy(rand.New(rand.NewSource(seed)))
+		check(t, parse(t, src), src)
+	}
+	conflicts, twice := 0, 0
 	for seed := int64(0); seed < 24; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		apps := 2 + rng.Intn(7)
@@ -257,13 +301,28 @@ func TestValidateMatchesReference(t *testing.T) {
 			apps = 16
 		}
 		src := genSubjectPolicy(rng, apps)
-		check(t, src)
-		f, _ := Parse(src)
+		f := parse(t, src)
+		check(t, f, src)
+		// workshop lists PARKED twice, so a pair of a PARKED rule and
+		// another is reported in both orders.
+		seen := make(map[[2]string]bool)
 		for _, w := range Validate(f).Warnings() {
 			if strings.Contains(w.Message, "allows and denies") {
 				conflicts++
+				var a, b string
+				if _, err := fmt.Sscanf(w.Message, "state 'workshop' both allows and denies overlapping paths %q and %q", &a, &b); err == nil {
+					seen[[2]string{a, b}] = true
+					if seen[[2]string{b, a}] {
+						twice++
+					}
+				}
 			}
 		}
+		unrootSome(rng, f)
+		check(t, f, src+"(with unrooted paths)")
+	}
+	if twice == 0 {
+		t.Fatal("no conflict was reported in both orders in the state granting a permission twice")
 	}
 	// The generator must actually produce conflicts, or the comparison
 	// above proves nothing about the emitting path.
@@ -272,19 +331,58 @@ func TestValidateMatchesReference(t *testing.T) {
 	}
 }
 
+// TestConflictCandidatesLinear: the candidate pairs of the conflict
+// pass grow with the rule count, not with its square. Doubling the
+// applications of a generated policy doubles its rules; all-pairs
+// would quadruple the pairs. A pair count, unlike a time, does not
+// depend on the host.
+func TestConflictCandidatesLinear(t *testing.T) {
+	pairs := func(apps int) int {
+		f, err := Parse(genSubjectPolicy(rand.New(rand.NewSource(1)), apps))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, rules := validateDecls(f)
+		return len(conflictCandidates(rules.all))
+	}
+	small, large := pairs(16), pairs(32)
+	t.Logf("candidate pairs: %d at 16 applications, %d at 32", small, large)
+	if small == 0 || float64(large) > 2.5*float64(small) {
+		t.Fatalf("candidate pairs grow from %d to %d when the applications double, want at most 2.5x", small, large)
+	}
+}
+
 // TestValidateAllocGuard fences the conflict pass's cost on a
-// benchmark-sized policy (16 applications, about 490 subject-scoped
+// benchmark-sized policy (16 applications, about 550 subject-scoped
 // rules over four states) in allocations, which unlike time do not
 // depend on the host. The quadratic pass compiled both patterns of
 // every pair and re-split them for every enumeration salt: about 3M
-// allocations for a policy of this size.
+// allocations for a policy of this size. The per-state pair scan with
+// fmt-rendered findings made about 21,300; one candidate sweep per
+// policy with findings rendered in one allocation each makes about
+// 13,300.
 func TestValidateAllocGuard(t *testing.T) {
 	f, err := Parse(genSubjectPolicy(rand.New(rand.NewSource(1)), 16))
 	if err != nil {
 		t.Fatal(err)
 	}
-	const budget = 20000
+	const budget = 14500
 	if n := testing.AllocsPerRun(3, func() { Validate(f) }); n > budget {
 		t.Fatalf("Validate makes %.0f allocations on the generated policy, budget %d", n, budget)
 	}
+}
+
+// BenchmarkPolicyLoad times Load on a benchmark-shaped subject-scoped
+// policy (16 applications, about 500 rules over four states), the
+// shape whose conflict pass dominates a load.
+func BenchmarkPolicyLoad(b *testing.B) {
+	src := genSubjectPolicy(rand.New(rand.NewSource(1)), 16)
+	b.Run("subject-apps-16", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := Load(src); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
