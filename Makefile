@@ -86,13 +86,17 @@ fleet-scale:
 	$(GO) test -race -count=1 -run 'TestFleetScaleSmoke' ./internal/fleet
 	$(GO) test -run '^$$' -bench 'BenchmarkFleetScale' -benchtime 3x ./internal/fleet
 
-# Resilience×faults chaos suite: the policy-kit unit tests (virtual
-# clocks, no real sleeps) plus the system-scope crosses — a flapping
+# Resilience×faults chaos suite: the breaker, retry and bulkhead unit
+# tests (virtual clocks, no real sleeps), the fleet agent's tests (its
+# one sync round: backoff schedule, cached-bundle fallback, breaker
+# short-circuits, an attempt that outlives its request deadline never
+# rolling the vehicle back) plus the system-scope crosses — a flapping
 # control plane must never block the decision loop, and a flooding
 # vehicle group must not move another group's convergence schedule —
 # all under the race detector.
 resilience-stress:
 	$(GO) test -race -count=1 ./internal/resilience
+	$(GO) test -race -count=1 -run 'TestAgent' ./internal/fleet
 	$(GO) test -race -count=1 -run 'TestChaosFlappingControlPlaneNeverBlocksDecisions|TestChaosFloodedGroupDoesNotStarveQuietGroup|TestResilience' .
 
 # Full benchmark sweep: every paper row (Tables II/III, Fig. 3(a)/(b),
@@ -196,8 +200,6 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkAVC' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkPolicyLoad' -benchtime 1x . ./internal/policy
 	$(GO) test -count=1 -run 'TestUncachedLatencyGuard|TestMatcherZeroAllocUncached|TestSyscallAllocGuard|TestPolicyLoadAllocGuard' -v .
-	$(GO) test -run '^$$' -bench 'BenchmarkResilienceOverhead' -benchtime 1000x ./internal/resilience
-	$(GO) test -count=1 -run 'TestStackHappyPathZeroAllocs|TestResilienceOverheadGuard' -v ./internal/resilience
 	$(GO) test -count=1 -run 'TestBytesPerRecordGuard|TestDecodeAllocGuard' -v ./internal/fleet/wire
 	$(GO) test -count=1 -run 'TestValidateAllocGuard' -v ./internal/policy
 	$(GO) test -count=1 -run 'TestAuditFlushZeroAllocs|TestMetricsSampledCounts' -v ./internal/lsm

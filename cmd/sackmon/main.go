@@ -39,7 +39,6 @@ import (
 	"time"
 
 	sack "repro"
-	"repro/internal/fleet"
 	"repro/internal/resilience"
 	"repro/internal/sds"
 	"repro/internal/sign"
@@ -188,16 +187,13 @@ func run(cfg runConfig) int {
 			_, verifier := sign.NewHMAC(id, secret)
 			keyring = sign.NewKeyring(verifier)
 		}
-		// The monitoring agent runs the full default stack (retry,
-		// breaker, timeout, cached-bundle fallback) so its policy
-		// stats below show real breaker state against a flaky fleetd.
 		opts = append(opts, sack.WithFleet(sack.FleetAgentConfig{
 			Vehicle:   vehicleID,
 			Group:     cfg.fleetGroup,
 			Transport: sack.NewFleetClient(cfg.fleetURL),
 			PollWait:  time.Millisecond,
 			Keyring:   keyring,
-		}, fleet.WithDefaultResilience()))
+		}))
 	}
 	sys, err := sack.New(policyText, opts...)
 	if err != nil {
@@ -298,10 +294,6 @@ func run(cfg runConfig) int {
 			return 1
 		}
 		fmt.Fprintf(stdout, "\n-- fleet %s --\n%s", cfg.fleetURL, st.Render())
-		if sys.Fleet != nil {
-			fmt.Fprintf(stdout, "-- agent policy --\n%s",
-				resilience.Render(resilience.StatsOf(sys.Fleet.Policy())))
-		}
 	}
 	return 0
 }

@@ -1,9 +1,9 @@
-// Flaky control plane — the resilience stack riding out a dying fleetd:
-// a vehicle joins a group through the default policy stack (full-jitter
-// retry around a circuit breaker around a timeout, with a cached-bundle
-// fallback outermost), the control plane then goes hard-down, and the
-// vehicle keeps making kernel decisions and green sync rounds on its
-// cached generation while the breaker short-circuits the dead RPCs.
+// Flaky control plane — the fleet agent's sync round riding out a dying
+// fleetd: a vehicle joins a group (each round is a full-jitter retry of
+// breaker-gated attempts that degrades to the cached bundle), the
+// control plane then goes hard-down, and the vehicle keeps making
+// kernel decisions and green sync rounds on its cached generation while
+// the breaker short-circuits the dead RPCs.
 // When the plane heals, the agent reconverges and the decision-log
 // ledger closes exactly. The same cross runs adversarially in
 // TestChaosFlappingControlPlaneNeverBlocksDecisions
@@ -97,7 +97,7 @@ func main() {
 			Group:     "vans",
 			Transport: transport,
 			PollWait:  time.Millisecond,
-		}, fleet.WithAgentClock(clock), fleet.WithDefaultResilience()),
+		}, fleet.WithAgentClock(clock)),
 	)
 	if err != nil {
 		log.Fatal(err)
@@ -111,7 +111,7 @@ func main() {
 	}
 	fmt.Printf("van-1 joined group vans at generation %d\n\n", agent.AppliedGeneration())
 
-	// The plane dies. Policied rounds still return nil: the retry grinds
+	// The plane dies. Rounds still return nil: the retry grinds
 	// its bounded attempts, the breaker trips, and the cached-bundle
 	// fallback serves the applied generation.
 	transport.down.Store(true)
@@ -134,9 +134,9 @@ func main() {
 		}
 	}
 
-	fmt.Printf("\n-- agent policy while down --\n%s",
-		resilience.Render(resilience.StatsOf(agent.Policy())))
-	fmt.Printf("fallback rounds served from cache: %d\n\n", agent.Fallbacks())
+	st := agent.Status()
+	fmt.Printf("\n-- agent while down --\nbreaker=%s shed=%d fallbacks=%d (rounds served from cache)\n\n",
+		st.Breaker, st.Shed, st.Fallbacks)
 
 	// The plane heals: rounds come back clean (the breaker's virtual
 	// cooldown has long lapsed), the buffered denials ship, and the

@@ -344,9 +344,11 @@ func TestFleetConvergence(t *testing.T) {
 }
 
 // TestFleetRunLoopConverges exercises the agent's self-paced Run loop
-// (jittered exponential backoff) end to end: a small fleet under
-// chaotic transports converges to a mid-flight publish with no manual
-// sync driving.
+// (jittered exponential backoff, breaker, cached-bundle fallback) end
+// to end: a small fleet under chaotic transports converges to a
+// mid-flight publish with no manual sync driving. Each agent backs off
+// and cools its breaker down on its own auto-advancing virtual clock,
+// so only the transports' fault delays and long-polls take real time.
 func TestFleetRunLoopConverges(t *testing.T) {
 	const n = 16
 	rng := rand.New(rand.NewSource(7))
@@ -370,10 +372,7 @@ func TestFleetRunLoopConverges(t *testing.T) {
 				Transport: transport,
 				PollWait:  time.Millisecond,
 				Interval:  500 * time.Microsecond,
-			}, fleet.WithPolicy(resilience.NewRetry(resilience.RetryConfig{
-				Base: 200 * time.Microsecond, Max: 2 * time.Millisecond,
-				Seed: fleet.DeriveJitterSeed(vehicle),
-			}))),
+			}, fleet.WithAgentClock(resilience.NewAutoClock(time.Unix(1_700_000_000, 0)))),
 		)
 		if err != nil {
 			t.Fatal(err)

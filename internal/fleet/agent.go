@@ -59,9 +59,9 @@ type AgentConfig struct {
 	// fetched bundle whose detached signature fails verification —
 	// unsigned, unknown key-id, wrong algorithm, tampered payload — is
 	// refused before it reaches the reload path, counted in
-	// VehicleStatus.SigRejects, and the round fails (degrading to the
-	// cached bundle under the PR 7 fallback stack). Nil or empty keeps
-	// the legacy checksum-only behaviour.
+	// VehicleStatus.SigRejects, and the attempt fails (a round whose
+	// attempts all fail degrades to the cached bundle). Nil or empty
+	// keeps the legacy checksum-only behaviour.
 	Keyring *sign.Keyring
 
 	PollWait  time.Duration // long-poll hold time for FetchBundle
@@ -69,70 +69,26 @@ type AgentConfig struct {
 	BatchSize int           // max records per UploadLogs call
 }
 
-// AgentOption customises an Agent beyond AgentConfig — the resilience
-// policy that guards its sync rounds, the clock that paces it, and the
-// cached-bundle fallback.
-type AgentOption func(*agentOptions)
+// AgentOption customises an Agent beyond AgentConfig.
+type AgentOption func(*Agent)
 
-type agentOptions struct {
-	policy   resilience.Policy
-	clock    resilience.Clock
-	fallback bool
-	defaults bool
-}
-
-// WithPolicy installs the resilience policy that guards every sync
-// round: Run executes one round as policy.Do(ctx, round), so the
-// policy's retries, breaker, timeout, and sheds govern how the agent
-// rides out a flaky control plane. Without it the agent retries on
-// the default schedule (see NewAgent).
-func WithPolicy(p resilience.Policy) AgentOption {
-	return func(o *agentOptions) { o.policy = p }
-}
-
-// WithAgentClock injects the clock that paces the agent's Run loop and
-// its default policies. Tests pass a resilience.VirtualClock to drive
-// the agent in virtual time.
+// WithAgentClock injects the clock that paces the agent's Run loop, its
+// retry backoff and its breaker cooldown. Tests pass a
+// resilience.VirtualClock to drive the agent in virtual time.
 func WithAgentClock(c resilience.Clock) AgentOption {
-	return func(o *agentOptions) { o.clock = c }
-}
-
-// WithCachedBundleFallback wraps the agent's policy (given or default)
-// in a fallback that degrades a failed sync round to success whenever a
-// previously applied bundle is available: the vehicle keeps deciding on
-// the cached bundle instead of escalating, and the round is counted in
-// VehicleStatus.Fallbacks. Rounds before any bundle was applied still
-// fail normally.
-func WithCachedBundleFallback() AgentOption {
-	return func(o *agentOptions) { o.fallback = true }
-}
-
-// DefaultResilienceAttempts bounds one WithDefaultResilience sync
-// round: after this many failed attempts the round falls back to the
-// cached bundle (when one is applied) instead of retrying forever, so a
-// round's wall-clock cost is bounded and the vehicle's decision loop is
-// never starved by a dead control plane.
-const DefaultResilienceAttempts = 4
-
-// WithDefaultResilience installs the recommended control-plane stack:
-// cached-bundle fallback wrapping a bounded retry (full jitter, the
-// default backoff envelope) wrapping a circuit breaker wrapping a
-// per-attempt timeout. A flapping or stalled fleetd trips the breaker,
-// attempts short-circuit fast, backoff paces the probes, and the
-// vehicle keeps running its cached bundle the whole time.
-func WithDefaultResilience() AgentOption {
-	return func(o *agentOptions) { o.defaults = true; o.fallback = true }
+	return func(a *Agent) { a.clock = c }
 }
 
 // Agent is the vehicle-side fleet client: it polls the control plane
 // for policy bundles, applies them through the kernel's transactional
 // reload, reports status, and ships the audit ring upstream in batches.
-// Sync rounds run under a resilience.Policy (WithPolicy,
-// WithDefaultResilience, or the default retry).
+// Sync runs one round of retried, breaker-gated attempts that degrades
+// to the cached bundle.
 type Agent struct {
-	cfg    AgentConfig
-	policy resilience.Policy
-	clock  resilience.Clock
+	cfg     AgentConfig
+	clock   resilience.Clock
+	retry   *resilience.Retry
+	breaker *resilience.Breaker
 
 	mu      sync.Mutex
 	etag    string
@@ -163,11 +119,9 @@ func DeriveJitterSeed(vehicle string) int64 {
 	return seed
 }
 
-// NewAgent validates the config and builds an agent. Options customise
-// the resilience policy and clock; with no WithPolicy /
-// WithDefaultResilience option sync rounds retry with full-jitter
-// exponential backoff between resilience.DefaultRetryBase and
-// resilience.DefaultRetryMax, seeded by DeriveJitterSeed(cfg.Vehicle).
+// NewAgent validates the config and builds an agent. Its sync rounds
+// retry with full-jitter exponential backoff (resilience.Retry), seeded
+// by DeriveJitterSeed(cfg.Vehicle).
 func NewAgent(cfg AgentConfig, opts ...AgentOption) (*Agent, error) {
 	if cfg.Vehicle == "" || cfg.Group == "" {
 		return nil, fmt.Errorf("fleet: agent needs a vehicle id and group")
@@ -184,65 +138,20 @@ func NewAgent(cfg AgentConfig, opts ...AgentOption) (*Agent, error) {
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = DefaultBatchSize
 	}
-	var o agentOptions
+	a := &Agent{cfg: cfg, clock: resilience.RealClock{}}
 	for _, opt := range opts {
-		opt(&o)
+		opt(a)
 	}
-	if o.clock == nil {
-		o.clock = resilience.RealClock{}
-	}
-	a := &Agent{cfg: cfg, clock: o.clock}
-
-	seed := DeriveJitterSeed(cfg.Vehicle)
-	switch {
-	case o.policy != nil:
-		a.policy = o.policy
-	case o.defaults:
-		a.policy = resilience.Stack(
-			resilience.NewRetry(resilience.RetryConfig{
-				Attempts: DefaultResilienceAttempts, Seed: seed, Clock: o.clock,
-			}),
-			resilience.NewBreaker(resilience.BreakerConfig{Clock: o.clock}),
-			resilience.NewTimeout(resilience.TimeoutConfig{
-				Limit: cfg.PollWait + resilience.DefaultTimeout, Clock: o.clock,
-			}),
-		)
-	default:
-		a.policy = resilience.NewRetry(resilience.RetryConfig{Seed: seed, Clock: o.clock})
-	}
-	if o.fallback {
-		a.policy = resilience.Stack(a.cachedBundleFallback(), a.policy)
-	}
+	a.retry = resilience.NewRetry(DeriveJitterSeed(cfg.Vehicle), a.clock)
+	a.breaker = resilience.NewBreaker(a.clock)
 	return a, nil
 }
 
-// cachedBundleFallback rescues a failed round when a bundle is already
-// applied: the decision loop keeps running on the cached policy.
-func (a *Agent) cachedBundleFallback() resilience.Policy {
-	return resilience.NewFallback(
-		func(error) bool {
-			a.mu.Lock()
-			defer a.mu.Unlock()
-			return a.applied.Generation > 0
-		},
-		func(ctx context.Context, err error) error {
-			a.mu.Lock()
-			a.fallbacks++
-			a.mu.Unlock()
-			return nil
-		},
-	)
-}
-
-// Policy returns the resilience policy guarding the agent's sync
-// rounds (for introspection: resilience.StatsOf, resilience.BreakerOf).
-func (a *Agent) Policy() resilience.Policy { return a.policy }
-
-// SyncOnce runs one raw agent round with no policy involved: fetch
-// (long-poll) → verify → apply → export logs → report status. It
+// SyncOnce runs one bare attempt, with no retry, breaker or fallback:
+// fetch (long-poll) → verify → apply → export logs → report status. It
 // returns the first transport or apply error; partial progress (an
-// applied bundle, uploaded batches) is kept and the next round resumes
-// from it. Sync wraps this in the agent's resilience policy.
+// applied bundle, uploaded batches) is kept and the next attempt
+// resumes from it. Sync runs this as each attempt of its round.
 func (a *Agent) SyncOnce() error {
 	err := a.syncBundle()
 	if uerr := a.shipLogs(); err == nil {
@@ -266,21 +175,41 @@ func (a *Agent) SyncOnce() error {
 	return err
 }
 
-// Sync runs one policied round: the agent's resilience policy (with
-// its retries, breaker, timeout, and fallback) around SyncOnce. It
-// returns nil when a round eventually succeeded or the fallback served
-// the cached bundle; the error otherwise.
+// Sync runs one round on the caller's goroutine: up to
+// resilience.DefaultRetryAttempts (4) attempts of SyncOnce, with pauses
+// uniform in [0, 100 ms], [0, 200 ms] and [0, 400 ms] between them.
+// Each attempt is gated by the breaker: once
+// resilience.DefaultBreakerFailures attempts in a row have failed, it
+// short-circuits attempts until its 1 s cooldown lapses, so a dead
+// control plane costs a round no transport call. Every attempt has
+// returned before the next starts, so a slow attempt can never land
+// after a newer one. When every attempt fails and a bundle is already
+// applied, the round degrades to that cached bundle: it counts one
+// fallback and returns nil. Otherwise, and when ctx ends mid-round, it
+// returns the last attempt's error.
 func (a *Agent) Sync(ctx context.Context) error {
-	return a.policy.Do(ctx, a.round)
-}
-
-// round adapts SyncOnce to a resilience.Op, honouring cancellation
-// between attempts (the transports themselves predate contexts).
-func (a *Agent) round(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
+	err := a.retry.Do(ctx, a.attempt)
+	if err == nil || ctx.Err() != nil {
 		return err
 	}
-	return a.SyncOnce()
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.applied.Generation == 0 {
+		return err
+	}
+	a.fallbacks++
+	return nil
+}
+
+// attempt is one breaker-gated SyncOnce, skipped once ctx has ended
+// (the transports predate contexts).
+func (a *Agent) attempt(ctx context.Context) error {
+	return a.breaker.Do(ctx, func(ctx context.Context) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		return a.SyncOnce()
+	})
 }
 
 func (a *Agent) syncBundle() error {
@@ -408,9 +337,7 @@ func (a *Agent) Status() VehicleStatus {
 		SigRejects:        a.sigRejects,
 	}
 	a.mu.Unlock()
-	if b := resilience.BreakerOf(a.policy); b != nil {
-		st.Breaker = b.State().String()
-	}
+	st.Breaker = a.breaker.State().String()
 	if a.cfg.Audit != nil {
 		st.Emitted = a.cfg.Audit.Emitted()
 	}
@@ -459,13 +386,11 @@ func (a *Agent) LastError() string {
 	return a.lastErr
 }
 
-// Run loops policied sync rounds until the context ends, pausing
-// Interval between them on the agent's clock. Failure pacing lives in
-// the policy: the default retry backs off exponentially with full
-// jitter; WithDefaultResilience adds
-// breaker, timeout, and cached-bundle fallback so a fleet knocked
-// loose by a server restart neither stampedes back in lockstep nor
-// blocks its decision loop.
+// Run loops sync rounds until the context ends, pausing Interval
+// between them on the agent's clock. Failure pacing lives in the round:
+// full-jitter backoff, so a fleet knocked loose by a server restart
+// does not stampede back in lockstep, and the breaker and cached-bundle
+// fallback, so a dead control plane never blocks the decision loop.
 func (a *Agent) Run(ctx context.Context) {
 	for {
 		if ctx.Err() != nil {

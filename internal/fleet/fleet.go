@@ -95,8 +95,8 @@ type VehicleStatus struct {
 	Emitted  uint64 `json:"emitted"`
 	Uploaded uint64 `json:"uploaded"`
 	Dropped  uint64 `json:"dropped"`
-	// Resilience surface, agent side: the circuit breaker's position
-	// ("" when the agent's policy has no breaker), rounds shed by a
+	// Resilience surface, agent side: the sync round's circuit breaker
+	// position (closed, open or half-open), attempts shed by a
 	// server-side bulkhead, rounds degraded to the cached bundle.
 	Breaker   string `json:"breaker,omitempty"`
 	Shed      uint64 `json:"shed,omitempty"`

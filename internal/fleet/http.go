@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -242,8 +243,7 @@ func Handler(s *Server) http.Handler {
 		s.wireIn.binBytes.Add(uint64(len(body)))
 		accepted, err := s.UploadLogsContext(r.Context(), r.PathValue("vehicle"), recs)
 		if err != nil {
-			// The typed resilience taxonomy maps to distinct statuses;
-			// both 429 causes are disambiguated by X-Fleet-Shed so the
+			// Both sheds are 429; X-Fleet-Shed tells them apart so the
 			// client can invert them into the right typed error.
 			status := http.StatusBadRequest
 			switch {
@@ -253,9 +253,6 @@ func Handler(s *Server) http.Handler {
 			case errors.Is(err, resilience.ErrBulkheadFull):
 				status = resilience.HTTPStatus(err) // 429
 				w.Header().Set("X-Fleet-Shed", "group-bulkhead")
-			case errors.Is(err, resilience.ErrCircuitOpen),
-				errors.Is(err, resilience.ErrTimeout):
-				status = resilience.HTTPStatus(err)
 			}
 			http.Error(w, err.Error(), status)
 			return
@@ -309,6 +306,34 @@ type Client struct {
 	bases  map[string]policy.Bundle
 }
 
+// requestTimeout bounds a status or upload request, and how long a
+// bundle fetch may run past its long-poll wait. A hung fleetd then
+// tears its request down instead of stalling the agent's attempt.
+const requestTimeout = 5 * time.Second
+
+// timedOut turns an error caused by a request's own deadline into
+// resilience.ErrTimeout. It does not wrap context.DeadlineExceeded,
+// which the retry and breaker read as a caller abort: a Transport call
+// takes no context, so every deadline it hits is its own, and a
+// timed-out request must be retried and counted like any failure.
+func timedOut(err error) error {
+	if errors.Is(err, context.DeadlineExceeded) {
+		return fmt.Errorf("%w: %v", resilience.ErrTimeout, err)
+	}
+	return err
+}
+
+// post sends one Transport request body under ctx.
+func (c *Client) post(ctx context.Context, path, contentType string, body []byte) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.Base+path, bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	req.Header.Set("Content-Type", contentType)
+	resp, err := c.httpClient().Do(req)
+	return resp, timedOut(err)
+}
+
 // NewClient builds a client for a fleetd base URL.
 func NewClient(base string) *Client {
 	return &Client{Base: base, HTTP: &http.Client{}}
@@ -326,17 +351,20 @@ func (c *Client) httpClient() *http.Client {
 // delta response is decoded, applied onto the cached base into a
 // byte-identical bundle, and then verified exactly like a full body
 // (checksum inside Apply, signature below). Any delta failure falls
-// back to one full-bundle fetch.
+// back to one full-bundle fetch. The whole call, refetch included, is
+// bounded by wait + requestTimeout.
 func (c *Client) FetchBundle(vehicle, group, etag string, wait time.Duration) (policy.Bundle, bool, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), wait+requestTimeout)
+	defer cancel()
 	base, haveBase := c.baseFor(group, etag)
-	b, modified, err := c.fetchBundle(vehicle, group, etag, wait, haveBase, base)
+	b, modified, err := c.fetchBundle(ctx, vehicle, group, etag, wait, haveBase, base)
 	if err != nil && haveBase && errors.Is(err, errDeltaApply) {
 		// The server's edit script didn't fit what we hold (stale base,
 		// corrupt transfer): drop the cache entry and refetch in full.
 		c.dropBase(group)
-		b, modified, err = c.fetchBundle(vehicle, group, etag, wait, false, policy.Bundle{})
+		b, modified, err = c.fetchBundle(ctx, vehicle, group, etag, wait, false, policy.Bundle{})
 	}
-	return b, modified, err
+	return b, modified, timedOut(err)
 }
 
 // errDeltaApply marks a delta response that failed to decode or apply;
@@ -372,7 +400,7 @@ func (c *Client) dropBase(group string) {
 	c.baseMu.Unlock()
 }
 
-func (c *Client) fetchBundle(vehicle, group, etag string, wait time.Duration, tryDelta bool, base policy.Bundle) (policy.Bundle, bool, error) {
+func (c *Client) fetchBundle(ctx context.Context, vehicle, group, etag string, wait time.Duration, tryDelta bool, base policy.Bundle) (policy.Bundle, bool, error) {
 	u := fmt.Sprintf("%s/v1/bundle/%s", c.Base, group)
 	q := url.Values{}
 	if wait > 0 {
@@ -384,7 +412,7 @@ func (c *Client) fetchBundle(vehicle, group, etag string, wait time.Duration, tr
 	if enc := q.Encode(); enc != "" {
 		u += "?" + enc
 	}
-	req, err := http.NewRequest(http.MethodGet, u, nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {
 		return policy.Bundle{}, false, err
 	}
@@ -440,13 +468,16 @@ func (c *Client) fetchBundle(vehicle, group, etag string, wait time.Duration, tr
 	}
 }
 
-// ReportStatus implements Transport over HTTP.
+// ReportStatus implements Transport over HTTP, bounded by
+// requestTimeout.
 func (c *Client) ReportStatus(st VehicleStatus) error {
 	body, err := json.Marshal(st)
 	if err != nil {
 		return err
 	}
-	resp, err := c.httpClient().Post(c.Base+"/v1/status", "application/json", bytes.NewReader(body))
+	ctx, cancel := context.WithTimeout(context.Background(), requestTimeout)
+	defer cancel()
+	resp, err := c.post(ctx, "/v1/status", "application/json", body)
 	if err != nil {
 		return err
 	}
@@ -458,12 +489,11 @@ func (c *Client) ReportStatus(st VehicleStatus) error {
 }
 
 // UploadLogs implements Transport over HTTP: one binary wire frame per
-// call. Status codes map back onto the typed error taxonomy so agent
-// retry logic is transport-agnostic: 429 is ErrBackpressure (full log
-// buffer) or resilience.ErrBulkheadFull (group compartment shed), told
-// apart by the X-Fleet-Shed header; 503 is resilience.ErrCircuitOpen;
-// 504 is resilience.ErrTimeout; anything else non-200 comes back as
-// the server's error text.
+// call, bounded by requestTimeout. Status codes map back onto the
+// typed errors so agent retry logic is transport-agnostic: 429 is
+// ErrBackpressure (full log buffer) or resilience.ErrBulkheadFull
+// (group compartment shed), told apart by the X-Fleet-Shed header;
+// anything else non-200 comes back as the server's error text.
 func (c *Client) UploadLogs(vehicle string, recs []LogRecord) (int, error) {
 	e := wire.GetEncoder()
 	wrecs := make([]wire.Record, len(recs))
@@ -473,7 +503,9 @@ func (c *Client) UploadLogs(vehicle string, recs []LogRecord) (int, error) {
 	body := e.Encode(nil, wrecs, true)
 	raw := e.RawSize()
 	wire.PutEncoder(e)
-	resp, err := c.httpClient().Post(c.Base+"/v1/logs/"+vehicle, wire.ContentTypeLogs, bytes.NewReader(body))
+	ctx, cancel := context.WithTimeout(context.Background(), requestTimeout)
+	defer cancel()
+	resp, err := c.post(ctx, "/v1/logs/"+vehicle, wire.ContentTypeLogs, body)
 	if err != nil {
 		return 0, err
 	}
@@ -485,10 +517,6 @@ func (c *Client) UploadLogs(vehicle string, recs []LogRecord) (int, error) {
 			return 0, fmt.Errorf("%w (http 429)", resilience.ErrBulkheadFull)
 		}
 		return 0, fmt.Errorf("%w (http 429)", ErrBackpressure)
-	case http.StatusServiceUnavailable:
-		return 0, fmt.Errorf("%w (http 503)", resilience.ErrCircuitOpen)
-	case http.StatusGatewayTimeout:
-		return 0, fmt.Errorf("%w (http 504)", resilience.ErrTimeout)
 	default:
 		return 0, httpError(resp)
 	}
@@ -496,7 +524,7 @@ func (c *Client) UploadLogs(vehicle string, recs []LogRecord) (int, error) {
 		Accepted int `json:"accepted"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return 0, err
+		return 0, timedOut(err)
 	}
 	c.bytesOut.Add(uint64(len(body)))
 	c.rawBytesOut.Add(uint64(raw))

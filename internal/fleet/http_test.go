@@ -1,12 +1,16 @@
 package fleet
 
 import (
+	"context"
 	"errors"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
 
 	"repro/internal/lsm"
+	"repro/internal/resilience"
 )
 
 // TestHTTPTransportRoundTrip drives a full agent round over loopback
@@ -124,5 +128,70 @@ func TestHTTPLongPoll(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("http long-poll did not wake on publish")
+	}
+}
+
+// TestClientTimeoutIsRetryable: a fleetd that hangs past a request's
+// deadline costs the caller one failed request, and the failure
+// surfaces as resilience.ErrTimeout, not context.DeadlineExceeded, so
+// the agent's retry retries it and its breaker counts it.
+func TestClientTimeoutIsRetryable(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		// Drain the body first: only then does the server watch the
+		// connection and cancel r's context when the client hangs up.
+		io.Copy(io.Discard, r.Body)
+		<-r.Context().Done()
+	}))
+	defer srv.Close()
+	c := NewClient(srv.URL)
+	c.HTTP = &http.Client{Timeout: 50 * time.Millisecond}
+
+	_, _, fetchErr := c.FetchBundle("veh", "default", "", time.Millisecond)
+	statusErr := c.ReportStatus(VehicleStatus{Vehicle: "veh", Group: "default"})
+	_, uploadErr := c.UploadLogs("veh", []LogRecord{{Seq: 1, Action: "DENIED"}})
+	for name, err := range map[string]error{"fetch": fetchErr, "status": statusErr, "upload": uploadErr} {
+		if !errors.Is(err, resilience.ErrTimeout) || errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("%s past its deadline: %v, want ErrTimeout without DeadlineExceeded", name, err)
+		}
+	}
+}
+
+// deadlineRecorder is a RoundTripper that records how far off each
+// request's context deadline lies, then fails the request.
+type deadlineRecorder struct{ left map[string]time.Duration }
+
+func (d *deadlineRecorder) RoundTrip(req *http.Request) (*http.Response, error) {
+	if dl, ok := req.Context().Deadline(); ok {
+		d.left[req.Method+" "+req.URL.Path] = time.Until(dl)
+	}
+	return nil, errors.New("recorded")
+}
+
+// TestClientRequestDeadlines: the production client (no
+// http.Client.Timeout) bounds every Transport request by its own
+// context deadline — a fetch by its long-poll wait + requestTimeout, a
+// status or upload by requestTimeout — so a hung fleetd cannot block an
+// agent's attempt forever.
+func TestClientRequestDeadlines(t *testing.T) {
+	rec := &deadlineRecorder{left: map[string]time.Duration{}}
+	c := NewClient("http://fleetd.invalid")
+	c.HTTP.Transport = rec
+	const wait = 2 * time.Second
+
+	c.FetchBundle("veh", "default", "", wait)
+	c.ReportStatus(VehicleStatus{Vehicle: "veh", Group: "default"})
+	c.UploadLogs("veh", []LogRecord{{Seq: 1, Action: "DENIED"}})
+	want := map[string]time.Duration{
+		"GET /v1/bundle/default": wait + requestTimeout,
+		"POST /v1/status":        requestTimeout,
+		"POST /v1/logs/veh":      requestTimeout,
+	}
+	if len(rec.left) != len(want) {
+		t.Fatalf("requests with a deadline: %v, want %v", rec.left, want)
+	}
+	for req, bound := range want {
+		if left, ok := rec.left[req]; !ok || left > bound || left < bound-time.Second {
+			t.Errorf("%s: deadline %v away, want about %v", req, left, bound)
+		}
 	}
 }

@@ -4,6 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -14,10 +17,12 @@ import (
 )
 
 // failNTransport fails every call until `fails` calls have failed, then
-// delegates to the inner transport.
+// delegates to the inner transport. It counts the bundle fetches that
+// reach it, so tests see attempts the breaker short-circuited.
 type failNTransport struct {
-	inner Transport
-	fails atomic.Int64
+	inner   Transport
+	fails   atomic.Int64
+	fetches atomic.Int64
 }
 
 func (f *failNTransport) failing() bool {
@@ -33,6 +38,7 @@ func (f *failNTransport) failing() bool {
 }
 
 func (f *failNTransport) FetchBundle(vehicle, group, etag string, wait time.Duration) (policy.Bundle, bool, error) {
+	f.fetches.Add(1)
 	if f.failing() {
 		return policy.Bundle{}, false, fmt.Errorf("injected: %w", ErrDropped)
 	}
@@ -47,25 +53,20 @@ func (f *failNTransport) UploadLogs(vehicle string, recs []LogRecord) (int, erro
 	return f.inner.UploadLogs(vehicle, recs)
 }
 
-// TestAgentDefaultRetrySchedule: an agent built without a policy
-// option retries a failing round on exactly the schedule of a
-// resilience.Retry built from DefaultRetryBase, DefaultRetryMax and
-// the vehicle-derived jitter seed; custom pacing passed through
-// WithPolicy is followed just as exactly.
+// TestAgentDefaultRetrySchedule: an agent retries a failing round on
+// exactly the schedule of a resilience.Retry seeded with the
+// vehicle-derived jitter seed. The explicit-seed case pins that
+// derivation to a literal, so a vehicle's schedule cannot drift between
+// releases.
 func TestAgentDefaultRetrySchedule(t *testing.T) {
-	const failures = 6
-	const vehicle = "veh-retry"
+	const failures = resilience.DefaultRetryAttempts - 1
 	cases := []struct {
-		name   string
-		custom bool // pace through WithPolicy instead of the default
-		cfg    resilience.RetryConfig
+		name    string
+		vehicle string
+		seed    int64
 	}{
-		{"derived-seed", false, resilience.RetryConfig{
-			Base: resilience.DefaultRetryBase, Max: resilience.DefaultRetryMax, Seed: DeriveJitterSeed(vehicle),
-		}},
-		{"explicit-seed", true, resilience.RetryConfig{
-			Base: 100 * time.Millisecond, Max: 400 * time.Millisecond, Seed: 12345,
-		}},
+		{"derived-seed", "veh-retry", DeriveJitterSeed("veh-retry")},
+		{"explicit-seed", "ab", 'a'*131 + 'b'},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -76,17 +77,11 @@ func TestAgentDefaultRetrySchedule(t *testing.T) {
 			ft := &failNTransport{inner: s}
 			ft.fails.Store(failures)
 			clock := resilience.NewAutoClock(time.Unix(0, 0))
-			opts := []AgentOption{WithAgentClock(clock)}
-			if tc.custom {
-				cfg := tc.cfg
-				cfg.Clock = clock
-				opts = append(opts, WithPolicy(resilience.NewRetry(cfg)))
-			}
 			a, err := NewAgent(AgentConfig{
-				Vehicle: vehicle, Group: "default",
+				Vehicle: tc.vehicle, Group: "default",
 				Transport: ft, Applier: &fakeApplier{},
 				PollWait: time.Millisecond, Interval: time.Second,
-			}, opts...)
+			}, WithAgentClock(clock))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -98,10 +93,8 @@ func TestAgentDefaultRetrySchedule(t *testing.T) {
 			}
 
 			refClock := resilience.NewAutoClock(time.Unix(0, 0))
-			refCfg := tc.cfg
-			refCfg.Clock = refClock
 			left := failures
-			resilience.NewRetry(refCfg).Do(context.Background(), func(context.Context) error {
+			resilience.NewRetry(tc.seed, refClock).Do(context.Background(), func(context.Context) error {
 				if left > 0 {
 					left--
 					return ErrDropped
@@ -128,10 +121,8 @@ func TestAgentRunIntervalPacing(t *testing.T) {
 	a, err := NewAgent(AgentConfig{
 		Vehicle: "veh-run", Group: "default",
 		Transport: s, Applier: &fakeApplier{},
-		PollWait: 0, Interval: interval,
-	}, WithAgentClock(clock), WithPolicy(resilience.NewRetry(resilience.RetryConfig{
-		Base: resilience.DefaultRetryBase, Max: resilience.DefaultRetryMax, Seed: 1, Clock: clock,
-	})))
+		PollWait: time.Millisecond, Interval: interval,
+	}, WithAgentClock(clock))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,10 +144,11 @@ func TestAgentRunIntervalPacing(t *testing.T) {
 	}
 }
 
-// TestAgentCachedBundleFallback: with WithDefaultResilience, a control
-// plane that dies after the first successful sync degrades rounds to
-// the cached bundle — Sync returns nil, the applied generation stays
-// live, the fallback and breaker are visible in the status report.
+// TestAgentCachedBundleFallback: a control plane that dies after the
+// first successful sync degrades rounds to the cached bundle — Sync
+// returns nil, the applied generation stays live, the fallback and the
+// open breaker are visible in the status report, and the breaker keeps
+// attempts off the dead transport.
 func TestAgentCachedBundleFallback(t *testing.T) {
 	s := NewServer()
 	if _, err := s.Publish("default", testPolicy); err != nil {
@@ -168,7 +160,7 @@ func TestAgentCachedBundleFallback(t *testing.T) {
 		Vehicle: "veh-fb", Group: "default",
 		Transport: ft, Applier: &fakeApplier{},
 		PollWait: time.Millisecond,
-	}, WithAgentClock(clock), WithDefaultResilience())
+	}, WithAgentClock(clock))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +178,9 @@ func TestAgentCachedBundleFallback(t *testing.T) {
 	// nil (cached-bundle fallback), never block, and keep the applied
 	// generation live.
 	ft.fails.Store(1 << 30)
-	for round := 1; round <= 10; round++ {
+	ft.fetches.Store(0)
+	const rounds = 10
+	for round := 1; round <= rounds; round++ {
 		if err := a.Sync(ctx); err != nil {
 			t.Fatalf("round %d not degraded to cached bundle: %v", round, err)
 		}
@@ -194,23 +188,19 @@ func TestAgentCachedBundleFallback(t *testing.T) {
 	if a.AppliedGeneration() != 1 {
 		t.Fatalf("cached generation lost: %d", a.AppliedGeneration())
 	}
-	if got := a.Fallbacks(); got != 10 {
-		t.Fatalf("fallbacks = %d, want 10", got)
+	if got := a.Fallbacks(); got != rounds {
+		t.Fatalf("fallbacks = %d, want %d", got, rounds)
 	}
+	// The breaker must have tripped: resilience.DefaultRetryAttempts failures
+	// per round over 10 rounds far exceed its threshold, so later
+	// attempts short-circuited without touching the transport.
 	st := a.Status()
-	if st.Fallbacks != 10 || st.Breaker == "" {
-		t.Fatalf("status fallbacks=%d breaker=%q", st.Fallbacks, st.Breaker)
+	if st.Fallbacks != rounds || st.Breaker != "open" {
+		t.Fatalf("status fallbacks=%d breaker=%q, want %d/open", st.Fallbacks, st.Breaker, rounds)
 	}
-	// The breaker must have tripped: with DefaultResilienceAttempts
-	// failures per round over 10 rounds, consecutive failures far exceed
-	// the default trip threshold, so later attempts short-circuited
-	// without touching the transport.
-	b := resilience.BreakerOf(a.Policy())
-	if b == nil {
-		t.Fatal("default policy has no breaker")
-	}
-	if b.Stats().Counters["short_circuits"] == 0 {
-		t.Fatal("breaker never short-circuited a dead-control-plane attempt")
+	if got := ft.fetches.Load(); got >= rounds*resilience.DefaultRetryAttempts {
+		t.Fatalf("%d of %d attempts reached the dead transport; the breaker never short-circuited",
+			got, rounds*resilience.DefaultRetryAttempts)
 	}
 
 	// Without a cached bundle, the same dead control plane surfaces the
@@ -219,12 +209,199 @@ func TestAgentCachedBundleFallback(t *testing.T) {
 		Vehicle: "veh-fresh", Group: "default",
 		Transport: ft, Applier: &fakeApplier{},
 		PollWait: time.Millisecond,
-	}, WithAgentClock(clock), WithDefaultResilience())
+	}, WithAgentClock(clock))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := fresh.Sync(ctx); err == nil {
 		t.Fatal("bundle-less agent rescued a failed round")
+	}
+	if fresh.Fallbacks() != 0 {
+		t.Fatalf("bundle-less agent counted %d fallbacks", fresh.Fallbacks())
+	}
+}
+
+// TestAgentFallbackOnlyWithCachedBundle: the cached-bundle fallback
+// rescues a failed round only when a bundle is applied and the round
+// was not ended by its caller. Every other failure is returned as the
+// transport produced it, and no fallback is counted for it.
+func TestAgentFallbackOnlyWithCachedBundle(t *testing.T) {
+	s := NewServer()
+	if _, err := s.Publish("default", testPolicy); err != nil {
+		t.Fatal(err)
+	}
+	ft := &failNTransport{inner: s}
+	ft.fails.Store(1 << 30)
+	clock := resilience.NewAutoClock(time.Unix(0, 0))
+	a, err := NewAgent(AgentConfig{
+		Vehicle: "veh-rescue", Group: "default",
+		Transport: ft, Applier: &fakeApplier{},
+		PollWait: time.Millisecond,
+	}, WithAgentClock(clock))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+
+	// No bundle yet: the transport's error surfaces unchanged.
+	if err := a.Sync(ctx); !errors.Is(err, ErrDropped) {
+		t.Fatalf("bundle-less round returned %v, want the transport's ErrDropped", err)
+	}
+	if a.Fallbacks() != 0 {
+		t.Fatalf("bundle-less agent counted %d fallbacks", a.Fallbacks())
+	}
+
+	// The control plane heals; the round applies the bundle without a
+	// fallback.
+	ft.fails.Store(0)
+	if err := a.Sync(ctx); err != nil {
+		t.Fatalf("healed round: %v", err)
+	}
+	if a.AppliedGeneration() != 1 || a.Fallbacks() != 0 {
+		t.Fatalf("gen=%d fallbacks=%d after healed round", a.AppliedGeneration(), a.Fallbacks())
+	}
+
+	// A round its caller ended is not rescued, bundle or not.
+	ft.fails.Store(1 << 30)
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if err := a.Sync(cancelled); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled round returned %v, want context.Canceled", err)
+	}
+	if a.Fallbacks() != 0 {
+		t.Fatalf("cancelled round counted %d fallbacks", a.Fallbacks())
+	}
+
+	// With a bundle applied, the same dead control plane is rescued.
+	if err := a.Sync(ctx); err != nil {
+		t.Fatalf("round with a cached bundle not rescued: %v", err)
+	}
+	if a.Fallbacks() != 1 || a.AppliedGeneration() != 1 {
+		t.Fatalf("gen=%d fallbacks=%d after rescued round, want 1/1", a.AppliedGeneration(), a.Fallbacks())
+	}
+}
+
+// TestAgentStatusReportsBreaker: the breaker's position is read from
+// the agent's status report, the one place it is shown. It reads closed
+// on a fresh and a healthy agent, open once a dead control plane trips
+// it, and closed again after the cooldown's probe succeeds.
+func TestAgentStatusReportsBreaker(t *testing.T) {
+	s := NewServer()
+	if _, err := s.Publish("default", testPolicy); err != nil {
+		t.Fatal(err)
+	}
+	ft := &failNTransport{inner: s}
+	clock := resilience.NewAutoClock(time.Unix(0, 0))
+	a, err := NewAgent(AgentConfig{
+		Vehicle: "veh-breaker", Group: "default",
+		Transport: ft, Applier: &fakeApplier{},
+		PollWait: time.Millisecond,
+	}, WithAgentClock(clock))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	breaker := func(want string) {
+		t.Helper()
+		if got := a.Status().Breaker; got != want {
+			t.Fatalf("status breaker = %q, want %q", got, want)
+		}
+	}
+
+	breaker("closed")
+	if err := a.Sync(ctx); err != nil {
+		t.Fatalf("healthy sync: %v", err)
+	}
+	breaker("closed")
+
+	// Fail exactly enough attempts to trip it: the round that sees the
+	// trip has further attempts short-circuited, off the transport.
+	ft.fails.Store(resilience.DefaultBreakerFailures)
+	ft.fetches.Store(0)
+	for ft.fails.Load() > 0 {
+		if err := a.Sync(ctx); err != nil {
+			t.Fatalf("round not degraded to cached bundle: %v", err)
+		}
+	}
+	breaker("open")
+	if got := ft.fetches.Load(); got != resilience.DefaultBreakerFailures {
+		t.Fatalf("%d fetches reached the transport, want %d before the trip", got, resilience.DefaultBreakerFailures)
+	}
+
+	clock.Advance(resilience.DefaultBreakerCooldown)
+	if err := a.Sync(ctx); err != nil {
+		t.Fatalf("probe round: %v", err)
+	}
+	breaker("closed")
+}
+
+// TestAgentSlowAttemptNeverRollsBack: an attempt that outlives its
+// request deadline fails, and its late answer is never applied. The
+// first bundle fetch hangs in fleetd until the client has given up, and
+// only then answers with generation 1, which was current when the
+// request arrived; generation 2 is published meanwhile. The round must
+// fail that attempt, apply generation 2 on the retry, and no older
+// bundle may ever reach the applier.
+func TestAgentSlowAttemptNeverRollsBack(t *testing.T) {
+	s := NewServer()
+	if _, err := s.Publish("default", testPolicy); err != nil {
+		t.Fatal(err)
+	}
+	h := Handler(s)
+	var hung atomic.Bool
+	answered := make(chan struct{})
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodGet || !strings.HasPrefix(r.URL.Path, "/v1/bundle/") || !hung.CompareAndSwap(false, true) {
+			h.ServeHTTP(w, r)
+			return
+		}
+		defer close(answered)
+		old := httptest.NewRecorder()
+		h.ServeHTTP(old, r)
+		if _, err := s.Publish("default", testPolicyV2); err != nil {
+			t.Error(err)
+		}
+		<-r.Context().Done() // the client tore the request down
+		for k, v := range old.Header() {
+			w.Header()[k] = v
+		}
+		w.WriteHeader(old.Code)
+		w.Write(old.Body.Bytes())
+	}))
+	defer srv.Close()
+
+	client := NewClient(srv.URL)
+	client.HTTP = &http.Client{Timeout: 250 * time.Millisecond}
+	app := &fakeApplier{}
+	a, err := NewAgent(AgentConfig{
+		Vehicle: "veh-slow", Group: "default",
+		Transport: client, Applier: app,
+		PollWait: time.Millisecond,
+	}, WithAgentClock(resilience.NewAutoClock(time.Unix(0, 0))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Sync(context.Background()); err != nil {
+		t.Fatalf("sync: %v", err)
+	}
+	if gen := a.AppliedGeneration(); gen != 2 || a.Fallbacks() != 0 {
+		t.Fatalf("round ended at generation %d with %d fallbacks, want 2 and 0", gen, a.Fallbacks())
+	}
+	select {
+	case <-answered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the hung fetch never answered")
+	}
+	if err := a.SyncOnce(); err != nil {
+		t.Fatalf("sync after the late answer: %v", err)
+	}
+	if gen := a.AppliedGeneration(); gen != 2 {
+		t.Fatalf("the late answer moved the vehicle back to generation %d", gen)
+	}
+	app.mu.Lock()
+	defer app.mu.Unlock()
+	if len(app.applied) != 1 || app.applied[0] != testPolicyV2 {
+		t.Fatalf("applier saw %d bundles; want only generation 2", len(app.applied))
 	}
 }
 
@@ -240,9 +417,7 @@ func TestAgentCountsServerSheds(t *testing.T) {
 		Vehicle: "veh-shed", Group: "default",
 		Transport: s, Applier: &fakeApplier{}, Audit: ring,
 		PollWait: time.Millisecond,
-	}, WithPolicy(resilience.NewRetry(resilience.RetryConfig{
-		Base: resilience.DefaultRetryBase, Max: resilience.DefaultRetryMax, Seed: 9,
-	})))
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

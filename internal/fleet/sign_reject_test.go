@@ -182,21 +182,18 @@ func TestAgentKeyRotation(t *testing.T) {
 	}
 }
 
-// TestSigRejectFallsBackToCachedBundle: under the resilience stack a
-// signature refusal is a failed round like any other — the vehicle
-// keeps deciding on its cached bundle and counts the fallback.
+// TestSigRejectFallsBackToCachedBundle: a signature refusal is a failed
+// attempt like any other — the vehicle keeps deciding on its cached
+// bundle, and a round whose attempts all fail counts the fallback.
 func TestSigRejectFallsBackToCachedBundle(t *testing.T) {
 	signer, kr := testKeyring(t)
 	s := newSignedServer(t, signer)
 	tt := &tamperTransport{Transport: s}
 	applier := &fakeApplier{}
-	// A single bounded attempt per round (a persistent forgery never
-	// verifies on retry) under the cached-bundle fallback.
 	a, err := NewAgent(AgentConfig{
 		Vehicle: "veh-1", Group: "g", Transport: tt, Applier: applier,
 		Keyring: kr,
-	}, WithPolicy(resilience.NewRetry(resilience.RetryConfig{Attempts: 1})),
-		WithCachedBundleFallback())
+	}, WithAgentClock(resilience.NewAutoClock(time.Unix(0, 0))))
 	if err != nil {
 		t.Fatalf("agent: %v", err)
 	}
@@ -208,20 +205,31 @@ func TestSigRejectFallsBackToCachedBundle(t *testing.T) {
 		t.Fatalf("gen = %d", a.AppliedGeneration())
 	}
 
-	// Generation 2 arrives tampered: the round degrades to the cached
-	// bundle instead of failing, and nothing new reaches the applier.
+	// Generation 2 arrives tampered: a single attempt is refused and
+	// nothing new reaches the applier.
 	if _, err := s.Publish("g", testPolicyV2); err != nil {
 		t.Fatalf("publish v2: %v", err)
 	}
 	tt.tamper = true
+	if err := a.SyncOnce(); !errors.Is(err, sign.ErrBadSignature) {
+		t.Fatalf("tampered attempt: %v, want ErrBadSignature", err)
+	}
+	if a.AppliedGeneration() != 1 || applier.count() != 1 {
+		t.Fatalf("tampered generation applied: gen=%d applies=%d", a.AppliedGeneration(), applier.count())
+	}
+	if a.Fallbacks() != 0 || a.SigRejects() != 1 {
+		t.Fatalf("fallbacks=%d sigRejects=%d, want 0/1", a.Fallbacks(), a.SigRejects())
+	}
+	// A whole round of refusals degrades to the cached bundle instead
+	// of failing (a persistent forgery never verifies on retry).
 	if err := a.Sync(context.Background()); err != nil {
 		t.Fatalf("tampered round should degrade, got %v", err)
 	}
 	if a.AppliedGeneration() != 1 || applier.count() != 1 {
 		t.Fatalf("tampered generation applied: gen=%d applies=%d", a.AppliedGeneration(), applier.count())
 	}
-	if a.Fallbacks() != 1 || a.SigRejects() != 1 {
-		t.Fatalf("fallbacks=%d sigRejects=%d, want 1/1", a.Fallbacks(), a.SigRejects())
+	if a.Fallbacks() != 1 || a.SigRejects() != 1+resilience.DefaultRetryAttempts {
+		t.Fatalf("fallbacks=%d sigRejects=%d, want 1/%d", a.Fallbacks(), a.SigRejects(), 1+resilience.DefaultRetryAttempts)
 	}
 
 	// Honest transport again: the agent converges to generation 2.

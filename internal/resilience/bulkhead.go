@@ -58,7 +58,7 @@ func NewBulkhead(cfg BulkheadConfig) *Bulkhead {
 	}
 }
 
-// Do implements Policy.
+// Do runs op once a slot is free, or sheds it with ErrBulkheadFull.
 func (b *Bulkhead) Do(ctx context.Context, op Op) error {
 	select {
 	case b.sem <- struct{}{}:
@@ -93,19 +93,6 @@ func (b *Bulkhead) Shed() uint64 { return b.shed.Load() }
 
 // Admitted reports operations ever admitted.
 func (b *Bulkhead) Admitted() uint64 { return b.admitted.Load() }
-
-// Stats implements Observable.
-func (b *Bulkhead) Stats() PolicyStats {
-	return PolicyStats{
-		Policy: "bulkhead",
-		Counters: map[string]uint64{
-			"active":   uint64(b.Active()),
-			"queued":   uint64(b.Queued()),
-			"admitted": b.admitted.Load(),
-			"shed":     b.shed.Load(),
-		},
-	}
-}
 
 // KeyedBulkheads is a lazily populated family of identically sized
 // bulkheads, one per key — fleetd's per-vehicle-group ingestion

@@ -6,11 +6,11 @@ import (
 	"time"
 )
 
-// Clock abstracts time for every policy in the kit and for the SDS
-// service, so breaker cooldowns, retry backoffs, timeouts, and drive
-// traces are all testable in virtual time with no real sleeps. The
-// production implementation is RealClock; tests and simulations use
-// VirtualClock.
+// Clock abstracts time for the breaker, the retry, the fleet agent's
+// Run loop and the SDS service, so breaker cooldowns, retry backoffs,
+// agent pacing and drive traces are all testable in virtual time with
+// no real sleeps. The production implementation is RealClock; tests
+// and simulations use VirtualClock.
 type Clock interface {
 	Now() time.Time
 	// After returns a channel that receives once d has elapsed.
@@ -56,9 +56,8 @@ func (RealClock) Sleep(ctx context.Context, d time.Duration) error {
 //     coordination. Every requested sleep is recorded for assertions
 //     (Slept). After timers are deadline waiters in both modes: they
 //     fire when virtual time reaches them — advanced by sleeps or
-//     Advance — so a Timeout policy sharing an auto clock with a retry
-//     policy only fires when backoff actually consumes its limit, not
-//     instantly.
+//     Advance — so a deadline sharing an auto clock with a retry only
+//     fires when backoff actually consumes it, not instantly.
 type VirtualClock struct {
 	mu      sync.Mutex
 	cond    *sync.Cond

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 )
@@ -19,122 +18,17 @@ var errBoom = errors.New("boom")
 
 func t0() time.Time { return time.Unix(1_700_000_000, 0) }
 
-// --- Stack ---------------------------------------------------------------
-
-// recorder logs enter order to prove stacking nests outermost-first.
-type recorder struct {
-	name string
-	log  *[]string
-}
-
-func (r recorder) Do(ctx context.Context, op Op) error {
-	*r.log = append(*r.log, r.name)
-	return op(ctx)
-}
-
-func TestStackOrderAndPassthrough(t *testing.T) {
-	var log []string
-	p := Stack(recorder{"a", &log}, recorder{"b", &log}, recorder{"c", &log})
-	if err := p.Do(context.Background(), func(context.Context) error {
-		log = append(log, "op")
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if got := fmt.Sprint(log); got != "[a b c op]" {
-		t.Fatalf("stack order = %v", log)
-	}
-
-	if err := Stack().Do(context.Background(), func(context.Context) error { return errBoom }); !errors.Is(err, errBoom) {
-		t.Fatalf("empty stack error = %v", err)
-	}
-	single := NewBreaker(BreakerConfig{})
-	if Stack(single) != Policy(single) {
-		t.Fatal("single-policy stack should return the policy itself")
-	}
-}
-
-func TestStackConcurrentReuse(t *testing.T) {
-	p := Stack(recorderlessPassthrough{}, recorderlessPassthrough{})
-	var wg sync.WaitGroup
-	for i := 0; i < 32; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for j := 0; j < 200; j++ {
-				want := errBoom
-				if (i+j)%2 == 0 {
-					want = nil
-				}
-				err := p.Do(context.Background(), func(context.Context) error { return want })
-				if !errors.Is(err, want) {
-					t.Errorf("err = %v, want %v", err, want)
-					return
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
-}
-
-type recorderlessPassthrough struct{}
-
-func (recorderlessPassthrough) Do(ctx context.Context, op Op) error { return op(ctx) }
-
-// TestStackDetachingPolicyAbandonedOps: a stack containing a Detaching
-// policy (here Timeout) must keep each call's frame alive for the
-// abandoned op goroutine — timed-out ops finish later without touching
-// a recycled frame. Regression test: the pooled-frame fast path used
-// to nil the op reference on return, and the abandoned goroutine then
-// dereferenced it.
-func TestStackDetachingPolicyAbandonedOps(t *testing.T) {
-	clock := NewVirtualClock(t0())
-	p := Stack(
-		recorderlessPassthrough{},
-		NewTimeout(TimeoutConfig{Limit: time.Millisecond, Clock: clock}),
-	)
-	const rounds = 64
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() { // fire each round's timeout as soon as its timer parks
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			clock.BlockUntil(1)
-			clock.Advance(time.Millisecond)
-		}
-	}()
-	release := make(chan struct{})
-	var finished sync.WaitGroup
-	finished.Add(rounds)
-	for i := 0; i < rounds; i++ {
-		err := p.Do(context.Background(), func(ctx context.Context) error {
-			defer finished.Done()
-			<-release // every op outlives its Do by construction
-			return nil
-		})
-		if !errors.Is(err, ErrTimeout) {
-			t.Fatalf("round %d: err = %v, want ErrTimeout", i, err)
-		}
-	}
-	close(release)
-	finished.Wait()
-}
-
 // --- Breaker -------------------------------------------------------------
 
 func TestBreakerTripProbeClose(t *testing.T) {
 	clock := NewVirtualClock(t0())
-	b := NewBreaker(BreakerConfig{Failures: 3, Cooldown: time.Second, Probes: 2, Clock: clock})
+	b := NewBreaker(clock)
 	ctx := context.Background()
 	fail := func(context.Context) error { return errBoom }
 	ok := func(context.Context) error { return nil }
 
-	// Three consecutive failures trip the breaker.
-	for i := 0; i < 3; i++ {
+	// DefaultBreakerFailures consecutive failures trip the breaker.
+	for i := 0; i < DefaultBreakerFailures; i++ {
 		if b.State() != Closed {
 			t.Fatalf("state before failure %d = %v", i, b.State())
 		}
@@ -155,39 +49,43 @@ func TestBreakerTripProbeClose(t *testing.T) {
 		t.Fatal("open breaker invoked the operation")
 	}
 
-	// Cooldown lapses: one probe admitted; success moves toward Closed.
-	clock.Advance(time.Second)
+	// Cooldown lapses: one probe admitted; its success closes the breaker.
+	clock.Advance(DefaultBreakerCooldown)
 	if err := b.Do(ctx, ok); err != nil {
-		t.Fatalf("probe 1: %v", err)
-	}
-	if b.State() != HalfOpen {
-		t.Fatalf("state after probe 1 = %v (want half-open, Probes=2)", b.State())
-	}
-	if err := b.Do(ctx, ok); err != nil {
-		t.Fatalf("probe 2: %v", err)
+		t.Fatalf("probe: %v", err)
 	}
 	if b.State() != Closed {
-		t.Fatalf("state after probe 2 = %v", b.State())
+		t.Fatalf("state after probe = %v", b.State())
 	}
 
-	st := b.Stats()
-	if st.Policy != "breaker" || st.State != "closed" {
-		t.Fatalf("stats = %+v", st)
+	// A success while closed resets the consecutive-failure count.
+	for i := 0; i < DefaultBreakerFailures-1; i++ {
+		b.Do(ctx, fail)
 	}
-	if st.Counters["trips"] != 1 || st.Counters["short_circuits"] != 1 {
-		t.Fatalf("counters = %v", st.Counters)
+	b.Do(ctx, ok)
+	b.Do(ctx, fail)
+	if b.State() != Closed {
+		t.Fatalf("non-consecutive failures tripped the breaker: %v", b.State())
 	}
+}
+
+// tripped returns a breaker that has just opened.
+func tripped(clock Clock) *Breaker {
+	b := NewBreaker(clock)
+	for i := 0; i < DefaultBreakerFailures; i++ {
+		b.Do(context.Background(), func(context.Context) error { return errBoom })
+	}
+	return b
 }
 
 func TestBreakerProbeFailureReopens(t *testing.T) {
 	clock := NewVirtualClock(t0())
-	b := NewBreaker(BreakerConfig{Failures: 1, Cooldown: time.Second, Clock: clock})
+	b := tripped(clock)
 	ctx := context.Background()
-	b.Do(ctx, func(context.Context) error { return errBoom })
 	if b.State() != Open {
 		t.Fatalf("state = %v", b.State())
 	}
-	clock.Advance(time.Second)
+	clock.Advance(DefaultBreakerCooldown)
 	if err := b.Do(ctx, func(context.Context) error { return errBoom }); !errors.Is(err, errBoom) {
 		t.Fatalf("probe error = %v", err)
 	}
@@ -202,10 +100,9 @@ func TestBreakerProbeFailureReopens(t *testing.T) {
 
 func TestBreakerSingleProbeSlot(t *testing.T) {
 	clock := NewVirtualClock(t0())
-	b := NewBreaker(BreakerConfig{Failures: 1, Cooldown: time.Second, Clock: clock})
+	b := tripped(clock)
 	ctx := context.Background()
-	b.Do(ctx, func(context.Context) error { return errBoom })
-	clock.Advance(time.Second)
+	clock.Advance(DefaultBreakerCooldown)
 
 	// First caller takes the probe slot and parks; a second caller must
 	// short-circuit rather than pile onto a possibly-sick server.
@@ -341,31 +238,26 @@ func TestKeyedBulkheadsIsolate(t *testing.T) {
 
 func TestRetryBackoffScheduleDeterministic(t *testing.T) {
 	clock := NewAutoClock(t0())
-	r := NewRetry(RetryConfig{Base: 100 * time.Millisecond, Max: 400 * time.Millisecond, Seed: 42, Clock: clock})
+	r := NewRetry(42, clock)
 
 	calls := 0
 	err := r.Do(context.Background(), func(context.Context) error {
 		calls++
-		if calls < 5 {
+		if calls < DefaultRetryAttempts {
 			return errBoom
 		}
 		return nil
 	})
-	if err != nil || calls != 5 {
+	if err != nil || calls != DefaultRetryAttempts {
 		t.Fatalf("err=%v calls=%d", err, calls)
 	}
 
-	// The schedule is exactly the legacy full-jitter formula: pause ~
-	// Uniform[0, ceiling], ceiling doubling 100ms -> 400ms (capped).
+	// The schedule is exactly the full-jitter formula: pause k ~
+	// Uniform[0, ceiling], ceiling 100, 200, 400 ms.
 	rng := rand.New(rand.NewSource(42))
 	want := []time.Duration{}
-	ceiling := 100 * time.Millisecond
-	for i := 0; i < 4; i++ {
+	for _, ceiling := range []time.Duration{100 * time.Millisecond, 200 * time.Millisecond, 400 * time.Millisecond} {
 		want = append(want, time.Duration(rng.Int63n(int64(ceiling)+1)))
-		ceiling *= 2
-		if ceiling > 400*time.Millisecond {
-			ceiling = 400 * time.Millisecond
-		}
 	}
 	got := clock.Slept()
 	if fmt.Sprint(got) != fmt.Sprint(want) {
@@ -375,16 +267,13 @@ func TestRetryBackoffScheduleDeterministic(t *testing.T) {
 
 func TestRetryBoundedAttemptsAndAborts(t *testing.T) {
 	clock := NewAutoClock(t0())
-	r := NewRetry(RetryConfig{Attempts: 3, Base: time.Millisecond, Seed: 1, Clock: clock})
+	r := NewRetry(1, clock)
 	calls := 0
 	if err := r.Do(context.Background(), func(context.Context) error { calls++; return errBoom }); !errors.Is(err, errBoom) {
 		t.Fatalf("err = %v", err)
 	}
-	if calls != 3 {
-		t.Fatalf("calls = %d", calls)
-	}
-	if st := r.Stats(); st.Counters["give_ups"] != 1 || st.Counters["retries"] != 2 {
-		t.Fatalf("stats = %v", st.Counters)
+	if calls != DefaultRetryAttempts || len(clock.Slept()) != DefaultRetryAttempts-1 {
+		t.Fatalf("calls = %d, backoffs = %d", calls, len(clock.Slept()))
 	}
 
 	// Context cancellation is never retried.
@@ -396,50 +285,10 @@ func TestRetryBoundedAttemptsAndAborts(t *testing.T) {
 		t.Fatalf("err=%v calls=%d", err, calls)
 	}
 
-	// RetryOn filters.
-	filtered := NewRetry(RetryConfig{Attempts: 5, Base: time.Millisecond, Seed: 1, Clock: clock,
-		RetryOn: func(err error) bool { return !errors.Is(err, errBoom) }})
+	// A request's own deadline is a failure, not an abort: retried.
 	calls = 0
-	if err := filtered.Do(context.Background(), func(context.Context) error { calls++; return errBoom }); !errors.Is(err, errBoom) || calls != 1 {
+	if err := r.Do(context.Background(), func(context.Context) error { calls++; return ErrTimeout }); !errors.Is(err, ErrTimeout) || calls != DefaultRetryAttempts {
 		t.Fatalf("err=%v calls=%d", err, calls)
-	}
-}
-
-// --- Timeout -------------------------------------------------------------
-
-func TestTimeoutCancelsSlowOperation(t *testing.T) {
-	// Fast path: the op finishes; no timer involvement needed. Uses its
-	// own clock — even an unfired select arm parks a waiter, which would
-	// skew BlockUntil below.
-	fast := NewTimeout(TimeoutConfig{Limit: time.Second, Clock: NewVirtualClock(t0())})
-	if err := fast.Do(context.Background(), func(context.Context) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-
-	clock := NewVirtualClock(t0())
-	to := NewTimeout(TimeoutConfig{Limit: time.Second, Clock: clock})
-
-	// Slow path: the op parks on its context; advancing virtual time
-	// past the limit cancels it with cause ErrTimeout.
-	opSawCause := make(chan error, 1)
-	done := make(chan error, 1)
-	go func() {
-		done <- to.Do(context.Background(), func(ctx context.Context) error {
-			<-ctx.Done()
-			opSawCause <- context.Cause(ctx)
-			return context.Cause(ctx)
-		})
-	}()
-	clock.BlockUntil(1)
-	clock.Advance(time.Second)
-	if err := <-done; !errors.Is(err, ErrTimeout) {
-		t.Fatalf("timeout error = %v", err)
-	}
-	if cause := <-opSawCause; !errors.Is(cause, ErrTimeout) {
-		t.Fatalf("op context cause = %v", cause)
-	}
-	if st := to.Stats(); st.Counters["timeouts"] != 1 {
-		t.Fatalf("stats = %v", st.Counters)
 	}
 }
 
@@ -457,75 +306,18 @@ func TestVirtualClock(t *testing.T) {
 	}
 }
 
-// --- Fallback ------------------------------------------------------------
-
-func TestFallbackRescuesMatchedErrors(t *testing.T) {
-	f := NewFallback(
-		func(err error) bool { return errors.Is(err, ErrCircuitOpen) },
-		func(ctx context.Context, err error) error { return nil },
-	)
-	ctx := context.Background()
-	if err := f.Do(ctx, func(context.Context) error { return ErrCircuitOpen }); err != nil {
-		t.Fatalf("matched failure not rescued: %v", err)
-	}
-	if err := f.Do(ctx, func(context.Context) error { return errBoom }); !errors.Is(err, errBoom) {
-		t.Fatalf("unmatched failure rewritten: %v", err)
-	}
-	if f.Rescued() != 1 {
-		t.Fatalf("rescued = %d", f.Rescued())
-	}
-}
-
-// --- Introspection -------------------------------------------------------
-
-func TestStatsOfAndBreakerOf(t *testing.T) {
-	b := NewBreaker(BreakerConfig{})
-	r := NewRetry(RetryConfig{Seed: 1})
-	p := Stack(NewFallback(nil, func(ctx context.Context, err error) error { return err }), b, r)
-
-	stats := StatsOf(p)
-	if len(stats) != 3 || stats[0].Policy != "fallback" || stats[1].Policy != "breaker" || stats[2].Policy != "retry" {
-		t.Fatalf("StatsOf = %+v", stats)
-	}
-	if BreakerOf(p) != b {
-		t.Fatal("BreakerOf missed the stacked breaker")
-	}
-	if BreakerOf(r) != nil {
-		t.Fatal("BreakerOf invented a breaker")
-	}
-	out := Render(stats)
-	for _, want := range []string{"policy fallback", "policy breaker", "state=closed", "policy retry"} {
-		if !containsStr(out, want) {
-			t.Fatalf("render missing %q:\n%s", want, out)
-		}
-	}
-}
-
 // --- HTTP mapping --------------------------------------------------------
 
 func TestHTTPStatusDistinct(t *testing.T) {
-	seen := map[int]error{}
-	for _, err := range []error{ErrCircuitOpen, ErrBulkheadFull, ErrTimeout} {
-		code := HTTPStatus(err)
-		if prev, dup := seen[code]; dup {
-			t.Fatalf("status %d shared by %v and %v", code, prev, err)
-		}
-		seen[code] = err
+	if got := HTTPStatus(fmt.Errorf("group x: %w", ErrBulkheadFull)); got != 429 {
+		t.Fatalf("wrapped bulkhead shed = %d, want 429", got)
 	}
-	if HTTPStatus(nil) != 200 || HTTPStatus(errBoom) != 500 {
-		t.Fatal("nil/unknown mapping")
-	}
-}
-
-func containsStr(haystack, needle string) bool {
-	return len(haystack) >= len(needle) && (haystack == needle || indexOf(haystack, needle) >= 0)
-}
-
-func indexOf(s, sub string) int {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return i
+	for _, err := range []error{errBoom, ErrCircuitOpen, ErrTimeout} {
+		if got := HTTPStatus(err); got != 500 {
+			t.Fatalf("%v = %d: fleetd serves no breaker or timeout, want 500", err, got)
 		}
 	}
-	return -1
+	if HTTPStatus(nil) != 200 {
+		t.Fatal("nil mapping")
+	}
 }

@@ -1,13 +1,14 @@
 package sack_test
 
-// resilience_chaos_test crosses the resilience kit with the fault
-// injector at system scope: a flapping control plane must never block
-// the vehicle's decision loop (the breaker short-circuits dead rounds,
-// the cached-bundle fallback keeps Sync green), and one vehicle group
-// flooding fleetd's ingestion must not move another group's
-// convergence schedule by a single round. Both scenarios settle the
-// PR 4 ledger invariant — accepted + dropped == emitted, exactly —
-// and run with virtual agent clocks: no real sleeps back off anywhere.
+// resilience_chaos_test crosses the agent's sync round and fleetd's
+// bulkheads with the fault injector at system scope: a flapping control
+// plane must never block the vehicle's decision loop (the breaker
+// short-circuits dead attempts, the cached-bundle fallback keeps Sync
+// green), and one vehicle group flooding fleetd's ingestion must not
+// move another group's convergence schedule by a single round. Both
+// scenarios settle the decision-log ledger invariant — accepted +
+// dropped == emitted, exactly — and run with virtual agent clocks: no
+// real sleeps back off anywhere.
 
 import (
 	"context"
@@ -25,10 +26,12 @@ import (
 
 // downableTransport is a kill switch in front of a transport: while
 // down, every RPC fails immediately — a control plane that is hard-dead
-// rather than merely lossy.
+// rather than merely lossy. It counts the bundle fetches that reach it,
+// so the test sees the attempts the breaker short-circuited.
 type downableTransport struct {
-	inner fleet.Transport
-	down  atomic.Bool
+	inner   fleet.Transport
+	down    atomic.Bool
+	fetches atomic.Int64
 }
 
 func (d *downableTransport) err() error {
@@ -36,6 +39,7 @@ func (d *downableTransport) err() error {
 }
 
 func (d *downableTransport) FetchBundle(vehicle, group, etag string, wait time.Duration) (sack.Bundle, bool, error) {
+	d.fetches.Add(1)
 	if d.down.Load() {
 		return sack.Bundle{}, false, d.err()
 	}
@@ -57,11 +61,11 @@ func (d *downableTransport) UploadLogs(vehicle string, recs []fleet.LogRecord) (
 }
 
 // TestChaosFlappingControlPlaneNeverBlocksDecisions flaps fleetd
-// hard-down/up around a vehicle running the default resilience stack.
-// While the plane is dead, policied sync rounds must complete and
-// return nil (cached-bundle fallback) with the breaker short-circuiting
-// attempts, and kernel decisions must keep flowing concurrently. After
-// the final heal, the decision-log ledger closes exactly.
+// hard-down/up around a vehicle's agent. While the plane is dead, sync
+// rounds must complete and return nil (cached-bundle fallback) with the
+// breaker short-circuiting attempts, and kernel decisions must keep
+// flowing concurrently. After the final heal, the decision-log ledger
+// closes exactly.
 func TestChaosFlappingControlPlaneNeverBlocksDecisions(t *testing.T) {
 	server := fleet.NewServer()
 	if _, err := server.Publish("prod", fleetPolicyV1); err != nil {
@@ -86,7 +90,7 @@ func TestChaosFlappingControlPlaneNeverBlocksDecisions(t *testing.T) {
 			Transport: transport,
 			PollWait:  time.Millisecond,
 			BatchSize: 256,
-		}, fleet.WithAgentClock(clock), fleet.WithDefaultResilience()),
+		}, fleet.WithAgentClock(clock)),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -117,17 +121,19 @@ func TestChaosFlappingControlPlaneNeverBlocksDecisions(t *testing.T) {
 		}
 	}
 
-	const flaps = 5
+	const flaps, deadRounds = 5, 4
+	var deadFetches int64
 	for cycle := 0; cycle < flaps; cycle++ {
 		transport.down.Store(true)
-		// Policied rounds against a dead plane: each must complete
-		// (bounded attempts, virtual backoff) and degrade to the cached
-		// bundle, while decisions flow on the same vehicle concurrently.
+		fetchesBefore := transport.fetches.Load()
+		// Rounds against a dead plane: each must complete (bounded
+		// attempts, virtual backoff) and degrade to the cached bundle,
+		// while decisions flow on the same vehicle concurrently.
 		var syncWG sync.WaitGroup
 		syncWG.Add(1)
 		go func() {
 			defer syncWG.Done()
-			for r := 0; r < 4; r++ {
+			for r := 0; r < deadRounds; r++ {
 				if err := agent.Sync(ctx); err != nil {
 					t.Errorf("cycle %d round %d: dead-plane sync surfaced %v, want cached fallback", cycle, r, err)
 				}
@@ -135,8 +141,12 @@ func TestChaosFlappingControlPlaneNeverBlocksDecisions(t *testing.T) {
 		}()
 		decide(50)
 		syncWG.Wait()
+		deadFetches += transport.fetches.Load() - fetchesBefore
 		if gen := agent.AppliedGeneration(); gen != 1 {
 			t.Fatalf("cycle %d: cached generation lost: %d", cycle, gen)
+		}
+		if st := agent.Status(); st.Breaker != "open" {
+			t.Fatalf("cycle %d: breaker %q after dead rounds, want open", cycle, st.Breaker)
 		}
 
 		transport.down.Store(false)
@@ -150,12 +160,9 @@ func TestChaosFlappingControlPlaneNeverBlocksDecisions(t *testing.T) {
 		}
 	}
 
-	b := resilience.BreakerOf(agent.Policy())
-	if b == nil {
-		t.Fatal("agent policy has no breaker")
-	}
-	if b.Stats().Counters["short_circuits"] == 0 {
-		t.Fatal("breaker never short-circuited a dead-plane attempt")
+	if attempts := int64(flaps * deadRounds * resilience.DefaultRetryAttempts); deadFetches >= attempts {
+		t.Fatalf("%d of %d dead-plane attempts reached the transport; the breaker never short-circuited",
+			deadFetches, attempts)
 	}
 	if agent.Fallbacks() == 0 {
 		t.Fatal("cached-bundle fallback never served a dead-plane round")

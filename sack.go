@@ -136,15 +136,10 @@ type (
 	FleetStats = fleet.FleetStats
 	// FleetVehicleStatus is one agent → server status report.
 	FleetVehicleStatus = fleet.VehicleStatus
-	// FleetAgentOption customises the fleet agent beyond its config: the
-	// resilience policy guarding sync rounds (fleet.WithPolicy,
-	// fleet.WithDefaultResilience), its clock, and the cached-bundle
-	// fallback.
+	// FleetAgentOption customises the fleet agent beyond its config:
+	// fleet.WithAgentClock sets the clock its Run loop, retry backoff
+	// and breaker cooldown run on.
 	FleetAgentOption = fleet.AgentOption
-	// ResiliencePolicy is one composable control-plane resilience policy
-	// (circuit breaker, bulkhead, retry, timeout, fallback); build
-	// and stack them with the internal/resilience constructors.
-	ResiliencePolicy = resilience.Policy
 	// InvariantSet is a parsed set of policy invariants (see
 	// ParseInvariants for the grammar).
 	InvariantSet = verify.Set
@@ -415,11 +410,10 @@ func NewFleetClient(base string) *FleetClient { return fleet.NewClient(base) }
 // path, audit ring, and pipeline-health source default to the booted
 // system's own, so a bundle push from the control plane lands in this
 // kernel's reload transaction and this kernel's denials ship upstream.
-// Agent options customise the resilience policy guarding sync rounds —
-// fleet.WithPolicy for a custom stack, fleet.WithDefaultResilience for
-// the recommended breaker+retry+timeout+cached-bundle-fallback stack,
-// fleet.WithAgentClock for virtual-time tests. The agent is not
-// started — drive it with System.Fleet.SyncOnce or System.Fleet.Run.
+// Its Sync round retries breaker-gated attempts and degrades to the
+// cached bundle; fleet.WithAgentClock runs it in virtual time for
+// tests. The agent is not started — drive it with System.Fleet.Sync
+// (one round), System.Fleet.SyncOnce (one attempt) or System.Fleet.Run.
 func WithFleet(cfg FleetAgentConfig, agentOpts ...FleetAgentOption) Option {
 	return func(o *options) { o.fleetCfg = &cfg; o.fleetOpts = agentOpts }
 }
