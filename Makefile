@@ -129,9 +129,13 @@ bench-ablation:
 # finished mutation removed, plus the audit log: writers appending from
 # several call depths (so several shards) against an exporter draining
 # through Since must leave every shard's run sorted, each writer's
-# records in append order and the ledgers exact.
+# records in append order and the ledgers exact, plus the AVC's table
+# growth: stores doubling the table several times against Advance and
+# probes must only ever serve a key its own verdict under the prober's
+# token.
 parallel-stress:
 	$(GO) test -race -count=1 -run 'TestParallelDecisionStress' .
+	$(GO) test -race -count=1 -run 'TestConcurrentGrowth' ./internal/avc
 	$(GO) test -race -count=1 -run 'TestFDTableConcurrentInPlace' ./internal/kernel
 	$(GO) test -race -count=1 -run 'TestDcache' ./internal/vfs
 	$(GO) test -race -count=1 -run 'TestAuditMerge' ./internal/lsm
@@ -193,7 +197,10 @@ perfbench-build:
 # repeated stat or denial nothing, a first denial after a transition
 # nothing either, as it is not yet admitted into the AVC), the audit
 # drain's zero-alloc fence (Appends from two call depths, so every cut
-# merges two runs) and the sampled hook-metrics exactness test.
+# merges two runs), the sampled hook-metrics exactness test and the
+# AVC growth tests (a cache starts at 64 slots, doubles exactly when a
+# quarter of its slots is filled, never past its cap, and carries only
+# the current epoch's entries, re-indexed, across a doubling).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkTable2|BenchmarkTable3|BenchmarkFig3|BenchmarkEventLatency|BenchmarkNoLSM' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkParallelDecision/sack-covered/goroutines=(1|16)$$' -benchtime 1x .
@@ -203,6 +210,7 @@ bench-smoke:
 	$(GO) test -count=1 -run 'TestBytesPerRecordGuard|TestDecodeAllocGuard' -v ./internal/fleet/wire
 	$(GO) test -count=1 -run 'TestValidateAllocGuard' -v ./internal/policy
 	$(GO) test -count=1 -run 'TestAuditFlushZeroAllocs|TestMetricsSampledCounts' -v ./internal/lsm
+	$(GO) test -count=1 -run 'TestSizeRoundsUpToPowerOfTwo|TestGrowth' -v ./internal/avc
 
 # Machine-readable fleet perf snapshot: runs the compact 1k-vehicle
 # harness plus the wire-codec micro-measurements and writes

@@ -3,8 +3,10 @@ package sack_test
 // avc_property_test checks that the access vector cache is semantically
 // invisible: over random drive traces, a cached system and a cache-ablated
 // system must return identical verdicts for every probe, and both must
-// agree with a fresh evaluation of the active rule set. Failures replay
-// deterministically from the seed.
+// agree with a fresh evaluation of the active rule set. Each step also
+// probes a few keys never seen before, so the cached system's table
+// doubles several times between the trace's transitions and reloads.
+// Failures replay deterministically from the seed.
 
 import (
 	"fmt"
@@ -18,13 +20,16 @@ import (
 	"repro/internal/trace"
 )
 
-// avcProbe is one (path, mask) decision point. The set mixes covered
-// paths whose verdict flips with the situation state, covered paths that
-// are always denied, and uncovered paths that pass through.
-var avcProbes = []struct {
+// avcProbe is one (path, mask) decision point.
+type avcProbe struct {
 	path string
 	mask sys.Access
-}{
+}
+
+// avcProbes mixes covered paths whose verdict flips with the situation
+// state, covered paths that are always denied, and uncovered paths that
+// pass through.
+var avcProbes = []avcProbe{
 	{"/dev/vehicle/door0", sys.MayRead},
 	{"/dev/vehicle/door0", sys.MayWrite},
 	{"/dev/vehicle/door0", sys.MayIoctl},
@@ -34,6 +39,15 @@ var avcProbes = []struct {
 	{"/tmp/uncovered.dat", sys.MayRead},
 	{"/etc/passwd", sys.MayWrite},
 }
+
+// avcNewKeysPerStep is how many never-seen keys each step probes: door
+// writes flip with the state, sensor writes are always denied, reads
+// always allowed.
+const avcNewKeysPerStep = 4
+
+// avcPropertyReloadEvery is the step interval of the trace's policy
+// reloads.
+const avcPropertyReloadEvery = 25
 
 func TestAVCPropertyCachedEqualsUncached(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
@@ -62,6 +76,9 @@ func TestAVCPropertyCachedEqualsUncached(t *testing.T) {
 			cred := sys.NewCred(0, 0)
 			tr := trace.NewGenerator(seed).Generate(150)
 			var prev time.Duration
+			// sizes holds the cached AVC's slot count at each epoch bump.
+			var sizes []int
+			bumps := cached.SACK.AVCStats().Invalidations
 			for step, p := range tr.Points {
 				if p.T > prev {
 					cachedClock.Advance(p.T - prev)
@@ -76,11 +93,33 @@ func TestAVCPropertyCachedEqualsUncached(t *testing.T) {
 				if _, err := plainSvc.Poll(); err != nil {
 					t.Fatalf("step %d: plain poll: %v", step, err)
 				}
+				if step > 0 && step%avcPropertyReloadEvery == 0 {
+					for _, s := range []*sack.System{cached, plain} {
+						if _, err := s.Reload(fuzzPolicy); err != nil {
+							t.Fatalf("step %d: reload: %v", step, err)
+						}
+					}
+				}
 				if a, b := cached.CurrentState().Name, plain.CurrentState().Name; a != b {
 					t.Fatalf("step %d: states diverged: cached=%s plain=%s", step, a, b)
 				}
+				if st := cached.SACK.AVCStats(); st.Invalidations != bumps {
+					bumps = st.Invalidations
+					sizes = append(sizes, st.Size)
+				}
 
-				for _, pr := range avcProbes {
+				probes := append([]avcProbe(nil), avcProbes...)
+				for k := step * avcNewKeysPerStep; k < (step+1)*avcNewKeysPerStep; k++ {
+					dev, mask := "door", sys.MayWrite
+					switch k % 3 {
+					case 1:
+						dev = "sensor"
+					case 2:
+						mask = sys.MayRead
+					}
+					probes = append(probes, avcProbe{fmt.Sprintf("/dev/vehicle/%s%d", dev, k), mask})
+				}
+				for _, pr := range probes {
 					// Probe each system twice so the cached one answers
 					// from the cache on the second call whenever possible.
 					for rep := 0; rep < 2; rep++ {
@@ -106,6 +145,11 @@ func TestAVCPropertyCachedEqualsUncached(t *testing.T) {
 			assertSameAuditLedger(t, cached, plain)
 			if st := cached.SACK.AVCStats(); st.Hits == 0 {
 				t.Errorf("cached system never hit its AVC: %+v", st)
+			}
+			// Sizes are powers of two: a 4× ratio is two doublings with
+			// an epoch bump before and after them.
+			if len(sizes) < 2 || sizes[len(sizes)-1] < 4*sizes[0] {
+				t.Errorf("AVC slot counts at the epoch bumps %v: want two doublings between the first and the last", sizes)
 			}
 			if st := plain.SACK.AVCStats(); st.Size != 0 {
 				t.Errorf("WithoutAVC system has a live cache: %+v", st)

@@ -45,13 +45,23 @@
 // Entries stamped with a stale token are dead weight until overwritten;
 // they are never served.
 //
-// The table is a fixed-size, direct-mapped array of atomic entry
-// pointers. Both Lookup and Insert are lock-free and allocation-free on
-// the probe; an insert that loses a race simply overwrites (the cache is
-// advisory — a lost entry costs one re-evaluation, never correctness).
-// A key's slot comes from hash/maphash — the runtime's AES-accelerated
-// string hash — under a seed drawn per cache, so an unprivileged task
-// cannot choose paths that land on a victim's slots.
+// The table is a direct-mapped array of atomic entry pointers that
+// grows with its working set. Every cache starts at min(cap, 64) slots,
+// where cap is New's n rounded up to a power of two, and the store that
+// fills a quarter of the table's slots builds a table of twice the
+// size, up to cap, re-indexes into it the entries stamped with the
+// current epoch, and publishes it behind one atomic pointer. A cache
+// that only ever sees a few dozen keys therefore holds a 64-slot table
+// of about half a KiB, not the 32 KiB of a full DefaultSize one. Lookup and Insert are lock-free and
+// allocation-free on the probe; an insert that loses a race simply
+// overwrites, and one that lands in a table a doubling has just retired
+// is lost (the cache is advisory — a lost entry costs one
+// re-evaluation, never correctness). A copied entry keeps its epoch
+// stamp, so a doubling can no more serve a decision across an Advance
+// than a probe of the old table could. A key's slot comes from
+// hash/maphash — the runtime's AES-accelerated string hash — under a
+// seed drawn per cache, so an unprivileged task cannot choose paths
+// that land on a victim's slots.
 //
 // Denials are cached as well as allows, as in SELinux's AVC. A deny
 // entry carries the denial's audit detail, the one string the deciding
@@ -74,11 +84,13 @@
 // slots, indexed by the hash bits above the slot bits, holding the
 // fingerprint of the last denied key that missed there. The fingerprint
 // mixes in the token, so every Advance forgets every key without
-// clearing a word. Admission only decides whether an exact,
-// token-stamped entry is stored: a fingerprint collision admits a
-// denial one miss early, and can never serve a verdict for another
-// key. A denial storm of one-off paths therefore neither allocates nor
-// evicts other tasks' cached allows.
+// clearing a word. Each table has its own doorkeeper, which starts
+// empty, so a denial pays at most one extra miss after a doubling.
+// Admission only decides whether an exact, token-stamped entry is
+// stored: a fingerprint collision admits a denial one miss early, and
+// can never serve a verdict for another key. A denial storm of one-off
+// paths therefore neither allocates nor evicts other tasks' cached
+// allows.
 package avc
 
 import (
@@ -90,11 +102,15 @@ import (
 	"repro/internal/sys"
 )
 
-// DefaultSize is the slot count used when New is given n <= 0.
+// DefaultSize is the slot cap used when New is given n <= 0.
 const DefaultSize = 4096
 
-// slotsPerDoorWord is how many slots share one doorkeeper word: 512 B
-// of doorkeeper at DefaultSize.
+// startSize is the slot count every cache starts at, or its cap if that
+// is smaller.
+const startSize = 64
+
+// slotsPerDoorWord is how many slots share one doorkeeper word: one
+// word at startSize, 512 B of doorkeeper at DefaultSize.
 const slotsPerDoorWord = 64
 
 // phi is 2^64 divided by the golden ratio, an odd multiplier that
@@ -126,7 +142,7 @@ type Stats struct {
 	Inserts       uint64 // decisions written into the table (admitted or inserted)
 	Invalidations uint64 // epoch bumps (transitions + policy reloads)
 	Epoch         uint64 // current epoch value
-	Size          int    // slot count
+	Size          int    // current slot count, which grows up to the cap
 }
 
 // HitRate returns hits/(hits+misses), or 0 before any lookup.
@@ -142,9 +158,22 @@ func (s Stats) HitRate() float64 {
 // one with New.
 type Cache struct {
 	epoch atomic.Uint64
+	tab   atomic.Pointer[table]
+	cap   int // the slot count tables grow to, a power of two
+	seed  maphash.Seed
+
+	hits          shard.Counter
+	misses        shard.Counter
+	inserts       shard.Counter
+	invalidations atomic.Uint64
+}
+
+// table is one generation of the slot array. Only its slots, doorkeeper
+// words and fill count change after it is published; a doubling
+// replaces the whole table.
+type table struct {
 	slots []atomic.Pointer[entry]
 	mask  uint64 // len(slots)-1, slots is a power of two
-	seed  maphash.Seed
 
 	// door is the denial doorkeeper: word (h>>doorShift)&doorMask holds
 	// the fingerprint h^token·phi of the last denied key that missed
@@ -153,14 +182,27 @@ type Cache struct {
 	doorShift uint
 	doorMask  uint64
 
-	hits          shard.Counter
-	misses        shard.Counter
-	inserts       shard.Counter
-	invalidations atomic.Uint64
+	// filled counts the stores that found their slot empty; the one
+	// that brings it to growAt doubles the table.
+	filled atomic.Int64
+	growAt int64
 }
 
-// New creates a cache with at least n slots, rounded up to a power of
-// two. n <= 0 selects DefaultSize.
+func newTable(size int) *table {
+	words := max(size/slotsPerDoorWord, 1)
+	return &table{
+		slots:     make([]atomic.Pointer[entry], size),
+		mask:      uint64(size - 1),
+		door:      make([]atomic.Uint64, words),
+		doorShift: uint(bits.TrailingZeros(uint(size))),
+		doorMask:  uint64(words - 1),
+		growAt:    int64(size / 4),
+	}
+}
+
+// New creates a cache whose table grows up to n slots, rounded up to a
+// power of two. n <= 0 selects DefaultSize. It starts at startSize
+// slots, or n if that is smaller.
 func New(n int) *Cache {
 	if n <= 0 {
 		n = DefaultSize
@@ -169,18 +211,15 @@ func New(n int) *Cache {
 	for size < n {
 		size <<= 1
 	}
-	words := max(size/slotsPerDoorWord, 1)
-	return &Cache{
-		slots:     make([]atomic.Pointer[entry], size),
-		mask:      uint64(size - 1),
-		seed:      maphash.MakeSeed(),
-		door:      make([]atomic.Uint64, words),
-		doorShift: uint(bits.TrailingZeros(uint(size))),
-		doorMask:  uint64(words - 1),
-		hits:      shard.NewCounter(),
-		misses:    shard.NewCounter(),
-		inserts:   shard.NewCounter(),
+	c := &Cache{
+		cap:     size,
+		seed:    maphash.MakeSeed(),
+		hits:    shard.NewCounter(),
+		misses:  shard.NewCounter(),
+		inserts: shard.NewCounter(),
 	}
+	c.tab.Store(newTable(min(size, startSize)))
+	return c
 }
 
 // hash hashes the key: one seeded maphash per string, mixed with the
@@ -218,7 +257,7 @@ func (c *Cache) Lookup(subject, path string, mask sys.Access) (allowed, ok bool,
 // probing ahead of its coverage check costs the hit ratio nothing.
 func (c *Cache) LookupAt(tok Token, subject, path string, mask sys.Access) (allowed bool, detail string, ok bool, h uint64) {
 	h = c.hash(subject, path, mask)
-	if e := c.probe(tok, h, subject, path, mask); e != nil {
+	if e := c.tab.Load().probe(tok, h, subject, path, mask); e != nil {
 		c.hits.Add(1)
 		return e.allowed, e.detail, true, h
 	}
@@ -230,7 +269,7 @@ func (c *Cache) LookupAt(tok Token, subject, path string, mask sys.Access) (allo
 // so asking "would this be served from the cache?" never skews the
 // hit-rate statistics the experiments report.
 func (c *Cache) PeekAt(tok Token, subject, path string, mask sys.Access) (allowed bool, detail string, ok bool) {
-	if e := c.probe(tok, c.hash(subject, path, mask), subject, path, mask); e != nil {
+	if e := c.tab.Load().probe(tok, c.hash(subject, path, mask), subject, path, mask); e != nil {
 		return e.allowed, e.detail, true
 	}
 	return false, "", false
@@ -238,8 +277,8 @@ func (c *Cache) PeekAt(tok Token, subject, path string, mask sys.Access) (allowe
 
 // probe returns the entry for the key with hash h if it was stamped
 // with tok.
-func (c *Cache) probe(tok Token, h uint64, subject, path string, mask sys.Access) *entry {
-	e := c.slots[h&c.mask].Load()
+func (t *table) probe(tok Token, h uint64, subject, path string, mask sys.Access) *entry {
+	e := t.slots[h&t.mask].Load()
 	if e != nil && e.epoch == uint64(tok) && e.mask == mask &&
 		e.path == path && e.subject == subject {
 		return e
@@ -259,14 +298,15 @@ func (c *Cache) Admit(tok Token, h uint64, subject, path string, mask sys.Access
 	if uint64(tok) != c.epoch.Load() {
 		return
 	}
+	t := c.tab.Load()
 	if !allowed {
 		fp := h ^ uint64(tok)*phi
-		if w := &c.door[(h>>c.doorShift)&c.doorMask]; w.Load() != fp {
+		if w := &t.door[(h>>t.doorShift)&t.doorMask]; w.Load() != fp {
 			w.Store(fp)
 			return
 		}
 	}
-	c.store(tok, h, subject, path, mask, allowed, detail)
+	c.store(t, tok, h, subject, path, mask, allowed, detail)
 }
 
 // Insert stores a decision computed under the given token, bypassing
@@ -282,12 +322,13 @@ func (c *Cache) Insert(tok Token, subject, path string, mask sys.Access, allowed
 	if len(detail) > 0 {
 		d = detail[0]
 	}
-	c.store(tok, c.hash(subject, path, mask), subject, path, mask, allowed, d)
+	c.store(c.tab.Load(), tok, c.hash(subject, path, mask), subject, path, mask, allowed, d)
 }
 
-// store writes the entry into the key's slot.
-func (c *Cache) store(tok Token, h uint64, subject, path string, mask sys.Access, allowed bool, detail string) {
-	c.slots[h&c.mask].Store(&entry{
+// store writes the entry into the key's slot of table t. The store that
+// fills the table's growAt-th empty slot doubles it, below the cap.
+func (c *Cache) store(t *table, tok Token, h uint64, subject, path string, mask sys.Access, allowed bool, detail string) {
+	old := t.slots[h&t.mask].Swap(&entry{
 		epoch:   uint64(tok),
 		subject: subject,
 		path:    path,
@@ -296,6 +337,32 @@ func (c *Cache) store(tok Token, h uint64, subject, path string, mask sys.Access
 		detail:  detail,
 	})
 	c.inserts.Add(1)
+	if old == nil && len(t.slots) < c.cap && t.filled.Add(1) == t.growAt {
+		c.grow(t)
+	}
+}
+
+// grow publishes a table of twice t's size holding t's entries stamped
+// with the current epoch. Entries of older epochs, which only a reader
+// still on a retired snapshot could hit, are left behind. Slot i of t maps to slot i or
+// i+len(t.slots) of the new table, so no two copied entries collide.
+// Only one store per table reaches growAt, so grow never races itself;
+// a store that lands in t after its slot was copied is lost.
+func (c *Cache) grow(t *table) {
+	next := newTable(2 * len(t.slots))
+	cur := c.epoch.Load()
+	var copied int64
+	for i := range t.slots {
+		if e := t.slots[i].Load(); e != nil && e.epoch == cur {
+			next.slots[c.hash(e.subject, e.path, e.mask)&next.mask].Store(e)
+			copied++
+		}
+	}
+	next.filled.Store(copied)
+	// Stores racing the copy can leave next at or past a quarter
+	// full; its next fill then doubles it again.
+	next.growAt = max(next.growAt, copied+1)
+	c.tab.Store(next)
 }
 
 // Advance bumps the epoch and returns the new value. Writers publishing
@@ -317,9 +384,10 @@ func (c *Cache) Epoch() uint64 { return c.epoch.Load() }
 // epoch — an O(size) scan for tests and metrics, not for the hot path.
 func (c *Cache) Live() int {
 	cur := c.epoch.Load()
+	t := c.tab.Load()
 	n := 0
-	for i := range c.slots {
-		if e := c.slots[i].Load(); e != nil && e.epoch == cur {
+	for i := range t.slots {
+		if e := t.slots[i].Load(); e != nil && e.epoch == cur {
 			n++
 		}
 	}
@@ -334,6 +402,6 @@ func (c *Cache) Stats() Stats {
 		Inserts:       c.inserts.Load(),
 		Invalidations: c.invalidations.Load(),
 		Epoch:         c.epoch.Load(),
-		Size:          len(c.slots),
+		Size:          len(c.tab.Load().slots),
 	}
 }

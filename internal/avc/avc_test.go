@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/sys"
@@ -115,13 +116,176 @@ func TestDeniedDecisionsRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSizeRoundsUpToPowerOfTwo(t *testing.T) {
-	for _, tc := range []struct{ in, want int }{
-		{-1, DefaultSize}, {0, DefaultSize}, {1, 1}, {3, 4}, {4096, 4096}, {5000, 8192},
-	} {
-		if got := New(tc.in).Stats().Size; got != tc.want {
-			t.Errorf("New(%d).Size = %d, want %d", tc.in, got, tc.want)
+// filledSlots counts t's non-empty slots.
+func filledSlots(t *table) int {
+	n := 0
+	for i := range t.slots {
+		if t.slots[i].Load() != nil {
+			n++
 		}
+	}
+	return n
+}
+
+// TestSizeRoundsUpToPowerOfTwo pins the size semantics: New's n,
+// rounded up to a power of two, is the cap; every cache starts at
+// min(cap, 64) slots; a table doubles on exactly the store that fills a
+// quarter of its slots, and never past the cap.
+func TestSizeRoundsUpToPowerOfTwo(t *testing.T) {
+	for _, tc := range []struct{ in, start, cap int }{
+		{-1, 64, DefaultSize}, {0, 64, DefaultSize}, {1, 1, 1}, {3, 4, 4},
+		{100, 64, 128}, {4096, 64, 4096}, {5000, 64, 8192},
+	} {
+		c := New(tc.in)
+		if got := c.Stats().Size; got != tc.start || c.cap != tc.cap {
+			t.Errorf("New(%d): size %d, cap %d; want %d, %d", tc.in, got, c.cap, tc.start, tc.cap)
+			continue
+		}
+		tok := Token(c.Epoch())
+		for k := 0; k < 4*tc.cap && c.Stats().Size < tc.cap; k++ {
+			cur := c.tab.Load()
+			c.Insert(tok, "s", fmt.Sprintf("/p%d", k), sys.MayRead, true)
+			quarter := len(cur.slots) / 4
+			if next := c.tab.Load(); next != cur {
+				if len(next.slots) != 2*len(cur.slots) || filledSlots(cur) != quarter {
+					t.Fatalf("New(%d): %d slots with %d filled became %d slots, want %d at %d filled",
+						tc.in, len(cur.slots), filledSlots(cur), len(next.slots), 2*len(cur.slots), quarter)
+				}
+			} else if len(cur.slots) < tc.cap && filledSlots(cur) >= quarter {
+				t.Fatalf("New(%d): %d slots with %d filled did not double", tc.in, len(cur.slots), filledSlots(cur))
+			}
+		}
+		if got := c.Stats().Size; got != tc.cap {
+			t.Errorf("New(%d) after %d distinct keys: size %d, want the cap %d", tc.in, 4*tc.cap, got, tc.cap)
+		}
+		// At the cap every further fill leaves the table alone.
+		for k := 0; k < tc.cap; k++ {
+			c.Insert(tok, "s", fmt.Sprintf("/q%d", k), sys.MayRead, true)
+		}
+		if got := c.Stats().Size; got != tc.cap {
+			t.Errorf("New(%d) grew past its cap: size %d, cap %d", tc.in, got, tc.cap)
+		}
+	}
+
+	// A 1k-key working set, vehicle-steady's, grows the default cache to
+	// its cap.
+	c := New(0)
+	tok := Token(c.Epoch())
+	for k := 0; k < 1024; k++ {
+		c.Insert(tok, "s", fmt.Sprintf("/k%d", k), sys.MayRead, true)
+	}
+	if got := c.Stats().Size; got != DefaultSize {
+		t.Errorf("1,024 distinct allowed keys: size %d, want %d", got, DefaultSize)
+	}
+}
+
+// TestGrowthCopiesCurrentEpochOnly: across a doubling, every entry
+// stamped with the current epoch that was served before it is served
+// after it, from its re-indexed slot, while an entry of an earlier
+// epoch, still served to a reader holding that epoch's token before the
+// doubling, is left behind.
+func TestGrowthCopiesCurrentEpochOnly(t *testing.T) {
+	const mask = sys.MayRead | sys.MayWrite
+	key := func(prefix string, k int) string { return fmt.Sprintf("%s%d", prefix, k) }
+	c := New(0)
+	old := Token(c.Epoch())
+	for k := 0; k < 8; k++ {
+		c.Insert(old, "s", key("/old", k), mask, false, "old")
+	}
+	tok := c.Advance()
+	// hitting lists the keys prefix0..prefix(n-1) served under tok.
+	hitting := func(tok Token, prefix string, n int) []int {
+		var out []int
+		for k := 0; k < n; k++ {
+			if _, _, ok := c.PeekAt(tok, "s", key(prefix, k), mask); ok {
+				out = append(out, k)
+			}
+		}
+		return out
+	}
+	for k := 0; ; k++ {
+		before := c.tab.Load()
+		if k > 64 {
+			t.Fatalf("%d distinct keys never doubled the table", k)
+		}
+		stale, current := hitting(old, "/old", 8), hitting(tok, "/new", k)
+		c.Insert(tok, "s", key("/new", k), mask, k%2 == 0)
+		after := c.tab.Load()
+		if after == before {
+			continue
+		}
+		if len(stale) == 0 {
+			t.Fatal("no entry of the earlier epoch survived to the doubling; the test checks nothing")
+		}
+		if got := hitting(old, "/old", 8); len(got) != 0 {
+			t.Errorf("entries of the earlier epoch copied across the doubling: %v", got)
+		}
+		for _, k := range current {
+			if allowed, _, ok := c.PeekAt(tok, "s", key("/new", k), mask); !ok || allowed != (k%2 == 0) {
+				t.Errorf("/new%d after the doubling: (%v,%v), want a hit with its own verdict", k, allowed, ok)
+			}
+		}
+		if n := filledSlots(after); n != c.Live() || n != len(current)+1 {
+			t.Errorf("doubled table holds %d entries, %d live, want the %d current ones and the triggering one",
+				n, c.Live(), len(current))
+		}
+		return
+	}
+}
+
+// TestConcurrentGrowth races stores that double the table several times
+// against Advance and probes. Run under -race it proves a doubling is
+// published race-free; every hit must carry its own key's verdict and a
+// detail naming the prober's token, so a copy can neither serve a key
+// another key's entry nor carry an entry across an Advance.
+func TestConcurrentGrowth(t *testing.T) {
+	c := New(0)
+	paths := make([]string, 2048)
+	for i := range paths {
+		paths[i] = fmt.Sprintf("/srv/g%d", i)
+	}
+	var ops atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			// Each key is probed twice running, so the second probe hits
+			// unless an Advance or a doubling came between.
+			for i := 0; i < 2*len(paths); i++ {
+				k := (i/2 + g*len(paths)/4) % len(paths)
+				p, allowed := paths[k], k%3 != 0
+				tok := Token(c.Epoch())
+				want := fmt.Sprintf("%s@%d", p, tok)
+				got, detail, ok, _ := c.LookupAt(tok, "s", p, sys.MayRead)
+				if ok && (got != allowed || detail != want) {
+					t.Errorf("%s under token %d served (%v,%q), want (%v,%q)", p, tok, got, detail, allowed, want)
+					return
+				}
+				if !ok {
+					c.Insert(tok, "s", p, sys.MayRead, allowed, want)
+				}
+				ops.Add(1)
+			}
+		}(g)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	// Advance once per 64 checks, for as long as the checkers run.
+	for next, advancing := int64(64), true; advancing; {
+		select {
+		case <-done:
+			advancing = false
+		default:
+			if ops.Load() >= next {
+				c.Advance()
+				next += 64
+			}
+			runtime.Gosched()
+		}
+	}
+	if st := c.Stats(); st.Size < 8*startSize || st.Hits == 0 || st.Invalidations < 16 {
+		t.Fatalf("the race crossed fewer than three doublings, never hit or seldom advanced: %+v", st)
 	}
 }
 
@@ -308,7 +472,8 @@ func TestAdmitFingerprintCollision(t *testing.T) {
 	if st := c.Stats(); st.Inserts != 1 {
 		t.Fatalf("stats = %+v, want the colliding denial admitted", st)
 	}
-	e := c.slots[ha&c.mask].Load()
+	tab := c.tab.Load()
+	e := tab.slots[ha&tab.mask].Load()
 	if e == nil || e.subject != "b" || e.path != "/b" || e.mask != sys.MayRead || e.detail != "b's detail" {
 		t.Fatalf("stored entry = %+v, want exactly b's key and detail", e)
 	}

@@ -7,9 +7,11 @@ package core_test
 // watches the lock-free table.
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
+	"repro/internal/policy"
 	"repro/internal/sys"
 )
 
@@ -18,10 +20,17 @@ import (
 // keys continuously while the main goroutine flips the situation state.
 // Immediately after every DeliverEvent returns, a synchronous check must
 // reflect the *new* state — a stale cached allow here would be exactly
-// the coherence bug the epoch protocol exists to prevent.
+// the coherence bug the epoch protocol exists to prevent. Every
+// iteration also caches reads of keys never seen before, and every
+// 25th reloads the policy, so the table doubles several times between
+// the transitions and reloads while the checkers race it.
 func TestAVCConcurrentRevocation(t *testing.T) {
 	_, s := bootIndependent(t, casePolicy)
 	const path = "/dev/vehicle/door0"
+	compiled, _, err := policy.Load(casePolicy)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -44,7 +53,20 @@ func TestAVCConcurrentRevocation(t *testing.T) {
 	}
 
 	cred := sys.NewCred(0, 0)
+	// first and last are the AVC's slot counts after the first and the
+	// last transition.
+	var first, last int
 	for i := 0; i < 200; i++ {
+		for k := 4 * i; k < 4*(i+1); k++ {
+			if err := s.InodePermission(cred, fmt.Sprintf("/etc/app%d.conf", k), nil, sys.MayRead); err != nil {
+				t.Fatalf("iteration %d: read of /etc/app%d.conf denied: %v", i, k, err)
+			}
+		}
+		if i%25 == 24 {
+			if _, err := s.ReplacePolicy(compiled, casePolicy); err != nil {
+				t.Fatalf("iteration %d: reload: %v", i, err)
+			}
+		}
 		if i%2 == 0 {
 			if err := s.Deliver("crash_detected"); err != nil || s.CurrentState().Name != "emergency" {
 				t.Fatalf("iteration %d: crash_detected ignored: %v", i, err)
@@ -65,9 +87,19 @@ func TestAVCConcurrentRevocation(t *testing.T) {
 				t.Fatalf("iteration %d: stale cached allow served after revocation", i)
 			}
 		}
+		last = s.AVCStats().Size
+		if i == 0 {
+			first = last
+		}
 	}
 	close(stop)
 	wg.Wait()
+	// Sizes are powers of two: a 4× ratio is two doublings with a
+	// transition before and after them.
+	if last < 4*first {
+		t.Errorf("AVC slot count %d after the first transition, %d after the last: want two doublings between them",
+			first, last)
+	}
 
 	st := s.AVCStats()
 	if st.Invalidations < 200 {

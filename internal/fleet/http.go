@@ -306,9 +306,10 @@ type Client struct {
 	bases  map[string]policy.Bundle
 }
 
-// requestTimeout bounds a status or upload request, and how long a
-// bundle fetch may run past its long-poll wait. A hung fleetd then
-// tears its request down instead of stalling the agent's attempt.
+// requestTimeout bounds a status, upload or operator request, and how
+// long a bundle fetch may run past its long-poll wait. A hung fleetd
+// then tears its request down instead of stalling the agent's attempt
+// or an operator's command.
 const requestTimeout = 5 * time.Second
 
 // timedOut turns an error caused by a request's own deadline into
@@ -323,15 +324,29 @@ func timedOut(err error) error {
 	return err
 }
 
-// post sends one Transport request body under ctx.
-func (c *Client) post(ctx context.Context, path, contentType string, body []byte) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.Base+path, bytes.NewReader(body))
-	if err != nil {
-		return nil, err
+// call sends one request bounded by requestTimeout and hands its
+// response to read; a nil body sends none. An expiry, in the round trip
+// or while read decodes the body, comes back as resilience.ErrTimeout.
+func (c *Client) call(method, path, contentType string, body []byte, read func(*http.Response) error) error {
+	ctx, cancel := context.WithTimeout(context.Background(), requestTimeout)
+	defer cancel()
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
 	}
-	req.Header.Set("Content-Type", contentType)
+	req, err := http.NewRequestWithContext(ctx, method, c.Base+path, rd)
+	if err != nil {
+		return err
+	}
+	if contentType != "" {
+		req.Header.Set("Content-Type", contentType)
+	}
 	resp, err := c.httpClient().Do(req)
-	return resp, timedOut(err)
+	if err != nil {
+		return timedOut(err)
+	}
+	defer resp.Body.Close()
+	return timedOut(read(resp))
 }
 
 // NewClient builds a client for a fleetd base URL.
@@ -475,17 +490,12 @@ func (c *Client) ReportStatus(st VehicleStatus) error {
 	if err != nil {
 		return err
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), requestTimeout)
-	defer cancel()
-	resp, err := c.post(ctx, "/v1/status", "application/json", body)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		return httpError(resp)
-	}
-	return nil
+	return c.call(http.MethodPost, "/v1/status", "application/json", body, func(resp *http.Response) error {
+		if resp.StatusCode != http.StatusNoContent {
+			return httpError(resp)
+		}
+		return nil
+	})
 }
 
 // UploadLogs implements Transport over HTTP: one binary wire frame per
@@ -503,28 +513,24 @@ func (c *Client) UploadLogs(vehicle string, recs []LogRecord) (int, error) {
 	body := e.Encode(nil, wrecs, true)
 	raw := e.RawSize()
 	wire.PutEncoder(e)
-	ctx, cancel := context.WithTimeout(context.Background(), requestTimeout)
-	defer cancel()
-	resp, err := c.post(ctx, "/v1/logs/"+vehicle, wire.ContentTypeLogs, body)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusOK:
-	case http.StatusTooManyRequests:
-		if resp.Header.Get("X-Fleet-Shed") == "group-bulkhead" {
-			return 0, fmt.Errorf("%w (http 429)", resilience.ErrBulkheadFull)
-		}
-		return 0, fmt.Errorf("%w (http 429)", ErrBackpressure)
-	default:
-		return 0, httpError(resp)
-	}
 	var out struct {
 		Accepted int `json:"accepted"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return 0, timedOut(err)
+	err := c.call(http.MethodPost, "/v1/logs/"+vehicle, wire.ContentTypeLogs, body, func(resp *http.Response) error {
+		switch resp.StatusCode {
+		case http.StatusOK:
+			return json.NewDecoder(resp.Body).Decode(&out)
+		case http.StatusTooManyRequests:
+			if resp.Header.Get("X-Fleet-Shed") == "group-bulkhead" {
+				return fmt.Errorf("%w (http 429)", resilience.ErrBulkheadFull)
+			}
+			return fmt.Errorf("%w (http 429)", ErrBackpressure)
+		default:
+			return httpError(resp)
+		}
+	})
+	if err != nil {
+		return 0, err
 	}
 	c.bytesOut.Add(uint64(len(body)))
 	c.rawBytesOut.Add(uint64(raw))
@@ -554,29 +560,27 @@ func (c *Client) Push(group, src string) (policy.Bundle, error) {
 // back as ErrInvariantViolation with the witness trace in the message.
 func (c *Client) PushWithInvariants(group, src, invariants string) (policy.Bundle, error) {
 	body := policy.JoinSourceInvariants(src, invariants)
-	resp, err := c.httpClient().Post(c.Base+"/v1/bundle/"+group, "text/plain", bytes.NewReader([]byte(body)))
-	if err != nil {
-		return policy.Bundle{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusUnprocessableEntity &&
-		resp.Header.Get("X-Fleet-Reject") == "invariant-violation" {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 8192))
-		return policy.Bundle{}, fmt.Errorf("%w: %s", ErrInvariantViolation, bytes.TrimSpace(msg))
-	}
-	if resp.StatusCode == http.StatusConflict &&
-		resp.Header.Get("X-Fleet-Reject") == "rollout-active" {
-		return policy.Bundle{}, fmt.Errorf("%w: %q", ErrRolloutActive, group)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return policy.Bundle{}, httpError(resp)
-	}
 	var out struct {
 		Group      string `json:"group"`
 		Generation uint64 `json:"generation"`
 		Checksum   string `json:"checksum"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	err := c.call(http.MethodPost, "/v1/bundle/"+group, "text/plain", []byte(body), func(resp *http.Response) error {
+		if resp.StatusCode == http.StatusUnprocessableEntity &&
+			resp.Header.Get("X-Fleet-Reject") == "invariant-violation" {
+			msg, _ := io.ReadAll(io.LimitReader(resp.Body, 8192))
+			return fmt.Errorf("%w: %s", ErrInvariantViolation, bytes.TrimSpace(msg))
+		}
+		if resp.StatusCode == http.StatusConflict &&
+			resp.Header.Get("X-Fleet-Reject") == "rollout-active" {
+			return fmt.Errorf("%w: %q", ErrRolloutActive, group)
+		}
+		if resp.StatusCode != http.StatusOK {
+			return httpError(resp)
+		}
+		return json.NewDecoder(resp.Body).Decode(&out)
+	})
+	if err != nil {
 		return policy.Bundle{}, err
 	}
 	return policy.Bundle{Group: out.Group, Generation: out.Generation, Checksum: out.Checksum, Source: src}, nil
@@ -584,16 +588,14 @@ func (c *Client) PushWithInvariants(group, src, invariants string) (policy.Bundl
 
 // FleetStatus fetches the server's aggregate view.
 func (c *Client) FleetStatus() (FleetStats, error) {
-	resp, err := c.httpClient().Get(c.Base + "/v1/fleet")
-	if err != nil {
-		return FleetStats{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return FleetStats{}, httpError(resp)
-	}
 	var st FleetStats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+	err := c.call(http.MethodGet, "/v1/fleet", "", nil, func(resp *http.Response) error {
+		if resp.StatusCode != http.StatusOK {
+			return httpError(resp)
+		}
+		return json.NewDecoder(resp.Body).Decode(&st)
+	})
+	if err != nil {
 		return FleetStats{}, err
 	}
 	return st, nil
@@ -611,26 +613,24 @@ func (c *Client) StartRollout(group, src, invariants string, plan RolloutPlan) (
 	if err != nil {
 		return RolloutStatus{}, err
 	}
-	resp, err := c.httpClient().Post(c.Base+"/v1/rollout/"+group, "application/json", bytes.NewReader(body))
-	if err != nil {
-		return RolloutStatus{}, err
-	}
-	defer resp.Body.Close()
-	switch {
-	case resp.StatusCode == http.StatusUnprocessableEntity &&
-		resp.Header.Get("X-Fleet-Reject") == "invariant-violation":
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 8192))
-		return RolloutStatus{}, fmt.Errorf("%w: %s", ErrInvariantViolation, bytes.TrimSpace(msg))
-	case resp.StatusCode == http.StatusConflict &&
-		resp.Header.Get("X-Fleet-Reject") == "rollout-active":
-		return RolloutStatus{}, fmt.Errorf("%w: %q", ErrRolloutActive, group)
-	case resp.StatusCode == http.StatusNotFound:
-		return RolloutStatus{}, fmt.Errorf("%w: %q", ErrUnknownGroup, group)
-	case resp.StatusCode != http.StatusOK:
-		return RolloutStatus{}, httpError(resp)
-	}
 	var st RolloutStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+	err = c.call(http.MethodPost, "/v1/rollout/"+group, "application/json", body, func(resp *http.Response) error {
+		switch {
+		case resp.StatusCode == http.StatusUnprocessableEntity &&
+			resp.Header.Get("X-Fleet-Reject") == "invariant-violation":
+			msg, _ := io.ReadAll(io.LimitReader(resp.Body, 8192))
+			return fmt.Errorf("%w: %s", ErrInvariantViolation, bytes.TrimSpace(msg))
+		case resp.StatusCode == http.StatusConflict &&
+			resp.Header.Get("X-Fleet-Reject") == "rollout-active":
+			return fmt.Errorf("%w: %q", ErrRolloutActive, group)
+		case resp.StatusCode == http.StatusNotFound:
+			return fmt.Errorf("%w: %q", ErrUnknownGroup, group)
+		case resp.StatusCode != http.StatusOK:
+			return httpError(resp)
+		}
+		return json.NewDecoder(resp.Body).Decode(&st)
+	})
+	if err != nil {
 		return RolloutStatus{}, err
 	}
 	return st, nil
@@ -640,67 +640,54 @@ func (c *Client) StartRollout(group, src, invariants string, plan RolloutPlan) (
 // promote. A halt comes back as ErrRolloutHalted alongside the status
 // carrying the brake reason.
 func (c *Client) RolloutTick(group string) (RolloutStatus, error) {
-	resp, err := c.httpClient().Post(c.Base+"/v1/rollout/"+group+"/tick", "application/json", nil)
+	var st RolloutStatus
+	halted := false
+	err := c.call(http.MethodPost, "/v1/rollout/"+group+"/tick", "application/json", nil, func(resp *http.Response) error {
+		halted = resp.StatusCode == http.StatusConflict &&
+			resp.Header.Get("X-Fleet-Reject") == "rollout-halted"
+		if !halted && resp.StatusCode == http.StatusNotFound {
+			return fmt.Errorf("%w: %q", ErrNoRollout, group)
+		}
+		if !halted && resp.StatusCode != http.StatusOK {
+			return httpError(resp)
+		}
+		return json.NewDecoder(resp.Body).Decode(&st)
+	})
 	if err != nil {
 		return RolloutStatus{}, err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusConflict &&
-		resp.Header.Get("X-Fleet-Reject") == "rollout-halted" {
-		var st RolloutStatus
-		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-			return RolloutStatus{}, err
-		}
+	if halted {
 		return st, fmt.Errorf("%w: %s", ErrRolloutHalted, st.HaltReason)
-	}
-	if resp.StatusCode == http.StatusNotFound {
-		return RolloutStatus{}, fmt.Errorf("%w: %q", ErrNoRollout, group)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return RolloutStatus{}, httpError(resp)
-	}
-	var st RolloutStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return RolloutStatus{}, err
 	}
 	return st, nil
 }
 
 // AbortRollout cancels the group's rollout and pins everyone to stable.
 func (c *Client) AbortRollout(group string) error {
-	req, err := http.NewRequest(http.MethodDelete, c.Base+"/v1/rollout/"+group, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		return fmt.Errorf("%w: %q", ErrNoRollout, group)
-	}
-	if resp.StatusCode != http.StatusNoContent {
-		return httpError(resp)
-	}
-	return nil
+	return c.call(http.MethodDelete, "/v1/rollout/"+group, "", nil, func(resp *http.Response) error {
+		if resp.StatusCode == http.StatusNotFound {
+			return fmt.Errorf("%w: %q", ErrNoRollout, group)
+		}
+		if resp.StatusCode != http.StatusNoContent {
+			return httpError(resp)
+		}
+		return nil
+	})
 }
 
 // RolloutStatus fetches the group's rollout state.
 func (c *Client) RolloutStatus(group string) (RolloutStatus, error) {
-	resp, err := c.httpClient().Get(c.Base + "/v1/rollout/" + group)
-	if err != nil {
-		return RolloutStatus{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		return RolloutStatus{}, fmt.Errorf("%w: %q", ErrNoRollout, group)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return RolloutStatus{}, httpError(resp)
-	}
 	var st RolloutStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+	err := c.call(http.MethodGet, "/v1/rollout/"+group, "", nil, func(resp *http.Response) error {
+		if resp.StatusCode == http.StatusNotFound {
+			return fmt.Errorf("%w: %q", ErrNoRollout, group)
+		}
+		if resp.StatusCode != http.StatusOK {
+			return httpError(resp)
+		}
+		return json.NewDecoder(resp.Body).Decode(&st)
+	})
+	if err != nil {
 		return RolloutStatus{}, err
 	}
 	return st, nil

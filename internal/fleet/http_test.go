@@ -134,7 +134,8 @@ func TestHTTPLongPoll(t *testing.T) {
 // TestClientTimeoutIsRetryable: a fleetd that hangs past a request's
 // deadline costs the caller one failed request, and the failure
 // surfaces as resilience.ErrTimeout, not context.DeadlineExceeded, so
-// the agent's retry retries it and its breaker counts it.
+// the agent's retry retries it and its breaker counts it. An operator
+// call's expiry surfaces the same way.
 func TestClientTimeoutIsRetryable(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		// Drain the body first: only then does the server watch the
@@ -149,7 +150,11 @@ func TestClientTimeoutIsRetryable(t *testing.T) {
 	_, _, fetchErr := c.FetchBundle("veh", "default", "", time.Millisecond)
 	statusErr := c.ReportStatus(VehicleStatus{Vehicle: "veh", Group: "default"})
 	_, uploadErr := c.UploadLogs("veh", []LogRecord{{Seq: 1, Action: "DENIED"}})
-	for name, err := range map[string]error{"fetch": fetchErr, "status": statusErr, "upload": uploadErr} {
+	errs := map[string]error{"fetch": fetchErr, "status": statusErr, "upload": uploadErr}
+	for name, call := range operatorCalls(c) {
+		errs[name] = call()
+	}
+	for name, err := range errs {
 		if !errors.Is(err, resilience.ErrTimeout) || errors.Is(err, context.DeadlineExceeded) {
 			t.Errorf("%s past its deadline: %v, want ErrTimeout without DeadlineExceeded", name, err)
 		}
@@ -167,11 +172,26 @@ func (d *deadlineRecorder) RoundTrip(req *http.Request) (*http.Response, error) 
 	return nil, errors.New("recorded")
 }
 
+// operatorCalls runs each of the client's operator calls once, each
+// request on its own path.
+func operatorCalls(c *Client) map[string]func() error {
+	const src = "states { a = 0 }\ninitial a\n"
+	return map[string]func() error{
+		"push":       func() error { _, err := c.Push("push", src); return err },
+		"push-inv":   func() error { _, err := c.PushWithInvariants("inv", src, "never a"); return err },
+		"fleet":      func() error { _, err := c.FleetStatus(); return err },
+		"rollout":    func() error { _, err := c.StartRollout("default", src, "", RolloutPlan{}); return err },
+		"tick":       func() error { _, err := c.RolloutTick("default"); return err },
+		"abort":      func() error { return c.AbortRollout("default") },
+		"rollout-st": func() error { _, err := c.RolloutStatus("default"); return err },
+	}
+}
+
 // TestClientRequestDeadlines: the production client (no
-// http.Client.Timeout) bounds every Transport request by its own
-// context deadline — a fetch by its long-poll wait + requestTimeout, a
-// status or upload by requestTimeout — so a hung fleetd cannot block an
-// agent's attempt forever.
+// http.Client.Timeout) bounds every request by its own context
+// deadline — a fetch by its long-poll wait + requestTimeout, a status,
+// upload or operator request by requestTimeout — so a hung fleetd
+// cannot block an agent's attempt or an operator's command forever.
 func TestClientRequestDeadlines(t *testing.T) {
 	rec := &deadlineRecorder{left: map[string]time.Duration{}}
 	c := NewClient("http://fleetd.invalid")
@@ -181,10 +201,20 @@ func TestClientRequestDeadlines(t *testing.T) {
 	c.FetchBundle("veh", "default", "", wait)
 	c.ReportStatus(VehicleStatus{Vehicle: "veh", Group: "default"})
 	c.UploadLogs("veh", []LogRecord{{Seq: 1, Action: "DENIED"}})
+	for _, call := range operatorCalls(c) {
+		call()
+	}
 	want := map[string]time.Duration{
-		"GET /v1/bundle/default": wait + requestTimeout,
-		"POST /v1/status":        requestTimeout,
-		"POST /v1/logs/veh":      requestTimeout,
+		"GET /v1/bundle/default":        wait + requestTimeout,
+		"POST /v1/status":               requestTimeout,
+		"POST /v1/logs/veh":             requestTimeout,
+		"POST /v1/bundle/push":          requestTimeout,
+		"POST /v1/bundle/inv":           requestTimeout,
+		"GET /v1/fleet":                 requestTimeout,
+		"POST /v1/rollout/default":      requestTimeout,
+		"POST /v1/rollout/default/tick": requestTimeout,
+		"DELETE /v1/rollout/default":    requestTimeout,
+		"GET /v1/rollout/default":       requestTimeout,
 	}
 	if len(rec.left) != len(want) {
 		t.Fatalf("requests with a deadline: %v, want %v", rec.left, want)

@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 	"runtime"
 	"testing"
 	"time"
@@ -254,10 +254,10 @@ func TestRetryBackoffScheduleDeterministic(t *testing.T) {
 
 	// The schedule is exactly the full-jitter formula: pause k ~
 	// Uniform[0, ceiling], ceiling 100, 200, 400 ms.
-	rng := rand.New(rand.NewSource(42))
+	rng := rand.New(rand.NewPCG(42, 0))
 	want := []time.Duration{}
 	for _, ceiling := range []time.Duration{100 * time.Millisecond, 200 * time.Millisecond, 400 * time.Millisecond} {
-		want = append(want, time.Duration(rng.Int63n(int64(ceiling)+1)))
+		want = append(want, time.Duration(rng.Int64N(int64(ceiling)+1)))
 	}
 	got := clock.Slept()
 	if fmt.Sprint(got) != fmt.Sprint(want) {

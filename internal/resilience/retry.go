@@ -2,7 +2,7 @@ package resilience
 
 import (
 	"context"
-	"math/rand"
+	"math/rand/v2"
 	"sync"
 	"time"
 )
@@ -32,9 +32,11 @@ type Retry struct {
 
 // NewRetry builds a retry whose jitter stream is seeded by seed, making
 // the backoff schedule deterministic for a given failure sequence, and
-// whose pauses run on clock.
+// whose pauses run on clock. The stream is a PCG generator: 16 bytes of
+// state, where math/rand's source carries a 4.9 KiB table, which every
+// fleet agent would hold.
 func NewRetry(seed int64, clock Clock) *Retry {
-	return &Retry{clock: clock, rng: rand.New(rand.NewSource(seed))}
+	return &Retry{clock: clock, rng: rand.New(rand.NewPCG(uint64(seed), 0))}
 }
 
 // Do runs op until it succeeds, fails abortively, or has used every
@@ -58,5 +60,5 @@ func (r *Retry) Do(ctx context.Context, op Op) error {
 func (r *Retry) pause(ceiling time.Duration) time.Duration {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return time.Duration(r.rng.Int63n(int64(ceiling) + 1))
+	return time.Duration(r.rng.Int64N(int64(ceiling) + 1))
 }
