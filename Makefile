@@ -52,10 +52,15 @@ chaos:
 # Reload×chaos suite: random policy reloads interleaved with random
 # fault plans, heartbeat lapses, and event deliveries — the shadow-model
 # property tests plus the concurrent reload/delivery/watchdog hammer —
-# all under the race detector.
+# and the one-state race test: deliveries, compiled reloads, dark and
+# clean heartbeats, break-glass and SACKfs state writes race, and at
+# each barrier the enforced policy must be the last committed one, a
+# pinned pipeline must hold the failsafe, and the enforced state must be
+# the reported one and declared by the live policy — all under the race
+# detector.
 reload-stress:
-	$(GO) test -race -count=1 -run 'TestReload' .
-	$(GO) test -race -count=1 -run 'TestReload|TestRecoverRemap|TestDegradeUnforceable' ./internal/core
+	$(GO) test -race -count=1 -run 'TestReload|TestOneStateUnderConcurrentWriters' .
+	$(GO) test -race -count=1 -run 'TestReload' ./internal/core
 
 # Fleet convergence property suite: 1000 vehicles behind random
 # per-vehicle transport fault plans (drops, stalls, duplicates,

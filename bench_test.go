@@ -28,7 +28,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/lmbench"
 	"repro/internal/policy"
-	"repro/internal/ssm"
 	"repro/internal/sys"
 	"repro/internal/vfs"
 	"repro/policies"
@@ -179,7 +178,7 @@ func BenchmarkFig3b(b *testing.B) {
 				stop, done := make(chan struct{}), make(chan struct{})
 				go func() {
 					defer close(done)
-					evs := []ssm.Event{"speed_high", "speed_low"}
+					evs := []policy.Event{"speed_high", "speed_low"}
 					ticker := time.NewTicker(period)
 					defer ticker.Stop()
 					for i := 0; ; i++ {
@@ -265,7 +264,7 @@ func BenchmarkSSMTransitionDirect(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cur := tb.SACK.CurrentState().Encoding
-		tb.SACK.Deliver(ssm.Event(fmt.Sprintf("advance%d", cur)))
+		tb.SACK.Deliver(policy.Event(fmt.Sprintf("advance%d", cur)))
 	}
 }
 
@@ -563,7 +562,7 @@ func BenchmarkEnhancedProfileRewrite(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	evs := []ssm.Event{"crash_detected", "all_clear"}
+	evs := []policy.Event{"crash_detected", "all_clear"}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -131,7 +131,6 @@ func TestChaosRandomFaultPlans(t *testing.T) {
 				},
 				ft,
 				sds.WithHeartbeat(500*time.Millisecond),
-				sds.WithDarkThreshold(3),
 				sds.WithQueueCapacity(8),
 				sds.WithJitterSeed(seed),
 			)
@@ -226,11 +225,10 @@ func TestChaosRandomFaultPlans(t *testing.T) {
 				t.Fatalf("seed %d: kernel ledger: forwarded=%d eventsIn=%d rejectedTx=%d (probes=%d)",
 					seed, st.Forwarded, eventsIn, rejectedTx, probes)
 			}
-			transitions, ignored := sys.SACK.Machine().Stats()
-			forced := sys.SACK.Machine().Forced()
-			if eventsHit != transitions-forced || eventsIn != (transitions-forced)+ignored {
-				t.Fatalf("seed %d: accounting: in=%d hit=%d trans=%d forced=%d ignored=%d",
-					seed, eventsIn, eventsHit, transitions, forced, ignored)
+			hits, forced := transitionLedger(t, sys)
+			if eventsHit != hits || sys.SACK.Forced() != forced || eventsIn < eventsHit {
+				t.Fatalf("seed %d: accounting: in=%d hit=%d forced=%d, audited hits=%d forced=%d",
+					seed, eventsIn, eventsHit, sys.SACK.Forced(), hits, forced)
 			}
 			// No transition lost silently: the gap between detected and
 			// kernel-seen events is exactly the sum of recorded causes
@@ -280,7 +278,6 @@ func TestChaosCachedVsUncachedDecisions(t *testing.T) {
 						sds.AllClearDetector(8.0),
 					},
 					sds.WithHeartbeat(500*time.Millisecond),
-					sds.WithDarkThreshold(3),
 					sds.WithJitterSeed(seed),
 				)
 				if err != nil {
@@ -326,4 +323,27 @@ func TestChaosCachedVsUncachedDecisions(t *testing.T) {
 			}
 		})
 	}
+}
+
+// transitionLedger counts the state_transition audit records of sys:
+// moves a delivered event caused, and forced ones (break-glass, state
+// writes, failsafe pinning and recovery). It fails the test if the log
+// dropped a record, which would leave the count short.
+func transitionLedger(t *testing.T, sys *sack.System) (hits, forced uint64) {
+	t.Helper()
+	recs := sys.Audit.Records()
+	if d := sys.Audit.Dropped(); d != 0 {
+		t.Fatalf("audit log dropped %d records; the transition ledger needs them all", d)
+	}
+	for _, r := range recs {
+		if r.Op != "state_transition" {
+			continue
+		}
+		if r.Subject == "force_state" {
+			forced++
+		} else {
+			hits++
+		}
+	}
+	return hits, forced
 }

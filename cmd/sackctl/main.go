@@ -52,7 +52,6 @@ import (
 	"repro/internal/policy"
 	"repro/internal/resilience"
 	"repro/internal/sds"
-	"repro/internal/ssm"
 	"repro/policies"
 )
 
@@ -708,34 +707,21 @@ func simulate(src string, events []string, stdout, stderr io.Writer) int {
 	for _, w := range vr.Warnings() {
 		fmt.Fprintln(stderr, w)
 	}
-	states := make([]ssm.State, len(c.States))
-	for i, st := range c.States {
-		states[i] = ssm.State{Name: st.Name, Encoding: st.Encoding}
-	}
-	transitions := make([]ssm.Transition, len(c.Transitions))
-	for i, t := range c.Transitions {
-		transitions[i] = ssm.Transition{From: t.From, Event: ssm.Event(t.Event), To: t.To}
-	}
-	m, err := ssm.New(ssm.Config{States: states, Initial: c.Initial, Transitions: transitions})
-	if err != nil {
-		fmt.Fprintf(stderr, "sackctl: %v\n", err)
-		return 1
-	}
+	cur := c.Initial
 	printState := func() {
-		st := m.Current()
-		perms := append([]string(nil), c.StatePerms[st.Name]...)
+		perms := append([]string(nil), c.StatePerms[cur]...)
 		sort.Strings(perms)
 		fmt.Fprintf(stdout, "  state=%s permissions=[%s] rules=%d\n",
-			st.Name, strings.Join(perms, ","), c.StateSets[st.Name].Len())
+			cur, strings.Join(perms, ","), c.StateSets[cur].Len())
 	}
 	fmt.Fprintln(stdout, "initial:")
 	printState()
 	for _, ev := range events {
-		transitioned, from, to := m.Deliver(ssm.Event(ev))
-		if transitioned {
-			fmt.Fprintf(stdout, "event %q: %s -> %s\n", ev, from.Name, to.Name)
+		if to, ok := c.Next(cur, policy.Event(ev)); ok {
+			fmt.Fprintf(stdout, "event %q: %s -> %s\n", ev, cur, to.Name)
+			cur = to.Name
 		} else {
-			fmt.Fprintf(stdout, "event %q: ignored in state %s\n", ev, from.Name)
+			fmt.Fprintf(stdout, "event %q: ignored in state %s\n", ev, cur)
 		}
 		printState()
 	}

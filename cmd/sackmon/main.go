@@ -260,9 +260,9 @@ func run(cfg runConfig) int {
 		fmt.Fprintf(stdout, "%-10s %-8.1f %-7.1f %-7s %-28v %s", p.T, p.Speed, p.AccelG, di, events, stateLine)
 	}
 
-	transitions, ignored := sys.SACK.Machine().Stats()
+	_, _, eventsIn, eventsHit := sys.SACK.Stats()
 	fmt.Fprintf(stdout, "\nSSM: %d transitions, %d ignored events, %d polls\n",
-		transitions, ignored, service.Polls())
+		eventsHit+sys.SACK.Forced(), eventsIn-eventsHit, service.Polls())
 
 	if cfg.metrics {
 		out, err := root.ReadFileAll(sack.MetricsFile)

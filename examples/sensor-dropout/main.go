@@ -38,12 +38,11 @@ func main() {
 	root := sys.Kernel.Init()
 	clock := resilience.NewVirtualClock(time.Unix(1_700_000_000, 0))
 
-	// Heartbeat every poll; a sensor is declared dark after 3 stale
-	// reads in a row.
+	// Heartbeat every poll; a sensor is declared dark after
+	// sds.DefaultDarkThreshold (3) stale reads in a row.
 	service, err := sys.NewSDSWith(root, clock,
 		[]sack.Detector{sds.DrivingDetector()},
 		sds.WithHeartbeat(500*time.Millisecond),
-		sds.WithDarkThreshold(3),
 	)
 	if err != nil {
 		log.Fatal(err)

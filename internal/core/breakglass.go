@@ -38,18 +38,18 @@ func (s *SACK) BreakGlass(cred *sys.Cred, state, reason string) error {
 		}
 		return sys.EPERM
 	}
-	from := s.machine.Load().Current()
-	if err := s.machine.Load().ForceState(state); err != nil {
-		return sys.EINVAL
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	from := s.snap.Load().state
+	if err := s.forceLocked(state); err != nil {
+		return err
 	}
-	seq := s.breakGlassSeq.Add(1)
+	seq := uint64(len(s.breakGlassLog)) + 1
 	rec := BreakGlassRecord{
 		Seq: seq, Invoker: Subject(cred), UID: cred.UID,
 		ToState: state, Reason: reason,
 	}
-	s.breakGlassMu.Lock()
 	s.breakGlassLog = append(s.breakGlassLog, rec)
-	s.breakGlassMu.Unlock()
 	if s.audit != nil {
 		s.audit.Append(lsm.AuditRecord{
 			Module: ModuleName, Op: "break_glass",
@@ -67,17 +67,17 @@ func (s *SACK) RevertBreakGlass(cred *sys.Cred, state string) error {
 	if cred == nil || !cred.HasCap(sys.CapMacAdmin) {
 		return sys.EPERM
 	}
-	if err := s.machine.Load().ForceState(state); err != nil {
-		return sys.EINVAL
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.forceLocked(state); err != nil {
+		return err
 	}
-	s.breakGlassMu.Lock()
 	for i := len(s.breakGlassLog) - 1; i >= 0; i-- {
 		if !s.breakGlassLog[i].Reverted {
 			s.breakGlassLog[i].Reverted = true
 			break
 		}
 	}
-	s.breakGlassMu.Unlock()
 	if s.audit != nil {
 		s.audit.Append(lsm.AuditRecord{
 			Module: ModuleName, Op: "break_glass_revert",
@@ -89,8 +89,8 @@ func (s *SACK) RevertBreakGlass(cred *sys.Cred, state string) error {
 
 // BreakGlassLog returns a copy of all break-glass invocations.
 func (s *SACK) BreakGlassLog() []BreakGlassRecord {
-	s.breakGlassMu.Lock()
-	defer s.breakGlassMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	out := make([]BreakGlassRecord, len(s.breakGlassLog))
 	copy(out, s.breakGlassLog)
 	return out
@@ -99,8 +99,8 @@ func (s *SACK) BreakGlassLog() []BreakGlassRecord {
 // OutstandingBreakGlass reports whether a break-glass grant has not been
 // reverted yet — watchdogs poll this to nag operators.
 func (s *SACK) OutstandingBreakGlass() bool {
-	s.breakGlassMu.Lock()
-	defer s.breakGlassMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	for i := len(s.breakGlassLog) - 1; i >= 0; i-- {
 		if !s.breakGlassLog[i].Reverted {
 			return true

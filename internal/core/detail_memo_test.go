@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/lsm"
 	"repro/internal/policy"
-	"repro/internal/ssm"
 	"repro/internal/sys"
 )
 
@@ -158,7 +157,7 @@ func TestDenialDetailMemoDifferential(t *testing.T) {
 				}
 			}
 			for _, st := range c.StateNames() {
-				s.applyState(ssm.State{Name: st})
+				mustForce(t, s, st)
 				for _, temp := range []string{"cold", "warm"} {
 					for _, k := range keys {
 						cred := sys.NewCred(1000, 1000)
@@ -205,7 +204,7 @@ func TestDenialDetailMemoDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s.applyState(ssm.State{Name: st})
+			mustForce(t, s, st)
 			var wg sync.WaitGroup
 			for g := 0; g < 4; g++ {
 				wg.Add(1)
@@ -323,7 +322,7 @@ func TestDenialDetailMemoPerStateAndReload(t *testing.T) {
 	SetSubject(cred, "/usr/bin/app")
 	deny := func(state, want string) {
 		t.Helper()
-		s.applyState(ssm.State{Name: state})
+		mustForce(t, s, state)
 		cursor := audit.Cursor()
 		if err := s.check(cred, "inode_permission", "/srv/secret/key", sys.MayRead); !sys.IsErrno(err, sys.EACCES) {
 			t.Fatalf("%s: %v, want EACCES", state, err)
@@ -348,4 +347,15 @@ func TestDenialDetailMemoPerStateAndReload(t *testing.T) {
 	}
 	deny("normal", `mask=read rule "deny write,read /srv/secret/*" in state normal`)
 	deny("parked", `mask=read rule "deny write,read /srv/secret/*" in state parked`)
+}
+
+// mustForce moves s into the named state of its live policy, as a
+// SACKfs state write does.
+func mustForce(t *testing.T, s *SACK, state string) {
+	t.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.forceLocked(state); err != nil {
+		t.Fatalf("force %s: %v", state, err)
+	}
 }

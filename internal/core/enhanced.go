@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/apparmor"
 	"repro/internal/policy"
-	"repro/internal/ssm"
 	"repro/internal/sys"
 )
 
@@ -25,20 +24,20 @@ func (s *SACK) ManageProfile(base *apparmor.Profile) error {
 	if base == nil || base.Name == "" {
 		return sys.EINVAL
 	}
-	s.managedMu.Lock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.managed[base.Name] = base.Clone()
-	s.managedMu.Unlock()
-	s.regenerateProfiles(s.snap.Load().compiled, s.machine.Load().Current())
+	s.regenerateProfiles(s.snap.Load().rules)
 	return nil
 }
 
 // UnmanageProfile stops SACK from rewriting the named profile; the base
 // profile is restored.
 func (s *SACK) UnmanageProfile(name string) error {
-	s.managedMu.Lock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	base, ok := s.managed[name]
 	delete(s.managed, name)
-	s.managedMu.Unlock()
 	if !ok {
 		return sys.ENOENT
 	}
@@ -47,8 +46,8 @@ func (s *SACK) UnmanageProfile(name string) error {
 
 // ManagedProfiles lists the profiles under SACK control, sorted.
 func (s *SACK) ManagedProfiles() []string {
-	s.managedMu.Lock()
-	defer s.managedMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	out := make([]string, 0, len(s.managed))
 	for n := range s.managed {
 		out = append(out, n)
@@ -57,26 +56,22 @@ func (s *SACK) ManagedProfiles() []string {
 	return out
 }
 
-// regenerateProfiles recomputes every managed profile for the given
-// policy and state and swaps them into AppArmor in a single snapshot.
-// The compiled policy is a parameter (not read from s.snap) because
-// publish regenerates profiles *before* storing the snapshot that
-// carries the new policy. The state's rules are appended as they are,
-// with the subject cleared (the profile is the subject) and canonical
-// permission letters for audit text; AppArmor's deny-wins evaluation
-// preserves the meaning of deny rules.
-func (s *SACK) regenerateProfiles(c *policy.Compiled, st ssm.State) {
+// regenerateProfiles recomputes every managed profile for a state's
+// rule set and swaps them into AppArmor in a single snapshot. The rule
+// set is a parameter (not read from s.snap) because publish regenerates
+// profiles *before* storing the snapshot that carries it. The rules are
+// appended as they are, with the subject cleared (the profile is the
+// subject) and canonical permission letters for audit text; AppArmor's
+// deny-wins evaluation preserves the meaning of deny rules. Caller
+// holds mu.
+func (s *SACK) regenerateProfiles(rs *policy.RuleSet) {
 	if s.aa == nil {
 		return
 	}
-	rs := c.Rules(st.Name)
-
-	s.managedMu.Lock()
 	bases := make([]*apparmor.Profile, 0, len(s.managed))
 	for _, b := range s.managed {
 		bases = append(bases, b)
 	}
-	s.managedMu.Unlock()
 	if len(bases) == 0 {
 		return
 	}

@@ -294,9 +294,8 @@ func TestConcurrentChecksDuringTransitionStorm(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	transitions, _ := s.Machine().Stats()
-	if transitions != 1000 {
-		t.Fatalf("transitions = %d", transitions)
+	if _, _, in, hit := s.Stats(); in != 1000 || hit != 1000 || s.Forced() != 0 {
+		t.Fatalf("events in=%d hit=%d forced=%d, want 1000 delivered transitions", in, hit, s.Forced())
 	}
 	if s.CurrentState().Name != "normal" {
 		t.Fatalf("final state = %q", s.CurrentState().Name)

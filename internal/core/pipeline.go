@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -167,32 +166,32 @@ func ParseHeartbeat(line string) (Heartbeat, error) {
 // and restores the pre-degradation state; re-detection then re-syncs
 // the SSM with reality. Administrative break-glass bypasses the pin.
 type Pipeline struct {
-	s      *SACK
-	window time.Duration
+	s *SACK
 
-	// degradedFlag and pinnedFlag are read on the event-delivery fast
-	// path; atomic so delivery never takes the monitor lock. pinned
+	// degradedFlag and pinnedFlag are written under SACK.mu and read
+	// lock-free by the decision query and the health views. pinned
 	// (event delivery suspended) is degraded AND a failsafe state is
 	// declared — without one, degradation is observational only.
 	degradedFlag atomic.Bool
 	pinnedFlag   atomic.Bool
 
 	// hbSecret, when non-empty, demands every heartbeat control line be
-	// HMAC-signed with it. Set once at construction, read-only after.
-	hbSecret []byte
+	// HMAC-signed with it; failsafeOverride is Config.Failsafe, which
+	// wins over the policy's declaration. Both are set once at
+	// construction, read-only after.
+	hbSecret         []byte
+	failsafeOverride string
 
-	// mu guards the monitor state. Lock ordering: SACK.mu is always
-	// taken before Pipeline.mu (the ReplacePolicy transaction holds
-	// both); nothing under p.mu ever takes SACK.mu.
-	mu               sync.Mutex
-	failsafeOverride string // Config.Failsafe; wins over the policy's
-	armed            bool
-	last             Heartbeat
-	lastCheck        time.Time
-	reason           string
-	degradedAt       time.Time
-	prevState        string
-	lastAuthSeq      uint64 // highest authenticated heartbeat sequence
+	// The monitor state below is guarded by SACK.mu: degrading and
+	// recovering move the situation state, so they run under its one
+	// writer lock.
+	armed       bool
+	last        Heartbeat
+	lastCheck   time.Time
+	reason      string
+	degradedAt  time.Time
+	prevState   string
+	lastAuthSeq uint64 // highest authenticated heartbeat sequence
 
 	beats        uint64
 	degradations uint64
@@ -203,8 +202,8 @@ type Pipeline struct {
 	forgedHeartbeats atomic.Uint64
 }
 
-// Window reports the configured heartbeat window.
-func (p *Pipeline) Window() time.Duration { return p.window }
+// Window reports the heartbeat window.
+func (p *Pipeline) Window() time.Duration { return DefaultHeartbeatWindow }
 
 // Degraded reports whether the pipeline is currently degraded.
 func (p *Pipeline) Degraded() bool { return p.degradedFlag.Load() }
@@ -217,8 +216,8 @@ func (p *Pipeline) Pinned() bool { return p.pinnedFlag.Load() }
 
 // Reason reports why the pipeline degraded ("" while healthy).
 func (p *Pipeline) Reason() string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.s.mu.Lock()
+	defer p.s.mu.Unlock()
 	if !p.degradedFlag.Load() {
 		return ""
 	}
@@ -228,12 +227,6 @@ func (p *Pipeline) Reason() string {
 // Failsafe resolves the active failsafe state: the Config override if
 // set, else the installed policy's declaration, else "".
 func (p *Pipeline) Failsafe() string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.failsafeLocked()
-}
-
-func (p *Pipeline) failsafeLocked() string {
 	if p.failsafeOverride != "" {
 		return p.failsafeOverride
 	}
@@ -266,16 +259,16 @@ type PipelineStats struct {
 
 // Stats snapshots the pipeline state.
 func (p *Pipeline) Stats() PipelineStats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.s.mu.Lock()
+	defer p.s.mu.Unlock()
 	st := PipelineStats{
 		Degraded:         p.degradedFlag.Load(),
 		Pinned:           p.pinnedFlag.Load(),
 		Reason:           p.reason,
-		Failsafe:         p.failsafeLocked(),
+		Failsafe:         p.Failsafe(),
 		Armed:            p.armed,
 		HeartbeatSeq:     p.last.Seq,
-		Window:           p.window,
+		Window:           DefaultHeartbeatWindow,
 		Heartbeats:       p.beats,
 		QueueDepth:       p.last.Queue,
 		QueueCap:         p.last.Cap,
@@ -302,8 +295,13 @@ func (p *Pipeline) Stats() PipelineStats {
 // immediately (detection for part of the situation space is gone); a
 // clean heartbeat while degraded recovers it.
 func (p *Pipeline) Observe(h Heartbeat) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.s.mu.Lock()
+	defer p.s.mu.Unlock()
+	p.observeLocked(h)
+}
+
+// observeLocked is Observe with SACK.mu held.
+func (p *Pipeline) observeLocked(h Heartbeat) {
 	p.armed = true
 	p.beats++
 	p.last = h
@@ -322,80 +320,53 @@ func (p *Pipeline) Observe(h Heartbeat) {
 // is unarmed and never fires, so deployments without an SDS keep the
 // exact pre-resilience behavior.
 func (p *Pipeline) Check(now time.Time) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.s.mu.Lock()
+	defer p.s.mu.Unlock()
 	p.lastCheck = now
-	if p.armed && !p.degradedFlag.Load() && now.Sub(p.last.At) > p.window {
+	if p.armed && !p.degradedFlag.Load() && now.Sub(p.last.At) > DefaultHeartbeatWindow {
 		p.degradeLocked("heartbeat_lapse", now)
 	}
 	return p.degradedFlag.Load()
 }
 
-// degradeLocked fails the SSM safe. Caller holds p.mu.
+// degradeLocked fails the SSM safe. Caller holds SACK.mu.
 func (p *Pipeline) degradeLocked(reason string, now time.Time) {
 	p.degradations++
 	p.reason = reason
 	p.degradedAt = now
-	p.prevState = p.s.machine.Load().Current().Name
-	failsafe := p.failsafeLocked()
-	// Pin only when the failsafe is actually enforced: a declared-but-
-	// unforceable failsafe (the state vanished out from under us) must
-	// leave event delivery flowing, or the SSM would be wedged in
-	// ErrDegraded with no failsafe rule set holding the fort.
-	enforced := failsafe != ""
+	p.prevState = p.s.snap.Load().state.Name
+	failsafe := p.Failsafe()
 	if failsafe != "" && failsafe != p.prevState {
-		// ForceState runs the APE listeners, so the failsafe rule set is
-		// enforced before the degradation becomes observable.
-		if err := p.s.machine.Load().ForceState(failsafe); err != nil {
-			// The state is missing; record-only degradation.
-			p.reason = reason + " (failsafe state missing: " + err.Error() + ")"
-			enforced = false
-		}
+		// Boot and ReplacePolicy check the failsafe against the policy
+		// they install, so the move cannot fail; it publishes the
+		// failsafe rule set before the degradation becomes observable.
+		_ = p.s.forceLocked(failsafe)
 	}
 	p.degradedFlag.Store(true)
-	p.pinnedFlag.Store(enforced)
+	p.pinnedFlag.Store(failsafe != "")
 	if p.s.audit != nil {
 		p.s.audit.Append(lsm.AuditRecord{
 			Module: ModuleName, Op: "pipeline_degraded",
 			Subject: reason, Object: failsafe, Action: "DENIED",
-			Detail: fmt.Sprintf("from=%s window=%s pinned=%v", p.prevState, p.window, enforced),
+			Detail: fmt.Sprintf("from=%s window=%s pinned=%v", p.prevState, DefaultHeartbeatWindow, failsafe != ""),
 		})
 	}
 }
 
 // recoverLocked lifts the degradation and restores the pre-degradation
-// state. Caller holds p.mu. When that state no longer exists (a reload
-// path that bypassed the remap, or a stale prevState), recovery lands
-// in the installed policy's initial state with a distinct
-// pipeline_recover_remap audit record — never silently in "whatever
-// state the machine happens to be in".
+// state. Caller holds SACK.mu. ReplacePolicy remaps that state into the
+// policy it installs, so the live policy always declares it.
 func (p *Pipeline) recoverLocked(now time.Time) {
 	p.recoveries++
 	p.degradedFlag.Store(false)
 	p.pinnedFlag.Store(false)
-	restored := p.prevState
-	if restored != "" {
-		if err := p.s.machine.Load().ForceState(restored); err != nil {
-			initial := p.s.snap.Load().compiled.Initial
-			fallbackErr := p.s.machine.Load().ForceState(initial)
-			if fallbackErr == nil {
-				restored = initial
-			} else {
-				restored = p.s.machine.Load().Current().Name
-			}
-			if p.s.audit != nil {
-				p.s.audit.Append(lsm.AuditRecord{
-					Module: ModuleName, Op: "pipeline_recover_remap",
-					Subject: p.prevState, Object: restored, Action: "ALLOWED",
-					Detail: fmt.Sprintf("pre-degradation state missing (%v), falling back to initial", err),
-				})
-			}
-		}
+	if p.prevState != "" {
+		_ = p.s.forceLocked(p.prevState)
 	}
 	if p.s.audit != nil {
 		p.s.audit.Append(lsm.AuditRecord{
 			Module: ModuleName, Op: "pipeline_recovered",
-			Subject: p.reason, Object: restored, Action: "ALLOWED",
+			Subject: p.reason, Object: p.prevState, Action: "ALLOWED",
 			Detail: fmt.Sprintf("degraded_for=%s", now.Sub(p.degradedAt)),
 		})
 	}
@@ -420,23 +391,20 @@ func (p *Pipeline) handleControl(line string) error {
 	if err != nil {
 		return sys.EINVAL
 	}
+	if len(p.hbSecret) > 0 && !h.VerifyMAC(p.hbSecret) {
+		p.rejectHeartbeat(h, "bad or missing mac")
+		return sys.EPERM
+	}
+	p.s.mu.Lock()
+	defer p.s.mu.Unlock()
 	if len(p.hbSecret) > 0 {
-		if !h.VerifyMAC(p.hbSecret) {
-			p.rejectHeartbeat(h, "bad or missing mac")
-			return sys.EPERM
-		}
-		p.mu.Lock()
-		replay := h.Seq <= p.lastAuthSeq
-		if !replay {
-			p.lastAuthSeq = h.Seq
-		}
-		p.mu.Unlock()
-		if replay {
+		if h.Seq <= p.lastAuthSeq {
 			p.rejectHeartbeat(h, "sequence replay")
 			return sys.EPERM
 		}
+		p.lastAuthSeq = h.Seq
 	}
-	p.Observe(h)
+	p.observeLocked(h)
 	return nil
 }
 

@@ -232,12 +232,10 @@ func TestUnknownEventTypedError(t *testing.T) {
 	if !errors.Is(err, core.ErrUnknownEvent) {
 		t.Fatalf("Deliver(unknown): %v", err)
 	}
-	// The unknown event still reached the SSM as an ignored delivery, so
-	// the accounting invariant eventsIn == transitions + ignored holds.
-	_, _, eventsIn, _ := s.Stats()
-	transitions, ignored := s.Machine().Stats()
-	if eventsIn != transitions+ignored {
-		t.Fatalf("accounting broken: in=%d transitions=%d ignored=%d", eventsIn, transitions, ignored)
+	// The unknown event still reached the SSM as an ignored delivery:
+	// counted in, never a hit.
+	if _, _, eventsIn, eventsHit := s.Stats(); eventsIn != 1 || eventsHit != 0 {
+		t.Fatalf("accounting broken: in=%d hit=%d, want 1 ignored delivery", eventsIn, eventsHit)
 	}
 	if st := s.Pipeline().Stats(); st.UnknownEvents != 1 {
 		t.Fatalf("unknown_events = %d", st.UnknownEvents)

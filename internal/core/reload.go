@@ -9,7 +9,6 @@ import (
 	"repro/internal/lsm"
 	"repro/internal/policy"
 	"repro/internal/securityfs"
-	"repro/internal/ssm"
 )
 
 // ReloadFile is the securityfs view of the reload transaction status:
@@ -67,16 +66,15 @@ func (s *SACK) setReloadStatus(st ReloadStatus) {
 // ReplacePolicy atomically replaces the installed policy (the SACKfs
 // write path and the public Reload API; CAP_MAC_ADMIN is checked by the
 // caller). It is a transaction, coherent with the pipeline watchdog,
-// the AVC, and the audit log, committed under the lock ordering
-// SACK.mu -> Pipeline.mu (the pipeline never takes SACK.mu, so the
-// ordering is acyclic):
+// the AVC, and the audit log, committed under SACK.mu, the one writer
+// lock every state move and the pipeline monitor share:
 //
 //  1. validate: resolve the new failsafe (Config override wins) and
 //     reject the reload outright if the override names a state the new
 //     policy does not declare — nothing is mutated on failure;
 //  2. diff: compute the change list against the outgoing policy;
 //  3. remap: carry the *logical* current state across the swap. While
-//     pinned the machine is parked in the failsafe, so the state to
+//     pinned the SSM is parked in the failsafe, so the state to
 //     preserve is the pipeline's pre-degradation state, never the
 //     failsafe itself — otherwise recovery would restore the failsafe
 //     and the vehicle would be wedged there forever. Any carried state
@@ -86,9 +84,8 @@ func (s *SACK) setReloadStatus(st ReloadStatus) {
 //     failsafe declaration: a failsafe added mid-degradation pins now
 //     (capturing the logical state for recovery), one removed mid-pin
 //     unpins and resumes the logical state;
-//  5. swap: a fresh SSM is built directly in the post-remap state (no
-//     ForceState replay), the policy and machine pointers swap, and the
-//     enforcement artifacts of the landing state are installed;
+//  5. swap: one publish installs the new policy in the post-remap
+//     landing state, with that state's enforcement artifacts;
 //  6. invalidate: the AVC epoch bumps exactly once per commit, after
 //     the new rule set is observable;
 //  7. audit: the commit appends one policy_reload record (generation,
@@ -97,20 +94,9 @@ func (s *SACK) setReloadStatus(st ReloadStatus) {
 //
 // It returns the diff the kernel actually applied.
 func (s *SACK) ReplacePolicy(c *policy.Compiled, source string) (policy.DiffReport, error) {
-	states := make([]ssm.State, len(c.States))
-	for i, st := range c.States {
-		states[i] = ssm.State{Name: st.Name, Encoding: st.Encoding}
-	}
-	transitions := make([]ssm.Transition, len(c.Transitions))
-	for i, t := range c.Transitions {
-		transitions[i] = ssm.Transition{From: t.From, Event: ssm.Event(t.Event), To: t.To}
-	}
-
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	p := s.pipe
-	p.mu.Lock()
-	defer p.mu.Unlock()
 
 	old := s.snap.Load()
 	report := policy.Report(policy.Diff(old.compiled, c))
@@ -150,7 +136,7 @@ func (s *SACK) ReplacePolicy(c *policy.Compiled, source string) (policy.DiffRepo
 
 	// The logical current state: where the vehicle "really is". While
 	// pinned that is the remembered pre-degradation state, not the
-	// failsafe the machine is parked in.
+	// failsafe the SSM is parked in.
 	prevAfter := ""
 	if degraded && p.prevState != "" {
 		prevAfter = remapState("prev_state", p.prevState)
@@ -162,7 +148,7 @@ func (s *SACK) ReplacePolicy(c *policy.Compiled, source string) (policy.DiffRepo
 			logical = c.Initial
 		}
 	} else {
-		logical = remapState("current_state", s.machine.Load().Current().Name)
+		logical = remapState("current_state", old.state.Name)
 	}
 
 	// Re-evaluate pinning against the new failsafe declaration.
@@ -180,17 +166,12 @@ func (s *SACK) ReplacePolicy(c *policy.Compiled, source string) (policy.DiffRepo
 		prevAfter = ""
 	}
 
-	machine, err := ssm.New(ssm.Config{States: states, Initial: landing, Transitions: transitions})
-	if err != nil {
-		return report, fmt.Errorf("sack: building SSM: %w", err)
-	}
-	s.subscribeAPE(machine)
-
-	// Commit point: swap the machine, then publish one snapshot carrying
-	// the new policy, the landing state's rule set, and a fresh AVC
-	// epoch — checks flip from the old policy to the new in one load.
-	s.machine.Store(machine)
-	s.publish(c, source, machine.Current())
+	// Commit point: one snapshot carrying the new policy, the landing
+	// state's rule set, and a fresh AVC epoch — checks flip from the old
+	// policy to the new in one load. Every landing is declared by c:
+	// remapState yields c's states, and newFailsafe was checked above.
+	to, _ := c.State(landing)
+	s.publish(c, source, to)
 
 	p.prevState = prevAfter
 	if pinnedAfter != pinned {

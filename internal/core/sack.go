@@ -3,7 +3,10 @@
 // the current situation state as a new kernel security context, the
 // adaptive policy enforcer (APE) that maps states to MAC rules per
 // Algorithm 1, and the SACKfs pseudo-files used to deliver situation
-// events from user space.
+// events from user space. The SSM and the APE are one step here: the
+// published decision snapshot carries the current state, and a
+// transition is one lookup in the compiled policy's transition index
+// plus one publish under the module's writer lock.
 //
 // Two deployment modes are provided, matching the paper's prototypes:
 //
@@ -21,14 +24,12 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/apparmor"
 	"repro/internal/avc"
 	"repro/internal/lsm"
 	"repro/internal/policy"
 	"repro/internal/shard"
-	"repro/internal/ssm"
 	"repro/internal/sys"
 	"repro/internal/vfs"
 )
@@ -74,10 +75,6 @@ type Config struct {
 	// event-pipeline watchdog ("" = use the policy's declaration).
 	Failsafe string
 
-	// HeartbeatWindow is how stale the SDS heartbeat may grow before the
-	// pipeline degrades (0 = DefaultHeartbeatWindow).
-	HeartbeatWindow time.Duration
-
 	// HeartbeatSecret, when non-empty, requires every heartbeat control
 	// line to carry a valid HMAC under this shared secret with a
 	// strictly increasing sequence; forged or replayed heartbeats are
@@ -100,38 +97,40 @@ type SACK struct {
 	// served across a state change.
 	cache *avc.Cache
 
-	// mu serialises policy replacement and managed-profile changes.
-	mu      sync.Mutex
-	machine atomic.Pointer[ssm.Machine]
+	// mu is the one writer lock of the situation state. Every writer —
+	// event delivery, pipeline degradation and recovery, break-glass and
+	// its revert, SACKfs state writes, managed-profile changes, policy
+	// replacement — holds it and ends in publish, so the published
+	// snapshot is the only current state. It also guards managed, the
+	// break-glass log and the pipeline monitor's state. A method that
+	// takes mu is never called with mu held.
+	mu sync.Mutex
 
 	// snap is the RCU-style decision snapshot: everything the check fast
-	// path needs — compiled policy (coverage), MR_current, the situation
-	// state it was derived from, and the AVC epoch it was published
-	// under — behind one atomic pointer. Writers build a fresh snapshot
-	// and swap it in publish (the single publication point); readers do
-	// one load and never observe a half-updated policy. See DESIGN.md §9.
+	// path needs — compiled policy (coverage), MR_current, the current
+	// situation state it was derived from, and the AVC epoch it was
+	// published under — behind one atomic pointer. Writers build a fresh
+	// snapshot and swap it in publish (the single publication point);
+	// readers do one load and never observe a half-updated policy. See
+	// DESIGN.md §9.
 	snap atomic.Pointer[snapshot]
 
 	// managed maps AppArmor profile names to their base (state-independent)
-	// profiles for EnhancedAppArmor mode; guarded by managedMu (separate
-	// from mu: profile regeneration runs inside applyState, which policy
-	// installation calls while holding mu).
-	managedMu sync.Mutex
-	managed   map[string]*apparmor.Profile
+	// profiles for EnhancedAppArmor mode; guarded by mu.
+	managed map[string]*apparmor.Profile
 
 	// Check-path counters are sharded (per-CPU-slot cells folded on
 	// read) so concurrent checkers stop bouncing a shared cache line;
 	// the event-path counters stay plain atomics — events are rare and
-	// serialised by the SSM anyway.
+	// serialised by mu anyway.
 	covered   shard.Counter // checks on policy-covered objects
 	uncovered shard.Counter // checks passed through (coverage miss)
 	denials   shard.Counter
 	eventsIn  atomic.Uint64 // events received through SACKfs
 	eventsHit atomic.Uint64 // events that caused a transition
+	forced    atomic.Uint64 // moves that bypassed the transition rules
 
-	// break-glass audit trail (see breakglass.go).
-	breakGlassSeq atomic.Uint64
-	breakGlassMu  sync.Mutex
+	// break-glass audit trail (see breakglass.go); guarded by mu.
 	breakGlassLog []BreakGlassRecord
 
 	// pipe watches the SDS heartbeat and fails the SSM safe when the
@@ -150,10 +149,10 @@ type SACK struct {
 // mutated after the snapshot is stored; writers replace the whole thing.
 type snapshot struct {
 	compiled *policy.Compiled
-	source   string          // original policy text, echoed through SACKfs
-	rules    *policy.RuleSet // MR_current for the state below
-	state    ssm.State       // situation state the rules were derived from
-	epoch    avc.Token       // AVC generation this snapshot was published under
+	source   string           // original policy text, echoed through SACKfs
+	rules    *policy.RuleSet  // MR_current for the state below
+	state    policy.StateInfo // the current situation state
+	epoch    avc.Token        // AVC generation this snapshot was published under
 
 	// matcher is MR_current's trie-compiled decision engine, captured here
 	// so the fast path selects it with the same single atomic load that
@@ -161,8 +160,7 @@ type snapshot struct {
 	matcher *policy.Matcher
 }
 
-// New builds the module, constructs the SSM from the policy's states and
-// transition rules, and installs the initial state's rule set.
+// New builds the module and publishes the policy in its initial state.
 func New(cfg Config) (*SACK, error) {
 	if cfg.Policy == nil {
 		return nil, fmt.Errorf("sack: config needs a compiled policy")
@@ -182,15 +180,9 @@ func New(cfg Config) (*SACK, error) {
 	if !cfg.DisableAVC {
 		s.cache = avc.New(0)
 	}
-	window := cfg.HeartbeatWindow
-	if window == 0 {
-		window = DefaultHeartbeatWindow
-	}
-	s.pipe = &Pipeline{s: s, window: window, failsafeOverride: cfg.Failsafe,
+	s.pipe = &Pipeline{s: s, failsafeOverride: cfg.Failsafe,
 		hbSecret: append([]byte(nil), cfg.HeartbeatSecret...)}
-	if err := s.installPolicy(cfg.Policy, cfg.Source); err != nil {
-		return nil, err
-	}
+	s.installPolicy(cfg.Policy, cfg.Source)
 	if fs := s.pipe.Failsafe(); fs != "" {
 		if _, ok := cfg.Policy.StateSets[fs]; !ok {
 			return nil, fmt.Errorf("sack: failsafe state %q not declared by policy", fs)
@@ -205,14 +197,11 @@ func (s *SACK) Name() string { return ModuleName }
 // Mode reports the deployment mode.
 func (s *SACK) Mode() Mode { return s.mode }
 
-// Machine exposes the live situation state machine.
-func (s *SACK) Machine() *ssm.Machine { return s.machine.Load() }
-
 // Policy returns the compiled policy currently installed.
 func (s *SACK) Policy() *policy.Compiled { return s.snap.Load().compiled }
 
 // CurrentState returns the current situation state.
-func (s *SACK) CurrentState() ssm.State { return s.machine.Load().Current() }
+func (s *SACK) CurrentState() policy.StateInfo { return s.snap.Load().state }
 
 // ActiveRules returns MR_current (independent mode introspection).
 func (s *SACK) ActiveRules() *policy.RuleSet { return s.snap.Load().rules }
@@ -225,6 +214,11 @@ func (s *SACK) Stats() (checks, denials, eventsIn, eventsHit uint64) {
 	checks = s.covered.Load() + s.uncovered.Load()
 	return checks, s.denials.Load(), s.eventsIn.Load(), s.eventsHit.Load()
 }
+
+// Forced reports how many state moves bypassed the transition rules:
+// break-glass and its revert, SACKfs state writes, failsafe pinning and
+// recovery. Every committed move is an event hit or a forced one.
+func (s *SACK) Forced() uint64 { return s.forced.Load() }
 
 // CheckStats splits the check counter into policy-covered decisions and
 // uncovered passthroughs.
@@ -241,31 +235,14 @@ func (s *SACK) AVCStats() avc.Stats {
 	return s.cache.Stats()
 }
 
-// installPolicy builds the boot-time SSM for the compiled policy and
-// installs it. Construction only — replacement goes through the
-// ReplacePolicy transaction (reload.go), which coordinates with the
-// pipeline watchdog.
-func (s *SACK) installPolicy(c *policy.Compiled, source string) error {
-	states := make([]ssm.State, len(c.States))
-	for i, st := range c.States {
-		states[i] = ssm.State{Name: st.Name, Encoding: st.Encoding}
-	}
-	transitions := make([]ssm.Transition, len(c.Transitions))
-	for i, t := range c.Transitions {
-		transitions[i] = ssm.Transition{From: t.From, Event: ssm.Event(t.Event), To: t.To}
-	}
-
+// installPolicy publishes the boot-time policy in its initial state.
+// Replacement goes through the ReplacePolicy transaction (reload.go),
+// which coordinates with the pipeline watchdog.
+func (s *SACK) installPolicy(c *policy.Compiled, source string) {
+	initial, _ := c.State(c.Initial)
 	s.mu.Lock()
-	defer s.mu.Unlock()
-
-	machine, err := ssm.New(ssm.Config{States: states, Initial: c.Initial, Transitions: transitions})
-	if err != nil {
-		return fmt.Errorf("sack: building SSM: %w", err)
-	}
-	s.subscribeAPE(machine)
-
-	s.machine.Store(machine)
-	s.publish(c, source, machine.Current())
+	s.publish(c, source, initial)
+	s.mu.Unlock()
 
 	s.reloadGen.Store(1)
 	s.setReloadStatus(ReloadStatus{
@@ -273,71 +250,70 @@ func (s *SACK) installPolicy(c *policy.Compiled, source string) error {
 		SourceHash: sourceHash(source),
 		Summary:    "initial policy",
 	})
-	return nil
-}
-
-// subscribeAPE attaches the adaptive policy enforcer to a machine,
-// guarded against reload races: a transition committed on a machine
-// that a concurrent ReplacePolicy has already swapped out must not
-// install rule sets derived from the outgoing policy's state names over
-// the freshly committed ones.
-func (s *SACK) subscribeAPE(machine *ssm.Machine) {
-	machine.Subscribe(func(from, to ssm.State, ev ssm.Event) {
-		if s.machine.Load() != machine {
-			return
-		}
-		s.onTransition(from, to, ev)
-	})
 }
 
 // Pipeline exposes the event-pipeline resilience monitor.
 func (s *SACK) Pipeline() *Pipeline { return s.pipe }
 
 // Deliver feeds a situation event to the SSM through the typed event
-// path — the canonical sack.EventSink entry point. While the pipeline is
-// pinned (degraded with a declared failsafe state) the event is rejected
-// with ErrDegraded before it touches the accounting counters: an event
-// arriving while detection is dead is stale or forged, and the SSM is
-// held in the failsafe state until the heartbeat recovers. An event
-// no transition rule reacts to is still delivered (and counted ignored,
-// keeping eventsIn == transitions + ignored exact) but reported as
+// path — the canonical sack.EventSink entry point — and runs Algorithm
+// 1 under mu: if (current state, event) matches a transition rule, the
+// target state is published with its rule set; otherwise the event is
+// counted and ignored. While the pipeline is pinned (degraded with a
+// declared failsafe state) the event is rejected with ErrDegraded
+// before it touches the accounting counters: an event arriving while
+// detection is dead is stale or forged, and the SSM is held in the
+// failsafe state until the heartbeat recovers. An event no transition
+// rule reacts to is still delivered (and counted ignored, keeping
+// eventsIn == eventsHit + ignored exact) but reported as
 // ErrUnknownEvent so producers can catch typos.
-func (s *SACK) Deliver(ev ssm.Event) error {
+func (s *SACK) Deliver(ev policy.Event) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.pipe.Pinned() {
 		s.pipe.rejectedDegraded.Add(1)
 		return ErrDegraded
 	}
-	m := s.machine.Load()
-	known := m.KnowsEvent(ev)
 	s.eventsIn.Add(1)
-	if transitioned, _, _ := m.Deliver(ev); transitioned {
+	cur := s.snap.Load()
+	if to, ok := cur.compiled.Next(cur.state.Name, ev); ok {
 		s.eventsHit.Add(1)
+		s.moveLocked(to, string(ev))
 	}
-	if !known {
+	if !cur.compiled.KnowsEvent(ev) {
 		s.pipe.unknownEvents.Add(1)
 		return fmt.Errorf("%w: %q", ErrUnknownEvent, ev)
 	}
 	return nil
 }
 
-// onTransition is the APE entry point: re-derive P = f(SS) and
-// MR = g(P) for the new state (Algorithm 1) and install it.
-func (s *SACK) onTransition(from, to ssm.State, ev ssm.Event) {
-	s.applyState(to)
+// moveLocked is the APE step of Algorithm 1: it publishes the live
+// policy under the new state — P = f(SS), MR = g(P) — and audits the
+// move, caused by an event or by force_state. Caller holds mu.
+func (s *SACK) moveLocked(to policy.StateInfo, cause string) {
+	cur := s.snap.Load()
+	s.publish(cur.compiled, cur.source, to)
 	if s.audit != nil {
 		s.audit.Append(lsm.AuditRecord{
 			Module: ModuleName, Op: "state_transition",
-			Subject: string(ev), Object: to.Name, Action: "ALLOWED",
-			Detail: fmt.Sprintf("from=%s to=%s", from.Name, to.Name),
+			Subject: cause, Object: to.Name, Action: "ALLOWED",
+			Detail: fmt.Sprintf("from=%s to=%s", cur.state.Name, to.Name),
 		})
 	}
 }
 
-// applyState re-publishes the current policy under a new situation
-// state — the APE's g(P) step on a transition.
-func (s *SACK) applyState(st ssm.State) {
-	cur := s.snap.Load()
-	s.publish(cur.compiled, cur.source, st)
+// forceLocked moves to a state of the live policy directly, bypassing
+// the transition rules: break-glass, SACKfs state writes, failsafe
+// pinning and recovery. A state the policy does not declare is EINVAL.
+// Caller holds mu.
+func (s *SACK) forceLocked(name string) error {
+	to, ok := s.snap.Load().compiled.State(name)
+	if !ok {
+		return sys.EINVAL
+	}
+	s.forced.Add(1)
+	s.moveLocked(to, "force_state")
+	return nil
 }
 
 // publish is the single publication point for policy state: it advances
@@ -346,13 +322,12 @@ func (s *SACK) applyState(st ssm.State) {
 // swap therefore cannot be observed separately: a reader that loads the
 // new snapshot probes the cache under the new generation, and a reader
 // still holding the old snapshot keeps a self-consistent (rules, epoch)
-// pair whose late inserts the cache drops. Writers (transitions,
-// ReplacePolicy, failsafe forcing) serialise via s.mu or the SSM's own
-// transition lock before reaching here.
-func (s *SACK) publish(c *policy.Compiled, source string, st ssm.State) {
-	rs := c.Rules(st.Name)
+// pair whose late inserts the cache drops. Caller holds mu, and st is
+// a state c declares.
+func (s *SACK) publish(c *policy.Compiled, source string, st policy.StateInfo) {
+	rs := c.StateSets[st.Name]
 	if s.mode == EnhancedAppArmor {
-		s.regenerateProfiles(c, st)
+		s.regenerateProfiles(rs)
 	}
 	var epoch avc.Token
 	if s.cache != nil {

@@ -332,9 +332,8 @@ func TestSSMIgnoresUnmatchedEvents(t *testing.T) {
 	if got := s.CurrentState().Name; got != "normal" {
 		t.Fatalf("state = %q, want normal", got)
 	}
-	_, ignored := s.Machine().Stats()
-	if ignored != 2 {
-		t.Fatalf("ignored = %d, want 2", ignored)
+	if _, _, in, hit := s.Stats(); in-hit != 2 {
+		t.Fatalf("ignored = %d, want 2", in-hit)
 	}
 }
 

@@ -2,12 +2,12 @@ package core
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"repro/internal/lsm"
 	"repro/internal/policy"
 	"repro/internal/securityfs"
-	"repro/internal/ssm"
 	"repro/internal/sys"
 	"repro/internal/vfs"
 )
@@ -47,7 +47,7 @@ func (s *SACK) RegisterSecurityFS(secfs *securityfs.FS) error {
 		{"events", 0o600, &securityfs.FuncFile{
 			OnRead: func(*sys.Cred) ([]byte, error) {
 				var b strings.Builder
-				for _, e := range s.machine.Load().Events() {
+				for _, e := range s.snap.Load().compiled.Events() {
 					b.WriteString(string(e))
 					b.WriteByte('\n')
 				}
@@ -74,7 +74,7 @@ func (s *SACK) RegisterSecurityFS(secfs *securityfs.FS) error {
 					}
 					// A degraded or unknown event is already counted in
 					// the pipeline file; the write itself succeeds.
-					_ = s.Deliver(ssm.Event(ev))
+					_ = s.Deliver(policy.Event(ev))
 				}
 				return nil
 			},
@@ -112,24 +112,24 @@ func (s *SACK) RegisterSecurityFS(secfs *securityfs.FS) error {
 		}},
 		{"state", 0o644, &securityfs.FuncFile{
 			OnRead: func(*sys.Cred) ([]byte, error) {
-				st := s.machine.Load().Current()
+				st := s.CurrentState()
 				return []byte(fmt.Sprintf("%s (%d)\n", st.Name, st.Encoding)), nil
 			},
 			OnWrite: func(cred *sys.Cred, data []byte) error {
 				if !cred.HasCap(sys.CapMacAdmin) {
 					return sys.EPERM
 				}
-				name := strings.TrimSpace(string(data))
-				if err := s.machine.Load().ForceState(name); err != nil {
-					return sys.EINVAL
-				}
-				return nil
+				s.mu.Lock()
+				defer s.mu.Unlock()
+				return s.forceLocked(strings.TrimSpace(string(data)))
 			},
 		}},
 		{"states", 0o444, &securityfs.FuncFile{
 			OnRead: func(*sys.Cred) ([]byte, error) {
+				states := append([]policy.StateInfo(nil), s.snap.Load().compiled.States...)
+				sort.Slice(states, func(i, j int) bool { return states[i].Encoding < states[j].Encoding })
 				var b strings.Builder
-				for _, st := range s.machine.Load().States() {
+				for _, st := range states {
 					fmt.Fprintf(&b, "%s = %d\n", st.Name, st.Encoding)
 				}
 				return []byte(b.String()), nil
@@ -166,10 +166,9 @@ func (s *SACK) RegisterSecurityFS(secfs *securityfs.FS) error {
 			OnRead: func(*sys.Cred) ([]byte, error) {
 				checks, denials, eventsIn, eventsHit := s.Stats()
 				covered, uncovered := s.CheckStats()
-				transitions, ignored := s.machine.Load().Stats()
 				var b strings.Builder
 				fmt.Fprintf(&b, "mode: %s\n", s.mode)
-				fmt.Fprintf(&b, "current_state: %s\n", s.machine.Load().Current().Name)
+				fmt.Fprintf(&b, "current_state: %s\n", s.CurrentState().Name)
 				fmt.Fprintf(&b, "checks: %d\n", checks)
 				fmt.Fprintf(&b, "checks_covered: %d\n", covered)
 				fmt.Fprintf(&b, "checks_uncovered: %d\n", uncovered)
@@ -181,8 +180,10 @@ func (s *SACK) RegisterSecurityFS(secfs *securityfs.FS) error {
 				}
 				fmt.Fprintf(&b, "events_received: %d\n", eventsIn)
 				fmt.Fprintf(&b, "events_transitioned: %d\n", eventsHit)
-				fmt.Fprintf(&b, "ssm_transitions: %d\n", transitions)
-				fmt.Fprintf(&b, "ssm_ignored_events: %d\n", ignored)
+				// Every committed move is an event hit or a forced one;
+				// the counters span reloads.
+				fmt.Fprintf(&b, "ssm_transitions: %d\n", eventsHit+s.Forced())
+				fmt.Fprintf(&b, "ssm_ignored_events: %d\n", eventsIn-eventsHit)
 				return []byte(b.String()), nil
 			},
 		}},

@@ -70,11 +70,6 @@ func (t *Task) create(path string, mode vfs.Mode) (*vfs.Inode, error) {
 	return t.k.FS.Create(path, mode, t.Cred.UID, t.Cred.GID)
 }
 
-// Creat is shorthand for Open(path, O_CREAT|O_WRONLY|O_TRUNC, perm).
-func (t *Task) Creat(path string, perm vfs.Mode) (int, error) {
-	return t.Open(path, vfs.OCreat|vfs.OWronly|vfs.OTrunc, perm)
-}
-
 // Read reads from fd at the current offset, running FilePermission first
 // (every read is mediated, as with Linux's security_file_permission).
 func (t *Task) Read(fd int, buf []byte) (int, error) {

@@ -63,9 +63,6 @@ type Task struct {
 	exited bool
 }
 
-// Kernel returns the owning kernel.
-func (t *Task) Kernel() *Kernel { return t.k }
-
 // Getpid returns the task's pid.
 func (t *Task) Getpid() int { return t.PID }
 
@@ -204,13 +201,6 @@ func (t *Task) Exit() {
 		}
 	}
 	t.k.removeTask(t.PID)
-}
-
-// Exited reports whether Exit has run.
-func (t *Task) Exited() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.exited
 }
 
 // Capable asks the LSM chain whether the task may use a capability.

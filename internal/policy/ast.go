@@ -87,12 +87,3 @@ func (f *File) PermissionNames() []string {
 	}
 	return out
 }
-
-// EventNames lists declared event names in order.
-func (f *File) EventNames() []string {
-	out := make([]string, len(f.Events))
-	for i, e := range f.Events {
-		out[i] = e.Name
-	}
-	return out
-}

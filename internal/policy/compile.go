@@ -324,17 +324,28 @@ func (c *Coverage) CoversWalk(path string) bool {
 // NumPatterns reports the indexed pattern count.
 func (c *Coverage) NumPatterns() int { return c.trie.size }
 
-// StateInfo pairs a state name with its encoding.
+// StateInfo is a situation state: a name plus the numeric encoding used
+// as a compact security context value in the kernel.
 type StateInfo struct {
 	Name     string
 	Encoding uint32
 }
 
-// CompiledTransition is one SSM transition rule.
+// Event is a situation event name ("crash_detected", "ignition_on"...).
+type Event string
+
+// CompiledTransition is one transition rule TR_i: on Event in state
+// From, move to state To.
 type CompiledTransition struct {
 	From  string
 	To    string
 	Event string
+}
+
+// transitionKey indexes the transition relation by (from state, event).
+type transitionKey struct {
+	from  string
+	event Event
 }
 
 // Compiled is a fully validated, enforcement-ready policy: the paper's
@@ -350,6 +361,12 @@ type Compiled struct {
 	StateSets   map[string]*RuleSet       // g(f(SS_i)) pre-composed, views over that table
 	Transitions []CompiledTransition
 	Coverage    *Coverage
+
+	// next indexes Transitions by (from, event) — validation has made
+	// the relation deterministic — and events holds every event some
+	// transition reacts to.
+	next   map[transitionKey]StateInfo
+	events map[Event]bool
 }
 
 // Compile validates and lowers a parsed policy. Validation errors abort;
@@ -376,6 +393,7 @@ func Compile(f *File) (*Compiled, *ValidationResult, error) {
 		}
 	}
 	var nextEnc uint32
+	byName := make(map[string]StateInfo, len(f.States))
 	for _, s := range f.States {
 		enc := uint32(0)
 		if s.Encoding != nil {
@@ -387,7 +405,9 @@ func Compile(f *File) (*Compiled, *ValidationResult, error) {
 			enc = nextEnc
 			used[enc] = true
 		}
-		c.States = append(c.States, StateInfo{Name: s.Name, Encoding: enc})
+		st := StateInfo{Name: s.Name, Encoding: enc}
+		c.States = append(c.States, st)
+		byName[s.Name] = st
 	}
 
 	c.Initial = f.Initial
@@ -435,22 +455,45 @@ func Compile(f *File) (*Compiled, *ValidationResult, error) {
 		c.StateSets[s.Name] = newRuleSet(s.Name, rules, &c.Coverage.trie, ids)
 	}
 
+	c.next = make(map[transitionKey]StateInfo, len(f.Transitions))
+	c.events = make(map[Event]bool)
 	for _, t := range f.Transitions {
 		c.Transitions = append(c.Transitions, CompiledTransition{From: t.From, To: t.To, Event: t.Event})
+		c.next[transitionKey{t.From, Event(t.Event)}] = byName[t.To]
+		c.events[Event(t.Event)] = true
 	}
 	return c, vr, nil
 }
 
-// Rules returns the rule set the APE installs in the named state. A
-// state the policy lacks — an outgoing policy's state name published
-// over this one by a reload race — gets an empty rule set over the
-// shared coverage trie, which denies every covered path (fail closed)
-// and passes every uncovered one through.
-func (c *Compiled) Rules(state string) *RuleSet {
-	if rs := c.StateSets[state]; rs != nil {
-		return rs
+// Next is one step of Algorithm 1: the state a transition rule moves
+// from on ev, and whether any rule matches.
+func (c *Compiled) Next(from string, ev Event) (StateInfo, bool) {
+	to, ok := c.next[transitionKey{from, ev}]
+	return to, ok
+}
+
+// KnowsEvent reports whether any transition rule, from any state,
+// reacts to ev.
+func (c *Compiled) KnowsEvent(ev Event) bool { return c.events[ev] }
+
+// Events returns the sorted set of events any transition reacts to.
+func (c *Compiled) Events() []Event {
+	out := make([]Event, 0, len(c.events))
+	for e := range c.events {
+		out = append(out, e)
 	}
-	return newRuleSet(state, nil, &c.Coverage.trie, nil)
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// State returns the named state and whether the policy declares it.
+func (c *Compiled) State(name string) (StateInfo, bool) {
+	for _, s := range c.States {
+		if s.Name == name {
+			return s, true
+		}
+	}
+	return StateInfo{}, false
 }
 
 // StateNames returns the compiled state names in declaration order.
@@ -464,26 +507,8 @@ func (c *Compiled) StateNames() []string {
 
 // Encoding returns the numeric encoding of a state name.
 func (c *Compiled) Encoding(state string) (uint32, bool) {
-	for _, s := range c.States {
-		if s.Name == state {
-			return s.Encoding, true
-		}
-	}
-	return 0, false
-}
-
-// EventNames returns the sorted set of events referenced by transitions.
-func (c *Compiled) EventNames() []string {
-	set := make(map[string]bool)
-	for _, t := range c.Transitions {
-		set[t.Event] = true
-	}
-	out := make([]string, 0, len(set))
-	for e := range set {
-		out = append(out, e)
-	}
-	sort.Strings(out)
-	return out
+	st, ok := c.State(state)
+	return st.Encoding, ok
 }
 
 // Load is the one-call front door: parse, validate, compile.

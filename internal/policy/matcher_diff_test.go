@@ -263,7 +263,7 @@ func TestMatcherRootStepDifferential(t *testing.T) {
 				continue
 			}
 			for _, st := range c.StateNames() {
-				rs := c.Rules(st)
+				rs := c.StateSets[st]
 				wantCovered := c.Coverage.CoversWalk(path)
 				wantAllowed, wantRule := rs.Decide(subject, path, mask)
 				covered, allowed, rank := rs.Matcher().EvaluateAt(step, subject, path, mask)

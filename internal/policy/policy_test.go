@@ -264,32 +264,48 @@ func TestCompileExample(t *testing.T) {
 }
 
 // TestStateMatchersShareCoverageTrie pins the one-trie layout: every
-// state's matcher, and the fallback rule set for a state the policy
-// lacks, walks the coverage trie itself. The fallback grants nothing,
-// so it denies covered paths and reports uncovered ones as such.
+// state's matcher walks the coverage trie itself.
 func TestStateMatchersShareCoverageTrie(t *testing.T) {
 	c, _, err := Load(examplePolicy)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, st := range c.StateNames() {
-		if c.Rules(st) != c.StateSets[st] {
-			t.Errorf("Rules(%q) is not the compiled state set", st)
-		}
 		if c.StateSets[st].Matcher().trie != &c.Coverage.trie {
 			t.Errorf("state %s has a trie of its own", st)
 		}
 	}
-	ghost := c.Rules("ghost")
-	if ghost.State != "ghost" || ghost.Len() != 0 || ghost.Matcher().trie != &c.Coverage.trie {
-		t.Fatalf("fallback rule set = %q with %d rules, shared trie %v",
-			ghost.State, ghost.Len(), ghost.Matcher().trie == &c.Coverage.trie)
+}
+
+// TestTransitionIndex pins the compiled transition relation: Next
+// answers per (state, event) exactly as the transition rules say, and
+// the known-event set holds every event some rule reacts to.
+func TestTransitionIndex(t *testing.T) {
+	c, _, err := Load(examplePolicy)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if covered, allowed, rule := ghost.Matcher().Evaluate("", "/etc/fstab", sys.MayRead); !covered || allowed || rule != nil {
-		t.Errorf("fallback on a covered path: covered=%v allowed=%v rule=%v", covered, allowed, rule)
+	for _, tr := range c.Transitions {
+		to, ok := c.Next(tr.From, Event(tr.Event))
+		if !ok || to.Name != tr.To {
+			t.Errorf("Next(%s, %s) = %v %v, want %s", tr.From, tr.Event, to, ok, tr.To)
+		}
+		if enc, _ := c.Encoding(tr.To); to.Encoding != enc {
+			t.Errorf("Next(%s, %s) encoding %d, want %d", tr.From, tr.Event, to.Encoding, enc)
+		}
+		if !c.KnowsEvent(Event(tr.Event)) {
+			t.Errorf("event %s unknown", tr.Event)
+		}
 	}
-	if covered, _, _ := ghost.Matcher().Evaluate("", "/tmp/scratch", sys.MayRead); covered {
-		t.Error("fallback covers an uncovered path")
+	if _, ok := c.Next(c.Initial, "no_such_event"); ok || c.KnowsEvent("no_such_event") {
+		t.Error("an event no rule names matched")
+	}
+	evs := c.Events()
+	if len(evs) != 2 || evs[0] != "all_clear" || evs[1] != "crash_detected" {
+		t.Fatalf("Events() = %v", evs)
+	}
+	if _, ok := c.Next("normal", "all_clear"); ok {
+		t.Error("all_clear matched in normal, which no rule leaves on it")
 	}
 }
 

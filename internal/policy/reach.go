@@ -38,7 +38,8 @@ func (k EntryKind) String() string {
 // classifyReachability runs the shared BFS: states reachable from the
 // initial state are EntryNormal; states additionally reachable once the
 // failsafe root is granted are EntryFailsafe; everything else declared
-// is EntryBreakGlass (ForceState accepts any declared state).
+// is EntryBreakGlass (break-glass and SACKfs state writes accept any
+// declared state).
 func classifyReachability(states []string, initial, failsafe string, adjacency map[string][]string) map[string]EntryKind {
 	bfs := func(roots ...string) map[string]bool {
 		seen := make(map[string]bool)

@@ -48,9 +48,8 @@ func (RealClock) Sleep(ctx context.Context, d time.Duration) error {
 //
 //   - Manual (default): After registers a waiter that fires when
 //     Advance moves the clock past its deadline; Sleep parks on such a
-//     waiter. Tests coordinate with BlockUntil, which waits until a
-//     given number of waiters are parked — no polling, no real time.
-//   - Auto-advance (NewAutoClock or SetAutoAdvance): Sleep advances
+//     waiter — no polling, no real time.
+//   - Auto-advance (NewAutoClock): Sleep advances
 //     the clock by the requested duration immediately and returns, so
 //     retry/backoff loops run to completion without any goroutine
 //     coordination. Every requested sleep is recorded for assertions
@@ -60,7 +59,6 @@ func (RealClock) Sleep(ctx context.Context, d time.Duration) error {
 //     fires when backoff actually consumes it, not instantly.
 type VirtualClock struct {
 	mu      sync.Mutex
-	cond    *sync.Cond
 	now     time.Time
 	auto    bool
 	waiters []*virtualWaiter
@@ -74,9 +72,7 @@ type virtualWaiter struct {
 
 // NewVirtualClock starts a manual virtual clock at start.
 func NewVirtualClock(start time.Time) *VirtualClock {
-	c := &VirtualClock{now: start}
-	c.cond = sync.NewCond(&c.mu)
-	return c
+	return &VirtualClock{now: start}
 }
 
 // NewAutoClock starts a virtual clock whose sleeps complete
@@ -85,13 +81,6 @@ func NewAutoClock(start time.Time) *VirtualClock {
 	c := NewVirtualClock(start)
 	c.auto = true
 	return c
-}
-
-// SetAutoAdvance toggles auto-advance mode.
-func (c *VirtualClock) SetAutoAdvance(on bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.auto = on
 }
 
 // Now implements Clock.
@@ -112,7 +101,6 @@ func (c *VirtualClock) After(d time.Duration) <-chan time.Time {
 		return ch
 	}
 	c.waiters = append(c.waiters, &virtualWaiter{at: c.now.Add(d), ch: ch})
-	c.cond.Broadcast()
 	return ch
 }
 
@@ -129,7 +117,6 @@ func (c *VirtualClock) Sleep(ctx context.Context, d time.Duration) error {
 	c.slept = append(c.slept, d)
 	w := &virtualWaiter{at: c.now.Add(d), ch: make(chan time.Time, 1)}
 	c.waiters = append(c.waiters, w)
-	c.cond.Broadcast()
 	c.mu.Unlock()
 	select {
 	case <-ctx.Done():
@@ -160,17 +147,6 @@ func (c *VirtualClock) fireDueLocked() {
 		}
 	}
 	c.waiters = kept
-}
-
-// BlockUntil waits (without consuming real time beyond scheduling)
-// until at least n waiters are parked on the clock — the deterministic
-// rendezvous for tests that Advance from another goroutine.
-func (c *VirtualClock) BlockUntil(n int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for len(c.waiters) < n {
-		c.cond.Wait()
-	}
 }
 
 // Slept returns every sleep duration requested so far — the schedule a

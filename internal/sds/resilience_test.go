@@ -197,7 +197,7 @@ func TestSensorDropoutTracking(t *testing.T) {
 		sensors[i] = NewFaultySensor(s, inj)
 	}
 	svc := NewService(clock, sensors, nil, rec,
-		WithDarkThreshold(3), WithHeartbeat(time.Second))
+		WithHeartbeat(time.Second))
 
 	for i := 0; i < 2; i++ {
 		clock.Advance(100 * time.Millisecond)

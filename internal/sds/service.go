@@ -8,8 +8,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/kernel"
+	"repro/internal/policy"
 	"repro/internal/resilience"
-	"repro/internal/ssm"
 )
 
 // Transmitter delivers detected situation events to the kernel. The
@@ -68,8 +68,11 @@ const (
 	DefaultQueueCapacity = 64
 	DefaultBackoffBase   = 100 * time.Millisecond
 	DefaultBackoffMax    = 5 * time.Second
-	DefaultDarkThreshold = 3
 )
+
+// DefaultDarkThreshold is how many consecutive stale readings mark a
+// sensor dark.
+const DefaultDarkThreshold = 3
 
 // SensorHealth is the per-sensor dropout tracker's view of one sensor.
 type SensorHealth struct {
@@ -94,7 +97,6 @@ type Service struct {
 	maxBackoff  time.Duration
 	hbInterval  time.Duration // 0 = heartbeat disabled
 	hbSecret    []byte        // non-empty = sign heartbeats (HMAC)
-	darkAfter   int
 
 	mu      sync.Mutex
 	history []TransmittedEvent
@@ -153,16 +155,6 @@ func WithHeartbeatSecret(secret []byte) ServiceOption {
 	return func(s *Service) { s.hbSecret = append([]byte(nil), secret...) }
 }
 
-// WithDarkThreshold sets how many consecutive stale readings mark a
-// sensor dark.
-func WithDarkThreshold(n int) ServiceOption {
-	return func(s *Service) {
-		if n > 0 {
-			s.darkAfter = n
-		}
-	}
-}
-
 // WithJitterSeed reseeds the backoff jitter source (deterministic tests
 // exercising distinct retry schedules).
 func WithJitterSeed(seed int64) ServiceOption {
@@ -176,7 +168,6 @@ func NewService(clock resilience.Clock, sensors []Sensor, detectors []Detector, 
 		queueCap:    DefaultQueueCapacity,
 		baseBackoff: DefaultBackoffBase,
 		maxBackoff:  DefaultBackoffMax,
-		darkAfter:   DefaultDarkThreshold,
 		rng:         rand.New(rand.NewSource(1)),
 		health:      make(map[string]*SensorHealth),
 	}
@@ -227,7 +218,7 @@ func (s *Service) Poll() ([]string, error) {
 // detector events; a full queue reports core.ErrQueueFull. Transmit
 // failures are not returned: the event is queued and retried on later
 // polls.
-func (s *Service) DeliverEvent(ev ssm.Event) error {
+func (s *Service) DeliverEvent(ev policy.Event) error {
 	now := s.clock.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -329,7 +320,7 @@ func (s *Service) observeHealthLocked(snap Snapshot) {
 		r := snap[name]
 		if r.Stale {
 			h.StaleRun++
-			if h.StaleRun >= s.darkAfter {
+			if h.StaleRun >= DefaultDarkThreshold {
 				h.Dark = true
 			}
 		} else {

@@ -156,9 +156,6 @@ func Open(dir string, opts ...Option) (*Store, error) {
 	return s, nil
 }
 
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Snapshot returns the payload of the newest intact snapshot loaded at
 // Open (ok=false when none exists) and the WAL index it covers.
 func (s *Store) Snapshot() (index uint64, payload []byte, ok bool) {

@@ -150,10 +150,3 @@ func (f *File) SetPos(off int64) error {
 	f.pos = off
 	return nil
 }
-
-// Pos returns the current file position.
-func (f *File) Pos() int64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.pos
-}

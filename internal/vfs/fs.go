@@ -36,9 +36,6 @@ func New() *FS {
 
 func (fs *FS) allocIno() uint64 { return fs.nextIno.Add(1) }
 
-// Root returns the root directory inode.
-func (fs *FS) Root() *Inode { return fs.root }
-
 // Lookup resolves an absolute path to its inode (see Resolve).
 func (fs *FS) Lookup(path string) (*Inode, error) {
 	_, node, err := fs.Resolve(path)

@@ -157,6 +157,10 @@ type shadowModel struct {
 	armed    bool
 	lastBeat time.Time
 	window   time.Duration
+
+	// hits and forced tally the moves the system must audit as
+	// state_transition records: event-caused and forced ones.
+	hits, forced uint64
 }
 
 func (m *shadowModel) remap(name string) string {
@@ -174,6 +178,9 @@ func (m *shadowModel) degrade() {
 	m.prev = m.current
 	if m.v.failsafe != "" {
 		m.pinned = true
+		if m.current != m.v.failsafe {
+			m.forced++
+		}
 		m.current = m.v.failsafe
 	}
 }
@@ -185,6 +192,7 @@ func (m *shadowModel) recover() {
 	m.degraded, m.pinned = false, false
 	if m.prev != "" {
 		m.current = m.prev
+		m.forced++
 	}
 	m.prev = ""
 }
@@ -212,6 +220,7 @@ func (m *shadowModel) deliver(ev string) bool {
 	}
 	if to, ok := m.v.rules[m.current+"\x00"+ev]; ok {
 		m.current = to
+		m.hits++
 	}
 	return true
 }
@@ -273,15 +282,6 @@ func TestReloadChaosInterleaved(t *testing.T) {
 			var beatSeq uint64
 			var wantEventsIn uint64
 			var wantGen uint64 = 1
-			// Machine counters reset at each reload (a fresh SSM swaps
-			// in); accumulate them so the ledger spans the whole run.
-			var accTrans, accForced, accIgnored uint64
-			snapshotMachine := func() {
-				tr, ig := sys.SACK.Machine().Stats()
-				accTrans += tr
-				accForced += sys.SACK.Machine().Forced()
-				accIgnored += ig
-			}
 
 			for step := 0; step < 400; step++ {
 				switch op := rng.Intn(10); {
@@ -321,7 +321,6 @@ func TestReloadChaosInterleaved(t *testing.T) {
 					}
 				default: // reload
 					v := variants[rng.Intn(len(variants))]
-					snapshotMachine()
 					report, err := sys.Reload(v.src)
 					if err != nil {
 						t.Fatalf("seed %d step %d: reload: %v", seed, step, err)
@@ -375,20 +374,21 @@ func TestReloadChaosInterleaved(t *testing.T) {
 				t.Fatalf("seed %d: post-recovery drain: state=%s model=%s (wedged?)", seed, got, model.current)
 			}
 
-			// Ledger across all machine generations: every accepted
-			// event is a transition or an ignore; pinned rejections
-			// never leak in.
-			snapshotMachine()
+			// Ledger across all reloads: every accepted event is a hit
+			// or an ignore as the model says, every forced move is one
+			// the model made, the audit log agrees, and pinned
+			// rejections never leak in.
 			_, _, eventsIn, eventsHit := sys.SACK.Stats()
 			if eventsIn != wantEventsIn {
 				t.Fatalf("seed %d: eventsIn = %d, want %d", seed, eventsIn, wantEventsIn)
 			}
-			if eventsIn != (accTrans-accForced)+accIgnored {
-				t.Fatalf("seed %d: ledger: in=%d trans=%d forced=%d ignored=%d",
-					seed, eventsIn, accTrans, accForced, accIgnored)
+			if eventsHit != model.hits || sys.SACK.Forced() != model.forced {
+				t.Fatalf("seed %d: ledger: hits=%d forced=%d, model hits=%d forced=%d",
+					seed, eventsHit, sys.SACK.Forced(), model.hits, model.forced)
 			}
-			if eventsHit != accTrans-accForced {
-				t.Fatalf("seed %d: hits=%d trans-forced=%d", seed, eventsHit, accTrans-accForced)
+			if hits, forced := transitionLedger(t, sys); hits != model.hits || forced != model.forced {
+				t.Fatalf("seed %d: audited hits=%d forced=%d, model hits=%d forced=%d",
+					seed, hits, forced, model.hits, model.forced)
 			}
 
 			// The reload file reports the final generation.
@@ -432,7 +432,6 @@ func TestReloadChaosWithFaultPlans(t *testing.T) {
 					sds.AllClearDetector(8.0),
 				},
 				sds.WithHeartbeat(500*time.Millisecond),
-				sds.WithDarkThreshold(3),
 				sds.WithJitterSeed(seed),
 			)
 			if err != nil {
@@ -440,16 +439,9 @@ func TestReloadChaosWithFaultPlans(t *testing.T) {
 			}
 			pipe := sys.Pipeline()
 
-			var accTrans, accForced, accIgnored uint64
-			snapshotMachine := func() {
-				tr, ig := sys.SACK.Machine().Stats()
-				accTrans += tr
-				accForced += sys.SACK.Machine().Forced()
-				accIgnored += ig
-			}
 			declared := func() map[string]bool {
 				out := map[string]bool{}
-				for _, st := range sys.SACK.Machine().States() {
+				for _, st := range sys.SACK.Policy().States {
 					out[st.Name] = true
 				}
 				return out
@@ -468,7 +460,6 @@ func TestReloadChaosWithFaultPlans(t *testing.T) {
 				pipe.Check(clock.Now())
 
 				if rng.Intn(12) == 0 {
-					snapshotMachine()
 					if _, err := sys.Reload(variants[rng.Intn(len(variants))]); err != nil {
 						t.Fatalf("seed %d step %d: reload: %v", seed, step, err)
 					}
@@ -512,17 +503,14 @@ func TestReloadChaosWithFaultPlans(t *testing.T) {
 				t.Fatalf("seed %d: recovered into undeclared state %q", seed, state)
 			}
 
-			// Kernel-side ledger across machine swaps: accepted events
-			// are exactly transitions-plus-ignores; rejections while
-			// pinned were counted, not delivered.
-			snapshotMachine()
+			// Kernel-side ledger across reloads: every event hit and
+			// every forced move is one state_transition audit record;
+			// rejections while pinned were counted, not delivered.
 			_, _, eventsIn, eventsHit := sys.SACK.Stats()
-			if eventsIn != (accTrans-accForced)+accIgnored {
-				t.Fatalf("seed %d: ledger: in=%d trans=%d forced=%d ignored=%d",
-					seed, eventsIn, accTrans, accForced, accIgnored)
-			}
-			if eventsHit != accTrans-accForced {
-				t.Fatalf("seed %d: hits=%d trans-forced=%d", seed, eventsHit, accTrans-accForced)
+			hits, forced := transitionLedger(t, sys)
+			if eventsHit != hits || sys.SACK.Forced() != forced || eventsIn < eventsHit {
+				t.Fatalf("seed %d: ledger: in=%d hit=%d forced=%d, audited hits=%d forced=%d",
+					seed, eventsIn, eventsHit, sys.SACK.Forced(), hits, forced)
 			}
 		})
 	}

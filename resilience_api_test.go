@@ -73,19 +73,13 @@ func TestEventSinkInterfaceUnifiesEntryPaths(t *testing.T) {
 }
 
 func TestWithFailsafeOverridesAndPins(t *testing.T) {
-	sys, err := sack.New(failsafeAPIPolicy,
-		sack.WithFailsafe("emergency"),
-		sack.WithHeartbeatWindow(2*time.Second),
-	)
+	sys, err := sack.New(failsafeAPIPolicy, sack.WithFailsafe("emergency"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	pipe := sys.Pipeline()
 	if got := pipe.Failsafe(); got != "emergency" {
 		t.Fatalf("failsafe = %q (override lost)", got)
-	}
-	if got := pipe.Window(); got != 2*time.Second {
-		t.Fatalf("window = %v", got)
 	}
 
 	// Lapse the heartbeat: observe one beat, then check far in the future.

@@ -34,7 +34,6 @@ package sack
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"repro/internal/apparmor"
 	"repro/internal/core"
@@ -45,7 +44,6 @@ import (
 	"repro/internal/policy"
 	"repro/internal/resilience"
 	"repro/internal/sds"
-	"repro/internal/ssm"
 	"repro/internal/sys"
 	"repro/internal/vehicle"
 	"repro/internal/verify"
@@ -68,9 +66,9 @@ type (
 	// Vehicle is the simulated CAV hardware.
 	Vehicle = vehicle.Vehicle
 	// State is a situation state.
-	State = ssm.State
+	State = policy.StateInfo
 	// Event is a situation event name.
-	Event = ssm.Event
+	Event = policy.Event
 	// CompiledPolicy is an enforcement-ready SACK policy.
 	CompiledPolicy = policy.Compiled
 	// ValidationResult carries policy-checker findings.
@@ -102,7 +100,7 @@ type (
 	// Detector is an SDS situation detector.
 	Detector = sds.Detector
 	// SDSOption tunes the SDS resilience features (queue capacity,
-	// backoff, heartbeat, dark threshold).
+	// backoff, heartbeat and its signing secret, jitter seed).
 	SDSOption = sds.ServiceOption
 	// FaultPlan is a deterministic fault-injection schedule.
 	FaultPlan = faults.Plan
@@ -329,7 +327,6 @@ type options struct {
 	disableVehicle   bool
 	disableAVC       bool
 	failsafe         string
-	heartbeatWindow  time.Duration
 	heartbeatSecret  []byte
 	faultPlan        *faults.Plan
 	fleetCfg         *fleet.AgentConfig
@@ -369,18 +366,6 @@ func WithoutAVC() Option {
 // declaration in the policy. The state must be declared by the policy.
 func WithFailsafe(state string) Option {
 	return func(o *options) { o.failsafe = state }
-}
-
-// WithHeartbeatWindow sets how stale the SDS heartbeat may grow before
-// the kernel-side watchdog degrades the pipeline (d <= 0 selects the
-// default).
-func WithHeartbeatWindow(d time.Duration) Option {
-	return func(o *options) {
-		if d < 0 {
-			d = 0
-		}
-		o.heartbeatWindow = d
-	}
 }
 
 // WithHeartbeatSecret arms heartbeat authentication: the kernel rejects
@@ -496,7 +481,6 @@ func New(policyText string, opts ...Option) (*System, error) {
 		AppArmor:        aa,
 		DisableAVC:      o.disableAVC,
 		Failsafe:        o.failsafe,
-		HeartbeatWindow: o.heartbeatWindow,
 		HeartbeatSecret: o.heartbeatSecret,
 	})
 	if err != nil {
@@ -636,7 +620,7 @@ func (s *System) NewSDS(task *Task, clock resilience.Clock, detectors ...sds.Det
 }
 
 // NewSDSWith is NewSDS plus resilience options (queue capacity, retry
-// backoff, heartbeat emission, dark-sensor threshold).
+// backoff, heartbeat emission, jitter seed).
 func (s *System) NewSDSWith(task *Task, clock resilience.Clock, detectors []sds.Detector, opts ...sds.ServiceOption) (*SDS, error) {
 	if s.Vehicle == nil {
 		return nil, fmt.Errorf("sack: system has no vehicle")

@@ -460,11 +460,11 @@ profile guarded /usr/bin/guarded {
 				}
 
 				// The SSM reacts to the policy's own transition events:
-				// walk every event the machine handles at least once.
-				machine := sys.SACK.Machine()
+				// walk every event the current state handles at least once.
+				compiled := sys.SACK.Policy()
 				_, _, _, hitBefore := sys.SACK.Stats()
-				for _, ev := range machine.Events() {
-					if machine.CanHandle(ev) {
+				for _, ev := range compiled.Events() {
+					if _, ok := compiled.Next(sys.CurrentState().Name, ev); ok {
 						_ = sys.Events().DeliverEvent(ev)
 					}
 				}

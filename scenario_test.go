@@ -170,8 +170,8 @@ func TestFullDayScenario(t *testing.T) {
 	}
 
 	// The whole day is on the books.
-	transitions, _ := r.sys.SACK.Machine().Stats()
-	if transitions < 7 {
+	_, _, _, hits := r.sys.SACK.Stats()
+	if transitions := hits + r.sys.SACK.Forced(); transitions < 7 {
 		t.Fatalf("only %d transitions over the scenario", transitions)
 	}
 	if len(r.sys.Audit.Denials()) == 0 {
