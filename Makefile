@@ -77,7 +77,10 @@ fleet-stress:
 # kill ‑9/restart property tests — fleetd must replay to the exact
 # pre-crash registry, generation counters, and per-vehicle
 # accepted+dropped==emitted ledger, with staged rollouts and signatures
-# surviving the restart — all under the race detector.
+# surviving the restart — all under the race detector. TestPersist also
+# selects the live-vs-replay races (uploads racing drains, then a
+# restart; one batch uploaded twice at once) and the replay of a store
+# written by an earlier server (testdata/legacy-store).
 fleet-persist-stress:
 	$(GO) test -race -count=1 ./internal/store ./internal/sign
 	$(GO) test -race -count=1 -run 'TestPersist|TestRollout|TestAgentRejects|TestAgentKeyRotation|TestSigReject|TestSignedBundle|TestHTTPClientVerifies' ./internal/fleet

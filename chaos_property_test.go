@@ -137,7 +137,8 @@ func TestChaosRandomFaultPlans(t *testing.T) {
 
 			pipe := sys.Pipeline()
 			valid := map[string]bool{"parked": true, "driving": true, "emergency": true, "safe_stop": true}
-			var probes uint64 // direct pinned deliveries made by this test
+			var probes uint64   // direct pinned deliveries made by this test
+			var detected uint64 // events the service's detectors raised
 			tr := trace.NewGenerator(seed).Generate(100)
 			var prev time.Duration
 			for step, p := range tr.Points {
@@ -148,8 +149,9 @@ func TestChaosRandomFaultPlans(t *testing.T) {
 				trace.Apply(p, sys.Vehicle.Dynamics)
 				// Errors are expected mid-chaos (stalls, queue overflow);
 				// they must be the typed ones.
-				if _, err := service.Poll(); err != nil &&
-					!errors.Is(err, faults.ErrStall) && !errors.Is(err, sack.ErrQueueFull) {
+				evs, err := service.Poll()
+				detected += uint64(len(evs))
+				if err != nil && !errors.Is(err, faults.ErrStall) && !errors.Is(err, sack.ErrQueueFull) {
 					t.Fatalf("seed %d step %d: unexpected poll error: %v", seed, step, err)
 				}
 				pipe.Check(clock.Now())
@@ -188,7 +190,8 @@ func TestChaosRandomFaultPlans(t *testing.T) {
 			recovered := false
 			for i := 0; i < 300; i++ {
 				clock.Advance(time.Second)
-				_, _ = service.Poll()
+				evs, _ := service.Poll()
+				detected += uint64(len(evs))
 				pipe.Check(clock.Now())
 				depth, _, _, _ := service.QueueStats()
 				if depth == 0 && len(service.DarkSensors()) == 0 && !pipe.Degraded() {
@@ -208,7 +211,6 @@ func TestChaosRandomFaultPlans(t *testing.T) {
 			// split between accepted (eventsIn) and rejected-degraded.
 			st := ft.Stats()
 			depth, _, _, qdrops := service.QueueStats()
-			detected := uint64(len(service.History()))
 			enqueued := detected - qdrops
 			wantForwarded := enqueued - uint64(depth) - st.Dropped + st.Duplicated - st.Held
 			if st.Forwarded != wantForwarded {

@@ -21,11 +21,30 @@ import (
 // `accepted + dropped == emitted` still holds for every vehicle, and no
 // vehicle re-applies or skips a generation.
 //
+// One apply path: each record kind has exactly one apply function
+// (applyPublish, applyInvariants, applyStatus, applyIngest, applyDrain,
+// applyRollout), called both by the live mutator and by OpenServer's
+// replay. The live mutator first decides, holding no lock: it compiles
+// and gates a candidate, dedupes a batch, waits for buffer space. It
+// then calls the apply function inside the one critical section that
+// orders the state the record changes, and the apply function appends
+// the record (commit) before it changes anything — so WAL order is the
+// order the changes were made in, and a record the store refuses
+// changes nothing. The critical sections are ctlMu for publishes,
+// invariant sets and rollout transitions; the vehicle's shard lock plus
+// logMu for an ingest (dedupe, buffer append and ledger advance
+// together); logMu for a drain; the shard lock for a status report. The
+// fsync (syncTx) runs after every lock is released, so concurrent
+// commits share one group commit. persistMu's read half is shared by
+// every mutator, so it orders nothing between them: Checkpoint takes
+// the write half, which only makes a snapshot a consistent cut.
+//
 // Commit points: records that move externally visible state a client
-// acts on (publish ACK, ingest accept) are fsynced before the call
-// returns. Status reports and drains are appended without an explicit
-// fsync — they are re-reported or re-drained naturally — and ride to
-// disk on the next group commit.
+// acts on (publish ACK, ingest accept, invariant sets, rollout steps)
+// are fsynced before the call returns. Status reports, drains and
+// backpressure rejections are appended without an explicit fsync — they
+// are re-reported or re-drained naturally — and ride to disk on the
+// next group commit.
 
 // walRecord is the JSON envelope framing every WAL entry. Exactly one
 // payload field is set, selected by Kind.
@@ -39,16 +58,27 @@ type walRecord struct {
 	Rollout    *walRollout    `json:"ro,omitempty"`
 }
 
+// bundleContent is what a WAL record or snapshot keeps of one signed
+// bundle: enough to rebuild (and recompile) it at replay. It is
+// embedded, so its fields flatten into the enclosing JSON object.
+type bundleContent struct {
+	Source     string `json:"src,omitempty"`
+	Invariants string `json:"invariants,omitempty"`
+	KeyID      string `json:"key_id,omitempty"`
+	SigAlg     string `json:"sig_alg,omitempty"`
+	Signature  string `json:"sig,omitempty"`
+}
+
+func contentOf(b policy.Bundle) bundleContent {
+	return bundleContent{Source: b.Source, Invariants: b.Invariants, KeyID: b.KeyID, SigAlg: b.SigAlg, Signature: b.Signature}
+}
+
 // walPublish records one publish attempt. Accepted publishes carry the
 // full bundle content so replay can reinstall (and recompile) it;
 // rejected ones carry only the audit entry.
 type walPublish struct {
-	Audit      PublishRecord `json:"audit"`
-	Source     string        `json:"src,omitempty"`
-	Invariants string        `json:"invariants,omitempty"`
-	KeyID      string        `json:"key_id,omitempty"`
-	SigAlg     string        `json:"sig_alg,omitempty"`
-	Signature  string        `json:"sig,omitempty"`
+	Audit PublishRecord `json:"audit"`
+	bundleContent
 }
 
 type walInvariants struct {
@@ -79,17 +109,13 @@ type walDrain struct {
 // candidate content and plan; the others reference the group's
 // in-flight state.
 type walRollout struct {
-	Op         string      `json:"op"` // start | advance | halt | abort | promote
-	Group      string      `json:"group"`
-	When       time.Time   `json:"when"`
-	Plan       RolloutPlan `json:"plan,omitempty"`
-	Source     string      `json:"src,omitempty"`
-	Invariants string      `json:"invariants,omitempty"`
-	KeyID      string      `json:"key_id,omitempty"`
-	SigAlg     string      `json:"sig_alg,omitempty"`
-	Signature  string      `json:"sig,omitempty"`
-	Reason     string      `json:"reason,omitempty"`
-	Stage      int         `json:"stage,omitempty"`
+	Op    string      `json:"op"` // start | advance | halt | abort | promote
+	Group string      `json:"group"`
+	When  time.Time   `json:"when"`
+	Plan  RolloutPlan `json:"plan,omitempty"`
+	bundleContent
+	Reason string `json:"reason,omitempty"`
+	Stage  int    `json:"stage,omitempty"`
 }
 
 // snapState is the snapshot payload: the server's full durable state at
@@ -119,28 +145,20 @@ type snapGroup struct {
 	Group      string `json:"group"`
 	Generation uint64 `json:"generation"`
 	LastGen    uint64 `json:"last_gen"`
-	Source     string `json:"src"`
-	Invariants string `json:"invariants,omitempty"`
-	KeyID      string `json:"key_id,omitempty"`
-	SigAlg     string `json:"sig_alg,omitempty"`
-	Signature  string `json:"sig,omitempty"`
+	bundleContent
 }
 
 type snapRollout struct {
-	Group         string      `json:"group"`
-	Plan          RolloutPlan `json:"plan"`
-	Stage         int         `json:"stage"`
-	StartedAt     time.Time   `json:"started_at"`
-	Source        string      `json:"src"`
-	Invariants    string      `json:"invariants,omitempty"`
-	Generation    uint64      `json:"generation"`
-	KeyID         string      `json:"key_id,omitempty"`
-	SigAlg        string      `json:"sig_alg,omitempty"`
-	Signature     string      `json:"sig,omitempty"`
-	CanarySamples uint64      `json:"canary_samples"`
-	CanaryDenials uint64      `json:"canary_denials"`
-	Halted        bool        `json:"halted,omitempty"`
-	HaltReason    string      `json:"halt_reason,omitempty"`
+	Group     string      `json:"group"`
+	Plan      RolloutPlan `json:"plan"`
+	Stage     int         `json:"stage"`
+	StartedAt time.Time   `json:"started_at"`
+	bundleContent
+	Generation    uint64 `json:"generation"`
+	CanarySamples uint64 `json:"canary_samples"`
+	CanaryDenials uint64 `json:"canary_denials"`
+	Halted        bool   `json:"halted,omitempty"`
+	HaltReason    string `json:"halt_reason,omitempty"`
 }
 
 // OpenServer builds a Server whose state is durable in st: boot replays
@@ -159,21 +177,7 @@ func OpenServer(st *store.Store, opts ...ServerOption) (*Server, error) {
 			return nil, err
 		}
 	}
-	if err := st.Replay(func(_ uint64, payload []byte) error {
-		if len(payload) > 0 && payload[0] == walFrameMagic {
-			ing, err := decodeIngestFrame(payload)
-			if err != nil {
-				return err
-			}
-			s.applyIngest(ing)
-			return nil
-		}
-		var rec walRecord
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			return fmt.Errorf("fleet: corrupt wal record: %w", err)
-		}
-		return s.applyWal(&rec)
-	}); err != nil {
+	if err := st.Replay(s.replay); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -182,36 +186,112 @@ func OpenServer(st *store.Store, opts ...ServerOption) (*Server, error) {
 // Store returns the server's backing store (nil for in-memory servers).
 func (s *Server) Store() *store.Store { return s.store }
 
-// persist marshals and appends one WAL record. Callers hold
-// persistMu.RLock so the append lands on the same side of any snapshot
-// cut as the in-memory mutation it describes. syncNow forces the record
-// durable before return (commit point).
-func (s *Server) persist(rec walRecord, syncNow bool) error {
-	if s.store == nil {
-		return nil
-	}
-	buf, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("fleet: encode wal record: %w", err)
-	}
-	return s.persistRaw(buf, syncNow)
+// walTx carries one live mutation's WAL record from its apply function,
+// which appends it, to syncTx, which makes it durable once every lock is
+// released. Replay passes a nil *walTx: its record is already logged.
+type walTx struct {
+	frame []byte // pre-encoded payload (binary ingest frame); nil = JSON
+	sync  bool   // commit point: durable before the mutator returns
+	idx   uint64 // store index once appended
 }
 
-// persistRaw appends an already encoded WAL payload (JSON envelope or
-// binary ingest frame). The store copies the payload before returning,
-// so callers may reuse their buffer.
-func (s *Server) persistRaw(payload []byte, syncNow bool) error {
+// commit appends one record — tx.frame when set, else rec as JSON.
+// Apply functions call it inside their critical section, before they
+// change any state.
+func (s *Server) commit(tx *walTx, rec walRecord) error {
+	if tx == nil || s.store == nil {
+		return nil
+	}
+	payload := tx.frame
+	if payload == nil {
+		var err error
+		if payload, err = json.Marshal(rec); err != nil {
+			return fmt.Errorf("fleet: encode wal record: %w", err)
+		}
+	}
 	idx, err := s.store.Append(payload)
 	if err != nil {
 		return fmt.Errorf("fleet: wal append: %w", err)
 	}
+	tx.idx = idx
 	s.walCount.Add(1)
-	if syncNow {
-		if err := s.store.SyncTo(idx); err != nil {
-			return fmt.Errorf("fleet: wal sync: %w", err)
-		}
+	return nil
+}
+
+// syncTx makes a committed commit-point record durable. Called with no
+// lock held, so concurrent commits share one fsync.
+func (s *Server) syncTx(tx *walTx) error {
+	if !tx.sync || tx.idx == 0 {
+		return nil
+	}
+	if err := s.store.SyncTo(tx.idx); err != nil {
+		return fmt.Errorf("fleet: wal sync: %w", err)
 	}
 	return nil
+}
+
+// control runs one control-plane mutation: fn decides and calls an apply
+// function inside the ctlMu critical section, and the record is synced
+// once the locks are released. Every control-plane record is a commit
+// point.
+func (s *Server) control(fn func(tx *walTx) error) error {
+	tx := &walTx{sync: true}
+	s.persistMu.RLock()
+	s.ctlMu.Lock()
+	err := fn(tx)
+	s.ctlMu.Unlock()
+	s.persistMu.RUnlock()
+	if err != nil {
+		return err
+	}
+	return s.syncTx(tx)
+}
+
+// replay re-applies one WAL record through the apply function its live
+// mutator called. OpenServer runs before the server is shared, so it
+// does not take the locks a live caller holds around the apply.
+func (s *Server) replay(_ uint64, payload []byte) error {
+	if len(payload) > 0 && payload[0] == walFrameMagic {
+		ing, err := decodeIngestFrame(payload)
+		if err != nil {
+			return err
+		}
+		return s.applyIngest(ing, nil)
+	}
+	var rec walRecord
+	if err := json.Unmarshal(payload, &rec); err != nil {
+		return fmt.Errorf("fleet: corrupt wal record: %w", err)
+	}
+	switch {
+	case rec.Kind == "publish" && rec.Publish != nil:
+		var b policy.Bundle
+		if a := rec.Publish.Audit; a.Outcome == "published" {
+			var err error
+			if b, err = rebuildBundle(a.Group, a.Generation, rec.Publish.bundleContent); err != nil {
+				return err
+			}
+		}
+		return s.applyPublish(rec.Publish, b, nil)
+	case rec.Kind == "invariants" && rec.Invariants != nil:
+		return s.applyInvariants(rec.Invariants, nil)
+	case rec.Kind == "status" && rec.Status != nil:
+		return s.applyStatus(rec.Status, nil)
+	case rec.Kind == "ingest" && rec.Ingest != nil:
+		return s.applyIngest(rec.Ingest, nil)
+	case rec.Kind == "drain" && rec.Drain != nil:
+		s.applyDrain(rec.Drain.N, nil)
+		return nil
+	case rec.Kind == "rollout" && rec.Rollout != nil:
+		var cand policy.Bundle
+		if ro := rec.Rollout; ro.Op == "start" {
+			var err error
+			if cand, err = rebuildBundle(ro.Group, 0, ro.bundleContent); err != nil {
+				return err
+			}
+		}
+		return s.applyRollout(rec.Rollout, cand, nil)
+	}
+	return fmt.Errorf("fleet: bad wal record of kind %q", rec.Kind)
 }
 
 // Binary WAL ingest frames. Ingest is the only WAL record kind on the
@@ -229,28 +309,28 @@ const (
 	walFrameVersion = 1
 )
 
-// persistIngest WAL-commits one accepted batch using the scratch
-// buffers pooled by the caller. fresh is the post-dedupe slice; the
-// frame reuses the wire codec, so replay accounting is ledger-exact by
-// construction (same records, same dedupe outcome).
-func (s *Server) persistIngest(sc *ingestScratch, vehicle string, fresh []LogRecord, dups int) error {
+// encodeIngest frames one accepted batch into the caller's pooled
+// scratch (nil for an in-memory server). The frame reuses the wire
+// codec, so replay accounting is ledger-exact by construction (same
+// records, same dedupe outcome).
+func (s *Server) encodeIngest(sc *ingestScratch, ing *walIngest) []byte {
 	if s.store == nil {
 		return nil
 	}
 	sc.wrecs = sc.wrecs[:0]
-	for _, r := range fresh {
+	for _, r := range ing.Fresh {
 		sc.wrecs = append(sc.wrecs, wire.Record(r))
 	}
 	buf := sc.buf[:0]
 	buf = append(buf, walFrameMagic, walFrameVersion)
-	buf = binary.AppendUvarint(buf, uint64(len(vehicle)))
-	buf = append(buf, vehicle...)
-	buf = binary.AppendUvarint(buf, uint64(dups))
+	buf = binary.AppendUvarint(buf, uint64(len(ing.Vehicle)))
+	buf = append(buf, ing.Vehicle...)
+	buf = binary.AppendUvarint(buf, uint64(ing.Dups))
 	e := wire.GetEncoder()
 	buf = e.Encode(buf, sc.wrecs, false)
 	wire.PutEncoder(e)
 	sc.buf = buf
-	return s.persistRaw(buf, true)
+	return buf
 }
 
 // decodeIngestFrame parses a binary WAL ingest frame back into the
@@ -329,19 +409,26 @@ func (s *Server) captureSnapshot() *snapState {
 		}
 		snap.Groups = append(snap.Groups, snapGroup{
 			Group: name, Generation: e.bundle.Generation, LastGen: e.lastGen,
-			Source: e.bundle.Source, Invariants: e.bundle.Invariants,
-			KeyID: e.bundle.KeyID, SigAlg: e.bundle.SigAlg, Signature: e.bundle.Signature,
+			bundleContent: contentOf(e.bundle),
 		})
-	}
-	for name, inv := range s.invariants {
-		snap.Invariants[name] = inv.src
 	}
 	s.regMu.Unlock()
 
-	s.pubMu.Lock()
+	s.ctlMu.Lock()
+	for name, inv := range s.invariants {
+		snap.Invariants[name] = inv.src
+	}
 	snap.PubLog = append([]PublishRecord(nil), s.pubLog...)
 	snap.Published, snap.PubRejected, snap.PubViolation = s.published, s.pubRejected, s.pubViolation
-	s.pubMu.Unlock()
+	for name, r := range s.rollouts {
+		snap.Rollouts = append(snap.Rollouts, snapRollout{
+			Group: name, Plan: r.plan, Stage: r.stage, StartedAt: r.startedAt,
+			bundleContent: contentOf(r.candidate), Generation: r.candidate.Generation,
+			CanarySamples: r.canarySamples, CanaryDenials: r.canaryDenials,
+			Halted: r.halted, HaltReason: r.haltReason,
+		})
+	}
+	s.ctlMu.Unlock()
 
 	for i := range s.shards {
 		sh := &s.shards[i]
@@ -357,34 +444,21 @@ func (s *Server) captureSnapshot() *snapState {
 	snap.LogAccepted, snap.LogDuplicates, snap.LogDrained = s.logAccepted, s.logDuplicates, s.logDrained
 	snap.BatchesAccepted, snap.BatchesRejected = s.batchesAccepted, s.batchesRejected
 	s.logMu.Unlock()
-
-	s.rollMu.Lock()
-	for name, r := range s.rollouts {
-		snap.Rollouts = append(snap.Rollouts, snapRollout{
-			Group: name, Plan: r.plan, Stage: r.stage, StartedAt: r.startedAt,
-			Source: r.candidate.Source, Invariants: r.candidate.Invariants,
-			Generation: r.candidate.Generation,
-			KeyID:      r.candidate.KeyID, SigAlg: r.candidate.SigAlg, Signature: r.candidate.Signature,
-			CanarySamples: r.canarySamples, CanaryDenials: r.canaryDenials,
-			Halted: r.halted, HaltReason: r.haltReason,
-		})
-	}
-	s.rollMu.Unlock()
 	return snap
 }
 
 // rebuildBundle reconstructs an installable bundle (recompiling the
-// policy) from persisted fields.
-func rebuildBundle(group string, gen uint64, src, invariants, keyID, sigAlg, sig string) (policy.Bundle, error) {
-	compiled, vr, err := policy.Load(src)
+// policy) from persisted content.
+func rebuildBundle(group string, gen uint64, c bundleContent) (policy.Bundle, error) {
+	compiled, vr, err := policy.Load(c.Source)
 	if err != nil {
 		return policy.Bundle{}, fmt.Errorf("fleet: replay: bundle for group %q no longer compiles: %w", group, err)
 	}
 	if !vr.OK() {
 		return policy.Bundle{}, fmt.Errorf("fleet: replay: bundle for group %q no longer validates: %w", group, vr.Err())
 	}
-	b := policy.NewBundle(group, gen, src).WithInvariants(invariants)
-	b.KeyID, b.SigAlg, b.Signature = keyID, sigAlg, sig
+	b := policy.NewBundle(group, gen, c.Source).WithInvariants(c.Invariants)
+	b.KeyID, b.SigAlg, b.Signature = c.KeyID, c.SigAlg, c.Signature
 	b.Compiled = compiled
 	return b, nil
 }
@@ -393,7 +467,7 @@ func (s *Server) restoreSnapshot(snap *snapState) error {
 	for _, g := range snap.Groups {
 		e := &groupEntry{notify: make(chan struct{}), lastGen: g.LastGen}
 		if g.Generation > 0 {
-			b, err := rebuildBundle(g.Group, g.Generation, g.Source, g.Invariants, g.KeyID, g.SigAlg, g.Signature)
+			b, err := rebuildBundle(g.Group, g.Generation, g.bundleContent)
 			if err != nil {
 				return err
 			}
@@ -405,7 +479,7 @@ func (s *Server) restoreSnapshot(snap *snapState) error {
 		s.groups[g.Group] = e
 	}
 	for group, src := range snap.Invariants {
-		if err := s.setInvariantsLocked(group, src); err != nil {
+		if err := s.applyInvariants(&walInvariants{Group: group, Source: src}, nil); err != nil {
 			return err
 		}
 	}
@@ -414,10 +488,8 @@ func (s *Server) restoreSnapshot(snap *snapState) error {
 	s.published, s.pubRejected, s.pubViolation = snap.Published, snap.PubRejected, snap.PubViolation
 
 	for i := range snap.Vehicles {
-		v := snap.Vehicles[i]
-		sh := s.shardFor(v.Vehicle)
-		cp := v
-		sh.m[v.Vehicle] = &cp
+		v := &snap.Vehicles[i]
+		s.shardFor(v.Vehicle).m[v.Vehicle] = v
 	}
 
 	s.logBuf = append(s.logBuf, snap.LogBuf...)
@@ -425,162 +497,16 @@ func (s *Server) restoreSnapshot(snap *snapState) error {
 	s.batchesAccepted, s.batchesRejected = snap.BatchesAccepted, snap.BatchesRejected
 
 	for _, r := range snap.Rollouts {
-		cand, err := rebuildBundle(r.Group, r.Generation, r.Source, r.Invariants, r.KeyID, r.SigAlg, r.Signature)
+		cand, err := rebuildBundle(r.Group, r.Generation, r.bundleContent)
 		if err != nil {
 			return err
 		}
-		e := s.groups[r.Group]
-		if e == nil {
-			e = &groupEntry{notify: make(chan struct{})}
-			s.groups[r.Group] = e
-		}
 		s.rollouts[r.Group] = &rolloutState{
-			group: r.Group, plan: r.Plan, candidate: cand, stable: e.bundle,
+			group: r.Group, plan: r.Plan, candidate: cand, stable: s.group(r.Group).bundle,
 			stage: r.Stage, startedAt: r.StartedAt,
 			canarySamples: r.CanarySamples, canaryDenials: r.CanaryDenials,
 			halted: r.Halted, haltReason: r.HaltReason,
 		}
 	}
 	return nil
-}
-
-// applyWal re-applies one replayed mutation. No locks are needed — the
-// server is not yet shared — but the helpers it calls take them anyway
-// (cheap, and keeps one code path).
-func (s *Server) applyWal(rec *walRecord) error {
-	switch rec.Kind {
-	case "publish":
-		p := rec.Publish
-		if p == nil {
-			return fmt.Errorf("fleet: publish wal record without payload")
-		}
-		if p.Audit.Outcome == "published" {
-			b, err := rebuildBundle(p.Audit.Group, p.Audit.Generation, p.Source, p.Invariants, p.KeyID, p.SigAlg, p.Signature)
-			if err != nil {
-				return err
-			}
-			s.installBundle(b)
-			// A direct publish clears a halted rollout on the live path;
-			// mirror that so replay converges to the same registry.
-			s.rollMu.Lock()
-			delete(s.rollouts, p.Audit.Group)
-			s.rollMu.Unlock()
-		}
-		s.auditPublish(p.Audit)
-	case "invariants":
-		iv := rec.Invariants
-		if iv == nil {
-			return fmt.Errorf("fleet: invariants wal record without payload")
-		}
-		s.regMu.Lock()
-		err := s.setInvariantsLocked(iv.Group, iv.Source)
-		s.regMu.Unlock()
-		return err
-	case "status":
-		st := rec.Status
-		if st == nil {
-			return fmt.Errorf("fleet: status wal record without payload")
-		}
-		s.applyStatus(st.Status, st.When)
-	case "ingest":
-		ing := rec.Ingest
-		if ing == nil {
-			return fmt.Errorf("fleet: ingest wal record without payload")
-		}
-		s.applyIngest(ing)
-	case "drain":
-		d := rec.Drain
-		if d == nil {
-			return fmt.Errorf("fleet: drain wal record without payload")
-		}
-		s.applyDrain(d.N)
-	case "rollout":
-		ro := rec.Rollout
-		if ro == nil {
-			return fmt.Errorf("fleet: rollout wal record without payload")
-		}
-		return s.applyRolloutWal(ro)
-	default:
-		return fmt.Errorf("fleet: unknown wal record kind %q", rec.Kind)
-	}
-	return nil
-}
-
-// applyStatus folds one status report with an explicit timestamp (live
-// path passes time.Now(); replay passes the recorded time).
-func (s *Server) applyStatus(st VehicleStatus, when time.Time) {
-	sh := s.shardFor(st.Vehicle)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	v := sh.m[st.Vehicle]
-	if v == nil {
-		v = &VehicleState{Vehicle: st.Vehicle}
-		sh.m[st.Vehicle] = v
-	}
-	v.Group = st.Group
-	v.AppliedGeneration = st.AppliedGeneration
-	v.Checksum = st.Checksum
-	v.DiffSummary = st.DiffSummary
-	v.Degraded = st.Degraded
-	v.Pinned = st.Pinned
-	v.Emitted = st.Emitted
-	v.Uploaded = st.Uploaded
-	v.Dropped = st.Dropped
-	v.Breaker = st.Breaker
-	v.Shed = st.Shed
-	v.Fallbacks = st.Fallbacks
-	v.SigRejects = st.SigRejects
-	v.WireBytesOut = st.WireBytesOut
-	v.WireRawBytesOut = st.WireRawBytesOut
-	v.WireBytesIn = st.WireBytesIn
-	v.DeltaPulls = st.DeltaPulls
-	v.FullPulls = st.FullPulls
-	v.Reports++
-	v.LastSeen = when
-}
-
-// applyIngest re-applies one persisted batch outcome: the exact
-// post-dedupe record set and counters, no re-deduplication.
-func (s *Server) applyIngest(ing *walIngest) {
-	if ing.Rejected {
-		s.logMu.Lock()
-		s.batchesRejected++
-		s.logMu.Unlock()
-		return
-	}
-	s.logMu.Lock()
-	for _, r := range ing.Fresh {
-		s.logBuf = append(s.logBuf, IngestedRecord{Vehicle: ing.Vehicle, Record: r})
-	}
-	s.logAccepted += uint64(len(ing.Fresh))
-	s.logDuplicates += uint64(ing.Dups)
-	s.batchesAccepted++
-	s.logMu.Unlock()
-
-	sh := s.shardFor(ing.Vehicle)
-	sh.mu.Lock()
-	v := sh.m[ing.Vehicle]
-	if v == nil {
-		v = &VehicleState{Vehicle: ing.Vehicle}
-		sh.m[ing.Vehicle] = v
-	}
-	group := v.Group
-	if n := len(ing.Fresh); n > 0 {
-		if last := ing.Fresh[n-1].Seq; last > v.LastLogSeq {
-			v.LastLogSeq = last
-		}
-		v.Accepted += uint64(n)
-	}
-	sh.mu.Unlock()
-	s.observeCanary(group, ing.Vehicle, ing.Fresh)
-}
-
-func (s *Server) applyDrain(n int) {
-	s.logMu.Lock()
-	if depth := len(s.logBuf) - s.logHead; n > depth {
-		n = depth
-	}
-	s.advanceLogHeadLocked(n)
-	s.logDrained += uint64(n)
-	s.logMu.Unlock()
 }

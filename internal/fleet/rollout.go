@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/policy"
-	"repro/internal/verify"
 )
 
 // Staged rollout controller. A rollout publishes a candidate bundle to
@@ -102,23 +101,39 @@ func vehiclePercentile(vehicle string) int {
 	return int(h % 100)
 }
 
-// inCanary reports whether a vehicle is in the rollout's current
-// cohort. Anonymous fetches (vehicle == "") never are.
-func (r *rolloutState) inCanary(vehicle string) bool {
-	if vehicle == "" || r.halted {
+// cohort is what canary membership depends on, copied under ctlMu so
+// canaryCensus can walk the vehicle shards without holding it.
+type cohort struct {
+	group     string
+	stage     RolloutStage
+	halted    bool
+	candidate uint64 // candidate generation
+}
+
+func (r *rolloutState) cohort() cohort {
+	return cohort{group: r.group, stage: r.stageFor(), halted: r.halted, candidate: r.candidate.Generation}
+}
+
+// has reports whether a vehicle is in the cohort. A halted rollout has
+// none, and anonymous fetches (vehicle == "") never are.
+func (c cohort) has(vehicle string) bool {
+	if vehicle == "" || c.halted {
 		return false
 	}
-	st := r.stageFor()
-	if st.Percent > 0 && vehiclePercentile(vehicle) < st.Percent {
+	if c.stage.Percent > 0 && vehiclePercentile(vehicle) < c.stage.Percent {
 		return true
 	}
-	if st.Ring != "" {
-		if ok, _ := path.Match(st.Ring, vehicle); ok {
+	if c.stage.Ring != "" {
+		if ok, _ := path.Match(c.stage.Ring, vehicle); ok {
 			return true
 		}
 	}
 	return false
 }
+
+// inCanary reports whether a vehicle is in the rollout's current
+// cohort. Caller holds ctlMu.
+func (r *rolloutState) inCanary(vehicle string) bool { return r.cohort().has(vehicle) }
 
 // RolloutStatus is the operator's view of one rollout, rendered by
 // `sackctl fleet rollout status`.
@@ -167,109 +182,37 @@ func (rs RolloutStatus) Render() string {
 // refuses a second one, as does a group with no published stable
 // bundle (there is nothing to fall back to; use Publish).
 func (s *Server) StartRollout(group, src, invariants string, plan RolloutPlan) (RolloutStatus, error) {
-	if group == "" {
-		return RolloutStatus{}, fmt.Errorf("fleet: empty group name")
-	}
 	if err := plan.validate(); err != nil {
 		return RolloutStatus{}, err
 	}
 	if plan.MinSamples == 0 {
 		plan.MinSamples = 1
 	}
-	s.persistMu.RLock()
-	defer s.persistMu.RUnlock()
-
-	reject := func(outcome string, err error) (RolloutStatus, error) {
-		rec := PublishRecord{
-			When: time.Now(), Group: group, Checksum: policy.ChecksumSource(src),
-			Outcome: outcome, Reason: err.Error(),
-		}
-		s.auditPublish(rec)
-		s.persist(walRecord{Kind: "publish", Publish: &walPublish{Audit: rec}}, true)
-		return RolloutStatus{}, err
-	}
-
-	compiled, vr, err := policy.Load(src)
+	c, err := s.admit(group, src, invariants, "rollout candidate")
 	if err != nil {
-		return reject("rejected", fmt.Errorf("fleet: rollout candidate rejected: %w", err))
-	}
-	if !vr.OK() {
-		return reject("rejected", fmt.Errorf("fleet: rollout candidate rejected: %w", vr.Err()))
-	}
-	var embedded *verify.Set
-	if strings.TrimSpace(invariants) != "" {
-		if embedded, err = verify.ParseSet(invariants); err != nil {
-			return reject("rejected", fmt.Errorf("fleet: rollout candidate rejected: %w", err))
-		}
-	}
-	s.regMu.Lock()
-	groupInv := s.invariants[group]
-	s.regMu.Unlock()
-	for _, gate := range []struct {
-		origin string
-		set    *verify.Set
-	}{
-		{"group", setOf(groupInv)},
-		{"bundle", embedded},
-	} {
-		if gate.set == nil {
-			continue
-		}
-		if rep := verify.Check(compiled, gate.set); !rep.OK() {
-			return reject("invariant-violation",
-				fmt.Errorf("%w (%s set):\n%s", ErrInvariantViolation, gate.origin, rep.Render()))
-		}
-	}
-
-	s.rollMu.Lock()
-	if s.rollouts[group] != nil {
-		s.rollMu.Unlock()
-		return RolloutStatus{}, fmt.Errorf("%w: %q", ErrRolloutActive, group)
-	}
-	s.rollMu.Unlock()
-
-	s.regMu.Lock()
-	e := s.groups[group]
-	if e == nil || e.bundle.Generation == 0 {
-		s.regMu.Unlock()
-		return RolloutStatus{}, fmt.Errorf("%w: %q has no stable bundle to roll from", ErrUnknownGroup, group)
-	}
-	gen := e.lastGen + 1
-	e.lastGen = gen
-	stable := e.bundle
-	notify := e.notify
-	e.notify = make(chan struct{})
-	s.regMu.Unlock()
-
-	cand := policy.NewBundle(group, gen, src).WithInvariants(invariants)
-	if s.signer != nil {
-		cand = cand.Signed(s.signer)
-	}
-	cand.Compiled = compiled
-
-	r := &rolloutState{
-		group: group, plan: plan, candidate: cand, stable: stable,
-		startedAt: time.Now(),
-	}
-	s.rollMu.Lock()
-	s.rollouts[group] = r
-	status := s.rolloutStatusLocked(r)
-	s.rollMu.Unlock()
-
-	rec := PublishRecord{
-		When: time.Now(), Group: group, Generation: gen,
-		Checksum: cand.Checksum, Outcome: "rollout-started",
-	}
-	s.auditPublish(rec)
-	if err := s.persist(walRecord{Kind: "rollout", Rollout: &walRollout{
-		Op: "start", Group: group, When: r.startedAt, Plan: plan,
-		Source: src, Invariants: invariants,
-		KeyID: cand.KeyID, SigAlg: cand.SigAlg, Signature: cand.Signature,
-	}}, true); err != nil {
 		return RolloutStatus{}, err
 	}
-	// Wake parked pollers: stage-0 canaries should see the candidate now.
-	close(notify)
+	var status RolloutStatus
+	err = s.control(func(tx *walTx) error {
+		if s.rollouts[group] != nil {
+			return fmt.Errorf("%w: %q", ErrRolloutActive, group)
+		}
+		if _, err := s.Bundle(group); err != nil {
+			return fmt.Errorf("%w: %q has no stable bundle to roll from", ErrUnknownGroup, group)
+		}
+		cand := c.bundle(s.nextGen(group), s.signer)
+		if err := s.applyRollout(&walRollout{
+			Op: "start", Group: group, When: time.Now(), Plan: plan,
+			bundleContent: contentOf(cand),
+		}, cand, tx); err != nil {
+			return err
+		}
+		status = s.rolloutStatusLocked(s.rollouts[group])
+		return nil
+	})
+	if err != nil {
+		return RolloutStatus{}, err
+	}
 	return status, nil
 }
 
@@ -277,157 +220,163 @@ func (s *Server) StartRollout(group, src, invariants string, plan RolloutPlan) (
 // either waits (not enough samples), halts (regression), advances to
 // the next stage, or — past the final stage — promotes the candidate
 // to the group's current bundle. Drive it from a timer (fleetd's
-// -rollout-tick) or an operator's `sackctl bundle rollout tick`.
+// -rollout-tick) or an operator's `sackctl bundle rollout tick`. The
+// verdict is reached on a copy of the stage's window; if another
+// transition reaches the rollout before the verdict is applied, the
+// tick judges the new state instead.
 func (s *Server) RolloutTick(group string) (RolloutStatus, error) {
-	s.persistMu.RLock()
-	defer s.persistMu.RUnlock()
-
-	s.rollMu.Lock()
-	r := s.rollouts[group]
-	if r == nil {
-		s.rollMu.Unlock()
-		return RolloutStatus{}, fmt.Errorf("%w: %q", ErrNoRollout, group)
-	}
-	if r.halted {
-		status := s.rolloutStatusLocked(r)
-		s.rollMu.Unlock()
-		return status, ErrRolloutHalted
-	}
-	samples, denials := r.canarySamples, r.canaryDenials
-	plan := r.plan
-	s.rollMu.Unlock()
-
-	canaries, onNew, pinned := s.canaryCensus(r)
-
-	// Brake 1: canary denial rate.
-	if samples >= plan.MinSamples && plan.MaxDenialRate >= 0 {
-		rate := float64(denials) / float64(samples)
-		if (plan.MaxDenialRate == 0 && denials > 0) || (plan.MaxDenialRate > 0 && rate > plan.MaxDenialRate) {
-			return s.haltRollout(r, fmt.Sprintf("canary denial rate %.4f (%d/%d) exceeds %.4f",
-				rate, denials, samples, plan.MaxDenialRate))
+	for {
+		s.ctlMu.Lock()
+		r := s.rollouts[group]
+		if r == nil {
+			s.ctlMu.Unlock()
+			return RolloutStatus{}, fmt.Errorf("%w: %q", ErrNoRollout, group)
 		}
-	}
-	// Brake 2: canary failsafe-pin/degradation fraction.
-	if canaries > 0 && plan.MaxPinnedFrac >= 0 {
-		frac := float64(pinned) / float64(canaries)
-		if (plan.MaxPinnedFrac == 0 && pinned > 0) || (plan.MaxPinnedFrac > 0 && frac > plan.MaxPinnedFrac) {
-			return s.haltRollout(r, fmt.Sprintf("canary pinned/degraded fraction %.3f (%d/%d) exceeds %.3f",
-				frac, pinned, canaries, plan.MaxPinnedFrac))
+		status, plan, c := s.rolloutStatusLocked(r), r.plan, r.cohort()
+		s.ctlMu.Unlock()
+		if status.Halted {
+			return status, ErrRolloutHalted
 		}
-	}
-	if samples < plan.MinSamples {
-		s.rollMu.Lock()
-		status := s.rolloutStatusLocked(r)
-		s.rollMu.Unlock()
-		status.Canaries, status.CanariesOnNew = canaries, onNew
-		return status, nil // waiting for evidence
-	}
+		samples, denials := status.Samples, status.Denials
+		canaries, onNew, pinned := s.canaryCensus(c)
 
-	// Stage passed. Advance or promote.
-	s.rollMu.Lock()
-	if r.stage+1 < len(r.plan.Stages) {
-		r.stage++
-		r.canarySamples, r.canaryDenials = 0, 0
-		status := s.rolloutStatusLocked(r)
-		stage := r.stage
-		s.rollMu.Unlock()
-		if err := s.persist(walRecord{Kind: "rollout", Rollout: &walRollout{
-			Op: "advance", Group: group, When: time.Now(), Stage: stage,
-		}}, true); err != nil {
+		ro := &walRollout{Group: group, When: time.Now()}
+		rate := float64(denials) / float64(max(samples, 1))
+		frac := float64(pinned) / float64(max(canaries, 1))
+		switch {
+		// Brake 1: canary denial rate.
+		case samples >= plan.MinSamples && plan.MaxDenialRate >= 0 &&
+			((plan.MaxDenialRate == 0 && denials > 0) || (plan.MaxDenialRate > 0 && rate > plan.MaxDenialRate)):
+			ro.Op, ro.Reason = "halt", fmt.Sprintf("canary denial rate %.4f (%d/%d) exceeds %.4f",
+				rate, denials, samples, plan.MaxDenialRate)
+		// Brake 2: canary failsafe-pin/degradation fraction.
+		case canaries > 0 && plan.MaxPinnedFrac >= 0 &&
+			((plan.MaxPinnedFrac == 0 && pinned > 0) || (plan.MaxPinnedFrac > 0 && frac > plan.MaxPinnedFrac)):
+			ro.Op, ro.Reason = "halt", fmt.Sprintf("canary pinned/degraded fraction %.3f (%d/%d) exceeds %.3f",
+				frac, pinned, canaries, plan.MaxPinnedFrac)
+		case samples < plan.MinSamples:
+			status.Canaries, status.CanariesOnNew = canaries, onNew
+			return status, nil // waiting for evidence
+		case status.Stage+1 < len(plan.Stages):
+			ro.Op, ro.Stage = "advance", status.Stage+1
+		default:
+			ro.Op = "promote"
+		}
+
+		stale := false
+		err := s.control(func(tx *walTx) error {
+			if stale = s.rollouts[group] != r || r.halted || r.stage != status.Stage; stale {
+				return nil
+			}
+			if err := s.applyRollout(ro, policy.Bundle{}, tx); err != nil {
+				return err
+			}
+			status = s.rolloutStatusLocked(r)
+			return nil
+		})
+		switch {
+		case stale:
+			continue
+		case err != nil:
 			return RolloutStatus{}, err
+		case ro.Op == "halt":
+			return status, ErrRolloutHalted
+		case ro.Op == "promote":
+			cand := r.candidate
+			return RolloutStatus{
+				Group: group, Stage: len(plan.Stages), Stages: len(plan.Stages),
+				CandidateGen: cand.Generation, CandidateETag: cand.ETag(),
+				StableGen: cand.Generation, StableETag: cand.ETag(),
+			}, nil
 		}
-		s.wakeGroup(group)
 		return status, nil
 	}
-	// Final stage passed: promote.
-	cand := r.candidate
-	delete(s.rollouts, group)
-	s.rollMu.Unlock()
-
-	s.installBundle(cand)
-	rec := PublishRecord{
-		When: time.Now(), Group: group, Generation: cand.Generation,
-		Checksum: cand.Checksum, Outcome: "published",
-	}
-	s.auditPublish(rec)
-	if err := s.persist(walRecord{Kind: "rollout", Rollout: &walRollout{
-		Op: "promote", Group: group, When: rec.When,
-	}}, true); err != nil {
-		return RolloutStatus{}, err
-	}
-	return RolloutStatus{
-		Group: group, Stage: len(plan.Stages), Stages: len(plan.Stages),
-		CandidateGen: cand.Generation, CandidateETag: cand.ETag(),
-		StableGen: cand.Generation, StableETag: cand.ETag(),
-	}, nil
-}
-
-// haltRollout trips the brake: the rollout is marked halted, every
-// vehicle is pinned back to the stable bundle (the registry still
-// serves it; waking the group makes canaries re-fetch it now), and the
-// halt is audited + persisted. The halted state stays inspectable until
-// AbortRollout clears it.
-func (s *Server) haltRollout(r *rolloutState, reason string) (RolloutStatus, error) {
-	s.rollMu.Lock()
-	r.halted = true
-	r.haltReason = reason
-	status := s.rolloutStatusLocked(r)
-	s.rollMu.Unlock()
-
-	rec := PublishRecord{
-		When: time.Now(), Group: r.group, Generation: r.candidate.Generation,
-		Checksum: r.candidate.Checksum, Outcome: "rollout-halted", Reason: reason,
-	}
-	s.auditPublish(rec)
-	if err := s.persist(walRecord{Kind: "rollout", Rollout: &walRollout{
-		Op: "halt", Group: r.group, When: rec.When, Reason: reason,
-	}}, true); err != nil {
-		return RolloutStatus{}, err
-	}
-	s.wakeGroup(r.group)
-	return status, ErrRolloutHalted
 }
 
 // AbortRollout cancels the group's rollout (halted or live): the
 // candidate is discarded, every canary rolls back to stable on its next
 // poll.
 func (s *Server) AbortRollout(group string) error {
-	s.persistMu.RLock()
-	defer s.persistMu.RUnlock()
-	s.rollMu.Lock()
-	r := s.rollouts[group]
-	if r == nil {
-		s.rollMu.Unlock()
-		return fmt.Errorf("%w: %q", ErrNoRollout, group)
-	}
-	delete(s.rollouts, group)
-	s.rollMu.Unlock()
+	return s.control(func(tx *walTx) error {
+		if s.rollouts[group] == nil {
+			return fmt.Errorf("%w: %q", ErrNoRollout, group)
+		}
+		return s.applyRollout(&walRollout{Op: "abort", Group: group, When: time.Now()}, policy.Bundle{}, tx)
+	})
+}
 
-	rec := PublishRecord{
-		When: time.Now(), Group: group, Generation: r.candidate.Generation,
-		Checksum: r.candidate.Checksum, Outcome: "rollout-aborted",
-	}
-	s.auditPublish(rec)
-	if err := s.persist(walRecord{Kind: "rollout", Rollout: &walRollout{
-		Op: "abort", Group: group, When: rec.When,
-	}}, true); err != nil {
+// applyRollout applies one rollout record. start stages cand (the
+// candidate the record names) at the group's next generation; advance
+// moves to the record's stage with a fresh observation window; halt
+// pins every vehicle back to the stable bundle, leaving the rollout
+// inspectable until aborted; abort discards the candidate; promote
+// installs it as the group's current bundle. Every transition wakes the
+// group's parked long-polls so each vehicle re-evaluates which bundle
+// it should see. Caller holds ctlMu.
+func (s *Server) applyRollout(ro *walRollout, cand policy.Bundle, tx *walTx) error {
+	if err := s.commit(tx, walRecord{Kind: "rollout", Rollout: ro}); err != nil {
 		return err
 	}
-	s.wakeGroup(group)
+	r := s.rollouts[ro.Group]
+	if ro.Op == "start" {
+		s.regMu.Lock()
+		e := s.group(ro.Group)
+		e.lastGen++
+		cand.Generation = e.lastGen
+		r = &rolloutState{group: ro.Group, plan: ro.Plan, candidate: cand, stable: e.bundle, startedAt: ro.When}
+		s.regMu.Unlock()
+		s.rollouts[ro.Group] = r
+	}
+	var cur policy.Bundle // the group's candidate, when it has one
+	if r != nil {
+		cur = r.candidate
+	}
+	audit := func(outcome, reason string) {
+		s.auditPublish(PublishRecord{
+			When: ro.When, Group: ro.Group, Generation: cur.Generation,
+			Checksum: cur.Checksum, Outcome: outcome, Reason: reason,
+		})
+	}
+	switch ro.Op {
+	case "start":
+		audit("rollout-started", "")
+	case "advance":
+		if r != nil && ro.Stage < len(r.plan.Stages) {
+			r.stage = ro.Stage
+			r.canarySamples, r.canaryDenials = 0, 0
+		}
+	case "halt":
+		if r != nil {
+			r.halted, r.haltReason = true, ro.Reason
+		}
+		audit("rollout-halted", ro.Reason)
+	case "abort":
+		delete(s.rollouts, ro.Group)
+		audit("rollout-aborted", "")
+	case "promote":
+		if r != nil {
+			delete(s.rollouts, ro.Group)
+			s.installBundle(cur)
+			audit("published", "")
+		}
+	default:
+		return fmt.Errorf("fleet: unknown rollout wal op %q", ro.Op)
+	}
+	s.wakeGroup(ro.Group)
 	return nil
 }
 
 // RolloutStatus reports the group's in-flight (or halted) rollout.
 func (s *Server) RolloutStatus(group string) (RolloutStatus, error) {
-	s.rollMu.Lock()
+	s.ctlMu.Lock()
 	r := s.rollouts[group]
 	if r == nil {
-		s.rollMu.Unlock()
+		s.ctlMu.Unlock()
 		return RolloutStatus{}, fmt.Errorf("%w: %q", ErrNoRollout, group)
 	}
-	status := s.rolloutStatusLocked(r)
-	s.rollMu.Unlock()
-	canaries, onNew, pinned := s.canaryCensus(r)
+	status, c := s.rolloutStatusLocked(r), r.cohort()
+	s.ctlMu.Unlock()
+	canaries, onNew, pinned := s.canaryCensus(c)
 	status.Canaries, status.CanariesOnNew = canaries, onNew
 	if canaries > 0 {
 		status.PinnedFrac = float64(pinned) / float64(canaries)
@@ -435,7 +384,7 @@ func (s *Server) RolloutStatus(group string) (RolloutStatus, error) {
 	return status, nil
 }
 
-// rolloutStatusLocked snapshots the cheap fields. Caller holds rollMu.
+// rolloutStatusLocked snapshots the cheap fields. Caller holds ctlMu.
 func (s *Server) rolloutStatusLocked(r *rolloutState) RolloutStatus {
 	st := r.stageFor()
 	rs := RolloutStatus{
@@ -454,19 +403,19 @@ func (s *Server) rolloutStatusLocked(r *rolloutState) RolloutStatus {
 	return rs
 }
 
-// canaryCensus walks the vehicle shards counting the rollout group's
+// canaryCensus walks the vehicle shards counting the cohort group's
 // reporting canary vehicles, how many run the candidate, and how many
 // are failsafe-pinned or degraded.
-func (s *Server) canaryCensus(r *rolloutState) (canaries, onCandidate, pinned int) {
+func (s *Server) canaryCensus(c cohort) (canaries, onCandidate, pinned int) {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
 		for _, v := range sh.m {
-			if v.Group != r.group || !r.inCanary(v.Vehicle) {
+			if v.Group != c.group || !c.has(v.Vehicle) {
 				continue
 			}
 			canaries++
-			if v.AppliedGeneration == r.candidate.Generation {
+			if v.AppliedGeneration == c.candidate {
 				onCandidate++
 			}
 			if v.Pinned || v.Degraded {
@@ -480,13 +429,14 @@ func (s *Server) canaryCensus(r *rolloutState) (canaries, onCandidate, pinned in
 
 // observeCanary feeds the rollout's stage window from the ingestion
 // path: every fresh decision-log record from a canary vehicle counts,
-// denials doubly so.
+// denials doubly so. Called inside the ingest critical section, so the
+// window and the WAL agree on which stage each record fell in.
 func (s *Server) observeCanary(group, vehicle string, fresh []LogRecord) {
 	if len(fresh) == 0 {
 		return
 	}
-	s.rollMu.Lock()
-	defer s.rollMu.Unlock()
+	s.ctlMu.Lock()
+	defer s.ctlMu.Unlock()
 	r := s.rollouts[group]
 	if r == nil || r.halted || !r.inCanary(vehicle) {
 		return
@@ -502,8 +452,8 @@ func (s *Server) observeCanary(group, vehicle string, fresh []LogRecord) {
 // rolloutPick substitutes the candidate bundle for canary vehicles of a
 // group with an active (non-halted) rollout.
 func (s *Server) rolloutPick(vehicle, group string, stable policy.Bundle) policy.Bundle {
-	s.rollMu.Lock()
-	defer s.rollMu.Unlock()
+	s.ctlMu.Lock()
+	defer s.ctlMu.Unlock()
 	r := s.rollouts[group]
 	if r == nil || !r.inCanary(vehicle) {
 		return stable
@@ -525,16 +475,22 @@ func (s *Server) wakeGroup(group string) {
 }
 
 // installBundle installs b as its group's current bundle and wakes the
-// group. Used by rollout promotion and WAL replay.
+// group. Used by publish and rollout promotion.
 func (s *Server) installBundle(b policy.Bundle) {
 	s.regMu.Lock()
 	defer s.regMu.Unlock()
-	e := s.groups[b.Group]
+	setBundleLocked(s.group(b.Group), b)
+}
+
+// group returns the registry entry for name, creating it on first use.
+// Caller holds regMu.
+func (s *Server) group(name string) *groupEntry {
+	e := s.groups[name]
 	if e == nil {
 		e = &groupEntry{notify: make(chan struct{})}
-		s.groups[b.Group] = e
+		s.groups[name] = e
 	}
-	setBundleLocked(e, b)
+	return e
 }
 
 // setBundleLocked installs b as e's current revision and wakes the
@@ -557,85 +513,4 @@ func setBundleLocked(e *groupEntry, b policy.Bundle) {
 	}
 	close(e.notify)
 	e.notify = make(chan struct{})
-}
-
-// applyRolloutWal replays one rollout transition.
-func (s *Server) applyRolloutWal(ro *walRollout) error {
-	switch ro.Op {
-	case "start":
-		cand, err := rebuildBundle(ro.Group, 0, ro.Source, ro.Invariants, ro.KeyID, ro.SigAlg, ro.Signature)
-		if err != nil {
-			return err
-		}
-		s.regMu.Lock()
-		e := s.groups[ro.Group]
-		if e == nil {
-			e = &groupEntry{notify: make(chan struct{})}
-			s.groups[ro.Group] = e
-		}
-		gen := e.lastGen + 1
-		e.lastGen = gen
-		stable := e.bundle
-		s.regMu.Unlock()
-		cand.Generation = gen
-		s.rollMu.Lock()
-		s.rollouts[ro.Group] = &rolloutState{
-			group: ro.Group, plan: ro.Plan, candidate: cand, stable: stable,
-			startedAt: ro.When,
-		}
-		s.rollMu.Unlock()
-		s.auditPublish(PublishRecord{
-			When: ro.When, Group: ro.Group, Generation: gen,
-			Checksum: cand.Checksum, Outcome: "rollout-started",
-		})
-	case "advance":
-		s.rollMu.Lock()
-		if r := s.rollouts[ro.Group]; r != nil && ro.Stage < len(r.plan.Stages) {
-			r.stage = ro.Stage
-			r.canarySamples, r.canaryDenials = 0, 0
-		}
-		s.rollMu.Unlock()
-	case "halt":
-		s.rollMu.Lock()
-		var cand policy.Bundle
-		if r := s.rollouts[ro.Group]; r != nil {
-			r.halted = true
-			r.haltReason = ro.Reason
-			cand = r.candidate
-		}
-		s.rollMu.Unlock()
-		s.auditPublish(PublishRecord{
-			When: ro.When, Group: ro.Group, Generation: cand.Generation,
-			Checksum: cand.Checksum, Outcome: "rollout-halted", Reason: ro.Reason,
-		})
-	case "abort":
-		s.rollMu.Lock()
-		var cand policy.Bundle
-		if r := s.rollouts[ro.Group]; r != nil {
-			cand = r.candidate
-			delete(s.rollouts, ro.Group)
-		}
-		s.rollMu.Unlock()
-		s.auditPublish(PublishRecord{
-			When: ro.When, Group: ro.Group, Generation: cand.Generation,
-			Checksum: cand.Checksum, Outcome: "rollout-aborted",
-		})
-	case "promote":
-		s.rollMu.Lock()
-		r := s.rollouts[ro.Group]
-		if r != nil {
-			delete(s.rollouts, ro.Group)
-		}
-		s.rollMu.Unlock()
-		if r != nil {
-			s.installBundle(r.candidate)
-			s.auditPublish(PublishRecord{
-				When: ro.When, Group: ro.Group, Generation: r.candidate.Generation,
-				Checksum: r.candidate.Checksum, Outcome: "published",
-			})
-		}
-	default:
-		return fmt.Errorf("fleet: unknown rollout wal op %q", ro.Op)
-	}
-	return nil
 }

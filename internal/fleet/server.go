@@ -53,12 +53,16 @@ type Server struct {
 	regMu  sync.Mutex
 	groups map[string]*groupEntry
 
+	// ctlMu is the control plane's critical section: it orders every
+	// publish, invariant set and rollout transition with its WAL append
+	// (see persist.go), and guards the state below.
+	ctlMu sync.Mutex
 	// per-group invariant sets: the publish gate re-proves these against
 	// every candidate bundle before it can reach the registry.
 	invariants map[string]*invariantEntry
-
+	// staged rollouts: group → in-flight (or halted) rollout.
+	rollouts map[string]*rolloutState
 	// publish audit log (bounded; newest kept) and counters.
-	pubMu        sync.Mutex
 	pubLog       []PublishRecord
 	published    uint64
 	pubRejected  uint64 // validation/compile failures
@@ -107,17 +111,14 @@ type Server struct {
 	signer *sign.Signer
 
 	// durability (nil store = in-memory server, the historical
-	// behaviour). Mutators hold persistMu.RLock across the in-memory
-	// change and its WAL append; Checkpoint takes the write half so a
-	// snapshot is a consistent cut.
+	// behaviour). Every mutator holds persistMu's read half across its
+	// critical section and Checkpoint takes the write half, so a snapshot
+	// is a consistent cut. The read half is shared: it orders nothing
+	// between mutators.
 	persistMu sync.RWMutex
 	store     *store.Store
 	walCount  atomic.Uint64 // records since the last snapshot
 	snapEvery uint64        // auto-checkpoint threshold (0 = manual)
-
-	// staged rollouts: group → in-flight (or halted) rollout.
-	rollMu   sync.Mutex
-	rollouts map[string]*rolloutState
 
 	// binary data-plane counters, bumped by the HTTP layer (the
 	// in-process transport has no wire). Not durable: like bulkhead
@@ -180,31 +181,31 @@ type serverShard struct {
 // VehicleState is the server's record of one vehicle: the last status
 // report, the ingestion ledger, and bookkeeping for deduplication.
 type VehicleState struct {
-	Vehicle           string `json:"vehicle"`
-	Group             string `json:"group"`
-	AppliedGeneration uint64 `json:"applied_generation"`
-	Checksum          string `json:"checksum,omitempty"`
-	DiffSummary       string `json:"diff_summary,omitempty"`
-	Degraded          bool   `json:"degraded,omitempty"`
-	Pinned            bool   `json:"pinned,omitempty"`
-	Emitted           uint64 `json:"emitted"`               // agent-reported
-	Uploaded          uint64 `json:"uploaded"`              // agent-reported
-	Dropped           uint64 `json:"dropped"`               // agent-reported
-	Breaker           string `json:"breaker,omitempty"`     // agent-reported
-	Shed              uint64 `json:"shed,omitempty"`        // agent-reported
-	Fallbacks         uint64 `json:"fallbacks,omitempty"`   // agent-reported
-	SigRejects        uint64 `json:"sig_rejects,omitempty"` // agent-reported
-	// Wire surface, agent-reported: the vehicle's own byte/pull
-	// accounting (see VehicleStatus).
-	WireBytesOut    uint64    `json:"wire_bytes_out,omitempty"`
-	WireRawBytesOut uint64    `json:"wire_raw_bytes_out,omitempty"`
-	WireBytesIn     uint64    `json:"wire_bytes_in,omitempty"`
-	DeltaPulls      uint64    `json:"delta_pulls,omitempty"`
-	FullPulls       uint64    `json:"full_pulls,omitempty"`
-	Accepted        uint64    `json:"accepted"` // server-side: unique records taken
-	LastLogSeq      uint64    `json:"last_log_seq"`
-	Reports         uint64    `json:"reports"`
-	LastSeen        time.Time `json:"last_seen"`
+	VehicleStatus           // agent-reported: the last status report
+	Accepted      uint64    `json:"accepted"` // server-side: unique records taken
+	LastLogSeq    uint64    `json:"last_log_seq"`
+	Reports       uint64    `json:"reports"`
+	LastSeen      time.Time `json:"last_seen"`
+}
+
+// vehicle returns the shard's record for id, creating it on first use.
+// Caller holds sh.mu.
+func (sh *serverShard) vehicle(id string) *VehicleState {
+	v := sh.m[id]
+	if v == nil {
+		v = &VehicleState{VehicleStatus: VehicleStatus{Vehicle: id}}
+		sh.m[id] = v
+	}
+	return v
+}
+
+// lastLogSeq is the vehicle's dedupe high-water mark (0 before its
+// first accepted record). Caller holds sh.mu.
+func (sh *serverShard) lastLogSeq(id string) uint64 {
+	if v := sh.m[id]; v != nil {
+		return v.LastLogSeq
+	}
+	return 0
 }
 
 // IngestedRecord is one accepted decision-log record tagged with its
@@ -319,37 +320,39 @@ func (s *Server) SetInvariants(group, src string) error {
 	if group == "" {
 		return fmt.Errorf("fleet: empty group name")
 	}
-	s.persistMu.RLock()
-	defer s.persistMu.RUnlock()
-	s.regMu.Lock()
-	err := s.setInvariantsLocked(group, src)
-	s.regMu.Unlock()
-	if err != nil {
-		return err
-	}
-	return s.persist(walRecord{Kind: "invariants", Invariants: &walInvariants{Group: group, Source: src}}, true)
+	return s.control(func(tx *walTx) error {
+		return s.applyInvariants(&walInvariants{Group: group, Source: src}, tx)
+	})
 }
 
-// setInvariantsLocked parses and installs (or clears) a group invariant
-// set. Caller holds regMu.
-func (s *Server) setInvariantsLocked(group, src string) error {
-	if strings.TrimSpace(src) == "" {
-		delete(s.invariants, group)
-		return nil
+// applyInvariants applies one invariant-set record: it parses and
+// installs (or, for an empty source, clears) the group's set. A source
+// that does not parse is refused before it is logged. Caller holds
+// ctlMu.
+func (s *Server) applyInvariants(iv *walInvariants, tx *walTx) error {
+	var set *verify.Set
+	if strings.TrimSpace(iv.Source) != "" {
+		var err error
+		if set, err = verify.ParseSet(iv.Source); err != nil {
+			return fmt.Errorf("fleet: bad invariant set for group %q: %w", iv.Group, err)
+		}
 	}
-	set, err := verify.ParseSet(src)
-	if err != nil {
-		return fmt.Errorf("fleet: bad invariant set for group %q: %w", group, err)
+	if err := s.commit(tx, walRecord{Kind: "invariants", Invariants: iv}); err != nil {
+		return err
 	}
-	s.invariants[group] = &invariantEntry{src: src, set: set}
+	if set == nil {
+		delete(s.invariants, iv.Group)
+	} else {
+		s.invariants[iv.Group] = &invariantEntry{src: iv.Source, set: set}
+	}
 	return nil
 }
 
 // GroupInvariants returns the invariant source registered for a group
 // ("" when none).
 func (s *Server) GroupInvariants(group string) string {
-	s.regMu.Lock()
-	defer s.regMu.Unlock()
+	s.ctlMu.Lock()
+	defer s.ctlMu.Unlock()
 	if e := s.invariants[group]; e != nil {
 		return e.src
 	}
@@ -362,50 +365,110 @@ func (s *Server) GroupInvariants(group string) string {
 // in the bundle (versioned with the policy, distributed to agents); a
 // violation rejects the publish with ErrInvariantViolation and the
 // verifier's witness, and the attempt lands in the publish audit log.
+// A group with a live staged rollout refuses direct publishes; a halted
+// one is cleared by them (the operator is shipping the fix).
 func (s *Server) PublishBundle(group, src, invariants string) (policy.Bundle, error) {
-	if group == "" {
-		return policy.Bundle{}, fmt.Errorf("fleet: empty group name")
+	c, err := s.admit(group, src, invariants, "bundle")
+	if err != nil {
+		return policy.Bundle{}, err
 	}
-	s.rollMu.Lock()
-	if r := s.rollouts[group]; r != nil && !r.halted {
-		s.rollMu.Unlock()
-		return policy.Bundle{}, fmt.Errorf("%w: %q (tick, abort, or wait)", ErrRolloutActive, group)
+	var b policy.Bundle
+	err = s.control(func(tx *walTx) error {
+		if r := s.rollouts[group]; r != nil && !r.halted {
+			return fmt.Errorf("%w: %q (tick, abort, or wait)", ErrRolloutActive, group)
+		}
+		b = c.bundle(s.nextGen(group), s.signer)
+		return s.applyPublish(&walPublish{
+			Audit: PublishRecord{
+				When: time.Now(), Group: group, Generation: b.Generation,
+				Checksum: b.Checksum, Outcome: "published",
+			},
+			bundleContent: contentOf(b),
+		}, b, tx)
+	})
+	if err != nil {
+		return policy.Bundle{}, err
 	}
-	s.rollMu.Unlock()
+	return b, nil
+}
 
-	s.persistMu.RLock()
-	defer s.persistMu.RUnlock()
-	reject := func(outcome string, err error) (policy.Bundle, error) {
+// applyPublish applies one publish record: an accepted publish installs
+// b, the bundle the record names, as its group's current revision and
+// clears the group's halted rollout; every attempt lands in the audit
+// log. Caller holds ctlMu.
+func (s *Server) applyPublish(p *walPublish, b policy.Bundle, tx *walTx) error {
+	if err := s.commit(tx, walRecord{Kind: "publish", Publish: p}); err != nil {
+		return err
+	}
+	if p.Audit.Outcome == "published" {
+		s.installBundle(b)
+		delete(s.rollouts, p.Audit.Group)
+	}
+	s.auditPublish(p.Audit)
+	return nil
+}
+
+// candidate is a policy that passed admission, ready to become a signed
+// bundle once its generation is assigned.
+type candidate struct {
+	group, src, invariants string
+	compiled               *policy.Compiled
+}
+
+// bundle builds and (with a signer) signs the candidate at generation
+// gen.
+func (c candidate) bundle(gen uint64, sg *sign.Signer) policy.Bundle {
+	b := policy.NewBundle(c.group, gen, c.src).WithInvariants(c.invariants)
+	if sg != nil {
+		b = b.Signed(sg)
+	}
+	b.Compiled = c.compiled
+	return b
+}
+
+// admit is the admission step PublishBundle and StartRollout share: load
+// and validate the source, parse its embedded invariant set, and prove
+// the group's and the bundle's sets. A rejection is audited and logged
+// as a publish record before it is returned; what names the attempt in
+// the error ("bundle", "rollout candidate").
+func (s *Server) admit(group, src, invariants, what string) (candidate, error) {
+	if group == "" {
+		return candidate{}, fmt.Errorf("fleet: empty group name")
+	}
+	reject := func(outcome string, err error) (candidate, error) {
 		rec := PublishRecord{
 			When: time.Now(), Group: group, Checksum: policy.ChecksumSource(src),
 			Outcome: outcome, Reason: err.Error(),
 		}
-		s.auditPublish(rec)
-		s.persist(walRecord{Kind: "publish", Publish: &walPublish{Audit: rec}}, true)
-		return policy.Bundle{}, err
+		// The rejection is the caller's answer either way; a store that
+		// refuses its audit record leaves the audit log as it was.
+		_ = s.control(func(tx *walTx) error {
+			return s.applyPublish(&walPublish{Audit: rec}, policy.Bundle{}, tx)
+		})
+		return candidate{}, err
 	}
 	compiled, vr, err := policy.Load(src)
-	if err != nil {
-		return reject("rejected", fmt.Errorf("fleet: bundle rejected: %w", err))
-	}
-	if !vr.OK() {
-		return reject("rejected", fmt.Errorf("fleet: bundle rejected: %w", vr.Err()))
+	if err == nil && !vr.OK() {
+		err = vr.Err()
 	}
 	var embedded *verify.Set
-	if strings.TrimSpace(invariants) != "" {
-		if embedded, err = verify.ParseSet(invariants); err != nil {
-			return reject("rejected", fmt.Errorf("fleet: bundle rejected: %w", err))
-		}
+	if err == nil && strings.TrimSpace(invariants) != "" {
+		embedded, err = verify.ParseSet(invariants)
 	}
-
-	s.regMu.Lock()
-	groupInv := s.invariants[group]
-	s.regMu.Unlock()
+	if err != nil {
+		return reject("rejected", fmt.Errorf("fleet: %s rejected: %w", what, err))
+	}
+	var groupSet *verify.Set
+	s.ctlMu.Lock()
+	if e := s.invariants[group]; e != nil {
+		groupSet = e.set
+	}
+	s.ctlMu.Unlock()
 	for _, gate := range []struct {
 		origin string
 		set    *verify.Set
 	}{
-		{"group", setOf(groupInv)},
+		{"group", groupSet},
 		{"bundle", embedded},
 	} {
 		if gate.set == nil {
@@ -416,51 +479,23 @@ func (s *Server) PublishBundle(group, src, invariants string) (policy.Bundle, er
 				fmt.Errorf("%w (%s set):\n%s", ErrInvariantViolation, gate.origin, rep.Render()))
 		}
 	}
+	return candidate{group: group, src: src, invariants: invariants, compiled: compiled}, nil
+}
 
-	// A halted rollout still holding the group is cleared by a direct
-	// publish: the operator is shipping the fix.
-	s.rollMu.Lock()
-	delete(s.rollouts, group)
-	s.rollMu.Unlock()
-
+// nextGen is the generation the group's next publish or rollout
+// candidate takes. Caller holds ctlMu, which every generation change
+// holds too.
+func (s *Server) nextGen(group string) uint64 {
 	s.regMu.Lock()
-	e := s.groups[group]
-	if e == nil {
-		e = &groupEntry{notify: make(chan struct{})}
-		s.groups[group] = e
+	defer s.regMu.Unlock()
+	if e := s.groups[group]; e != nil {
+		return e.lastGen + 1
 	}
-	b := policy.NewBundle(group, e.lastGen+1, src).WithInvariants(invariants)
-	if s.signer != nil {
-		b = b.Signed(s.signer)
-	}
-	b.Compiled = compiled
-	setBundleLocked(e, b)
-	s.regMu.Unlock()
-
-	rec := PublishRecord{
-		When: time.Now(), Group: group, Generation: b.Generation,
-		Checksum: b.Checksum, Outcome: "published",
-	}
-	s.auditPublish(rec)
-	if err := s.persist(walRecord{Kind: "publish", Publish: &walPublish{
-		Audit: rec, Source: src, Invariants: invariants,
-		KeyID: b.KeyID, SigAlg: b.SigAlg, Signature: b.Signature,
-	}}, true); err != nil {
-		return policy.Bundle{}, err
-	}
-	return b, nil
+	return 1
 }
 
-func setOf(e *invariantEntry) *verify.Set {
-	if e == nil {
-		return nil
-	}
-	return e.set
-}
-
+// auditPublish appends to the publish audit log. Caller holds ctlMu.
 func (s *Server) auditPublish(rec PublishRecord) {
-	s.pubMu.Lock()
-	defer s.pubMu.Unlock()
 	switch rec.Outcome {
 	case "published":
 		s.published++
@@ -477,8 +512,8 @@ func (s *Server) auditPublish(rec PublishRecord) {
 
 // PublishLog returns a copy of the publish audit log, oldest first.
 func (s *Server) PublishLog() []PublishRecord {
-	s.pubMu.Lock()
-	defer s.pubMu.Unlock()
+	s.ctlMu.Lock()
+	defer s.ctlMu.Unlock()
 	return append([]PublishRecord(nil), s.pubLog...)
 }
 
@@ -570,13 +605,27 @@ func (s *Server) ReportStatus(st VehicleStatus) error {
 	if st.Vehicle == "" {
 		return fmt.Errorf("fleet: status report without vehicle id")
 	}
-	now := time.Now()
+	sh := s.shardFor(st.Vehicle)
 	s.persistMu.RLock()
-	s.applyStatus(st, now)
-	err := s.persist(walRecord{Kind: "status", Status: &walStatus{Status: st, When: now}}, false)
+	sh.mu.Lock()
+	err := s.applyStatus(&walStatus{Status: st, When: time.Now()}, &walTx{})
+	sh.mu.Unlock()
 	s.persistMu.RUnlock()
 	s.maybeAutoSnapshot()
 	return err
+}
+
+// applyStatus applies one status report: the vehicle's reported fields
+// replace its last report. Caller holds the vehicle's shard lock.
+func (s *Server) applyStatus(ws *walStatus, tx *walTx) error {
+	if err := s.commit(tx, walRecord{Kind: "status", Status: ws}); err != nil {
+		return err
+	}
+	v := s.shardFor(ws.Status.Vehicle).vehicle(ws.Status.Vehicle)
+	v.VehicleStatus = ws.Status
+	v.Reports++
+	v.LastSeen = ws.When
+	return nil
 }
 
 // UploadLogs implements Transport: the decision-log ingestion
@@ -624,102 +673,134 @@ func (s *Server) UploadLogsContext(ctx context.Context, vehicle string, recs []L
 }
 
 // ingestScratch pools the per-batch scratch of the hot ingest path:
-// the post-dedupe record slice, the wire-record conversion slice, and
-// the binary WAL frame buffer. Nothing in it escapes an ingest call —
-// logBuf appends copy the records, observeCanary does not retain its
-// slice, and store.Append copies the frame — so steady-state ingest
-// performs no per-batch allocations beyond logBuf's amortized growth.
+// the ingest record with its post-dedupe record slice, the wire-record
+// conversion slice, and the binary WAL frame buffer. Nothing in it
+// escapes an ingest call — logBuf appends copy the records,
+// observeCanary does not retain its slice, and store.Append copies the
+// frame — so steady-state ingest performs no per-batch allocations
+// beyond logBuf's amortized growth.
 type ingestScratch struct {
-	fresh []LogRecord
+	ing   walIngest
 	wrecs []wire.Record
 	buf   []byte
 }
 
 var ingestScratchPool = sync.Pool{New: func() any { return new(ingestScratch) }}
 
-// ingest is the admission body run inside the group bulkhead. An
-// accepted batch is WAL-committed (fsync) before the accept returns:
-// the agent advances its cursor on our word, so forgetting an accepted
-// batch across a crash would break the accepted+dropped==emitted
-// ledger permanently.
+// ingest is the admission body run inside the group bulkhead. It decides
+// holding no lock — dedupe against the vehicle's high-water mark, encode
+// the record, park for buffer space — and applies the record inside the
+// ingest critical section (lockIngest) only if the high-water mark has
+// not moved meanwhile; a concurrent upload from the same vehicle that
+// did move it sends this one back to decide again. An accepted batch is
+// WAL-committed (fsync) before the accept returns: the agent advances
+// its cursor on our word, so forgetting an accepted batch across a
+// crash would break the accepted+dropped==emitted ledger permanently.
 func (s *Server) ingest(vehicle string, recs []LogRecord) (int, error) {
-	s.persistMu.RLock()
-	defer s.persistMu.RUnlock()
-
 	sc := ingestScratchPool.Get().(*ingestScratch)
 	defer ingestScratchPool.Put(sc)
-	fresh := sc.fresh[:0]
-
 	sh := s.shardFor(vehicle)
-	sh.mu.Lock()
-	v := sh.m[vehicle]
-	if v == nil {
-		v = &VehicleState{Vehicle: vehicle}
-		sh.m[vehicle] = v
-	}
-	group := v.Group
-	dups := 0
-	for _, r := range recs {
-		if r.Seq <= v.LastLogSeq {
-			dups++
-			continue
-		}
-		fresh = append(fresh, r)
-	}
-	sh.mu.Unlock()
-	sc.fresh = fresh // keep the grown capacity pooled
-
-	s.logMu.Lock()
 	var deadline time.Time
 	for {
+		sh.mu.Lock()
+		seen := sh.lastLogSeq(vehicle)
+		sh.mu.Unlock()
+		ing := &sc.ing
+		*ing = walIngest{Vehicle: vehicle, Fresh: ing.Fresh[:0]}
+		for _, r := range recs {
+			if r.Seq <= seen {
+				ing.Dups++
+				continue
+			}
+			ing.Fresh = append(ing.Fresh, r)
+		}
+		tx := walTx{sync: true, frame: s.encodeIngest(sc, ing)}
+
+		s.lockIngest(sh)
+		stale := sh.lastLogSeq(vehicle) != seen
 		depth := len(s.logBuf) - s.logHead
-		if depth+len(fresh) <= s.logCap {
-			break
+		fits := depth+len(ing.Fresh) <= s.logCap
+		var err error
+		if !stale && fits {
+			err = s.applyIngest(ing, &tx)
+		}
+		free := s.logFree
+		s.unlockIngest(sh)
+		switch {
+		case stale:
+			continue
+		case fits:
+			if err != nil {
+				return 0, err
+			}
+			return len(ing.Fresh), s.syncTx(&tx)
 		}
 		// Full: park on the next drain edge, up to the admission grace,
 		// instead of bouncing the agent into a retry loop.
 		if deadline.IsZero() {
 			deadline = time.Now().Add(DefaultAdmissionGrace)
 		}
-		free := s.logFree
-		s.logMu.Unlock()
-		wait := time.Until(deadline)
-		if wait <= 0 {
-			s.logMu.Lock()
-			s.batchesRejected++
-			s.logMu.Unlock()
-			s.persist(walRecord{Kind: "ingest", Ingest: &walIngest{Vehicle: vehicle, Rejected: true}}, false)
-			return 0, fmt.Errorf("%w: %d queued, capacity %d", ErrBackpressure, depth, s.logCap)
+		if wait := time.Until(deadline); wait > 0 {
+			t := time.NewTimer(wait)
+			select {
+			case <-free:
+				t.Stop()
+			case <-t.C:
+			}
+			continue
 		}
-		t := time.NewTimer(wait)
-		select {
-		case <-free:
-			t.Stop()
-		case <-t.C:
+		s.lockIngest(sh)
+		err = s.applyIngest(&walIngest{Vehicle: vehicle, Rejected: true}, &walTx{})
+		s.unlockIngest(sh)
+		if err != nil {
+			return 0, err
 		}
-		s.logMu.Lock()
+		return 0, fmt.Errorf("%w: %d queued, capacity %d", ErrBackpressure, depth, s.logCap)
 	}
-	for _, r := range fresh {
-		s.logBuf = append(s.logBuf, IngestedRecord{Vehicle: vehicle, Record: r})
-	}
-	s.logAccepted += uint64(len(fresh))
-	s.logDuplicates += uint64(dups)
-	s.batchesAccepted++
-	s.logMu.Unlock()
+}
 
-	if len(fresh) > 0 {
-		sh.mu.Lock()
-		if last := fresh[len(fresh)-1].Seq; last > v.LastLogSeq {
+// lockIngest enters the ingest critical section of the vehicle on sh:
+// its shard lock, then logMu (under persistMu's read half).
+func (s *Server) lockIngest(sh *serverShard) {
+	s.persistMu.RLock()
+	sh.mu.Lock()
+	s.logMu.Lock()
+}
+
+func (s *Server) unlockIngest(sh *serverShard) {
+	s.logMu.Unlock()
+	sh.mu.Unlock()
+	s.persistMu.RUnlock()
+}
+
+// applyIngest applies one ingest record: a backpressure rejection, or an
+// accepted batch's post-dedupe records — buffered, counted in the
+// vehicle's ledger, and fed to its group's rollout window. Caller holds
+// the vehicle's shard lock and logMu, the critical section that orders
+// dedupe, buffer and ledger.
+func (s *Server) applyIngest(ing *walIngest, tx *walTx) error {
+	if err := s.commit(tx, walRecord{Kind: "ingest", Ingest: ing}); err != nil {
+		return err
+	}
+	if ing.Rejected {
+		s.batchesRejected++
+		return nil
+	}
+	for _, r := range ing.Fresh {
+		s.logBuf = append(s.logBuf, IngestedRecord{Vehicle: ing.Vehicle, Record: r})
+	}
+	s.logAccepted += uint64(len(ing.Fresh))
+	s.logDuplicates += uint64(ing.Dups)
+	s.batchesAccepted++
+	v := s.shardFor(ing.Vehicle).vehicle(ing.Vehicle)
+	if n := len(ing.Fresh); n > 0 {
+		if last := ing.Fresh[n-1].Seq; last > v.LastLogSeq {
 			v.LastLogSeq = last
 		}
-		v.Accepted += uint64(len(fresh))
-		sh.mu.Unlock()
+		v.Accepted += uint64(n)
 	}
-	s.observeCanary(group, vehicle, fresh)
-	if err := s.persistIngest(sc, vehicle, fresh, dups); err != nil {
-		return len(fresh), err
-	}
-	return len(fresh), nil
+	s.observeCanary(v.Group, ing.Vehicle, ing.Fresh)
+	return nil
 }
 
 // Drain pops up to max accepted records from the ingestion buffer (the
@@ -727,20 +808,28 @@ func (s *Server) ingest(vehicle string, recs []LogRecord) (int, error) {
 // a test's ledger check). max <= 0 drains everything.
 func (s *Server) Drain(max int) []IngestedRecord {
 	s.persistMu.RLock()
-	defer s.persistMu.RUnlock()
 	s.logMu.Lock()
+	out := s.applyDrain(max, &walTx{})
+	s.logMu.Unlock()
+	s.persistMu.RUnlock()
+	return out
+}
+
+// applyDrain pops up to max queued records (max <= 0: all of them) and
+// returns them; the record names the exact count taken, and a record
+// the store refuses drains nothing. Caller holds logMu.
+func (s *Server) applyDrain(max int, tx *walTx) []IngestedRecord {
 	n := len(s.logBuf) - s.logHead
 	if max > 0 && max < n {
 		n = max
+	}
+	if n == 0 || s.commit(tx, walRecord{Kind: "drain", Drain: &walDrain{N: n}}) != nil {
+		return nil
 	}
 	out := make([]IngestedRecord, n)
 	copy(out, s.logBuf[s.logHead:s.logHead+n])
 	s.advanceLogHeadLocked(n)
 	s.logDrained += uint64(n)
-	s.logMu.Unlock()
-	if n > 0 {
-		s.persist(walRecord{Kind: "drain", Drain: &walDrain{N: n}}, false)
-	}
 	return out
 }
 
@@ -897,9 +986,9 @@ func (s *Server) Stats() FleetStats {
 	sort.Slice(st.Groups, func(i, j int) bool { return st.Groups[i].Group < st.Groups[j].Group })
 	st.Ingest = s.gates.Stats()
 
-	s.pubMu.Lock()
+	s.ctlMu.Lock()
 	st.Published, st.PublishRejects, st.PublishViolations = s.published, s.pubRejected, s.pubViolation
-	s.pubMu.Unlock()
+	s.ctlMu.Unlock()
 
 	s.logMu.Lock()
 	st.Logs = LogStats{

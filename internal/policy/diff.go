@@ -83,13 +83,7 @@ func Diff(old, new *Compiled) []Change {
 
 	// Per-state effective rule sets (the operational meaning of the
 	// policy): compare canonical rule strings.
-	states := sortedKeys(newStates)
-	for _, name := range sortedKeys(oldStates) {
-		if _, ok := newStates[name]; !ok {
-			continue // removal already reported
-		}
-	}
-	for _, name := range states {
+	for _, name := range sortedKeys(newStates) {
 		oldRS, okOld := old.StateSets[name]
 		newRS := new.StateSets[name]
 		if !okOld {

@@ -56,13 +56,6 @@ func (k *KernelTransmitter) Transmit(events []string) error {
 // Close releases the descriptor.
 func (k *KernelTransmitter) Close() error { return k.task.Close(k.fd) }
 
-// TransmittedEvent records one event the service sent, for latency and
-// accuracy accounting.
-type TransmittedEvent struct {
-	Event string
-	At    time.Time
-}
-
 // Resilience defaults (overridable per service with options).
 const (
 	DefaultQueueCapacity = 64
@@ -99,7 +92,6 @@ type Service struct {
 	hbSecret    []byte        // non-empty = sign heartbeats (HMAC)
 
 	mu      sync.Mutex
-	history []TransmittedEvent
 	polls   uint64
 	snapBuf Snapshot // reused across polls (fixed sensor key set)
 
@@ -199,7 +191,6 @@ func (s *Service) Poll() ([]string, error) {
 	s.observeHealthLocked(snap)
 	var dropErr error
 	for _, ev := range events {
-		s.history = append(s.history, TransmittedEvent{Event: ev, At: now})
 		if err := s.enqueueLocked(ev); err != nil {
 			dropErr = err
 		}
@@ -225,7 +216,6 @@ func (s *Service) DeliverEvent(ev policy.Event) error {
 	if err := s.enqueueLocked(string(ev)); err != nil {
 		return err
 	}
-	s.history = append(s.history, TransmittedEvent{Event: string(ev), At: now})
 	_ = s.flushLocked(now) // best effort; failures back off and retry
 	return nil
 }
@@ -366,15 +356,6 @@ func (s *Service) QueueStats() (depth, capacity int, retries, drops uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.queue), s.queueCap, s.retries, s.drops
-}
-
-// History returns a copy of all transmitted events.
-func (s *Service) History() []TransmittedEvent {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]TransmittedEvent, len(s.history))
-	copy(out, s.history)
-	return out
 }
 
 // Polls reports how many detection cycles have run.
