@@ -188,7 +188,9 @@ perfbench-build:
 
 # Benchmark smoke: one iteration of every paper-row benchmark (each
 # Table II/III, Fig. 3(a)/(b), event-latency and no-LSM cell; the
-# event-latency cell fails if a write misses its transition), of the
+# event-latency cell fails if a write misses its transition), of every
+# BenchmarkStackingDepth cell (depths 0-4, whose boots are the Table II
+# configurations plus SELinux at depth 4), of the
 # scalability sweep and of every BenchmarkAVC cell (cached, uncached,
 # both pass-through shapes, one-off denials, raw Decide) and of every
 # BenchmarkPolicyLoad cell (the Fig. 2 pack policy, 500 rules, 64
@@ -210,7 +212,7 @@ perfbench-build:
 # quarter of its slots is filled, never past its cap, and carries only
 # the current epoch's entries, re-indexed, across a doubling).
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkTable2|BenchmarkTable3|BenchmarkFig3|BenchmarkEventLatency|BenchmarkNoLSM' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkTable2|BenchmarkTable3|BenchmarkFig3|BenchmarkEventLatency|BenchmarkNoLSM|BenchmarkStackingDepth' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkParallelDecision/sack-covered/goroutines=(1|16)$$' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkAVC' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkPolicyLoad' -benchtime 1x . ./internal/policy

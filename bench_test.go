@@ -33,32 +33,27 @@ import (
 	"repro/policies"
 )
 
-// column is one configuration a paper table compares.
-type column struct {
-	name string
-	boot func() (*bench.Testbed, error)
-}
-
-// bootSuites boots every column once and prepares its lmbench fixtures.
-func bootSuites(b *testing.B, cols []column) []*lmbench.Suite {
+// bootSuites boots every configuration once and prepares its lmbench
+// fixtures.
+func bootSuites(b *testing.B, cols []bench.Config) []*lmbench.Suite {
 	b.Helper()
 	suites := make([]*lmbench.Suite, len(cols))
 	for i, c := range cols {
-		tb, err := c.boot()
+		tb, err := c.Boot()
 		if err != nil {
-			b.Fatalf("boot %s: %v", c.name, err)
+			b.Fatalf("boot %s: %v", c.Name, err)
 		}
 		if suites[i], err = lmbench.NewSuite(tb.Kernel); err != nil {
-			b.Fatalf("suite %s: %v", c.name, err)
+			b.Fatalf("suite %s: %v", c.Name, err)
 		}
 	}
 	return suites
 }
 
-// runCells runs op on every column as sibling sub-benchmarks.
-func runCells(b *testing.B, op lmbench.Op, cols []column, suites []*lmbench.Suite) {
+// runCells runs op on every configuration as sibling sub-benchmarks.
+func runCells(b *testing.B, op lmbench.Op, cols []bench.Config, suites []*lmbench.Suite) {
 	for i, c := range cols {
-		b.Run(c.name, func(b *testing.B) {
+		b.Run(c.Name, func(b *testing.B) {
 			b.SetBytes(op.Bytes)
 			if err := op.Run(suites[i], b.N, b); err != nil {
 				b.Fatal(err)
@@ -67,49 +62,32 @@ func runCells(b *testing.B, op lmbench.Op, cols []column, suites []*lmbench.Suit
 	}
 }
 
-// runOps boots every column once and runs ops op-major: <op>/<column>.
-func runOps(b *testing.B, ops []lmbench.Op, cols []column) {
+// runOps boots every configuration once and runs ops op-major:
+// <op>/<config>.
+func runOps(b *testing.B, ops []lmbench.Op, cols []bench.Config) {
 	suites := bootSuites(b, cols)
 	for _, op := range ops {
 		b.Run(op.Name, func(b *testing.B) { runCells(b, op, cols, suites) })
 	}
 }
 
-// rulesColumns sweeps the rule counts of Table III.
-func rulesColumns(boot func(n int) (*bench.Testbed, error)) []column {
-	var cols []column
-	for _, n := range []int{0, 10, 100, 500, 1000} {
-		cols = append(cols, column{fmt.Sprintf("rules-%d", n), func() (*bench.Testbed, error) { return boot(n) }})
-	}
-	return cols
-}
-
 // BenchmarkTable2 runs Table II: every LMBench row on the AppArmor
 // baseline, SACK-enhanced AppArmor and independent SACK.
 func BenchmarkTable2(b *testing.B) {
-	runOps(b, lmbench.Table2, []column{
-		{"AppArmor-baseline", bench.BootBaselineAppArmor},
-		{"SACK-enhanced", func() (*bench.Testbed, error) { return bench.BootSACKEnhanced(bench.DefaultSACKPolicy) }},
-		{"independent-SACK", func() (*bench.Testbed, error) { return bench.BootIndependentSACK(bench.DefaultSACKPolicy) }},
-	})
+	runOps(b, lmbench.Table2, bench.Table2)
 }
 
 // BenchmarkTable3 runs Table III: every row with growing numbers of
 // SACK rules stacked on AppArmor. Flat results reproduce the paper's
 // finding.
 func BenchmarkTable3(b *testing.B) {
-	runOps(b, lmbench.Table3, rulesColumns(bench.BootAppArmorWithSACKRules))
+	runOps(b, lmbench.Table3, bench.Table3)
 }
 
 // BenchmarkTable3Independent is the harder variant: the rules live in
 // independent SACK, so every open consults the coverage index.
 func BenchmarkTable3Independent(b *testing.B) {
-	cols := rulesColumns(func(n int) (*bench.Testbed, error) {
-		if n == 0 {
-			return bench.BootCapabilityOnly()
-		}
-		return bench.BootIndependentSACK(bench.GenRulesPolicy(n))
-	})
+	cols := bench.Table3Independent
 	runCells(b, lmbench.Op{Run: (*lmbench.Suite).OpenClose}, cols, bootSuites(b, cols))
 }
 
@@ -117,22 +95,13 @@ func BenchmarkTable3Independent(b *testing.B) {
 // growing numbers of situation states, against the capability-only
 // kernel as baseline.
 func BenchmarkFig3a(b *testing.B) {
-	cols := []column{{"baseline", bench.BootCapabilityOnly}}
-	for _, n := range []int{1, 10, 25, 50, 100} {
-		cols = append(cols, column{fmt.Sprintf("states-%d", n), func() (*bench.Testbed, error) {
-			return bench.BootIndependentSACK(bench.GenStatesPolicy(n))
-		}})
-	}
-	runOps(b, lmbench.Fig3a, cols)
+	runOps(b, lmbench.Fig3a, bench.Fig3a)
 }
 
 // BenchmarkNoLSM is §IV-B's board comparison: 4 KiB read/write on a
 // kernel with no LSM framework at all against independent SACK.
 func BenchmarkNoLSM(b *testing.B) {
-	runOps(b, lmbench.NoLSM, []column{
-		{"no-LSM", bench.BootBare},
-		{"independent-SACK", func() (*bench.Testbed, error) { return bench.BootIndependentSACK(bench.DefaultSACKPolicy) }},
-	})
+	runOps(b, lmbench.NoLSM, bench.NoLSM)
 }
 
 // BenchmarkFig3b runs Fig. 3(b)'s workload while a background driver
@@ -534,10 +503,7 @@ func BenchmarkMatcherAblation(b *testing.B) {
 // BenchmarkStackingDepth sweeps LSM stack depth 0..4 on the open/close
 // hot path: the marginal cost of one more module in the chain.
 func BenchmarkStackingDepth(b *testing.B) {
-	var cols []column
-	for depth := 0; depth <= 4; depth++ {
-		cols = append(cols, column{fmt.Sprintf("depth-%d", depth), func() (*bench.Testbed, error) { return bench.BootStackDepth(depth) }})
-	}
+	cols := bench.StackDepths
 	runCells(b, lmbench.Op{Run: (*lmbench.Suite).OpenClose}, cols, bootSuites(b, cols))
 }
 

@@ -99,7 +99,7 @@ func run(nosack bool, faultSpec string, faultSeed int64, stdout io.Writer) error
 	}
 	if nosack {
 		k = kernel.New()
-		if err := k.RegisterLSM(lsm.NewCapability()); err != nil {
+		if err := k.Boot(lsm.NewCapability()); err != nil {
 			return err
 		}
 		v = vehicle.New(4, 4)

@@ -83,7 +83,7 @@ func main() {
 	// --- Scenario A: IVI without SACK (user-space checks only) ---
 	fmt.Println("\n--- without SACK (kernel has only capability LSM) ---")
 	kA := kernel.New()
-	if err := kA.RegisterLSM(lsm.NewCapability()); err != nil {
+	if err := kA.Boot(lsm.NewCapability()); err != nil {
 		log.Fatal(err)
 	}
 	vA := vehicle.New(4, 4)

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/lmbench"
@@ -14,73 +13,44 @@ func (noTimer) ResetTimer() {}
 func (noTimer) StartTimer() {}
 func (noTimer) StopTimer()  {}
 
-// smokeConfig is one configuration a paper benchmark compares.
-type smokeConfig struct {
-	name string
-	boot func() (*Testbed, error)
-}
-
 // runSmoke checks that ops has want rows and runs each op for one
 // iteration on every configuration, as `-benchtime 1x` does.
-func runSmoke(t *testing.T, ops []lmbench.Op, want int, configs []smokeConfig) {
+func runSmoke(t *testing.T, ops []lmbench.Op, want int, configs []Config) {
 	t.Helper()
 	if len(ops) != want {
 		t.Fatalf("%d rows, want %d", len(ops), want)
 	}
 	for _, c := range configs {
-		tb, err := c.boot()
+		tb, err := c.Boot()
 		if err != nil {
-			t.Fatalf("boot %s: %v", c.name, err)
+			t.Fatalf("boot %s: %v", c.Name, err)
 		}
 		s, err := lmbench.NewSuite(tb.Kernel)
 		if err != nil {
-			t.Fatalf("suite %s: %v", c.name, err)
+			t.Fatalf("suite %s: %v", c.Name, err)
 		}
 		for _, op := range ops {
 			if err := op.Run(s, 1, noTimer{}); err != nil {
-				t.Fatalf("%s/%s: %v", op.Name, c.name, err)
+				t.Fatalf("%s/%s: %v", op.Name, c.Name, err)
 			}
 		}
 	}
 }
 
 // TestRunTable2Smoke runs every Table II row on its three configurations.
-func TestRunTable2Smoke(t *testing.T) {
-	runSmoke(t, lmbench.Table2, 17, []smokeConfig{
-		{"AppArmor-baseline", BootBaselineAppArmor},
-		{"SACK-enhanced", func() (*Testbed, error) { return BootSACKEnhanced(DefaultSACKPolicy) }},
-		{"independent-SACK", func() (*Testbed, error) { return BootIndependentSACK(DefaultSACKPolicy) }},
-	})
-}
+func TestRunTable2Smoke(t *testing.T) { runSmoke(t, lmbench.Table2, 17, Table2) }
 
-// TestRunTable3Smoke runs every Table III row on AppArmor holding 0, 10
-// and 100 SACK-generated rules.
-func TestRunTable3Smoke(t *testing.T) {
-	var configs []smokeConfig
-	for _, n := range []int{0, 10, 100} {
-		configs = append(configs, smokeConfig{fmt.Sprintf("rules-%d", n), func() (*Testbed, error) { return BootAppArmorWithSACKRules(n) }})
-	}
-	runSmoke(t, lmbench.Table3, 14, configs)
-}
+// TestRunTable3Smoke runs every Table III row on AppArmor holding each
+// swept number of SACK-generated rules.
+func TestRunTable3Smoke(t *testing.T) { runSmoke(t, lmbench.Table3, 14, Table3) }
 
 // TestRunFig3aSmoke runs the Fig. 3(a) file ops on the capability-only
-// baseline and on independent SACK with 1 and 10 states.
-func TestRunFig3aSmoke(t *testing.T) {
-	configs := []smokeConfig{{"baseline", BootCapabilityOnly}}
-	for _, n := range []int{1, 10} {
-		configs = append(configs, smokeConfig{fmt.Sprintf("states-%d", n), func() (*Testbed, error) { return BootIndependentSACK(GenStatesPolicy(n)) }})
-	}
-	runSmoke(t, lmbench.Fig3a, 5, configs)
-}
+// baseline and on independent SACK with each swept number of states.
+func TestRunFig3aSmoke(t *testing.T) { runSmoke(t, lmbench.Fig3a, 5, Fig3a) }
 
 // TestRunRISCVComparisonSmoke runs the §IV-B board rows on a kernel
 // with no LSM and on independent SACK.
-func TestRunRISCVComparisonSmoke(t *testing.T) {
-	runSmoke(t, lmbench.NoLSM, 2, []smokeConfig{
-		{"no-LSM", BootBare},
-		{"independent-SACK", func() (*Testbed, error) { return BootIndependentSACK(DefaultSACKPolicy) }},
-	})
-}
+func TestRunRISCVComparisonSmoke(t *testing.T) { runSmoke(t, lmbench.NoLSM, 2, NoLSM) }
 
 func TestGenPoliciesCompile(t *testing.T) {
 	for _, n := range []int{1, 10, 100, 1000} {

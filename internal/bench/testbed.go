@@ -1,8 +1,11 @@
 // Package bench holds the evaluation testbeds of the paper: bootable
 // kernel configurations (no LSM, capability-only, AppArmor baseline,
-// SACK-enhanced AppArmor, independent SACK, stack depths) and the
-// synthetic policy generators of §IV. bench_test.go runs the paper's
-// rows on them; perfbench and the tests boot them too.
+// SACK-enhanced AppArmor, independent SACK, stack depths), the lists of
+// them each paper table compares, and the synthetic policy generators
+// of §IV. Each configuration is a module list handed to Kernel.Boot, so
+// every testbed is the frozen, fully mounted stack a booted system has.
+// bench_test.go runs the paper's rows on them; perfbench and the tests
+// boot them too.
 package bench
 
 import (
@@ -13,6 +16,7 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/lsm"
 	"repro/internal/policy"
+	"repro/internal/selinux"
 )
 
 // Testbed is one booted kernel configuration.
@@ -21,6 +25,63 @@ type Testbed struct {
 	Kernel   *kernel.Kernel
 	AppArmor *apparmor.AppArmor // nil when absent
 	SACK     *core.SACK         // nil when absent
+}
+
+// Config is one configuration a paper table compares: the column name
+// its benchmark cells report and the boot that assembles it.
+type Config struct {
+	Name string
+	Boot func() (*Testbed, error)
+}
+
+// The paper's configuration lists, each written once. bench_test.go
+// runs its rows on them; the smoke and boot tests walk them.
+var (
+	// Table2 is Table II: the AppArmor baseline, SACK-enhanced AppArmor
+	// and independent SACK, both SACKs on the Fig. 1 policy.
+	Table2 = []Config{
+		{"AppArmor-baseline", BootBaselineAppArmor},
+		{"SACK-enhanced", func() (*Testbed, error) { return BootSACKEnhanced(DefaultSACKPolicy) }},
+		{"independent-SACK", func() (*Testbed, error) { return BootIndependentSACK(DefaultSACKPolicy) }},
+	}
+	// Table3 is Table III: AppArmor holding 0 (the baseline) to 1000
+	// SACK-generated rules.
+	Table3 = sweep("rules-%d", table3Rules, BootAppArmorWithSACKRules)
+	// Table3Independent is Table III's harder variant: the rules live in
+	// independent SACK, and rules-0 is the capability-only kernel.
+	Table3Independent = sweep("rules-%d", table3Rules, func(n int) (*Testbed, error) {
+		if n == 0 {
+			return BootCapabilityOnly()
+		}
+		return BootIndependentSACK(GenRulesPolicy(n))
+	})
+	// Fig3a is Fig. 3(a): the capability-only baseline and independent
+	// SACK with 1 to 100 situation states.
+	Fig3a = append([]Config{{"baseline", BootCapabilityOnly}},
+		sweep("states-%d", []int{1, 10, 25, 50, 100}, func(n int) (*Testbed, error) {
+			return BootIndependentSACK(GenStatesPolicy(n))
+		})...)
+	// NoLSM is §IV-B's board comparison: no LSM framework at all against
+	// independent SACK.
+	NoLSM = []Config{
+		{"no-LSM", BootBare},
+		{"independent-SACK", func() (*Testbed, error) { return BootIndependentSACK(DefaultSACKPolicy) }},
+	}
+	// StackDepths is the stacking ablation, depth-0 to depth-4 (see
+	// BootStackDepth).
+	StackDepths = sweep("depth-%d", []int{0, 1, 2, 3, 4}, BootStackDepth)
+)
+
+// table3Rules is the rule counts Table III sweeps.
+var table3Rules = []int{0, 10, 100, 500, 1000}
+
+// sweep names one configuration per n after format.
+func sweep(format string, ns []int, boot func(n int) (*Testbed, error)) []Config {
+	cs := make([]Config, len(ns))
+	for i, n := range ns {
+		cs[i] = Config{fmt.Sprintf(format, n), func() (*Testbed, error) { return boot(n) }}
+	}
+	return cs
 }
 
 // defaultAppArmorProfiles models the "Ubuntu 20.04 default AppArmor
@@ -83,28 +144,28 @@ transitions {
 }
 `
 
-// BootBare boots a kernel with no LSM framework at all (the RISC-V
-// comparison point in §IV-B: "the original system without LSM").
-func BootBare() (*Testbed, error) {
-	k := kernel.New()
-	return &Testbed{Name: "no-LSM", Kernel: k}, nil
-}
-
-// BootCapabilityOnly boots a kernel with just the capability module —
-// the minimal LSM-enabled baseline.
-func BootCapabilityOnly() (*Testbed, error) {
-	k := kernel.New()
-	if err := k.RegisterLSM(lsm.NewCapability()); err != nil {
+// boot assembles a testbed: a fresh kernel booted with mods in
+// CONFIG_LSM order.
+func boot(name string, mods ...lsm.Module) (*Testbed, error) {
+	tb := &Testbed{Name: name, Kernel: kernel.New()}
+	for _, m := range mods {
+		switch m := m.(type) {
+		case *apparmor.AppArmor:
+			tb.AppArmor = m
+		case *core.SACK:
+			tb.SACK = m
+		}
+	}
+	if err := tb.Kernel.Boot(mods...); err != nil {
 		return nil, err
 	}
-	return &Testbed{Name: "capability-only", Kernel: k}, nil
+	return tb, nil
 }
 
-// BootBaselineAppArmor boots the Table II baseline: AppArmor with default
-// profiles plus the capability module.
-func BootBaselineAppArmor() (*Testbed, error) {
-	k := kernel.New()
-	aa := apparmor.New(nil) // audit off for benchmarking
+// defaultAppArmor builds an AppArmor module holding the default
+// profiles, audit off for benchmarking.
+func defaultAppArmor() (*apparmor.AppArmor, error) {
+	aa := apparmor.New(nil)
 	profiles, err := apparmor.ParseProfiles(defaultAppArmorProfiles)
 	if err != nil {
 		return nil, fmt.Errorf("bench: default profiles: %w", err)
@@ -112,30 +173,12 @@ func BootBaselineAppArmor() (*Testbed, error) {
 	if err := aa.LoadProfiles(profiles); err != nil {
 		return nil, err
 	}
-	if err := k.RegisterLSM(aa); err != nil {
-		return nil, err
-	}
-	if err := k.RegisterLSM(lsm.NewCapability()); err != nil {
-		return nil, err
-	}
-	if err := aa.RegisterSecurityFS(k.SecFS); err != nil {
-		return nil, err
-	}
-	return &Testbed{Name: "AppArmor (baseline)", Kernel: k, AppArmor: aa}, nil
+	return aa, nil
 }
 
-// BootSACKEnhanced boots CONFIG_LSM="SACK,AppArmor,capability" with SACK
-// in enhanced mode rewriting AppArmor.
-func BootSACKEnhanced(policyText string) (*Testbed, error) {
-	k := kernel.New()
-	aa := apparmor.New(nil)
-	profiles, err := apparmor.ParseProfiles(defaultAppArmorProfiles)
-	if err != nil {
-		return nil, err
-	}
-	if err := aa.LoadProfiles(profiles); err != nil {
-		return nil, err
-	}
+// newSACK compiles policyText and builds a SACK module over it, audit
+// off; cfg supplies the mode and its substrate.
+func newSACK(policyText string, cfg core.Config) (*core.SACK, error) {
 	compiled, vr, err := policy.Load(policyText)
 	if err != nil {
 		return nil, fmt.Errorf("bench: SACK policy: %w", err)
@@ -143,28 +186,49 @@ func BootSACKEnhanced(policyText string) (*Testbed, error) {
 	if !vr.OK() {
 		return nil, fmt.Errorf("bench: SACK policy invalid: %v", vr.Errors())
 	}
-	s, err := core.New(core.Config{
-		Mode: core.EnhancedAppArmor, Policy: compiled, Source: policyText, AppArmor: aa,
-	})
+	cfg.Policy, cfg.Source = compiled, policyText
+	return core.New(cfg)
+}
+
+// BootBare boots a kernel with no LSM framework at all (the RISC-V
+// comparison point in §IV-B: "the original system without LSM").
+func BootBare() (*Testbed, error) { return boot("no-LSM") }
+
+// BootCapabilityOnly boots a kernel with just the capability module —
+// the minimal LSM-enabled baseline.
+func BootCapabilityOnly() (*Testbed, error) {
+	return boot("capability-only", lsm.NewCapability())
+}
+
+// BootBaselineAppArmor boots the Table II baseline: AppArmor with default
+// profiles plus the capability module.
+func BootBaselineAppArmor() (*Testbed, error) {
+	aa, err := defaultAppArmor()
 	if err != nil {
 		return nil, err
 	}
-	if err := k.RegisterLSM(s); err != nil {
+	return boot("AppArmor (baseline)", aa, lsm.NewCapability())
+}
+
+// BootSACKEnhanced boots CONFIG_LSM="SACK,AppArmor,capability" with SACK
+// in enhanced mode rewriting AppArmor.
+func BootSACKEnhanced(policyText string) (*Testbed, error) {
+	return bootEnhanced(policyText)
+}
+
+// bootEnhanced boots SACK in enhanced mode over the default AppArmor
+// profiles, with between stacked after SACK and before AppArmor.
+func bootEnhanced(policyText string, between ...lsm.Module) (*Testbed, error) {
+	aa, err := defaultAppArmor()
+	if err != nil {
 		return nil, err
 	}
-	if err := k.RegisterLSM(aa); err != nil {
+	s, err := newSACK(policyText, core.Config{Mode: core.EnhancedAppArmor, AppArmor: aa})
+	if err != nil {
 		return nil, err
 	}
-	if err := k.RegisterLSM(lsm.NewCapability()); err != nil {
-		return nil, err
-	}
-	if err := s.RegisterSecurityFS(k.SecFS); err != nil {
-		return nil, err
-	}
-	if err := aa.RegisterSecurityFS(k.SecFS); err != nil {
-		return nil, err
-	}
-	return &Testbed{Name: "SACK-enhanced AppArmor", Kernel: k, AppArmor: aa, SACK: s}, nil
+	mods := append(append([]lsm.Module{s}, between...), aa, lsm.NewCapability())
+	return boot("SACK-enhanced AppArmor", mods...)
 }
 
 // BootIndependentSACK boots CONFIG_LSM="SACK,capability" with SACK
@@ -180,35 +244,15 @@ func BootIndependentSACKNoAVC(policyText string) (*Testbed, error) {
 }
 
 func bootIndependent(policyText string, disableAVC bool) (*Testbed, error) {
-	k := kernel.New()
-	compiled, vr, err := policy.Load(policyText)
+	s, err := newSACK(policyText, core.Config{Mode: core.Independent, DisableAVC: disableAVC})
 	if err != nil {
-		return nil, fmt.Errorf("bench: SACK policy: %w", err)
-	}
-	if !vr.OK() {
-		return nil, fmt.Errorf("bench: SACK policy invalid: %v", vr.Errors())
-	}
-	s, err := core.New(core.Config{
-		Mode: core.Independent, Policy: compiled, Source: policyText,
-		DisableAVC: disableAVC,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := k.RegisterLSM(s); err != nil {
-		return nil, err
-	}
-	if err := k.RegisterLSM(lsm.NewCapability()); err != nil {
-		return nil, err
-	}
-	if err := s.RegisterSecurityFS(k.SecFS); err != nil {
 		return nil, err
 	}
 	name := "Independent SACK"
 	if disableAVC {
 		name = "Independent SACK (no AVC)"
 	}
-	return &Testbed{Name: name, Kernel: k, SACK: s}, nil
+	return boot(name, s, lsm.NewCapability())
 }
 
 // BootAppArmorWithSACKRules boots the Table III configuration: AppArmor
@@ -228,5 +272,50 @@ func BootAppArmorWithSACKRules(n int) (*Testbed, error) {
 		return nil, err
 	}
 	tb.Name = fmt.Sprintf("%d", n)
+	return tb, nil
+}
+
+// selinuxBenchPolicy confines nothing the benchmark touches; it exists so
+// the module has a realistic policy database loaded.
+const selinuxBenchPolicy = `
+context /etc/**          etc_t
+context /dev/vehicle/**  vehicle_dev_t
+domain doord_t /usr/bin/doord
+allow doord_t vehicle_dev_t read,write,ioctl
+allow doord_t etc_t read
+`
+
+// BootStackDepth boots kernels with progressively deeper LSM stacks,
+// the ablation behind the "cost of one more module" question. Depths 1
+// to 3 are the Table II boots:
+//
+//	0: no LSM framework at all
+//	1: capability
+//	2: apparmor,capability                 (the AppArmor baseline)
+//	3: sack,apparmor,capability            (SACK-enhanced, the paper's configuration)
+//	4: sack,selinux,apparmor,capability
+func BootStackDepth(depth int) (*Testbed, error) {
+	var tb *Testbed
+	var err error
+	switch {
+	case depth <= 0:
+		tb, err = BootBare()
+	case depth == 1:
+		tb, err = BootCapabilityOnly()
+	case depth == 2:
+		tb, err = BootBaselineAppArmor()
+	case depth == 3:
+		tb, err = BootSACKEnhanced(DefaultSACKPolicy)
+	default:
+		se := selinux.New(nil)
+		if err := se.LoadPolicy(selinuxBenchPolicy); err != nil {
+			return nil, err
+		}
+		tb, err = bootEnhanced(DefaultSACKPolicy, se)
+	}
+	if err != nil {
+		return nil, err
+	}
+	tb.Name = fmt.Sprintf("depth-%d", depth)
 	return tb, nil
 }

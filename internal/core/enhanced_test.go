@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/apparmor"
+	"repro/internal/avc"
 	"repro/internal/core"
 	"repro/internal/kernel"
 	"repro/internal/lsm"
@@ -32,18 +33,34 @@ func bootEnhanced(t *testing.T, policyText string) (*kernel.Kernel, *core.SACK, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range []lsm.Module{s, aa, lsm.NewCapability()} {
-		if err := k.RegisterLSM(m); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.RegisterSecurityFS(k.SecFS); err != nil {
+	if err := k.Boot(s, aa, lsm.NewCapability()); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := k.RegisterDevice("/dev/vehicle/door0", 0o666, nullDevice{}); err != nil {
 		t.Fatal(err)
 	}
 	return k, s, aa
+}
+
+// TestEnhancedModeBuildsNoAVC: in enhanced mode SACK's check never
+// decides, so SACK builds no access vector cache. Transitions advance
+// none, and the metrics file lists AppArmor's cache alone.
+func TestEnhancedModeBuildsNoAVC(t *testing.T) {
+	k, s, _ := bootEnhanced(t, casePolicy)
+	for i := 0; i < 5; i++ {
+		s.Deliver("crash_detected")
+		s.Deliver("all_clear")
+	}
+	if _, _, _, hit := s.Stats(); hit != 10 {
+		t.Fatalf("%d transitions, want 10", hit)
+	}
+	if st := s.AVCStats(); st != (avc.Stats{}) {
+		t.Errorf("enhanced-mode SACK AVC = %+v, want none", st)
+	}
+	m := k.RenderMetrics()
+	if !strings.Contains(m, "avc apparmor") || strings.Contains(m, "avc sack") {
+		t.Errorf("metrics should list AppArmor's AVC alone:\n%s", m)
+	}
 }
 
 func TestEnhancedModeRequiresAppArmor(t *testing.T) {

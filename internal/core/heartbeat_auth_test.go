@@ -31,11 +31,8 @@ func bootAuthenticated(t *testing.T, secret []byte) (*kernel.Kernel, *core.SACK)
 	if err != nil {
 		t.Fatalf("core.New: %v", err)
 	}
-	if err := k.RegisterLSM(s); err != nil {
-		t.Fatalf("RegisterLSM: %v", err)
-	}
-	if err := s.RegisterSecurityFS(k.SecFS); err != nil {
-		t.Fatalf("RegisterSecurityFS: %v", err)
+	if err := k.Boot(s); err != nil {
+		t.Fatalf("Boot: %v", err)
 	}
 	return k, s
 }

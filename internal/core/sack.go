@@ -68,7 +68,8 @@ type Config struct {
 	AppArmor *apparmor.AppArmor
 
 	// DisableAVC turns off the access vector cache (ablation
-	// benchmarks); every check then runs the full Decide path.
+	// benchmarks); every check then runs the full Decide path. Only
+	// Independent mode has the cache.
 	DisableAVC bool
 
 	// Failsafe overrides the policy's declared failsafe state for the
@@ -92,9 +93,10 @@ type SACK struct {
 	aa    *apparmor.AppArmor
 
 	// cache memoises Decide results per (subject, path, mask); nil when
-	// Config.DisableAVC. Its epoch advances inside publish, as part of
-	// swapping in a new snapshot, so a stale decision can never be
-	// served across a state change.
+	// Config.DisableAVC, and in EnhancedAppArmor mode, where check never
+	// decides and AppArmor's own cache fronts enforcement. Its epoch
+	// advances inside publish, as part of swapping in a new snapshot, so
+	// a stale decision can never be served across a state change.
 	cache *avc.Cache
 
 	// mu is the one writer lock of the situation state. Every writer —
@@ -177,7 +179,7 @@ func New(cfg Config) (*SACK, error) {
 		uncovered: shard.NewCounter(),
 		denials:   shard.NewCounter(),
 	}
-	if !cfg.DisableAVC {
+	if cfg.Mode == Independent && !cfg.DisableAVC {
 		s.cache = avc.New(0)
 	}
 	s.pipe = &Pipeline{s: s, failsafeOverride: cfg.Failsafe,

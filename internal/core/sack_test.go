@@ -91,14 +91,8 @@ func bootIndependentCfg(t *testing.T, policyText string, disableAVC bool) (*kern
 	if err != nil {
 		t.Fatalf("core.New: %v", err)
 	}
-	if err := k.RegisterLSM(s); err != nil {
-		t.Fatalf("RegisterLSM(sack): %v", err)
-	}
-	if err := k.RegisterLSM(lsm.NewCapability()); err != nil {
-		t.Fatalf("RegisterLSM(capability): %v", err)
-	}
-	if err := s.RegisterSecurityFS(k.SecFS); err != nil {
-		t.Fatalf("RegisterSecurityFS: %v", err)
+	if err := k.Boot(s, lsm.NewCapability()); err != nil {
+		t.Fatalf("Boot: %v", err)
 	}
 	if _, err := k.RegisterDevice("/dev/vehicle/door0", 0o666, nullDevice{}); err != nil {
 		t.Fatalf("RegisterDevice: %v", err)
@@ -235,10 +229,7 @@ func TestEnhancedAppArmorProfileRewrite(t *testing.T) {
 		t.Fatalf("core.New: %v", err)
 	}
 	// CONFIG_LSM="SACK,AppArmor": SACK first.
-	if err := k.RegisterLSM(s); err != nil {
-		t.Fatal(err)
-	}
-	if err := k.RegisterLSM(aa); err != nil {
+	if err := k.Boot(s, aa); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := k.RegisterDevice("/dev/vehicle/door0", 0o666, nullDevice{}); err != nil {

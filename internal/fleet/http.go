@@ -26,6 +26,77 @@ type logScratch struct{ recs []LogRecord }
 
 var logScratchPool = sync.Pool{New: func() any { return new(logScratch) }}
 
+// wireErrors is the one mapping between the fleet's typed errors and
+// their HTTP form. Handler answers an error with its row's status and
+// header, and Client turns a response carrying that status and header
+// back into the typed error, so errors.Is matches on both sides of the
+// wire. X-Fleet-Reject marks a refused request, X-Fleet-Shed a request
+// shed under load; both sheds are 429, told apart by the header.
+var wireErrors = []struct {
+	err    error
+	status int
+	header string
+	value  string
+}{
+	{ErrInvariantViolation, http.StatusUnprocessableEntity, "X-Fleet-Reject", "invariant-violation"},
+	{ErrRolloutActive, http.StatusConflict, "X-Fleet-Reject", "rollout-active"},
+	{ErrRolloutHalted, http.StatusConflict, "X-Fleet-Reject", "rollout-halted"},
+	{ErrUnknownGroup, http.StatusNotFound, "X-Fleet-Reject", "unknown-group"},
+	{ErrNoRollout, http.StatusNotFound, "X-Fleet-Reject", "no-rollout"},
+	{ErrBackpressure, http.StatusTooManyRequests, "X-Fleet-Shed", "log-buffer"},
+	{resilience.ErrBulkheadFull, http.StatusTooManyRequests, "X-Fleet-Shed", "group-bulkhead"},
+}
+
+// markError sets the header of err's wireErrors row and returns its
+// status, or returns fallback for an untyped error.
+func markError(w http.ResponseWriter, err error, fallback int) int {
+	for _, e := range wireErrors {
+		if errors.Is(err, e.err) {
+			w.Header().Set(e.header, e.value)
+			return e.status
+		}
+	}
+	return fallback
+}
+
+// writeError answers err with its typed status and header, or with
+// fallback; the body carries the error text.
+func writeError(w http.ResponseWriter, err error, fallback int) {
+	http.Error(w, err.Error(), markError(w, err, fallback))
+}
+
+// typedError is a typed fleet error as the server reported it: it
+// prints the server's text and matches its sentinel under errors.Is.
+type typedError struct {
+	sentinel error
+	msg      string
+}
+
+func (e *typedError) Error() string { return e.msg }
+func (e *typedError) Unwrap() error { return e.sentinel }
+
+// responseSentinel finds the typed error a response's status and
+// header carry, or nil.
+func responseSentinel(resp *http.Response) error {
+	for _, e := range wireErrors {
+		if resp.StatusCode == e.status && resp.Header.Get(e.header) == e.value {
+			return e.err
+		}
+	}
+	return nil
+}
+
+// httpError turns a failed response into its typed error, carrying the
+// server's text, or into an untyped error naming the status.
+func httpError(resp *http.Response) error {
+	msg, _ := io.ReadAll(io.LimitReader(resp.Body, 8192))
+	msg = bytes.TrimSpace(msg)
+	if sentinel := responseSentinel(resp); sentinel != nil {
+		return &typedError{sentinel, string(msg)}
+	}
+	return fmt.Errorf("fleet: http %d: %s", resp.StatusCode, msg)
+}
+
 // Handler exposes a Server over HTTP — the wire protocol cmd/fleetd
 // serves and Client speaks:
 //
@@ -41,7 +112,8 @@ var logScratchPool = sync.Pool{New: func() any { return new(logScratch) }}
 //	                          invariants, plan}; 409 when one is active
 //	POST /v1/rollout/{group}/tick   judge the active stage (advance /
 //	                          halt / promote); 409 + X-Fleet-Reject:
-//	                          rollout-halted when the brake trips
+//	                          rollout-halted, with the status as the
+//	                          body, when the brake trips
 //	DELETE /v1/rollout/{group}      abort the rollout
 //	GET  /v1/rollout/{group}  rollout status (JSON)
 //	POST /v1/status           report one VehicleStatus (JSON)
@@ -51,6 +123,8 @@ var logScratchPool = sync.Pool{New: func() any { return new(logScratch) }}
 //	                          backpressure, nothing taken
 //	GET  /v1/fleet            aggregate FleetStats (JSON)
 //	GET  /v1/fleet/render     aggregate FleetStats (text, Render format)
+//
+// A typed error is answered with its wireErrors status and header.
 func Handler(s *Server) http.Handler {
 	mux := http.NewServeMux()
 
@@ -68,7 +142,7 @@ func Handler(s *Server) http.Handler {
 		etag := r.Header.Get("If-None-Match")
 		b, delta, modified, err := s.FetchBundleDelta(r.URL.Query().Get("vehicle"), group, etag, wait)
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusNotFound)
+			writeError(w, err, http.StatusNotFound)
 			return
 		}
 		if !modified {
@@ -108,17 +182,8 @@ func Handler(s *Server) http.Handler {
 		src, inv := policy.SplitSourceInvariants(string(body))
 		b, err := s.PublishBundle(r.PathValue("group"), src, inv)
 		if err != nil {
-			status := http.StatusUnprocessableEntity
-			if errors.Is(err, ErrInvariantViolation) {
-				// The witness trace rides in the 4xx body; the header lets
-				// the client invert the typed error without parsing text.
-				w.Header().Set("X-Fleet-Reject", "invariant-violation")
-			}
-			if errors.Is(err, ErrRolloutActive) {
-				w.Header().Set("X-Fleet-Reject", "rollout-active")
-				status = http.StatusConflict
-			}
-			http.Error(w, err.Error(), status)
+			// An invariant violation's witness trace rides in the body.
+			writeError(w, err, http.StatusUnprocessableEntity)
 			return
 		}
 		w.Header().Set("ETag", b.ETag())
@@ -139,17 +204,7 @@ func Handler(s *Server) http.Handler {
 		}
 		st, err := s.StartRollout(r.PathValue("group"), req.Source, req.Invariants, req.Plan)
 		if err != nil {
-			status := http.StatusUnprocessableEntity
-			switch {
-			case errors.Is(err, ErrInvariantViolation):
-				w.Header().Set("X-Fleet-Reject", "invariant-violation")
-			case errors.Is(err, ErrRolloutActive):
-				w.Header().Set("X-Fleet-Reject", "rollout-active")
-				status = http.StatusConflict
-			case errors.Is(err, ErrUnknownGroup):
-				status = http.StatusNotFound
-			}
-			http.Error(w, err.Error(), status)
+			writeError(w, err, http.StatusUnprocessableEntity)
 			return
 		}
 		writeJSON(w, st)
@@ -157,21 +212,19 @@ func Handler(s *Server) http.Handler {
 
 	mux.HandleFunc("POST /v1/rollout/{group}/tick", func(w http.ResponseWriter, r *http.Request) {
 		st, err := s.RolloutTick(r.PathValue("group"))
+		if errors.Is(err, ErrRolloutHalted) {
+			// The halt is a legitimate outcome, not a transport failure:
+			// the status (with the halt reason) rides in the body under
+			// the typed error's status, which the client inverts back
+			// into ErrRolloutHalted.
+			status := markError(w, err, http.StatusConflict)
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(status)
+			json.NewEncoder(w).Encode(st)
+			return
+		}
 		if err != nil {
-			switch {
-			case errors.Is(err, ErrRolloutHalted):
-				// The halt is a legitimate outcome, not a transport failure:
-				// the status (with the halt reason) rides in the body under a
-				// 409 the client inverts back into ErrRolloutHalted.
-				w.Header().Set("X-Fleet-Reject", "rollout-halted")
-				w.Header().Set("Content-Type", "application/json")
-				w.WriteHeader(http.StatusConflict)
-				json.NewEncoder(w).Encode(st)
-			case errors.Is(err, ErrNoRollout):
-				http.Error(w, err.Error(), http.StatusNotFound)
-			default:
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-			}
+			writeError(w, err, http.StatusInternalServerError)
 			return
 		}
 		writeJSON(w, st)
@@ -179,11 +232,7 @@ func Handler(s *Server) http.Handler {
 
 	mux.HandleFunc("DELETE /v1/rollout/{group}", func(w http.ResponseWriter, r *http.Request) {
 		if err := s.AbortRollout(r.PathValue("group")); err != nil {
-			if errors.Is(err, ErrNoRollout) {
-				http.Error(w, err.Error(), http.StatusNotFound)
-				return
-			}
-			http.Error(w, err.Error(), http.StatusInternalServerError)
+			writeError(w, err, http.StatusInternalServerError)
 			return
 		}
 		w.WriteHeader(http.StatusNoContent)
@@ -192,7 +241,7 @@ func Handler(s *Server) http.Handler {
 	mux.HandleFunc("GET /v1/rollout/{group}", func(w http.ResponseWriter, r *http.Request) {
 		st, err := s.RolloutStatus(r.PathValue("group"))
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusNotFound)
+			writeError(w, err, http.StatusNotFound)
 			return
 		}
 		writeJSON(w, st)
@@ -243,18 +292,7 @@ func Handler(s *Server) http.Handler {
 		s.wireIn.binBytes.Add(uint64(len(body)))
 		accepted, err := s.UploadLogsContext(r.Context(), r.PathValue("vehicle"), recs)
 		if err != nil {
-			// Both sheds are 429; X-Fleet-Shed tells them apart so the
-			// client can invert them into the right typed error.
-			status := http.StatusBadRequest
-			switch {
-			case errors.Is(err, ErrBackpressure):
-				status = http.StatusTooManyRequests
-				w.Header().Set("X-Fleet-Shed", "log-buffer")
-			case errors.Is(err, resilience.ErrBulkheadFull):
-				status = resilience.HTTPStatus(err) // 429
-				w.Header().Set("X-Fleet-Shed", "group-bulkhead")
-			}
-			http.Error(w, err.Error(), status)
+			writeError(w, err, http.StatusBadRequest)
 			return
 		}
 		writeJSON(w, map[string]int{"accepted": accepted})
@@ -445,8 +483,6 @@ func (c *Client) fetchBundle(ctx context.Context, vehicle, group, etag string, w
 	switch resp.StatusCode {
 	case http.StatusNotModified:
 		return policy.Bundle{}, false, nil
-	case http.StatusNotFound:
-		return policy.Bundle{}, false, fmt.Errorf("%w: %q", ErrUnknownGroup, group)
 	case http.StatusOK:
 		data, err := io.ReadAll(resp.Body)
 		if err != nil {
@@ -499,11 +535,10 @@ func (c *Client) ReportStatus(st VehicleStatus) error {
 }
 
 // UploadLogs implements Transport over HTTP: one binary wire frame per
-// call, bounded by requestTimeout. Status codes map back onto the
-// typed errors so agent retry logic is transport-agnostic: 429 is
-// ErrBackpressure (full log buffer) or resilience.ErrBulkheadFull
-// (group compartment shed), told apart by the X-Fleet-Shed header;
-// anything else non-200 comes back as the server's error text.
+// call, bounded by requestTimeout. A shed comes back as its typed
+// error (ErrBackpressure for a full log buffer,
+// resilience.ErrBulkheadFull for a shed group compartment), so agent
+// retry logic is transport-agnostic.
 func (c *Client) UploadLogs(vehicle string, recs []LogRecord) (int, error) {
 	e := wire.GetEncoder()
 	wrecs := make([]wire.Record, len(recs))
@@ -517,17 +552,10 @@ func (c *Client) UploadLogs(vehicle string, recs []LogRecord) (int, error) {
 		Accepted int `json:"accepted"`
 	}
 	err := c.call(http.MethodPost, "/v1/logs/"+vehicle, wire.ContentTypeLogs, body, func(resp *http.Response) error {
-		switch resp.StatusCode {
-		case http.StatusOK:
-			return json.NewDecoder(resp.Body).Decode(&out)
-		case http.StatusTooManyRequests:
-			if resp.Header.Get("X-Fleet-Shed") == "group-bulkhead" {
-				return fmt.Errorf("%w (http 429)", resilience.ErrBulkheadFull)
-			}
-			return fmt.Errorf("%w (http 429)", ErrBackpressure)
-		default:
+		if resp.StatusCode != http.StatusOK {
 			return httpError(resp)
 		}
+		return json.NewDecoder(resp.Body).Decode(&out)
 	})
 	if err != nil {
 		return 0, err
@@ -566,15 +594,6 @@ func (c *Client) PushWithInvariants(group, src, invariants string) (policy.Bundl
 		Checksum   string `json:"checksum"`
 	}
 	err := c.call(http.MethodPost, "/v1/bundle/"+group, "text/plain", []byte(body), func(resp *http.Response) error {
-		if resp.StatusCode == http.StatusUnprocessableEntity &&
-			resp.Header.Get("X-Fleet-Reject") == "invariant-violation" {
-			msg, _ := io.ReadAll(io.LimitReader(resp.Body, 8192))
-			return fmt.Errorf("%w: %s", ErrInvariantViolation, bytes.TrimSpace(msg))
-		}
-		if resp.StatusCode == http.StatusConflict &&
-			resp.Header.Get("X-Fleet-Reject") == "rollout-active" {
-			return fmt.Errorf("%w: %q", ErrRolloutActive, group)
-		}
 		if resp.StatusCode != http.StatusOK {
 			return httpError(resp)
 		}
@@ -615,17 +634,7 @@ func (c *Client) StartRollout(group, src, invariants string, plan RolloutPlan) (
 	}
 	var st RolloutStatus
 	err = c.call(http.MethodPost, "/v1/rollout/"+group, "application/json", body, func(resp *http.Response) error {
-		switch {
-		case resp.StatusCode == http.StatusUnprocessableEntity &&
-			resp.Header.Get("X-Fleet-Reject") == "invariant-violation":
-			msg, _ := io.ReadAll(io.LimitReader(resp.Body, 8192))
-			return fmt.Errorf("%w: %s", ErrInvariantViolation, bytes.TrimSpace(msg))
-		case resp.StatusCode == http.StatusConflict &&
-			resp.Header.Get("X-Fleet-Reject") == "rollout-active":
-			return fmt.Errorf("%w: %q", ErrRolloutActive, group)
-		case resp.StatusCode == http.StatusNotFound:
-			return fmt.Errorf("%w: %q", ErrUnknownGroup, group)
-		case resp.StatusCode != http.StatusOK:
+		if resp.StatusCode != http.StatusOK {
 			return httpError(resp)
 		}
 		return json.NewDecoder(resp.Body).Decode(&st)
@@ -643,11 +652,7 @@ func (c *Client) RolloutTick(group string) (RolloutStatus, error) {
 	var st RolloutStatus
 	halted := false
 	err := c.call(http.MethodPost, "/v1/rollout/"+group+"/tick", "application/json", nil, func(resp *http.Response) error {
-		halted = resp.StatusCode == http.StatusConflict &&
-			resp.Header.Get("X-Fleet-Reject") == "rollout-halted"
-		if !halted && resp.StatusCode == http.StatusNotFound {
-			return fmt.Errorf("%w: %q", ErrNoRollout, group)
-		}
+		halted = responseSentinel(resp) == ErrRolloutHalted
 		if !halted && resp.StatusCode != http.StatusOK {
 			return httpError(resp)
 		}
@@ -665,9 +670,6 @@ func (c *Client) RolloutTick(group string) (RolloutStatus, error) {
 // AbortRollout cancels the group's rollout and pins everyone to stable.
 func (c *Client) AbortRollout(group string) error {
 	return c.call(http.MethodDelete, "/v1/rollout/"+group, "", nil, func(resp *http.Response) error {
-		if resp.StatusCode == http.StatusNotFound {
-			return fmt.Errorf("%w: %q", ErrNoRollout, group)
-		}
 		if resp.StatusCode != http.StatusNoContent {
 			return httpError(resp)
 		}
@@ -679,9 +681,6 @@ func (c *Client) AbortRollout(group string) error {
 func (c *Client) RolloutStatus(group string) (RolloutStatus, error) {
 	var st RolloutStatus
 	err := c.call(http.MethodGet, "/v1/rollout/"+group, "", nil, func(resp *http.Response) error {
-		if resp.StatusCode == http.StatusNotFound {
-			return fmt.Errorf("%w: %q", ErrNoRollout, group)
-		}
 		if resp.StatusCode != http.StatusOK {
 			return httpError(resp)
 		}
@@ -691,9 +690,4 @@ func (c *Client) RolloutStatus(group string) (RolloutStatus, error) {
 		return RolloutStatus{}, err
 	}
 	return st, nil
-}
-
-func httpError(resp *http.Response) error {
-	msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-	return fmt.Errorf("fleet: http %d: %s", resp.StatusCode, bytes.TrimSpace(msg))
 }

@@ -225,3 +225,115 @@ func TestClientRequestDeadlines(t *testing.T) {
 		}
 	}
 }
+
+// TestWireErrorsRoundTrip sends every typed error of wireErrors through
+// Handler and Client: each Client call that meets it must return an
+// error errors.Is still matches, carried by its row's status.
+func TestWireErrorsRoundTrip(t *testing.T) {
+	s := NewServer()
+	srv := httptest.NewServer(Handler(s))
+	defer srv.Close()
+	c := NewClient(srv.URL)
+	// A second server whose log buffer holds one record and whose groups
+	// admit one upload at a time, for the two sheds.
+	shed := NewServer(WithLogCapacity(1), WithGroupBulkhead(1, -1))
+	shedSrv := httptest.NewServer(Handler(shed))
+	defer shedSrv.Close()
+	sc := NewClient(shedSrv.URL)
+
+	if _, err := s.Publish("g", testPolicy); err != nil {
+		t.Fatal(err)
+	}
+	canary, _ := canaryAndBystander(t, 40)
+	halting := RolloutPlan{Stages: []RolloutStage{{Percent: 40}, {Percent: 100}},
+		MinSamples: 10, MaxDenialRate: 0.2, MaxPinnedFrac: -1}
+	if _, err := shed.Publish("g", testPolicy); err != nil {
+		t.Fatal(err)
+	}
+	if err := shed.ReportStatus(VehicleStatus{Vehicle: "v", Group: "g"}); err != nil {
+		t.Fatal(err)
+	}
+
+	cases := []struct {
+		name string
+		want error
+		call func() error
+	}{
+		{"push violating invariants", ErrInvariantViolation, func() error {
+			_, err := c.PushWithInvariants("canbus", actuatorPolicy, actuatorNever)
+			return err
+		}},
+		{"rollout violating invariants", ErrInvariantViolation, func() error {
+			_, err := c.StartRollout("g", actuatorPolicy, actuatorNever, halting)
+			return err
+		}},
+		{"fetch unknown group", ErrUnknownGroup, func() error {
+			_, _, err := c.FetchBundle("", "nope", "", 0)
+			return err
+		}},
+		{"rollout on unknown group", ErrUnknownGroup, func() error {
+			_, err := c.StartRollout("nope", testPolicyV2, "", halting)
+			return err
+		}},
+		{"tick without rollout", ErrNoRollout, func() error { _, err := c.RolloutTick("g"); return err }},
+		{"abort without rollout", ErrNoRollout, func() error { return c.AbortRollout("g") }},
+		{"status without rollout", ErrNoRollout, func() error { _, err := c.RolloutStatus("g"); return err }},
+		{"start rollout", nil, func() error {
+			st, err := c.StartRollout("g", testPolicyV2, "", halting)
+			if err == nil {
+				err = s.ReportStatus(VehicleStatus{Vehicle: canary, Group: "g", AppliedGeneration: st.CandidateGen})
+			}
+			if err == nil {
+				_, err = s.UploadLogs(canary, denialBatch(1, 10, 10))
+			}
+			return err
+		}},
+		{"push during rollout", ErrRolloutActive, func() error { _, err := c.Push("g", testPolicy); return err }},
+		{"second rollout", ErrRolloutActive, func() error {
+			_, err := c.StartRollout("g", testPolicyV2, "", halting)
+			return err
+		}},
+		{"tick tripping the brake", ErrRolloutHalted, func() error {
+			st, err := c.RolloutTick("g")
+			if err != nil && (!st.Halted || st.HaltReason == "") {
+				t.Errorf("halted tick lost its status body: %+v", st)
+			}
+			return err
+		}},
+		{"upload past the log buffer", ErrBackpressure, func() error {
+			_, err := sc.UploadLogs("v", []LogRecord{{Seq: 1}, {Seq: 2}})
+			return err
+		}},
+		{"upload into a full group", resilience.ErrBulkheadFull, func() error {
+			release, occupied := make(chan struct{}), make(chan struct{})
+			go shed.gates.Get("g").Do(context.Background(), func(context.Context) error {
+				close(occupied)
+				<-release
+				return nil
+			})
+			<-occupied
+			defer close(release)
+			_, err := sc.UploadLogs("v", []LogRecord{{Seq: 1}})
+			return err
+		}},
+	}
+	seen := map[error]bool{}
+	for _, tc := range cases {
+		err := tc.call()
+		if tc.want == nil {
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			continue
+		}
+		if !errors.Is(err, tc.want) {
+			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
+		}
+		seen[tc.want] = true
+	}
+	for _, e := range wireErrors {
+		if !seen[e.err] {
+			t.Errorf("no case sends %v through the wire", e.err)
+		}
+	}
+}

@@ -17,7 +17,7 @@ import (
 func bootBare(t *testing.T) (*kernel.Kernel, *vehicle.Vehicle) {
 	t.Helper()
 	k := kernel.New()
-	if err := k.RegisterLSM(lsm.NewCapability()); err != nil {
+	if err := k.Boot(lsm.NewCapability()); err != nil {
 		t.Fatal(err)
 	}
 	v := vehicle.New(2, 2)
@@ -67,10 +67,7 @@ func bootProtected(t *testing.T) (*kernel.Kernel, *vehicle.Vehicle, *core.SACK) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := k.RegisterLSM(s); err != nil {
-		t.Fatal(err)
-	}
-	if err := k.RegisterLSM(lsm.NewCapability()); err != nil {
+	if err := k.Boot(s, lsm.NewCapability()); err != nil {
 		t.Fatal(err)
 	}
 	v := vehicle.New(2, 2)
@@ -219,10 +216,7 @@ profile doord /usr/bin/doord {
 		t.Fatal(err)
 	}
 	aa.LoadProfile(prof)
-	if err := k.RegisterLSM(aa); err != nil {
-		t.Fatal(err)
-	}
-	if err := k.RegisterLSM(lsm.NewCapability()); err != nil {
+	if err := k.Boot(aa, lsm.NewCapability()); err != nil {
 		t.Fatal(err)
 	}
 	v := vehicle.New(1, 0)

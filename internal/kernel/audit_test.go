@@ -11,7 +11,7 @@ import (
 
 func TestAuditLogReadableByRoot(t *testing.T) {
 	k := New()
-	if err := k.RegisterLSM(lsm.NewCapability()); err != nil {
+	if err := k.Boot(lsm.NewCapability()); err != nil {
 		t.Fatal(err)
 	}
 	k.Audit.Append(lsm.AuditRecord{
@@ -30,7 +30,7 @@ func TestAuditLogReadableByRoot(t *testing.T) {
 
 func TestAuditLogDeniedToUsers(t *testing.T) {
 	k := New()
-	if err := k.RegisterLSM(lsm.NewCapability()); err != nil {
+	if err := k.Boot(lsm.NewCapability()); err != nil {
 		t.Fatal(err)
 	}
 	root := k.Init()

@@ -21,8 +21,8 @@ import (
 const MetricsFile = securityfs.MountPoint + "/sack/metrics"
 
 // Kernel owns the global simulated-kernel state. Create one with New,
-// register security modules (boot-time CONFIG_LSM order), then obtain the
-// init task with Init and fork user tasks from it.
+// assemble its security modules with Boot (CONFIG_LSM order), then
+// obtain the init task with Init and fork user tasks from it.
 type Kernel struct {
 	FS    *vfs.FS
 	LSM   *lsm.Stack
@@ -130,10 +130,30 @@ func (k *Kernel) registerAuditFS() {
 	}
 }
 
-// RegisterLSM appends a security module to the hook chain. Order matters:
-// this is the CONFIG_LSM whitelist-stacking order, so SACK must be
-// registered before AppArmor for the paper's configuration.
-func (k *Kernel) RegisterLSM(m lsm.Module) error { return k.LSM.Register(m) }
+// Boot is the one CONFIG_LSM assembly. It registers mods in consultation
+// order (whitelist stacking: first module checked first, first deny
+// wins, so SACK comes before AppArmor in the paper's configuration),
+// mounts the securityfs files of each module that has them, and freezes
+// the stack, as the kernel marks the hook heads __ro_after_init: a late
+// Register then fails with lsm.ErrStackFrozen instead of racing the
+// lock-free dispatch table. Boot with no modules freezes an empty stack,
+// the kernel without an LSM framework.
+func (k *Kernel) Boot(mods ...lsm.Module) error {
+	for _, m := range mods {
+		if err := k.LSM.Register(m); err != nil {
+			return err
+		}
+		if fs, ok := m.(interface {
+			RegisterSecurityFS(*securityfs.FS) error
+		}); ok {
+			if err := fs.RegisterSecurityFS(k.SecFS); err != nil {
+				return err
+			}
+		}
+	}
+	k.LSM.Freeze()
+	return nil
+}
 
 // Init returns the init task (pid 1, root credentials), creating it on
 // first use.

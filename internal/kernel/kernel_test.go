@@ -15,7 +15,7 @@ import (
 func bootKernel(t *testing.T) *Kernel {
 	t.Helper()
 	k := New()
-	if err := k.RegisterLSM(lsm.NewCapability()); err != nil {
+	if err := k.Boot(lsm.NewCapability()); err != nil {
 		t.Fatal(err)
 	}
 	return k
@@ -726,7 +726,7 @@ func (denyNet) SocketSendmsg(*sys.Cred, string, int) error { return sys.EACCES }
 
 func TestSocketHooksEnforced(t *testing.T) {
 	k := New()
-	if err := k.RegisterLSM(denyNet{}); err != nil {
+	if err := k.Boot(denyNet{}); err != nil {
 		t.Fatal(err)
 	}
 	task := k.Init()
@@ -767,7 +767,7 @@ func TestRenameSyscall(t *testing.T) {
 
 func TestRenameMediatedByLSM(t *testing.T) {
 	k := New()
-	if err := k.RegisterLSM(denyUnlink{}); err != nil {
+	if err := k.Boot(denyUnlink{}); err != nil {
 		t.Fatal(err)
 	}
 	task := k.Init()

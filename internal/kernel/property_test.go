@@ -18,7 +18,7 @@ func TestPropertyRandomSyscallSequences(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		k := New()
-		if err := k.RegisterLSM(lsm.NewCapability()); err != nil {
+		if err := k.Boot(lsm.NewCapability()); err != nil {
 			t.Fatal(err)
 		}
 		root := k.Init()

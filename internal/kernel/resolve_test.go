@@ -91,7 +91,7 @@ func TestPathErrorOrder(t *testing.T) {
 		for i, c := range cases {
 			k := New()
 			rec := &pathRecorder{}
-			if err := k.RegisterLSM(rec); err != nil {
+			if err := k.Boot(rec); err != nil {
 				t.Fatal(err)
 			}
 			for _, f := range []string{"/a/b", "/file"} {

@@ -9,14 +9,12 @@
 // -race.
 //
 // Errors are typed, not stringly: ErrCircuitOpen, ErrBulkheadFull and
-// ErrTimeout are errors.Is-matchable, and HTTPStatus maps the one that
-// crosses the fleetd HTTP boundary onto its status code.
+// ErrTimeout are errors.Is-matchable.
 package resilience
 
 import (
 	"context"
 	"errors"
-	"net/http"
 )
 
 // Typed errors. Callers match with errors.Is.
@@ -33,21 +31,6 @@ var (
 	// retries retry it and breakers count it.
 	ErrTimeout = errors.New("resilience: operation timed out")
 )
-
-// HTTPStatus maps the typed error fleetd serves onto its HTTP status:
-// a bulkhead shed is 429 (fleetd's X-Fleet-Shed header tells it apart
-// from a full log buffer, the other 429). Unrecognised errors map to
-// 500.
-func HTTPStatus(err error) int {
-	switch {
-	case err == nil:
-		return http.StatusOK
-	case errors.Is(err, ErrBulkheadFull):
-		return http.StatusTooManyRequests
-	default:
-		return http.StatusInternalServerError
-	}
-}
 
 // Op is one guarded operation.
 type Op func(ctx context.Context) error

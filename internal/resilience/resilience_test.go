@@ -305,19 +305,3 @@ func TestVirtualClock(t *testing.T) {
 		t.Fatalf("advance = %v", got)
 	}
 }
-
-// --- HTTP mapping --------------------------------------------------------
-
-func TestHTTPStatusDistinct(t *testing.T) {
-	if got := HTTPStatus(fmt.Errorf("group x: %w", ErrBulkheadFull)); got != 429 {
-		t.Fatalf("wrapped bulkhead shed = %d, want 429", got)
-	}
-	for _, err := range []error{errBoom, ErrCircuitOpen, ErrTimeout} {
-		if got := HTTPStatus(err); got != 500 {
-			t.Fatalf("%v = %d: fleetd serves no breaker or timeout, want 500", err, got)
-		}
-	}
-	if HTTPStatus(nil) != 200 {
-		t.Fatal("nil mapping")
-	}
-}

@@ -33,13 +33,7 @@ func bootWithSACK(t *testing.T) (*kernel.Kernel, *core.SACK) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := k.RegisterLSM(s); err != nil {
-		t.Fatal(err)
-	}
-	if err := k.RegisterLSM(lsm.NewCapability()); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.RegisterSecurityFS(k.SecFS); err != nil {
+	if err := k.Boot(s, lsm.NewCapability()); err != nil {
 		t.Fatal(err)
 	}
 	return k, s

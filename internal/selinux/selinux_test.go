@@ -158,10 +158,8 @@ transitions {
 	if err := se.LoadPolicy(tePolicy); err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range []lsm.Module{sackMod, se, lsm.NewCapability()} {
-		if err := k.RegisterLSM(m); err != nil {
-			t.Fatal(err)
-		}
+	if err := k.Boot(sackMod, se, lsm.NewCapability()); err != nil {
+		t.Fatal(err)
 	}
 	if got := k.LSM.String(); got != "sack,selinux,capability" {
 		t.Fatalf("stack = %q", got)

@@ -9,6 +9,8 @@ import (
 	sack "repro"
 	"repro/internal/faults"
 	"repro/internal/resilience"
+	"repro/internal/sds"
+	"repro/internal/sys"
 )
 
 const failsafeAPIPolicy = `
@@ -168,4 +170,54 @@ func TestPipelineFileReadableThroughPublicAPI(t *testing.T) {
 			t.Fatalf("pipeline file missing %q:\n%s", key, content)
 		}
 	}
+}
+
+// TestHeartbeatSecretThroughFacade: WithHeartbeatSecret reaches both
+// ends of the event pipeline. The kernel accepts the beats of an SDS
+// built through NewSDSWith, which signs with the system's secret, and
+// refuses those of an SDS built without it.
+func TestHeartbeatSecretThroughFacade(t *testing.T) {
+	secret := []byte("fleet-secret")
+	boot := func(t *testing.T) (*sack.System, *resilience.VirtualClock) {
+		system, err := sack.New(failsafeAPIPolicy, sack.WithHeartbeatSecret(secret))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return system, resilience.NewVirtualClock(time.Unix(1_700_000_000, 0))
+	}
+
+	t.Run("NewSDSWith signs", func(t *testing.T) {
+		system, clock := boot(t)
+		service, err := system.NewSDSWith(system.Kernel.Init(), clock, nil, sds.WithHeartbeat(time.Second))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			if err := service.Flush(); err != nil {
+				t.Fatalf("beat %d: %v", i, err)
+			}
+			clock.Advance(time.Second)
+		}
+		st := system.Pipeline().Stats()
+		if !st.Armed || !st.Authenticated || st.Heartbeats != 2 || st.ForgedHeartbeats != 0 {
+			t.Fatalf("armed=%v authenticated=%v beats=%d forged=%d, want true, true, 2, 0",
+				st.Armed, st.Authenticated, st.Heartbeats, st.ForgedHeartbeats)
+		}
+	})
+
+	t.Run("NewService without the secret", func(t *testing.T) {
+		system, clock := boot(t)
+		tx, err := sds.NewKernelTransmitter(system.Kernel.Init())
+		if err != nil {
+			t.Fatal(err)
+		}
+		service := sds.NewService(clock, nil, nil, tx, sds.WithHeartbeat(time.Second))
+		if err := service.Flush(); !sys.IsErrno(err, sys.EPERM) {
+			t.Fatalf("unsigned beat: %v, want EPERM", err)
+		}
+		st := system.Pipeline().Stats()
+		if st.Armed || st.Heartbeats != 0 || st.ForgedHeartbeats != 1 {
+			t.Fatalf("armed=%v beats=%d forged=%d, want false, 0, 1", st.Armed, st.Heartbeats, st.ForgedHeartbeats)
+		}
+	})
 }

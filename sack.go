@@ -487,29 +487,14 @@ func New(policyText string, opts ...Option) (*System, error) {
 		return nil, err
 	}
 
-	if err := k.RegisterLSM(s); err != nil {
-		return nil, err
-	}
+	// CONFIG_LSM: SACK first, then AppArmor if present, then capability.
+	mods := []lsm.Module{s}
 	if aa != nil {
-		if err := k.RegisterLSM(aa); err != nil {
-			return nil, err
-		}
+		mods = append(mods, aa)
 	}
-	if err := k.RegisterLSM(lsm.NewCapability()); err != nil {
+	if err := k.Boot(append(mods, lsm.NewCapability())...); err != nil {
 		return nil, err
 	}
-	if err := s.RegisterSecurityFS(k.SecFS); err != nil {
-		return nil, err
-	}
-	if aa != nil {
-		if err := aa.RegisterSecurityFS(k.SecFS); err != nil {
-			return nil, err
-		}
-	}
-	// End of boot: seal the stack, as the kernel marks the hook heads
-	// __ro_after_init. Late Register calls now fail loudly instead of
-	// racing the lock-free dispatch table.
-	k.LSM.Freeze()
 
 	out := &System{Kernel: k, SACK: s, AppArmor: aa, Audit: k.Audit}
 	out.sink = kernelSink{s: s}
