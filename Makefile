@@ -56,11 +56,15 @@ chaos:
 # clean heartbeats, break-glass and SACKfs state writes race, and at
 # each barrier the enforced policy must be the last committed one, a
 # pinned pipeline must hold the failsafe, and the enforced state must be
-# the reported one and declared by the live policy — all under the race
+# the reported one and declared by the live policy — and the concurrent
+# reload diff test: two reloaders race over distinct revisions, and
+# each returned report must be the reference diff from the policy its
+# commit replaced (a reload diffs before it takes the writer lock and
+# recomputes if another committed meanwhile) — all under the race
 # detector.
 reload-stress:
 	$(GO) test -race -count=1 -run 'TestReload|TestOneStateUnderConcurrentWriters' .
-	$(GO) test -race -count=1 -run 'TestReload' ./internal/core
+	$(GO) test -race -count=1 -run 'TestReload' ./internal/core ./internal/policy
 
 # Fleet convergence property suite: 1000 vehicles behind random
 # per-vehicle transport fault plans (drops, stalls, duplicates,
@@ -194,12 +198,17 @@ perfbench-build:
 # scalability sweep and of every BenchmarkAVC cell (cached, uncached,
 # both pass-through shapes, one-off denials, raw Decide) and of every
 # BenchmarkPolicyLoad cell (the Fig. 2 pack policy, 500 rules, 64
-# states, a 16-application subject-scoped policy) so those paths
-# compile and run on every PR without benchmark-length runtimes,
+# states, a 16-application subject-scoped policy) and every
+# BenchmarkReload cell (unchanged source, the same source recompiled,
+# one rule changed, all rules renamed, a 64-state revision) so those
+# paths compile and run on every PR without benchmark-length runtimes,
 # plus the uncached-latency fence (trie must stay well ahead of the glob-
 # walk oracle and under its absolute budget), the compile-footprint
 # fence (allocations per policy.Load of the 64-state and 500-rule
-# generated policies: one trie per policy, not per state) and the
+# generated policies: one trie per policy, not per state), the
+# unchanged-source reload fence (a Reload of the installed text reuses
+# the installed artifact: at most 64 allocations for 500 rules, still
+# one generation, one "no changes" record and one AVC epoch) and the
 # wire-codec fences (bytes/record ≥5× under JSON, zero-alloc decode),
 # plus the policy
 # validator's allocation fence on a benchmark-sized policy, the
@@ -216,7 +225,8 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkParallelDecision/sack-covered/goroutines=(1|16)$$' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkAVC' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkPolicyLoad' -benchtime 1x . ./internal/policy
-	$(GO) test -count=1 -run 'TestUncachedLatencyGuard|TestMatcherZeroAllocUncached|TestSyscallAllocGuard|TestPolicyLoadAllocGuard' -v .
+	$(GO) test -run '^$$' -bench 'BenchmarkReload' -benchtime 1x -benchmem .
+	$(GO) test -count=1 -run 'TestUncachedLatencyGuard|TestMatcherZeroAllocUncached|TestSyscallAllocGuard|TestPolicyLoadAllocGuard|TestReloadUnchangedSourceAllocGuard' -v .
 	$(GO) test -count=1 -run 'TestBytesPerRecordGuard|TestDecodeAllocGuard' -v ./internal/fleet/wire
 	$(GO) test -count=1 -run 'TestValidateAllocGuard' -v ./internal/policy
 	$(GO) test -count=1 -run 'TestAuditFlushZeroAllocs|TestMetricsSampledCounts' -v ./internal/lsm

@@ -22,9 +22,11 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
+	sack "repro"
 	"repro/internal/bench"
 	"repro/internal/lmbench"
 	"repro/internal/policy"
@@ -313,6 +315,63 @@ func BenchmarkPolicyLoad(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, _, err := policy.Load(c.src); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkReload times one policy replacement on a booted system.
+// unchanged-source reloads the installed text through System.Reload,
+// which reuses the installed artifact. The other cells hand
+// ReloadCompiled two precompiled artifacts in turn, starting with the
+// revision, so every commit replaces a different artifact and the cell
+// times the diff and the commit alone: same-source-recompiled alternates
+// two compiles of one text, one-rule and all-rules-renamed alternate the
+// 500-rule Table III policy with a revision that changes one rule or
+// renames them all, and states-64 alternates the 64-state policy with a
+// revision that widens one state's rule.
+func BenchmarkReload(b *testing.B) {
+	rules, states := bench.GenRulesPolicy(500), bench.GenStatesPolicy(64)
+	boot := func(b *testing.B, src string) *sack.System {
+		sys, err := sack.New(src, sack.WithoutVehicle())
+		if err != nil {
+			b.Fatal(err)
+		}
+		return sys
+	}
+	b.Run("unchanged-source", func(b *testing.B) {
+		sys := boot(b, rules)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := sys.Reload(rules); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	for _, c := range []struct{ name, a, b string }{
+		{"same-source-recompiled", rules, rules},
+		{"one-rule", rules, strings.Replace(rules, "/srv/sack/area7/file7*", "/srv/sack/area7/file7-rev*", 1)},
+		{"all-rules-renamed", rules, strings.ReplaceAll(rules, "/file", "/renamed")},
+		{"states-64", states, strings.Replace(states, "allow ioctl /dev/vehicle/dev7*", "allow ioctl,read /dev/vehicle/dev7*", 1)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			sys := boot(b, c.a)
+			var revs [2]*sack.CompiledPolicy
+			for i, src := range []string{c.a, c.b} {
+				compiled, _, err := sack.Compile(src)
+				if err != nil {
+					b.Fatal(err)
+				}
+				revs[i] = compiled
+			}
+			srcs := [2]string{c.a, c.b}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := sys.ReloadCompiled(revs[(i+1)%2], srcs[(i+1)%2]); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -522,7 +522,8 @@ func TestReloadDropsPrevStateRecoversToNewInitial(t *testing.T) {
 
 func TestReloadRejectedWhenOverrideFailsafeDropped(t *testing.T) {
 	// A Config.Failsafe override names a state the new policy dropped:
-	// the transaction must reject and leave everything untouched.
+	// the transaction must reject, leave everything untouched, and report
+	// that it applied nothing.
 	compiled, _, err := policy.Load(failsafePolicy)
 	if err != nil {
 		t.Fatal(err)
@@ -535,8 +536,12 @@ func TestReloadRejectedWhenOverrideFailsafeDropped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.ReplacePolicy(newC, droppedStatePolicy); err == nil {
+	report, err := s.ReplacePolicy(newC, droppedStatePolicy)
+	if err == nil {
 		t.Fatal("reload with dropped override failsafe accepted")
+	}
+	if !report.Empty() {
+		t.Fatalf("rejected reload reported changes:\n%s", report)
 	}
 	if got := s.Policy(); got != compiled {
 		t.Fatal("rejected reload mutated the installed policy")

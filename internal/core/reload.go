@@ -1,8 +1,6 @@
 package core
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"strings"
 
@@ -40,11 +38,9 @@ type ReloadStatus struct {
 	Remaps []string
 }
 
-// sourceHash fingerprints policy source text for the reload status.
-func sourceHash(src string) string {
-	sum := sha256.Sum256([]byte(src))
-	return hex.EncodeToString(sum[:8])
-}
+// sourceHash fingerprints policy source text for the reload status: the
+// first 16 hex digits of its bundle checksum.
+func sourceHash(src string) string { return policy.ChecksumSource(src)[:16] }
 
 // ReloadStatus snapshots the reload transaction state.
 func (s *SACK) ReloadStatus() ReloadStatus {
@@ -71,8 +67,14 @@ func (s *SACK) setReloadStatus(st ReloadStatus) {
 //
 //  1. validate: resolve the new failsafe (Config override wins) and
 //     reject the reload outright if the override names a state the new
-//     policy does not declare — nothing is mutated on failure;
-//  2. diff: compute the change list against the outgoing policy;
+//     policy does not declare — nothing is mutated on failure, and the
+//     returned report is empty. Both inputs are immutable, so this runs
+//     before the lock;
+//  2. diff: compute the change list against the outgoing policy. It is
+//     computed before the lock, against the policy installed then, so
+//     event delivery and the pipeline monitor never wait for it; under
+//     the lock it is recomputed only if another reload committed in
+//     between;
 //  3. remap: carry the *logical* current state across the swap. While
 //     pinned the SSM is parked in the failsafe, so the state to
 //     preserve is the pipeline's pre-degradation state, never the
@@ -92,14 +94,12 @@ func (s *SACK) setReloadStatus(st ReloadStatus) {
 //     hash, diff summary) plus one record per remap and pin change, and
 //     the reload generation surfaces at ReloadFile.
 //
-// It returns the diff the kernel actually applied.
+// It returns the diff the kernel actually applied: the change list from
+// the policy this commit replaced, empty when the reload is rejected.
+// Reinstalling the installed artifact is a commit like any other, with
+// an empty diff.
 func (s *SACK) ReplacePolicy(c *policy.Compiled, source string) (policy.DiffReport, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	p := s.pipe
-
-	old := s.snap.Load()
-	report := policy.Report(policy.Diff(old.compiled, c))
 
 	// Validate the failsafe the new policy will run under before
 	// touching anything: a Config override must exist in the new state
@@ -110,8 +110,21 @@ func (s *SACK) ReplacePolicy(c *policy.Compiled, source string) (policy.DiffRepo
 	}
 	if newFailsafe != "" {
 		if _, ok := c.StateSets[newFailsafe]; !ok {
-			return report, fmt.Errorf("sack: reload rejected: failsafe state %q not declared by new policy", newFailsafe)
+			return policy.DiffReport{}, fmt.Errorf("sack: reload rejected: failsafe state %q not declared by new policy", newFailsafe)
 		}
+	}
+
+	// Diff, render and hash against the policy installed now, before
+	// the lock; redo the diff under it only if a reload committed since.
+	base := s.snap.Load().compiled
+	report, lines := reloadDiff(base, c)
+	hash := sourceHash(source)
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	old := s.snap.Load()
+	if old.compiled != base {
+		report, lines = reloadDiff(old.compiled, c)
 	}
 
 	var remaps []string
@@ -193,12 +206,10 @@ func (s *SACK) ReplacePolicy(c *policy.Compiled, source string) (policy.DiffRepo
 	gen := s.reloadGen.Add(1)
 	st := ReloadStatus{
 		Generation: gen,
-		SourceHash: sourceHash(source),
+		SourceHash: hash,
 		Summary:    report.Summary(),
+		Diff:       lines,
 		Remaps:     remaps,
-	}
-	for _, ch := range report.Changes {
-		st.Diff = append(st.Diff, ch.String())
 	}
 	s.setReloadStatus(st)
 
@@ -210,6 +221,17 @@ func (s *SACK) ReplacePolicy(c *policy.Compiled, source string) (policy.DiffRepo
 		})
 	}
 	return report, nil
+}
+
+// reloadDiff is the diff from old to c and its lines as ReloadFile
+// renders them.
+func reloadDiff(old, c *policy.Compiled) (policy.DiffReport, []string) {
+	report := policy.Report(policy.Diff(old, c))
+	var lines []string
+	for _, ch := range report.Changes {
+		lines = append(lines, ch.String())
+	}
+	return report, lines
 }
 
 // Render formats the reload status in the flat key: value style of the

@@ -202,6 +202,13 @@ func (s *SACK) Mode() Mode { return s.mode }
 // Policy returns the compiled policy currently installed.
 func (s *SACK) Policy() *policy.Compiled { return s.snap.Load().compiled }
 
+// Installed returns the installed policy and the source text it was
+// compiled from, read from one snapshot.
+func (s *SACK) Installed() (*policy.Compiled, string) {
+	snap := s.snap.Load()
+	return snap.compiled, snap.source
+}
+
 // CurrentState returns the current situation state.
 func (s *SACK) CurrentState() policy.StateInfo { return s.snap.Load().state }
 

@@ -1,6 +1,9 @@
 package glob
 
-import "strings"
+import (
+	"slices"
+	"strings"
+)
 
 // Glob intersection. The policy verifier and the allow/deny conflict
 // pass both need to answer "can any concrete path match both of these
@@ -30,11 +33,35 @@ const (
 	IntersectUnknown
 )
 
+// Split is a pattern prepared for intersection: each brace branch with
+// its path segments, split once. A caller that intersects one pattern
+// against many (the conflict pass, the verifier) splits it once and
+// hands the result to every IntersectK call.
+type Split struct {
+	branches []splitBranch
+}
+
+type splitBranch struct {
+	src  string
+	segs []Seg
+	ok   bool // false: not segmentable, probed by exemplars instead
+}
+
+// Split splits every branch of the pattern into segments.
+func (g *Glob) Split() Split {
+	sp := Split{branches: make([]splitBranch, len(g.branches))}
+	for i, br := range g.branches {
+		segs, ok := SplitSegments(br)
+		sp.branches[i] = splitBranch{src: br, segs: segs, ok: ok}
+	}
+	return sp
+}
+
 // Intersect reports whether any path matches both patterns. On
 // IntersectFound the returned witness is one such path, verified
 // against both patterns before being returned.
 func Intersect(a, b *Glob) (witness string, res IntersectResult) {
-	ws, res := IntersectK(a, b, 1)
+	ws, res := IntersectK(a.Split(), b.Split(), 1)
 	if res == IntersectFound {
 		return ws[0], res
 	}
@@ -51,12 +78,11 @@ func Intersect(a, b *Glob) (witness string, res IntersectResult) {
 // swallows) walk the list instead of giving up after one. Fewer than k
 // results means the construction ran out of distinguishable choices,
 // not that only that many common paths exist.
-func IntersectK(a, b *Glob, k int) ([]string, IntersectResult) {
+func IntersectK(a, b Split, k int) ([]string, IntersectResult) {
 	if k < 1 {
 		k = 1
 	}
 	unknown := false
-	seen := make(map[string]bool, k)
 	var out []string
 	// A handful of salts per requested witness is plenty: each salt
 	// varies every free position at once, so collisions only happen
@@ -70,9 +96,8 @@ func IntersectK(a, b *Glob, k int) ([]string, IntersectResult) {
 					// Defense in depth: a constructed witness that does not
 					// actually match both branches signals a construction gap,
 					// not a proof — degrade to Unknown rather than mislead.
-					if matchGlob(pa, w) && matchGlob(pb, w) {
-						if !seen[w] {
-							seen[w] = true
+					if matchGlob(pa.src, w) && matchGlob(pb.src, w) {
+						if !slices.Contains(out, w) {
 							out = append(out, w)
 						}
 					} else {
@@ -106,98 +131,96 @@ func IntersectK(a, b *Glob, k int) ([]string, IntersectResult) {
 // branchIntersect intersects two brace-free branches. The salt steers
 // free construction choices; salt 0 reproduces the historical minimal
 // witness.
-func branchIntersect(pa, pb string, salt int) (string, IntersectResult) {
-	segsA, okA := SplitSegments(pa)
-	segsB, okB := SplitSegments(pb)
-	if !okA || !okB {
+func branchIntersect(pa, pb splitBranch, salt int) (string, IntersectResult) {
+	if !pa.ok || !pb.ok {
 		// Unsegmentable shape: probe each pattern's exemplar against the
 		// other. Finding a match is a proof; not finding one is not.
-		if wa := Exemplar(pa); matchGlob(pa, wa) && matchGlob(pb, wa) {
+		if wa := Exemplar(pa.src); matchGlob(pa.src, wa) && matchGlob(pb.src, wa) {
 			return wa, IntersectFound
 		}
-		if wb := Exemplar(pb); matchGlob(pb, wb) && matchGlob(pa, wb) {
+		if wb := Exemplar(pb.src); matchGlob(pb.src, wb) && matchGlob(pa.src, wb) {
 			return wb, IntersectFound
 		}
 		return "", IntersectUnknown
 	}
-	segs, ok := intersectSegLists(segsA, segsB, salt)
+	w, ok := intersectSegLists(pa.segs, pb.segs, salt)
 	if !ok {
 		return "", IntersectNone
 	}
-	return "/" + strings.Join(segs, "/"), IntersectFound
+	return w, IntersectFound
 }
 
-// intersectSegLists builds witness segments matched by both segment
+// intersectSegLists builds a witness path matched by both segment
 // lists, handling "**" edges (consume one or more whole segments, empty
-// segments included). Failure memoisation keeps the branch-heavy "**"
-// cases polynomial.
-func intersectSegLists(a, b []Seg, salt int) ([]string, bool) {
-	type key struct{ i, j int }
-	dead := make(map[key]bool)
-	var rec func(i, j int) ([]string, bool)
-	rec = func(i, j int) ([]string, bool) {
-		if dead[key{i, j}] {
-			return nil, false
-		}
-		fail := func() ([]string, bool) {
-			dead[key{i, j}] = true
-			return nil, false
-		}
-		switch {
-		case i == len(a) && j == len(b):
-			return nil, true
-		case i == len(a) || j == len(b):
-			// Every remaining edge consumes at least one segment.
-			return fail()
-		}
-		sa, sb := a[i], b[j]
-		switch {
-		case sa.Kind == SegDoubleStar && sb.Kind == SegDoubleStar:
-			// Both stars eat one filler segment; then either (or both) may
-			// be done with it.
-			for _, next := range [][2]int{{i + 1, j + 1}, {i + 1, j}, {i, j + 1}} {
-				if rest, ok := rec(next[0], next[1]); ok {
-					return append([]string{starFiller(salt)}, rest...), true
-				}
-			}
-			return fail()
-		case sa.Kind == SegDoubleStar:
-			// a's "**" eats one segment shaped by b's head; it may then
-			// keep eating or stop.
-			w, ok := segExemplarSalted(sb, salt)
-			if !ok {
-				return fail()
-			}
-			for _, next := range [][2]int{{i + 1, j + 1}, {i, j + 1}} {
-				if rest, ok := rec(next[0], next[1]); ok {
-					return append([]string{w}, rest...), true
-				}
-			}
-			return fail()
-		case sb.Kind == SegDoubleStar:
-			w, ok := segExemplarSalted(sa, salt)
-			if !ok {
-				return fail()
-			}
-			for _, next := range [][2]int{{i + 1, j + 1}, {i + 1, j}} {
-				if rest, ok := rec(next[0], next[1]); ok {
-					return append([]string{w}, rest...), true
-				}
-			}
-			return fail()
-		default:
-			w, ok := intersectOneSeg(sa, sb, salt)
-			if !ok {
-				return fail()
-			}
-			rest, ok := rec(i+1, j+1)
-			if !ok {
-				return fail()
-			}
-			return append([]string{w}, rest...), true
-		}
+// segments included).
+func intersectSegLists(a, b []Seg, salt int) (string, bool) {
+	x := segSearch{a: a, b: b, salt: salt, dead: make([]bool, (len(a)+1)*(len(b)+1))}
+	// The empty first segment joins into the leading '/'.
+	x.path = append(make([]string, 0, len(a)+len(b)+1), "")
+	if !x.rec(0, 0) {
+		return "", false
 	}
-	return rec(0, 0)
+	return strings.Join(x.path, "/"), true
+}
+
+// segSearch is the depth-first witness construction over two segment
+// lists. The witness grows on path as the search descends and shrinks
+// as it backs out; failure memoisation on the (i, j) position keeps the
+// branch-heavy "**" cases polynomial.
+type segSearch struct {
+	a, b []Seg
+	salt int
+	dead []bool // dead[i*(len(b)+1)+j]: no witness from a[i:], b[j:]
+	path []string
+}
+
+// rec extends path with a witness for a[i:] and b[j:], reporting
+// whether one exists; on failure path is as it was.
+func (x *segSearch) rec(i, j int) bool {
+	k := i*(len(x.b)+1) + j
+	if x.dead[k] {
+		return false
+	}
+	if x.step(i, j) {
+		return true
+	}
+	x.dead[k] = true
+	return false
+}
+
+func (x *segSearch) step(i, j int) bool {
+	switch {
+	case i == len(x.a) && j == len(x.b):
+		return true
+	case i == len(x.a) || j == len(x.b):
+		// Every remaining edge consumes at least one segment.
+		return false
+	}
+	sa, sb := x.a[i], x.b[j]
+	aStar, bStar := sa.Kind == SegDoubleStar, sb.Kind == SegDoubleStar
+	var w string
+	ok := true
+	switch {
+	case aStar && bStar:
+		w = starFiller(x.salt)
+	case aStar:
+		// a's "**" eats one segment shaped by b's head.
+		w, ok = segExemplarSalted(sb, x.salt)
+	case bStar:
+		w, ok = segExemplarSalted(sa, x.salt)
+	default:
+		w, ok = intersectOneSeg(sa, sb, x.salt)
+	}
+	if !ok {
+		return false
+	}
+	// Past the segment both lists move on, or a "**" stays to eat more.
+	x.path = append(x.path, w)
+	if x.rec(i+1, j+1) || bStar && x.rec(i+1, j) || aStar && x.rec(i, j+1) {
+		return true
+	}
+	x.path = x.path[:len(x.path)-1]
+	return false
 }
 
 // starFiller is the segment emitted where both patterns leave the
@@ -340,85 +363,93 @@ var exemplarBytes = func() []byte {
 }()
 
 // intersectSegPatterns intersects two in-segment patterns atom by atom,
-// building a witness segment. Memoised on the atom-index pair, so the
-// star branching stays quadratic.
+// building a witness segment.
 func intersectSegPatterns(pa, pb string, salt int) (string, bool) {
-	a, b := parseSegAtoms(pa), parseSegAtoms(pb)
-	type key struct{ i, j int }
-	dead := make(map[key]bool)
-	var rec func(i, j int) (string, bool)
-	rec = func(i, j int) (string, bool) {
-		if dead[key{i, j}] {
-			return "", false
+	x := atomSearch{a: parseSegAtoms(pa), b: parseSegAtoms(pb), salt: salt}
+	x.dead = make([]bool, (len(x.a)+1)*(len(x.b)+1))
+	if !x.rec(0, 0) {
+		return "", false
+	}
+	return string(x.w), true
+}
+
+// atomSearch is the depth-first witness construction over two atom
+// lists, the in-segment twin of segSearch: the witness grows on w, and
+// memoising failures on the atom-index pair keeps the star branching
+// quadratic.
+type atomSearch struct {
+	a, b []segAtom
+	salt int
+	dead []bool // dead[i*(len(b)+1)+j]: no witness from a[i:], b[j:]
+	w    []byte
+}
+
+// rec extends w with a witness for a[i:] and b[j:], reporting whether
+// one exists; on failure w is as it was.
+func (x *atomSearch) rec(i, j int) bool {
+	k := i*(len(x.b)+1) + j
+	if x.dead[k] {
+		return false
+	}
+	if x.step(i, j) {
+		return true
+	}
+	x.dead[k] = true
+	return false
+}
+
+func (x *atomSearch) step(i, j int) bool {
+	switch {
+	case i == len(x.a) && j == len(x.b):
+		return true
+	case i == len(x.a):
+		// Remaining b atoms must all be stars (match empty).
+		return allStars(x.b[j:])
+	case j == len(x.b):
+		return allStars(x.a[i:])
+	}
+	aa, ab := x.a[i], x.b[j]
+	switch {
+	case aa.kind == atomStar && ab.kind == atomStar:
+		return x.rec(i+1, j) || x.rec(i, j+1)
+	case aa.kind == atomStar:
+		// Star matches empty, or swallows one character shaped by b's
+		// next atom.
+		if x.rec(i+1, j) {
+			return true
 		}
-		fail := func() (string, bool) {
-			dead[key{i, j}] = true
-			return "", false
+		c, ok := charForSalted(ab, ab, x.salt)
+		return ok && x.push(c, i, j+1)
+	case ab.kind == atomStar:
+		if x.rec(i, j+1) {
+			return true
 		}
-		switch {
-		case i == len(a) && j == len(b):
-			return "", true
-		case i == len(a):
-			// Remaining b atoms must all be stars (match empty).
-			for _, at := range b[j:] {
-				if at.kind != atomStar {
-					return fail()
-				}
-			}
-			return "", true
-		case j == len(b):
-			for _, at := range a[i:] {
-				if at.kind != atomStar {
-					return fail()
-				}
-			}
-			return "", true
-		}
-		aa, ab := a[i], b[j]
-		switch {
-		case aa.kind == atomStar && ab.kind == atomStar:
-			if w, ok := rec(i+1, j); ok {
-				return w, true
-			}
-			if w, ok := rec(i, j+1); ok {
-				return w, true
-			}
-			return fail()
-		case aa.kind == atomStar:
-			// Star matches empty, or swallows one character shaped by b's
-			// next atom.
-			if w, ok := rec(i+1, j); ok {
-				return w, true
-			}
-			if c, ok := charForSalted(ab, ab, salt); ok {
-				if w, ok := rec(i, j+1); ok {
-					return string(c) + w, true
-				}
-			}
-			return fail()
-		case ab.kind == atomStar:
-			if w, ok := rec(i, j+1); ok {
-				return w, true
-			}
-			if c, ok := charForSalted(aa, aa, salt); ok {
-				if w, ok := rec(i+1, j); ok {
-					return string(c) + w, true
-				}
-			}
-			return fail()
-		default:
-			c, ok := charForSalted(aa, ab, salt)
-			if !ok {
-				return fail()
-			}
-			w, ok := rec(i+1, j+1)
-			if !ok {
-				return fail()
-			}
-			return string(c) + w, true
+		c, ok := charForSalted(aa, aa, x.salt)
+		return ok && x.push(c, i+1, j)
+	default:
+		c, ok := charForSalted(aa, ab, x.salt)
+		return ok && x.push(c, i+1, j+1)
+	}
+}
+
+// push appends c to the witness and continues from (i, j), taking c
+// back if no witness follows.
+func (x *atomSearch) push(c byte, i, j int) bool {
+	x.w = append(x.w, c)
+	if x.rec(i, j) {
+		return true
+	}
+	x.w = x.w[:len(x.w)-1]
+	return false
+}
+
+func allStars(atoms []segAtom) bool {
+	for _, at := range atoms {
+		if at.kind != atomStar {
+			return false
 		}
 	}
-	return rec(0, 0)
+	return true
 }
 
 // segExemplar produces one concrete segment matched by seg.

@@ -135,13 +135,13 @@ func TestIntersectDifferential(t *testing.T) {
 				// IntersectK stops after salt 0 once it has proved a pair
 				// disjoint. Deeper enumeration must agree on disjointness, and
 				// no later salt may construct what salt 0 could not.
-				if _, resK := IntersectK(ga, gb, 16); (resK == IntersectNone) != (res == IntersectNone) {
+				if _, resK := IntersectK(ga.Split(), gb.Split(), 16); (resK == IntersectNone) != (res == IntersectNone) {
 					t.Fatalf("IntersectK(%q, %q, 16) = %v but Intersect = %v", ga, gb, resK, res)
 				}
 				if res == IntersectNone {
 					for salt := 1; salt < 8*16; salt++ {
-						for _, pa := range ga.branches {
-							for _, pb := range gb.branches {
+						for _, pa := range ga.Split().branches {
+							for _, pb := range gb.Split().branches {
 								if sw, sr := branchIntersect(pa, pb, salt); sr != IntersectNone {
 									t.Fatalf("Intersect(%q, %q) = None but salt %d gives %v %q", ga, gb, salt, sr, sw)
 								}
@@ -177,7 +177,7 @@ func TestIntersectKEnumerates(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.a+"|"+c.b, func(t *testing.T) {
 			ga, gb := MustCompile(c.a), MustCompile(c.b)
-			ws, res := IntersectK(ga, gb, 8)
+			ws, res := IntersectK(ga.Split(), gb.Split(), 8)
 			if res != IntersectFound {
 				t.Fatalf("IntersectK(%q, %q, 8) = %v, want Found", c.a, c.b, res)
 			}
@@ -201,11 +201,11 @@ func TestIntersectKEnumerates(t *testing.T) {
 // TestIntersectKSingleton: a literal-only intersection has exactly one
 // member; IntersectK must not fabricate more or loop trying.
 func TestIntersectKSingleton(t *testing.T) {
-	ws, res := IntersectK(MustCompile("/a/b"), MustCompile("/a/*"), 8)
+	ws, res := IntersectK(MustCompile("/a/b").Split(), MustCompile("/a/*").Split(), 8)
 	if res != IntersectFound || len(ws) != 1 || ws[0] != "/a/b" {
 		t.Fatalf("IntersectK literal = %v, %v; want [/a/b], Found", ws, res)
 	}
-	if _, res := IntersectK(MustCompile("/a/b"), MustCompile("/a/c"), 8); res != IntersectNone {
+	if _, res := IntersectK(MustCompile("/a/b").Split(), MustCompile("/a/c").Split(), 8); res != IntersectNone {
 		t.Fatalf("disjoint pair reported %v, want None", res)
 	}
 }
@@ -221,7 +221,7 @@ func TestIntersectKMatchesIntersect(t *testing.T) {
 			continue
 		}
 		w, res := Intersect(ga, gb)
-		ws, resK := IntersectK(ga, gb, 1)
+		ws, resK := IntersectK(ga.Split(), gb.Split(), 1)
 		if res != resK {
 			t.Fatalf("Intersect(%q, %q) = %v but IntersectK k=1 = %v", ga, gb, res, resK)
 		}

@@ -52,9 +52,11 @@ func SplitSegments(branch string) (segs []Seg, ok bool) {
 	}
 	// "/a/b" -> ["a" "b"], "/a/" -> ["a" ""], "/" -> [""]: a trailing '/'
 	// carries one final empty segment, mirroring how paths split.
-	pieces := strings.Split(branch[1:], "/")
-	segs = make([]Seg, 0, len(pieces))
-	for _, piece := range pieces {
+	rest := branch[1:]
+	segs = make([]Seg, 0, strings.Count(rest, "/")+1)
+	for more := true; more; {
+		var piece string
+		piece, rest, more = strings.Cut(rest, "/")
 		switch {
 		case piece == "**":
 			segs = append(segs, Seg{Text: piece, Kind: SegDoubleStar})

@@ -53,10 +53,18 @@ const bundleMagic = "SACK-BUNDLE/1"
 // encode exactly as before this section existed.
 const invariantsSeparator = "\n--- invariants ---\n"
 
-// Checksum fingerprints policy source for bundle integrity checks.
+// ChecksumSource fingerprints policy source for bundle integrity checks:
+// the hex SHA-256 of the text. It feeds the text through a small buffer
+// rather than converting it whole, so hashing a policy does not copy it.
 func ChecksumSource(src string) string {
-	sum := sha256.Sum256([]byte(src))
-	return hex.EncodeToString(sum[:])
+	h := sha256.New()
+	var buf [512]byte
+	for len(src) > 0 {
+		n := copy(buf[:], src)
+		h.Write(buf[:n])
+		src = src[n:]
+	}
+	return hex.EncodeToString(h.Sum(buf[:0]))
 }
 
 // NewBundle builds a bundle for a policy revision, computing its

@@ -1,7 +1,9 @@
 package policy
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -22,7 +24,18 @@ func (c Change) String() string {
 // administrator should review before a reload: states and permissions
 // appearing or vanishing, per-state rule set deltas, and transition
 // graph edits. Deterministic ordering.
+//
+// A reload's diff is mostly empty, so Diff pays for what changed, not
+// for the policy's size: the same artifact is no change at all; a state,
+// permission or transition list equal element by element to its old
+// one is skipped; rules are compared structurally (pattern, access,
+// deny, subject), and only the rules one side lists and the other does
+// not are rendered. The report is the one rendering every rule of every
+// state and comparing the strings would give.
 func Diff(old, new *Compiled) []Change {
+	if old == new {
+		return nil
+	}
 	var out []Change
 
 	// Initial state.
@@ -45,76 +58,179 @@ func Diff(old, new *Compiled) []Change {
 	}
 
 	// States (by name; encodings compared for survivors).
-	oldStates := map[string]uint32{}
-	for _, s := range old.States {
-		oldStates[s.Name] = s.Encoding
-	}
-	newStates := map[string]uint32{}
-	for _, s := range new.States {
-		newStates[s.Name] = s.Encoding
-	}
-	for _, name := range sortedKeys(oldStates) {
-		if _, ok := newStates[name]; !ok {
-			out = append(out, Change{Kind: "state", Action: "removed", Detail: name})
+	if !slices.Equal(old.States, new.States) {
+		oldStates := map[string]uint32{}
+		for _, s := range old.States {
+			oldStates[s.Name] = s.Encoding
 		}
-	}
-	for _, name := range sortedKeys(newStates) {
-		if oldEnc, ok := oldStates[name]; !ok {
-			out = append(out, Change{Kind: "state", Action: "added", Detail: name})
-		} else if oldEnc != newStates[name] {
-			out = append(out, Change{Kind: "state", Action: "changed",
-				Detail: fmt.Sprintf("%s encoding %d -> %d", name, oldEnc, newStates[name])})
+		newStates := map[string]uint32{}
+		for _, s := range new.States {
+			newStates[s.Name] = s.Encoding
+		}
+		for _, name := range sortedKeys(oldStates) {
+			if _, ok := newStates[name]; !ok {
+				out = append(out, Change{Kind: "state", Action: "removed", Detail: name})
+			}
+		}
+		for _, name := range sortedKeys(newStates) {
+			if oldEnc, ok := oldStates[name]; !ok {
+				out = append(out, Change{Kind: "state", Action: "added", Detail: name})
+			} else if oldEnc != newStates[name] {
+				out = append(out, Change{Kind: "state", Action: "changed",
+					Detail: fmt.Sprintf("%s encoding %d -> %d", name, oldEnc, newStates[name])})
+			}
 		}
 	}
 
 	// Permissions.
-	oldPerms := toSet(old.Permissions)
-	newPerms := toSet(new.Permissions)
-	for _, p := range sortedKeys(oldPerms) {
-		if !newPerms[p] {
-			out = append(out, Change{Kind: "permission", Action: "removed", Detail: p})
-		}
-	}
-	for _, p := range sortedKeys(newPerms) {
-		if !oldPerms[p] {
-			out = append(out, Change{Kind: "permission", Action: "added", Detail: p})
-		}
+	if !slices.Equal(old.Permissions, new.Permissions) {
+		out = appendSetDelta(out, "permission", toSet(old.Permissions), toSet(new.Permissions))
 	}
 
 	// Per-state effective rule sets (the operational meaning of the
-	// policy): compare canonical rule strings.
-	for _, name := range sortedKeys(newStates) {
-		oldRS, okOld := old.StateSets[name]
-		newRS := new.StateSets[name]
-		if !okOld {
-			continue // addition already reported; its rules are all new
+	// policy), in state name order. A state new to the policy is skipped:
+	// its addition is already reported and its rules are all new.
+	type stateDelta struct {
+		name           string
+		removed, added []string
+	}
+	var deltas []stateDelta
+	for _, st := range new.States {
+		oldRS, ok := old.StateSets[st.Name]
+		if !ok {
+			continue
 		}
-		oldRules := ruleStrings(oldRS)
-		newRules := ruleStrings(newRS)
-		for _, r := range missingFrom(oldRules, newRules) {
-			out = append(out, Change{Kind: "rule", Action: "removed",
-				Detail: fmt.Sprintf("state %s: %s", name, r)})
+		removed, added := ruleDelta(oldRS.rules, new.StateSets[st.Name].rules)
+		if len(removed)+len(added) > 0 {
+			deltas = append(deltas, stateDelta{st.Name, removed, added})
 		}
-		for _, r := range missingFrom(newRules, oldRules) {
-			out = append(out, Change{Kind: "rule", Action: "added",
-				Detail: fmt.Sprintf("state %s: %s", name, r)})
+	}
+	slices.SortFunc(deltas, func(a, b stateDelta) int { return strings.Compare(a.name, b.name) })
+	for _, d := range deltas {
+		for _, r := range d.removed {
+			out = append(out, Change{Kind: "rule", Action: "removed", Detail: "state " + d.name + ": " + r})
+		}
+		for _, r := range d.added {
+			out = append(out, Change{Kind: "rule", Action: "added", Detail: "state " + d.name + ": " + r})
 		}
 	}
 
 	// Transitions.
-	oldTrans := transitionSet(old)
-	newTrans := transitionSet(new)
-	for _, tr := range sortedKeys(oldTrans) {
-		if !newTrans[tr] {
-			out = append(out, Change{Kind: "transition", Action: "removed", Detail: tr})
+	if !slices.Equal(old.Transitions, new.Transitions) {
+		out = appendSetDelta(out, "transition", transitionSet(old), transitionSet(new))
+	}
+	return out
+}
+
+// appendSetDelta appends a removed change for each key of old that new
+// lacks, then an added change for each key of new that old lacks, each
+// run in key order.
+func appendSetDelta(out []Change, kind string, old, new map[string]bool) []Change {
+	for _, k := range sortedKeys(old) {
+		if !new[k] {
+			out = append(out, Change{Kind: kind, Action: "removed", Detail: k})
 		}
 	}
-	for _, tr := range sortedKeys(newTrans) {
-		if !oldTrans[tr] {
-			out = append(out, Change{Kind: "transition", Action: "added", Detail: tr})
+	for _, k := range sortedKeys(new) {
+		if !old[k] {
+			out = append(out, Change{Kind: kind, Action: "added", Detail: k})
 		}
 	}
 	return out
+}
+
+// ruleDelta renders, each list sorted, the rules old lists and new does
+// not and the rules new lists and old does not. Rules compare as sets:
+// order and repetition do not matter. Revisions leave most of a state's
+// list in place, so the common prefix and suffix are skipped without
+// allocating, and only the rest is sorted and merged.
+func ruleDelta(old, new []*CompiledRule) (removed, added []string) {
+	p := 0
+	for p < len(old) && p < len(new) && compareRules(old[p], new[p]) == 0 {
+		p++
+	}
+	if p == len(old) && p == len(new) {
+		return nil, nil
+	}
+	q := 0
+	for q < len(old)-p && q < len(new)-p && compareRules(old[len(old)-1-q], new[len(new)-1-q]) == 0 {
+		q++
+	}
+	// The skipped rules are on both sides: a middle rule equal to one of
+	// them (a repeated rule) is listed by both.
+	kept := func(r *CompiledRule) bool {
+		return slices.ContainsFunc(old[:p], func(k *CompiledRule) bool { return compareRules(k, r) == 0 }) ||
+			slices.ContainsFunc(old[len(old)-q:], func(k *CompiledRule) bool { return compareRules(k, r) == 0 })
+	}
+	a := slices.Clone(old[p : len(old)-q])
+	b := slices.Clone(new[p : len(new)-q])
+	slices.SortFunc(a, compareRules)
+	slices.SortFunc(b, compareRules)
+	for i, j := 0, 0; i < len(a) || j < len(b); {
+		c := 1
+		switch {
+		case i == len(a):
+		case j == len(b):
+			c = -1
+		default:
+			c = compareRules(a[i], b[j])
+		}
+		if c < 0 && !kept(a[i]) {
+			removed = append(removed, a[i].String())
+		}
+		if c > 0 && !kept(b[j]) {
+			added = append(added, b[j].String())
+		}
+		if c <= 0 {
+			i = skipEqual(a, i)
+		}
+		if c >= 0 {
+			j = skipEqual(b, j)
+		}
+	}
+	sort.Strings(removed)
+	sort.Strings(added)
+	return removed, added
+}
+
+// skipEqual returns the index past the run of rules equal to rs[i].
+func skipEqual(rs []*CompiledRule, i int) int {
+	r := rs[i]
+	for i++; i < len(rs) && compareRules(rs[i], r) == 0; i++ {
+	}
+	return i
+}
+
+// compareRules orders rules by what String renders: pattern, subject
+// (none first), access, then allow before deny. It is 0 exactly when
+// the two render the same.
+func compareRules(a, b *CompiledRule) int {
+	if a == b {
+		return 0
+	}
+	if c := strings.Compare(a.Pattern.String(), b.Pattern.String()); c != 0 {
+		return c
+	}
+	switch {
+	case a.Subject == nil && b.Subject != nil:
+		return -1
+	case a.Subject != nil && b.Subject == nil:
+		return 1
+	case a.Subject != nil:
+		if c := strings.Compare(a.Subject.String(), b.Subject.String()); c != 0 {
+			return c
+		}
+	}
+	if c := cmp.Compare(a.Access, b.Access); c != 0 {
+		return c
+	}
+	switch {
+	case a.Deny == b.Deny:
+		return 0
+	case b.Deny:
+		return -1
+	}
+	return 1
 }
 
 // DiffReport packages the changes of one policy replacement, as applied
@@ -188,29 +304,6 @@ func sortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
 		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func ruleStrings(rs *RuleSet) map[string]bool {
-	out := map[string]bool{}
-	if rs == nil {
-		return out
-	}
-	for _, r := range rs.Rules() {
-		out[r.String()] = true
-	}
-	return out
-}
-
-// missingFrom returns the sorted keys of a that are absent from b.
-func missingFrom(a, b map[string]bool) []string {
-	var out []string
-	for k := range a {
-		if !b[k] {
-			out = append(out, k)
-		}
 	}
 	sort.Strings(out)
 	return out

@@ -1,6 +1,8 @@
 package policy
 
 import (
+	"fmt"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -119,4 +121,127 @@ func TestDiffSymmetry(t *testing.T) {
 	if count(ab, "added") != count(ba, "removed") || count(ab, "removed") != count(ba, "added") {
 		t.Fatalf("asymmetric diff:\nab=%v\nba=%v", ab, ba)
 	}
+}
+
+// ReferenceDiff is the rendering diff: it renders every rule of every
+// state and compares the strings, and builds every state, permission
+// and transition set. It is the oracle Diff must match byte for byte
+// (TestDiffMatchesReference), exported so the external tests can judge
+// reload reports by it.
+func ReferenceDiff(old, new *Compiled) []Change {
+	var out []Change
+
+	// Initial state.
+	if old.Initial != new.Initial {
+		out = append(out, Change{Kind: "initial", Action: "changed",
+			Detail: fmt.Sprintf("%s -> %s", old.Initial, new.Initial)})
+	}
+
+	// Failsafe state.
+	if old.Failsafe != new.Failsafe {
+		from, to := old.Failsafe, new.Failsafe
+		if from == "" {
+			from = "(none)"
+		}
+		if to == "" {
+			to = "(none)"
+		}
+		out = append(out, Change{Kind: "failsafe", Action: "changed",
+			Detail: fmt.Sprintf("%s -> %s", from, to)})
+	}
+
+	// States (by name; encodings compared for survivors).
+	oldStates := map[string]uint32{}
+	for _, s := range old.States {
+		oldStates[s.Name] = s.Encoding
+	}
+	newStates := map[string]uint32{}
+	for _, s := range new.States {
+		newStates[s.Name] = s.Encoding
+	}
+	for _, name := range sortedKeys(oldStates) {
+		if _, ok := newStates[name]; !ok {
+			out = append(out, Change{Kind: "state", Action: "removed", Detail: name})
+		}
+	}
+	for _, name := range sortedKeys(newStates) {
+		if oldEnc, ok := oldStates[name]; !ok {
+			out = append(out, Change{Kind: "state", Action: "added", Detail: name})
+		} else if oldEnc != newStates[name] {
+			out = append(out, Change{Kind: "state", Action: "changed",
+				Detail: fmt.Sprintf("%s encoding %d -> %d", name, oldEnc, newStates[name])})
+		}
+	}
+
+	// Permissions.
+	oldPerms := toSet(old.Permissions)
+	newPerms := toSet(new.Permissions)
+	for _, p := range sortedKeys(oldPerms) {
+		if !newPerms[p] {
+			out = append(out, Change{Kind: "permission", Action: "removed", Detail: p})
+		}
+	}
+	for _, p := range sortedKeys(newPerms) {
+		if !oldPerms[p] {
+			out = append(out, Change{Kind: "permission", Action: "added", Detail: p})
+		}
+	}
+
+	// Per-state effective rule sets (the operational meaning of the
+	// policy): compare canonical rule strings.
+	for _, name := range sortedKeys(newStates) {
+		oldRS, okOld := old.StateSets[name]
+		newRS := new.StateSets[name]
+		if !okOld {
+			continue // addition already reported; its rules are all new
+		}
+		oldRules := refRuleStrings(oldRS)
+		newRules := refRuleStrings(newRS)
+		for _, r := range refMissingFrom(oldRules, newRules) {
+			out = append(out, Change{Kind: "rule", Action: "removed",
+				Detail: fmt.Sprintf("state %s: %s", name, r)})
+		}
+		for _, r := range refMissingFrom(newRules, oldRules) {
+			out = append(out, Change{Kind: "rule", Action: "added",
+				Detail: fmt.Sprintf("state %s: %s", name, r)})
+		}
+	}
+
+	// Transitions.
+	oldTrans := transitionSet(old)
+	newTrans := transitionSet(new)
+	for _, tr := range sortedKeys(oldTrans) {
+		if !newTrans[tr] {
+			out = append(out, Change{Kind: "transition", Action: "removed", Detail: tr})
+		}
+	}
+	for _, tr := range sortedKeys(newTrans) {
+		if !oldTrans[tr] {
+			out = append(out, Change{Kind: "transition", Action: "added", Detail: tr})
+		}
+	}
+	return out
+}
+
+func refRuleStrings(rs *RuleSet) map[string]bool {
+	out := map[string]bool{}
+	if rs == nil {
+		return out
+	}
+	for _, r := range rs.Rules() {
+		out[r.String()] = true
+	}
+	return out
+}
+
+// refMissingFrom returns the sorted keys of a that are absent from b.
+func refMissingFrom(a, b map[string]bool) []string {
+	var out []string
+	for k := range a {
+		if !b[k] {
+			out = append(out, k)
+		}
+	}
+	sort.Strings(out)
+	return out
 }

@@ -192,7 +192,12 @@ func validateDecls(f *File) (*ValidationResult, preparedRules) {
 
 	// --- per_rules ---
 	perRulesSeen := make(map[string]bool)
-	rules := preparedRules{byPerm: make(map[string][]int, len(f.PerRules)), globs: make(map[string]compiledGlob)}
+	nRules := 0
+	for _, pr := range f.PerRules {
+		nRules += len(pr.Rules)
+	}
+	rules := preparedRules{all: make([]conflictRule, 0, nRules),
+		byPerm: make(map[string][]int, len(f.PerRules)), globs: make(map[string]compiledGlob)}
 	for _, pr := range f.PerRules {
 		if _, ok := perms[pr.Perm]; !ok {
 			r.errorf(pr.Pos, "per_rules references undeclared permission %s", quoteIdent(pr.Perm))
@@ -203,6 +208,9 @@ func validateDecls(f *File) (*ValidationResult, preparedRules) {
 		perRulesSeen[pr.Perm] = true
 		if len(pr.Rules) == 0 {
 			r.warnf(pr.Pos, "permission %s has an empty per_rules block", quoteIdent(pr.Perm))
+		}
+		if rules.byPerm[pr.Perm] == nil {
+			rules.byPerm[pr.Perm] = make([]int, 0, len(pr.Rules))
 		}
 		for _, rule := range pr.Rules {
 			rules.byPerm[pr.Perm] = append(rules.byPerm[pr.Perm], len(rules.all))
@@ -451,6 +459,7 @@ func detectConflicts(r *ValidationResult, f *File, rules preparedRules) {
 	var all []int
 	var next []int32
 	var msg []byte
+	x := intersections{splits: make(map[*glob.Glob]glob.Split), disjoint: make(map[[2]*glob.Glob]bool)}
 	for _, sp := range f.StatePer {
 		all = all[:0]
 		for _, pm := range sp.Perms {
@@ -472,7 +481,7 @@ func detectConflicts(r *ValidationResult, f *File, rules preparedRules) {
 					}
 					if !v.known {
 						v.known = true
-						v.witness, v.overlap = conflictBetween(h.a, h.b)
+						v.witness, v.overlap = x.conflictBetween(h.a, h.b)
 					}
 					if v.overlap {
 						h.witness = v.witness
@@ -508,11 +517,43 @@ func detectConflicts(r *ValidationResult, f *File, rules preparedRules) {
 	}
 }
 
+// intersections is the conflict pass's scratch for one Validate: each
+// path pattern split into segments at most once, however many
+// candidates it joins, and each pair of subject globs decided once.
+// Rules share globs (preparedRules.globs), so pointers are the keys.
+type intersections struct {
+	splits   map[*glob.Glob]glob.Split
+	disjoint map[[2]*glob.Glob]bool
+}
+
+func (x *intersections) split(g *glob.Glob) glob.Split {
+	sp, ok := x.splits[g]
+	if !ok {
+		sp = g.Split()
+		x.splits[g] = sp
+	}
+	return sp
+}
+
+// subjectsDisjoint is subjectsDisjoint, memoised on the glob pair.
+func (x *intersections) subjectsDisjoint(a, b *glob.Glob) bool {
+	if a == nil || b == nil {
+		return false
+	}
+	key := [2]*glob.Glob{a, b}
+	d, ok := x.disjoint[key]
+	if !ok {
+		d = subjectsDisjoint(a, b)
+		x.disjoint[key], x.disjoint[[2]*glob.Glob{b, a}] = d, d
+	}
+	return d
+}
+
 // conflictBetween decides one allow/deny pair with overlapping
 // operations and prefix-related paths: whether it is a conflict, and a
 // witness path when one is known.
-func conflictBetween(a, b *conflictRule) (witness string, overlap bool) {
-	if subjectsDisjoint(a.subject, b.subject) {
+func (x *intersections) conflictBetween(a, b *conflictRule) (witness string, overlap bool) {
+	if x.subjectsDisjoint(a.subject, b.subject) {
 		return "", false
 	}
 	deny, allow := a, b
@@ -525,7 +566,7 @@ func conflictBetween(a, b *conflictRule) (witness string, overlap bool) {
 	if isCarveOut(allow, deny) {
 		return "", false
 	}
-	return patternsOverlap(a, b)
+	return x.patternsOverlap(a, b)
 }
 
 // subjectsDisjoint reports whether two rules provably govern different
@@ -558,16 +599,16 @@ func isCarveOut(allow, deny *conflictRule) bool {
 // object. Callers pass only prefix-related pairs, so for the rare
 // pattern shapes the construction cannot segment-index, an inconclusive
 // intersection conservatively warns without a witness.
-func patternsOverlap(a, b *conflictRule) (witness string, overlap bool) {
+func (x *intersections) patternsOverlap(a, b *conflictRule) (witness string, overlap bool) {
 	if a.Path == b.Path {
 		return a.Path, true
 	}
 	if a.path == nil || b.path == nil {
 		return "", false
 	}
-	switch w, res := glob.Intersect(a.path, b.path); res {
+	switch ws, res := glob.IntersectK(x.split(a.path), x.split(b.path), 1); res {
 	case glob.IntersectFound:
-		return w, true
+		return ws[0], true
 	case glob.IntersectNone:
 		return "", false
 	}

@@ -280,6 +280,7 @@ func (e *explorer) findNeverWitness(s string, inv Invariant) (Violation, bool) {
 		return Violation{}, false
 	}
 
+	invSplit := inv.Glob.Split()
 	for _, r := range rs.Rules() {
 		if r.Deny || r.Access&inv.Access == 0 {
 			continue
@@ -287,7 +288,7 @@ func (e *explorer) findNeverWitness(s string, inv Invariant) (Violation, bool) {
 		if r.Subject != nil && !r.Subject.Match(inv.Subject) {
 			continue
 		}
-		if ws, res := glob.IntersectK(inv.Glob, r.Pattern, neverWitnessBudget); res == glob.IntersectFound {
+		if ws, res := glob.IntersectK(invSplit, r.Pattern.Split(), neverWitnessBudget); res == glob.IntersectFound {
 			for _, w := range ws {
 				if v, found := confirm(w); found {
 					return v, true

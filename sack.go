@@ -555,10 +555,17 @@ func (s *System) CurrentState() State { return s.SACK.CurrentState() }
 // pinning is re-evaluated against the new failsafe declaration, and the
 // AVC epoch bumps exactly once. It returns the diff that was actually
 // applied; on error nothing changes and the running policy stays live.
+// Text equal to the installed source (a re-publish of unchanged content,
+// an agent that lost its ETag) reuses the installed artifact instead of
+// compiling it again: compilation is deterministic, so the commit is the
+// same, at the cost of the swap alone.
 func (s *System) Reload(src string) (DiffReport, error) {
-	compiled, _, err := Compile(src)
-	if err != nil {
-		return DiffReport{}, err
+	compiled, installed := s.SACK.Installed()
+	if src != installed {
+		var err error
+		if compiled, _, err = Compile(src); err != nil {
+			return DiffReport{}, err
+		}
 	}
 	return s.SACK.ReplacePolicy(compiled, src)
 }
